@@ -14,14 +14,12 @@
 #include <iostream>
 
 #include "client/client.h"
-#include "cloud/server.h"
 #include "crypto/key_manager.h"
 #include "dp/budget.h"
 #include "dp/individual_ledger.h"
-#include "engine/cloud_node.h"
-#include "engine/fresque_collector.h"
 #include "record/dataset.h"
 #include "record/parser.h"
+#include "shard/pipeline.h"
 
 int main() {
   using namespace fresque;
@@ -47,12 +45,6 @@ int main() {
   spec.domain_max = 42.0;
   spec.bin_width = 0.1;
 
-  auto binning = index::DomainBinning::Create(
-      spec.domain_min, spec.domain_max, spec.bin_width);
-  cloud::CloudServer server(std::move(binning).ValueOrDie());
-  engine::CloudNode cloud_node(&server);
-  cloud_node.Start();
-
   // One year's privacy budget, split over weekly publications (§8): each
   // week's index gets epsilon_total / 52.
   constexpr double kTotalEpsilon = 26.0;
@@ -61,14 +53,15 @@ int main() {
       dp::BudgetAccountant::SplitEvenly(kTotalEpsilon, kWeeks);
   dp::BudgetAccountant accountant(kTotalEpsilon);
 
+  // The collector pipeline and the cloud store it feeds.
   crypto::KeyManager keys = crypto::KeyManager::Generate();
-  engine::CollectorConfig cfg;
-  cfg.dataset = spec;
-  cfg.num_computing_nodes = 2;
-  cfg.epsilon = weekly_epsilon;
-  cfg.dummy_padding_len = 24;
-  engine::FresqueCollector collector(cfg, keys, cloud_node.inbox());
-  if (auto st = collector.Start(); !st.ok()) {
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = spec;
+  cfg.collector.num_computing_nodes = 2;
+  cfg.collector.epsilon = weekly_epsilon;
+  cfg.collector.dummy_padding_len = 24;
+  shard::ShardedPipeline pipeline(cfg, keys);
+  if (auto st = pipeline.Start(); !st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 1;
   }
@@ -102,18 +95,25 @@ int main() {
       char line[96];
       std::snprintf(line, sizeof(line), "%d,%d,%.1f", p,
                     20 + static_cast<int>(rng.NextBounded(60)), temp);
-      collector.SetIntervalProgress(static_cast<double>(p) / kParticipants);
-      (void)collector.Ingest(line);
+      pipeline.SetIntervalProgress(static_cast<double>(p) / kParticipants);
+      (void)pipeline.Ingest(line);
     }
-    (void)collector.Publish();  // week closes; next week opens instantly
+    (void)pipeline.Publish();  // week closes; next week opens instantly
   }
-  (void)collector.Shutdown();
-  cloud_node.Shutdown();
+  if (auto st = pipeline.Shutdown(); !st.ok()) {
+    std::cerr << st.ToString() << "\n";
+    return 1;
+  }
 
   // The epidemiologist asks: how many fever reports (>= 38.5 C)?
   client::Client client(keys, &spec.parser->schema());
-  auto fever = client.Query(server, {38.5, 41.9});
-  auto all = client.Query(server, {35.0, 41.9});
+  auto query = [&](index::RangeQuery q) -> Result<std::vector<record::Record>> {
+    auto raw = pipeline.cloud()->ExecuteQuery(q);
+    if (!raw.ok()) return raw.status();
+    return client.Decrypt(*raw, q);
+  };
+  auto fever = query({38.5, 41.9});
+  auto all = query({35.0, 41.9});
   if (!fever.ok() || !all.ok()) {
     std::cerr << "query failed\n";
     return 1;

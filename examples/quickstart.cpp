@@ -7,11 +7,9 @@
 #include <iostream>
 
 #include "client/client.h"
-#include "cloud/server.h"
 #include "crypto/key_manager.h"
-#include "engine/cloud_node.h"
-#include "engine/fresque_collector.h"
 #include "record/dataset.h"
+#include "shard/pipeline.h"
 
 int main() {
   using namespace fresque;
@@ -25,51 +23,55 @@ int main() {
     return 1;
   }
 
-  // 2. The untrusted cloud: stores ciphertexts + DP indexes, and a node
-  //    front-end that applies collector frames to it.
-  auto binning = index::DomainBinning::Create(
-      spec->domain_min, spec->domain_max, spec->bin_width);
-  cloud::CloudServer server(std::move(binning).ValueOrDie());
-  engine::CloudNode cloud_node(&server);
-  cloud_node.Start();
-
-  // 3. The trusted collector: key material + FRESQUE configuration.
+  // 2. The trusted collector plus the untrusted cloud it feeds: one
+  //    pipeline (dispatcher -> computing nodes -> checking node -> merger
+  //    -> cloud store). cfg.shard.num_shards runs N copies side by side;
+  //    the default is one.
   crypto::KeyManager keys = crypto::KeyManager::Generate();
-  engine::CollectorConfig cfg;
-  cfg.dataset = *spec;
-  cfg.num_computing_nodes = 4;  // parse+encrypt fan-out
-  cfg.epsilon = 1.0;            // per-publication DP budget
-  engine::FresqueCollector collector(cfg, keys, cloud_node.inbox());
-  if (auto st = collector.Start(); !st.ok()) {
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = *spec;
+  cfg.collector.num_computing_nodes = 4;  // parse+encrypt fan-out
+  cfg.collector.epsilon = 1.0;            // per-publication DP budget
+  shard::ShardedPipeline pipeline(cfg, keys);
+  if (auto st = pipeline.Start(); !st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 1;
   }
 
-  // 4. Stream raw text lines. The dispatcher round-robins them to the
+  // 3. Stream raw text lines. The dispatcher round-robins them to the
   //    computing nodes; dummies and noise management happen underneath.
   auto gen = record::MakeGenerator(*spec, /*seed=*/2021);
   constexpr int kRecords = 20000;
   for (int i = 0; i < kRecords; ++i) {
-    collector.SetIntervalProgress(static_cast<double>(i) / kRecords);
-    if (auto st = collector.Ingest((*gen)->NextLine()); !st.ok()) {
+    pipeline.SetIntervalProgress(static_cast<double>(i) / kRecords);
+    if (auto st = pipeline.Ingest((*gen)->NextLine()); !st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 1;
     }
   }
 
-  // 5. Close the publishing interval. Publication work runs on the
+  // 4. Close the publishing interval. Publication work runs on the
   //    merger while the collector is already ingesting the next interval.
-  (void)collector.Publish();
-  (void)collector.Shutdown();
-  cloud_node.Shutdown();
+  //    Shutdown drains the pipeline and waits for the cloud's acks.
+  (void)pipeline.Publish();
+  if (auto st = pipeline.Shutdown(); !st.ok()) {
+    std::cerr << st.ToString() << "\n";
+    return 1;
+  }
 
-  // 6. Query: the client sends a range over the indexed attribute,
-  //    decrypts the result, and discards dummies automatically.
+  // 5. Query: the cloud answers a range over the indexed attribute with
+  //    ciphertexts; the client decrypts them and discards dummies.
+  const shard::ShardedCloudServer& cloud = *pipeline.cloud();
   client::Client client(keys, &spec->parser->schema());
   index::RangeQuery q;
   q.lo = spec->domain_min + 100 * 3600.0;  // hours 100..200 of the window
   q.hi = spec->domain_min + 200 * 3600.0;
-  auto result = client.Query(server, q);
+  auto raw = cloud.ExecuteQuery(q);
+  if (!raw.ok()) {
+    std::cerr << raw.status().ToString() << "\n";
+    return 1;
+  }
+  auto result = client.Decrypt(*raw, q);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;
@@ -78,8 +80,8 @@ int main() {
   std::cout << "ingested " << kRecords << " records, published 1 index\n"
             << "range query [hour 100, hour 200] returned "
             << result->size() << " records\n"
-            << "cloud stores " << server.total_bytes()
-            << " bytes across " << server.num_publications()
+            << "cloud stores " << cloud.total_bytes()
+            << " bytes across " << cloud.num_publications()
             << " publication(s)\n";
   if (!result->empty()) {
     std::cout << "first match: " << (*result)[0].ToString() << "\n";

@@ -8,7 +8,8 @@
 # is ingesting:
 #   1. /healthz and /readyz answer 200,
 #   2. /metrics is Prometheus text and carries the pipeline families,
-#   3. /statusz is JSON with topology + view-epoch fields,
+#   3. /statusz is JSON with topology + view-epoch fields and the
+#      one-row shards table (the default pipeline is one shard),
 #   4. /flightz is JSON with recorded flight events,
 #   5. SIGTERM flushes the flight recorder to stderr AND to
 #      <data-dir>/flight.dump before the process dies.
@@ -76,6 +77,11 @@ STATUSZ="$(curl -fsS "$BASE/statusz")"
 for field in '"view_epoch"' '"nodes"' '"wal"' '"build"' '"slo"'; do
   echo "$STATUSZ" | grep -q "$field" || fail "/statusz missing $field"
 done
+echo "$STATUSZ" | grep -qF '"shards":[{"shard":0' \
+  || fail "/statusz missing the shards table"
+if echo "$STATUSZ" | grep -qF '"shard":1'; then
+  fail "/statusz shards table has more than one row for --shards=1"
+fi
 
 curl -fsS "$BASE/flightz" | grep -q '"events"' || fail "/flightz has no events array"
 

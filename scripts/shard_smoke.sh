@@ -8,7 +8,9 @@
 #   1. /statusz renders the per-shard table (one row per shard) and
 #      /metrics carries the shard.* families while ingest runs,
 #   2. ingest exits 0 and prints the conservation ledger — every line
-#      routed to exactly one shard, router total == ingested total,
+#      routed to exactly one shard, router total == ingested total — and
+#      the admission shed count (--admission-rps is a per-shard cap; no
+#      flag may be reported as ignored),
 #   3. one snapshot per shard lands at <snapshot>.shard-<i>,
 #   4. a full-domain `query --shards=4` fans out to all 4 shards with a
 #      balanced per-shard ledger (exit 2 on ledger mismatch),
@@ -38,7 +40,7 @@ LINES=120000
 
 "$CLI" ingest nasa "$WORK/lines.txt" "$WORK/snapshot.bin" 0.1 2 20000 \
   --shards=4 --shard-by=range \
-  --data-dir="$WORK/dd" --fsync=never \
+  --data-dir="$WORK/dd" --fsync=never --admission-rps=100000000 \
   --obs-addr=127.0.0.1:0 \
   >"$WORK/out.log" 2>"$WORK/err.log" &
 PID=$!
@@ -88,6 +90,12 @@ grep -q "exactly-once placement" "$WORK/out.log" \
   || fail "ingest output missing the conservation ledger line"
 grep -q "conservation: $LINES ingested == $LINES routed" "$WORK/out.log" \
   || { cat "$WORK/out.log"; fail "conservation ledger does not balance"; }
+grep -q "^admission: [0-9]* line(s) shed" "$WORK/out.log" \
+  || { cat "$WORK/out.log"; fail "ingest output missing the admission shed count"; }
+if grep -qi "ignored" "$WORK/err.log"; then
+  cat "$WORK/err.log"
+  fail "a flag was reported as ignored"
+fi
 
 # 3. One snapshot per shard.
 for i in 0 1 2 3; do

@@ -1,5 +1,6 @@
 #include "durability/recovery.h"
 
+#include <filesystem>
 #include <utility>
 
 #include "durability/snapshot_manager.h"
@@ -113,6 +114,15 @@ Result<RecoveredCloud> RecoveryManager::Recover(const std::string& dir,
   FRESQUE_FLIGHT_EVENT(kRecovery, "wal replay complete", out.stats.frames_replayed,
                        out.stats.last_lsn, out.stats.torn_tail ? 1 : 0);
   return out;
+}
+
+bool RecoveryManager::HasState(const std::string& dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name == "MANIFEST" || name.rfind("wal-", 0) == 0) return true;
+  }
+  return false;
 }
 
 }  // namespace durability

@@ -50,6 +50,10 @@ class RecoveryManager {
  public:
   static Result<RecoveredCloud> Recover(
       const std::string& dir, const Clock* clock = SystemClock::Global());
+
+  /// True when `dir` itself holds a MANIFEST or a WAL segment (files in
+  /// subdirectories do not count).
+  static bool HasState(const std::string& dir);
 };
 
 }  // namespace durability

@@ -1,5 +1,6 @@
 #include "shard/pipeline.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <future>
 #include <utility>
@@ -155,6 +156,7 @@ void ShardedPipeline::WorkerLoop(Shard* s) {
         if (Status ps = s->collector->Publish(); !ps.ok()) NoteError(ps);
         open_lines = 0;
       } else {
+        s->collector->SetIntervalProgress(f.progress);
         Status is = s->collector->Ingest(f.line, f.priority, f.born_ns);
         if (is.ok()) {
           ++open_lines;
@@ -194,6 +196,7 @@ Status ShardedPipeline::Ingest(std::string_view line,
   f.line.assign(line.data(), line.size());
   f.priority = priority;
   f.born_ns = intended_born_ns;
+  f.progress = progress_;
   buf.push_back(std::move(f));
 #if FRESQUE_TELEMETRY_ENABLED
   shards_[d.shard]->records_in->Add(1);
@@ -228,7 +231,8 @@ Status ShardedPipeline::Publish() {
                               " ingress closed before publish barrier");
     }
   }
-  ++pn_;
+  pn_.fetch_add(1, std::memory_order_relaxed);
+  progress_ = 0;
   return Status::OK();
 }
 
@@ -240,6 +244,20 @@ Status ShardedPipeline::Shutdown() {
   StopAll();
   ExportTelemetry();
   return first_error();
+}
+
+Status ShardedPipeline::WriteFinalSnapshots() {
+  if (!shut_down_) {
+    return Status::FailedPrecondition("WriteFinalSnapshots needs Shutdown()");
+  }
+  for (auto& s : shards_) {
+    if (s->snapshots == nullptr) continue;
+    if (Status st = s->snapshots->WriteSnapshot(); !st.ok()) {
+      return Status::Internal("shard " + std::to_string(s->index) +
+                              " final snapshot: " + st.ToString());
+    }
+  }
+  return Status::OK();
 }
 
 void ShardedPipeline::StopAll() {
@@ -293,9 +311,69 @@ ShardedPipelineMetrics ShardedPipeline::Metrics() const {
     sm.publications = cloud_->shard(i)->num_publications();
     sm.records = cloud_->shard(i)->total_records();
     sm.collector = s->collector->Metrics();
+    sm.durability = s->cloud_node->durability_metrics();
     m.shards.push_back(std::move(sm));
   }
   return m;
+}
+
+engine::CollectorMetrics ShardedPipelineMetrics::CollectorTotals() const {
+  engine::CollectorMetrics t;
+  for (const auto& s : shards) {
+    const engine::CollectorMetrics& c = s.collector;
+    for (const auto& n : c.nodes) {
+      auto it = std::find_if(t.nodes.begin(), t.nodes.end(),
+                             [&n](const auto& x) { return x.name == n.name; });
+      if (it == t.nodes.end()) {
+        t.nodes.push_back(n);
+        continue;
+      }
+      it->running = it->running || n.running;
+      it->frames_processed += n.frames_processed;
+      it->inbox.depth += n.inbox.depth;
+      it->inbox.capacity += n.inbox.capacity;
+      it->inbox.enqueued += n.inbox.enqueued;
+      it->inbox.rejected_full += n.inbox.rejected_full;
+      it->inbox.rejected_closed += n.inbox.rejected_closed;
+      it->inbox.high_watermark =
+          std::max(it->inbox.high_watermark, n.inbox.high_watermark);
+      it->effective_batch = std::max(it->effective_batch, n.effective_batch);
+      it->effective_linger_ns =
+          std::max(it->effective_linger_ns, n.effective_linger_ns);
+    }
+    t.parse_errors += c.parse_errors;
+    t.codec_failures += c.codec_failures;
+    t.pending_dropped += c.pending_dropped;
+    t.overflow_drops += c.overflow_drops;
+    t.shed_records += c.shed_records;
+    t.shed_low += c.shed_low;
+    t.shed_normal += c.shed_normal;
+    t.shed_high += c.shed_high;
+    t.publications_completed += c.publications_completed;
+    t.publications_failed += c.publications_failed;
+  }
+  return t;
+}
+
+durability::DurabilityMetrics ShardedPipelineMetrics::DurabilityTotals() const {
+  durability::DurabilityMetrics t;
+  for (const auto& s : shards) {
+    const durability::DurabilityMetrics& d = s.durability;
+    t.wal_frames += d.wal_frames;
+    t.wal_record_batches += d.wal_record_batches;
+    t.wal_bytes += d.wal_bytes;
+    t.wal_fsyncs += d.wal_fsyncs;
+    t.wal_segments_created += d.wal_segments_created;
+    t.wal_segments_deleted += d.wal_segments_deleted;
+    t.wal_torn_bytes_discarded += d.wal_torn_bytes_discarded;
+    t.snapshots_written += d.snapshots_written;
+    t.snapshot_failures += d.snapshot_failures;
+    t.last_snapshot_millis =
+        std::max(t.last_snapshot_millis, d.last_snapshot_millis);
+    t.frames_replayed += d.frames_replayed;
+    t.recovery_millis = std::max(t.recovery_millis, d.recovery_millis);
+  }
+  return t;
 }
 
 void ShardedPipeline::ExportTelemetry() const {
@@ -321,6 +399,14 @@ void ShardedPipeline::ExportTelemetry() const {
 Result<RecoveredShardedCloud> RecoverShardedCloud(
     const std::string& data_dir, const record::DatasetSpec& dataset,
     const ShardOptions& options) {
+  // An unsharded (pre-shard) data dir keeps its MANIFEST and WAL at the
+  // top level. Recovering it as shards would silently yield empty stores.
+  if (durability::RecoveryManager::HasState(data_dir)) {
+    return Status::FailedPrecondition(
+        data_dir + " holds an unsharded durability layout (MANIFEST or wal-*"
+                   " at the top level); move those files into " +
+        ShardDataDir(data_dir, 0) + "/ and recover with --shards=1");
+  }
   auto placement = ShardPlacement::Create(dataset, options);
   if (!placement.ok()) return placement.status();
   RecoveredShardedCloud out;

@@ -1,6 +1,7 @@
 #ifndef FRESQUE_SHARD_PIPELINE_H_
 #define FRESQUE_SHARD_PIPELINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "crypto/key_manager.h"
+#include "durability/metrics.h"
 #include "durability/recovery.h"
 #include "durability/snapshot_manager.h"
 #include "durability/wal.h"
@@ -67,11 +69,21 @@ struct ShardMetrics {
   size_t publications = 0;
   size_t records = 0;
   engine::CollectorMetrics collector;
+  /// WAL and snapshot counters of this shard's data dir (zeros without
+  /// durability).
+  durability::DurabilityMetrics durability;
 };
 
 struct ShardedPipelineMetrics {
   RouterMetrics router;
   std::vector<ShardMetrics> shards;
+
+  /// Drop, shed and publication counters summed over the shards. Nodes of
+  /// the same name (every shard has a `cn0`) fold into one row:
+  /// depths, capacities and frame counts add, watermarks take the max.
+  engine::CollectorMetrics CollectorTotals() const;
+  /// Durability counters summed over the shards.
+  durability::DurabilityMetrics DurabilityTotals() const;
 };
 
 /// N FresqueCollector pipelines behind one ShardRouter.
@@ -84,9 +96,10 @@ struct ShardedPipelineMetrics {
 /// collector's single-caller contract while the shards run genuinely in
 /// parallel.
 ///
-/// Thread-safety: Start/Ingest/Publish/Shutdown must be called from one
-/// (router) thread, mirroring FresqueCollector's contract. Metrics(),
-/// WaitForPublication() and cloud() queries are safe from any thread.
+/// Thread-safety: Start/Ingest/SetIntervalProgress/Publish/Shutdown/
+/// WriteFinalSnapshots must be called from one (router) thread, mirroring
+/// FresqueCollector's contract. Metrics(), WaitForPublication(),
+/// current_publication() and cloud() queries are safe from any thread.
 ///
 /// Barrier alignment: Publish() enqueues a publish frame on every shard's
 /// ingress queue behind all previously routed lines, so every shard's
@@ -113,6 +126,13 @@ class ShardedPipeline {
       engine::IngestPriority priority = engine::IngestPriority::kNormal,
       int64_t intended_born_ns = 0);
 
+  /// How far the current interval has progressed, in [0, 1]. Lines routed
+  /// after this call carry the fraction to their shard's dispatcher
+  /// (FresqueCollector::SetIntervalProgress), so scheduled dummies are
+  /// spread over the interval instead of all flushing at the barrier.
+  /// Optional; Publish() resets it to 0.
+  void SetIntervalProgress(double fraction) { progress_ = fraction; }
+
   /// Ends the current publishing interval on every shard (asynchronous:
   /// the barrier frame queues behind routed lines; shards publish as they
   /// drain to it).
@@ -125,6 +145,12 @@ class ShardedPipeline {
   /// error any shard hit.
   Status Shutdown();
 
+  /// Converges every shard's data dir after Shutdown(): snapshots the
+  /// final state (including the last interval) and truncates the WAL
+  /// prefix it covers, so a later recovery replays nothing. No-op without
+  /// durability.
+  Status WriteFinalSnapshots();
+
   /// Blocks until publication `pn` reaches a terminal state on *every*
   /// shard. Safe from any thread.
   Status WaitForPublication(
@@ -132,8 +158,11 @@ class ShardedPipeline {
       std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
 
   /// Publication the router is currently filling (== every shard's open
-  /// publication once its queue drains).
-  uint64_t current_publication() const { return pn_; }
+  /// publication once its queue drains). Safe from any thread (a relaxed
+  /// read; /statusz polls it while the caller publishes).
+  uint64_t current_publication() const {
+    return pn_.load(std::memory_order_relaxed);
+  }
 
   /// The sharded cloud facade (valid after Start()). Queries are safe
   /// while ingest runs.
@@ -163,6 +192,7 @@ class ShardedPipeline {
     std::string line;
     engine::IngestPriority priority = engine::IngestPriority::kNormal;
     int64_t born_ns = 0;
+    double progress = 0;  // interval progress when the line was routed
   };
 
   struct Shard;
@@ -185,8 +215,11 @@ class ShardedPipeline {
   // fresque-lint: allow(guarded-by) confined to the single caller thread (the class's Start/Ingest/Publish/Shutdown contract)
   std::vector<std::vector<IngressFrame>> route_buf_;
 
+  /// Written by the caller thread only; atomic so current_publication()
+  /// can be read from any thread.
+  std::atomic<uint64_t> pn_{0};
   // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_
-  uint64_t pn_ = 0;
+  double progress_ = 0;
   // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_
   bool started_ = false;
   // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_

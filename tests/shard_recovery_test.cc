@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,24 @@ TEST(ShardRecoveryTest, FreshDirectoryRecoversEmptyUsableShards) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->TotalRecords(), 0u);
   EXPECT_EQ(stats.probed.size(), 4u);
+}
+
+TEST(ShardRecoveryTest, UnshardedTopLevelLayoutIsRefusedNotRecoveredEmpty) {
+  // A pre-shard data dir keeps MANIFEST / wal-* at the top level. Reading
+  // it as shards would find no shard-<i> dirs and return empty stores.
+  auto spec_or = record::GowallaDataset();
+  ASSERT_TRUE(spec_or.ok());
+  const auto spec = std::move(spec_or).ValueOrDie();
+  shard::ShardOptions opts;
+  for (const char* legacy : {"MANIFEST", "wal-0000000001.log"}) {
+    const std::string dir = FreshDir("shard_recovery_legacy");
+    { std::ofstream(dir + "/" + legacy) << "x"; }
+    auto rec = shard::RecoverShardedCloud(dir, spec, opts);
+    ASSERT_FALSE(rec.ok()) << legacy;
+    EXPECT_EQ(rec.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(rec.status().message().find("shard-0/"), std::string::npos)
+        << rec.status().ToString();
+  }
 }
 
 TEST(ShardRecoveryTest, PartialShardStateRecoversMixed) {

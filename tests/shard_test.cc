@@ -1,13 +1,19 @@
 // Sharded scale-out invariants (DESIGN.md §17): placement arithmetic,
 // router extraction/fallback, cross-shard record conservation (every
 // record in exactly one shard's publications), and merged fan-out query
-// results against a single-shard oracle.
+// results against a single-shard oracle; plus the pipeline's interval-
+// progress forwarding, cross-thread publication counter and final
+// per-shard snapshots.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/client.h"
@@ -20,6 +26,8 @@
 #include "shard/pipeline.h"
 #include "shard/router.h"
 #include "shard/sharded_cloud.h"
+#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace fresque {
 namespace {
@@ -476,6 +484,119 @@ TEST(ShardedPipelineTest, UnparsableLinesBecomeShardParseErrorsNotDrops) {
     parse_errors += s.collector.parse_errors;
   }
   EXPECT_EQ(parse_errors, 5u);
+}
+
+TEST(ShardedPipelineTest, CurrentPublicationIsReadableFromAnyThread) {
+  // /statusz polls current_publication() on the obs thread while the
+  // caller publishes; under TSan a plain counter would race here.
+  auto spec = Gowalla();
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = spec;
+  cfg.collector.num_computing_nodes = 1;
+  cfg.shard.num_shards = 2;
+  shard::ShardedPipeline pipe(cfg, crypto::KeyManager(Bytes(32, 0x42)));
+  ASSERT_TRUE(pipe.Start().ok());
+
+  constexpr uint64_t kPublications = 20;
+  std::atomic<bool> done{false};
+  uint64_t last_seen = 0;
+  bool monotonic = true;
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t pn = pipe.current_publication();
+      if (pn < last_seen) monotonic = false;
+      last_seen = pn;
+    }
+  });
+  auto gen = record::MakeGenerator(spec, 31);
+  ASSERT_TRUE(gen.ok());
+  for (uint64_t p = 0; p < kPublications; ++p) {
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
+    }
+    ASSERT_TRUE(pipe.Publish().ok());
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_TRUE(monotonic);
+  EXPECT_LE(last_seen, kPublications);
+  EXPECT_EQ(pipe.current_publication(), kPublications);
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+}
+
+#if FRESQUE_TELEMETRY_ENABLED
+TEST(ShardedPipelineTest, IntervalProgressReleasesDummiesBeforeTheBarrier) {
+  // Each routed line carries the caller's interval progress to its
+  // shard's dispatcher, so scheduled dummies are spread over the interval.
+  // Without forwarding, every dummy waits for the publish barrier.
+  auto spec = Gowalla();
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = spec;
+  cfg.collector.num_computing_nodes = 1;
+  cfg.collector.seed = 12;
+  cfg.shard.num_shards = 2;
+  shard::ShardedPipeline pipe(cfg, crypto::KeyManager(Bytes(32, 0x42)));
+  ASSERT_TRUE(pipe.Start().ok());
+
+  telemetry::Counter* dummies =
+      telemetry::Registry::Global()->GetCounter("ingest.dummy_records");
+  const uint64_t before = dummies->Value();
+  constexpr size_t kInterval = 4000;
+  auto gen = record::MakeGenerator(spec, 32);
+  ASSERT_TRUE(gen.ok());
+  for (size_t i = 0; i < kInterval / 2; ++i) {
+    pipe.SetIntervalProgress(static_cast<double>(i) / kInterval);
+    ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
+  }
+  // The shard workers drain their ingress queues asynchronously.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (dummies->Value() == before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(dummies->Value(), before)
+      << "no dummy released before Publish(): progress was not forwarded";
+  ASSERT_TRUE(pipe.Publish().ok());
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+}
+#endif  // FRESQUE_TELEMETRY_ENABLED
+
+TEST(ShardedPipelineTest, FinalSnapshotsConvergeEveryShardDataDir) {
+  auto spec = Gowalla();
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/shard_final_snapshots";
+  std::filesystem::remove_all(dir);
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = spec;
+  cfg.collector.num_computing_nodes = 1;
+  cfg.shard.num_shards = 2;
+  cfg.durability.data_dir = dir;
+  cfg.durability.fsync_policy = durability::FsyncPolicy::kNever;
+  cfg.durability.snapshot_every_installs = 0;
+  shard::ShardedPipeline pipe(cfg, crypto::KeyManager(Bytes(32, 0x42)));
+  ASSERT_TRUE(pipe.Start().ok());
+  EXPECT_FALSE(pipe.WriteFinalSnapshots().ok()) << "needs Shutdown() first";
+  auto gen = record::MakeGenerator(spec, 33);
+  ASSERT_TRUE(gen.ok());
+  for (int i = 0; i < 400; ++i) ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+
+  auto before = pipe.Metrics();
+  ASSERT_EQ(before.shards.size(), 2u);
+  for (const auto& s : before.shards) {
+    EXPECT_GT(s.durability.wal_frames, 0u) << "shard " << s.shard;
+    EXPECT_EQ(s.durability.snapshots_written, 0u) << "shard " << s.shard;
+  }
+  ASSERT_TRUE(pipe.WriteFinalSnapshots().ok());
+  auto after = pipe.Metrics();
+  for (const auto& s : after.shards) {
+    EXPECT_EQ(s.durability.snapshots_written, 1u) << "shard " << s.shard;
+  }
+  EXPECT_EQ(after.DurabilityTotals().snapshots_written, 2u);
+  EXPECT_EQ(after.DurabilityTotals().wal_frames,
+            after.shards[0].durability.wal_frames +
+                after.shards[1].durability.wal_frames);
 }
 
 }  // namespace

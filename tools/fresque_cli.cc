@@ -6,20 +6,30 @@
 //   fresque_cli query    <nasa|gowalla> <snapshot.bin> <lo> <hi> [key_hex]
 //   fresque_cli verify   <nasa|gowalla> <snapshot.bin> [key_hex]
 //   fresque_cli inspect  <snapshot.bin>
-//   fresque_cli wal-dump <data-dir>
-//   fresque_cli recover  <data-dir> [snapshot.bin]
+//   fresque_cli wal-dump <data-dir>/shard-<i>
+//   fresque_cli recover  <nasa|gowalla> <data-dir> [snapshot.bin]
 //   fresque_cli metrics-dump <metrics.json>
 //
-// `ingest` runs the full FRESQUE collector over the file, publishing every
-// `interval_records` lines, then persists the cloud state; `query` and
-// `verify` operate on the persisted snapshot. The key (hex master secret,
-// default a fixed demo key) must match between ingest and query/verify.
+// Every command runs one pipeline shape (DESIGN.md §17): a router in
+// front of N collector pipelines, N = --shards (default 1). `ingest` runs
+// the collectors over the file, publishing every `interval_records`
+// lines, then persists shard i's cloud state as `<snapshot.bin>.shard-<i>`;
+// `query`, `verify` and `inspect` read that snapshot set back. The key
+// (hex master secret, default a fixed demo key) must match between ingest
+// and query/verify; a key that is not valid hex is an error.
+//
+// Sharding flags (apply to `ingest`, `query`, `verify` and `recover`;
+// the last three must repeat the ingest's values):
+//   --shards=<n>                 collector pipelines (default 1)
+//   --shard-by=range|hash        placement of records on shards
+//   --epsilon-composition=auto|split|full
+//                                per-shard DP budget rule (ingest only)
 //
 // Durability flags (apply to `ingest`):
-//   --data-dir=<dir>      write-ahead log + snapshots live here; every
-//                         publication ack then implies the install is
-//                         durable, and `recover` rebuilds the store after
-//                         a crash
+//   --data-dir=<dir>      shard i keeps its write-ahead log + snapshots in
+//                         <dir>/shard-<i>; every publication ack then
+//                         implies the install is durable, and `recover`
+//                         rebuilds the store after a crash
 //   --fsync=<policy>      always | interval | interval:<ms> | never
 //   --snapshot-every=<n>  snapshot + truncate the WAL every n installs
 //                         (0 = only the final snapshot)
@@ -59,13 +69,16 @@
 //                               controller and apply the batch/linger
 //                               knobs verbatim (the pre-adaptive behavior)
 //   --admission-rps=<rate>      enable admission control with a token
-//                               bucket capping the admitted rate; shed
-//                               lines are skipped and counted, not fatal
+//                               bucket capping each shard's admitted rate
+//                               (the whole run admits up to N x rate);
+//                               shed lines are skipped and counted, not
+//                               fatal
 //   --shed-watermarks=<lo>:<hi> queue-fill fractions above which kLow /
 //                               kNormal records are shed (default
-//                               0.50:0.85; only meaningful with
-//                               --admission-rps, which enables the gate)
+//                               0.50:0.85; requires --admission-rps,
+//                               which enables the gate)
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -76,22 +89,18 @@
 #include <mutex>
 #include <string>
 #include <thread>
-
-#include <algorithm>
 #include <vector>
 
 #include "client/client.h"
 #include "cloud/server.h"
 #include "common/bytes.h"
-#include "query/executor.h"
 #include "crypto/key_manager.h"
 #include "durability/metrics.h"
 #include "durability/recovery.h"
 #include "durability/snapshot_manager.h"
 #include "durability/wal.h"
-#include "engine/cloud_node.h"
 #include "engine/config.h"
-#include "engine/fresque_collector.h"
+#include "query/executor.h"
 #include "record/dataset.h"
 #include "shard/pipeline.h"
 #include "shard/sharded_cloud.h"
@@ -124,11 +133,13 @@ Result<record::DatasetSpec> SpecByName(const std::string& name) {
                                  " (want nasa|gowalla)");
 }
 
-crypto::KeyManager KeysFromHex(const std::string& hex) {
+/// A typo in the key must not silently fall back to the published demo
+/// key: the data would be encrypted under a key everyone knows.
+Result<crypto::KeyManager> KeysFromHex(const std::string& hex) {
   auto bytes = FromHex(hex);
   if (!bytes.ok() || bytes->empty()) {
-    std::cerr << "warning: bad key hex, using demo key\n";
-    bytes = FromHex(kDefaultKeyHex);
+    return Status::InvalidArgument("bad key hex (want an even-length,"
+                                   " non-empty hex string)");
   }
   return crypto::KeyManager(std::move(*bytes));
 }
@@ -154,15 +165,6 @@ struct TelemetryOptions {
   size_t metrics_interval_ms = 1000;
 
   bool any() const { return !metrics_out.empty() || !trace_out.empty(); }
-};
-
-/// Overload-control options parsed from --static-batching /
-/// --admission-rps / --shed-watermarks.
-struct OverloadOptions {
-  bool static_batching = false;
-  double admission_rps = 0;  // > 0 enables admission control
-  double shed_low_watermark = 0.50;
-  double shed_high_watermark = 0.85;
 };
 
 #if FRESQUE_TELEMETRY_ENABLED
@@ -223,76 +225,114 @@ struct QueryCliOptions {
   size_t repeat = 1;         ///< --repeat (same range, reports latency)
 };
 
-/// `--shards` / `--shard-by` / `--epsilon-composition` (DESIGN.md §17).
-struct ShardCliOptions {
-  fresque::shard::ShardOptions opts;
-  bool sharded() const { return opts.num_shards > 1; }
-};
-
-/// Where shard `i` of a sharded ingest persists its snapshot: the
-/// unsharded path plus a `.shard-<i>` suffix, so `query --shards=N` can
-/// reassemble the fleet from the base path alone.
+/// Where shard `i` persists its snapshot: the base path plus a
+/// `.shard-<i>` suffix, so the set can be reassembled from the base path
+/// and the shard options alone.
 std::string ShardSnapshotPath(const std::string& snap_path, size_t i) {
   return snap_path + ".shard-" + std::to_string(i);
 }
 
-bool HasDurabilityState(const std::string& dir) {
-  if (std::filesystem::exists(dir + "/MANIFEST")) return true;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("wal-", 0) == 0) return true;
+/// Reassembles the sharded cloud from the snapshot set `ingest` wrote.
+Result<std::unique_ptr<shard::ShardedCloudServer>> LoadSnapshotSet(
+    const record::DatasetSpec& spec, const std::string& snap_path,
+    const shard::ShardOptions& opts) {
+  auto placement = shard::ShardPlacement::Create(spec, opts);
+  if (!placement.ok()) return placement.status();
+  auto cloud = std::make_unique<shard::ShardedCloudServer>(*placement);
+  for (size_t i = 0; i < placement->num_shards(); ++i) {
+    auto srv =
+        cloud::CloudServer::LoadSnapshot(ShardSnapshotPath(snap_path, i));
+    Status st = srv.ok() ? cloud->AdoptShard(i, std::move(*srv)) : srv.status();
+    if (!st.ok()) {
+      return Status(st.code(),
+                    "shard " + std::to_string(i) + ": " + st.ToString() +
+                        " (was the ingest run with the same"
+                        " --shards/--shard-by?)");
+    }
   }
-  return false;
+  return cloud;
 }
 
-/// `ingest --shards=N`: the sharded scale-out path (DESIGN.md §17). One
-/// ShardedPipeline replaces the collector+cloud-node pair: a router fans
-/// raw lines out to N full collector pipelines, each with its own cloud
-/// slice, publication counter, durability directory (`<data-dir>/
-/// shard-<i>`) and DP budget per the placement's composition rule. Each
-/// shard's final state lands in `<snapshot.bin>.shard-<i>`; query them
-/// back with the same `--shards`/`--shard-by` values.
-int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
-                     const std::string& snap_path, double epsilon,
-                     size_t nodes, size_t interval, const std::string& key_hex,
-                     const engine::DurabilityConfig& dur,
-                     const OverloadOptions& ovl, const engine::ObsConfig& obs,
-                     const ShardCliOptions& shards) {
+int CmdIngest(const std::string& dataset, const std::string& in_path,
+              const std::string& snap_path, size_t interval,
+              const std::string& key_hex, shard::ShardedPipelineConfig cfg,
+              const TelemetryOptions& tel, const engine::ObsConfig& obs) {
   auto spec = SpecByName(dataset);
   if (!spec.ok()) return Fail(spec.status().ToString());
+  auto keys = KeysFromHex(key_hex);
+  if (!keys.ok()) return Fail(keys.status().ToString());
   std::ifstream in(in_path);
   if (!in) return Fail("cannot open " + in_path);
-  if (ovl.static_batching || ovl.admission_rps > 0) {
-    std::cerr << "warning: overload-control flags are per-collector and"
-                 " not yet wired through --shards; ignored\n";
-  }
+  cfg.collector.dataset = *spec;
+  const engine::DurabilityConfig& dur = cfg.durability;
 
   if (dur.enabled()) {
     std::error_code ec;
     std::filesystem::create_directories(dur.data_dir, ec);
-    for (size_t i = 0; i < shards.opts.num_shards; ++i) {
+    if (durability::RecoveryManager::HasState(dur.data_dir)) {
+      return Fail("data dir " + dur.data_dir +
+                  " holds an unsharded durability layout; move it into " +
+                  shard::ShardDataDir(dur.data_dir, 0) +
+                  "/ or pick a fresh directory");
+    }
+    for (size_t i = 0; i < cfg.shard.num_shards; ++i) {
       const std::string sdir = shard::ShardDataDir(dur.data_dir, i);
-      if (std::filesystem::exists(sdir) && HasDurabilityState(sdir)) {
+      if (durability::RecoveryManager::HasState(sdir)) {
         return Fail("shard data dir " + sdir +
-                    " already holds durability state; recover it first or"
-                    " pick a fresh directory");
+                    " already holds durability state; run `fresque_cli"
+                    " recover` on it or pick a fresh directory");
       }
     }
   }
 
-  shard::ShardedPipelineConfig cfg;
-  cfg.collector.dataset = *spec;
-  cfg.collector.epsilon = epsilon;
-  cfg.collector.num_computing_nodes = nodes;
-  cfg.shard = shards.opts;
-  cfg.durability = dur;
-  shard::ShardedPipeline pipe(cfg, KeysFromHex(key_hex));
+#if FRESQUE_TELEMETRY_ENABLED
+  std::unique_ptr<MetricsDumper> dumper;
+  if (!tel.metrics_out.empty()) {
+    dumper = std::make_unique<MetricsDumper>(tel.metrics_out,
+                                             tel.metrics_interval_ms);
+  }
+  if (!tel.trace_out.empty()) {
+    telemetry::Tracer::Global()->Enable();
+    telemetry::Tracer::Global()->SetCurrentThreadName("router");
+  }
+  // Flight recorder first: capacity must land before the first event, and
+  // the crash handlers before any pipeline thread that could fault. The
+  // dump lands on stderr always, plus <data-dir>/flight.dump when a data
+  // dir exists (crash forensics next to the WALs they explain).
+  if (!obs::FlightRecorder::ConfigureGlobalCapacity(obs.flight_capacity)) {
+    std::cerr << "warning: --flight-capacity=" << obs.flight_capacity
+              << " ignored (out of range or recorder already created)\n";
+  }
+  obs::InstallCrashHandlers(dur.enabled() ? dur.data_dir + "/flight.dump"
+                                          : std::string());
+  obs::SetSloE2eTargetNs(static_cast<int64_t>(obs.slo_e2e_ms) * 1000000);
+#else
+  if (tel.any() || obs.enabled() || obs.slo_e2e_ms > 0) {
+    std::cerr << "warning: built with FRESQUE_TELEMETRY=OFF;"
+                 " --metrics-out/--trace-out/--obs-addr/--slo-e2e-ms are"
+                 " no-ops\n";
+  }
+#endif
+
+  shard::ShardedPipeline pipe(cfg, std::move(*keys));
   if (auto st = pipe.Start(); !st.ok()) return Fail(st.ToString());
 
+  // Folds the per-shard collector and durability snapshots into the
+  // registry's node.* / collector.snapshot.* / wal.* gauges.
+  const bool dur_on = dur.enabled();
+  auto export_metrics = [&pipe, dur_on] {
+    pipe.ExportTelemetry();
+    auto m = pipe.Metrics();
+    engine::ExportToRegistry(m.CollectorTotals());
+    if (dur_on) durability::ExportToRegistry(m.DurabilityTotals());
+  };
+
 #if FRESQUE_TELEMETRY_ENABLED
-  std::unique_ptr<obs::ObsServer> obs_server;
+  // The observability plane (DESIGN.md §16). Declared after the pipeline
+  // so it is destroyed (and its sampler/HTTP threads joined) first: the
+  // callbacks below capture the pipeline by reference.
   std::atomic<bool> obs_ready{true};
+  std::unique_ptr<obs::ObsServer> obs_server;
   if (obs.enabled()) {
     auto parsed = obs::ParseObsAddr(obs.addr);
     if (!parsed.ok()) {
@@ -305,10 +345,14 @@ int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
     oopts.ready_source = [&obs_ready] {
       return obs_ready.load(std::memory_order_relaxed);
     };
-    oopts.fold = [&pipe] { pipe.ExportTelemetry(); };
-    oopts.status_source = [&pipe] {
+    oopts.fold = export_metrics;
+    oopts.status_source = [&pipe, dur_on] {
       obs::StatusSnapshot s;
       auto m = pipe.Metrics();
+      for (const auto& n : m.CollectorTotals().nodes) {
+        s.nodes.push_back({n.name, n.inbox.depth, n.inbox.capacity,
+                           n.inbox.high_watermark, n.frames_processed});
+      }
       s.shards.reserve(m.shards.size());
       for (const auto& sh : m.shards) {
         obs::StatusSnapshot::Shard row;
@@ -326,26 +370,34 @@ int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
         s.shards.push_back(row);
       }
       s.open_publication = static_cast<int64_t>(pipe.current_publication());
+      if (dur_on) {
+        auto dm = m.DurabilityTotals();
+        s.wal_frames = dm.wal_frames;
+        s.wal_bytes = dm.wal_bytes;
+        s.wal_segments = dm.wal_segments_created - dm.wal_segments_deleted;
+        s.snapshots_written = dm.snapshots_written;
+        s.last_snapshot_millis =
+            static_cast<int64_t>(dm.last_snapshot_millis);
+      }
       return s;
     };
     obs_server = std::make_unique<obs::ObsServer>(std::move(oopts));
     if (auto st = obs_server->Start(); !st.ok()) {
       return Fail("obs server: " + st.ToString());
     }
+    // std::endl: scrape scripts tail the log for the bound (possibly
+    // ephemeral) port, so this line must not sit in a full buffer.
     std::cout << "obs: listening on http://" << parsed->first << ":"
               << obs_server->port() << " (/metrics /healthz /readyz"
               << " /statusz /flightz)" << std::endl;
-  }
-#else
-  if (obs.enabled()) {
-    std::cerr << "warning: built with FRESQUE_TELEMETRY=OFF;"
-                 " --obs-addr is a no-op\n";
   }
 #endif
 
   std::string line;
   size_t total = 0, in_interval = 0, publications = 0;
   while (std::getline(in, line)) {
+    pipe.SetIntervalProgress(static_cast<double>(in_interval) /
+                             static_cast<double>(interval));
     if (auto st = pipe.Ingest(line); !st.ok()) return Fail(st.ToString());
     ++total;
     if (++in_interval >= interval) {
@@ -355,28 +407,24 @@ int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
     }
   }
 #if FRESQUE_TELEMETRY_ENABLED
-  obs_ready.store(false, std::memory_order_relaxed);
+  obs_ready.store(false, std::memory_order_relaxed);  // /readyz goes 503
 #endif
   // Shutdown flushes the router, drains every shard and publishes each
   // open interval, waiting for the final cloud acks.
   if (auto st = pipe.Shutdown(); !st.ok()) return Fail(st.ToString());
   if (in_interval > 0) ++publications;
-#if FRESQUE_TELEMETRY_ENABLED
-  pipe.ExportTelemetry();
-  if (obs_server) {
-    obs_server->Stop();
-    std::cout << "obs: served " << obs_server->requests()
-              << " HTTP request(s)\n";
+  if (auto st = pipe.WriteFinalSnapshots(); !st.ok()) {
+    return Fail(st.ToString());
   }
-#endif
 
   auto m = pipe.Metrics();
   std::cout << "ingested " << total << " lines across "
-            << shards.opts.num_shards << " "
-            << shard::ToString(shards.opts.shard_by) << " shard(s) ("
+            << cfg.shard.num_shards << " "
+            << shard::ToString(cfg.shard.shard_by) << " shard(s) ("
             << m.router.extract_fallbacks << " routed by fallback hash), "
-            << publications << " publication barrier(s), epsilon "
-            << pipe.placement().ShardEpsilon(epsilon) << "/shard ["
+            << publications << " publication(s), epsilon "
+            << pipe.placement().ShardEpsilon(cfg.collector.epsilon)
+            << "/shard ["
             << shard::ToString(pipe.placement().effective_composition())
             << " composition]\n";
   uint64_t routed_sum = 0;
@@ -402,47 +450,86 @@ int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
   }
   std::cout << "conservation: " << total << " ingested == " << routed_sum
             << " routed (exactly-once placement)\n";
+  const engine::CollectorMetrics totals = m.CollectorTotals();
+  std::cout << "collector drops: " << totals.TotalDrops() << " (parse "
+            << totals.parse_errors << ", codec " << totals.codec_failures
+            << ", pending " << totals.pending_dropped << ", overflow "
+            << totals.overflow_drops << ")\n";
+  if (cfg.collector.admission.enabled) {
+    std::cout << "admission: " << totals.shed_records
+              << " line(s) shed (cap "
+              << cfg.collector.admission.rate_records_per_sec
+              << " rec/s per shard)\n";
+  }
+  if (dur.enabled()) {
+    auto dm = m.DurabilityTotals();
+    std::cout << "durability: " << dm.wal_frames << " WAL frame(s), "
+              << dm.wal_bytes << " bytes, " << dm.wal_fsyncs << " fsync(s), "
+              << dm.wal_segments_created << " segment(s) ("
+              << dm.wal_segments_deleted << " truncated), "
+              << dm.snapshots_written << " snapshot(s) in " << dur.data_dir
+              << "/shard-<i> [fsync="
+              << durability::FsyncPolicyToString(dur.fsync_policy) << "]\n";
+  }
+
+  export_metrics();
+#if FRESQUE_TELEMETRY_ENABLED
+  if (obs_server) {
+    // Stop before the final metrics dump so the sampler's closing fold
+    // (e2e quantiles, queue gauges) lands in the dumped snapshot.
+    obs_server->Stop();
+    std::cout << "obs: served " << obs_server->requests()
+              << " HTTP request(s)\n";
+  }
+  dumper.reset();  // stop the thread and write the final snapshot
+  if (!tel.trace_out.empty()) {
+    telemetry::Tracer::Global()->Disable();
+    auto stats = telemetry::Tracer::Global()->GetStats();
+    if (auto st = telemetry::Tracer::Global()->WriteChromeTrace(tel.trace_out);
+        !st.ok()) {
+      return Fail("trace dump: " + st.ToString());
+    }
+    std::cout << "trace: " << stats.retained << " span(s) across "
+              << stats.threads << " thread(s) -> " << tel.trace_out;
+    if (stats.dropped > 0) {
+      std::cout << " (" << stats.dropped << " dropped to ring wraparound)";
+    }
+    std::cout << "\n";
+  }
+  if (!tel.metrics_out.empty()) {
+    std::cout << "metrics: " << tel.metrics_out << "\n";
+  }
+#endif
   return 0;
 }
 
-/// `query --shards=N`: reassembles the sharded cloud from the per-shard
-/// snapshots CmdIngestSharded wrote and fans the range query out across
-/// the shards whose slice intersects it, merging with exact accounting.
-int CmdQuerySharded(const std::string& dataset, const std::string& snap_path,
-                    double lo, double hi, const std::string& key_hex,
-                    const QueryCliOptions& opts,
-                    const ShardCliOptions& shards) {
+/// Fans the range query out across the shards whose slice intersects it
+/// and merges the results with exact accounting.
+int CmdQuery(const std::string& dataset, const std::string& snap_path,
+             double lo, double hi, const std::string& key_hex,
+             const QueryCliOptions& opts, const shard::ShardOptions& shards) {
   auto spec = SpecByName(dataset);
   if (!spec.ok()) return Fail(spec.status().ToString());
-  auto placement = shard::ShardPlacement::Create(*spec, shards.opts);
-  if (!placement.ok()) return Fail(placement.status().ToString());
-  auto cloud = std::make_unique<shard::ShardedCloudServer>(*placement);
-  for (size_t i = 0; i < placement->num_shards(); ++i) {
-    auto srv = cloud::CloudServer::LoadSnapshot(ShardSnapshotPath(snap_path, i));
-    if (!srv.ok()) {
-      return Fail("shard " + std::to_string(i) + ": " +
-                  srv.status().ToString() +
-                  " (was the ingest run with the same --shards/--shard-by?)");
-    }
-    if (auto st = cloud->AdoptShard(i, std::move(*srv)); !st.ok()) {
-      return Fail("shard " + std::to_string(i) + ": " + st.ToString());
-    }
-  }
+  auto keys = KeysFromHex(key_hex);
+  if (!keys.ok()) return Fail(keys.status().ToString());
+  auto cloud = LoadSnapshotSet(*spec, snap_path, shards);
+  if (!cloud.ok()) return Fail(cloud.status().ToString());
 
-  // Same executor front door as the unsharded path: the fan-out runs
-  // under the worker's deadline/cancellation context on every shard.
+  // Serve through the concurrent query engine (DESIGN.md §15): the fan-out
+  // runs under the worker's deadline/cancellation context on every shard,
+  // with the admission/deadline semantics a live deployment gets.
   query::ExecutorOptions eo;
   eo.num_threads = opts.threads;
   eo.queue_capacity = opts.queue;
   eo.default_deadline = std::chrono::milliseconds(opts.deadline_ms);
-  shard::ShardedCloudServer* srv = cloud.get();
+  shard::ShardedCloudServer* srv = cloud->get();
   query::QueryExecutor executor(
       [srv](const index::RangeQuery& q, const query::QueryContext& ctx) {
         return srv->ExecuteQuery(q, ctx);
       },
       eo);
 
-  client::Client client(KeysFromHex(key_hex), &spec->parser->schema());
+  client::Client client(std::move(*keys), &spec->parser->schema());
   const index::RangeQuery q{lo, hi};
   std::vector<double> latencies_ms;
   latencies_ms.reserve(opts.repeat);
@@ -475,16 +562,23 @@ int CmdQuerySharded(const std::string& dataset, const std::string& snap_path,
               << " ms, p95 " << pct(0.95) << " ms, p99 " << pct(0.99)
               << " ms\n";
   }
+  auto em = executor.metrics();
+  std::cout << "executor: " << em.submitted << " submitted, " << em.executed
+            << " ok, " << em.shed << " shed, " << em.deadline_exceeded
+            << " deadline-exceeded, " << em.cancelled << " cancelled, "
+            << em.failed << " failed\n";
 
   // The fan-out ledger: which shards were probed, what each contributed,
   // and that the per-shard counts sum to the merged result.
   shard::FanoutStats stats;
-  auto direct = cloud->ExecuteQuery(q, &stats);
+  auto direct = srv->ExecuteQuery(q, &stats);
   if (!direct.ok()) return Fail(direct.status().ToString());
   std::cout << "fan-out: " << stats.probed.size() << " shard(s) probed, "
             << stats.shards_pruned << " pruned by the placement\n";
   for (const auto& s : stats.probed) {
     std::cout << "  shard " << s.shard << " (view epoch " << s.view_epoch
+              << ", leaf cache hit ratio "
+              << srv->shard(s.shard)->leaf_cache().stats().HitRatio()
               << "): " << s.indexed_records << " indexed + "
               << s.overflow_records << " overflow + " << s.unindexed_records
               << " unindexed = " << s.Total() << "\n";
@@ -495,377 +589,62 @@ int CmdQuerySharded(const std::string& dataset, const std::string& snap_path,
   return stats.TotalRecords() == direct->TotalRecords() ? 0 : 2;
 }
 
-int CmdIngest(const std::string& dataset, const std::string& in_path,
-              const std::string& snap_path, double epsilon, size_t nodes,
-              size_t interval, const std::string& key_hex,
-              const engine::DurabilityConfig& dur,
-              const TelemetryOptions& tel, const OverloadOptions& ovl,
-              const engine::ObsConfig& obs) {
-  auto spec = SpecByName(dataset);
-  if (!spec.ok()) return Fail(spec.status().ToString());
-  std::ifstream in(in_path);
-  if (!in) return Fail("cannot open " + in_path);
-
-#if FRESQUE_TELEMETRY_ENABLED
-  std::unique_ptr<MetricsDumper> dumper;
-  if (!tel.metrics_out.empty()) {
-    dumper = std::make_unique<MetricsDumper>(tel.metrics_out,
-                                             tel.metrics_interval_ms);
-  }
-  if (!tel.trace_out.empty()) {
-    telemetry::Tracer::Global()->Enable();
-    telemetry::Tracer::Global()->SetCurrentThreadName("dispatcher");
-  }
-#else
-  if (tel.any() || obs.enabled() || obs.slo_e2e_ms > 0) {
-    std::cerr << "warning: built with FRESQUE_TELEMETRY=OFF;"
-                 " --metrics-out/--trace-out/--obs-addr/--slo-e2e-ms are"
-                 " no-ops\n";
-  }
-#endif
-
-#if FRESQUE_TELEMETRY_ENABLED
-  // Flight recorder first: capacity must land before the first event, and
-  // the crash handlers before any pipeline thread that could fault. The
-  // dump lands on stderr always, plus <data-dir>/flight.dump when a data
-  // dir exists (crash forensics next to the WAL they explain).
-  if (!obs::FlightRecorder::ConfigureGlobalCapacity(obs.flight_capacity)) {
-    std::cerr << "warning: --flight-capacity=" << obs.flight_capacity
-              << " ignored (out of range or recorder already created)\n";
-  }
-  obs::InstallCrashHandlers(dur.enabled() ? dur.data_dir + "/flight.dump"
-                                          : std::string());
-  obs::SetSloE2eTargetNs(static_cast<int64_t>(obs.slo_e2e_ms) * 1000000);
-#endif
-
-  auto binning = index::DomainBinning::Create(
-      spec->domain_min, spec->domain_max, spec->bin_width);
-  cloud::CloudServer server(std::move(binning).ValueOrDie());
-  engine::CloudNode cloud_node(&server);
-
-  std::unique_ptr<durability::Wal> wal;
-  std::unique_ptr<durability::SnapshotManager> snapshots;
-  if (dur.enabled()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dur.data_dir, ec);
-    if (HasDurabilityState(dur.data_dir)) {
-      return Fail("data dir " + dur.data_dir +
-                  " already holds durability state; run"
-                  " `fresque_cli recover` on it or pick a fresh directory");
-    }
-    durability::WalOptions wopts;
-    wopts.dir = dur.data_dir;
-    wopts.fsync_policy = dur.fsync_policy;
-    wopts.fsync_interval_ms = dur.fsync_interval_ms;
-    wopts.segment_bytes = dur.wal_segment_bytes;
-    auto opened = durability::Wal::Open(std::move(wopts));
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    wal = std::move(*opened);
-    durability::SnapshotOptions sopts;
-    sopts.dir = dur.data_dir;
-    sopts.snapshot_every_installs = dur.snapshot_every_installs;
-    snapshots = std::make_unique<durability::SnapshotManager>(
-        sopts, &server, wal.get());
-    if (auto st = cloud_node.AttachDurability(wal.get(), snapshots.get());
-        !st.ok()) {
-      return Fail(st.ToString());
-    }
-  }
-  cloud_node.Start();
-
-  engine::CollectorConfig cfg;
-  cfg.dataset = *spec;
-  cfg.epsilon = epsilon;
-  cfg.num_computing_nodes = nodes;
-  cfg.adaptive_batching = !ovl.static_batching;
-  if (ovl.admission_rps > 0) {
-    cfg.admission.enabled = true;
-    cfg.admission.rate_records_per_sec = ovl.admission_rps;
-    cfg.admission.shed_low_watermark = ovl.shed_low_watermark;
-    cfg.admission.shed_high_watermark = ovl.shed_high_watermark;
-  }
-  engine::FresqueCollector collector(cfg, KeysFromHex(key_hex),
-                                     cloud_node.inbox());
-  cloud_node.RouteAcksTo(collector.publication_acks());
-  if (auto st = collector.Start(); !st.ok()) return Fail(st.ToString());
-
-  // Mirrors the dispatcher's current publication for `/statusz` readers
-  // on the obs HTTP thread (current_publication() itself is
-  // dispatcher-thread state).
-  std::atomic<int64_t> open_pn{0};
-
-#if FRESQUE_TELEMETRY_ENABLED
-  // The observability plane (DESIGN.md §16). Declared after the collector
-  // so it is destroyed (and its sampler/HTTP threads joined) first — the
-  // status/fold callbacks below capture the collector and cloud state by
-  // reference.
-  std::atomic<bool> obs_ready{true};
-  const bool dur_on = dur.enabled();
-  std::unique_ptr<obs::ObsServer> obs_server;
-  if (obs.enabled()) {
-    auto parsed = obs::ParseObsAddr(obs.addr);
-    if (!parsed.ok()) {
-      return Fail("bad --obs-addr: " + parsed.status().ToString());
-    }
-    obs::ObsServerOptions oopts;
-    oopts.host = parsed->first;
-    oopts.port = parsed->second;
-    oopts.sample_interval_ms = obs.sample_interval_ms;
-    oopts.ready_source = [&obs_ready] {
-      return obs_ready.load(std::memory_order_relaxed);
-    };
-    oopts.fold = [&collector, &cloud_node, dur_on] {
-      engine::ExportToRegistry(collector.Metrics());
-      if (dur_on) {
-        durability::ExportToRegistry(cloud_node.durability_metrics());
-      }
-    };
-    oopts.status_source = [&collector, &cloud_node, &server, &open_pn,
-                           dur_on] {
-      obs::StatusSnapshot s;
-      auto m = collector.Metrics();
-      s.nodes.reserve(m.nodes.size());
-      for (const auto& n : m.nodes) {
-        s.nodes.push_back({n.name, n.inbox.depth, n.inbox.capacity,
-                           n.inbox.high_watermark, n.frames_processed});
-      }
-      s.view_epoch = server.view_epoch();
-      s.publications = m.publications_completed;
-      s.open_publication = open_pn.load(std::memory_order_relaxed);
-      s.total_records = server.total_records();
-      if (dur_on) {
-        auto dm = cloud_node.durability_metrics();
-        s.wal_frames = dm.wal_frames;
-        s.wal_bytes = dm.wal_bytes;
-        s.wal_segments =
-            dm.wal_segments_created - dm.wal_segments_deleted;
-        s.snapshots_written = dm.snapshots_written;
-        s.last_snapshot_millis =
-            static_cast<int64_t>(dm.last_snapshot_millis);
-      }
-      return s;
-    };
-    obs_server = std::make_unique<obs::ObsServer>(std::move(oopts));
-    if (auto st = obs_server->Start(); !st.ok()) {
-      return Fail("obs server: " + st.ToString());
-    }
-    // std::endl: scrape scripts tail the log for the bound (possibly
-    // ephemeral) port, so this line must not sit in a full buffer.
-    std::cout << "obs: listening on http://" << parsed->first << ":"
-              << obs_server->port() << " (/metrics /healthz /readyz"
-              << " /statusz /flightz)" << std::endl;
-  }
-#endif
-
-  std::string line;
-  size_t total = 0, in_interval = 0, publications = 0;
-  while (std::getline(in, line)) {
-    collector.SetIntervalProgress(static_cast<double>(in_interval) /
-                                  static_cast<double>(interval));
-    if (auto st = collector.Ingest(line); !st.ok()) {
-      // A shed line is the admission gate doing its job, not a failure:
-      // skip it (the count is reported below) and keep ingesting.
-      if (st.IsOverloaded()) continue;
-      return Fail(st.ToString());
-    }
-    ++total;
-    if (++in_interval >= interval) {
-      if (auto st = collector.Publish(); !st.ok()) {
-        return Fail(st.ToString());
-      }
-      in_interval = 0;
-      ++publications;
-      open_pn.store(static_cast<int64_t>(collector.current_publication()),
-                    std::memory_order_relaxed);
-    }
-  }
-  // The trailing partial interval is drained by Shutdown() itself; wait
-  // for the cloud to acknowledge it so the snapshot is complete.
-  uint64_t last_pn = collector.current_publication();
-#if FRESQUE_TELEMETRY_ENABLED
-  obs_ready.store(false, std::memory_order_relaxed);  // /readyz goes 503
-#endif
-  if (auto st = collector.Shutdown(); !st.ok()) return Fail(st.ToString());
-  if (in_interval > 0) {
-    Status acked =
-        collector.WaitForPublication(last_pn, std::chrono::seconds(30));
-    if (!acked.ok()) return Fail("drained publication: " + acked.ToString());
-    ++publications;
-  }
-  cloud_node.Shutdown();
-  if (!cloud_node.first_error().ok()) {
-    return Fail(cloud_node.first_error().ToString());
-  }
-  if (auto st = server.SaveSnapshot(snap_path); !st.ok()) {
-    return Fail(st.ToString());
-  }
-  if (snapshots) {
-    // Converge the data dir: snapshot the final state (including the
-    // still-open interval's records) and truncate the covered WAL prefix.
-    if (auto st = snapshots->WriteSnapshot(); !st.ok()) {
-      return Fail("final durability snapshot: " + st.ToString());
-    }
-  }
-  auto metrics = collector.Metrics();
-  engine::ExportToRegistry(metrics);
-  if (dur.enabled()) {
-    durability::ExportToRegistry(cloud_node.durability_metrics());
-  }
-#if FRESQUE_TELEMETRY_ENABLED
-  if (obs_server) {
-    // Stop before the final metrics dump so the sampler's closing fold
-    // (e2e quantiles, queue gauges) lands in the dumped snapshot.
-    obs_server->Stop();
-    std::cout << "obs: served " << obs_server->requests()
-              << " HTTP request(s)\n";
-  }
-  dumper.reset();  // stop the thread and write the final snapshot
-  if (!tel.trace_out.empty()) {
-    telemetry::Tracer::Global()->Disable();
-    auto stats = telemetry::Tracer::Global()->GetStats();
-    if (auto st = telemetry::Tracer::Global()->WriteChromeTrace(tel.trace_out);
-        !st.ok()) {
-      return Fail("trace dump: " + st.ToString());
-    }
-    std::cout << "trace: " << stats.retained << " span(s) across "
-              << stats.threads << " thread(s) -> " << tel.trace_out;
-    if (stats.dropped > 0) {
-      std::cout << " (" << stats.dropped << " dropped to ring wraparound)";
-    }
-    std::cout << "\n";
-  }
-  if (!tel.metrics_out.empty()) {
-    std::cout << "metrics: " << tel.metrics_out << "\n";
-  }
-#endif
-  std::cout << "ingested " << total << " lines ("
-            << collector.parse_errors() << " parse errors"
-            << (cfg.admission.enabled
-                    ? ", " + std::to_string(collector.shed_records()) +
-                          " shed at admission"
-                    : "")
-            << "), published "
-            << publications << " publication(s), snapshot " << snap_path
-            << " (" << server.total_bytes() << " payload bytes)\n"
-            << "collector drops: " << metrics.TotalDrops()
-            << " (parse " << metrics.parse_errors << ", codec "
-            << metrics.codec_failures << ", pending "
-            << metrics.pending_dropped << ", overflow "
-            << metrics.overflow_drops << ")\n";
-  if (dur.enabled()) {
-    auto dm = cloud_node.durability_metrics();
-    std::cout << "durability: " << dm.wal_frames << " WAL frame(s), "
-              << dm.wal_bytes << " bytes, " << dm.wal_fsyncs << " fsync(s), "
-              << dm.wal_segments_created << " segment(s) ("
-              << dm.wal_segments_deleted << " truncated), "
-              << dm.snapshots_written << " snapshot(s) in " << dur.data_dir
-              << " [fsync=" << durability::FsyncPolicyToString(dur.fsync_policy)
-              << "]\n";
-  }
-  return 0;
-}
-
-int CmdQuery(const std::string& dataset, const std::string& snap_path,
-             double lo, double hi, const std::string& key_hex,
-             const QueryCliOptions& opts) {
-  auto spec = SpecByName(dataset);
-  if (!spec.ok()) return Fail(spec.status().ToString());
-  auto server = cloud::CloudServer::LoadSnapshot(snap_path);
-  if (!server.ok()) return Fail(server.status().ToString());
-
-  // Serve through the concurrent query engine (DESIGN.md §15): the
-  // executor's workers scan the restored store's immutable view, with the
-  // same admission/deadline semantics a live deployment gets.
-  query::ExecutorOptions eo;
-  eo.num_threads = opts.threads;
-  eo.queue_capacity = opts.queue;
-  eo.default_deadline =
-      std::chrono::milliseconds(opts.deadline_ms);
-  cloud::CloudServer* srv = server->get();
-  query::QueryExecutor executor(
-      [srv](const index::RangeQuery& q, const query::QueryContext& ctx) {
-        return srv->ExecuteQuery(q, ctx);
-      },
-      eo);
-
-  client::Client client(KeysFromHex(key_hex), &spec->parser->schema());
-  const index::RangeQuery q{lo, hi};
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(opts.repeat);
-  Result<cloud::QueryResult> last = cloud::QueryResult{};
-  for (size_t i = 0; i < opts.repeat; ++i) {
-    auto t0 = std::chrono::steady_clock::now();
-    last = executor.Execute(q);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!last.ok()) return Fail(last.status().ToString());
-    latencies_ms.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  auto records = client.Decrypt(*last, q);
-  if (!records.ok()) return Fail(records.status().ToString());
-
-  std::cout << records->size() << " records match ["
-            << lo << ", " << hi << "]\n";
-  for (size_t i = 0; i < records->size() && i < 5; ++i) {
-    std::cout << "  " << (*records)[i].ToString() << "\n";
-  }
-  if (records->size() > 5) std::cout << "  ...\n";
-
-  if (opts.repeat > 1) {
-    std::sort(latencies_ms.begin(), latencies_ms.end());
-    auto pct = [&](double p) {
-      size_t i = static_cast<size_t>(p * (latencies_ms.size() - 1));
-      return latencies_ms[i];
-    };
-    std::cout << "latency over " << opts.repeat << " runs: p50 " << pct(0.50)
-              << " ms, p95 " << pct(0.95) << " ms, p99 " << pct(0.99)
-              << " ms\n";
-  }
-  executor.Shutdown();
-  auto m = executor.metrics();
-  std::cout << "executor: " << m.submitted << " submitted, " << m.executed
-            << " ok, " << m.shed << " shed, " << m.deadline_exceeded
-            << " deadline-exceeded, " << m.cancelled << " cancelled, "
-            << m.failed << " failed (view epoch "
-            << (*server)->view_epoch() << ", leaf cache hit ratio "
-            << (*server)->leaf_cache().stats().HitRatio() << ")\n";
-  return 0;
-}
-
 int CmdVerify(const std::string& dataset, const std::string& snap_path,
-              const std::string& key_hex) {
+              const std::string& key_hex, const shard::ShardOptions& shards) {
   auto spec = SpecByName(dataset);
   if (!spec.ok()) return Fail(spec.status().ToString());
-  auto server = cloud::CloudServer::LoadSnapshot(snap_path);
-  if (!server.ok()) return Fail(server.status().ToString());
-  client::Client client(KeysFromHex(key_hex), &spec->parser->schema());
+  auto keys = KeysFromHex(key_hex);
+  if (!keys.ok()) return Fail(keys.status().ToString());
+  auto cloud = LoadSnapshotSet(*spec, snap_path, shards);
+  if (!cloud.ok()) return Fail(cloud.status().ToString());
+  client::Client client(std::move(*keys), &spec->parser->schema());
 
   size_t verified = 0, failed = 0;
-  for (uint64_t pn = 0; pn < (*server)->num_publications() + 8; ++pn) {
-    Status st = client.VerifyPublication(**server, pn);
-    if (st.ok()) {
-      ++verified;
-      std::cout << "publication " << pn << ": OK\n";
-    } else if (!st.IsNotFound()) {
-      ++failed;
-      std::cout << "publication " << pn << ": " << st.ToString() << "\n";
+  for (size_t i = 0; i < (*cloud)->num_shards(); ++i) {
+    const cloud::CloudServer& server = *(*cloud)->shard(i);
+    for (uint64_t pn = 0; pn < server.num_publications() + 8; ++pn) {
+      Status st = client.VerifyPublication(server, pn);
+      if (st.ok()) {
+        ++verified;
+        std::cout << "shard " << i << " publication " << pn << ": OK\n";
+      } else if (!st.IsNotFound()) {
+        ++failed;
+        std::cout << "shard " << i << " publication " << pn << ": "
+                  << st.ToString() << "\n";
+      }
     }
   }
   std::cout << verified << " verified, " << failed << " failed\n";
   return failed == 0 ? 0 : 2;
 }
 
+/// Describes every `<snapshot.bin>.shard-<i>` present, then the set.
 int CmdInspect(const std::string& snap_path) {
-  auto server = cloud::CloudServer::LoadSnapshot(snap_path);
-  if (!server.ok()) return Fail(server.status().ToString());
-  const auto& binning = (*server)->binning();
-  std::cout << "snapshot " << snap_path << "\n"
-            << "  domain [" << binning.domain_min() << ", "
-            << binning.domain_max() << "), " << binning.num_bins()
-            << " bins of " << binning.bin_width() << "\n"
-            << "  publications: " << (*server)->num_publications() << "\n"
-            << "  stored records: " << (*server)->total_records() << "\n"
-            << "  payload bytes: " << (*server)->total_bytes() << "\n";
+  size_t shards = 0, publications = 0, records = 0, bytes = 0;
+  for (;; ++shards) {
+    const std::string path = ShardSnapshotPath(snap_path, shards);
+    if (!std::filesystem::exists(path)) break;
+    auto server = cloud::CloudServer::LoadSnapshot(path);
+    if (!server.ok()) return Fail(path + ": " + server.status().ToString());
+    const auto& binning = (*server)->binning();
+    std::cout << "shard " << shards << " (" << path << "): domain ["
+              << binning.domain_min() << ", " << binning.domain_max() << "), "
+              << binning.num_bins() << " bins of " << binning.bin_width()
+              << ", " << (*server)->num_publications() << " publication(s), "
+              << (*server)->total_records() << " stored record(s), "
+              << (*server)->total_bytes() << " payload bytes\n";
+    publications = std::max(publications, (*server)->num_publications());
+    records += (*server)->total_records();
+    bytes += (*server)->total_bytes();
+  }
+  if (shards == 0) {
+    return Fail("no snapshot set at " + ShardSnapshotPath(snap_path, 0));
+  }
+  std::cout << "snapshot set " << snap_path << "\n"
+            << "  shards: " << shards << "\n"
+            << "  publications: " << publications << "\n"
+            << "  stored records: " << records << "\n"
+            << "  payload bytes: " << bytes << "\n";
   return 0;
 }
 
@@ -938,29 +717,47 @@ int CmdWalDump(const std::string& data_dir) {
   return 0;
 }
 
-int CmdRecover(const std::string& data_dir, const std::string& out_snap) {
-  auto recovered = durability::RecoveryManager::Recover(data_dir);
+/// Rebuilds every shard from `<data-dir>/shard-<i>` (snapshot + WAL tail)
+/// and optionally writes the result as a snapshot set.
+int CmdRecover(const std::string& dataset, const std::string& data_dir,
+               const std::string& out_snap,
+               const shard::ShardOptions& shards) {
+  auto spec = SpecByName(dataset);
+  if (!spec.ok()) return Fail(spec.status().ToString());
+  auto recovered = shard::RecoverShardedCloud(data_dir, *spec, shards);
   if (!recovered.ok()) return Fail(recovered.status().ToString());
-  const auto& st = recovered->stats;
-  std::cout << "recovered " << recovered->server->num_publications()
-            << " publication(s), " << recovered->server->total_records()
-            << " record(s) in " << st.recovery_millis << " ms\n"
-            << "  snapshot: "
-            << (st.snapshot_loaded
-                    ? "loaded (lsn " + std::to_string(st.snapshot_lsn) + ")"
-                    : "none")
-            << "\n  WAL: " << st.frames_replayed << " frame(s) replayed ("
-            << st.records_replayed << " record(s), " << st.installs_replayed
-            << " install(s)), last lsn " << st.last_lsn << "\n";
-  if (st.torn_tail) {
-    std::cout << "  torn tail: " << st.torn_bytes
-              << " byte(s) of an in-flight frame discarded\n";
+  const shard::ShardedCloudServer& cloud = *recovered->cloud;
+  std::cout << "recovered " << cloud.num_publications() << " publication(s), "
+            << cloud.total_records() << " record(s) across "
+            << cloud.num_shards() << " shard(s)\n";
+  for (const auto& rs : recovered->shards) {
+    const auto& st = rs.stats;
+    std::cout << "  shard " << rs.shard << ": ";
+    if (!rs.recovered) {
+      std::cout << "no durable state (empty)\n";
+      continue;
+    }
+    std::cout << "snapshot "
+              << (st.snapshot_loaded
+                      ? "loaded (lsn " + std::to_string(st.snapshot_lsn) + ")"
+                      : "none")
+              << ", WAL " << st.frames_replayed << " frame(s) replayed ("
+              << st.records_replayed << " record(s), " << st.installs_replayed
+              << " install(s)), last lsn " << st.last_lsn << ", "
+              << st.recovery_millis << " ms\n";
+    if (st.torn_tail) {
+      std::cout << "    torn tail: " << st.torn_bytes
+                << " byte(s) of an in-flight frame discarded\n";
+    }
   }
   if (!out_snap.empty()) {
-    if (auto s = recovered->server->SaveSnapshot(out_snap); !s.ok()) {
-      return Fail(s.ToString());
+    for (size_t i = 0; i < cloud.num_shards(); ++i) {
+      const std::string path = ShardSnapshotPath(out_snap, i);
+      if (auto s = cloud.shard(i)->SaveSnapshot(path); !s.ok()) {
+        return Fail(s.ToString());
+      }
+      std::cout << "  wrote " << path << "\n";
     }
-    std::cout << "  wrote " << out_snap << "\n";
   }
   return 0;
 }
@@ -992,25 +789,29 @@ int Usage() {
       << "  fresque_cli generate <nasa|gowalla> <count> <lines.txt>\n"
       << "  fresque_cli ingest <nasa|gowalla> <lines.txt> <snapshot.bin>"
          " [epsilon] [nodes] [interval] [key_hex]\n"
+      << "      [--shards=<n>] [--shard-by=range|hash]"
+         " [--epsilon-composition=auto|split|full]\n"
       << "      [--data-dir=<dir>] [--fsync=always|interval[:<ms>]|never]"
          " [--snapshot-every=<n>]\n"
       << "      [--metrics-out=<file>] [--metrics-interval-ms=<n>]"
          " [--trace-out=<file>]\n"
-      << "      [--static-batching] [--admission-rps=<rate>]"
+      << "      [--static-batching] [--admission-rps=<rate per shard>]"
          " [--shed-watermarks=<low>:<high>]\n"
       << "      [--obs-addr=<[host:]port>] [--slo-e2e-ms=<n>]"
          " [--flight-capacity=<n>]\n"
-      << "      [--shards=<n>] [--shard-by=range|hash]"
-         " [--epsilon-composition=auto|split|full]\n"
+      << "      writes <snapshot.bin>.shard-<i>; --data-dir keeps shard i"
+         " in <dir>/shard-<i>\n"
       << "  fresque_cli query <nasa|gowalla> <snapshot.bin> <lo> <hi>"
          " [key_hex]\n"
       << "      [--query-threads=<n>] [--query-queue=<n>]"
          " [--query-deadline-ms=<n>] [--repeat=<n>]\n"
       << "      [--shards=<n>] [--shard-by=range|hash] (match the ingest)\n"
-      << "  fresque_cli verify <nasa|gowalla> <snapshot.bin> [key_hex]\n"
+      << "  fresque_cli verify <nasa|gowalla> <snapshot.bin> [key_hex]"
+         " [--shards=<n>] [--shard-by=range|hash]\n"
       << "  fresque_cli inspect <snapshot.bin>\n"
-      << "  fresque_cli wal-dump <data-dir>\n"
-      << "  fresque_cli recover <data-dir> [snapshot.bin]\n"
+      << "  fresque_cli wal-dump <data-dir>/shard-<i>\n"
+      << "  fresque_cli recover <nasa|gowalla> <data-dir> [snapshot.bin]"
+         " [--shards=<n>] [--shard-by=range|hash]\n"
       << "  fresque_cli metrics-dump <metrics.json|metrics.prom>\n";
   return 1;
 }
@@ -1019,16 +820,18 @@ int Usage() {
 
 int main(int argc, char** argv) {
   std::vector<std::string> args;
-  fresque::engine::DurabilityConfig dur;
+  // The ingest pipeline's config; the shard options also drive query,
+  // verify and recover.
+  fresque::shard::ShardedPipelineConfig cfg;
+  fresque::engine::AdmissionConfig& admission = cfg.collector.admission;
+  bool shed_watermarks_set = false;
   fresque::engine::ObsConfig obs;
   TelemetryOptions tel;
-  OverloadOptions ovl;
   QueryCliOptions qopts;
-  ShardCliOptions shards;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--data-dir=", 0) == 0) {
-      dur.data_dir = arg.substr(11);
+      cfg.durability.data_dir = arg.substr(11);
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       tel.metrics_out = arg.substr(14);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -1056,14 +859,13 @@ int main(int argc, char** argv) {
         return Fail("bad --flight-capacity value: " + arg.substr(18));
       }
     } else if (arg.rfind("--fsync=", 0) == 0) {
-      auto policy =
-          fresque::durability::ParseFsyncPolicy(arg.substr(8),
-                                                &dur.fsync_interval_ms);
+      auto policy = fresque::durability::ParseFsyncPolicy(
+          arg.substr(8), &cfg.durability.fsync_interval_ms);
       if (!policy.ok()) return Fail(policy.status().ToString());
-      dur.fsync_policy = *policy;
+      cfg.durability.fsync_policy = *policy;
     } else if (arg.rfind("--snapshot-every=", 0) == 0) {
       try {
-        dur.snapshot_every_installs = std::stoul(arg.substr(17));
+        cfg.durability.snapshot_every_installs = std::stoul(arg.substr(17));
       } catch (const std::exception&) {
         return Fail("bad --snapshot-every value: " + arg.substr(17));
       }
@@ -1096,48 +898,54 @@ int main(int argc, char** argv) {
       if (qopts.repeat == 0) qopts.repeat = 1;
     } else if (arg.rfind("--shards=", 0) == 0) {
       try {
-        shards.opts.num_shards = std::stoul(arg.substr(9));
+        cfg.shard.num_shards = std::stoul(arg.substr(9));
       } catch (const std::exception&) {
         return Fail("bad --shards value: " + arg.substr(9));
       }
-      if (shards.opts.num_shards == 0) {
+      if (cfg.shard.num_shards == 0) {
         return Fail("--shards wants a positive count");
       }
     } else if (arg.rfind("--shard-by=", 0) == 0) {
       auto by = fresque::shard::ParseShardBy(arg.substr(11));
       if (!by.ok()) return Fail(by.status().ToString());
-      shards.opts.shard_by = *by;
+      cfg.shard.shard_by = *by;
     } else if (arg.rfind("--epsilon-composition=", 0) == 0) {
       auto comp = fresque::shard::ParseEpsilonComposition(arg.substr(22));
       if (!comp.ok()) return Fail(comp.status().ToString());
-      shards.opts.epsilon_composition = *comp;
+      cfg.shard.epsilon_composition = *comp;
     } else if (arg == "--static-batching") {
-      ovl.static_batching = true;
+      cfg.collector.adaptive_batching = false;
     } else if (arg.rfind("--admission-rps=", 0) == 0) {
       try {
-        ovl.admission_rps = std::stod(arg.substr(16));
+        admission.rate_records_per_sec = std::stod(arg.substr(16));
       } catch (const std::exception&) {
         return Fail("bad --admission-rps value: " + arg.substr(16));
       }
-      if (ovl.admission_rps <= 0) {
+      if (admission.rate_records_per_sec <= 0) {
         return Fail("--admission-rps wants a positive rate");
       }
+      admission.enabled = true;
     } else if (arg.rfind("--shed-watermarks=", 0) == 0) {
       const std::string pair = arg.substr(18);
       const size_t colon = pair.find(':');
       try {
         if (colon == std::string::npos) throw std::invalid_argument(pair);
-        ovl.shed_low_watermark = std::stod(pair.substr(0, colon));
-        ovl.shed_high_watermark = std::stod(pair.substr(colon + 1));
+        admission.shed_low_watermark = std::stod(pair.substr(0, colon));
+        admission.shed_high_watermark = std::stod(pair.substr(colon + 1));
       } catch (const std::exception&) {
         return Fail("bad --shed-watermarks value (want <low>:<high>): " +
                     pair);
       }
+      shed_watermarks_set = true;
     } else if (arg.rfind("--", 0) == 0) {
       return Fail("unknown flag " + arg);
     } else {
       args.push_back(std::move(arg));
     }
+  }
+  if (shed_watermarks_set && !admission.enabled) {
+    return Fail("--shed-watermarks needs --admission-rps (the rate cap is"
+                " what enables the admission gate)");
   }
   if (args.empty()) return Usage();
   const std::string& cmd = args[0];
@@ -1146,16 +954,13 @@ int main(int argc, char** argv) {
       return CmdGenerate(args[1], std::stoul(args[2]), args[3]);
     }
     if (cmd == "ingest" && args.size() >= 4) {
-      double epsilon = args.size() > 4 ? std::stod(args[4]) : 1.0;
-      size_t nodes = args.size() > 5 ? std::stoul(args[5]) : 4;
+      cfg.collector.epsilon = args.size() > 4 ? std::stod(args[4]) : 1.0;
+      cfg.collector.num_computing_nodes =
+          args.size() > 5 ? std::stoul(args[5]) : 4;
       size_t interval = args.size() > 6 ? std::stoul(args[6]) : 100000;
       std::string key = args.size() > 7 ? args[7] : kDefaultKeyHex;
-      if (shards.sharded()) {
-        return CmdIngestSharded(args[1], args[2], args[3], epsilon, nodes,
-                                interval, key, dur, ovl, obs, shards);
-      }
-      return CmdIngest(args[1], args[2], args[3], epsilon, nodes, interval,
-                       key, dur, tel, ovl, obs);
+      return CmdIngest(args[1], args[2], args[3], interval, key,
+                       std::move(cfg), tel, obs);
     }
     if (cmd == "wal-dump" && args.size() == 2) {
       return CmdWalDump(args[1]);
@@ -1163,21 +968,18 @@ int main(int argc, char** argv) {
     if (cmd == "metrics-dump" && args.size() == 2) {
       return CmdMetricsDump(args[1]);
     }
-    if (cmd == "recover" && (args.size() == 2 || args.size() == 3)) {
-      return CmdRecover(args[1], args.size() == 3 ? args[2] : "");
+    if (cmd == "recover" && (args.size() == 3 || args.size() == 4)) {
+      return CmdRecover(args[1], args[2], args.size() == 4 ? args[3] : "",
+                        cfg.shard);
     }
     if (cmd == "query" && args.size() >= 5) {
       std::string key = args.size() > 5 ? args[5] : kDefaultKeyHex;
-      if (shards.sharded()) {
-        return CmdQuerySharded(args[1], args[2], std::stod(args[3]),
-                               std::stod(args[4]), key, qopts, shards);
-      }
       return CmdQuery(args[1], args[2], std::stod(args[3]),
-                      std::stod(args[4]), key, qopts);
+                      std::stod(args[4]), key, qopts, cfg.shard);
     }
     if (cmd == "verify" && args.size() >= 3) {
       std::string key = args.size() > 3 ? args[3] : kDefaultKeyHex;
-      return CmdVerify(args[1], args[2], key);
+      return CmdVerify(args[1], args[2], key, cfg.shard);
     }
     if (cmd == "inspect" && args.size() == 2) {
       return CmdInspect(args[1]);
