@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "common/bytes.h"
@@ -40,9 +41,15 @@ const char* kCbcPlain =
     "f69f2445df4f9b17ad2b417be66c3710";
 
 struct CbcVector {
+  const char* name;
   const char* key;
   const char* cipher;  // 4 blocks
 };
+
+// Without a printer gtest shows a vector as the raw bytes of its
+// pointers, which differ on every build and so make the discovered test
+// names unstable.
+void PrintTo(const CbcVector& v, std::ostream* os) { *os << v.name; }
 
 class CbcNistTest : public ::testing::TestWithParam<CbcVector> {};
 
@@ -68,19 +75,19 @@ INSTANTIATE_TEST_SUITE_P(
     Sp80038a, CbcNistTest,
     ::testing::Values(
         // F.2.1 CBC-AES128.
-        CbcVector{"2b7e151628aed2a6abf7158809cf4f3c",
+        CbcVector{"Aes128", "2b7e151628aed2a6abf7158809cf4f3c",
                   "7649abac8119b246cee98e9b12e9197d"
                   "5086cb9b507219ee95db113a917678b2"
                   "73bed6b8e3c1743b7116e69e22229516"
                   "3ff1caa1681fac09120eca307586e1a7"},
         // F.2.3 CBC-AES192.
-        CbcVector{"8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+        CbcVector{"Aes192", "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
                   "4f021db243bc633d7178183a9fa071e8"
                   "b4d9ada9ad7dedf4e5e738763f69145a"
                   "571b242012fb7ae07fa9baac3df102e0"
                   "08b0e27988598881d920a9e64f5615cd"},
         // F.2.5 CBC-AES256.
-        CbcVector{"603deb1015ca71be2b73aef0857d7781"
+        CbcVector{"Aes256", "603deb1015ca71be2b73aef0857d7781"
                   "1f352c073b6108d72d9810a30914dff4",
                   "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
                   "9cfc4e967edb808d679f777bc6702c7d"
@@ -125,9 +132,12 @@ TEST(AesDecryptInvertsEncryptProperty, AllKeySizesRandomBlocks) {
 // FIPS 197 Appendix C single-block examples, all three key sizes, run
 // against every compiled backend.
 struct BlockVector {
+  const char* name;
   const char* key;
   const char* cipher;
 };
+
+void PrintTo(const BlockVector& v, std::ostream* os) { *os << v.name; }
 
 class AesFips197Test : public ::testing::TestWithParam<BlockVector> {};
 
@@ -150,13 +160,15 @@ INSTANTIATE_TEST_SUITE_P(
     Fips197AppendixC, AesFips197Test,
     ::testing::Values(
         // C.1 AES-128.
-        BlockVector{"000102030405060708090a0b0c0d0e0f",
+        BlockVector{"Aes128", "000102030405060708090a0b0c0d0e0f",
                     "69c4e0d86a7b0430d8cdb78070b4c55a"},
         // C.2 AES-192.
-        BlockVector{"000102030405060708090a0b0c0d0e0f1011121314151617",
+        BlockVector{"Aes192",
+                    "000102030405060708090a0b0c0d0e0f1011121314151617",
                     "dda97ca4864cdfe06eaf70a0ec0d7191"},
         // C.3 AES-256.
-        BlockVector{"000102030405060708090a0b0c0d0e0f"
+        BlockVector{"Aes256",
+                    "000102030405060708090a0b0c0d0e0f"
                     "101112131415161718191a1b1c1d1e1f",
                     "8ea2b7ca516745bfeafc49904b496089"}));
 
