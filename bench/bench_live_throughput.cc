@@ -1,10 +1,10 @@
 // Live-mode throughput: drives the *real threaded* collectors (not the
 // simulator) as fast as this host can feed them and reports sustained
-// records/second. On a single-core host all stages share one CPU, so
-// this measures the total per-record CPU cost of each prototype — the
-// per-node parallelism shapes come from the calibrated simulator (Figs
-// 9-12); this bench grounds the simulator's inputs in an actually-running
-// pipeline.
+// records/second. The stages share the host's 4 cores, so this measures
+// each prototype's per-record CPU cost under that contention, not the
+// paper's 17-node parallelism — those shapes come from the calibrated
+// simulator (Figs 9-12). Current live numbers for the reference workloads
+// come from bench/fresque_bench.
 
 #include "bench/bench_util.h"
 #include "bench/drivers.h"

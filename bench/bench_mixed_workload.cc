@@ -10,7 +10,7 @@
 // through a QueryExecutor, and reports the ingest degradation plus the
 // query latency distribution.
 //
-// Every stage shares one core on the bench host, so the degradation
+// Every stage shares the bench host's 4 cores, so the degradation
 // numbers are an upper bound: any CPU a query burns is CPU ingest
 // cannot use. The acceptance bar is <= 5% ingest degradation at the
 // configured read rates.

@@ -1,8 +1,9 @@
 // Full paper-scale run: ingests the complete dataset sizes the paper
 // evaluates — 1,569,898 NASA records and 6,442,892 Gowalla records —
 // through the real threaded FRESQUE pipeline, publishing on the paper's
-// cadence, then queries the result. Not a scaling figure (one core), but
-// proof the implementation sustains paper-sized state: randomer buffers,
+// cadence, then queries the result. Not a scaling figure (one 4-core
+// host; bench/fresque_bench has the current rates), but proof the
+// implementation sustains paper-sized state: randomer buffers,
 // metadata caches, multi-million-record publications, decrypt-verified
 // query answers.
 
@@ -36,7 +37,7 @@ int main() {
        0.42},
   };
 
-  TableWriter table("Paper-scale ingest (full dataset sizes, 1 core)",
+  TableWriter table("Paper-scale ingest (full dataset sizes, one host)",
                     {"dataset", "records", "wall_s", "rps", "cloud_MiB",
                      "recall_pct"});
   for (auto& wl : workloads) {

@@ -5,9 +5,10 @@
 // Two evidence tiers, like every throughput figure in this repo:
 //
 //  - "live" rows drive the real ShardedPipeline threads on this host.
-//    On a single-core host all shards share one CPU, so live rows prove
-//    functionality, 1-shard parity with the unsharded collector, and the
-//    skew -> watermark relationship — not multi-core scaling.
+//    All shards share its 4 cores, so live rows show functionality,
+//    1-shard parity with the unsharded collector, the skew -> watermark
+//    relationship and what scaling 4 cores allow — not the paper's
+//    cluster. bench/fresque_bench has the current live numbers.
 //  - "sim" rows replay the shard topology (one router station in front
 //    of N full pipelines) in the calibrated simulator over costs
 //    measured from the real component code — the established
@@ -57,8 +58,9 @@ struct LiveOutcome {
 LiveOutcome RunLive(const fresque::record::DatasetSpec& spec, size_t shards,
                     const std::vector<std::string>& lines) {
   fresque::shard::ShardedPipelineConfig cfg;
-  // 2 computing nodes per shard: on a one-core host extra threads add
-  // scheduler churn, not capacity, and the sim rows own the k sweep.
+  // 2 computing nodes per shard: with every shard on the same 4 cores,
+  // more threads add scheduler churn, not capacity, and the sim rows own
+  // the k sweep.
   cfg.collector = MakeConfig(spec, 2);
   cfg.shard.num_shards = shards;
   cfg.shard.shard_by = fresque::shard::ShardBy::kRange;
@@ -163,7 +165,7 @@ int main() {
                      "speedup", "bottleneck", "ingress_watermarks",
                      "router_fallbacks"});
 
-  // ---- live rows (this host; 1 core => functionality + parity) --------
+  // ---- live rows (this 4-core host: functionality + parity) -----------
   auto uniform_lines = fresque::bench::GenerateLines(nasa, live_records, 555);
   const double direct = DirectThroughput(nasa, uniform_lines);
   table.Row({"live", "nasa", "uniform", "0(unsharded)", "2",

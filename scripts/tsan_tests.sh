@@ -5,7 +5,8 @@
 #
 #   thread (default)     — builds with TSan and runs the concurrency-
 #                          sensitive suites: the publication drain/shutdown
-#                          protocol, the queue/node runtime, the TCP
+#                          protocol, the queue/node runtime, the cloud
+#                          node's record runs and the record ledger, the TCP
 #                          transport, and the durability subsystem (WAL,
 #                          snapshots, crash recovery).
 #   address | undefined  — builds with ASan or UBSan and runs the *full*
@@ -38,9 +39,9 @@ if [[ "$SAN" == thread ]]; then
     --target concurrency_test tcp_test drain_shutdown_test queue_test \
       durability_test crash_recovery_test telemetry_test overload_test \
       query_engine_test query_concurrency_test obs_test obs_concurrency_test \
-      shard_test shard_recovery_test
+      shard_test shard_recovery_test cloud_node_test conservation_test
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R '^(ConcurrencyTest|TcpTest|DrainShutdownTest|CheckingNodeTest|QueueTest|WalTest|SnapshotManagerTest|RecoveryTest|CrashRecoveryTest|RegistryConcurrencyTest|TracerTest|QueueWaitHookTest|AdaptiveBatchingTest|AdmissionTest|OverloadPipelineTest|TagFilterTest|LeafCacheTest|ViewManagerTest|QueryExecutorTest|CloudServerViewTest|QueryConcurrencyTest|StreamingQuantilesTest|FlightRecorderTest|HttpServerTest|SamplerTest|ObsServerTest|ObsConcurrencyTest|ShardPlacementTest|ShardRouterTest|ShardedPipelineTest|ShardRecoveryTest)'
+    -R '^(ConcurrencyTest|TcpTest|DrainShutdownTest|CheckingNodeTest|QueueTest|QueueRingTest|CloudNodeTest|CloudNodeRunTest|ConservationTest|WalTest|SnapshotManagerTest|RecoveryTest|CrashRecoveryTest|RegistryConcurrencyTest|TracerTest|QueueWaitHookTest|AdaptiveBatchingTest|AdmissionTest|OverloadPipelineTest|TagFilterTest|LeafCacheTest|ViewManagerTest|QueryExecutorTest|CloudServerViewTest|QueryConcurrencyTest|StreamingQuantilesTest|FlightRecorderTest|HttpServerTest|SamplerTest|ObsServerTest|ObsConcurrencyTest|ShardPlacementTest|ShardRouterTest|ShardedPipelineTest|ShardRecoveryTest)'
 else
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"

@@ -32,16 +32,22 @@ Result<CloudServer::Publication*> CloudServer::Find(uint64_t pn) {
   return &it->second;
 }
 
-Status CloudServer::IngestRecord(uint64_t pn, uint32_t leaf,
-                                 const Bytes& e_record) {
+Status CloudServer::IngestRecords(uint64_t pn,
+                                  std::span<const LeafRecord> run) {
   MutexLock lock(mu_);
   auto pub = Find(pn);
   if (!pub.ok()) return pub.status();
   if ((*pub)->published()) {
     return Status::FailedPrecondition("publication already published");
   }
-  PhysicalAddress addr = (*pub)->storage.Append(e_record);
-  (*pub)->metadata[leaf].push_back(addr);
+  Publication& p = **pub;
+  for (size_t i = 0; i < run.size(); ++i) {
+    // The payloads were written by other threads long ago (the randomer
+    // held them); start the next one's cache miss during this append.
+    if (i + 1 < run.size()) __builtin_prefetch(run[i + 1].e_record.data());
+    const PhysicalAddress addr = p.storage.Append(run[i].e_record);
+    p.metadata[run[i].leaf].push_back(addr);
+  }
   return Status::OK();
 }
 
@@ -159,9 +165,10 @@ Result<MatchingStats> CloudServer::PublishBatch(
     }
   }
   FRESQUE_RETURN_NOT_OK(StartPublication(pn));
-  for (const auto& [leaf, bytes] : records) {
-    FRESQUE_RETURN_NOT_OK(IngestRecord(pn, leaf, bytes));
-  }
+  std::vector<LeafRecord> run;
+  run.reserve(records.size());
+  for (const auto& [leaf, bytes] : records) run.push_back({leaf, bytes});
+  FRESQUE_RETURN_NOT_OK(IngestRecords(pn, run));
   return PublishIndexed(pn, std::move(publication));
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -71,9 +72,19 @@ class CloudServer {
   /// Opens a new publication (kPublicationStart).
   Status StartPublication(uint64_t pn) FRESQUE_EXCLUDES(mu_);
 
-  /// Streams one `<leaf offset, e-record>` pair (FRESQUE / PINED-RQ++).
-  Status IngestRecord(uint64_t pn, uint32_t leaf, const Bytes& e_record)
+  /// Streams a run of `<leaf offset, e-record>` pairs of publication `pn`
+  /// (FRESQUE / PINED-RQ++): one lock and one publication lookup for the
+  /// whole run. An unknown or already-published `pn` rejects the whole run
+  /// with the status a single record would get, storing nothing.
+  Status IngestRecords(uint64_t pn, std::span<const LeafRecord> run)
       FRESQUE_EXCLUDES(mu_);
+
+  /// One-record IngestRecords.
+  Status IngestRecord(uint64_t pn, uint32_t leaf, const Bytes& e_record)
+      FRESQUE_EXCLUDES(mu_) {
+    const LeafRecord rec{leaf, e_record};
+    return IngestRecords(pn, {&rec, 1});
+  }
 
   /// Streams one `<random tag, e-record>` pair (PINED-RQ++ with matching
   /// table; the leaf is unknown until the table arrives).

@@ -11,7 +11,7 @@ SegmentStorage::SegmentStorage(size_t segment_capacity)
   segments_.back().reserve(segment_capacity_);
 }
 
-PhysicalAddress SegmentStorage::Append(const Bytes& e_record) {
+PhysicalAddress SegmentStorage::Append(std::span<const uint8_t> e_record) {
   if (segments_.back().size() + e_record.size() > segment_capacity_ &&
       !segments_.back().empty()) {
     segments_.emplace_back();

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -22,6 +23,13 @@ struct PhysicalAddress {
   }
 };
 
+/// One borrowed `<leaf offset, e-record>` pair: the unit CloudServer and
+/// the WAL take in runs. The bytes stay owned by the caller.
+struct LeafRecord {
+  uint32_t leaf = 0;
+  std::span<const uint8_t> e_record;
+};
+
 /// Append-only segmented record store — the cloud's on-disk file for one
 /// publication. Records append to the tail segment and are addressed by
 /// (segment, offset, length), mirroring how the paper's cloud writes
@@ -32,7 +40,7 @@ class SegmentStorage {
   explicit SegmentStorage(size_t segment_capacity = 4 << 20);
 
   /// Appends one e-record; returns its address.
-  PhysicalAddress Append(const Bytes& e_record);
+  PhysicalAddress Append(std::span<const uint8_t> e_record);
 
   /// Reads the record at `addr`. This performs a copy — the "disk read" —
   /// so read-back-based matching (PINED-RQ++) pays a real per-record cost.

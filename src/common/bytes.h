@@ -130,6 +130,13 @@ class BinaryReader {
     return out;
   }
 
+  /// Advances past `n` bytes without copying them.
+  Status Skip(size_t n) {
+    if (n > len_ - pos_) return Eof("skip");
+    pos_ += n;
+    return Status::OK();
+  }
+
   size_t remaining() const { return len_ - pos_; }
   size_t position() const { return pos_; }
   bool exhausted() const { return pos_ >= len_; }

@@ -1,9 +1,9 @@
 #ifndef FRESQUE_COMMON_QUEUE_H_
 #define FRESQUE_COMMON_QUEUE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -15,6 +15,68 @@
 
 namespace fresque {
 
+namespace internal {
+
+/// FIFO over one contiguous slot array, the storage of BoundedQueue.
+///
+/// Grows by doubling when a push finds it full, up to `limit` (the owning
+/// queue's capacity, which bounds the depth), and never shrinks: once a
+/// queue has reached its working depth, pushes and pops touch no
+/// allocator. A std::deque would instead allocate and free a block every
+/// few items as the queue slides forward. Popped slots keep their
+/// moved-from value until a later push overwrites it. `T` must be default
+/// constructible and movable.
+template <typename T>
+class Ring {
+ public:
+  explicit Ring(size_t limit) : limit_(limit == 0 ? 1 : limit) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  T& front() { return slots_[head_]; }
+
+  void push_back(T&& item) {
+    if (size_ == slots_.size()) Grow();
+    size_t tail = head_ + size_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = std::move(item);
+    ++size_;
+  }
+
+  void pop_front() {
+    if (++head_ == slots_.size()) head_ = 0;
+    --size_;
+  }
+
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+  }
+
+ private:
+  void Grow() {
+    const size_t cap = std::max(
+        size_ + 1, std::min(limit_, std::max<size_t>(8, slots_.size() * 2)));
+    // fresque-lint: allow(hot-alloc) warm-up only: the ring grows until it reaches the queue's working depth, then never again
+    std::vector<T> next(cap);
+    for (size_t i = 0; i < size_; ++i) {
+      size_t at = head_ + i;
+      if (at >= slots_.size()) at -= slots_.size();
+      next[i] = std::move(slots_[at]);
+    }
+    slots_.swap(next);
+    head_ = 0;
+  }
+
+  const size_t limit_;
+  std::vector<T> slots_;
+  size_t head_ = 0;
+  size_t size_ = 0;
+};
+
+}  // namespace internal
+
 /// Thread-safe bounded FIFO used as the mailbox between pipeline nodes.
 ///
 /// Push blocks while full (back-pressure, like a TCP socket with a bounded
@@ -25,10 +87,15 @@ namespace fresque {
 /// cause, depth high-watermark) so operators can see where back-pressure
 /// builds up — and tell it apart from shutdown — without attaching a
 /// profiler.
+///
+/// Items live in a ring (internal::Ring) that grows to the deepest the
+/// queue has been and stays there, so a warmed queue moves items without
+/// touching the allocator; a large capacity costs nothing until used.
 template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
+  explicit BoundedQueue(size_t capacity)
+      : capacity_(capacity), items_(capacity), stamps_(capacity) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -245,7 +312,7 @@ class BoundedQueue {
   /// Attaches a time-in-queue observer: `hook(wait_ns)` fires on pop
   /// with the nanoseconds the item spent enqueued (monotonic clock).
   /// Systematically sampled — every `kWaitSampleStride`-th item is
-  /// stamped, the rest pay one deque op and no clock read — because the
+  /// stamped, the rest pay one ring slot and no clock read — because the
   /// clock reads sit inside the queue critical section, where on the
   /// contended hops (k producers into the checking node) they would
   /// serialize the whole pipeline. Arrivals are oblivious to the stride,
@@ -262,7 +329,12 @@ class BoundedQueue {
     MutexLock lock(mu_);
     wait_hook_ = std::move(hook);
     stamps_.clear();
-    if (wait_hook_) stamps_.assign(items_.size(), NowNs());
+    if (wait_hook_) {
+      const int64_t now = NowNs();
+      for (size_t i = 0; i < items_.size(); ++i) {
+        stamps_.push_back(int64_t{now});
+      }
+    }
   }
 
  private:
@@ -278,7 +350,7 @@ class BoundedQueue {
       // monotonic clock that started in the past).
       stamps_.push_back(stamp_round_robin_++ % kWaitSampleStride == 0
                             ? NowNs()
-                            : 0);
+                            : int64_t{0});
     }
   }
 
@@ -294,9 +366,9 @@ class BoundedQueue {
   mutable Mutex mu_;
   CondVar not_empty_;
   CondVar not_full_;
-  std::deque<T> items_ FRESQUE_GUARDED_BY(mu_);
+  internal::Ring<T> items_ FRESQUE_GUARDED_BY(mu_);
   /// Parallel enqueue stamps; non-empty only while a wait hook is set.
-  std::deque<int64_t> stamps_ FRESQUE_GUARDED_BY(mu_);
+  internal::Ring<int64_t> stamps_ FRESQUE_GUARDED_BY(mu_);
   std::function<void(int64_t)> wait_hook_ FRESQUE_GUARDED_BY(mu_);
   uint64_t stamp_round_robin_ FRESQUE_GUARDED_BY(mu_) = 0;
   uint64_t enqueued_ FRESQUE_GUARDED_BY(mu_) = 0;

@@ -58,12 +58,12 @@ Result<RecoveredCloud> RecoveryManager::Recover(const std::string& dir,
         return server->StartPublication(*pn);
       }
       case WalOp::kRecordBatch: {
+        // One store call per frame, the same call the live cloud node
+        // made for its runs; the records are views into the frame body.
         auto batch = DecodeWalRecordBatch(frame.body);
         if (!batch.ok()) return batch.status();
-        for (const auto& [leaf, rec] : batch->records) {
-          FRESQUE_RETURN_NOT_OK(server->IngestRecord(batch->pn, leaf, rec));
-          ++out.stats.records_replayed;
-        }
+        FRESQUE_RETURN_NOT_OK(server->IngestRecords(batch->pn, batch->records));
+        out.stats.records_replayed += batch->records.size();
         return Status::OK();
       }
       case WalOp::kTaggedBatch: {

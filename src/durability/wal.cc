@@ -292,13 +292,21 @@ Result<WalRecordBatch> DecodeWalRecordBatch(const Bytes& body) {
   }
   WalRecordBatch batch;
   batch.pn = *pn;
+  // Each record takes at least its 8 header bytes: a larger count is
+  // corrupt, and must not drive the reserve below.
+  if (*n > r.remaining() / 8) {
+    return Status::Corruption("truncated WAL record batch");
+  }
+  batch.records.reserve(*n);
   for (uint32_t i = 0; i < *n; ++i) {
     auto leaf = r.GetU32();
-    auto rec = r.GetBytes();
-    if (!leaf.ok() || !rec.ok()) {
+    auto len = r.GetU32();
+    const size_t at = r.position();
+    if (!leaf.ok() || !len.ok() || !r.Skip(*len).ok()) {
       return Status::Corruption("truncated WAL record batch");
     }
-    batch.records.emplace_back(*leaf, std::move(*rec));
+    batch.records.push_back(
+        {*leaf, std::span<const uint8_t>(body.data() + at, *len)});
   }
   if (!r.exhausted()) {
     return Status::Corruption("trailing bytes in WAL record batch");
@@ -508,30 +516,39 @@ Status Wal::AppendFrameLocked(WalOp op, const Bytes& payload) {
   return Status::OK();
 }
 
+Wal::PendingBatch& Wal::OpenBatchLocked(
+    std::map<uint64_t, PendingBatch>* batches, uint64_t pn) {
+  auto [it, fresh] = batches->try_emplace(pn);
+  if (fresh) {
+    Bytes& body = it->second.body;
+    body.swap(spare_body_);
+    body.resize(12);  // u64 pn, u32 count
+    PutLE64(body.data(), pn);
+  }
+  return it->second;
+}
+
+Status Wal::SealLocked(std::map<uint64_t, PendingBatch>* batches,
+                       std::map<uint64_t, PendingBatch>::iterator it,
+                       WalOp op) {
+  Bytes& body = it->second.body;
+  PutLE32(body.data() + 8, it->second.count);
+  ++record_batch_frames_;
+  Status st = AppendFrameLocked(op, body);
+  body.clear();
+  spare_body_.swap(body);
+  batches->erase(it);
+  return st;
+}
+
 Status Wal::SealBatchLocked(uint64_t pn) {
   if (auto it = record_batches_.find(pn); it != record_batches_.end()) {
-    BinaryWriter w;
-    w.PutU64(pn);
-    w.PutU32(static_cast<uint32_t>(it->second.records.size()));
-    for (const auto& [leaf, rec] : it->second.records) {
-      w.PutU32(leaf);
-      w.PutBytes(rec);
-    }
-    record_batches_.erase(it);
-    ++record_batch_frames_;
-    FRESQUE_RETURN_NOT_OK(AppendFrameLocked(WalOp::kRecordBatch, w.buffer()));
+    FRESQUE_RETURN_NOT_OK(
+        SealLocked(&record_batches_, it, WalOp::kRecordBatch));
   }
   if (auto it = tagged_batches_.find(pn); it != tagged_batches_.end()) {
-    BinaryWriter w;
-    w.PutU64(pn);
-    w.PutU32(static_cast<uint32_t>(it->second.records.size()));
-    for (const auto& [tag, rec] : it->second.records) {
-      w.PutU64(tag);
-      w.PutBytes(rec);
-    }
-    tagged_batches_.erase(it);
-    ++record_batch_frames_;
-    FRESQUE_RETURN_NOT_OK(AppendFrameLocked(WalOp::kTaggedBatch, w.buffer()));
+    FRESQUE_RETURN_NOT_OK(
+        SealLocked(&tagged_batches_, it, WalOp::kTaggedBatch));
   }
   return Status::OK();
 }
@@ -563,21 +580,36 @@ Status Wal::AppendStart(uint64_t pn) {
   return AppendFrameLocked(WalOp::kStart, w.buffer());
 }
 
-Status Wal::AppendRecord(uint64_t pn, uint32_t leaf, const Bytes& e_record) {
+Status Wal::AppendRecords(uint64_t pn,
+                          std::span<const cloud::LeafRecord> run) {
   MutexLock lock(mu_);
-  auto& batch = record_batches_[pn];
-  batch.pn = pn;
-  batch.records.emplace_back(leaf, e_record);
-  if (batch.records.size() >= opts_.batch_records) return SealBatchLocked(pn);
+  const size_t cap = std::max<size_t>(1, opts_.batch_records);
+  size_t i = 0;
+  while (i < run.size()) {
+    PendingBatch& batch = OpenBatchLocked(&record_batches_, pn);
+    for (; i < run.size() && batch.count < cap; ++i) {
+      const std::span<const uint8_t> rec = run[i].e_record;
+      const size_t at = batch.body.size();
+      batch.body.resize(at + 8);
+      PutLE32(batch.body.data() + at, run[i].leaf);
+      PutLE32(batch.body.data() + at + 4, static_cast<uint32_t>(rec.size()));
+      batch.body.insert(batch.body.end(), rec.begin(), rec.end());
+      ++batch.count;
+    }
+    if (batch.count >= cap) FRESQUE_RETURN_NOT_OK(SealBatchLocked(pn));
+  }
   return Status::OK();
 }
 
 Status Wal::AppendTagged(uint64_t pn, uint64_t tag, const Bytes& e_record) {
   MutexLock lock(mu_);
-  auto& batch = tagged_batches_[pn];
-  batch.pn = pn;
-  batch.records.emplace_back(tag, e_record);
-  if (batch.records.size() >= opts_.batch_records) return SealBatchLocked(pn);
+  PendingBatch& batch = OpenBatchLocked(&tagged_batches_, pn);
+  const size_t at = batch.body.size();
+  batch.body.resize(at + 12);
+  PutLE64(batch.body.data() + at, tag);
+  PutLE32(batch.body.data() + at + 8, static_cast<uint32_t>(e_record.size()));
+  batch.body.insert(batch.body.end(), e_record.begin(), e_record.end());
+  if (++batch.count >= opts_.batch_records) return SealBatchLocked(pn);
   return Status::OK();
 }
 

@@ -5,10 +5,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cloud/storage.h"
 #include "common/bytes.h"
 #include "common/clock.h"
 #include "common/mutex.h"
@@ -80,9 +82,11 @@ struct WalMeta {
   double domain_max = 0;
   double bin_width = 0;
 };
+/// Decoded kRecordBatch. The e-record views point into the frame body
+/// passed to DecodeWalRecordBatch, which must outlive the batch.
 struct WalRecordBatch {
   uint64_t pn = 0;
-  std::vector<std::pair<uint32_t, Bytes>> records;  // <leaf, e-record>
+  std::vector<cloud::LeafRecord> records;
 };
 struct WalTaggedBatch {
   uint64_t pn = 0;
@@ -132,9 +136,18 @@ class Wal {
   Status AppendMeta(double domain_min, double domain_max, double bin_width)
       FRESQUE_EXCLUDES(mu_);
   Status AppendStart(uint64_t pn) FRESQUE_EXCLUDES(mu_);
-  /// Stages one record into the publication's open batch frame.
-  Status AppendRecord(uint64_t pn, uint32_t leaf, const Bytes& e_record)
+  /// Serializes a run of records of publication `pn` straight into its
+  /// open batch frame, under one lock. A frame is sealed each time it
+  /// holds `batch_records` records, so the bytes on disk do not depend on
+  /// how the records were grouped into calls.
+  Status AppendRecords(uint64_t pn, std::span<const cloud::LeafRecord> run)
       FRESQUE_EXCLUDES(mu_);
+  /// One-record AppendRecords.
+  Status AppendRecord(uint64_t pn, uint32_t leaf, const Bytes& e_record)
+      FRESQUE_EXCLUDES(mu_) {
+    const cloud::LeafRecord rec{leaf, e_record};
+    return AppendRecords(pn, {&rec, 1});
+  }
   Status AppendTagged(uint64_t pn, uint64_t tag, const Bytes& e_record)
       FRESQUE_EXCLUDES(mu_);
   /// Seals the publication's record batch, then appends the install frame
@@ -195,7 +208,22 @@ class Wal {
  private:
   explicit Wal(WalOptions opts);
 
+  /// Body of a kRecordBatch / kTaggedBatch frame being filled: u64 pn, a
+  /// u32 count patched at seal time, then the records as they arrive.
+  struct PendingBatch {
+    Bytes body;
+    uint32_t count = 0;
+  };
+
   Status AppendFrameLocked(WalOp op, const Bytes& body)
+      FRESQUE_REQUIRES(mu_);
+  /// The open batch of `pn` in `batches`, created (reusing the capacity
+  /// of the last sealed body) if there is none.
+  PendingBatch& OpenBatchLocked(std::map<uint64_t, PendingBatch>* batches,
+                                uint64_t pn) FRESQUE_REQUIRES(mu_);
+  /// Appends the batch as one frame of `op` and erases it.
+  Status SealLocked(std::map<uint64_t, PendingBatch>* batches,
+                    std::map<uint64_t, PendingBatch>::iterator it, WalOp op)
       FRESQUE_REQUIRES(mu_);
   Status SealBatchLocked(uint64_t pn) FRESQUE_REQUIRES(mu_);
   Status SealAllBatchesLocked() FRESQUE_REQUIRES(mu_);
@@ -211,8 +239,10 @@ class Wal {
   uint64_t next_lsn_ FRESQUE_GUARDED_BY(mu_) = 1;
   size_t segment_written_ FRESQUE_GUARDED_BY(mu_) = 0;
   Bytes stage_ FRESQUE_GUARDED_BY(mu_);
-  std::map<uint64_t, WalRecordBatch> record_batches_ FRESQUE_GUARDED_BY(mu_);
-  std::map<uint64_t, WalTaggedBatch> tagged_batches_ FRESQUE_GUARDED_BY(mu_);
+  std::map<uint64_t, PendingBatch> record_batches_ FRESQUE_GUARDED_BY(mu_);
+  std::map<uint64_t, PendingBatch> tagged_batches_ FRESQUE_GUARDED_BY(mu_);
+  /// Cleared body of the last sealed batch, kept for its capacity.
+  Bytes spare_body_ FRESQUE_GUARDED_BY(mu_);
   struct Segment {
     std::string path;
     uint64_t base_lsn = 0;

@@ -30,6 +30,11 @@ namespace engine {
 /// soon as the index arrives, while `<tag, e-record>` streams (PINED-RQ++)
 /// wait until *both* the index publication and the matching table are
 /// here, pairing them by publication number.
+///
+/// Consecutive kCloudRecord frames of one publication in a popped batch
+/// form a run that is stored, logged and counted with one call each
+/// (CloudServer::IngestRecords, Wal::AppendRecords); any other frame, or
+/// a publication change, ends the run, so per-link order is kept.
 class CloudNode {
  public:
   /// `server` must outlive the node. `batching` defaults to adaptive
@@ -77,6 +82,13 @@ class CloudNode {
       FRESQUE_EXCLUDES(mu_);
 
  private:
+  /// Applies one popped batch, records in runs (see the class comment).
+  FRESQUE_HOT bool HandleBatch(std::vector<net::Message>& batch)
+      FRESQUE_EXCLUDES(mu_);
+  /// Stores, logs and accounts the kCloudRecord frames run[0..n), all of
+  /// one publication, as one run.
+  FRESQUE_HOT void HandleRecordRun(const net::Message* run, size_t n)
+      FRESQUE_EXCLUDES(mu_);
   FRESQUE_HOT bool Handle(net::Message&& m) FRESQUE_EXCLUDES(mu_);
   void NoteError(const Status& st) FRESQUE_EXCLUDES(mu_);
   /// Attempts the deferred PINED-RQ++ publish; returns its outcome once
@@ -119,6 +131,11 @@ class CloudNode {
   /// Verbatim kMatchingTable payloads, kept until the paired install is
   /// logged (the WAL's kInstallTagged frame carries both halves).
   std::map<uint64_t, Bytes> pending_table_payload_ FRESQUE_GUARDED_BY(mu_);
+  /// Scratch of HandleRecordRun, reused across runs.
+  // fresque-lint: allow(guarded-by) confined to the node thread
+  std::vector<cloud::LeafRecord> run_;
+  // fresque-lint: allow(guarded-by) confined to the node thread
+  std::vector<uint64_t> e2e_ns_;
   net::Node node_;
 };
 

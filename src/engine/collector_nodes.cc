@@ -194,16 +194,14 @@ bool ComputingNodeImpl::HandleBatch(std::vector<net::Message>& batch) {
 void ComputingNodeImpl::StageLine(net::Message&& m,
                                   record::SecureRecordCodec* codec) {
   if (!enc_) enc_.emplace(codec);
-
-  net::Message out;
-  out.type = net::MessageType::kTaggedRecord;
-  out.pn = m.pn;
-  out.born_ns = m.born_ns;  // pipeline-entry stamp rides to the cloud
-
+  // The frame becomes its own <leaf offset, e-record> output. Its payload
+  // buffer, which the router reserved with ciphertext headroom, receives
+  // the ciphertext: the plaintext is staged in the encryptor's arena, so
+  // nothing reads the line once it is parsed. pn and the pipeline-entry
+  // stamp ride on to the cloud.
+  m.type = net::MessageType::kTaggedRecord;
   if (m.dummy) {
-    out.dummy = true;
-    out.leaf = m.leaf;
-    out_.push_back(std::move(out));
+    out_.push_back(std::move(m));
     enc_->StageDummy(config_.dummy_padding_len, &out_.back().payload);
     return;
   }
@@ -230,8 +228,8 @@ void ComputingNodeImpl::StageLine(net::Message&& m,
     FRESQUE_COUNTER_ADD("collector.parse_errors", 1);
     return;
   }
-  out.leaf = *leaf;
-  out_.push_back(std::move(out));
+  m.leaf = *leaf;
+  out_.push_back(std::move(m));
   Status staged = enc_->StageRecord(scratch_rec_, &out_.back().payload);
   if (!staged.ok()) {
     out_.pop_back();

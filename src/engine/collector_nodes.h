@@ -136,8 +136,9 @@ class ComputingNodeImpl {
   /// re-emplacement never moves the object), created with the first
   /// codec. All scratch inside it is reused across batches.
   std::optional<record::SecureRecordCodec::BatchEncryptor> enc_;
-  /// Reused parse target and outbound staging buffer (ciphertexts are
-  /// encrypted in place into out_[i].payload).
+  /// Reused parse target and outbound staging buffer (each staged frame
+  /// is the input frame itself; its ciphertext is encrypted into its own
+  /// payload buffer at FlushStaged).
   record::Record scratch_rec_;
   std::vector<net::Message> out_;
   std::atomic<uint64_t> parse_errors_{0};

@@ -56,6 +56,8 @@ Status FresqueCollector::Start() {
         i, config_, *binning, &key_manager_, checking_->inbox()));
   }
   dispatch_buf_.assign(computing_.size(), {});
+  line_headroom_ = record::SecureRecordCodec::CiphertextHeadroom(
+      config_.dataset.parser->schema());
 
   // The ack consumer outlives the pipeline: cloud installs complete
   // asynchronously, possibly after Shutdown() returned.
@@ -183,6 +185,14 @@ Status FresqueCollector::OpenInterval() {
 
 Status FresqueCollector::Ingest(std::string_view line, IngestPriority priority,
                                 int64_t intended_born_ns) {
+  Bytes buf;
+  buf.reserve(line.size() + line_headroom_);
+  buf.assign(line.begin(), line.end());
+  return Ingest(std::move(buf), priority, intended_born_ns);
+}
+
+Status FresqueCollector::Ingest(Bytes&& line, IngestPriority priority,
+                                int64_t intended_born_ns) {
   if (!started_ || shut_down_) {
     return Status::FailedPrecondition("collector not running");
   }
@@ -242,7 +252,7 @@ Status FresqueCollector::Ingest(std::string_view line, IngestPriority priority,
   m.type = net::MessageType::kRawLine;
   m.pn = pn_;
   m.born_ns = now_ns;
-  m.payload.assign(line.begin(), line.end());
+  m.payload = std::move(line);
   DispatchBuffered(std::move(m));
   ++open_interval_lines_;
   FRESQUE_COUNTER_ADD("ingest.records_in", 1);

@@ -94,6 +94,18 @@ class FresqueCollector {
   /// latency free of coordinated omission — a sender that falls behind
   /// no longer hides the queueing delay its backlog caused. 0 (default)
   /// stamps the actual ingest time.
+  ///
+  /// Takes the line's buffer: it travels as the record's frame payload and
+  /// the computing node encrypts into it. Reserve
+  /// SecureRecordCodec::CiphertextHeadroom(schema) beyond the line so the
+  /// ciphertext fits without reallocating.
+  FRESQUE_HOT Status Ingest(
+      Bytes&& line,
+      IngestPriority priority = IngestPriority::kNormal,
+      int64_t intended_born_ns = 0);
+
+  /// Copies `line` into a buffer with that headroom, then ingests it as
+  /// above.
   FRESQUE_HOT Status Ingest(
       std::string_view line,
       IngestPriority priority = IngestPriority::kNormal,
@@ -205,6 +217,7 @@ class FresqueCollector {
 
   uint64_t pn_ = 0;
   uint64_t open_interval_lines_ = 0;  // Ingest() calls since OpenInterval
+  size_t line_headroom_ = 0;  // CiphertextHeadroom of the schema, at Start
   size_t rr_ = 0;  // round-robin cursor over computing nodes
 
   // Admission state. The gate runs on the dispatcher thread (like the

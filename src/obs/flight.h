@@ -34,6 +34,11 @@
   ::fresque::obs::NoteE2eSample(static_cast<int64_t>(e2e_ns), \
                                 static_cast<int64_t>(now_ns))
 
+/// Batch form: `n` uint64 e2e samples of records that completed together
+/// at `now_ns` (see obs::NoteE2eSamples).
+#define FRESQUE_OBS_E2E_SAMPLES(values, n, now_ns) \
+  ::fresque::obs::NoteE2eSamples(values, n, static_cast<int64_t>(now_ns))
+
 #else  // !FRESQUE_TELEMETRY_ENABLED
 
 #define FRESQUE_FLIGHT_EVENT(cat, msg, a0, a1, a2) \
@@ -48,6 +53,13 @@
   do {                                         \
     (void)sizeof(e2e_ns);                      \
     (void)sizeof(now_ns);                      \
+  } while (0)
+
+#define FRESQUE_OBS_E2E_SAMPLES(values, n, now_ns) \
+  do {                                             \
+    (void)sizeof(values);                          \
+    (void)sizeof(n);                               \
+    (void)sizeof(now_ns);                          \
   } while (0)
 
 #endif  // FRESQUE_TELEMETRY_ENABLED

@@ -30,23 +30,30 @@ StreamingQuantiles::StreamingQuantiles() {
   }
 }
 
-void StreamingQuantiles::Insert(uint64_t v) {
+void StreamingQuantiles::InsertMany(const uint64_t* values, size_t n) {
   Stripe& s = stripes_[StripeIndex()];
   uint64_t spill[kBufferLen];
-  size_t spill_n = 0;
-  {
-    MutexLock lock(s.mu);
-    s.buf[s.n++] = v;
-    if (s.n == kBufferLen) {
-      // Copy to the stack and release the stripe lock before touching the
-      // shared hierarchy — stripe locks and mu_ are never nested.
-      std::memcpy(spill, s.buf.data(), sizeof(spill));
-      spill_n = kBufferLen;
-      s.n = 0;
+  while (n > 0) {
+    size_t took = 0;
+    size_t spill_n = 0;
+    {
+      MutexLock lock(s.mu);
+      took = std::min(n, kBufferLen - s.n);
+      std::memcpy(s.buf.data() + s.n, values, took * sizeof(uint64_t));
+      s.n += took;
+      if (s.n == kBufferLen) {
+        // Copy to the stack and release the stripe lock before touching
+        // the shared hierarchy — stripe locks and mu_ are never nested.
+        std::memcpy(spill, s.buf.data(), sizeof(spill));
+        spill_n = kBufferLen;
+        s.n = 0;
+      }
     }
+    count_.fetch_add(took, std::memory_order_relaxed);
+    if (spill_n != 0) Merge(spill, spill_n);
+    values += took;
+    n -= took;
   }
-  count_.fetch_add(1, std::memory_order_relaxed);
-  if (spill_n != 0) Merge(spill, spill_n);
 }
 
 void StreamingQuantiles::Merge(const uint64_t* samples, size_t n) {

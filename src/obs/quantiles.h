@@ -20,9 +20,9 @@ namespace obs {
 /// stop-the-world snapshot, no global lock on the insert path.
 ///
 /// Concurrency contract:
-///  - Insert() is safe from any number of threads. The fast path takes
-///    only the calling thread's stripe lock (chosen by thread id, so
-///    concurrent writers land on different stripes and never contend);
+///  - Insert()/InsertMany() are safe from any number of threads. The fast
+///    path takes only the calling thread's stripe lock (chosen by thread
+///    id, so concurrent writers land on different stripes and never contend);
 ///    once per `kBufferLen` inserts the filling writer copies the full
 ///    buffer to its stack, releases the stripe lock, and merges into the
 ///    compactor hierarchy under the sketch lock. No lock is ever held
@@ -51,7 +51,12 @@ class StreamingQuantiles {
 
   /// Inserts one sample. Lock-free with respect to other stripes; the
   /// once-per-buffer fold is amortized O(log) and allocation-free.
-  void Insert(uint64_t v);
+  void Insert(uint64_t v) { InsertMany(&v, 1); }
+
+  /// Inserts `n` samples, each one sample of weight 1 as if inserted
+  /// alone, taking the stripe lock once per buffer's worth instead of
+  /// once per sample.
+  void InsertMany(const uint64_t* values, size_t n);
 
   /// Estimated value at quantile `q` in [0, 1]. Returns 0 on an empty
   /// sketch.

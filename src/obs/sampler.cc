@@ -44,14 +44,24 @@ void NoteE2eSample(int64_t e2e_ns) {
 }
 
 void NoteE2eSample(int64_t e2e_ns, int64_t now_ns) {
+  const uint64_t v = e2e_ns > 0 ? static_cast<uint64_t>(e2e_ns) : 0;
+  NoteE2eSamples(&v, 1, now_ns);
+}
+
+void NoteE2eSamples(const uint64_t* e2e_ns, size_t n, int64_t now_ns) {
+  if (n == 0) return;
   g_last_sample_ns.store(now_ns, std::memory_order_relaxed);
   const int64_t slo = g_slo_target_ns.load(std::memory_order_relaxed);
   if (slo > 0) {
-    FRESQUE_COUNTER_ADD("slo.e2e_samples", 1);
-    if (e2e_ns > slo) FRESQUE_COUNTER_ADD("slo.e2e_violations", 1);
+    size_t violations = 0;
+    for (size_t i = 0; i < n; ++i) {
+      violations += e2e_ns[i] > static_cast<uint64_t>(slo) ? 1 : 0;
+    }
+    FRESQUE_COUNTER_ADD("slo.e2e_samples", n);
+    if (violations > 0) FRESQUE_COUNTER_ADD("slo.e2e_violations", violations);
   }
   if (g_sampling_active.load(std::memory_order_relaxed)) {
-    GlobalE2eSketch()->Insert(static_cast<uint64_t>(e2e_ns > 0 ? e2e_ns : 0));
+    GlobalE2eSketch()->InsertMany(e2e_ns, n);
   }
 }
 

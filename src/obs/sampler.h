@@ -2,6 +2,7 @@
 #define FRESQUE_OBS_SAMPLER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <thread>
@@ -37,6 +38,11 @@ int64_t SloE2eTargetNs();
 /// relaxed atomic ops with no clock read.
 void NoteE2eSample(int64_t e2e_ns, int64_t now_ns);
 void NoteE2eSample(int64_t e2e_ns);
+
+/// Batch form for a run of records that completed together at `now_ns`:
+/// `n` non-negative e2e latencies, each still one sample for the SLO
+/// counters and the sketch (StreamingQuantiles::InsertMany).
+void NoteE2eSamples(const uint64_t* e2e_ns, size_t n, int64_t now_ns);
 
 /// Monotonic nanos of the most recent e2e sample, 0 if none yet. Basis
 /// for the `ingest.lag_ms` freshness gauge.

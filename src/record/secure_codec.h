@@ -31,6 +31,15 @@ class SecureRecordCodec {
                                           const Schema* schema,
                                           crypto::SecureRandom* rng);
 
+  /// Bytes an e-record of `schema` can need beyond the text line it was
+  /// parsed from: the IV, a whole PKCS#7 padding block, the kind byte, and
+  /// 8 bytes per field (a field's fixed-width value or length prefix may
+  /// be longer than its text). A line buffer reserved with this headroom
+  /// takes its own ciphertext without reallocating.
+  static size_t CiphertextHeadroom(const Schema& schema) {
+    return 2 * crypto::Aes::kBlockSize + 1 + 8 * schema.num_fields();
+  }
+
   /// Encrypts a real record.
   Result<Bytes> EncryptRecord(const Record& rec);
 

@@ -5,6 +5,7 @@
 #include <future>
 #include <utility>
 
+#include "record/secure_codec.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -59,6 +60,8 @@ Status ShardedPipeline::Start() {
   cloud_ = std::make_unique<ShardedCloudServer>(*placement);
 
   const size_t n = placement->num_shards();
+  line_headroom_ = record::SecureRecordCodec::CiphertextHeadroom(
+      config_.collector.dataset.parser->schema());
   route_buf_.clear();
   route_buf_.resize(n);
   shards_.reserve(n);
@@ -157,7 +160,8 @@ void ShardedPipeline::WorkerLoop(Shard* s) {
         open_lines = 0;
       } else {
         s->collector->SetIntervalProgress(f.progress);
-        Status is = s->collector->Ingest(f.line, f.priority, f.born_ns);
+        Status is =
+            s->collector->Ingest(std::move(f.line), f.priority, f.born_ns);
         if (is.ok()) {
           ++open_lines;
         } else if (!is.IsOverloaded()) {
@@ -193,7 +197,10 @@ Status ShardedPipeline::Ingest(std::string_view line,
   auto& buf = route_buf_[d.shard];
   IngressFrame f;
   f.kind = IngressFrame::Kind::kLine;
-  f.line.assign(line.data(), line.size());
+  // The line's one copy: this buffer becomes the record's frame payload
+  // and, at the computing node, its ciphertext.
+  f.line.reserve(line.size() + line_headroom_);
+  f.line.assign(line.begin(), line.end());
   f.priority = priority;
   f.born_ns = intended_born_ns;
   f.progress = progress_;

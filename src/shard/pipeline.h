@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/hot.h"
 #include "common/mutex.h"
 #include "common/queue.h"
@@ -189,7 +190,9 @@ class ShardedPipeline {
   struct IngressFrame {
     enum class Kind : uint8_t { kLine, kPublish };
     Kind kind = Kind::kLine;
-    std::string line;
+    /// The line, in the one heap buffer it keeps up to the cloud store
+    /// (FresqueCollector::Ingest(Bytes&&)).
+    Bytes line;
     engine::IngestPriority priority = engine::IngestPriority::kNormal;
     int64_t born_ns = 0;
     double progress = 0;  // interval progress when the line was routed
@@ -214,6 +217,10 @@ class ShardedPipeline {
   /// Router-thread state: per-shard line buffers flushed as PushBatch.
   // fresque-lint: allow(guarded-by) confined to the single caller thread (the class's Start/Ingest/Publish/Shutdown contract)
   std::vector<std::vector<IngressFrame>> route_buf_;
+  /// Ciphertext headroom reserved beyond each routed line, from the
+  /// dataset's schema (SecureRecordCodec::CiphertextHeadroom).
+  // fresque-lint: allow(guarded-by) set once by Start(); read by the caller thread
+  size_t line_headroom_ = 0;
 
   /// Written by the caller thread only; atomic so current_publication()
   /// can be read from any thread.

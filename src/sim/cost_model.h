@@ -14,7 +14,8 @@ namespace sim {
 /// stage, for one workload.
 ///
 /// The paper's throughput experiments ran on a 17-node Galactica cluster;
-/// this host has one core, so real threads cannot exhibit 12-way scaling.
+/// this host has 4 cores, so real threads cannot exhibit 12-way scaling
+/// (bench/fresque_bench measures what they do reach).
 /// Instead the *actual component code* is run here, single-threaded, to
 /// measure honest per-record costs, and the queueing simulator
 /// (pipeline.h) replays the paper's topologies with those costs. See

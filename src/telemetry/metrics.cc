@@ -18,6 +18,21 @@ uint64_t Histogram::Count() const {
   return total;
 }
 
+void Histogram::RecordMany(const uint64_t* values, size_t n) {
+  std::array<uint64_t, kBucketCount> counts{};
+  uint64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) {
+    ++counts[BucketIndex(values[i])];
+    sum += values[i];
+  }
+  for (size_t b = 0; b < kBucketCount; ++b) {
+    if (counts[b] != 0) {
+      buckets_[b].fetch_add(counts[b], std::memory_order_relaxed);
+    }
+  }
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+}
+
 void Histogram::ResetForTest() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);

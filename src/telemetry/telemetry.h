@@ -11,6 +11,7 @@
 ///   FRESQUE_COUNTER_ADD("ingest.records_in", n);
 ///   FRESQUE_GAUGE_SET("node.cn0.queue_depth", depth);
 ///   FRESQUE_HISTOGRAM_RECORD("wal.fsync_ns", elapsed_ns);
+///   FRESQUE_HISTOGRAM_RECORD_MANY("pipeline.record_e2e_ns", values, n);
 ///   FRESQUE_TRACE_SPAN("parse");          // RAII: spans the full scope
 ///   int64_t t0 = FRESQUE_TELEMETRY_NOW_NS();
 ///
@@ -43,6 +44,14 @@
     static ::fresque::telemetry::Histogram* fresque_histogram_ =           \
         ::fresque::telemetry::Registry::Global()->GetHistogram(name);      \
     fresque_histogram_->RecordNanos(static_cast<int64_t>(nanos));          \
+  } while (0)
+
+/// `n` uint64 samples at `values` in one call (Histogram::RecordMany).
+#define FRESQUE_HISTOGRAM_RECORD_MANY(name, values, n)                     \
+  do {                                                                     \
+    static ::fresque::telemetry::Histogram* fresque_histogram_ =           \
+        ::fresque::telemetry::Registry::Global()->GetHistogram(name);      \
+    fresque_histogram_->RecordMany(values, n);                             \
   } while (0)
 
 #define FRESQUE_TELEMETRY_CONCAT_(a, b) a##b
@@ -79,6 +88,13 @@
   do {                                        \
     (void)sizeof(name);                       \
     (void)sizeof(nanos);                      \
+  } while (0)
+
+#define FRESQUE_HISTOGRAM_RECORD_MANY(name, values, n) \
+  do {                                                 \
+    (void)sizeof(name);                                \
+    (void)sizeof(values);                              \
+    (void)sizeof(n);                                   \
   } while (0)
 
 #define FRESQUE_TRACE_SPAN(name) ((void)sizeof(name))

@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/queue.h"
 #include "crypto/chacha20.h"
+#include "net/message.h"
+#include "record/dataset.h"
 #include "record/parser.h"
 #include "record/record.h"
 #include "record/schema.h"
@@ -202,6 +205,94 @@ TEST(AllocRegressionTest, BatchEncryptIsAllocationFreeAtSteadyState) {
   EXPECT_TRUE(all_ok);
   EXPECT_EQ(after, before)
       << "batch encrypt allocated on the steady-state path";
+}
+
+// One mailbox hop as the pipeline makes it: a batch of frames pushed, then
+// popped by the consumer. Once the queue's ring has grown to the batch,
+// the hop moves frames without touching the heap.
+TEST(AllocRegressionTest, WarmedMailboxHopIsAllocationFree) {
+  SKIP_UNDER_SANITIZER();
+  constexpr size_t kBatch = 64;
+  BoundedQueue<net::Message> mailbox(8192);
+  std::vector<net::Message> in(kBatch);
+  for (auto& m : in) m.payload = Bytes(96, 0x5A);
+  std::vector<net::Message> out;
+  out.reserve(kBatch);
+
+  auto hop = [&]() -> bool {
+    bool ok = mailbox.PushBatch(in.data(), in.size()) == kBatch;
+    out.clear();
+    ok &= mailbox.PopBatch(&out, kBatch) == kBatch;
+    in.swap(out);  // the popped frames, payloads intact, go round again
+    return ok;
+  };
+  for (int i = 0; i < kWarmup; ++i) ASSERT_TRUE(hop());
+  const uint64_t before = AllocationCount();
+  bool all_ok = true;
+  for (int i = 0; i < kMeasured; ++i) all_ok &= hop();
+  const uint64_t after = AllocationCount();
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(after, before) << "mailbox hop allocated at steady state";
+}
+
+// The computing-node stage on the router's buffer: each line sits in a
+// buffer reserved with SecureRecordCodec::CiphertextHeadroom, is parsed
+// from there, and is batch-encrypted into that same buffer. Every measured
+// batch uses buffers that were never encrypted into before, so a headroom
+// too small for some record shows up as a reallocation here.
+TEST(AllocRegressionTest, RealRecordsEncryptIntoTheirRoutedLineBuffer) {
+  SKIP_UNDER_SANITIZER();
+  constexpr size_t kBatch = 32;
+  constexpr size_t kRounds = 50;
+  for (auto make : {&NasaDataset, &GowallaDataset}) {
+    auto spec = make();
+    ASSERT_TRUE(spec.ok());
+    auto gen = MakeGenerator(*spec, 17);
+    ASSERT_TRUE(gen.ok());
+    const Schema& schema = spec->parser->schema();
+    const size_t headroom = SecureRecordCodec::CiphertextHeadroom(schema);
+
+    crypto::SecureRandom rng(5);
+    auto codec = SecureRecordCodec::Create(Bytes(16, 0x42), &schema, &rng);
+    ASSERT_TRUE(codec.ok());
+    SecureRecordCodec::BatchEncryptor enc(&*codec);
+    Record scratch;
+
+    // What the router does, once per line and outside the measurement.
+    std::vector<std::string> texts(kRounds * kBatch);
+    for (auto& t : texts) t = (*gen)->NextLine();
+    auto route = [&] {
+      std::vector<Bytes> bufs(texts.size());
+      for (size_t i = 0; i < texts.size(); ++i) {
+        bufs[i].reserve(texts[i].size() + headroom);
+        bufs[i].assign(texts[i].begin(), texts[i].end());
+      }
+      return bufs;
+    };
+    auto run_batch = [&](std::vector<Bytes>* bufs, size_t round) -> bool {
+      bool ok = true;
+      for (size_t i = 0; i < kBatch; ++i) {
+        Bytes& buf = (*bufs)[round * kBatch + i];
+        const std::string_view text(reinterpret_cast<const char*>(buf.data()),
+                                    buf.size());
+        ok &= spec->parser->ParseInto(text, &scratch).ok();
+        ok &= enc.StageRecord(scratch, &buf).ok();
+      }
+      return ok && enc.Flush().ok();
+    };
+    // The same lines through other buffers first, so the encryptor's
+    // arena and the parser's scratch reach their working size.
+    std::vector<Bytes> warm = route();
+    for (size_t r = 0; r < kRounds; ++r) ASSERT_TRUE(run_batch(&warm, r));
+    std::vector<Bytes> fresh = route();
+    const uint64_t before = AllocationCount();
+    bool all_ok = true;
+    for (size_t r = 0; r < kRounds; ++r) all_ok &= run_batch(&fresh, r);
+    const uint64_t after = AllocationCount();
+    EXPECT_TRUE(all_ok) << spec->name;
+    EXPECT_EQ(after, before)
+        << spec->name << ": a ciphertext outgrew its line buffer's headroom";
+  }
 }
 
 }  // namespace

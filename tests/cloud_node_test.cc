@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 #include "cloud/server.h"
@@ -9,6 +10,7 @@
 #include "index/overflow.h"
 #include "net/message.h"
 #include "net/payloads.h"
+#include "telemetry/telemetry.h"
 
 namespace fresque {
 namespace engine {
@@ -138,6 +140,82 @@ TEST_F(CloudNodeTest, InterleavedPublicationsStayIndependent) {
   EXPECT_TRUE(node_.first_error().ok());
   EXPECT_EQ(node_.matching_stats().size(), 2u);
   EXPECT_EQ(server_.num_publications(), 2u);
+}
+
+// Payloads of publication `pn`'s stored records, in storage order.
+std::vector<Bytes> Stored(const cloud::CloudServer& server, uint64_t pn) {
+  std::vector<Bytes> out;
+  EXPECT_TRUE(server
+                  .ForEachStoredRecord(pn,
+                                       [&out](const cloud::PhysicalAddress&,
+                                              const uint8_t* d, size_t n) {
+                                         out.emplace_back(d, d + n);
+                                         return Status::OK();
+                                       })
+                  .ok());
+  return out;
+}
+
+uint64_t CounterValue(const char* name) {
+#if FRESQUE_TELEMETRY_ENABLED
+  return telemetry::Registry::Global()->GetCounter(name)->Value();
+#else
+  (void)name;
+  return 0;
+#endif
+}
+
+// Every frame below is popped in one batch (static batching, pushed before
+// the node starts). Record frames split into runs at each publication or
+// frame-type change; each run is applied in link order, and the record
+// counters stay exact per record, accepted or rejected.
+TEST(CloudNodeRunTest, OneBatchSplitsIntoRunsAtEveryPublicationOrTypeChange) {
+  cloud::CloudServer server(TinyBinning());
+  CloudNode node(&server, /*mailbox_capacity=*/1024,
+                 net::BatchOptions::Static(64, std::chrono::nanoseconds(0)));
+  std::vector<int64_t> counts(10, 0);
+  counts[1] = counts[2] = counts[3] = 1;
+  using T = net::MessageType;
+  std::vector<net::Message> frames;
+  frames.push_back(Msg(T::kPublicationStart, 0));
+  frames.push_back(Msg(T::kCloudRecord, 0, 1, Bytes{0x01}));
+  frames.push_back(Msg(T::kCloudRecord, 0, 2, Bytes{0x02}));
+  frames.push_back(Msg(T::kPublicationStart, 1));
+  frames.push_back(Msg(T::kCloudRecord, 1, 4, Bytes{0x11}));
+  frames.push_back(Msg(T::kCloudRecord, 7, 4, Bytes{0x77}));  // unknown pn
+  frames.push_back(Msg(T::kCloudRecord, 1, 5, Bytes{0x12}));
+  frames.push_back(Msg(T::kCloudRecord, 0, 3, Bytes{0x03}));
+  frames.push_back(Msg(T::kIndexPublication, 0, 0,
+                       PublicationPayload(server.binning(), counts)));
+  frames.push_back(Msg(T::kCloudRecord, 0, 1, Bytes{0x04}));  // published
+  frames.push_back(Msg(T::kCloudRecord, 0, 1, Bytes{0x05}));  // published
+  frames.push_back(Msg(T::kCloudRecord, 1, 6, Bytes{0x13}));
+  frames.push_back(Msg(T::kShutdown, 0));
+  const size_t n = frames.size();
+
+  const uint64_t in_before = CounterValue("cloud.records_in");
+  const uint64_t rejected_before = CounterValue("cloud.records_rejected");
+  ASSERT_EQ(node.inbox()->PushBatch(frames.data(), n), n);
+  node.Start();
+  node.Shutdown();
+
+  // The first failure is the unknown publication's record.
+  EXPECT_EQ(node.first_error().code(), StatusCode::kNotFound)
+      << node.first_error().ToString();
+  // Publication 0 installed with exactly the three records ahead of its
+  // index, in link order; publication 1 holds its three, in order.
+  ASSERT_EQ(node.matching_stats().size(), 1u);
+  EXPECT_EQ(node.matching_stats()[0].records_matched, 3u);
+  EXPECT_EQ(Stored(server, 0), (std::vector<Bytes>{{0x01}, {0x02}, {0x03}}));
+  EXPECT_EQ(Stored(server, 1), (std::vector<Bytes>{{0x11}, {0x12}, {0x13}}));
+  EXPECT_EQ(server.total_records(), 6u);
+#if FRESQUE_TELEMETRY_ENABLED
+  EXPECT_EQ(CounterValue("cloud.records_in") - in_before, 6u);
+  EXPECT_EQ(CounterValue("cloud.records_rejected") - rejected_before, 3u);
+#else
+  (void)in_before;
+  (void)rejected_before;
+#endif
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "cloud/server.h"
@@ -79,6 +82,92 @@ TEST(CloudServerTest, LifecycleErrors) {
   auto pub2 = MakePublication(server.binning(), std::vector<int64_t>(10, 1));
   EXPECT_FALSE(server.PublishIndexed(0, std::move(pub2)).ok());
   EXPECT_FALSE(server.IngestRecord(0, 1, Bytes{1}).ok());
+}
+
+// Sorted ciphertexts of a whole-domain query.
+std::vector<Bytes> AllCiphertexts(const CloudServer& server) {
+  auto r = server.ExecuteQuery({0.0, 9.9});
+  EXPECT_TRUE(r.ok());
+  std::vector<Bytes> out;
+  for (const auto& rr : r->indexed_records) out.push_back(rr.e_record);
+  auto view = [](const Bytes& b) {
+    return std::string_view(reinterpret_cast<const char*>(b.data()),
+                            b.size());
+  };
+  std::sort(out.begin(), out.end(), [&](const Bytes& a, const Bytes& b) {
+    return view(a) < view(b);
+  });
+  return out;
+}
+
+TEST(CloudServerTest, IngestRecordsMatchesOneCallPerRecord) {
+  crypto::SecureRandom rng(11);
+  std::vector<std::pair<uint32_t, Bytes>> records;
+  std::vector<int64_t> counts(10, 0);
+  for (int i = 0; i < 300; ++i) {
+    const auto leaf = static_cast<uint32_t>(rng.NextBounded(10));
+    Bytes rec(1 + rng.NextBounded(90));
+    rng.Fill(rec.data(), rec.size());
+    records.emplace_back(leaf, std::move(rec));
+    ++counts[leaf];
+  }
+
+  CloudServer one(TinyBinning());
+  CloudServer runs(TinyBinning());
+  ASSERT_TRUE(one.StartPublication(0).ok());
+  ASSERT_TRUE(runs.StartPublication(0).ok());
+  for (const auto& [leaf, rec] : records) {
+    ASSERT_TRUE(one.IngestRecord(0, leaf, rec).ok());
+  }
+  // Uneven runs, including an empty one.
+  std::vector<LeafRecord> views;
+  for (const auto& [leaf, rec] : records) views.push_back({leaf, rec});
+  const std::span<const LeafRecord> all(views);
+  for (size_t at = 0, len = 0; at < all.size(); at += len, len = len * 2 + 1) {
+    len = std::min(len, all.size() - at);
+    ASSERT_TRUE(runs.IngestRecords(0, all.subspan(at, len)).ok());
+  }
+  EXPECT_EQ(runs.total_records(), one.total_records());
+  EXPECT_EQ(runs.total_bytes(), one.total_bytes());
+
+  ASSERT_TRUE(
+      one.PublishIndexed(0, MakePublication(one.binning(), counts)).ok());
+  ASSERT_TRUE(
+      runs.PublishIndexed(0, MakePublication(runs.binning(), counts)).ok());
+  EXPECT_EQ(runs.CurrentView()->Find(0)->postings,
+            one.CurrentView()->Find(0)->postings);
+  EXPECT_EQ(AllCiphertexts(runs), AllCiphertexts(one));
+  EXPECT_EQ(runs.total_bytes(), one.total_bytes());
+}
+
+TEST(CloudServerTest, IngestRecordsRejectsAWholeRunLikeOneRecord) {
+  CloudServer server(TinyBinning());
+  const Bytes a{1, 2};
+  const Bytes b{3};
+  const std::vector<LeafRecord> run{{1, a}, {2, b}};
+
+  // Unknown publication: the run fails with the single-record status.
+  const Status one = server.IngestRecord(4, 1, a);
+  const Status whole = server.IngestRecords(4, run);
+  EXPECT_EQ(whole.code(), StatusCode::kNotFound);
+  EXPECT_EQ(whole.ToString(), one.ToString());
+
+  // Published publication: same, and nothing of the run is stored.
+  ASSERT_TRUE(server.StartPublication(4).ok());
+  ASSERT_TRUE(server.IngestRecords(4, run).ok());
+  ASSERT_TRUE(server
+                  .PublishIndexed(4, MakePublication(server.binning(),
+                                                     {0, 1, 1, 0, 0, 0, 0, 0,
+                                                      0, 0}))
+                  .ok());
+  const size_t stored = server.total_records();
+  const size_t bytes = server.total_bytes();
+  const Status late_one = server.IngestRecord(4, 1, a);
+  const Status late_whole = server.IngestRecords(4, run);
+  EXPECT_EQ(late_whole.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(late_whole.ToString(), late_one.ToString());
+  EXPECT_EQ(server.total_records(), stored);
+  EXPECT_EQ(server.total_bytes(), bytes);
 }
 
 TEST(CloudServerTest, MetadataMatchingGroupsByLeaf) {

@@ -183,6 +183,68 @@ TEST(WalTest, AppendCommitReplayRoundTrip) {
   EXPECT_TRUE(ins->table.empty());
 }
 
+// Appending a run in one call or record by record writes the same bytes:
+// the frame boundaries come from batch_records, not from the calls.
+TEST(WalTest, AppendRecordsWritesTheSameBytesAsAppendRecordLoop) {
+  std::vector<Bytes> records;
+  for (uint32_t i = 0; i < 11; ++i) records.push_back(Bytes(3 + i, uint8_t(i)));
+  auto write = [&records](const char* name, bool as_run) {
+    std::string dir = FreshDir(name);
+    auto wal = durability::Wal::Open(TinyWalOptions(dir));  // 4 per batch
+    EXPECT_TRUE(wal.ok());
+    EXPECT_TRUE((*wal)->AppendStart(3).ok());
+    EXPECT_TRUE((*wal)->AppendTagged(3, 42, Bytes{0xCD}).ok());
+    if (as_run) {
+      std::vector<cloud::LeafRecord> run;
+      for (uint32_t i = 0; i < records.size(); ++i) {
+        run.push_back({i % 5, records[i]});
+      }
+      EXPECT_TRUE((*wal)->AppendRecords(3, run).ok());
+    } else {
+      for (uint32_t i = 0; i < records.size(); ++i) {
+        EXPECT_TRUE((*wal)->AppendRecord(3, i % 5, records[i]).ok());
+      }
+    }
+    EXPECT_TRUE((*wal)->AppendInstall(3, Bytes{9, 9}).ok());
+    EXPECT_TRUE((*wal)->Commit().ok());
+    return dir;
+  };
+  auto segments = [](const std::string& dir) {
+    std::vector<Bytes> out;
+    for (const auto& f : WalFiles(dir)) out.push_back(ReadAll(dir + "/" + f));
+    return out;
+  };
+  const std::vector<Bytes> loop = segments(write("wal_append_loop", false));
+  const std::string run_dir = write("wal_append_run", true);
+  ASSERT_FALSE(loop.empty());
+  EXPECT_EQ(segments(run_dir), loop);
+
+  // Each batch frame holds the grammar's bytes (u64 pn, u32 n, then
+  // u32 leaf and length-prefixed e-record per record), and decodes back
+  // to the records as views into the frame.
+  size_t seen = 0;
+  auto stats = durability::Wal::Replay(
+      run_dir, 0, [&](const durability::Wal::Frame& f) {
+        if (f.op != durability::WalOp::kRecordBatch) return Status::OK();
+        auto b = durability::DecodeWalRecordBatch(f.body);
+        EXPECT_TRUE(b.ok());
+        BinaryWriter grammar;
+        grammar.PutU64(3);
+        grammar.PutU32(static_cast<uint32_t>(b->records.size()));
+        for (const auto& [leaf, rec] : b->records) {
+          EXPECT_EQ(leaf, seen % 5);
+          EXPECT_EQ(Bytes(rec.begin(), rec.end()), records[seen]);
+          grammar.PutU32(leaf);
+          grammar.PutBytes(records[seen]);
+          ++seen;
+        }
+        EXPECT_EQ(f.body, grammar.buffer());
+        return Status::OK();
+      });
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(seen, records.size());
+}
+
 TEST(WalTest, RecordsBeforeInstallPerPublication) {
   // Interleave two publications; replay must still see every record of a
   // publication before that publication's install frame.

@@ -183,6 +183,51 @@ TEST(ObsConcurrencyTest, SketchSurvivesWritersPlusReader) {
   EXPECT_EQ(sk.TotalWeight(), kWriters * kPerWriter);
 }
 
+// Batch writers (the cloud node's per-run InsertMany) racing a reader,
+// alongside single-sample writers on the same stripes.
+TEST(ObsConcurrencyTest, InsertManyWritersPlusReader) {
+  StreamingQuantiles sk;
+  constexpr int kBatchWriters = 4;
+  constexpr int kSingleWriters = 2;
+  constexpr uint64_t kPerWriter = 40000;
+  std::atomic<bool> stop{false};
+  std::thread reader([&sk, &stop] {
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)sk.QueryMany({0.5, 0.95, 0.99});
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kBatchWriters; ++t) {
+    writers.emplace_back([&sk, t] {
+      std::vector<uint64_t> run;
+      uint64_t next = 1;
+      size_t len = static_cast<size_t>(t) + 1;
+      while (next <= kPerWriter) {
+        run.clear();
+        for (size_t i = 0; i < len && next <= kPerWriter; ++i) {
+          run.push_back(next++);
+        }
+        sk.InsertMany(run.data(), run.size());
+        len = len % 300 + 1;  // 1..300, crossing the stripe buffer
+      }
+    });
+  }
+  for (int t = 0; t < kSingleWriters; ++t) {
+    writers.emplace_back([&sk] {
+      for (uint64_t i = 1; i <= kPerWriter; ++i) sk.Insert(i);
+    });
+  }
+  for (auto& w : writers) w.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  constexpr uint64_t kTotal = (kBatchWriters + kSingleWriters) * kPerWriter;
+  EXPECT_EQ(sk.Count(), kTotal);
+  EXPECT_EQ(sk.TotalWeight(), kTotal);
+  const uint64_t p50 = sk.Query(0.5);
+  EXPECT_GT(p50, kPerWriter * 40 / 100);
+  EXPECT_LT(p50, kPerWriter * 60 / 100);
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace fresque

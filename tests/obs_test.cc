@@ -95,6 +95,36 @@ TEST(StreamingQuantilesTest, ConcurrentInsertConservesEverySample) {
   EXPECT_LT(p50, kThreads * kPerThread * 60 / 100);
 }
 
+TEST(StreamingQuantilesTest, InsertManyMatchesInsertLoop) {
+  const uint64_t n = 100000;
+  std::vector<uint64_t> vals(n);
+  for (uint64_t i = 0; i < n; ++i) vals[i] = i + 1;
+  std::mt19937_64 rng(7);
+  std::shuffle(vals.begin(), vals.end(), rng);
+
+  StreamingQuantiles one;
+  StreamingQuantiles many;
+  for (uint64_t v : vals) one.Insert(v);
+  // Runs of every length from 0 up, crossing the stripe buffer boundary
+  // inside a call.
+  for (size_t at = 0, len = 0; at < n; at += len, ++len) {
+    len = std::min<size_t>(len, n - at);
+    many.InsertMany(vals.data() + at, len);
+  }
+  EXPECT_EQ(many.Count(), n);
+  EXPECT_EQ(many.TotalWeight(), many.Count());
+  const std::vector<double> qs = {0.01, 0.25, 0.50, 0.95, 0.99};
+  const auto a = one.QueryMany(qs);
+  const auto b = many.QueryMany(qs);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    // Both are within the sketch's rank error of the true quantile.
+    EXPECT_NEAR(static_cast<double>(b[i]), qs[i] * n, 0.02 * n) << qs[i];
+    EXPECT_NEAR(static_cast<double>(b[i]), static_cast<double>(a[i]),
+                0.03 * n)
+        << qs[i];
+  }
+}
+
 TEST(StreamingQuantilesTest, ResetForTestEmptiesTheSketch) {
   StreamingQuantiles sk;
   for (uint64_t v = 0; v < 5000; ++v) sk.Insert(v);
@@ -318,6 +348,26 @@ TEST(SamplerTest, NoteE2eSampleFeedsSloAndSketch) {
   NoteE2eSample(700000);
   EXPECT_EQ(GlobalE2eSketch()->Count(), 3u);
   EXPECT_EQ(reg->GetCounter("slo.e2e_samples")->Value(), 4u);
+
+  ResetE2eStateForTest();
+}
+
+TEST(SamplerTest, NoteE2eSamplesCountsEverySampleOfARun) {
+  ResetE2eStateForTest();
+  telemetry::Registry::Global()->ResetForTest();
+
+  SetSloE2eTargetNs(1000000);  // 1 ms
+  SetE2eSamplingActive(true);
+  const uint64_t run[] = {500000, 2000000, 3000000, 1000000};
+  NoteE2eSamples(run, 4, /*now_ns=*/12345);
+  NoteE2eSamples(run, 0, /*now_ns=*/99999);  // empty run: no effect
+
+  auto* reg = telemetry::Registry::Global();
+  EXPECT_EQ(reg->GetCounter("slo.e2e_samples")->Value(), 4u);
+  EXPECT_EQ(reg->GetCounter("slo.e2e_violations")->Value(), 2u);
+  EXPECT_EQ(GlobalE2eSketch()->Count(), 4u);
+  EXPECT_EQ(GlobalE2eSketch()->Query(1.0), 3000000u);
+  EXPECT_EQ(LastE2eSampleNanos(), 12345);
 
   ResetE2eStateForTest();
 }

@@ -299,5 +299,116 @@ TEST(QueueTest, BatchMultiProducerMultiConsumerConservesItems) {
   EXPECT_EQ(q.size(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Ring storage: the queue keeps its items in a ring that grows to the
+// deepest it has been. These pin FIFO order across wraparound and growth.
+
+// Pops `n` items and expects them to be `first, first + 1, ...`.
+void ExpectPops(BoundedQueue<int>* q, int first, int n) {
+  for (int i = 0; i < n; ++i) {
+    auto item = q->TryPop();
+    ASSERT_TRUE(item.has_value());
+    EXPECT_EQ(*item, first + i);
+  }
+}
+
+TEST(QueueRingTest, WrapsAroundAtCapacity) {
+  BoundedQueue<int> q(5);
+  int next_push = 0;
+  int next_pop = 0;
+  for (int round = 0; round < 50; ++round) {
+    // Keep the queue full and slide it forward 3 items per round, so the
+    // head and tail wrap past the end of the slots again and again.
+    while (q.size() < q.capacity()) ASSERT_TRUE(q.TryPush(next_push++));
+    EXPECT_FALSE(q.TryPush(-1));
+    ExpectPops(&q, next_pop, 3);
+    next_pop += 3;
+  }
+  ExpectPops(&q, next_pop, static_cast<int>(q.size()));
+  EXPECT_EQ(q.high_watermark(), 5u);
+  EXPECT_EQ(q.rejected_full(), 50u);
+}
+
+TEST(QueueRingTest, GrowsWhileItemsAreQueued) {
+  BoundedQueue<int> q(1000);
+  // Fill the first slots, pop a few and push past the end so the live
+  // items wrap; the next pushes then grow a ring whose contents wrap.
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.Push(i));
+  ExpectPops(&q, 0, 3);
+  for (int i = 8; i < 300; ++i) ASSERT_TRUE(q.Push(i));
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopBatch(&batch, 100), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(batch[i], 3 + i);
+  // Slide forward again, then grow once more past the old high water.
+  for (int i = 300; i < 900; ++i) ASSERT_TRUE(q.Push(i));
+  ExpectPops(&q, 103, 797);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.high_watermark(), 797u);
+}
+
+TEST(QueueRingTest, CloseThenDrainKeepsOrderAcrossWrap) {
+  BoundedQueue<int> q(8);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.Push(i));
+  ExpectPops(&q, 0, 6);
+  for (int i = 8; i < 14; ++i) ASSERT_TRUE(q.Push(i));  // wraps
+  q.Close();
+  EXPECT_FALSE(q.Push(99));
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopBatch(&batch, 5), 5u);
+  EXPECT_EQ(batch, (std::vector<int>{6, 7, 8, 9, 10}));
+  EXPECT_EQ(q.Pop().value(), 11);
+  EXPECT_EQ(q.Pop().value(), 12);
+  EXPECT_EQ(q.Pop().value(), 13);
+  EXPECT_FALSE(q.Pop().has_value());
+  EXPECT_EQ(q.PopBatch(&batch, 5), 0u);
+}
+
+TEST(QueueRingTest, WaitStampsStayAlignedAcrossGrowth) {
+  constexpr int kStride =
+      static_cast<int>(BoundedQueue<int>::kWaitSampleStride);
+  BoundedQueue<int> q(1024);
+  // The hook runs inside the pop, on this thread: it records which item
+  // was being popped when a sampled stamp came out.
+  int popping = -1;
+  std::vector<int> sampled;
+  q.SetWaitHook([&](int64_t ns) {
+    EXPECT_GE(ns, 0);
+    sampled.push_back(popping);
+  });
+  auto pop = [&](int expect) {
+    popping = expect;
+    auto item = q.TryPop();
+    ASSERT_TRUE(item.has_value());
+    EXPECT_EQ(*item, expect);
+  };
+  int next_pop = 0;
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.Push(i));
+  for (int i = 0; i < 3; ++i) pop(next_pop++);
+  // Wrap, then grow both rings with wrapped contents, several times over.
+  for (int i = 8; i < 3 * kStride + 5; ++i) ASSERT_TRUE(q.Push(i));
+  while (q.size() > 0) pop(next_pop++);
+  // Pushes 0, kStride, 2 * kStride, ... carried the sampled stamps.
+  EXPECT_EQ(sampled, (std::vector<int>{0, kStride, 2 * kStride, 3 * kStride}));
+}
+
+TEST(QueueRingTest, WaitHookAttachedWithWrappedItemsStampsThemAll) {
+  BoundedQueue<int> q(8);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.Push(i));
+  ExpectPops(&q, 0, 6);
+  for (int i = 8; i < 12; ++i) ASSERT_TRUE(q.Push(i));  // 6 live, wrapped
+  std::vector<int64_t> waits;
+  q.SetWaitHook([&waits](int64_t ns) { waits.push_back(ns); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ExpectPops(&q, 6, 6);
+  ASSERT_EQ(waits.size(), 6u);
+  for (int64_t ns : waits) EXPECT_GE(ns, 1'000'000) << "slept 2ms";
+  // The first push after attach is sampled, the rest of its stride not.
+  waits.clear();
+  ASSERT_TRUE(q.Push(12));
+  ASSERT_TRUE(q.Push(13));
+  ExpectPops(&q, 12, 2);
+  EXPECT_EQ(waits.size(), 1u);
+}
+
 }  // namespace
 }  // namespace fresque

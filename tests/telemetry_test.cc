@@ -111,6 +111,22 @@ TEST(HistogramTest, RecordLandsInComputedBucket) {
   EXPECT_EQ(h.BucketValue(0), 2u);
 }
 
+TEST(HistogramTest, RecordManyMatchesRecordLoop) {
+  std::vector<uint64_t> samples = {0, 1, 2, 3, 7, 8, 1023, 1024, 1 << 20};
+  for (uint64_t v = 0; v < 5000; ++v) samples.push_back(v * 7919 % 100003);
+  Histogram one;
+  Histogram many;
+  for (uint64_t v : samples) one.Record(v);
+  many.RecordMany(samples.data(), 3);  // split calls, and an empty one
+  many.RecordMany(samples.data() + 3, 0);
+  many.RecordMany(samples.data() + 3, samples.size() - 3);
+  for (size_t b = 0; b < Histogram::kBucketCount; ++b) {
+    EXPECT_EQ(many.BucketValue(b), one.BucketValue(b)) << "bucket " << b;
+  }
+  EXPECT_EQ(many.Sum(), one.Sum());
+  EXPECT_EQ(many.Count(), samples.size());
+}
+
 TEST(HistogramTest, QuantileInterpolatesWithinFactorOfTwo) {
   Histogram h;
   for (int i = 0; i < 1000; ++i) h.Record(1000);  // all in bucket 10
