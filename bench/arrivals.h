@@ -5,106 +5,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "record/dataset.h"
 
+// Load-shape helpers for the benches: Zipf-skewed keys for skewed-shard
+// and hot-spot query workloads.
+
 namespace fresque {
 namespace bench {
-
-/// Arrival-time shapes for open-loop load drivers. All generators return
-/// the *intended* arrival schedule — the times records were supposed to
-/// arrive — which drivers use both to pace sends and to stamp latency
-/// (coordinated-omission-free: a sender that falls behind still measures
-/// each record from its scheduled arrival, so the backlog's queueing
-/// delay shows up in the tail instead of being silently excluded).
-enum class ArrivalShape {
-  /// Perfectly clocked: record i arrives at i/rate.
-  kDeterministic,
-  /// Memoryless: exponential inter-arrivals at the same mean rate.
-  kPoisson,
-  /// Poisson modulated by on/off bursts: alternating windows of 2x and
-  /// ~0.25x the mean rate (duty-cycled so the long-run rate matches
-  /// `rate_rps`). Stresses the adaptive controller's reaction time: each
-  /// burst must grow batches within a few pops and shrink back after.
-  kPoissonBurst,
-  /// A compressed diurnal curve: rate follows 1 + 0.75*sin over the whole
-  /// run (peak 1.75x, trough 0.25x of the mean). The slow sweep holds the
-  /// pipeline above and below saturation for long stretches.
-  kDiurnal,
-};
-
-inline const char* ArrivalShapeName(ArrivalShape s) {
-  switch (s) {
-    case ArrivalShape::kDeterministic:
-      return "deterministic";
-    case ArrivalShape::kPoisson:
-      return "poisson";
-    case ArrivalShape::kPoissonBurst:
-      return "poisson_burst";
-    case ArrivalShape::kDiurnal:
-      return "diurnal";
-  }
-  return "?";
-}
-
-/// Builds the intended arrival times (nanoseconds, relative to the run
-/// start) of `n` records offered at long-run rate `rate_rps`. Same seed
-/// => same schedule.
-inline std::vector<int64_t> MakeArrivalScheduleNs(ArrivalShape shape,
-                                                  size_t n, double rate_rps,
-                                                  uint64_t seed = 1) {
-  std::vector<int64_t> at;
-  at.reserve(n);
-  if (n == 0 || rate_rps <= 0) return at;
-  Xoshiro256 rng(seed);
-  const double mean_gap_ns = 1e9 / rate_rps;
-  double t = 0;
-  switch (shape) {
-    case ArrivalShape::kDeterministic:
-      for (size_t i = 0; i < n; ++i) {
-        at.push_back(static_cast<int64_t>(
-            static_cast<double>(i) * mean_gap_ns));
-      }
-      break;
-    case ArrivalShape::kPoisson:
-      for (size_t i = 0; i < n; ++i) {
-        t += -std::log(rng.NextDoubleOpenLow()) * mean_gap_ns;
-        at.push_back(static_cast<int64_t>(t));
-      }
-      break;
-    case ArrivalShape::kPoissonBurst: {
-      // Alternating equal-count windows (8 across the run): burst
-      // windows draw Poisson gaps at 2x the mean rate (gap mean/2),
-      // quiet windows at 2/3x (gap 3*mean/2). Equal counts at those two
-      // gap means average to exactly mean_gap_ns, so the long-run rate
-      // stays rate_rps while the instantaneous rate swings 3:1.
-      const size_t per_window = n / 8 > 0 ? n / 8 : 1;
-      for (size_t i = 0; i < n; ++i) {
-        const bool burst = (i / per_window) % 2 == 0;
-        const double gap = burst ? mean_gap_ns * 0.5 : mean_gap_ns * 1.5;
-        t += -std::log(rng.NextDoubleOpenLow()) * gap;
-        at.push_back(static_cast<int64_t>(t));
-      }
-      break;
-    }
-    case ArrivalShape::kDiurnal:
-      // Inverse-rate pacing: the instantaneous gap is mean/(1+0.75*sin),
-      // swept over one full cycle across the n records. Equal-count
-      // half-cycles above and below the mean keep the long-run rate
-      // within a few percent of rate_rps.
-      for (size_t i = 0; i < n; ++i) {
-        const double phase = 2.0 * M_PI * static_cast<double>(i) /
-                             static_cast<double>(n);
-        const double rate_factor = 1.0 + 0.75 * std::sin(phase);
-        t += mean_gap_ns / rate_factor;
-        at.push_back(static_cast<int64_t>(t));
-      }
-      break;
-  }
-  return at;
-}
 
 /// Zipf-skewed key sampler: rank r in [0, num_keys) drawn with
 /// P(r) ~ 1/(r+1)^theta — the classic Gray et al. analytic inverse (the

@@ -5,10 +5,11 @@
 #
 #   thread (default)     — builds with TSan and runs the concurrency-
 #                          sensitive suites: the publication drain/shutdown
-#                          protocol, the queue/node runtime, the cloud
-#                          node's record runs and the record ledger, the TCP
-#                          transport, and the durability subsystem (WAL,
-#                          snapshots, crash recovery).
+#                          protocol, the queue/node runtime (queue_test and
+#                          net_test's NodeTest), the cloud node's record
+#                          runs and the record ledger, the TCP transport,
+#                          and the durability subsystem (WAL, snapshots,
+#                          crash recovery).
 #   address | undefined  — builds with ASan or UBSan and runs the *full*
 #   address,undefined      ctest suite (these sanitizers are cheap enough
 #                          to afford every test).
@@ -36,12 +37,12 @@ if [[ "$SAN" == thread ]]; then
   # TSan slows execution ~10x; build and run only the suites that exercise
   # cross-thread protocols.
   cmake --build "$BUILD_DIR" -j \
-    --target concurrency_test tcp_test drain_shutdown_test queue_test \
+    --target concurrency_test tcp_test drain_shutdown_test queue_test net_test \
       durability_test crash_recovery_test telemetry_test overload_test \
       query_engine_test query_concurrency_test obs_test obs_concurrency_test \
       shard_test shard_recovery_test cloud_node_test conservation_test
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R '^(ConcurrencyTest|TcpTest|DrainShutdownTest|CheckingNodeTest|QueueTest|QueueRingTest|CloudNodeTest|CloudNodeRunTest|ConservationTest|WalTest|SnapshotManagerTest|RecoveryTest|CrashRecoveryTest|RegistryConcurrencyTest|TracerTest|QueueWaitHookTest|AdaptiveBatchingTest|AdmissionTest|OverloadPipelineTest|TagFilterTest|LeafCacheTest|ViewManagerTest|QueryExecutorTest|CloudServerViewTest|QueryConcurrencyTest|StreamingQuantilesTest|FlightRecorderTest|HttpServerTest|SamplerTest|ObsServerTest|ObsConcurrencyTest|ShardPlacementTest|ShardRouterTest|ShardedPipelineTest|ShardRecoveryTest)'
+    -R '^(ConcurrencyTest|TcpTest|DrainShutdownTest|CheckingNodeTest|QueueTest|QueueRingTest|NodeTest|CloudNodeTest|CloudNodeRunTest|ConservationTest|WalTest|SnapshotManagerTest|RecoveryTest|CrashRecoveryTest|RegistryConcurrencyTest|TracerTest|QueueWaitHookTest|AdmissionTest|OverloadPipelineTest|TagFilterTest|LeafCacheTest|ViewManagerTest|QueryExecutorTest|CloudServerViewTest|QueryConcurrencyTest|StreamingQuantilesTest|FlightRecorderTest|HttpServerTest|SamplerTest|ObsServerTest|ObsConcurrencyTest|ShardPlacementTest|ShardRouterTest|ShardedPipelineTest|ShardRecoveryTest)'
 else
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"

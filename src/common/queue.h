@@ -190,47 +190,24 @@ class BoundedQueue {
   }
 
   /// Pops up to `max` items into `*out` (appended) with one lock
-  /// acquisition. Blocks until at least one item is available; then, if
-  /// `linger` is positive and fewer than `max` items are queued, waits up
-  /// to `linger` for the batch to fill before returning ("bounded
-  /// linger": the added latency is capped by the knob; the default 0
-  /// means batches form only from natural queue depth under load and an
-  /// idle-queue pop returns the moment one item arrives). Returns the
-  /// number popped; 0 means closed-and-drained, the terminal state.
-  ///
-  /// `backlog_after`, when non-null, receives the queue depth left behind
-  /// by this pop, observed under the same lock acquisition — a free
-  /// congestion signal for adaptive consumers (net::Node's controller):
-  /// popping a full batch while a backlog remains means the consumer is
-  /// behind; an empty backlog with an underfilled batch means the queue
-  /// is short and batching should cost no latency.
-  FRESQUE_HOT size_t PopBatch(
-      std::vector<T>* out, size_t max,
-      std::chrono::nanoseconds linger = std::chrono::nanoseconds(0),
-      size_t* backlog_after = nullptr) FRESQUE_EXCLUDES(mu_) {
-    if (max == 0) {
-      if (backlog_after != nullptr) *backlog_after = size();
-      return 0;
-    }
+  /// acquisition. Blocks until at least one item is available, then takes
+  /// whatever is queued up to `max` and returns without waiting for more:
+  /// under load batches fill from natural queue depth, and an idle-queue
+  /// pop returns the moment one item arrives. Returns the number popped;
+  /// 0 means closed-and-drained (or `max == 0`), the terminal state.
+  FRESQUE_HOT size_t PopBatch(std::vector<T>* out, size_t max)
+      FRESQUE_EXCLUDES(mu_) {
+    if (max == 0) return 0;
     size_t popped = 0;
     {
       MutexLock lock(mu_);
       while (!closed_ && items_.empty()) not_empty_.Wait(mu_);
-      if (linger.count() > 0 && !closed_ && items_.size() < max) {
-        const auto deadline = std::chrono::steady_clock::now() + linger;
-        while (!closed_ && items_.size() < max) {
-          if (not_empty_.WaitUntil(mu_, deadline) == std::cv_status::timeout) {
-            break;
-          }
-        }
-      }
       while (popped < max && !items_.empty()) {
         out->push_back(std::move(items_.front()));
         items_.pop_front();
         StampPopLocked();
         ++popped;
       }
-      if (backlog_after != nullptr) *backlog_after = items_.size();
     }
     if (popped > 1) {
       not_full_.NotifyAll();

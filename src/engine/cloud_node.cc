@@ -7,15 +7,12 @@
 namespace fresque {
 namespace engine {
 
-CloudNode::CloudNode(cloud::CloudServer* server, size_t mailbox_capacity,
-                     net::BatchOptions batching)
+CloudNode::CloudNode(cloud::CloudServer* server, size_t mailbox_capacity)
     : server_(server),
-      node_(
-          "cloud", net::MakeMailbox(mailbox_capacity),
-          [this](std::vector<net::Message>& batch) {
-            return HandleBatch(batch);
-          },
-          batching) {}
+      node_("cloud", net::MakeMailbox(mailbox_capacity),
+            [this](std::vector<net::Message>& batch) {
+              return HandleBatch(batch);
+            }) {}
 
 bool CloudNode::HandleBatch(std::vector<net::Message>& batch) {
   for (size_t i = 0; i < batch.size();) {

@@ -37,13 +37,11 @@ namespace engine {
 /// a publication change, ends the run, so per-link order is kept.
 class CloudNode {
  public:
-  /// `server` must outlive the node. `batching` defaults to adaptive
-  /// with a batch ceiling of 64 and no linger: record floods drain in
-  /// full batches, a lone frame is handled the moment it arrives.
+  /// `server` must outlive the node. Like every pipeline node it pops up
+  /// to net::kMaxBatch frames at a time: record floods drain in full
+  /// batches, a lone frame is handled the moment it arrives.
   explicit CloudNode(cloud::CloudServer* server,
-                     size_t mailbox_capacity = 8192,
-                     net::BatchOptions batching = net::BatchOptions::Adaptive(
-                         64, std::chrono::nanoseconds(0)));
+                     size_t mailbox_capacity = 8192);
 
   void Start() { node_.Start(); }
   /// Stops accepting frames, drains the inbox and joins the thread, then

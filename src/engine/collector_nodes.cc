@@ -106,14 +106,6 @@ uint64_t PublicationTracker::completed_failed() const {
   return n;
 }
 
-net::BatchOptions PipelineBatching(const CollectorConfig& config) {
-  const net::BatchOptions ceilings{
-      config.pipeline_batch_size,
-      std::chrono::microseconds(config.pipeline_linger_us),
-      config.adaptive_batching};
-  return ceilings;
-}
-
 net::Message MakeFailureAck(uint64_t pn, const std::string& reason) {
   net::Message ack;
   ack.type = net::MessageType::kPublicationAck;
@@ -137,8 +129,7 @@ ComputingNodeImpl::ComputingNodeImpl(size_t id, const CollectorConfig& config,
       rng_(config.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1))),
       node_("cn" + std::to_string(id),
             net::MakeMailbox(config.mailbox_capacity),
-            [this](std::vector<net::Message>& b) { return HandleBatch(b); },
-            PipelineBatching(config)) {}
+            [this](std::vector<net::Message>& b) { return HandleBatch(b); }) {}
 
 bool ComputingNodeImpl::HandleBatch(std::vector<net::Message>& batch) {
   // Raw lines of the same publication are staged into one batch encrypt:
@@ -285,8 +276,7 @@ CheckingNodeImpl::CheckingNodeImpl(const CollectorConfig& config,
       acks_(std::move(acks)),
       rng_(config.seed ^ 0xC0FFEE),
       node_("checking", net::MakeMailbox(config.mailbox_capacity),
-            [this](std::vector<net::Message>& b) { return HandleBatch(b); },
-            PipelineBatching(config)) {}
+            [this](std::vector<net::Message>& b) { return HandleBatch(b); }) {}
 
 bool CheckingNodeImpl::HandleBatch(std::vector<net::Message>& batch) {
   bool keep_going = true;
@@ -501,8 +491,7 @@ MergerImpl::MergerImpl(const CollectorConfig& config,
       acks_(std::move(acks)),
       rng_(config.seed ^ 0x4D455247),  // "MERG"
       node_("merger", net::MakeMailbox(config.mailbox_capacity),
-            [this](std::vector<net::Message>& b) { return HandleBatch(b); },
-            PipelineBatching(config)) {}
+            [this](std::vector<net::Message>& b) { return HandleBatch(b); }) {}
 
 bool MergerImpl::HandleBatch(std::vector<net::Message>& batch) {
   bool keep_going = true;

@@ -310,10 +310,6 @@ class DispatcherState {
   ReportSink* reports_;
 };
 
-/// Batching policy every pipeline node derives from the config: the
-/// static knobs become ceilings when `adaptive_batching` is on.
-net::BatchOptions PipelineBatching(const CollectorConfig& config);
-
 /// Builds a failure kPublicationAck frame (leaf != 0, reason in payload).
 net::Message MakeFailureAck(uint64_t pn, const std::string& reason);
 

@@ -1,7 +1,5 @@
 #include "engine/config.h"
 
-#include <string>
-
 namespace fresque {
 namespace engine {
 
@@ -13,29 +11,6 @@ Status CollectorConfig::Validate() const {
     return Status::InvalidArgument(
         "mailbox_capacity must be >= 1: a zero-capacity mailbox deadlocks "
         "the first push");
-  }
-  if (pipeline_batch_size == 0) {
-    return Status::InvalidArgument("pipeline_batch_size must be >= 1");
-  }
-  if (pipeline_batch_size > mailbox_capacity) {
-    return Status::InvalidArgument(
-        "pipeline_batch_size (" + std::to_string(pipeline_batch_size) +
-        ") exceeds mailbox_capacity (" + std::to_string(mailbox_capacity) +
-        "): a stage could never fill a batch from one mailbox");
-  }
-  if (pipeline_linger_us > 0 && pipeline_batch_size == 1) {
-    return Status::InvalidArgument(
-        "pipeline_linger_us > 0 with pipeline_batch_size == 1: lingering "
-        "for a batch of one adds latency and can never add throughput");
-  }
-  if (dispatch_batch_size == 0) {
-    return Status::InvalidArgument("dispatch_batch_size must be >= 1");
-  }
-  if (dispatch_batch_size > mailbox_capacity) {
-    return Status::InvalidArgument(
-        "dispatch_batch_size (" + std::to_string(dispatch_batch_size) +
-        ") exceeds mailbox_capacity (" + std::to_string(mailbox_capacity) +
-        "): a dispatcher flush would always block on its own batch");
   }
   if (fanout < 2) {
     return Status::InvalidArgument("fanout must be >= 2");

@@ -93,38 +93,8 @@ struct CollectorConfig {
   /// Mailbox capacity per link (bounded, for back-pressure).
   size_t mailbox_capacity = 8192;
 
-  /// Max messages a pipeline stage pops (and pushes downstream) per
-  /// mailbox lock acquisition. Under load batches fill from natural
-  /// queue depth, amortizing the lock/wakeup and letting the computing
-  /// nodes interleave the records' AES-CBC chains in one hardware batch;
-  /// at low rate a stage still processes each message the moment it
-  /// arrives (see pipeline_linger_us). 1 disables batching.
-  size_t pipeline_batch_size = 64;
-
-  /// Upper bound, in microseconds, a stage may wait for a partially
-  /// filled batch to grow before processing it. 0 (default) never waits:
-  /// batching then adds no latency at low arrival rates. Positive values
-  /// trade bounded per-hop latency for fuller batches on sparse traffic.
-  /// With `adaptive_batching` on this is a ceiling the per-node
-  /// controller engages only under measured overload.
-  uint64_t pipeline_linger_us = 0;
-
-  /// Let each pipeline node adapt its effective batch size and linger at
-  /// runtime between 1/0 and the ceilings above, driven by observed
-  /// backlog and sampled queue-wait telemetry (see net::BatchOptions).
-  /// On (the default), the static knobs cost nothing at low load and
-  /// their full amortization under pressure; off reproduces the
-  /// pre-adaptive fixed-knob behavior exactly.
-  bool adaptive_batching = true;
-
   /// Load shedding at the ingest boundary; see AdmissionConfig.
   AdmissionConfig admission;
-
-  /// Records the dispatcher buffers per computing node before flushing
-  /// them downstream as one PushBatch. Buffers also flush at publication
-  /// boundaries and shutdown, so records never strand; 1 forwards each
-  /// record individually.
-  size_t dispatch_batch_size = 64;
 
   /// Plaintext padding length of dummy records; pick near the dataset's
   /// typical record size so ciphertext lengths blend in.
@@ -143,11 +113,10 @@ struct CollectorConfig {
 
   /// Rejects nonsensical knob combinations before any thread spawns,
   /// so a bad deployment fails at startup with a message naming the
-  /// offending knob instead of deadlocking (zero-capacity mailbox),
-  /// silently stalling (dispatch batches that can never fit a mailbox)
-  /// or quietly costing latency (linger configured while batching is
-  /// disabled). Called by FresqueCollector::Start(); standalone tools
-  /// may call it directly to fail fast before touching the pipeline.
+  /// offending knob instead of deadlocking (zero-capacity mailbox) or
+  /// misbehaving later (zero computing nodes, inverted shed watermarks).
+  /// Called by FresqueCollector::Start(); standalone tools may call it
+  /// directly to fail fast before touching the pipeline.
   Status Validate() const;
 };
 

@@ -263,7 +263,7 @@ void FresqueCollector::DispatchBuffered(net::Message&& m) {
   const size_t cn = rr_++ % computing_.size();
   auto& buf = dispatch_buf_[cn];
   buf.push_back(std::move(m));
-  if (buf.size() >= std::max<size_t>(1, config_.dispatch_batch_size)) {
+  if (buf.size() >= net::kMaxBatch) {
     computing_[cn]->inbox()->PushBatch(buf.data(), buf.size());
     buf.clear();
   }
@@ -378,8 +378,6 @@ CollectorMetrics FresqueCollector::Metrics() const {
     nm.inbox.rejected_full = q.rejected_full();
     nm.inbox.rejected_closed = q.rejected_closed();
     nm.inbox.high_watermark = q.high_watermark();
-    nm.effective_batch = n.effective_batch();
-    nm.effective_linger_ns = n.effective_linger_ns();
     out.nodes.push_back(std::move(nm));
   };
   for (const auto& cn : computing_) add_node(cn->node());

@@ -191,7 +191,7 @@ class FresqueCollector {
 
   /// Buffers one raw-line/dummy frame for its round-robin computing node,
   /// flushing that node's buffer as one PushBatch when it reaches
-  /// config_.dispatch_batch_size.
+  /// net::kMaxBatch.
   FRESQUE_HOT void DispatchBuffered(net::Message&& m);
   /// Hands every buffered frame to its computing node. Must run before
   /// any barrier frame (kPublish/kShutdown) so per-link FIFO keeps
@@ -234,7 +234,7 @@ class FresqueCollector {
   std::atomic<uint64_t> shed_high_{0};
   /// Per-computing-node dispatch buffers (dispatcher-thread state):
   /// frames accumulate here and enter the node's mailbox in one PushBatch
-  /// of config_.dispatch_batch_size, amortizing the mailbox lock/wakeup.
+  /// of net::kMaxBatch, amortizing the mailbox lock/wakeup.
   std::vector<std::vector<net::Message>> dispatch_buf_;
   bool started_ = false;
   bool shut_down_ = false;

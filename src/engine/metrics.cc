@@ -29,8 +29,6 @@ void ExportToRegistry(const CollectorMetrics& m) {
         static_cast<int64_t>(n.inbox.rejected_closed));
     set(p + "queue_high_watermark",
         static_cast<int64_t>(n.inbox.high_watermark));
-    set(p + "effective_batch", static_cast<int64_t>(n.effective_batch));
-    set(p + "effective_linger_ns", n.effective_linger_ns);
   }
   set("collector.snapshot.shed_records",
       static_cast<int64_t>(m.shed_records));

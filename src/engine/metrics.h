@@ -60,12 +60,6 @@ struct NodeMetrics {
   bool running = false;
   uint64_t frames_processed = 0;
   QueueMetrics inbox;
-  /// Batching knobs the adaptive controller currently applies (== the
-  /// configured ceilings when adaptive batching is off). A node sitting
-  /// at batch 1 / linger 0 is in latency-first mode; at the ceilings it
-  /// is absorbing sustained pressure.
-  size_t effective_batch = 1;
-  int64_t effective_linger_ns = 0;
 };
 
 /// Whole-collector health snapshot, cheap enough to poll while ingesting.

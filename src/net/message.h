@@ -1,6 +1,7 @@
 #ifndef FRESQUE_NET_MESSAGE_H_
 #define FRESQUE_NET_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -94,6 +95,13 @@ using MailboxPtr = std::shared_ptr<Mailbox>;
 
 /// Convenience: a mailbox with the default per-link capacity.
 MailboxPtr MakeMailbox(size_t capacity = 4096);
+
+/// The pipeline's one batch size: the most frames (or lines) any hop moves
+/// per mailbox lock acquisition — a node's pop, a dispatcher or router
+/// buffer's flush, a TCP egress write. A pop takes whatever is queued up
+/// to this and never waits for more, so batches fill from natural queue
+/// depth under load and a lone frame is handled the moment it arrives.
+inline constexpr size_t kMaxBatch = 64;
 
 }  // namespace net
 }  // namespace fresque

@@ -1,7 +1,5 @@
 #include "net/node.h"
 
-#include <algorithm>
-
 #include "telemetry/telemetry.h"
 
 #if FRESQUE_TELEMETRY_ENABLED
@@ -20,55 +18,22 @@ Node::Node(std::string name, MailboxPtr inbox,
   AttachWaitHook();
 }
 
-Node::Node(std::string name, MailboxPtr inbox, BatchHandler handler,
-           size_t batch_size, std::chrono::nanoseconds linger)
-    : Node(std::move(name), std::move(inbox), std::move(handler),
-           BatchOptions::Static(batch_size, linger)) {}
-
-Node::Node(std::string name, MailboxPtr inbox, BatchHandler handler,
-           BatchOptions options)
+Node::Node(std::string name, MailboxPtr inbox, BatchHandler handler)
     : name_(std::move(name)),
       inbox_(std::move(inbox)),
-      batch_handler_(std::move(handler)),
-      batching_(options) {
-  if (batching_.max_batch < 1) batching_.max_batch = 1;
-  if (batching_.max_linger.count() < 0) {
-    batching_.max_linger = std::chrono::nanoseconds(0);
-  }
-  // Adaptive nodes start latency-first (singletons, no linger) and let
-  // pressure grow the knobs; static nodes apply the ceilings verbatim.
-  if (batching_.adaptive) {
-    effective_batch_.store(1, std::memory_order_relaxed);
-    effective_linger_ns_.store(0, std::memory_order_relaxed);
-  } else {
-    effective_batch_.store(batching_.max_batch, std::memory_order_relaxed);
-    effective_linger_ns_.store(batching_.max_linger.count(),
-                               std::memory_order_relaxed);
-  }
+      batch_handler_(std::move(handler)) {
   AttachWaitHook();
 }
 
 void Node::AttachWaitHook() {
-  // The adaptive controller consumes the sampled time-in-queue signal even
-  // in telemetry-off builds; the histogram rides along when compiled in.
-  // The hook only does relaxed-atomic stores, as the queue contract
-  // requires.
-  const bool adaptive = batching_.adaptive;
 #if FRESQUE_TELEMETRY_ENABLED
-  // Per-node time-in-queue histogram: "queue.cn0.wait_ns" etc.
+  // Per-node time-in-queue histogram: "queue.cn0.wait_ns" etc. The hook
+  // only records into a relaxed-atomic histogram, as the queue contract
+  // requires.
   telemetry::Histogram* wait =
       telemetry::Registry::Global()->GetHistogram("queue." + name_ +
                                                   ".wait_ns");
-  inbox_->SetWaitHook([wait, adaptive, this](int64_t ns) {
-    wait->RecordNanos(ns);
-    if (adaptive) last_wait_ns_.store(ns, std::memory_order_relaxed);
-  });
-#else
-  if (adaptive) {
-    inbox_->SetWaitHook([this](int64_t ns) {
-      last_wait_ns_.store(ns, std::memory_order_relaxed);
-    });
-  }
+  inbox_->SetWaitHook([wait](int64_t ns) { wait->RecordNanos(ns); });
 #endif
 }
 
@@ -108,63 +73,15 @@ void Node::BatchLoop() {
   telemetry::Tracer::Global()->SetCurrentThreadName(name_);
 #endif
   std::vector<Message> batch;
-  batch.reserve(batching_.max_batch);
+  batch.reserve(kMaxBatch);
   for (;;) {
     batch.clear();
-    const size_t want = effective_batch_.load(std::memory_order_relaxed);
-    const std::chrono::nanoseconds linger(
-        effective_linger_ns_.load(std::memory_order_relaxed));
-    size_t backlog = 0;
-    const size_t n = inbox_->PopBatch(&batch, want, linger, &backlog);
+    const size_t n = inbox_->PopBatch(&batch, kMaxBatch);
     if (n == 0) break;  // closed and drained
     frames_.fetch_add(n, std::memory_order_relaxed);
     if (!batch_handler_(batch)) break;
-    if (batching_.adaptive) AdaptBatching(n, backlog);
   }
   running_.store(false, std::memory_order_release);
-}
-
-void Node::AdaptBatching(size_t popped, size_t backlog) {
-  // Congestion estimate: frames that were available this turn. Quarter-
-  // weight EWMA — fast enough to track a burst within a few pops, damped
-  // enough not to flap on a single straggler.
-  const double pressure = static_cast<double>(popped + backlog);
-  pressure_ewma_ += (pressure - pressure_ewma_) / 4.0;
-
-  size_t batch = effective_batch_.load(std::memory_order_relaxed);
-  if (pressure_ewma_ >= static_cast<double>(batch) &&
-      batch < batching_.max_batch) {
-    // Batches are filling and work is queueing behind them: double toward
-    // the ceiling so the lock/wakeup and downstream batch costs amortize.
-    batch = std::min(batching_.max_batch, batch * 2);
-    effective_batch_.store(batch, std::memory_order_relaxed);
-  } else if (pressure_ewma_ < static_cast<double>(batch) / 2.0 && batch > 1) {
-    // The queue runs short of the target: halve toward singletons so an
-    // idle-period arrival is handled the moment it lands.
-    batch = std::max<size_t>(1, batch / 2);
-    effective_batch_.store(batch, std::memory_order_relaxed);
-  }
-
-  // Linger is pure added latency whenever the pipeline keeps up, so it is
-  // gated on the *sampled time-in-queue* telemetry, not on batch fill:
-  // only once the observed queue wait dwarfs the linger ceiling (genuine
-  // overload — the tail is queueing delay, not scheduling delay) does
-  // waiting for a fuller batch raise capacity for free. Hysteresis (8x to
-  // engage, 4x to release) keeps the knob from flapping at the boundary.
-  if (batching_.max_linger.count() > 0) {
-    const double wait =
-        static_cast<double>(last_wait_ns_.load(std::memory_order_relaxed));
-    wait_ewma_ns_ += (wait - wait_ewma_ns_) / 4.0;
-    const double ceiling = static_cast<double>(batching_.max_linger.count());
-    const int64_t current =
-        effective_linger_ns_.load(std::memory_order_relaxed);
-    if (current == 0 && wait_ewma_ns_ > 8.0 * ceiling) {
-      effective_linger_ns_.store(batching_.max_linger.count(),
-                                 std::memory_order_relaxed);
-    } else if (current > 0 && wait_ewma_ns_ < 4.0 * ceiling) {
-      effective_linger_ns_.store(0, std::memory_order_relaxed);
-    }
-  }
 }
 
 void Node::Join() {

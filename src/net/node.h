@@ -2,7 +2,6 @@
 #define FRESQUE_NET_NODE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -14,40 +13,6 @@
 
 namespace fresque {
 namespace net {
-
-/// How a batched Node forms its pop batches.
-///
-/// `max_batch` / `max_linger` are ceilings — with `adaptive` off they are
-/// applied verbatim (the pre-adaptive static knobs). With `adaptive` on,
-/// the node runs a small controller on its own thread that picks the
-/// *effective* batch size and linger each iteration from two signals it
-/// gets for free:
-///
-///  - the backlog the pop left behind (same lock acquisition, see
-///    BoundedQueue::PopBatch): its EWMA is the congestion estimate. The
-///    effective batch size follows it multiplicatively — down to 1 when
-///    the queue runs short (a lone frame is handled the moment it
-///    arrives, batching costs zero added latency), up to `max_batch`
-///    under pressure (amortizing the lock/wakeup and feeding the
-///    interleaved-AES batch encrypt full batches).
-///  - the sampled time-in-queue telemetry (`queue.<node>.wait_ns` wait
-///    hook): linger is engaged only while the observed queue wait already
-///    dwarfs it (overload), where waiting for a fuller batch raises
-///    capacity without moving the tail; at or below saturation it stays
-///    0 so batching never adds scheduling delay to p99.
-struct BatchOptions {
-  size_t max_batch = 1;
-  std::chrono::nanoseconds max_linger{0};
-  bool adaptive = false;
-
-  static BatchOptions Static(size_t batch, std::chrono::nanoseconds linger) {
-    return BatchOptions{batch, linger, false};
-  }
-  static BatchOptions Adaptive(size_t max_batch,
-                               std::chrono::nanoseconds max_linger) {
-    return BatchOptions{max_batch, max_linger, true};
-  }
-};
 
 /// One shared-nothing logical machine: a thread draining an inbox into a
 /// handler. Components (dispatcher, computing node, checking node, merger,
@@ -68,7 +33,7 @@ struct BatchOptions {
 class Node {
  public:
   /// Handler invoked with each batch the loop pops (size in
-  /// [1, batch_size]); returns false to stop the loop. The vector is
+  /// [1, kMaxBatch]); returns false to stop the loop. The vector is
   /// owned by the loop and reused across iterations, so steady state
   /// costs no allocation; the handler may consume/move its elements
   /// freely (the loop clears it).
@@ -79,19 +44,10 @@ class Node {
   Node(std::string name, MailboxPtr inbox,
        std::function<bool(Message&&)> handler);
 
-  /// Batched variant: the loop pops up to `batch_size` messages per lock
-  /// acquisition (PopBatch) and hands them to the handler together. Under
-  /// load, batches form from natural queue depth; `linger` additionally
-  /// lets a partially-filled pop wait that long for stragglers (bounded
-  /// latency cost, 0 = never wait — see BoundedQueue::PopBatch).
-  /// Equivalent to the BatchOptions overload with `adaptive` off.
-  Node(std::string name, MailboxPtr inbox, BatchHandler handler,
-       size_t batch_size,
-       std::chrono::nanoseconds linger = std::chrono::nanoseconds(0));
-
-  /// Batched variant with an explicit batching policy; see BatchOptions.
-  Node(std::string name, MailboxPtr inbox, BatchHandler handler,
-       BatchOptions options);
+  /// Batched variant: each turn of the loop pops whatever is queued, up to
+  /// kMaxBatch messages, in one lock acquisition (PopBatch) and hands
+  /// them to the handler together. It never waits for a batch to fill.
+  Node(std::string name, MailboxPtr inbox, BatchHandler handler);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -122,45 +78,19 @@ class Node {
   /// the pipeline's bottleneck.
   size_t queue_depth() const { return inbox_->size(); }
 
-  /// Batch size the controller is currently targeting (== the configured
-  /// batch size for static nodes). Readable from any thread.
-  size_t effective_batch() const {
-    return effective_batch_.load(std::memory_order_relaxed);
-  }
-
-  /// Linger the controller is currently applying, in nanoseconds (== the
-  /// configured linger for static nodes). Readable from any thread.
-  int64_t effective_linger_ns() const {
-    return effective_linger_ns_.load(std::memory_order_relaxed);
-  }
-
  private:
   void Loop();
   void BatchLoop();
   void AttachWaitHook();
-  /// One controller step after a pop of `popped` frames that left
-  /// `backlog` behind. Runs on the node thread only.
-  void AdaptBatching(size_t popped, size_t backlog);
 
   std::string name_;
   MailboxPtr inbox_;
   std::function<bool(Message&&)> handler_;
   BatchHandler batch_handler_;
-  BatchOptions batching_;
   std::thread thread_;
   std::atomic<uint64_t> frames_{0};
   std::atomic<bool> running_{false};
   bool started_ = false;
-
-  // Controller state. The EWMAs live on the node thread; the effective
-  // knobs and the last sampled queue wait are atomics because tests,
-  // metrics exporters and the queue's wait hook read/write them from
-  // other threads.
-  double pressure_ewma_ = 0;
-  double wait_ewma_ns_ = 0;
-  std::atomic<size_t> effective_batch_{1};
-  std::atomic<int64_t> effective_linger_ns_{0};
-  std::atomic<int64_t> last_wait_ns_{0};
 };
 
 }  // namespace net

@@ -25,15 +25,14 @@ TcpEgress::~TcpEgress() { Shutdown(); }
 
 void TcpEgress::Pump() {
   // Drain the mailbox in batches and flush each as one gathered write:
-  // under load one syscall covers dozens of frames. PopBatch with no
-  // linger returns the moment a single frame is available, so sparse
-  // traffic still goes out immediately.
-  constexpr size_t kBatch = 64;
+  // under load one syscall covers dozens of frames. PopBatch returns the
+  // moment a single frame is available, so sparse traffic still goes out
+  // immediately.
   std::vector<Message> batch;
-  batch.reserve(kBatch);
+  batch.reserve(kMaxBatch);
   for (;;) {
     batch.clear();
-    if (mailbox_->PopBatch(&batch, kBatch) == 0) {
+    if (mailbox_->PopBatch(&batch, kMaxBatch) == 0) {
       return;  // mailbox closed and drained
     }
     // Nothing after a kShutdown frame may reach the peer (the receiving

@@ -5,6 +5,7 @@
 #include <future>
 #include <utility>
 
+#include "net/message.h"
 #include "record/secure_codec.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
@@ -46,9 +47,6 @@ Status ShardedPipeline::Start() {
   if (started_) return Status::FailedPrecondition("pipeline already started");
   if (config_.ingress_capacity == 0) {
     return Status::InvalidArgument("ingress_capacity must be >= 1");
-  }
-  if (config_.ingress_batch == 0) {
-    return Status::InvalidArgument("ingress_batch must be >= 1");
   }
   if (auto st = config_.collector.Validate(); !st.ok()) return st;
 
@@ -144,15 +142,15 @@ void ShardedPipeline::WorkerLoop(Shard* s) {
     // back-pressure; Start() tears everything down.
     s->ingress->Close();
     std::vector<IngressFrame> sink;
-    while (s->ingress->PopBatch(&sink, 64) > 0) sink.clear();
+    while (s->ingress->PopBatch(&sink, net::kMaxBatch) > 0) sink.clear();
     return;
   }
   std::vector<IngressFrame> batch;
-  batch.reserve(config_.ingress_batch);
+  batch.reserve(net::kMaxBatch);
   uint64_t open_lines = 0;
   for (;;) {
     batch.clear();
-    const size_t got = s->ingress->PopBatch(&batch, config_.ingress_batch);
+    const size_t got = s->ingress->PopBatch(&batch, net::kMaxBatch);
     if (got == 0) break;  // closed and drained
     for (auto& f : batch) {
       if (f.kind == IngressFrame::Kind::kPublish) {
@@ -210,7 +208,7 @@ Status ShardedPipeline::Ingest(std::string_view line,
 #endif
   FRESQUE_COUNTER_ADD("shard.router.records", 1);
   if (!d.extracted) FRESQUE_COUNTER_ADD("shard.router.extract_fallbacks", 1);
-  if (buf.size() >= config_.ingress_batch) FlushShard(d.shard);
+  if (buf.size() >= net::kMaxBatch) FlushShard(d.shard);
   return Status::OK();
 }
 
@@ -344,9 +342,6 @@ engine::CollectorMetrics ShardedPipelineMetrics::CollectorTotals() const {
       it->inbox.rejected_closed += n.inbox.rejected_closed;
       it->inbox.high_watermark =
           std::max(it->inbox.high_watermark, n.inbox.high_watermark);
-      it->effective_batch = std::max(it->effective_batch, n.effective_batch);
-      it->effective_linger_ns =
-          std::max(it->effective_linger_ns, n.effective_linger_ns);
     }
     t.parse_errors += c.parse_errors;
     t.codec_failures += c.codec_failures;

@@ -51,10 +51,6 @@ struct ShardedPipelineConfig {
   /// Capacity of each shard's ingress queue (router -> shard worker).
   size_t ingress_capacity = 8192;
 
-  /// Lines the router buffers per shard before handing them to the
-  /// shard's ingress queue as one PushBatch.
-  size_t ingress_batch = 64;
-
   /// Mailbox capacity of each shard's CloudNode.
   size_t cloud_mailbox_capacity = 8192;
 };

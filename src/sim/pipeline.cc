@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "net/message.h"
 
 namespace fresque {
 namespace sim {
@@ -147,11 +148,11 @@ SimResult SimulateShardedFresque(const CostModel& cm, size_t k,
   const double hop = (cm.hop_ns + cfg.extra_hop_ns) * kNsToS;
   // Router: cheap indexed-attribute extraction + O(1) placement, then the
   // ingress handoff. The real router hands lines to a shard as one
-  // PushBatch per `ingress_batch` (ShardedPipelineConfig default 64), so
-  // the two queue touches amortize across the batch; the extraction
-  // itself is per-record and un-amortized. This is the whole design bet:
-  // the only per-record work on the shared path is the substring scan.
-  constexpr double kRouterIngressBatch = 64;
+  // PushBatch per net::kMaxBatch lines, so the two queue touches amortize
+  // across the batch; the extraction itself is per-record and
+  // un-amortized. This is the whole design bet: the only per-record work
+  // on the shared path is the substring scan.
+  constexpr double kRouterIngressBatch = net::kMaxBatch;
   const double d_route =
       cm.route_extract_ns * kNsToS + 2 * hop / kRouterIngressBatch;
   const double d_dispatch = 2 * hop;

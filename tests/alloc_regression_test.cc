@@ -212,7 +212,7 @@ TEST(AllocRegressionTest, BatchEncryptIsAllocationFreeAtSteadyState) {
 // the hop moves frames without touching the heap.
 TEST(AllocRegressionTest, WarmedMailboxHopIsAllocationFree) {
   SKIP_UNDER_SANITIZER();
-  constexpr size_t kBatch = 64;
+  constexpr size_t kBatch = net::kMaxBatch;
   BoundedQueue<net::Message> mailbox(8192);
   std::vector<net::Message> in(kBatch);
   for (auto& m : in) m.payload = Bytes(96, 0x5A);

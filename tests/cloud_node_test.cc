@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 #include "cloud/server.h"
@@ -165,14 +164,13 @@ uint64_t CounterValue(const char* name) {
 #endif
 }
 
-// Every frame below is popped in one batch (static batching, pushed before
-// the node starts). Record frames split into runs at each publication or
+// Every frame below is popped in one batch (fewer than net::kMaxBatch,
+// pushed before the node starts). Record frames split into runs at each publication or
 // frame-type change; each run is applied in link order, and the record
 // counters stay exact per record, accepted or rejected.
 TEST(CloudNodeRunTest, OneBatchSplitsIntoRunsAtEveryPublicationOrTypeChange) {
   cloud::CloudServer server(TinyBinning());
-  CloudNode node(&server, /*mailbox_capacity=*/1024,
-                 net::BatchOptions::Static(64, std::chrono::nanoseconds(0)));
+  CloudNode node(&server, /*mailbox_capacity=*/1024);
   std::vector<int64_t> counts(10, 0);
   counts[1] = counts[2] = counts[3] = 1;
   using T = net::MessageType;

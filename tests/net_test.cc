@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "crypto/chacha20.h"
@@ -101,6 +104,82 @@ TEST(NodeTest, DestructorJoinsCleanly) {
     node.Start();
   }  // destructor stops + joins
   SUCCEED();
+}
+
+Message Frame(uint64_t pn) {
+  Message m;
+  m.type = MessageType::kRawLine;
+  m.pn = pn;
+  return m;
+}
+
+// A batched node takes whatever is queued, up to kMaxBatch, from its very
+// first pop: a backlog drains in full batches with no warm-up.
+TEST(NodeTest, BacklogPopsInFullBatchesFromTheFirstPop) {
+  constexpr size_t kBacklog = 8 * kMaxBatch;
+  auto inbox = MakeMailbox(kBacklog);
+  std::vector<Message> frames;
+  for (uint64_t i = 0; i < kBacklog; ++i) frames.push_back(Frame(i));
+  ASSERT_EQ(inbox->PushBatch(frames.data(), frames.size()), kBacklog);
+  std::vector<size_t> pops;
+  Node node("t", inbox, [&pops](std::vector<Message>& batch) {
+    pops.push_back(batch.size());
+    return true;
+  });
+  node.Start();
+  node.Stop();
+  node.Join();
+  EXPECT_EQ(pops, std::vector<size_t>(kBacklog / kMaxBatch, kMaxBatch));
+  EXPECT_EQ(node.frames_processed(), kBacklog);
+}
+
+// A lone frame on an idle inbox is handed over at once, in a pop of one:
+// the node never holds a partial batch back waiting for more frames.
+TEST(NodeTest, LoneFrameOnIdleInboxIsHandledWithoutWaiting) {
+  auto inbox = MakeMailbox(16);
+  std::promise<size_t> handled;
+  Node node("t", inbox, [&handled](std::vector<Message>& batch) {
+    handled.set_value(batch.size());
+    return false;  // one pop is all this test needs
+  });
+  node.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // idle
+  auto done = handled.get_future();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(inbox->Push(Frame(7)));
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));  // a wakeup, not a timeout
+  EXPECT_EQ(done.get(), 1u);
+  node.Join();
+}
+
+// Frames pushed while the node runs, in chunks of every size, reach the
+// handler in link order across however many pops it takes.
+TEST(NodeTest, BatchesKeepOrderAcrossPops) {
+  constexpr uint64_t kFrames = 1000;
+  auto inbox = MakeMailbox(4 * kMaxBatch);
+  std::vector<uint64_t> seen;
+  size_t pops = 0;
+  Node node("t", inbox, [&](std::vector<Message>& batch) {
+    ++pops;
+    for (const Message& m : batch) seen.push_back(m.pn);
+    return true;
+  });
+  node.Start();
+  uint64_t next = 0;
+  for (size_t chunk = 1; next < kFrames; chunk = chunk % 97 + 1) {
+    std::vector<Message> frames;
+    for (size_t j = 0; j < chunk && next < kFrames; ++j) {
+      frames.push_back(Frame(next++));
+    }
+    ASSERT_EQ(inbox->PushBatch(frames.data(), frames.size()), frames.size());
+  }
+  node.Stop();
+  node.Join();
+  ASSERT_EQ(seen.size(), kFrames);
+  for (uint64_t i = 0; i < kFrames; ++i) ASSERT_EQ(seen[i], i);
+  EXPECT_GE(pops, kFrames / kMaxBatch);
 }
 
 TEST(PayloadsTest, TemplateRoundTrip) {

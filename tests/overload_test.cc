@@ -1,23 +1,19 @@
-// Overload control: config validation, the per-node adaptive batching
-// controller, and admission shedding at the ingest boundary — including
-// a sustained way-over-capacity run that must shed instead of stall and
-// still balance the conservation ledger over admitted records.
+// Overload control: config validation and admission shedding at the
+// ingest boundary — including a sustained way-over-capacity run that must
+// shed instead of stall and still balance the conservation ledger over
+// admitted records.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <thread>
-#include <vector>
+#include <string>
 
 #include "cloud/server.h"
-#include "common/queue.h"
 #include "crypto/key_manager.h"
 #include "engine/cloud_node.h"
 #include "engine/config.h"
 #include "engine/fresque_collector.h"
 #include "net/message.h"
-#include "net/node.h"
 #include "record/dataset.h"
 
 namespace fresque {
@@ -41,31 +37,6 @@ TEST(ConfigValidationTest, DefaultsAreValid) {
 TEST(ConfigValidationTest, RejectsZeroCapacityMailbox) {
   auto cfg = ValidConfig();
   cfg.mailbox_capacity = 0;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-}
-
-TEST(ConfigValidationTest, RejectsZeroOrOversizedPipelineBatch) {
-  auto cfg = ValidConfig();
-  cfg.pipeline_batch_size = 0;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.pipeline_batch_size = cfg.mailbox_capacity + 1;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-}
-
-TEST(ConfigValidationTest, RejectsLingerWithoutBatching) {
-  auto cfg = ValidConfig();
-  cfg.pipeline_batch_size = 1;
-  cfg.pipeline_linger_us = 100;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.pipeline_batch_size = 2;  // any real batch makes linger meaningful
-  EXPECT_TRUE(cfg.Validate().ok());
-}
-
-TEST(ConfigValidationTest, RejectsDispatchBatchBeyondMailbox) {
-  auto cfg = ValidConfig();
-  cfg.dispatch_batch_size = cfg.mailbox_capacity + 1;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.dispatch_batch_size = 0;
   EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
 }
 
@@ -103,91 +74,6 @@ TEST(ConfigValidationTest, StartSurfacesValidationError) {
   Status st = collector.Start();
   EXPECT_TRUE(st.IsInvalidArgument());
   EXPECT_NE(st.message().find("mailbox_capacity"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive batching controller
-
-net::Message RawFrame() {
-  net::Message m;
-  m.type = net::MessageType::kRawLine;
-  return m;
-}
-
-TEST(AdaptiveBatchingTest, StaysLatencyFirstAtLowLoad) {
-  auto inbox = net::MakeMailbox(1024);
-  std::atomic<uint64_t> handled{0};
-  net::Node node(
-      "t", inbox,
-      [&handled](std::vector<net::Message>& batch) {
-        handled.fetch_add(batch.size());
-        return true;
-      },
-      net::BatchOptions::Adaptive(64, std::chrono::microseconds(500)));
-  node.Start();
-  // Sparse traffic: one frame at a time with real gaps. The controller
-  // must keep the effective batch near 1 and never engage linger.
-  for (int i = 0; i < 200; ++i) {
-    inbox->Push(RawFrame());
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  EXPECT_LE(node.effective_batch(), 2u);
-  EXPECT_EQ(node.effective_linger_ns(), 0);
-  node.Stop();
-  node.Join();
-  EXPECT_EQ(handled.load(), 200u);
-}
-
-TEST(AdaptiveBatchingTest, GrowsToFullBatchesUnderPressure) {
-  auto inbox = net::MakeMailbox(4096);
-  size_t max_seen = 0;
-  net::Node node(
-      "t", inbox,
-      [&max_seen](std::vector<net::Message>& batch) {
-        max_seen = std::max(max_seen, batch.size());
-        // A little work per batch so a backlog builds behind the pops.
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
-        return true;
-      },
-      net::BatchOptions::Adaptive(64, std::chrono::nanoseconds(0)));
-  node.Start();
-  std::vector<net::Message> burst(512);
-  for (auto& m : burst) m = RawFrame();
-  for (int round = 0; round < 40; ++round) {
-    inbox->PushBatch(burst.data(), burst.size());
-  }
-  node.Stop();
-  node.Join();
-  // Doubling from 1 reaches the ceiling within ~6 adaptations; with 40
-  // rounds of 512-frame bursts the node must have popped full batches.
-  EXPECT_EQ(max_seen, 64u);
-}
-
-TEST(AdaptiveBatchingTest, StaticOptionsApplyCeilingsVerbatim) {
-  auto inbox = net::MakeMailbox(1024);
-  net::Node node(
-      "t", inbox, [](std::vector<net::Message>&) { return true; },
-      net::BatchOptions::Static(32, std::chrono::microseconds(100)));
-  EXPECT_EQ(node.effective_batch(), 32u);
-  EXPECT_EQ(node.effective_linger_ns(), 100000);
-}
-
-// ---------------------------------------------------------------------------
-// Queue backlog signal
-
-TEST(QueueBacklogTest, PopBatchReportsBacklogUnderSameLock) {
-  BoundedQueue<int> q(64);
-  for (int i = 0; i < 10; ++i) q.Push(i);
-  std::vector<int> out;
-  size_t backlog = 123;
-  EXPECT_EQ(q.PopBatch(&out, 4, std::chrono::nanoseconds(0), &backlog), 4u);
-  EXPECT_EQ(backlog, 6u);
-  EXPECT_EQ(q.PopBatch(&out, 100, std::chrono::nanoseconds(0), &backlog), 6u);
-  EXPECT_EQ(backlog, 0u);
-  // max == 0 still reports the depth.
-  q.Push(7);
-  EXPECT_EQ(q.PopBatch(&out, 0, std::chrono::nanoseconds(0), &backlog), 0u);
-  EXPECT_EQ(backlog, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # fresque_cli round trip, at --shards=1 and --shards=4:
-#   generate -> ingest (durable, admission-capped, static batching,
-#   metrics dump) -> inspect -> verify -> query -> recover -> query on the
-#   recovered snapshot set.
+#   generate -> ingest (durable, admission-capped, metrics dump) ->
+#   inspect -> verify -> query -> recover -> query on the recovered
+#   snapshot set.
 #
 # Usage: tools/cli_roundtrip_test.sh <path-to-fresque_cli>
 #
 # Asserts that every ingest flag takes effect at both shard counts, that
 # the conservation ledger balances, that recovery returns the same
 # matches, that no command reports an ignored flag, that a bad key hex
-# exits 1, and that an unsharded (top-level) data dir is refused with a
-# message naming shard-0/.
+# exits 1, that a flag given to a command that does not read it and a
+# zero count exit 1 naming the flag, and that an unsharded (top-level)
+# data dir is refused with a message naming shard-0/.
 set -euo pipefail
 
 CLI="${1:?usage: $0 <fresque_cli>}"
@@ -41,7 +42,7 @@ for N in 1 4; do
   SH=(--shards="$N")
   run ingest gowalla lines.txt "snap$N.bin" 1.0 2 5000 "${SH[@]}" \
     --data-dir="dd$N" --fsync=never --admission-rps=5000 \
-    --static-batching --metrics-out="m$N.json" >"ingest$N.log"
+    --metrics-out="m$N.json" >"ingest$N.log"
   grep -q "conservation: $LINES ingested == $LINES routed" "ingest$N.log" \
     || { cat "ingest$N.log"; fail "conservation ledger does not balance"; }
   shed=$(sed -n 's/^admission: \([0-9]*\) line(s) shed.*/\1/p' "ingest$N.log")
@@ -90,6 +91,21 @@ for cmd in "ingest gowalla lines.txt bad.bin 1.0 2 5000 nothex" \
   grep -q "bad key hex" bad.log || fail "$cmd did not name the bad key"
 done
 
+echo "== flags a command does not read, zero counts"
+# Each case: the command line, then the text its error must contain.
+while IFS='|' read -r cmd want; do
+  code=0
+  # shellcheck disable=SC2086
+  "$CLI" $cmd </dev/null >/dev/null 2>flag.log || code=$?
+  [[ "$code" == 1 ]] || fail "$cmd exited $code, want 1"
+  grep -qF -- "$want" flag.log || { cat flag.log; fail "$cmd: no '$want'"; }
+done <<CASES
+query gowalla snap1.bin $LO $HI --data-dir=/nonexistent --admission-rps=5 --obs-addr=0 --snapshot-every=3|--data-dir does not apply to \`query\`
+verify gowalla snap1.bin --metrics-out=mv.json --query-threads=9|--metrics-out does not apply to \`verify\`
+query gowalla snap1.bin $LO $HI --query-threads=0|--query-threads wants a positive count
+CASES
+[[ ! -e mv.json ]] || fail "verify wrote a metrics file it never reads the flag for"
+
 echo "== unsharded top-level data dir"
 for legacy in MANIFEST wal-0000000001.log; do
   rm -rf legacy && mkdir legacy && echo x >"legacy/$legacy"
@@ -104,4 +120,4 @@ for legacy in MANIFEST wal-0000000001.log; do
   done
 done
 
-echo "OK: round trip at 1 and 4 shards, bad keys and legacy layouts refused"
+echo "OK: round trip at 1 and 4 shards; bad keys, misplaced flags, zero counts and legacy layouts refused"

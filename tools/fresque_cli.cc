@@ -18,6 +18,9 @@
 // (hex master secret, default a fixed demo key) must match between ingest
 // and query/verify; a key that is not valid hex is an error.
 //
+// Each flag group below names the commands that read it; a flag given to
+// any other command is an error (exit 1), never silently ignored.
+//
 // Sharding flags (apply to `ingest`, `query`, `verify` and `recover`;
 // the last three must repeat the ingest's values):
 //   --shards=<n>                 collector pipelines (default 1)
@@ -38,7 +41,7 @@
 //   --metrics-out=<file>        dump the metrics registry periodically and
 //                               at exit; JSON when the path ends in .json,
 //                               Prometheus text exposition otherwise
-//   --metrics-interval-ms=<n>   dump period (default 1000)
+//   --metrics-interval-ms=<n>   dump period (default 1000; must be > 0)
 //   --trace-out=<file>          capture spans and write a Chrome
 //                               trace_event JSON; open in chrome://tracing
 //                               or https://ui.perfetto.dev
@@ -58,16 +61,14 @@
 //                               SIGTERM and served live at /flightz
 //
 // Query-engine flags (apply to `query`, see DESIGN.md §15):
-//   --query-threads=<n>      executor worker threads (default 2)
+//   --query-threads=<n>      executor worker threads (default 2; > 0)
 //   --query-queue=<n>        admission bound: queued queries beyond this
-//                            are shed with kOverloaded (default 64)
+//                            are shed with kOverloaded (default 64; > 0)
 //   --query-deadline-ms=<n>  per-query deadline (0 = unbounded)
 //   --repeat=<n>             run the range n times and report p50/p95/p99
+//                            (default 1; > 0)
 //
-// Overload-control flags (apply to `ingest`, see DESIGN.md §13):
-//   --static-batching           disable the per-node adaptive batching
-//                               controller and apply the batch/linger
-//                               knobs verbatim (the pre-adaptive behavior)
+// Admission-control flags (apply to `ingest`, see DESIGN.md §13):
 //   --admission-rps=<rate>      enable admission control with a token
 //                               bucket capping each shard's admitted rate
 //                               (the whole run admits up to N x rate);
@@ -88,6 +89,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -142,6 +144,71 @@ Result<crypto::KeyManager> KeysFromHex(const std::string& hex) {
                                    " non-empty hex string)");
   }
   return crypto::KeyManager(std::move(*bytes));
+}
+
+/// The commands that read each flag (the header comment groups them the
+/// same way). main() rejects a flag given to any other command.
+struct FlagReaders {
+  std::string_view flag;
+  std::vector<std::string_view> commands;
+};
+
+const std::vector<FlagReaders>& FlagTable() {
+  static const std::vector<FlagReaders> table = {
+      {"--shards", {"ingest", "query", "verify", "recover"}},
+      {"--shard-by", {"ingest", "query", "verify", "recover"}},
+      {"--epsilon-composition", {"ingest"}},
+      {"--data-dir", {"ingest"}},
+      {"--fsync", {"ingest"}},
+      {"--snapshot-every", {"ingest"}},
+      {"--metrics-out", {"ingest"}},
+      {"--metrics-interval-ms", {"ingest"}},
+      {"--trace-out", {"ingest"}},
+      {"--obs-addr", {"ingest"}},
+      {"--slo-e2e-ms", {"ingest"}},
+      {"--flight-capacity", {"ingest"}},
+      {"--admission-rps", {"ingest"}},
+      {"--shed-watermarks", {"ingest"}},
+      {"--query-threads", {"query"}},
+      {"--query-queue", {"query"}},
+      {"--query-deadline-ms", {"query"}},
+      {"--repeat", {"query"}},
+  };
+  return table;
+}
+
+/// OK if `cmd` reads `flag` (the name before '='); otherwise an error
+/// naming the flag, the command and the commands that do read it.
+Status CheckFlagApplies(const std::string& flag, const std::string& cmd) {
+  for (const FlagReaders& f : FlagTable()) {
+    if (f.flag != flag) continue;
+    std::string readers;
+    for (std::string_view c : f.commands) {
+      if (c == cmd) return Status::OK();
+      readers += (readers.empty() ? "" : ", ") + std::string(c);
+    }
+    return Status::InvalidArgument(flag + " does not apply to `" + cmd +
+                                   "` (read by: " + readers + ")");
+  }
+  return Status::InvalidArgument("unknown flag " + flag);
+}
+
+/// Parses the unsigned value of `--<name>=<n>` into `*out`. `positive`
+/// rejects 0, for flags where zero means nothing (a count or a period).
+template <typename T>
+Status ParseCount(const std::string& arg, bool positive, T* out) {
+  const size_t eq = arg.find('=');
+  const std::string flag = arg.substr(0, eq);
+  const std::string value = arg.substr(eq + 1);
+  try {
+    *out = static_cast<T>(std::stoull(value));
+  } catch (const std::exception&) {
+    return Status::InvalidArgument("bad " + flag + " value: " + value);
+  }
+  if (positive && *out == 0) {
+    return Status::InvalidArgument(flag + " wants a positive count");
+  }
+  return Status::OK();
 }
 
 int CmdGenerate(const std::string& dataset, size_t count,
@@ -795,7 +862,7 @@ int Usage() {
          " [--snapshot-every=<n>]\n"
       << "      [--metrics-out=<file>] [--metrics-interval-ms=<n>]"
          " [--trace-out=<file>]\n"
-      << "      [--static-batching] [--admission-rps=<rate per shard>]"
+      << "      [--admission-rps=<rate per shard>]"
          " [--shed-watermarks=<low>:<high>]\n"
       << "      [--obs-addr=<[host:]port>] [--slo-e2e-ms=<n>]"
          " [--flight-capacity=<n>]\n"
@@ -812,7 +879,8 @@ int Usage() {
       << "  fresque_cli wal-dump <data-dir>/shard-<i>\n"
       << "  fresque_cli recover <nasa|gowalla> <data-dir> [snapshot.bin]"
          " [--shards=<n>] [--shard-by=range|hash]\n"
-      << "  fresque_cli metrics-dump <metrics.json|metrics.prom>\n";
+      << "  fresque_cli metrics-dump <metrics.json|metrics.prom>\n"
+      << "  a flag given to a command that does not read it is an error\n";
   return 1;
 }
 
@@ -820,6 +888,7 @@ int Usage() {
 
 int main(int argc, char** argv) {
   std::vector<std::string> args;
+  std::vector<std::string> flags;  // names given, checked against the command
   // The ingest pipeline's config; the shard options also drive query,
   // verify and recover.
   fresque::shard::ShardedPipelineConfig cfg;
@@ -830,6 +899,12 @@ int main(int argc, char** argv) {
   QueryCliOptions qopts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      args.push_back(std::move(arg));
+      continue;
+    }
+    flags.push_back(arg.substr(0, arg.find('=')));
+    Status parsed;
     if (arg.rfind("--data-dir=", 0) == 0) {
       cfg.durability.data_dir = arg.substr(11);
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -837,74 +912,31 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       tel.trace_out = arg.substr(12);
     } else if (arg.rfind("--metrics-interval-ms=", 0) == 0) {
-      try {
-        tel.metrics_interval_ms = std::stoul(arg.substr(22));
-      } catch (const std::exception&) {
-        return Fail("bad --metrics-interval-ms value: " + arg.substr(22));
-      }
-      if (tel.metrics_interval_ms == 0) tel.metrics_interval_ms = 1;
+      parsed = ParseCount(arg, true, &tel.metrics_interval_ms);
     } else if (arg.rfind("--obs-addr=", 0) == 0) {
       obs.addr = arg.substr(11);
       if (obs.addr.empty()) return Fail("--obs-addr wants [host:]port");
     } else if (arg.rfind("--slo-e2e-ms=", 0) == 0) {
-      try {
-        obs.slo_e2e_ms = std::stoull(arg.substr(13));
-      } catch (const std::exception&) {
-        return Fail("bad --slo-e2e-ms value: " + arg.substr(13));
-      }
+      parsed = ParseCount(arg, false, &obs.slo_e2e_ms);
     } else if (arg.rfind("--flight-capacity=", 0) == 0) {
-      try {
-        obs.flight_capacity = std::stoul(arg.substr(18));
-      } catch (const std::exception&) {
-        return Fail("bad --flight-capacity value: " + arg.substr(18));
-      }
+      parsed = ParseCount(arg, false, &obs.flight_capacity);
     } else if (arg.rfind("--fsync=", 0) == 0) {
       auto policy = fresque::durability::ParseFsyncPolicy(
           arg.substr(8), &cfg.durability.fsync_interval_ms);
       if (!policy.ok()) return Fail(policy.status().ToString());
       cfg.durability.fsync_policy = *policy;
     } else if (arg.rfind("--snapshot-every=", 0) == 0) {
-      try {
-        cfg.durability.snapshot_every_installs = std::stoul(arg.substr(17));
-      } catch (const std::exception&) {
-        return Fail("bad --snapshot-every value: " + arg.substr(17));
-      }
+      parsed = ParseCount(arg, false, &cfg.durability.snapshot_every_installs);
     } else if (arg.rfind("--query-threads=", 0) == 0) {
-      try {
-        qopts.threads = std::stoul(arg.substr(16));
-      } catch (const std::exception&) {
-        return Fail("bad --query-threads value: " + arg.substr(16));
-      }
-      if (qopts.threads == 0) qopts.threads = 1;
+      parsed = ParseCount(arg, true, &qopts.threads);
     } else if (arg.rfind("--query-queue=", 0) == 0) {
-      try {
-        qopts.queue = std::stoul(arg.substr(14));
-      } catch (const std::exception&) {
-        return Fail("bad --query-queue value: " + arg.substr(14));
-      }
-      if (qopts.queue == 0) qopts.queue = 1;
+      parsed = ParseCount(arg, true, &qopts.queue);
     } else if (arg.rfind("--query-deadline-ms=", 0) == 0) {
-      try {
-        qopts.deadline_ms = std::stoull(arg.substr(20));
-      } catch (const std::exception&) {
-        return Fail("bad --query-deadline-ms value: " + arg.substr(20));
-      }
+      parsed = ParseCount(arg, false, &qopts.deadline_ms);  // 0 = unbounded
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      try {
-        qopts.repeat = std::stoul(arg.substr(9));
-      } catch (const std::exception&) {
-        return Fail("bad --repeat value: " + arg.substr(9));
-      }
-      if (qopts.repeat == 0) qopts.repeat = 1;
+      parsed = ParseCount(arg, true, &qopts.repeat);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      try {
-        cfg.shard.num_shards = std::stoul(arg.substr(9));
-      } catch (const std::exception&) {
-        return Fail("bad --shards value: " + arg.substr(9));
-      }
-      if (cfg.shard.num_shards == 0) {
-        return Fail("--shards wants a positive count");
-      }
+      parsed = ParseCount(arg, true, &cfg.shard.num_shards);
     } else if (arg.rfind("--shard-by=", 0) == 0) {
       auto by = fresque::shard::ParseShardBy(arg.substr(11));
       if (!by.ok()) return Fail(by.status().ToString());
@@ -913,8 +945,6 @@ int main(int argc, char** argv) {
       auto comp = fresque::shard::ParseEpsilonComposition(arg.substr(22));
       if (!comp.ok()) return Fail(comp.status().ToString());
       cfg.shard.epsilon_composition = *comp;
-    } else if (arg == "--static-batching") {
-      cfg.collector.adaptive_batching = false;
     } else if (arg.rfind("--admission-rps=", 0) == 0) {
       try {
         admission.rate_records_per_sec = std::stod(arg.substr(16));
@@ -937,18 +967,22 @@ int main(int argc, char** argv) {
                     pair);
       }
       shed_watermarks_set = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      return Fail("unknown flag " + arg);
     } else {
-      args.push_back(std::move(arg));
+      return Fail("unknown flag " + arg);
+    }
+    if (!parsed.ok()) return Fail(parsed.message());
+  }
+  if (args.empty()) return Usage();
+  const std::string& cmd = args[0];
+  for (const std::string& flag : flags) {
+    if (Status st = CheckFlagApplies(flag, cmd); !st.ok()) {
+      return Fail(st.message());
     }
   }
   if (shed_watermarks_set && !admission.enabled) {
     return Fail("--shed-watermarks needs --admission-rps (the rate cap is"
                 " what enables the admission gate)");
   }
-  if (args.empty()) return Usage();
-  const std::string& cmd = args[0];
   try {
     if (cmd == "generate" && args.size() == 4) {
       return CmdGenerate(args[1], std::stoul(args[2]), args[3]);
