@@ -5,10 +5,9 @@
 // next to the other results/ artifacts.
 //
 // The numbers to watch:
-//   note_e2e_dormant  — paid per record whenever telemetry is ON, even
-//                       with no obs server running; must stay a few ns
-//                       (three relaxed atomic ops, no clock read) to hold
-//                       the <5% overhead gate (scripts/overhead_check.sh).
+//   note_e2e_dormant  — paid per record even with no obs server
+//                       running; must stay a few ns (three relaxed atomic
+//                       ops, no clock read).
 //   scrape_metrics_*  — wall-clock of GET /metrics under write load; the
 //                       sampler folds quantiles off-scrape, so this must
 //                       scale with registry size, not with sample count.

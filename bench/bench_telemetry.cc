@@ -1,8 +1,7 @@
 // Telemetry hot-path microbenchmarks (not a paper figure): ns/op for the
-// instrumentation primitives that sit inside the ingest path, so the <5%
-// overhead budget in DESIGN.md §11 rests on measured numbers rather than
-// assertion. Emits telemetry.json in the working directory so the numbers
-// land next to the figure CSVs in results/.
+// instrumentation primitives that sit inside the ingest path (DESIGN.md
+// §11). Emits telemetry.json in the working directory so the numbers land
+// next to the figure CSVs in results/.
 
 #include <chrono>
 #include <cstdint>
@@ -35,8 +34,8 @@ struct BenchResult {
 
 template <typename Fn>
 BenchResult Bench(const std::string& name, uint64_t iterations, Fn&& fn) {
-  // One warmup pass so lazy registration (function-local statics, ring
-  // allocation) is paid before the timed region.
+  // One warmup pass so lazy registration (function-local statics) is paid
+  // before the timed region.
   fn();
   auto t0 = Clock::now();
   for (uint64_t i = 0; i < iterations; ++i) fn();
@@ -53,8 +52,6 @@ int main() {
   using fresque::telemetry::Gauge;
   using fresque::telemetry::Histogram;
   using fresque::telemetry::Registry;
-  using fresque::telemetry::ScopedSpan;
-  using fresque::telemetry::Tracer;
 
   constexpr uint64_t kIters = 5'000'000;
   std::vector<BenchResult> results;
@@ -78,20 +75,6 @@ int main() {
   results.push_back(Bench("histogram_macro", kIters, [] {
     FRESQUE_HISTOGRAM_RECORD("bench.macro_hist", 12345);
   }));
-
-  // Span cost in both tracer states. Disabled is the steady-state cost
-  // every pipeline scope pays when no one asked for a trace.
-  Tracer::Global()->ResetForTest();
-  results.push_back(Bench("span_disabled", kIters, [] {
-    ScopedSpan span("bench.span");
-    Keep(span);
-  }));
-  Tracer::Global()->Enable(1 << 16);
-  results.push_back(Bench("span_enabled", kIters, [] {
-    ScopedSpan span("bench.span");
-    Keep(span);
-  }));
-  Tracer::Global()->ResetForTest();
 
   results.push_back(Bench("now_nanos", kIters, [] {
     Keep(fresque::telemetry::NowNanos());

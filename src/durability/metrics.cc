@@ -1,15 +1,9 @@
 #include "durability/metrics.h"
 
-#include "telemetry/telemetry.h"
-
-#if FRESQUE_TELEMETRY_ENABLED
 #include "telemetry/metrics.h"
-#endif
 
 namespace fresque {
 namespace durability {
-
-#if FRESQUE_TELEMETRY_ENABLED
 
 void ExportToRegistry(const DurabilityMetrics& m) {
   auto* reg = telemetry::Registry::Global();
@@ -29,12 +23,6 @@ void ExportToRegistry(const DurabilityMetrics& m) {
   set("recovery.frames_replayed", m.frames_replayed);
   set("recovery.millis", static_cast<uint64_t>(m.recovery_millis));
 }
-
-#else  // !FRESQUE_TELEMETRY_ENABLED
-
-void ExportToRegistry(const DurabilityMetrics&) {}
-
-#endif  // FRESQUE_TELEMETRY_ENABLED
 
 }  // namespace durability
 }  // namespace fresque

@@ -38,8 +38,7 @@ struct DurabilityMetrics {
 /// Publishes a DurabilityMetrics snapshot into the process-wide telemetry
 /// registry as gauges under "wal.*" / "snapshot.*" / "recovery.*", next
 /// to the native wal.fsync_ns / wal.commit_ns / snapshot.write_ns
-/// histograms the hot path records directly. No-op when built with
-/// FRESQUE_TELEMETRY=OFF.
+/// histograms the hot path records directly.
 void ExportToRegistry(const DurabilityMetrics& m);
 
 }  // namespace durability

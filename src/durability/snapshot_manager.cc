@@ -8,6 +8,7 @@
 #include "durability/io.h"
 #include "obs/flight.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 namespace fresque {
 namespace durability {
@@ -95,8 +96,7 @@ Status SnapshotManager::WriteSnapshot() {
 }
 
 Status SnapshotManager::WriteSnapshotLocked() {
-  FRESQUE_TRACE_SPAN("snapshot");
-  const int64_t write_start = FRESQUE_TELEMETRY_NOW_NS();
+  const int64_t write_start = telemetry::NowNanos();
   Stopwatch watch(opts_.clock);
   // Everything appended so far is applied (appender == snapshotter
   // thread); flush it so the manifest's LSN is never ahead of the log.
@@ -137,7 +137,7 @@ Status SnapshotManager::WriteSnapshotLocked() {
   ++snapshots_written_;
   last_snapshot_millis_ = watch.ElapsedMillis();
   FRESQUE_HISTOGRAM_RECORD("snapshot.write_ns",
-                           FRESQUE_TELEMETRY_NOW_NS() - write_start);
+                           telemetry::NowNanos() - write_start);
   FRESQUE_FLIGHT_EVENT(kDurability, "snapshot written", lsn,
                        snapshots_written_, 0);
   return Status::OK();

@@ -43,6 +43,7 @@
 #include "durability/io.h"
 #include "obs/flight.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 namespace fresque {
 namespace durability {
@@ -652,13 +653,10 @@ Status Wal::FsyncLocked(bool force) {
   }
   if (!due) return Status::OK();
   if (fd_ < 0) return Status::FailedPrecondition("wal is closed");
-  {
-    FRESQUE_TRACE_SPAN("wal.fsync");
-    const int64_t fsync_start = FRESQUE_TELEMETRY_NOW_NS();
-    if (::fsync(fd_) != 0) return Errno("fsync", segments_.back().path);
-    FRESQUE_HISTOGRAM_RECORD("wal.fsync_ns",
-                             FRESQUE_TELEMETRY_NOW_NS() - fsync_start);
-  }
+  const int64_t fsync_start = telemetry::NowNanos();
+  if (::fsync(fd_) != 0) return Errno("fsync", segments_.back().path);
+  FRESQUE_HISTOGRAM_RECORD("wal.fsync_ns",
+                           telemetry::NowNanos() - fsync_start);
   ++fsyncs_;
   last_fsync_nanos_ = opts_.clock->NowNanos();
   return Status::OK();
@@ -666,12 +664,12 @@ Status Wal::FsyncLocked(bool force) {
 
 Status Wal::Commit() {
   MutexLock lock(mu_);
-  const int64_t commit_start = FRESQUE_TELEMETRY_NOW_NS();
+  const int64_t commit_start = telemetry::NowNanos();
   FRESQUE_RETURN_NOT_OK(SealAllBatchesLocked());
   FRESQUE_RETURN_NOT_OK(WriteStageLocked());
   FRESQUE_RETURN_NOT_OK(FsyncLocked(false));
   FRESQUE_HISTOGRAM_RECORD("wal.commit_ns",
-                           FRESQUE_TELEMETRY_NOW_NS() - commit_start);
+                           telemetry::NowNanos() - commit_start);
   return Status::OK();
 }
 

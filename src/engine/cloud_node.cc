@@ -3,6 +3,7 @@
 #include "common/logging.h"
 #include "obs/flight.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 namespace fresque {
 namespace engine {
@@ -52,7 +53,7 @@ void CloudNode::HandleRecordRun(const net::Message* run, size_t n) {
   // End of each record's pipeline: dispatcher stamp -> parse ->
   // check/randomer -> cloud ingest (+ WAL stage). One clock read covers
   // the run; every stamped record is still one e2e sample.
-  const int64_t now_ns = FRESQUE_TELEMETRY_NOW_NS();
+  const int64_t now_ns = telemetry::NowNanos();
   e2e_ns_.clear();
   for (size_t i = 0; i < n; ++i) {
     if (run[i].born_ns == 0) continue;
@@ -204,7 +205,7 @@ bool CloudNode::Handle(net::Message&& m) {
       if (st.ok()) {
         FRESQUE_COUNTER_ADD("cloud.records_in", 1);
         if (m.born_ns != 0) {
-          const int64_t now_ns = FRESQUE_TELEMETRY_NOW_NS();
+          const int64_t now_ns = telemetry::NowNanos();
           const int64_t e2e_ns = now_ns - m.born_ns;
           FRESQUE_HISTOGRAM_RECORD("pipeline.record_e2e_ns", e2e_ns);
           FRESQUE_OBS_E2E_SAMPLE(e2e_ns, now_ns);
@@ -216,7 +217,6 @@ bool CloudNode::Handle(net::Message&& m) {
       return true;
     }
     case net::MessageType::kIndexPublication: {
-      FRESQUE_TRACE_SPAN("matching");
       auto pub = net::DecodeIndexPublication(m.payload);
       if (!pub.ok()) {
         NoteError(pub.status());
@@ -268,7 +268,7 @@ bool CloudNode::Handle(net::Message&& m) {
           if (m.born_ns != 0) {
             FRESQUE_HISTOGRAM_RECORD(
                 "pipeline.publish_e2e_ns",
-                FRESQUE_TELEMETRY_NOW_NS() - m.born_ns);
+                telemetry::NowNanos() - m.born_ns);
           }
           FRESQUE_FLIGHT_EVENT(kPublication, "cloud publication installed",
                                m.pn, server_->view_epoch(), 0);
@@ -283,7 +283,6 @@ bool CloudNode::Handle(net::Message&& m) {
       return true;
     }
     case net::MessageType::kMatchingTable: {
-      FRESQUE_TRACE_SPAN("matching");
       auto table = net::DecodeMatchingTable(m.payload);
       if (!table.ok()) {
         NoteError(table.status());

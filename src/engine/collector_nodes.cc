@@ -9,6 +9,7 @@
 #include "index/overflow.h"
 #include "net/payloads.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 namespace fresque {
 namespace engine {
@@ -199,17 +200,13 @@ void ComputingNodeImpl::StageLine(net::Message&& m,
 
   std::string_view line(reinterpret_cast<const char*>(m.payload.data()),
                         m.payload.size());
-  Status parsed = [&] {
-    FRESQUE_TRACE_SPAN("parse");
-    return config_.dataset.parser->ParseInto(line, &scratch_rec_);
-  }();
+  Status parsed = config_.dataset.parser->ParseInto(line, &scratch_rec_);
   if (!parsed.ok()) {
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
     FRESQUE_COUNTER_ADD("collector.parse_errors", 1);
     return;
   }
   auto leaf = [&]() -> Result<size_t> {
-    FRESQUE_TRACE_SPAN("offset");
     auto v = scratch_rec_.IndexedValue(config_.dataset.parser->schema());
     if (!v.ok()) return v.status();
     return binning_.LeafOffsetChecked(*v);
@@ -231,10 +228,7 @@ void ComputingNodeImpl::StageLine(net::Message&& m,
 
 void ComputingNodeImpl::FlushStaged() {
   if (out_.empty()) return;
-  Status st = [&] {
-    FRESQUE_TRACE_SPAN("encrypt");
-    return enc_->Flush();
-  }();
+  Status st = enc_->Flush();
   if (!st.ok()) {
     // Every record of the batch is lost; the counters keep the
     // record-conservation ledger honest.
@@ -364,7 +358,6 @@ void CheckingNodeImpl::HandleTemplate(net::Message&& m) {
 }
 
 void CheckingNodeImpl::HandleRecord(net::Message&& m) {
-  FRESQUE_TRACE_SPAN("check");
   auto it = states_.find(m.pn);
   if (it == states_.end()) {
     // Template still in flight on the dispatcher->checking link;
@@ -429,8 +422,7 @@ void CheckingNodeImpl::HandlePublish(net::Message&& m) {
   } else {
     // All computing nodes flushed publication `pn`: release the buffer,
     // snapshot AL, hand both downstream.
-    FRESQUE_TRACE_SPAN("check.flush");
-    const int64_t flush_start = FRESQUE_TELEMETRY_NOW_NS();
+    const int64_t flush_start = telemetry::NowNanos();
     Stopwatch watch;
     auto& state = it->second;
     for (auto& r : state.randomer.Flush()) {
@@ -448,7 +440,7 @@ void CheckingNodeImpl::HandlePublish(net::Message&& m) {
     states_.erase(it);
     publications_flushed_.fetch_add(1, std::memory_order_relaxed);
     FRESQUE_HISTOGRAM_RECORD("checking.flush_ns",
-                             FRESQUE_TELEMETRY_NOW_NS() - flush_start);
+                             telemetry::NowNanos() - flush_start);
   }
   EvictStalePending(pn);
 }
@@ -561,8 +553,7 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
     return;
   }
 
-  FRESQUE_TRACE_SPAN("merge");
-  const int64_t build_start = FRESQUE_TELEMETRY_NOW_NS();
+  const int64_t build_start = telemetry::NowNanos();
   Stopwatch watch;
   auto& pending = it->second;
 
@@ -647,7 +638,7 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
   publications_shipped_.fetch_add(1, std::memory_order_relaxed);
   FRESQUE_COUNTER_ADD("collector.publications_shipped", 1);
   FRESQUE_HISTOGRAM_RECORD("merger.build_ns",
-                           FRESQUE_TELEMETRY_NOW_NS() - build_start);
+                           telemetry::NowNanos() - build_start);
 
   reports_->Merger(snap.pn, watch.ElapsedMillis(),
                    static_cast<uint64_t>(pending.removed.size()));
@@ -672,7 +663,6 @@ DispatcherState::DispatcherState(const CollectorConfig& config,
       reports_(reports) {}
 
 Status DispatcherState::OpenInterval(uint64_t pn) {
-  FRESQUE_TRACE_SPAN("open_interval");
   Stopwatch watch;
   auto tmpl = index::IndexTemplate::Create(binning_, config_.fanout,
                                            config_.epsilon, &rng_);

@@ -160,8 +160,9 @@ struct ObsConfig {
   /// accounting.
   uint64_t slo_e2e_ms = 0;
 
-  /// Flight-recorder ring capacity in events (clamped to the recorder's
-  /// [64, 1M] bounds at creation).
+  /// Flight-recorder ring capacity in events. Must lie in the recorder's
+  /// [64, 1048576] bounds: obs::FlightRecorder::ConfigureGlobalCapacity
+  /// refuses anything else, and fresque_cli rejects it with exit 1.
   size_t flight_capacity = 4096;
 
   /// How often the sampler folds quantiles/lag into gauges.

@@ -10,6 +10,7 @@
 #include "index/binning.h"
 #include "obs/flight.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 namespace fresque {
 namespace engine {
@@ -97,10 +98,9 @@ Status FresqueCollector::Start() {
 Status FresqueCollector::Admit(IngestPriority priority) {
   const AdmissionConfig& adm = config_.admission;
 
-  // Gate 1: token bucket over the admitted rate. Refilled from the wall
-  // clock (the telemetry clock compiles out in FRESQUE_TELEMETRY=OFF
-  // builds); kHigh may overdraw — the bucket protects against sustained
-  // aggregate rate, not against must-deliver traffic.
+  // Gate 1: token bucket over the admitted rate, refilled from
+  // SystemClock. kHigh may overdraw — the bucket protects against
+  // sustained aggregate rate, not against must-deliver traffic.
   if (adm.rate_records_per_sec > 0 && priority != IngestPriority::kHigh) {
     const int64_t now = SystemClock::Global()->NowNanos();
     const double elapsed_s =
@@ -234,7 +234,7 @@ Status FresqueCollector::Ingest(Bytes&& line, IngestPriority priority,
   // arrival so pipeline.record_e2e_ns includes the delay a lagging sender
   // caused (coordinated-omission-free); 0 falls back to "now".
   const int64_t now_ns = intended_born_ns != 0 ? intended_born_ns
-                                               : FRESQUE_TELEMETRY_NOW_NS();
+                                               : telemetry::NowNanos();
   // Release dummies whose scheduled point has passed.
   if (auto* sched = dispatcher_->schedule()) {
     for (uint32_t leaf : sched->Due(dispatcher_->progress())) {
@@ -283,8 +283,7 @@ void FresqueCollector::SetIntervalProgress(double fraction) {
 }
 
 void FresqueCollector::PublishCurrentInterval() {
-  FRESQUE_TRACE_SPAN("publish");
-  const int64_t now_ns = FRESQUE_TELEMETRY_NOW_NS();
+  const int64_t now_ns = telemetry::NowNanos();
   Stopwatch watch;
   // Flush unreleased dummies, then the publish barrier, one per CN.
   if (auto* sched = dispatcher_->schedule()) {

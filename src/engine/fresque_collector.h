@@ -89,7 +89,7 @@ class FresqueCollector {
   ///
   /// `intended_born_ns` optionally overrides the record's birth stamp
   /// with the *scheduled* arrival time (telemetry clock domain,
-  /// FRESQUE_TELEMETRY_NOW_NS). Open-loop drivers pass the time the
+  /// telemetry::NowNanos). Open-loop drivers pass the time the
   /// record was supposed to arrive, so `pipeline.record_e2e_ns` measures
   /// latency free of coordinated omission — a sender that falls behind
   /// no longer hides the queueing delay its backlog caused. 0 (default)

@@ -1,15 +1,9 @@
 #include "engine/metrics.h"
 
-#include "telemetry/telemetry.h"
-
-#if FRESQUE_TELEMETRY_ENABLED
 #include "telemetry/metrics.h"
-#endif
 
 namespace fresque {
 namespace engine {
-
-#if FRESQUE_TELEMETRY_ENABLED
 
 void ExportToRegistry(const CollectorMetrics& m) {
   auto* reg = telemetry::Registry::Global();
@@ -49,12 +43,6 @@ void ExportToRegistry(const CollectorMetrics& m) {
       static_cast<int64_t>(m.publications_failed));
   set("collector.snapshot.total_drops", static_cast<int64_t>(m.TotalDrops()));
 }
-
-#else  // !FRESQUE_TELEMETRY_ENABLED
-
-void ExportToRegistry(const CollectorMetrics&) {}
-
-#endif  // FRESQUE_TELEMETRY_ENABLED
 
 }  // namespace engine
 }  // namespace fresque

@@ -129,7 +129,7 @@ struct IngestStats {
 /// totals land under "collector.*". Snapshot-style totals that are also
 /// counted natively (parse_errors, pending_dropped...) are exported as
 /// gauges under distinct "collector.snapshot.*" names so the two sources
-/// never collide. No-op when built with FRESQUE_TELEMETRY=OFF.
+/// never collide.
 void ExportToRegistry(const CollectorMetrics& m);
 
 }  // namespace engine

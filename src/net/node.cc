@@ -1,11 +1,6 @@
 #include "net/node.h"
 
-#include "telemetry/telemetry.h"
-
-#if FRESQUE_TELEMETRY_ENABLED
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
-#endif
 
 namespace fresque {
 namespace net {
@@ -26,7 +21,6 @@ Node::Node(std::string name, MailboxPtr inbox, BatchHandler handler)
 }
 
 void Node::AttachWaitHook() {
-#if FRESQUE_TELEMETRY_ENABLED
   // Per-node time-in-queue histogram: "queue.cn0.wait_ns" etc. The hook
   // only records into a relaxed-atomic histogram, as the queue contract
   // requires.
@@ -34,7 +28,6 @@ void Node::AttachWaitHook() {
       telemetry::Registry::Global()->GetHistogram("queue." + name_ +
                                                   ".wait_ns");
   inbox_->SetWaitHook([wait](int64_t ns) { wait->RecordNanos(ns); });
-#endif
 }
 
 Node::~Node() {
@@ -56,9 +49,6 @@ void Node::Start() {
 }
 
 void Node::Loop() {
-#if FRESQUE_TELEMETRY_ENABLED
-  telemetry::Tracer::Global()->SetCurrentThreadName(name_);
-#endif
   for (;;) {
     auto msg = inbox_->Pop();
     if (!msg.has_value()) break;  // closed and drained
@@ -69,9 +59,6 @@ void Node::Loop() {
 }
 
 void Node::BatchLoop() {
-#if FRESQUE_TELEMETRY_ENABLED
-  telemetry::Tracer::Global()->SetCurrentThreadName(name_);
-#endif
   std::vector<Message> batch;
   batch.reserve(kMaxBatch);
   for (;;) {

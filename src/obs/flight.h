@@ -2,10 +2,8 @@
 #define FRESQUE_OBS_FLIGHT_H_
 
 /// Flight-recorder instrumentation macro — the only obs API the pipeline
-/// code uses directly (same contract as telemetry/telemetry.h). With the
-/// default build it records one lock-free ring event; configure with
-/// -DFRESQUE_TELEMETRY=OFF and it compiles to nothing, so the whole
-/// observability plane disappears from the pipeline.
+/// code uses directly (same contract as telemetry/telemetry.h). Each
+/// event is one lock-free ring write.
 ///
 ///   FRESQUE_FLIGHT_EVENT(kPublication, "publish barrier", pub, lines, 0);
 ///
@@ -13,10 +11,6 @@
 /// the crash handler may read it mid-crash); dynamic values go in the
 /// three int64 args. Flight events are control-plane rate (barriers, shed
 /// transitions, recovery steps) — never per-record.
-
-#include "telemetry/telemetry.h"
-
-#if FRESQUE_TELEMETRY_ENABLED
 
 #include "obs/flight_recorder.h"
 #include "obs/sampler.h"
@@ -38,30 +32,5 @@
 /// at `now_ns` (see obs::NoteE2eSamples).
 #define FRESQUE_OBS_E2E_SAMPLES(values, n, now_ns) \
   ::fresque::obs::NoteE2eSamples(values, n, static_cast<int64_t>(now_ns))
-
-#else  // !FRESQUE_TELEMETRY_ENABLED
-
-#define FRESQUE_FLIGHT_EVENT(cat, msg, a0, a1, a2) \
-  do {                                             \
-    (void)sizeof(msg);                             \
-    (void)sizeof(a0);                              \
-    (void)sizeof(a1);                              \
-    (void)sizeof(a2);                              \
-  } while (0)
-
-#define FRESQUE_OBS_E2E_SAMPLE(e2e_ns, now_ns) \
-  do {                                         \
-    (void)sizeof(e2e_ns);                      \
-    (void)sizeof(now_ns);                      \
-  } while (0)
-
-#define FRESQUE_OBS_E2E_SAMPLES(values, n, now_ns) \
-  do {                                             \
-    (void)sizeof(values);                          \
-    (void)sizeof(n);                               \
-    (void)sizeof(now_ns);                          \
-  } while (0)
-
-#endif  // FRESQUE_TELEMETRY_ENABLED
 
 #endif  // FRESQUE_OBS_FLIGHT_H_

@@ -20,7 +20,7 @@ StreamingQuantiles* GlobalE2eSketch();
 
 /// Enables/disables e2e sampling. While inactive (the default — i.e. no
 /// observability server running) NoteE2eSample costs one relaxed load and
-/// a branch, preserving the dormant-telemetry overhead budget.
+/// a branch.
 void SetE2eSamplingActive(bool active);
 bool E2eSamplingActive();
 

@@ -117,8 +117,6 @@ HttpResponse ObsServer::ServeStatusz() {
   b.reserve(1024);
   b += "{\"build\":{\"compiler\":";
   AppendJsonString(__VERSION__, &b);
-  b += ",\"telemetry\":";
-  b += FRESQUE_TELEMETRY_ENABLED != 0 ? "true" : "false";
   b += '}';
   b += ",\"uptime_ms\":" +
        std::to_string((telemetry::NowNanos() - started_ns_) / 1000000);

@@ -30,9 +30,7 @@ struct ShardedPipeline::Shard {
   std::promise<Status> start_result;
   std::future<Status> start_future;
   std::thread worker;
-#if FRESQUE_TELEMETRY_ENABLED
   telemetry::Counter* records_in = nullptr;
-#endif
 };
 
 ShardedPipeline::ShardedPipeline(ShardedPipelineConfig config,
@@ -109,10 +107,8 @@ Status ShardedPipeline::Start() {
     s->cloud_node->RouteAcksTo(s->collector->publication_acks());
     s->cloud_node->Start();
 
-#if FRESQUE_TELEMETRY_ENABLED
     s->records_in = telemetry::Registry::Global()->GetCounter(
         "shard." + std::to_string(i) + ".records_in");
-#endif
     shards_.push_back(std::move(s));
   }
 
@@ -203,9 +199,7 @@ Status ShardedPipeline::Ingest(std::string_view line,
   f.born_ns = intended_born_ns;
   f.progress = progress_;
   buf.push_back(std::move(f));
-#if FRESQUE_TELEMETRY_ENABLED
   shards_[d.shard]->records_in->Add(1);
-#endif
   FRESQUE_COUNTER_ADD("shard.router.records", 1);
   if (!d.extracted) FRESQUE_COUNTER_ADD("shard.router.extract_fallbacks", 1);
   if (buf.size() >= net::kMaxBatch) FlushShard(d.shard);
@@ -379,7 +373,6 @@ durability::DurabilityMetrics ShardedPipelineMetrics::DurabilityTotals() const {
 }
 
 void ShardedPipeline::ExportTelemetry() const {
-#if FRESQUE_TELEMETRY_ENABLED
   auto* reg = telemetry::Registry::Global();
   reg->GetGauge("shard.count")->Set(static_cast<int64_t>(shards_.size()));
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -395,7 +388,6 @@ void ShardedPipeline::ExportTelemetry() const {
     reg->GetGauge(prefix + "records")
         ->Set(static_cast<int64_t>(cloud_->shard(i)->total_records()));
   }
-#endif
 }
 
 Result<RecoveredShardedCloud> RecoverShardedCloud(

@@ -177,7 +177,7 @@ class ShardedPipeline {
   /// view epochs, publication/record totals) into the global telemetry
   /// registry. Counters (`shard.router.*`, `shard.<i>.records_in`) are
   /// maintained on the hot path; this fills in the scrape-time gauges.
-  /// Safe from any thread; no-op with telemetry compiled out.
+  /// Safe from any thread.
   void ExportTelemetry() const;
 
   const ShardedPipelineConfig& config() const { return config_; }

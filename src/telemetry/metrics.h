@@ -1,5 +1,5 @@
-#ifndef FRESQUE_TELEMETRY_METRICS_H_
-#define FRESQUE_TELEMETRY_METRICS_H_
+#ifndef FRESQUE_SRC_TELEMETRY_METRICS_H_
+#define FRESQUE_SRC_TELEMETRY_METRICS_H_
 
 #include <array>
 #include <atomic>
@@ -187,4 +187,4 @@ Status WriteMetricsFile(const MetricsSnapshot& snap, const std::string& path);
 }  // namespace telemetry
 }  // namespace fresque
 
-#endif  // FRESQUE_TELEMETRY_METRICS_H_
+#endif  // FRESQUE_SRC_TELEMETRY_METRICS_H_

@@ -1,150 +1,20 @@
-#ifndef FRESQUE_TELEMETRY_TRACE_H_
-#define FRESQUE_TELEMETRY_TRACE_H_
+#ifndef FRESQUE_SRC_TELEMETRY_TRACE_H_
+#define FRESQUE_SRC_TELEMETRY_TRACE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "common/mutex.h"
-#include "common/status.h"
-#include "common/thread_annotations.h"
 
 namespace fresque {
 namespace telemetry {
 
-/// Monotonic clock for spans and pipeline latency stamps.
+/// Monotonic clock for stage timings and pipeline latency stamps.
 inline int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-/// One completed span. `name` must be a string literal (or otherwise
-/// outlive the tracer) — only the pointer is stored.
-struct TraceSlot {
-  std::atomic<const char*> name{nullptr};
-  std::atomic<int64_t> start_ns{0};
-  std::atomic<int64_t> duration_ns{0};
-};
-
-/// Per-thread fixed-size ring of completed spans.
-///
-/// Exactly one thread writes (the owner, via Record); the dumper reads
-/// concurrently with relaxed loads. A span being overwritten mid-read can
-/// yield a torn (name, start, duration) triple — acceptable for a
-/// diagnostic trace, and race-free as far as TSan is concerned because
-/// every field is atomic. Once `head` passes `capacity`, the oldest spans
-/// are silently overwritten and counted as dropped.
-class TraceBuffer {
- public:
-  TraceBuffer(std::string thread_name, size_t capacity)
-      : thread_name_(std::move(thread_name)), slots_(capacity) {}
-
-  void Record(const char* name, int64_t start_ns, int64_t duration_ns) {
-    const uint64_t h = head_.load(std::memory_order_relaxed);
-    TraceSlot& slot = slots_[h % slots_.size()];
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.start_ns.store(start_ns, std::memory_order_relaxed);
-    slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
-    head_.store(h + 1, std::memory_order_relaxed);
-  }
-
-  const std::string& thread_name() const { return thread_name_; }
-  size_t capacity() const { return slots_.size(); }
-  uint64_t recorded() const { return head_.load(std::memory_order_relaxed); }
-  uint64_t dropped() const {
-    const uint64_t h = recorded();
-    return h > slots_.size() ? h - slots_.size() : 0;
-  }
-  const TraceSlot& slot(size_t i) const { return slots_[i]; }
-
- private:
-  const std::string thread_name_;
-  std::vector<TraceSlot> slots_;
-  std::atomic<uint64_t> head_{0};
-};
-
-struct TracerStats {
-  uint64_t threads = 0;
-  uint64_t recorded = 0;  ///< spans ever recorded, including overwritten
-  uint64_t retained = 0;  ///< spans currently held in ring buffers
-  uint64_t dropped = 0;   ///< spans overwritten by ring wraparound
-};
-
-/// Process-wide tracer. Disabled by default: ScopedSpan checks a relaxed
-/// bool and does nothing else, so dormant spans cost ~1 ns. Enable()
-/// allocates one ring buffer per thread on first span from that thread.
-class Tracer {
- public:
-  static Tracer* Global();
-
-  /// Starts capturing. `capacity` is slots per thread ring.
-  void Enable(size_t capacity = 1 << 16) FRESQUE_EXCLUDES(mu_);
-  void Disable() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Names the calling thread in trace output ("cn0", "merger"...). Safe
-  /// to call whether or not tracing is enabled.
-  void SetCurrentThreadName(const std::string& name) FRESQUE_EXCLUDES(mu_);
-
-  /// Records a completed span on the calling thread's ring. No-op when
-  /// disabled (callers normally go through ScopedSpan, which already
-  /// checked).
-  void Record(const char* name, int64_t start_ns, int64_t duration_ns)
-      FRESQUE_EXCLUDES(mu_);
-
-  TracerStats GetStats() const FRESQUE_EXCLUDES(mu_);
-
-  /// Chrome trace_event JSON ("X" duration events + thread-name
-  /// metadata): load the file in chrome://tracing or ui.perfetto.dev.
-  std::string ToChromeTraceJson() const FRESQUE_EXCLUDES(mu_);
-  Status WriteChromeTrace(const std::string& path) const
-      FRESQUE_EXCLUDES(mu_);
-
-  /// Disables tracing and discards all buffers. Threads re-register on
-  /// their next span after a later Enable().
-  void ResetForTest() FRESQUE_EXCLUDES(mu_);
-
- private:
-  TraceBuffer* CurrentThreadBuffer() FRESQUE_EXCLUDES(mu_);
-
-  std::atomic<bool> enabled_{false};
-  mutable Mutex mu_;
-  size_t capacity_ FRESQUE_GUARDED_BY(mu_) = 1 << 16;
-  /// Bumped by ResetForTest so stale thread_local pointers are refreshed.
-  std::atomic<uint64_t> generation_{1};
-  std::vector<std::unique_ptr<TraceBuffer>> buffers_ FRESQUE_GUARDED_BY(mu_);
-  std::vector<std::pair<uint64_t, std::string>> thread_names_
-      FRESQUE_GUARDED_BY(mu_);  // (tid, name) set before first span
-};
-
-/// RAII span: records [construction, destruction) on the calling thread.
-/// `name` must be a string literal.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* name) {
-    if (Tracer::Global()->enabled()) {
-      name_ = name;
-      start_ns_ = NowNanos();
-    }
-  }
-  ~ScopedSpan() {
-    if (name_ != nullptr) {
-      Tracer::Global()->Record(name_, start_ns_, NowNanos() - start_ns_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  int64_t start_ns_ = 0;
-};
-
 }  // namespace telemetry
 }  // namespace fresque
 
-#endif  // FRESQUE_TELEMETRY_TRACE_H_
+#endif  // FRESQUE_SRC_TELEMETRY_TRACE_H_

@@ -156,12 +156,7 @@ std::vector<Bytes> Stored(const cloud::CloudServer& server, uint64_t pn) {
 }
 
 uint64_t CounterValue(const char* name) {
-#if FRESQUE_TELEMETRY_ENABLED
   return telemetry::Registry::Global()->GetCounter(name)->Value();
-#else
-  (void)name;
-  return 0;
-#endif
 }
 
 // Every frame below is popped in one batch (fewer than net::kMaxBatch,
@@ -207,13 +202,8 @@ TEST(CloudNodeRunTest, OneBatchSplitsIntoRunsAtEveryPublicationOrTypeChange) {
   EXPECT_EQ(Stored(server, 0), (std::vector<Bytes>{{0x01}, {0x02}, {0x03}}));
   EXPECT_EQ(Stored(server, 1), (std::vector<Bytes>{{0x11}, {0x12}, {0x13}}));
   EXPECT_EQ(server.total_records(), 6u);
-#if FRESQUE_TELEMETRY_ENABLED
   EXPECT_EQ(CounterValue("cloud.records_in") - in_before, 6u);
   EXPECT_EQ(CounterValue("cloud.records_rejected") - rejected_before, 3u);
-#else
-  (void)in_before;
-  (void)rejected_before;
-#endif
 }
 
 }  // namespace

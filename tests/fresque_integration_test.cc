@@ -239,7 +239,6 @@ TEST(FresqueCollectorTest, ZeroComputingNodesRejected) {
   EXPECT_FALSE(collector.Start().ok());
 }
 
-#if FRESQUE_TELEMETRY_ENABLED
 // Record conservation across the whole pipeline, as seen by the metrics
 // registry: after a full drain, every ingested frame (real or dummy) must
 // be accounted for — accepted by the cloud, rejected by the cloud, or
@@ -310,7 +309,6 @@ TEST(TelemetryInvariantsTest, RecordCountersConserveAcrossPipeline) {
     }
   }
 }
-#endif  // FRESQUE_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace fresque

@@ -524,7 +524,6 @@ TEST(ShardedPipelineTest, CurrentPublicationIsReadableFromAnyThread) {
   ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
 }
 
-#if FRESQUE_TELEMETRY_ENABLED
 TEST(ShardedPipelineTest, IntervalProgressReleasesDummiesBeforeTheBarrier) {
   // Each routed line carries the caller's interval progress to its
   // shard's dispatcher, so scheduled dummies are spread over the interval.
@@ -560,7 +559,6 @@ TEST(ShardedPipelineTest, IntervalProgressReleasesDummiesBeforeTheBarrier) {
   ASSERT_TRUE(pipe.Publish().ok());
   ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
 }
-#endif  // FRESQUE_TELEMETRY_ENABLED
 
 TEST(ShardedPipelineTest, FinalSnapshotsConvergeEveryShardDataDir) {
   auto spec = Gowalla();

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -9,7 +10,6 @@
 #include "common/queue.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 
 namespace fresque {
 namespace telemetry {
@@ -281,81 +281,6 @@ TEST(ExportTest, FormatMetricsTableListsEveryMetric) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer: ring wraparound, dropped accounting, Chrome JSON golden shape
-
-class TracerTest : public ::testing::Test {
- protected:
-  void SetUp() override { Tracer::Global()->ResetForTest(); }
-  void TearDown() override { Tracer::Global()->ResetForTest(); }
-};
-
-TEST_F(TracerTest, DisabledTracerRecordsNothing) {
-  EXPECT_FALSE(Tracer::Global()->enabled());
-  { ScopedSpan span("ignored"); }
-  TracerStats stats = Tracer::Global()->GetStats();
-  EXPECT_EQ(stats.recorded, 0u);
-  EXPECT_EQ(stats.threads, 0u);
-}
-
-TEST_F(TracerTest, RingWraparoundCountsDropped) {
-  constexpr size_t kCapacity = 8;
-  constexpr uint64_t kSpans = 20;
-  Tracer::Global()->Enable(kCapacity);
-  Tracer::Global()->SetCurrentThreadName("wrap-test");
-  for (uint64_t i = 0; i < kSpans; ++i) {
-    ScopedSpan span("wrap");
-  }
-  TracerStats stats = Tracer::Global()->GetStats();
-  EXPECT_EQ(stats.threads, 1u);
-  EXPECT_EQ(stats.recorded, kSpans);
-  EXPECT_EQ(stats.retained, kCapacity);
-  EXPECT_EQ(stats.dropped, kSpans - kCapacity);
-}
-
-TEST_F(TracerTest, ChromeTraceJsonIsValidAndNamed) {
-  Tracer::Global()->Enable(64);
-  Tracer::Global()->SetCurrentThreadName("golden-thread");
-  { ScopedSpan span("alpha"); }
-  { ScopedSpan span("beta"); }
-  Tracer::Global()->Disable();
-
-  const std::string json = Tracer::Global()->ToChromeTraceJson();
-  ASSERT_TRUE(ValidateJsonSyntax(json).ok()) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"alpha\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"beta\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("thread_name"), std::string::npos);
-  EXPECT_NE(json.find("golden-thread"), std::string::npos);
-}
-
-TEST_F(TracerTest, MultiThreadSpansLandInSeparateBuffers) {
-  Tracer::Global()->Enable(1024);
-  constexpr int kThreads = 4;
-  constexpr int kSpansPerThread = 50;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
-      Tracer::Global()->SetCurrentThreadName("worker" + std::to_string(t));
-      for (int i = 0; i < kSpansPerThread; ++i) {
-        ScopedSpan span("mt");
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  TracerStats stats = Tracer::Global()->GetStats();
-  EXPECT_EQ(stats.threads, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.recorded,
-            static_cast<uint64_t>(kThreads) * kSpansPerThread);
-  EXPECT_EQ(stats.dropped, 0u);
-  const std::string json = Tracer::Global()->ToChromeTraceJson();
-  ASSERT_TRUE(ValidateJsonSyntax(json).ok());
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_NE(json.find("worker" + std::to_string(t)), std::string::npos);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // BoundedQueue wait hook
 
 TEST(QueueWaitHookTest, SampledItemsReportTheirWait) {
@@ -403,20 +328,14 @@ TEST(QueueWaitHookTest, ItemsPresentAtAttachAreStamped) {
 }
 
 // ---------------------------------------------------------------------------
-// Macro layer (compiles and counts in both ON and OFF builds)
+// Macro layer
 
 TEST(MacroTest, CounterMacroAccumulates) {
-#if FRESQUE_TELEMETRY_ENABLED
   Counter* c = Registry::Global()->GetCounter("macro.test_counter");
   const uint64_t before = c->Value();
   FRESQUE_COUNTER_ADD("macro.test_counter", 2);
   FRESQUE_COUNTER_ADD("macro.test_counter", 3);
   EXPECT_EQ(c->Value(), before + 5);
-#else
-  int evaluations = 0;
-  FRESQUE_COUNTER_ADD("macro.test_counter", ++evaluations);
-  EXPECT_EQ(evaluations, 0) << "disabled macro must not evaluate operands";
-#endif
 }
 
 }  // namespace

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # fresque_cli round trip, at --shards=1 and --shards=4:
 #   generate -> ingest (durable, admission-capped, metrics dump) ->
-#   inspect -> verify -> query -> recover -> query on the recovered
-#   snapshot set.
+#   metrics-dump -> inspect -> verify -> query -> recover -> query on the
+#   recovered snapshot set.
 #
 # Usage: tools/cli_roundtrip_test.sh <path-to-fresque_cli>
 #
 # Asserts that every ingest flag takes effect at both shard counts, that
 # the conservation ledger balances, that recovery returns the same
 # matches, that no command reports an ignored flag, that a bad key hex
-# exits 1, that a flag given to a command that does not read it and a
-# zero count exit 1 naming the flag, and that an unsharded (top-level)
-# data dir is refused with a message naming shard-0/.
+# exits 1, that a flag given to a command that does not read it, a zero
+# count (flag or interval_records) and an out-of-range --flight-capacity
+# exit 1 naming the setting, and that an unsharded (top-level) data dir is
+# refused with a message naming shard-0/.
 set -euo pipefail
 
 CLI="${1:?usage: $0 <fresque_cli>}"
@@ -51,6 +52,9 @@ for N in 1 4; do
   [[ -s "m$N.json" ]] || fail "--metrics-out wrote no m$N.json"
   grep -q '"ingest.shed_records"' "m$N.json" \
     || fail "metrics dump lacks ingest.shed_records"
+  run metrics-dump "m$N.json" >"mdump$N.log"
+  grep -qE '^  ingest\.records_in +[1-9][0-9]*$' "mdump$N.log" \
+    || { cat "mdump$N.log"; fail "metrics-dump table lacks ingest.records_in"; }
   for ((i = 0; i < N; i++)); do
     [[ -s "snap$N.bin.shard-$i" ]] || fail "missing snap$N.bin.shard-$i"
     [[ -f "dd$N/shard-$i/MANIFEST" ]] || fail "no MANIFEST in dd$N/shard-$i"
@@ -91,7 +95,10 @@ for cmd in "ingest gowalla lines.txt bad.bin 1.0 2 5000 nothex" \
   grep -q "bad key hex" bad.log || fail "$cmd did not name the bad key"
 done
 
-echo "== flags a command does not read, zero counts"
+echo "== flags a command does not read, zero counts, out-of-range values"
+# A zero interval used to publish once per line; a few lines keep a
+# regression of that case small.
+head -n 300 lines.txt >few.txt
 # Each case: the command line, then the text its error must contain.
 while IFS='|' read -r cmd want; do
   code=0
@@ -103,6 +110,8 @@ done <<CASES
 query gowalla snap1.bin $LO $HI --data-dir=/nonexistent --admission-rps=5 --obs-addr=0 --snapshot-every=3|--data-dir does not apply to \`query\`
 verify gowalla snap1.bin --metrics-out=mv.json --query-threads=9|--metrics-out does not apply to \`verify\`
 query gowalla snap1.bin $LO $HI --query-threads=0|--query-threads wants a positive count
+ingest gowalla few.txt zero.bin 1.0 2 0|interval_records wants a positive count
+ingest gowalla lines.txt fc.bin 1.0 2 5000 --flight-capacity=10|--flight-capacity wants 64 to 1048576 events
 CASES
 [[ ! -e mv.json ]] || fail "verify wrote a metrics file it never reads the flag for"
 
@@ -120,4 +129,4 @@ for legacy in MANIFEST wal-0000000001.log; do
   done
 done
 
-echo "OK: round trip at 1 and 4 shards; bad keys, misplaced flags, zero counts and legacy layouts refused"
+echo "OK: round trip at 1 and 4 shards; bad keys, misplaced flags, zero counts, out-of-range values and legacy layouts refused"

@@ -13,10 +13,11 @@
 // Every command runs one pipeline shape (DESIGN.md §17): a router in
 // front of N collector pipelines, N = --shards (default 1). `ingest` runs
 // the collectors over the file, publishing every `interval_records`
-// lines, then persists shard i's cloud state as `<snapshot.bin>.shard-<i>`;
-// `query`, `verify` and `inspect` read that snapshot set back. The key
-// (hex master secret, default a fixed demo key) must match between ingest
-// and query/verify; a key that is not valid hex is an error.
+// lines (default 100000; 0 is an error), then persists shard i's cloud
+// state as `<snapshot.bin>.shard-<i>`; `query`, `verify` and `inspect`
+// read that snapshot set back. The key (hex master secret, default a
+// fixed demo key) must match between ingest and query/verify; a key that
+// is not valid hex is an error.
 //
 // Each flag group below names the commands that read it; a flag given to
 // any other command is an error (exit 1), never silently ignored.
@@ -42,9 +43,6 @@
 //                               at exit; JSON when the path ends in .json,
 //                               Prometheus text exposition otherwise
 //   --metrics-interval-ms=<n>   dump period (default 1000; must be > 0)
-//   --trace-out=<file>          capture spans and write a Chrome
-//                               trace_event JSON; open in chrome://tracing
-//                               or https://ui.perfetto.dev
 //
 // Live-observability flags (apply to `ingest`, see DESIGN.md §16):
 //   --obs-addr=<[host:]port>    serve GET /metrics /healthz /readyz
@@ -55,10 +53,11 @@
 //                               above it burn `slo.e2e_violations`
 //                               (0 = SLO accounting off)
 //   --flight-capacity=<n>       flight-recorder ring size in events
-//                               (default 4096); the ring is dumped to
-//                               stderr (and <data-dir>/flight.dump when
-//                               --data-dir is set) on SIGSEGV/SIGABRT/
-//                               SIGTERM and served live at /flightz
+//                               (default 4096; 64 to 1048576); the ring
+//                               is dumped to stderr (and
+//                               <data-dir>/flight.dump when --data-dir
+//                               is set) on SIGSEGV/SIGABRT/SIGTERM and
+//                               served live at /flightz
 //
 // Query-engine flags (apply to `query`, see DESIGN.md §15):
 //   --query-threads=<n>      executor worker threads (default 2; > 0)
@@ -102,19 +101,14 @@
 #include "durability/snapshot_manager.h"
 #include "durability/wal.h"
 #include "engine/config.h"
+#include "obs/flight_recorder.h"
+#include "obs/sampler.h"
+#include "obs/server.h"
 #include "query/executor.h"
 #include "record/dataset.h"
 #include "shard/pipeline.h"
 #include "shard/sharded_cloud.h"
-#include "telemetry/telemetry.h"
-
-#if FRESQUE_TELEMETRY_ENABLED
-#include "obs/flight_recorder.h"
-#include "obs/sampler.h"
-#include "obs/server.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
-#endif
 
 namespace {
 
@@ -163,7 +157,6 @@ const std::vector<FlagReaders>& FlagTable() {
       {"--snapshot-every", {"ingest"}},
       {"--metrics-out", {"ingest"}},
       {"--metrics-interval-ms", {"ingest"}},
-      {"--trace-out", {"ingest"}},
       {"--obs-addr", {"ingest"}},
       {"--slo-e2e-ms", {"ingest"}},
       {"--flight-capacity", {"ingest"}},
@@ -225,16 +218,11 @@ int CmdGenerate(const std::string& dataset, size_t count,
   return 0;
 }
 
-/// Observability options parsed from --metrics-out/--trace-out.
+/// Observability options parsed from --metrics-out.
 struct TelemetryOptions {
   std::string metrics_out;
-  std::string trace_out;
   size_t metrics_interval_ms = 1000;
-
-  bool any() const { return !metrics_out.empty() || !trace_out.empty(); }
 };
-
-#if FRESQUE_TELEMETRY_ENABLED
 
 /// Background thread dumping the registry to `path` every interval, plus
 /// a final dump on destruction (so short runs still produce a file).
@@ -281,8 +269,6 @@ class MetricsDumper {
   bool stop_ = false;
   std::thread thread_;
 };
-
-#endif  // FRESQUE_TELEMETRY_ENABLED
 
 /// Knobs for the `query` subcommand's executor path.
 struct QueryCliOptions {
@@ -352,34 +338,22 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
     }
   }
 
-#if FRESQUE_TELEMETRY_ENABLED
   std::unique_ptr<MetricsDumper> dumper;
   if (!tel.metrics_out.empty()) {
     dumper = std::make_unique<MetricsDumper>(tel.metrics_out,
                                              tel.metrics_interval_ms);
   }
-  if (!tel.trace_out.empty()) {
-    telemetry::Tracer::Global()->Enable();
-    telemetry::Tracer::Global()->SetCurrentThreadName("router");
-  }
   // Flight recorder first: capacity must land before the first event, and
   // the crash handlers before any pipeline thread that could fault. The
   // dump lands on stderr always, plus <data-dir>/flight.dump when a data
-  // dir exists (crash forensics next to the WALs they explain).
+  // dir exists (crash forensics next to the WALs they explain). main()
+  // has range-checked the capacity, so a refusal means an event came first.
   if (!obs::FlightRecorder::ConfigureGlobalCapacity(obs.flight_capacity)) {
-    std::cerr << "warning: --flight-capacity=" << obs.flight_capacity
-              << " ignored (out of range or recorder already created)\n";
+    return Fail("flight recorder created before --flight-capacity applied");
   }
   obs::InstallCrashHandlers(dur.enabled() ? dur.data_dir + "/flight.dump"
                                           : std::string());
   obs::SetSloE2eTargetNs(static_cast<int64_t>(obs.slo_e2e_ms) * 1000000);
-#else
-  if (tel.any() || obs.enabled() || obs.slo_e2e_ms > 0) {
-    std::cerr << "warning: built with FRESQUE_TELEMETRY=OFF;"
-                 " --metrics-out/--trace-out/--obs-addr/--slo-e2e-ms are"
-                 " no-ops\n";
-  }
-#endif
 
   shard::ShardedPipeline pipe(cfg, std::move(*keys));
   if (auto st = pipe.Start(); !st.ok()) return Fail(st.ToString());
@@ -394,7 +368,6 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
     if (dur_on) durability::ExportToRegistry(m.DurabilityTotals());
   };
 
-#if FRESQUE_TELEMETRY_ENABLED
   // The observability plane (DESIGN.md §16). Declared after the pipeline
   // so it is destroyed (and its sampler/HTTP threads joined) first: the
   // callbacks below capture the pipeline by reference.
@@ -458,7 +431,6 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
               << obs_server->port() << " (/metrics /healthz /readyz"
               << " /statusz /flightz)" << std::endl;
   }
-#endif
 
   std::string line;
   size_t total = 0, in_interval = 0, publications = 0;
@@ -473,9 +445,7 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
       ++publications;
     }
   }
-#if FRESQUE_TELEMETRY_ENABLED
   obs_ready.store(false, std::memory_order_relaxed);  // /readyz goes 503
-#endif
   // Shutdown flushes the router, drains every shard and publishes each
   // open interval, waiting for the final cloud acks.
   if (auto st = pipe.Shutdown(); !st.ok()) return Fail(st.ToString());
@@ -540,7 +510,6 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
   }
 
   export_metrics();
-#if FRESQUE_TELEMETRY_ENABLED
   if (obs_server) {
     // Stop before the final metrics dump so the sampler's closing fold
     // (e2e quantiles, queue gauges) lands in the dumped snapshot.
@@ -549,24 +518,9 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
               << " HTTP request(s)\n";
   }
   dumper.reset();  // stop the thread and write the final snapshot
-  if (!tel.trace_out.empty()) {
-    telemetry::Tracer::Global()->Disable();
-    auto stats = telemetry::Tracer::Global()->GetStats();
-    if (auto st = telemetry::Tracer::Global()->WriteChromeTrace(tel.trace_out);
-        !st.ok()) {
-      return Fail("trace dump: " + st.ToString());
-    }
-    std::cout << "trace: " << stats.retained << " span(s) across "
-              << stats.threads << " thread(s) -> " << tel.trace_out;
-    if (stats.dropped > 0) {
-      std::cout << " (" << stats.dropped << " dropped to ring wraparound)";
-    }
-    std::cout << "\n";
-  }
   if (!tel.metrics_out.empty()) {
     std::cout << "metrics: " << tel.metrics_out << "\n";
   }
-#endif
   return 0;
 }
 
@@ -830,7 +784,6 @@ int CmdRecover(const std::string& dataset, const std::string& data_dir,
 }
 
 int CmdMetricsDump(const std::string& path) {
-#if FRESQUE_TELEMETRY_ENABLED
   std::ifstream in(path);
   if (!in) return Fail("cannot open " + path);
   std::string text((std::istreambuf_iterator<char>(in)),
@@ -844,10 +797,6 @@ int CmdMetricsDump(const std::string& path) {
     std::cout << text;
   }
   return 0;
-#else
-  (void)path;
-  return Fail("built with FRESQUE_TELEMETRY=OFF; metrics-dump unavailable");
-#endif
 }
 
 int Usage() {
@@ -855,17 +804,16 @@ int Usage() {
       << "usage:\n"
       << "  fresque_cli generate <nasa|gowalla> <count> <lines.txt>\n"
       << "  fresque_cli ingest <nasa|gowalla> <lines.txt> <snapshot.bin>"
-         " [epsilon] [nodes] [interval] [key_hex]\n"
+         " [epsilon] [nodes] [interval_records > 0] [key_hex]\n"
       << "      [--shards=<n>] [--shard-by=range|hash]"
          " [--epsilon-composition=auto|split|full]\n"
       << "      [--data-dir=<dir>] [--fsync=always|interval[:<ms>]|never]"
          " [--snapshot-every=<n>]\n"
-      << "      [--metrics-out=<file>] [--metrics-interval-ms=<n>]"
-         " [--trace-out=<file>]\n"
+      << "      [--metrics-out=<file>] [--metrics-interval-ms=<n>]\n"
       << "      [--admission-rps=<rate per shard>]"
          " [--shed-watermarks=<low>:<high>]\n"
       << "      [--obs-addr=<[host:]port>] [--slo-e2e-ms=<n>]"
-         " [--flight-capacity=<n>]\n"
+         " [--flight-capacity=<64..1048576>]\n"
       << "      writes <snapshot.bin>.shard-<i>; --data-dir keeps shard i"
          " in <dir>/shard-<i>\n"
       << "  fresque_cli query <nasa|gowalla> <snapshot.bin> <lo> <hi>"
@@ -909,8 +857,6 @@ int main(int argc, char** argv) {
       cfg.durability.data_dir = arg.substr(11);
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       tel.metrics_out = arg.substr(14);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      tel.trace_out = arg.substr(12);
     } else if (arg.rfind("--metrics-interval-ms=", 0) == 0) {
       parsed = ParseCount(arg, true, &tel.metrics_interval_ms);
     } else if (arg.rfind("--obs-addr=", 0) == 0) {
@@ -920,6 +866,13 @@ int main(int argc, char** argv) {
       parsed = ParseCount(arg, false, &obs.slo_e2e_ms);
     } else if (arg.rfind("--flight-capacity=", 0) == 0) {
       parsed = ParseCount(arg, false, &obs.flight_capacity);
+      using fresque::obs::FlightRecorder;
+      if (parsed.ok() && (obs.flight_capacity < FlightRecorder::kMinCapacity ||
+                          obs.flight_capacity > FlightRecorder::kMaxCapacity)) {
+        return Fail("--flight-capacity wants " +
+                    std::to_string(FlightRecorder::kMinCapacity) + " to " +
+                    std::to_string(FlightRecorder::kMaxCapacity) + " events");
+      }
     } else if (arg.rfind("--fsync=", 0) == 0) {
       auto policy = fresque::durability::ParseFsyncPolicy(
           arg.substr(8), &cfg.durability.fsync_interval_ms);
@@ -992,6 +945,7 @@ int main(int argc, char** argv) {
       cfg.collector.num_computing_nodes =
           args.size() > 5 ? std::stoul(args[5]) : 4;
       size_t interval = args.size() > 6 ? std::stoul(args[6]) : 100000;
+      if (interval == 0) return Fail("interval_records wants a positive count");
       std::string key = args.size() > 7 ? args[7] : kDefaultKeyHex;
       return CmdIngest(args[1], args[2], args[3], interval, key,
                        std::move(cfg), tel, obs);
