@@ -2,15 +2,13 @@
 #define FRESQUE_BENCH_ARRIVALS_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "common/rng.h"
-#include "record/dataset.h"
 
-// Load-shape helpers for the benches: Zipf-skewed keys for skewed-shard
-// and hot-spot query workloads.
+// Load-shape helpers for the benches: Zipf-skewed keys for the
+// skewed-shard rows of bench_shard_scaling.
 
 namespace fresque {
 namespace bench {
@@ -69,53 +67,6 @@ class ZipfKeySampler {
   double zetan_ = 0;
   double alpha_ = 0;
   double eta_ = 0;
-};
-
-/// Wraps a dataset's base line generator and rewrites each line's indexed
-/// attribute to a Zipf-skewed key: every other attribute keeps its
-/// realistic distribution, so only the shard-placement key is skewed.
-/// Used by bench_shard_scaling to *measure* skewed-shard imbalance
-/// (per-shard queue watermarks) instead of assuming it away.
-class ZipfKeyedLineGen : public record::LineGenerator {
- public:
-  ZipfKeyedLineGen(record::DatasetSpec spec,
-                   std::unique_ptr<record::LineGenerator> base,
-                   size_t num_keys, double theta, uint64_t seed)
-      : spec_(std::move(spec)),
-        base_(std::move(base)),
-        sampler_(num_keys, theta, seed) {}
-
-  std::string NextLine() override {
-    std::string line = base_->NextLine();
-    const auto key = static_cast<int64_t>(ZipfKeySampler::KeyForRank(
-        sampler_.NextRank(), spec_.domain_min, spec_.domain_max - 1));
-    if (spec_.name == "nasa") {
-      // Apache common log: the indexed reply size is the last space token.
-      const size_t pos = line.rfind(' ');
-      if (pos != std::string::npos) {
-        line.resize(pos + 1);
-        line += std::to_string(key);
-      }
-      return line;
-    }
-    // CSV: replace the indexed column in place.
-    const size_t field = spec_.parser->schema().indexed_field_index();
-    size_t start = 0;
-    for (size_t f = 0; f < field; ++f) {
-      const size_t c = line.find(',', start);
-      if (c == std::string::npos) return line;
-      start = c + 1;
-    }
-    size_t end = line.find(',', start);
-    if (end == std::string::npos) end = line.size();
-    line.replace(start, end - start, std::to_string(key));
-    return line;
-  }
-
- private:
-  record::DatasetSpec spec_;
-  std::unique_ptr<record::LineGenerator> base_;
-  ZipfKeySampler sampler_;
 };
 
 }  // namespace bench

@@ -108,19 +108,6 @@ struct CollectorMetrics {
   }
 };
 
-/// Rolling ingestion counters for throughput accounting.
-struct IngestStats {
-  uint64_t lines_offered = 0;
-  uint64_t records_ingested = 0;
-  double elapsed_seconds = 0;
-
-  double Throughput() const {
-    return elapsed_seconds > 0
-               ? static_cast<double>(records_ingested) / elapsed_seconds
-               : 0;
-  }
-};
-
 /// Publishes a CollectorMetrics snapshot into the process-wide telemetry
 /// registry (telemetry/metrics.h), making the collector's node/queue
 /// state visible to the Prometheus/JSON exporters alongside the native

@@ -51,7 +51,6 @@ Result<DatasetSpec> NasaDataset() {
   spec.domain_min = 0.0;
   spec.domain_max = kNasaDomainMax;
   spec.bin_width = 1024.0;
-  spec.paper_record_count = 1569898;
   return spec;
 }
 
@@ -70,7 +69,6 @@ Result<DatasetSpec> GowallaDataset() {
   spec.domain_min = kGowallaT0;
   spec.domain_max = kGowallaDomainMax;
   spec.bin_width = 3600.0;
-  spec.paper_record_count = 6442892;
   return spec;
 }
 

@@ -23,9 +23,6 @@ struct DatasetSpec {
   double domain_max = 0;
   /// Histogram bin (leaf) width Ib.
   double bin_width = 0;
-  /// Record count of the real dataset the paper evaluates (for --paper-scale
-  /// runs); generators can produce any count.
-  size_t paper_record_count = 0;
 
   size_t num_bins() const {
     return static_cast<size_t>((domain_max - domain_min) / bin_width);

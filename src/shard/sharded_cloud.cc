@@ -106,13 +106,6 @@ int64_t ShardedCloudServer::ApproximateCount(
   return total;
 }
 
-std::vector<uint64_t> ShardedCloudServer::ViewEpochs() const {
-  std::vector<uint64_t> epochs;
-  epochs.reserve(shards_.size());
-  for (const auto& s : shards_) epochs.push_back(s->view_epoch());
-  return epochs;
-}
-
 size_t ShardedCloudServer::total_records() const {
   size_t n = 0;
   for (const auto& s : shards_) n += s->total_records();

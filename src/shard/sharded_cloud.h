@@ -99,9 +99,6 @@ class ShardedCloudServer {
   /// is still a valid DP estimate of the total).
   int64_t ApproximateCount(const index::RangeQuery& q) const;
 
-  /// Per-shard view epochs, index-aligned with the shards.
-  std::vector<uint64_t> ViewEpochs() const;
-
   // Aggregates over all shards.
   size_t total_records() const;
   size_t total_bytes() const;
