@@ -185,14 +185,6 @@ Status FresqueCollector::OpenInterval() {
 
 Status FresqueCollector::Ingest(std::string_view line, IngestPriority priority,
                                 int64_t intended_born_ns) {
-  Bytes buf;
-  buf.reserve(line.size() + line_headroom_);
-  buf.assign(line.begin(), line.end());
-  return Ingest(std::move(buf), priority, intended_born_ns);
-}
-
-Status FresqueCollector::Ingest(Bytes&& line, IngestPriority priority,
-                                int64_t intended_born_ns) {
   if (!started_ || shut_down_) {
     return Status::FailedPrecondition("collector not running");
   }
@@ -252,7 +244,10 @@ Status FresqueCollector::Ingest(Bytes&& line, IngestPriority priority,
   m.type = net::MessageType::kRawLine;
   m.pn = pn_;
   m.born_ns = now_ns;
-  m.payload = std::move(line);
+  // The line's one copy: this buffer becomes the record's frame payload
+  // and, at the computing node, its ciphertext.
+  m.payload.reserve(line.size() + line_headroom_);
+  m.payload.assign(line.begin(), line.end());
   DispatchBuffered(std::move(m));
   ++open_interval_lines_;
   FRESQUE_COUNTER_ADD("ingest.records_in", 1);

@@ -38,10 +38,13 @@ class PublicationTracker;
 /// ends the interval asynchronously — publication work shifts to the
 /// merger while the dispatcher immediately opens the next publication.
 ///
-/// Thread-safety: Start/Ingest/SetIntervalProgress/Publish/Shutdown must
-/// all be called from the same (dispatcher) thread — the round-robin
-/// cursor, interval counters and dummy schedule are deliberately
-/// unsynchronized dispatcher state. Metrics(), Reports(), the drop
+/// Thread-safety: Start/Ingest/SetIntervalProgress/Publish/Shutdown are
+/// the dispatcher's calls and must not overlap — the round-robin cursor,
+/// interval counters and dummy schedule are deliberately unsynchronized
+/// dispatcher state. A call made on another thread than the previous one
+/// must happen after that call returned (a join is enough; the sharded
+/// pipeline starts collectors on threads it joins, then ingests on the
+/// caller's). Metrics(), Reports(), the drop
 /// counters and WaitForPublication() are safe from any thread at any
 /// time: they read atomics or the annotated ReportSink /
 /// PublicationTracker locks.
@@ -95,17 +98,10 @@ class FresqueCollector {
   /// no longer hides the queueing delay its backlog caused. 0 (default)
   /// stamps the actual ingest time.
   ///
-  /// Takes the line's buffer: it travels as the record's frame payload and
-  /// the computing node encrypts into it. Reserve
-  /// SecureRecordCodec::CiphertextHeadroom(schema) beyond the line so the
-  /// ciphertext fits without reallocating.
-  FRESQUE_HOT Status Ingest(
-      Bytes&& line,
-      IngestPriority priority = IngestPriority::kNormal,
-      int64_t intended_born_ns = 0);
-
-  /// Copies `line` into a buffer with that headroom, then ingests it as
-  /// above.
+  /// An admitted line is copied once, into a buffer reserved with
+  /// SecureRecordCodec::CiphertextHeadroom(schema) spare bytes: it travels
+  /// as the record's frame payload and the computing node encrypts into it
+  /// without reallocating.
   FRESQUE_HOT Status Ingest(
       std::string_view line,
       IngestPriority priority = IngestPriority::kNormal,

@@ -33,7 +33,7 @@ struct StatusSnapshot {
   struct Shard {
     uint64_t shard = 0;
     uint64_t routed = 0;           // lines the router sent this shard
-    uint64_t ingress_depth = 0;    // router -> shard queue, now
+    uint64_t ingress_depth = 0;    // fullest computing-node inbox, now
     uint64_t ingress_capacity = 0;
     uint64_t ingress_watermark = 0;
     uint64_t view_epoch = 0;       // this shard's installed view

@@ -5,8 +5,6 @@
 #include <future>
 #include <utility>
 
-#include "net/message.h"
-#include "record/secure_codec.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -22,15 +20,13 @@ std::string ShardDataDir(const std::string& data_dir, size_t i) {
 /// holds, and both before the WAL/snapshot state they log into.
 struct ShardedPipeline::Shard {
   size_t index = 0;
-  std::unique_ptr<BoundedQueue<IngressFrame>> ingress;
   std::unique_ptr<durability::Wal> wal;
   std::unique_ptr<durability::SnapshotManager> snapshots;
   std::unique_ptr<engine::CloudNode> cloud_node;
   std::unique_ptr<engine::FresqueCollector> collector;
-  std::promise<Status> start_result;
-  std::future<Status> start_future;
-  std::thread worker;
   telemetry::Counter* records_in = nullptr;
+  /// Lines the collector admitted since its last Publish().
+  uint64_t open_lines = 0;
 };
 
 ShardedPipeline::ShardedPipeline(ShardedPipelineConfig config,
@@ -43,9 +39,6 @@ ShardedPipeline::~ShardedPipeline() {
 
 Status ShardedPipeline::Start() {
   if (started_) return Status::FailedPrecondition("pipeline already started");
-  if (config_.ingress_capacity == 0) {
-    return Status::InvalidArgument("ingress_capacity must be >= 1");
-  }
   if (auto st = config_.collector.Validate(); !st.ok()) return st;
 
   auto placement =
@@ -56,16 +49,10 @@ Status ShardedPipeline::Start() {
   cloud_ = std::make_unique<ShardedCloudServer>(*placement);
 
   const size_t n = placement->num_shards();
-  line_headroom_ = record::SecureRecordCodec::CiphertextHeadroom(
-      config_.collector.dataset.parser->schema());
-  route_buf_.clear();
-  route_buf_.resize(n);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     auto s = std::make_unique<Shard>();
     s->index = i;
-    s->ingress =
-        std::make_unique<BoundedQueue<IngressFrame>>(config_.ingress_capacity);
 
     if (config_.durability.enabled()) {
       const std::string dir = ShardDataDir(config_.durability.data_dir, i);
@@ -112,73 +99,28 @@ Status ShardedPipeline::Start() {
     shards_.push_back(std::move(s));
   }
 
-  for (auto& s : shards_) {
-    s->start_future = s->start_result.get_future();
-    s->worker = std::thread(&ShardedPipeline::WorkerLoop, this, s.get());
+  // Shard 0 starts on the caller's thread while the others start alongside
+  // it; get() joins each starter thread, so every later call on a
+  // collector happens after its Start().
+  std::vector<std::future<Status>> starts;
+  for (size_t i = 1; i < n; ++i) {
+    starts.push_back(std::async(std::launch::async,
+                                &engine::FresqueCollector::Start,
+                                shards_[i]->collector.get()));
   }
-  Status first;
-  for (auto& s : shards_) {
-    Status st = s->start_future.get();
+  Status first = shards_[0]->collector->Start();
+  for (auto& f : starts) {
+    Status st = f.get();
     if (!st.ok() && first.ok()) first = st;
   }
   if (!first.ok()) {
-    StopAll();
+    for (auto& s : shards_) (void)s->collector->Shutdown();
+    StopCloudNodes();
     return first;
   }
   started_ = true;
   FRESQUE_GAUGE_SET("shard.count", static_cast<int64_t>(n));
   return Status::OK();
-}
-
-void ShardedPipeline::WorkerLoop(Shard* s) {
-  Status st = s->collector->Start();
-  s->start_result.set_value(st);
-  if (!st.ok()) {
-    // Drain-and-drop so a failed shard never wedges the router's
-    // back-pressure; Start() tears everything down.
-    s->ingress->Close();
-    std::vector<IngressFrame> sink;
-    while (s->ingress->PopBatch(&sink, net::kMaxBatch) > 0) sink.clear();
-    return;
-  }
-  std::vector<IngressFrame> batch;
-  batch.reserve(net::kMaxBatch);
-  uint64_t open_lines = 0;
-  for (;;) {
-    batch.clear();
-    const size_t got = s->ingress->PopBatch(&batch, net::kMaxBatch);
-    if (got == 0) break;  // closed and drained
-    for (auto& f : batch) {
-      if (f.kind == IngressFrame::Kind::kPublish) {
-        if (Status ps = s->collector->Publish(); !ps.ok()) NoteError(ps);
-        open_lines = 0;
-      } else {
-        s->collector->SetIntervalProgress(f.progress);
-        Status is =
-            s->collector->Ingest(std::move(f.line), f.priority, f.born_ns);
-        if (is.ok()) {
-          ++open_lines;
-        } else if (!is.IsOverloaded()) {
-          // Sheds are normal under admission control (the collector
-          // counts them); anything else is a real failure.
-          NoteError(is);
-        }
-      }
-    }
-  }
-  const uint64_t last_pn = s->collector->current_publication();
-  if (Status ss = s->collector->Shutdown(); !ss.ok()) {
-    NoteError(ss);
-    return;
-  }
-  if (open_lines > 0) {
-    // Shutdown() published the open interval; wait for the cloud ack so
-    // callers returning from ShardedPipeline::Shutdown can query (or
-    // snapshot) a complete store.
-    Status acked = s->collector->WaitForPublication(last_pn,
-                                                    std::chrono::seconds(30));
-    if (!acked.ok()) NoteError(acked);
-  }
 }
 
 Status ShardedPipeline::Ingest(std::string_view line,
@@ -188,59 +130,59 @@ Status ShardedPipeline::Ingest(std::string_view line,
     return Status::FailedPrecondition("pipeline is not running");
   }
   const ShardRouter::Decision d = router_->Route(line);
-  auto& buf = route_buf_[d.shard];
-  IngressFrame f;
-  f.kind = IngressFrame::Kind::kLine;
-  // The line's one copy: this buffer becomes the record's frame payload
-  // and, at the computing node, its ciphertext.
-  f.line.reserve(line.size() + line_headroom_);
-  f.line.assign(line.begin(), line.end());
-  f.priority = priority;
-  f.born_ns = intended_born_ns;
-  f.progress = progress_;
-  buf.push_back(std::move(f));
-  shards_[d.shard]->records_in->Add(1);
+  Shard& s = *shards_[d.shard];
+  s.records_in->Add(1);
   FRESQUE_COUNTER_ADD("shard.router.records", 1);
   if (!d.extracted) FRESQUE_COUNTER_ADD("shard.router.extract_fallbacks", 1);
-  if (buf.size() >= net::kMaxBatch) FlushShard(d.shard);
-  return Status::OK();
-}
-
-void ShardedPipeline::FlushShard(size_t i) {
-  auto& buf = route_buf_[i];
-  if (buf.empty()) return;
-  // Blocks while the shard's queue is full: per-shard back-pressure, the
-  // sharded analogue of the collector's blocking mailbox pushes. A closed
-  // queue (failed shard mid-run) accepts fewer; the rejection is counted
-  // by the queue and the shard's error is already noted.
-  (void)shards_[i]->ingress->PushBatch(buf.data(), buf.size());
-  buf.clear();
+  s.collector->SetIntervalProgress(progress_);
+  Status st = s.collector->Ingest(line, priority, intended_born_ns);
+  if (st.ok()) {
+    ++s.open_lines;
+    return st;
+  }
+  // Sheds are normal under admission control (the collector counts
+  // them); anything else is a real failure.
+  if (st.IsOverloaded()) return Status::OK();
+  NoteError(st);
+  return st;
 }
 
 Status ShardedPipeline::Publish() {
   if (!started_ || shut_down_) {
     return Status::FailedPrecondition("pipeline is not running");
   }
-  for (size_t i = 0; i < shards_.size(); ++i) FlushShard(i);
-  IngressFrame barrier;
-  barrier.kind = IngressFrame::Kind::kPublish;
+  // Every shard publishes, even past a failed one, so the pn sequences
+  // stay aligned.
+  Status first;
   for (auto& s : shards_) {
-    if (!s->ingress->Push(barrier)) {
-      return Status::Internal("shard " + std::to_string(s->index) +
-                              " ingress closed before publish barrier");
+    if (Status st = s->collector->Publish(); !st.ok()) {
+      NoteError(st);
+      if (first.ok()) first = st;
     }
+    s->open_lines = 0;
   }
   pn_.fetch_add(1, std::memory_order_relaxed);
   progress_ = 0;
-  return Status::OK();
+  return first;
 }
 
 Status ShardedPipeline::Shutdown() {
   if (!started_) return Status::FailedPrecondition("pipeline never started");
   if (shut_down_) return first_error();
   shut_down_ = true;
-  for (size_t i = 0; i < shards_.size(); ++i) FlushShard(i);
-  StopAll();
+  for (auto& s : shards_) {
+    if (Status st = s->collector->Shutdown(); !st.ok()) NoteError(st);
+  }
+  for (auto& s : shards_) {
+    if (s->open_lines == 0) continue;
+    // Shutdown() published the open interval; wait for the cloud ack so
+    // callers returning from here can query (or snapshot) a complete
+    // store.
+    Status acked = s->collector->WaitForPublication(
+        s->collector->current_publication(), std::chrono::seconds(30));
+    if (!acked.ok()) NoteError(acked);
+  }
+  StopCloudNodes();
   ExportTelemetry();
   return first_error();
 }
@@ -259,17 +201,11 @@ Status ShardedPipeline::WriteFinalSnapshots() {
   return Status::OK();
 }
 
-void ShardedPipeline::StopAll() {
-  for (auto& s : shards_) s->ingress->Close();
+void ShardedPipeline::StopCloudNodes() {
   for (auto& s : shards_) {
-    if (s->worker.joinable()) s->worker.join();
-  }
-  for (auto& s : shards_) {
-    if (s->cloud_node != nullptr) {
-      s->cloud_node->Shutdown();
-      if (!s->cloud_node->first_error().ok()) {
-        NoteError(s->cloud_node->first_error());
-      }
+    s->cloud_node->Shutdown();
+    if (!s->cloud_node->first_error().ok()) {
+      NoteError(s->cloud_node->first_error());
     }
   }
 }
@@ -303,13 +239,17 @@ ShardedPipelineMetrics ShardedPipeline::Metrics() const {
     ShardMetrics sm;
     sm.shard = i;
     sm.routed = i < m.router.per_shard.size() ? m.router.per_shard[i] : 0;
-    sm.ingress_depth = s->ingress->size();
-    sm.ingress_high_watermark = s->ingress->high_watermark();
-    sm.ingress_capacity = s->ingress->capacity();
     sm.view_epoch = cloud_->shard(i)->view_epoch();
     sm.publications = cloud_->shard(i)->num_publications();
     sm.records = cloud_->shard(i)->total_records();
     sm.collector = s->collector->Metrics();
+    for (const auto& node : sm.collector.nodes) {
+      if (node.name.rfind("cn", 0) != 0) continue;  // computing nodes only
+      sm.ingress_depth = std::max(sm.ingress_depth, node.inbox.depth);
+      sm.ingress_high_watermark =
+          std::max(sm.ingress_high_watermark, node.inbox.high_watermark);
+      sm.ingress_capacity = node.inbox.capacity;
+    }
     sm.durability = s->cloud_node->durability_metrics();
     m.shards.push_back(std::move(sm));
   }
@@ -374,19 +314,19 @@ durability::DurabilityMetrics ShardedPipelineMetrics::DurabilityTotals() const {
 
 void ShardedPipeline::ExportTelemetry() const {
   auto* reg = telemetry::Registry::Global();
-  reg->GetGauge("shard.count")->Set(static_cast<int64_t>(shards_.size()));
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::string prefix = "shard." + std::to_string(i) + ".";
+  const ShardedPipelineMetrics m = Metrics();
+  reg->GetGauge("shard.count")->Set(static_cast<int64_t>(m.shards.size()));
+  for (const ShardMetrics& s : m.shards) {
+    const std::string prefix = "shard." + std::to_string(s.shard) + ".";
     reg->GetGauge(prefix + "ingress_depth")
-        ->Set(static_cast<int64_t>(shards_[i]->ingress->size()));
+        ->Set(static_cast<int64_t>(s.ingress_depth));
     reg->GetGauge(prefix + "ingress_high_watermark")
-        ->Set(static_cast<int64_t>(shards_[i]->ingress->high_watermark()));
+        ->Set(static_cast<int64_t>(s.ingress_high_watermark));
     reg->GetGauge(prefix + "view_epoch")
-        ->Set(static_cast<int64_t>(cloud_->shard(i)->view_epoch()));
+        ->Set(static_cast<int64_t>(s.view_epoch));
     reg->GetGauge(prefix + "publications")
-        ->Set(static_cast<int64_t>(cloud_->shard(i)->num_publications()));
-    reg->GetGauge(prefix + "records")
-        ->Set(static_cast<int64_t>(cloud_->shard(i)->total_records()));
+        ->Set(static_cast<int64_t>(s.publications));
+    reg->GetGauge(prefix + "records")->Set(static_cast<int64_t>(s.records));
   }
 }
 

@@ -7,13 +7,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/hot.h"
 #include "common/mutex.h"
-#include "common/queue.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "crypto/key_manager.h"
@@ -48,9 +45,6 @@ struct ShardedPipelineConfig {
   /// durability.
   engine::DurabilityConfig durability;
 
-  /// Capacity of each shard's ingress queue (router -> shard worker).
-  size_t ingress_capacity = 8192;
-
   /// Mailbox capacity of each shard's CloudNode.
   size_t cloud_mailbox_capacity = 8192;
 };
@@ -59,6 +53,9 @@ struct ShardedPipelineConfig {
 struct ShardMetrics {
   size_t shard = 0;
   uint64_t routed = 0;
+  /// Where routed lines land: the shard's fullest computing-node inbox.
+  /// Depth and high watermark are maxima over the computing nodes;
+  /// capacity is that of one inbox.
   size_t ingress_depth = 0;
   size_t ingress_high_watermark = 0;
   size_t ingress_capacity = 0;
@@ -88,20 +85,20 @@ struct ShardedPipelineMetrics {
 /// Each shard owns a full dispatcher -> computing-nodes -> checker ->
 /// merger chain, its own CloudServer slice (via ShardedCloudServer), its
 /// own CloudNode, publication counter, optional WAL/snapshot directory
-/// and DP budget slice. A per-shard worker thread drains a bounded
-/// ingress queue and *is* that shard's dispatcher thread, satisfying the
-/// collector's single-caller contract while the shards run genuinely in
-/// parallel.
+/// and DP budget slice. The caller's thread is every shard's dispatcher:
+/// Ingest() routes a line and calls that shard's FresqueCollector::Ingest,
+/// which hands it to the shard's computing nodes. The shards' node
+/// threads run in parallel behind those inboxes.
 ///
 /// Thread-safety: Start/Ingest/SetIntervalProgress/Publish/Shutdown/
 /// WriteFinalSnapshots must be called from one (router) thread, mirroring
 /// FresqueCollector's contract. Metrics(), WaitForPublication(),
 /// current_publication() and cloud() queries are safe from any thread.
 ///
-/// Barrier alignment: Publish() enqueues a publish frame on every shard's
-/// ingress queue behind all previously routed lines, so every shard's
-/// publication `pn` covers the same router interval and the per-shard pn
-/// sequences stay aligned (same KeyManager + same pn => the client's
+/// Barrier alignment: Publish() calls every shard's Publish in shard
+/// order, after every line routed before it, so every shard's publication
+/// `pn` covers the same router interval and the per-shard pn sequences
+/// stay aligned (same KeyManager + same pn => the client's
 /// per-publication keys work on merged results).
 class ShardedPipeline {
  public:
@@ -112,32 +109,37 @@ class ShardedPipeline {
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
   /// Builds the placement, router, per-shard cloud stores, durability and
-  /// collector stacks, then spawns one worker per shard and waits until
-  /// every collector started. Call once.
+  /// collector stacks, then starts every collector: shard 0 on the
+  /// caller's thread and the others alongside it on short-lived threads,
+  /// joined before Start returns. Call once.
   Status Start();
 
-  /// Routes one raw line to its shard's ingress queue (batched; blocks
-  /// only when that shard's queue is full — per-shard back-pressure).
+  /// Routes one raw line and ingests it into its shard's collector on the
+  /// caller's thread (blocks only when that shard's computing-node inbox
+  /// is full — per-shard back-pressure). A line the shard's admission
+  /// control sheds still returns OK (the collector counts it); any other
+  /// collector error is returned.
   FRESQUE_HOT Status Ingest(
       std::string_view line,
       engine::IngestPriority priority = engine::IngestPriority::kNormal,
       int64_t intended_born_ns = 0);
 
-  /// How far the current interval has progressed, in [0, 1]. Lines routed
-  /// after this call carry the fraction to their shard's dispatcher
+  /// How far the current interval has progressed, in [0, 1]. Ingest()
+  /// hands the fraction to the routed line's shard before ingesting it
   /// (FresqueCollector::SetIntervalProgress), so scheduled dummies are
   /// spread over the interval instead of all flushing at the barrier.
   /// Optional; Publish() resets it to 0.
   void SetIntervalProgress(double fraction) { progress_ = fraction; }
 
-  /// Ends the current publishing interval on every shard (asynchronous:
-  /// the barrier frame queues behind routed lines; shards publish as they
-  /// drain to it).
+  /// Ends the current publishing interval on every shard, in shard order
+  /// (FresqueCollector::Publish: asynchronous, the merger publishes while
+  /// the next interval opens). Every shard moves to the next interval even
+  /// if one fails; returns the first error.
   Status Publish();
 
-  /// Drains and stops everything: flushes router buffers, closes the
-  /// ingress queues, lets every worker drain + publish its open interval
-  /// (FresqueCollector::Shutdown semantics) and waits for the final
+  /// Drains and stops everything: shuts down every shard's collector in
+  /// shard order (each publishes its open interval if it ingested lines,
+  /// FresqueCollector::Shutdown semantics), waits for those final
   /// publication acks, then stops the cloud nodes. Returns the first
   /// error any shard hit.
   Status Shutdown();
@@ -154,9 +156,8 @@ class ShardedPipeline {
       uint64_t pn,
       std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
 
-  /// Publication the router is currently filling (== every shard's open
-  /// publication once its queue drains). Safe from any thread (a relaxed
-  /// read; /statusz polls it while the caller publishes).
+  /// Publication every shard is currently filling. Safe from any thread
+  /// (a relaxed read; /statusz polls it while the caller publishes).
   uint64_t current_publication() const {
     return pn_.load(std::memory_order_relaxed);
   }
@@ -168,64 +169,44 @@ class ShardedPipeline {
 
   const ShardPlacement& placement() const { return router_->placement(); }
 
-  /// First error any shard worker / collector / cloud node hit.
+  /// First error any shard's collector or cloud node hit.
   Status first_error() const FRESQUE_EXCLUDES(mu_);
 
   ShardedPipelineMetrics Metrics() const;
 
-  /// Pushes the `shard.*` gauge families (per-shard ingress watermarks,
-  /// view epochs, publication/record totals) into the global telemetry
-  /// registry. Counters (`shard.router.*`, `shard.<i>.records_in`) are
-  /// maintained on the hot path; this fills in the scrape-time gauges.
+  /// Pushes the `shard.*` gauge families (per-shard ingress depths and
+  /// watermarks, view epochs, publication/record totals) into the global
+  /// telemetry registry. Counters (`shard.router.*`, `shard.<i>.records_in`)
+  /// are maintained on the hot path; this fills in the scrape-time gauges.
   /// Safe from any thread.
   void ExportTelemetry() const;
 
   const ShardedPipelineConfig& config() const { return config_; }
 
  private:
-  struct IngressFrame {
-    enum class Kind : uint8_t { kLine, kPublish };
-    Kind kind = Kind::kLine;
-    /// The line, in the one heap buffer it keeps up to the cloud store
-    /// (FresqueCollector::Ingest(Bytes&&)).
-    Bytes line;
-    engine::IngestPriority priority = engine::IngestPriority::kNormal;
-    int64_t born_ns = 0;
-    double progress = 0;  // interval progress when the line was routed
-  };
-
   struct Shard;
 
-  void WorkerLoop(Shard* s);
-  void FlushShard(size_t i);
   void NoteError(const Status& st) FRESQUE_EXCLUDES(mu_);
-  void StopAll();
+  void StopCloudNodes();
 
   ShardedPipelineConfig config_;
   crypto::KeyManager keys_;
 
-  // fresque-lint: allow(guarded-by) set once by Start() before workers spawn; read-only afterwards
+  // fresque-lint: allow(guarded-by) set once by Start(); read-only afterwards
   std::unique_ptr<ShardRouter> router_;
   // fresque-lint: allow(guarded-by) same set-once-in-Start contract as router_
   std::unique_ptr<ShardedCloudServer> cloud_;
-  // fresque-lint: allow(guarded-by) shard vector shape fixed in Start(); workers only touch their own element
+  // fresque-lint: allow(guarded-by) shard vector shape fixed in Start(); its elements are caller-thread state
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Router-thread state: per-shard line buffers flushed as PushBatch.
-  // fresque-lint: allow(guarded-by) confined to the single caller thread (the class's Start/Ingest/Publish/Shutdown contract)
-  std::vector<std::vector<IngressFrame>> route_buf_;
-  /// Ciphertext headroom reserved beyond each routed line, from the
-  /// dataset's schema (SecureRecordCodec::CiphertextHeadroom).
-  // fresque-lint: allow(guarded-by) set once by Start(); read by the caller thread
-  size_t line_headroom_ = 0;
 
   /// Written by the caller thread only; atomic so current_publication()
   /// can be read from any thread.
   std::atomic<uint64_t> pn_{0};
-  // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_
+  // fresque-lint: allow(guarded-by) confined to the single caller thread (the class's Start/Ingest/Publish/Shutdown contract)
   double progress_ = 0;
-  // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_
+  // fresque-lint: allow(guarded-by) caller-thread confined, same contract as progress_
   bool started_ = false;
-  // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_
+  // fresque-lint: allow(guarded-by) caller-thread confined, same contract as progress_
   bool shut_down_ = false;
 
   mutable Mutex mu_;

@@ -146,16 +146,16 @@ SimResult SimulateShardedFresque(const CostModel& cm, size_t k,
                                  const std::vector<double>& shard_weights) {
   if (num_shards == 0) num_shards = 1;
   const double hop = (cm.hop_ns + cfg.extra_hop_ns) * kNsToS;
-  // Router: cheap indexed-attribute extraction + O(1) placement, then the
-  // ingress handoff. The real router hands lines to a shard as one
-  // PushBatch per net::kMaxBatch lines, so the two queue touches amortize
-  // across the batch; the extraction itself is per-record and
-  // un-amortized. This is the whole design bet: the only per-record work
-  // on the shared path is the substring scan.
-  constexpr double kRouterIngressBatch = net::kMaxBatch;
-  const double d_route =
-      cm.route_extract_ns * kNsToS + 2 * hop / kRouterIngressBatch;
-  const double d_dispatch = 2 * hop;
+  // Router: the caller's thread, every shard's dispatcher. Cheap
+  // indexed-attribute extraction + O(1) placement, then the handoff into
+  // the shard's computing-node mailboxes. The collector pushes each
+  // computing node one PushBatch per net::kMaxBatch frames, so the two
+  // queue touches amortize across the batch; the extraction itself is
+  // per-record and un-amortized. This is the whole design bet: the only
+  // per-record work on the shared path is the substring scan.
+  constexpr double kComputingInboxBatch = net::kMaxBatch;
+  const double d_handoff = 2 * hop / kComputingInboxBatch;
+  const double d_route = cm.route_extract_ns * kNsToS + d_handoff;
   const double d_cn =
       (cm.parse_ns + cm.leaf_offset_ns + cm.encrypt_ns) * kNsToS + hop;
   const double d_check =
@@ -165,7 +165,6 @@ SimResult SimulateShardedFresque(const CostModel& cm, size_t k,
 
   MultiServerStation router("router", 1);
   struct ShardStations {
-    MultiServerStation dispatcher;
     MultiServerStation cns;
     MultiServerStation checking;
     MultiServerStation cloud;
@@ -175,8 +174,7 @@ SimResult SimulateShardedFresque(const CostModel& cm, size_t k,
   shards.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     const std::string p = "shard" + std::to_string(i) + ".";
-    shards.push_back(ShardStations{MultiServerStation(p + "dispatcher", 1),
-                                   MultiServerStation(p + "computing-nodes", k),
+    shards.push_back(ShardStations{MultiServerStation(p + "computing-nodes", k),
                                    MultiServerStation(p + "checking-node", 1),
                                    MultiServerStation(p + "cloud", 1)});
   }
@@ -206,7 +204,6 @@ SimResult SimulateShardedFresque(const CostModel& cm, size_t k,
 
     const double arrived = arrivals.Next();
     double t = router.Process(arrived, d_route);
-    t = sh.dispatcher.Process(t, d_dispatch);
     t = sh.cns.Process(t, d_cn);
     t = sh.checking.Process(t, d_check);
     last = std::max(last, t);
@@ -216,7 +213,7 @@ SimResult SimulateShardedFresque(const CostModel& cm, size_t k,
     sh.dummy_debt += cfg.dummies_per_real;
     while (sh.dummy_debt >= 1.0) {
       sh.dummy_debt -= 1.0;
-      double td = sh.dispatcher.Process(arrived, d_dispatch);
+      double td = router.Process(arrived, d_handoff);
       td = sh.cns.Process(td, d_cn_dummy);
       td = sh.checking.Process(td, d_check);
       last = std::max(last, td);
@@ -224,7 +221,6 @@ SimResult SimulateShardedFresque(const CostModel& cm, size_t k,
   }
   std::vector<const MultiServerStation*> stations{&router};
   for (const auto& sh : shards) {
-    stations.push_back(&sh.dispatcher);
     stations.push_back(&sh.cns);
     stations.push_back(&sh.checking);
     stations.push_back(&sh.cloud);

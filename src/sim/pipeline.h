@@ -83,14 +83,17 @@ struct SimConfig {
 SimResult SimulateFresque(const CostModel& cm, size_t k, SimConfig cfg);
 
 /// Sharded FRESQUE (src/shard, DESIGN.md §17): one router in front of
-/// `num_shards` independent full pipelines (dispatcher -> k computing
-/// nodes -> checking node -> cloud each). The router is a single-server
-/// station paying `route_extract_ns` per record plus the ingress hops
-/// amortized over the real router's PushBatch depth, so the model exposes
-/// the point where the shared router itself becomes the bottleneck. `shard_weights`, when non-empty (size == num_shards),
-/// skews record placement (weighted round-robin) to model imbalance under
-/// skewed keys; empty means uniform. `num_shards == 1` degenerates to
-/// SimulateFresque plus the router hop.
+/// `num_shards` independent pipelines (k computing nodes -> checking node
+/// -> cloud each). The router is the caller's thread and every shard's
+/// dispatcher: a single-server station paying `route_extract_ns` per
+/// record plus the handoff into the shard's computing-node mailboxes,
+/// amortized over the collector's PushBatch depth. Each dummy costs it
+/// the same handoff. The model thus exposes the point where the shared
+/// router itself becomes the bottleneck. `shard_weights`, when non-empty
+/// (size == num_shards), skews record placement (weighted round-robin) to
+/// model imbalance under skewed keys; empty means uniform.
+/// `num_shards == 1` is SimulateFresque with the router's costs in place
+/// of the dispatcher's.
 SimResult SimulateShardedFresque(const CostModel& cm, size_t k,
                                  size_t num_shards, SimConfig cfg,
                                  const std::vector<double>& shard_weights = {});

@@ -235,8 +235,8 @@ TEST(AllocRegressionTest, WarmedMailboxHopIsAllocationFree) {
   EXPECT_EQ(after, before) << "mailbox hop allocated at steady state";
 }
 
-// The computing-node stage on the router's buffer: each line sits in a
-// buffer reserved with SecureRecordCodec::CiphertextHeadroom, is parsed
+// The computing-node stage on the dispatched line's buffer: each line sits
+// in a buffer reserved with SecureRecordCodec::CiphertextHeadroom, is parsed
 // from there, and is batch-encrypted into that same buffer. Every measured
 // batch uses buffers that were never encrypted into before, so a headroom
 // too small for some record shows up as a reallocation here.
@@ -258,7 +258,8 @@ TEST(AllocRegressionTest, RealRecordsEncryptIntoTheirRoutedLineBuffer) {
     SecureRecordCodec::BatchEncryptor enc(&*codec);
     Record scratch;
 
-    // What the router does, once per line and outside the measurement.
+    // What FresqueCollector::Ingest does, once per line and outside the
+    // measurement.
     std::vector<std::string> texts(kRounds * kBatch);
     for (auto& t : texts) t = (*gen)->NextLine();
     auto route = [&] {

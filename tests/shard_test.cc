@@ -1,9 +1,9 @@
 // Sharded scale-out invariants (DESIGN.md §17): placement arithmetic,
 // router extraction/fallback, cross-shard record conservation (every
 // record in exactly one shard's publications), and merged fan-out query
-// results against a single-shard oracle; plus the pipeline's interval-
-// progress forwarding, cross-thread publication counter and final
-// per-shard snapshots.
+// results against a single-shard oracle; plus the pipeline's thread
+// topology, interval-progress forwarding, cross-thread publication
+// counter and final per-shard snapshots.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -486,6 +487,44 @@ TEST(ShardedPipelineTest, UnparsableLinesBecomeShardParseErrorsNotDrops) {
   EXPECT_EQ(parse_errors, 5u);
 }
 
+size_t ThreadCount() {
+  namespace fs = std::filesystem;
+  return static_cast<size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
+}
+
+TEST(ShardedPipelineTest, EachShardRunsOnlyItsNodeThreads) {
+  // The caller is every shard's dispatcher, so a shard adds only its node
+  // threads: k computing nodes, checking, merger, acks and the cloud node.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "/proc/self/task is not available";
+  }
+  constexpr size_t kShards = 2;
+  constexpr size_t kNodes = 1;
+  constexpr size_t kExpected = kShards * (kNodes + 4);
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = Gowalla();
+  cfg.collector.num_computing_nodes = kNodes;
+  cfg.shard.num_shards = kShards;
+  shard::ShardedPipeline pipe(cfg, crypto::KeyManager(Bytes(32, 0x42)));
+  // ThreadSanitizer spawns a helper thread at the process's first thread
+  // creation; make that happen before the baseline count.
+  std::thread([] {}).join();
+  const size_t before = ThreadCount();
+  ASSERT_TRUE(pipe.Start().ok());
+  // A joined starter thread can linger in /proc for a moment; wait for the
+  // count to settle.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  size_t added = ThreadCount() - before;
+  while (added != kExpected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    added = ThreadCount() - before;
+  }
+  EXPECT_EQ(added, kExpected);
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+}
+
 TEST(ShardedPipelineTest, CurrentPublicationIsReadableFromAnyThread) {
   // /statusz polls current_publication() on the obs thread while the
   // caller publishes; under TSan a plain counter would race here.
@@ -547,13 +586,7 @@ TEST(ShardedPipelineTest, IntervalProgressReleasesDummiesBeforeTheBarrier) {
     pipe.SetIntervalProgress(static_cast<double>(i) / kInterval);
     ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
   }
-  // The shard workers drain their ingress queues asynchronously.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (dummies->Value() == before &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  // Ingest() releases due dummies on the caller's thread.
   EXPECT_GT(dummies->Value(), before)
       << "no dummy released before Publish(): progress was not forwarded";
   ASSERT_TRUE(pipe.Publish().ok());

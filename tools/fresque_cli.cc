@@ -446,8 +446,8 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
     }
   }
   obs_ready.store(false, std::memory_order_relaxed);  // /readyz goes 503
-  // Shutdown flushes the router, drains every shard and publishes each
-  // open interval, waiting for the final cloud acks.
+  // Shutdown drains every shard and publishes each open interval, waiting
+  // for the final cloud acks.
   if (auto st = pipe.Shutdown(); !st.ok()) return Fail(st.ToString());
   if (in_interval > 0) ++publications;
   if (auto st = pipe.WriteFinalSnapshots(); !st.ok()) {
