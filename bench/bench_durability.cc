@@ -1,8 +1,9 @@
 // Durability microbenchmarks (not a paper figure — the FRESQUE paper
 // assumes a durable cloud store without costing it): WAL append
-// throughput under each fsync policy, and recovery time as a function of
-// log size. Emits durability.json in the working directory so the
-// numbers land next to the figure CSVs in results/.
+// throughput under each fsync policy, recovery time as a function of log
+// size, and the time of each snapshot while the store grows. Emits
+// durability.json in the working directory so the numbers land next to
+// the figure CSVs in results/.
 
 #include <chrono>
 #include <cstdio>
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "cloud/server.h"
 #include "durability/recovery.h"
+#include "durability/snapshot_manager.h"
 #include "durability/wal.h"
 #include "index/index.h"
 #include "index/overflow.h"
@@ -139,6 +142,72 @@ RecoverResult BenchRecover(uint64_t n, size_t record_bytes, uint64_t pubs) {
   return r;
 }
 
+struct SnapshotResult {
+  int snapshot;
+  uint64_t publications;  // installed publications in the store
+  uint64_t records;       // records in the store
+  double seconds;
+};
+
+/// Times `snapshots` SnapshotManager::WriteSnapshot calls over one store,
+/// installing `pubs_per_snapshot` publications of `records_per_pub`
+/// records before each, every mutation logged as the cloud node logs it
+/// (WAL fsync never; snapshot files are fsynced as always).
+std::vector<SnapshotResult> BenchSnapshots(int snapshots,
+                                           uint64_t pubs_per_snapshot,
+                                           uint64_t records_per_pub,
+                                           size_t record_bytes) {
+  std::string dir = FreshDir("bench_snapshots");
+  constexpr size_t kLeaves = 64;
+  fresque::cloud::CloudServer server(
+      fresque::index::DomainBinning::Create(0, static_cast<double>(kLeaves), 1)
+          .ValueOrDie());
+  fresque::durability::WalOptions opts;
+  opts.dir = dir;
+  opts.fsync_policy = fresque::durability::FsyncPolicy::kNever;
+  auto wal = fresque::durability::Wal::Open(std::move(opts));
+  if (!wal.ok()) std::exit(1);
+  (void)(*wal)->AppendMeta(0, static_cast<double>(kLeaves), 1);
+  fresque::durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  sopts.snapshot_every_installs = 0;
+  fresque::durability::SnapshotManager manager(sopts, &server, wal->get());
+
+  const fresque::Bytes record(record_bytes, 0xEF);
+  const fresque::Bytes payload = PublicationPayload(kLeaves);
+  std::vector<SnapshotResult> out;
+  uint64_t pn = 0;
+  for (int s = 1; s <= snapshots; ++s) {
+    for (uint64_t p = 0; p < pubs_per_snapshot; ++p, ++pn) {
+      (void)server.StartPublication(pn);
+      (void)(*wal)->AppendStart(pn);
+      for (uint64_t i = 0; i < records_per_pub; ++i) {
+        const auto leaf = static_cast<uint32_t>(i % kLeaves);
+        (void)server.IngestRecord(pn, leaf, record);
+        (void)(*wal)->AppendRecord(pn, leaf, record);
+      }
+      auto pub = fresque::net::DecodeIndexPublication(payload);
+      if (!pub.ok() ||
+          !server.PublishIndexed(pn, std::move(*pub), payload).ok()) {
+        std::exit(1);
+      }
+      (void)(*wal)->AppendInstall(pn, payload);
+      (void)(*wal)->Commit();
+    }
+    auto t0 = Clock::now();
+    fresque::Status st = manager.WriteSnapshot();
+    const double seconds = SecondsSince(t0);
+    if (!st.ok()) {
+      std::cerr << "snapshot failed: " << st.ToString() << "\n";
+      std::exit(1);
+    }
+    out.push_back({s, pn, server.total_records(), seconds});
+  }
+  wal->reset();
+  fs::remove_all(dir);
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -180,6 +249,19 @@ int main() {
          fresque::bench::Fmt(r.records / r.seconds, "%.0f")});
   }
 
+  fresque::bench::TableWriter snapshot_table(
+      "Time of each snapshot while the store grows (8 installs of 5000 "
+      "128 B records between snapshots)",
+      {"snapshot", "publications", "store_records", "snapshot_ms"});
+  const std::vector<SnapshotResult> snaps =
+      BenchSnapshots(8, 8, 5000, kRecordBytes);
+  for (const auto& r : snaps) {
+    snapshot_table.Row({std::to_string(r.snapshot),
+                        std::to_string(r.publications),
+                        std::to_string(r.records),
+                        fresque::bench::Fmt(r.seconds * 1e3, "%.2f")});
+  }
+
   std::ofstream json("durability.json");
   json << "{\n  \"record_bytes\": " << kRecordBytes
        << ",\n  \"append_throughput\": [\n";
@@ -201,6 +283,15 @@ int main() {
          << ", \"seconds\": " << r.seconds
          << ", \"records_per_second\": " << (r.records / r.seconds) << "}"
          << (i + 1 < recovers.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"snapshot_time\": [\n";
+  for (size_t i = 0; i < snaps.size(); ++i) {
+    const auto& r = snaps[i];
+    json << "    {\"snapshot\": " << r.snapshot
+         << ", \"installed_publications\": " << r.publications
+         << ", \"store_records\": " << r.records
+         << ", \"seconds\": " << r.seconds << "}"
+         << (i + 1 < snaps.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::cout << "[json] durability.json\n";

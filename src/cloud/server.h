@@ -2,6 +2,7 @@
 #define FRESQUE_CLOUD_SERVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -167,16 +168,32 @@ class CloudServer {
   /// Hot-leaf descriptor cache shared by every query (DESIGN.md §15).
   const query::LeafCache& leaf_cache() const { return leaf_cache_; }
 
-  /// Persists the whole server state (every publication: ciphertext
-  /// segments, postings, indexes, overflow arrays, metadata of open
-  /// publications) to one snapshot file, so the cloud survives restarts.
-  Status SaveSnapshot(const std::string& path) const FRESQUE_EXCLUDES(mu_);
+  /// Picks the publications SaveSnapshot writes: called once per
+  /// publication, in pn order and under the server lock, with its pn and
+  /// whether it is installed. It must not call back into this server.
+  using PublicationFilter = std::function<bool(uint64_t pn, bool installed)>;
 
-  /// Restores a server from SaveSnapshot output. (Heap-allocated: the
-  /// server holds a mutex and is not movable.) The query view is rebuilt,
-  /// so restored stores serve lock-free queries immediately.
+  /// Persists server state (ciphertext segments, postings, indexes,
+  /// overflow arrays, metadata of open publications) to one snapshot file,
+  /// so the cloud survives restarts. Writes every publication, or only
+  /// those `which` picks when it is set.
+  Status SaveSnapshot(const std::string& path,
+                      const PublicationFilter& which = {}) const
+      FRESQUE_EXCLUDES(mu_);
+
+  /// Restores one server from SaveSnapshot files that hold disjoint
+  /// publications, such as a snapshot MANIFEST's list. (Heap-allocated:
+  /// the server holds a mutex and is not movable.) The query view is
+  /// rebuilt, so restored stores serve lock-free queries immediately.
+  /// Corruption when a pn appears twice or the files' binnings differ.
+  static Result<std::unique_ptr<CloudServer>> LoadSnapshots(
+      const std::vector<std::string>& paths);
+
+  /// One-file LoadSnapshots.
   static Result<std::unique_ptr<CloudServer>> LoadSnapshot(
-      const std::string& path);
+      const std::string& path) {
+    return LoadSnapshots({path});
+  }
 
   /// Number of publications the server knows about.
   size_t num_publications() const FRESQUE_EXCLUDES(mu_);
@@ -203,6 +220,11 @@ class CloudServer {
   };
 
   Result<Publication*> Find(uint64_t pn) FRESQUE_REQUIRES(mu_);
+
+  /// Parses one snapshot file into `*into`, creating the server from the
+  /// file's binning when `*into` is null (LoadSnapshots' loop body).
+  static Status LoadSnapshotFile(const std::string& path,
+                                 std::unique_ptr<CloudServer>* into);
 
   Result<MatchingStats> InstallPublication(
       uint64_t pn, Publication* pub, net::IndexPublication publication,

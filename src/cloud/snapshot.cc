@@ -1,5 +1,7 @@
-// CloudServer snapshot persistence: one binary file holding the whole
-// multi-publication state. Format (little-endian, length-prefixed):
+// CloudServer snapshot persistence: one binary file holding the state of
+// every publication, or of a chosen subset; a server loads from one file
+// or from several that hold disjoint publications. Format (little-endian,
+// length-prefixed):
 //   magic "FQSNAP02"
 //   binning: f64 dmin, f64 dmax, f64 width
 //   u64 publication count, then per publication:
@@ -14,6 +16,8 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "cloud/server.h"
 
@@ -46,15 +50,24 @@ Result<PhysicalAddress> GetAddress(BinaryReader* r) {
 
 }  // namespace
 
-Status CloudServer::SaveSnapshot(const std::string& path) const {
+Status CloudServer::SaveSnapshot(const std::string& path,
+                                 const PublicationFilter& which) const {
   MutexLock lock(mu_);
   BinaryWriter w;
   w.PutRaw(reinterpret_cast<const uint8_t*>(kMagic), sizeof(kMagic));
   w.PutF64(binning_.domain_min());
   w.PutF64(binning_.domain_max());
   w.PutF64(binning_.bin_width());
-  w.PutU64(publications_.size());
-  for (const auto& [pn, pub] : publications_) {
+  std::vector<const std::pair<const uint64_t, Publication>*> chosen;
+  chosen.reserve(publications_.size());
+  for (const auto& entry : publications_) {
+    if (!which || which(entry.first, entry.second.published())) {
+      chosen.push_back(&entry);
+    }
+  }
+  w.PutU64(chosen.size());
+  for (const auto* entry : chosen) {
+    const auto& [pn, pub] = *entry;
     w.PutU64(pn);
     w.PutU8(pub.published() ? 1 : 0);
     if (!pub.published()) {
@@ -93,8 +106,18 @@ Status CloudServer::SaveSnapshot(const std::string& path) const {
   return Status::OK();
 }
 
-Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshot(
-    const std::string& path) {
+Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshots(
+    const std::vector<std::string>& paths) {
+  if (paths.empty()) return Status::InvalidArgument("no snapshot file given");
+  std::unique_ptr<CloudServer> server;
+  for (const std::string& path : paths) {
+    FRESQUE_RETURN_NOT_OK(LoadSnapshotFile(path, &server));
+  }
+  return server;
+}
+
+Status CloudServer::LoadSnapshotFile(const std::string& path,
+                                     std::unique_ptr<CloudServer>* into) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IOError("cannot open " + path);
   std::streamsize size = in.tellg();
@@ -116,10 +139,18 @@ Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshot(
   if (!dmin.ok() || !dmax.ok() || !width.ok()) {
     return Status::Corruption("truncated snapshot header");
   }
-  auto binning = index::DomainBinning::Create(*dmin, *dmax, *width);
-  if (!binning.ok()) return binning.status();
-  auto server =
-      std::make_unique<CloudServer>(std::move(binning).ValueOrDie());
+  if (*into == nullptr) {
+    auto binning = index::DomainBinning::Create(*dmin, *dmax, *width);
+    if (!binning.ok()) return binning.status();
+    *into = std::make_unique<CloudServer>(std::move(binning).ValueOrDie());
+  }
+  CloudServer* server = into->get();
+  if (*dmin != server->binning_.domain_min() ||
+      *dmax != server->binning_.domain_max() ||
+      *width != server->binning_.bin_width()) {
+    return Status::Corruption("snapshot binning differs from the first: " +
+                              path);
+  }
   // The server is not visible to any other thread yet; the lock is
   // uncontended and exists so the thread-safety analysis can prove the
   // publications_ writes below.
@@ -139,6 +170,11 @@ Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshot(
     auto storage_bytes = r.GetBytes();
     if (!pn.ok() || !published.ok() || !storage_bytes.ok()) {
       return Status::Corruption("truncated publication header");
+    }
+    if (server->publications_.count(*pn) != 0) {
+      return Status::Corruption("publication " + std::to_string(*pn) +
+                                " appears twice in snapshot files (" + path +
+                                ")");
     }
     Publication pub;
     auto storage = SegmentStorage::Deserialize(*storage_bytes);
@@ -232,9 +268,9 @@ Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshot(
     server->publications_.emplace(*pn, std::move(pub));
   }
   if (!r.exhausted()) {
-    return Status::Corruption("trailing bytes in snapshot");
+    return Status::Corruption("trailing bytes in snapshot " + path);
   }
-  return server;
+  return Status::OK();
 }
 
 }  // namespace cloud

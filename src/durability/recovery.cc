@@ -1,7 +1,9 @@
 #include "durability/recovery.h"
 
 #include <filesystem>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "durability/snapshot_manager.h"
 #include "index/binning.h"
@@ -19,9 +21,12 @@ Result<RecoveredCloud> RecoveryManager::Recover(const std::string& dir,
   uint64_t after_lsn = 0;
   auto manifest = ReadManifest(dir);
   if (manifest.ok()) {
-    if (!manifest->snapshot_file.empty()) {
-      auto server =
-          cloud::CloudServer::LoadSnapshot(dir + "/" + manifest->snapshot_file);
+    if (!manifest->snapshot_files.empty()) {
+      std::vector<std::string> paths;
+      for (const std::string& file : manifest->snapshot_files) {
+        paths.push_back(dir + "/" + file);
+      }
+      auto server = cloud::CloudServer::LoadSnapshots(paths);
       if (!server.ok()) return server.status();
       out.server = std::move(*server);
       out.stats.snapshot_loaded = true;

@@ -39,9 +39,11 @@ struct RecoveredCloud {
 };
 
 /// Rebuilds a CloudServer from a durability data directory: loads the
-/// MANIFEST's snapshot (if any), then replays the WAL tail (frames past
-/// the snapshot's LSN) through the server's normal mutation API, so the
-/// recovered state is byte-identical to what was acked before the crash.
+/// snapshot files the MANIFEST lists (if any) into one server, then
+/// replays the WAL tail (frames past the MANIFEST's LSN) through the
+/// server's normal mutation API, so the recovered state is byte-identical
+/// to what was acked before the crash. Files the MANIFEST does not name
+/// are never read.
 ///
 /// Errors: NotFound when the directory holds neither a snapshot nor any
 /// WAL frame; Corruption when the log or snapshot is damaged anywhere

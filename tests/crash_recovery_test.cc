@@ -4,8 +4,11 @@
 // at randomized offsets. Recovery from every cut must restore all
 // publications whose ack preceded the cut byte-for-byte, and a cut inside
 // the final frame must be treated as a torn tail, never as data loss or a
-// crash. Randomized but reproducible: FRESQUE_CRASH_SEED selects the cut
-// sequence (CI runs many seeds under ASan+UBSan).
+// crash. A second harness crashes inside incremental snapshots: from
+// copies of the data dir taken just before and just after each snapshot
+// it rebuilds the directory a crash would leave between its steps.
+// Randomized but reproducible: FRESQUE_CRASH_SEED selects the cut
+// sequence and the workload (CI runs many seeds under ASan+UBSan).
 
 #include <gtest/gtest.h>
 
@@ -14,11 +17,13 @@
 #include <fstream>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "cloud/server.h"
 #include "durability/recovery.h"
+#include "durability/snapshot_manager.h"
 #include "durability/wal.h"
 #include "engine/cloud_node.h"
 #include "index/index.h"
@@ -60,6 +65,30 @@ void WriteAll(const std::string& path, const Bytes& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
+}
+
+/// Copies the files of `src` that `keep` accepts into a fresh dir.
+template <typename Keep>
+std::string CopyDir(const std::string& src, const std::string& name,
+                    Keep keep) {
+  std::string dst = FreshDir(name);
+  for (const auto& entry : fs::directory_iterator(src)) {
+    const std::string fname = entry.path().filename().string();
+    if (keep(fname)) WriteAll(dst + "/" + fname, ReadAll(entry.path().string()));
+  }
+  return dst;
+}
+
+std::set<std::string> FileNames(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+bool HasPrefix(const std::string& name, const char* prefix) {
+  return name.rfind(prefix, 0) == 0;
 }
 
 struct PubTruth {
@@ -251,6 +280,182 @@ TEST_F(CrashRecoveryTest, AckedPublicationsSurviveRandomizedCuts) {
   }
   // A cut beyond the file is a no-op: everything survives.
   CheckCut(dir, end + (1u << 20), trial++);
+  fs::remove_all(dir);
+}
+
+/// Recovers `dir` and checks it holds exactly `want`: every installed
+/// publication's evidence and every publication's records, byte for byte.
+void ExpectRecovers(const std::string& dir,
+                    const std::map<uint64_t, PubTruth>& want,
+                    const std::string& what) {
+  auto recovered = durability::RecoveryManager::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << what << ": " << recovered.status().ToString();
+  const cloud::CloudServer& server = *recovered->server;
+  EXPECT_EQ(server.num_publications(), want.size()) << what;
+  for (const auto& [pn, truth] : want) {
+    auto evidence = server.PublicationEvidence(pn);
+    if (truth.evidence.empty()) {
+      EXPECT_TRUE(evidence.status().IsNotFound()) << what << " pn " << pn;
+    } else {
+      ASSERT_TRUE(evidence.ok()) << what << ": acked publication " << pn
+                                 << " lost its evidence";
+      EXPECT_EQ(*evidence, truth.evidence) << what << " pn " << pn;
+    }
+    std::vector<Bytes> stored;
+    ASSERT_TRUE(server
+                    .ForEachStoredRecord(pn,
+                                         [&stored](const cloud::PhysicalAddress&,
+                                                   const uint8_t* d, size_t n) {
+                                           stored.emplace_back(d, d + n);
+                                           return Status::OK();
+                                         })
+                    .ok());
+    EXPECT_EQ(stored, truth.records)
+        << what << ": publication " << pn << " records not byte-identical";
+  }
+}
+
+/// Recovers the crash state `dir` as it is, then again with every snapshot
+/// file its MANIFEST does not name overwritten by garbage: both must hold
+/// exactly `want`, so recovery reads only the files the MANIFEST names.
+void CheckSnapshotCrash(const std::string& dir,
+                        const std::map<uint64_t, PubTruth>& want,
+                        const std::string& what) {
+  ExpectRecovers(dir, want, what);
+  std::set<std::string> named;
+  auto manifest = durability::ReadManifest(dir);
+  if (manifest.ok()) {
+    named.insert(manifest->snapshot_files.begin(),
+                 manifest->snapshot_files.end());
+  }
+  for (const std::string& name : FileNames(dir)) {
+    if ((HasPrefix(name, "sealed-") || HasPrefix(name, "open-")) &&
+        named.count(name) == 0) {
+      WriteAll(dir + "/" + name, Bytes(64, 0xEE));
+    }
+  }
+  ExpectRecovers(dir, want, what + " (unnamed files poisoned)");
+  fs::remove_all(dir);
+}
+
+TEST_F(CrashRecoveryTest, AckedPublicationsSurviveCrashesInsideASnapshot) {
+  const uint64_t seed = CrashSeed() + 2;
+  std::mt19937_64 rng(seed);
+  const std::string dir = FreshDir("crash_snap_src");
+  cloud::CloudServer server(
+      index::DomainBinning::Create(0, kLeaves, 1).ValueOrDie());
+  durability::WalOptions wopts;
+  wopts.dir = dir;
+  wopts.fsync_policy = durability::FsyncPolicy::kAlways;
+  wopts.segment_bytes = 1024;  // several segments, so truncation drops some
+  auto wal = durability::Wal::Open(std::move(wopts));
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  durability::Wal* log = wal->get();
+  ASSERT_TRUE(log->AppendMeta(0, kLeaves, 1).ok());
+  durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  sopts.snapshot_every_installs = 2;
+  durability::SnapshotManager manager(sopts, &server, log);
+
+  // The test thread plays the cloud node: apply, log, commit, then ack.
+  std::map<uint64_t, std::vector<int64_t>> counts;
+  auto ingest = [&](uint64_t pn, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t leaf = static_cast<uint32_t>(rng() % kLeaves);
+      Bytes rec(8 + rng() % 48);
+      for (auto& b : rec) b = static_cast<uint8_t>(rng());
+      ASSERT_TRUE(server.IngestRecord(pn, leaf, rec).ok());
+      ASSERT_TRUE(log->AppendRecord(pn, leaf, rec).ok());
+      counts[pn][leaf] += 1;
+      truth_[pn].records.push_back(std::move(rec));
+    }
+  };
+  auto open = [&](uint64_t pn) {
+    ASSERT_TRUE(server.StartPublication(pn).ok());
+    ASSERT_TRUE(log->AppendStart(pn).ok());
+    counts[pn].assign(kLeaves, 0);
+    truth_[pn];
+    ingest(pn, 10 + rng() % 30);
+  };
+
+  auto all = [](const std::string&) { return true; };
+  int snapshots = 0;
+  int segments_dropped = 0;
+  for (uint64_t pn = 0; pn <= kPublications; ++pn) {
+    // Publication pn opens before pn - 1 installs, so snapshots also write
+    // an open file, and records land after each snapshot too.
+    if (pn < kPublications) open(pn);
+    if (HasFatalFailure()) return;
+    if (pn == 0) continue;
+    const uint64_t done = pn - 1;
+    Bytes payload = PublicationPayload(kLeaves, counts[done]);
+    auto pub = net::DecodeIndexPublication(payload);
+    ASSERT_TRUE(pub.ok());
+    ASSERT_TRUE(server.PublishIndexed(done, std::move(*pub), payload).ok());
+    ASSERT_TRUE(log->AppendInstall(done, payload).ok());
+    ASSERT_TRUE(log->Commit().ok());  // fsync=always: durable, so acked
+    truth_[done].evidence = std::move(payload);
+
+    const std::string before = CopyDir(dir, "crash_snap_before", all);
+    durability::DurabilityMetrics m;
+    manager.FillMetrics(&m);
+    const uint64_t written = m.snapshots_written;
+    ASSERT_TRUE(manager.NoteInstall().ok());
+    manager.FillMetrics(&m);
+    if (m.snapshots_written > written) {
+      ++snapshots;
+      const std::string after = CopyDir(dir, "crash_snap_after", all);
+      const std::set<std::string> old_files = FileNames(before);
+      const std::set<std::string> new_files = FileNames(after);
+      auto is_new = [&](const std::string& n) {
+        return (HasPrefix(n, "sealed-") || HasPrefix(n, "open-")) &&
+               old_files.count(n) == 0;
+      };
+      for (const std::string& n : old_files) {
+        if (HasPrefix(n, "wal-") && new_files.count(n) == 0) ++segments_dropped;
+      }
+      // A crash point: the files `take_new` picks from the copy after the
+      // snapshot plus those `keep_old` picks from the copy before it.
+      // Nothing is appended during a snapshot, so a WAL segment in both
+      // copies has the same bytes.
+      auto point = [&](auto take_new, auto keep_old) {
+        std::string crash = CopyDir(after, "crash_snap_point", take_new);
+        for (const std::string& n : old_files) {
+          if (keep_old(n)) WriteAll(crash + "/" + n, ReadAll(before + "/" + n));
+        }
+        return crash;
+      };
+      const std::string at = "pn " + std::to_string(done) + " snapshot " +
+                             std::to_string(snapshots) + " ";
+      auto new_sealed = [&](const std::string& n) {
+        return is_new(n) && HasPrefix(n, "sealed-");
+      };
+      CheckSnapshotCrash(point(new_sealed, all), truth_,
+                         at + "after the sealed file's rename");
+      CheckSnapshotCrash(point(is_new, all), truth_,
+                         at + "after the open file's rename");
+      CheckSnapshotCrash(
+          point([&](const std::string& n) { return is_new(n) || n == "MANIFEST"; },
+                [](const std::string& n) { return n != "MANIFEST"; }),
+          truth_, at + "after the MANIFEST flip");
+      CheckSnapshotCrash(point(all,
+                               [&](const std::string& n) {
+                                 return new_files.count(n) == 0 &&
+                                        !HasPrefix(n, "wal-");
+                               }),
+                         truth_, at + "after truncation, before cleanup");
+      CheckSnapshotCrash(point(all, [](const std::string&) { return false; }),
+                         truth_, at + "after cleanup");
+      fs::remove_all(after);
+    }
+    fs::remove_all(before);
+    if (HasFatalFailure()) return;
+    if (pn < kPublications) ingest(pn, 5 + rng() % 20);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(snapshots, static_cast<int>(kPublications / 2));
+  EXPECT_GT(segments_dropped, 0) << "no crash point fell between truncation "
+                                    "and cleanup";
   fs::remove_all(dir);
 }
 

@@ -4,11 +4,13 @@
 // storage / snapshot codecs.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,6 +79,47 @@ TEST(Crc32Test, KnownVectorAndChaining) {
   split = durability::Crc32(check + 4, sizeof(check) - 4, split);
   EXPECT_EQ(split, 0xCBF43926u);
   EXPECT_EQ(durability::Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, EmptyInputReturnsTheSeed) {
+  const uint8_t byte = 0x5A;
+  for (uint32_t seed : {0u, 1u, 0xCBF43926u, 0xFFFFFFFFu}) {
+    EXPECT_EQ(durability::Crc32(&byte, 0, seed), seed);
+    EXPECT_EQ(durability::Crc32(nullptr, 0, seed), seed);
+  }
+}
+
+// Bit-at-a-time CRC-32, the reference the table kernel is checked against.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesByteLoopAtRandomLengthsAndOffsets) {
+  std::mt19937 rng(20261017);
+  Bytes buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t len = rng() % 4097;
+    const size_t off = rng() % 8;  // every word alignment
+    const uint32_t seed = (trial % 2 == 0) ? 0u : static_cast<uint32_t>(rng());
+    const uint8_t* p = buf.data() + off;
+    const uint32_t want = ReferenceCrc32(p, len, seed);
+    ASSERT_EQ(durability::Crc32(p, len, seed), want)
+        << "len " << len << " offset " << off << " seed " << seed;
+    // Chained calls over any split equal one call.
+    const size_t cut = len == 0 ? 0 : rng() % (len + 1);
+    ASSERT_EQ(durability::Crc32(p + cut, len - cut,
+                                durability::Crc32(p, cut, seed)),
+              want)
+        << "len " << len << " split at " << cut;
+  }
 }
 
 // --- Fsync policy parsing ------------------------------------------------
@@ -540,6 +583,17 @@ TEST(SegmentStorageTest, BitFlipsNeverCrashDeserialize) {
 
 // --- Cloud snapshot hardening --------------------------------------------
 
+/// An index publication payload over the 10-leaf domain [0, 10).
+Bytes IndexPayload(const std::vector<int64_t>& counts) {
+  auto layout = index::IndexLayout::Create(10, 4);
+  auto idx = index::HistogramIndex::FromLeafCounts(
+      std::move(layout).ValueOrDie(),
+      index::DomainBinning::Create(0, 10, 1).ValueOrDie(), counts);
+  index::OverflowArrays ovf(10, 1);
+  return net::EncodeIndexPublication(net::IndexPublication(
+      std::move(idx).ValueOrDie(), std::move(ovf)));
+}
+
 std::unique_ptr<cloud::CloudServer> SmallPublishedServer() {
   auto binning = index::DomainBinning::Create(0, 10, 1);
   auto server =
@@ -548,14 +602,7 @@ std::unique_ptr<cloud::CloudServer> SmallPublishedServer() {
   for (uint32_t i = 0; i < 30; ++i) {
     EXPECT_TRUE(server->IngestRecord(0, i % 10, Bytes(16, uint8_t(i))).ok());
   }
-  auto layout = index::IndexLayout::Create(10, 4);
-  std::vector<int64_t> counts(10, 3);
-  auto idx = index::HistogramIndex::FromLeafCounts(
-      std::move(layout).ValueOrDie(),
-      index::DomainBinning::Create(0, 10, 1).ValueOrDie(), counts);
-  index::OverflowArrays ovf(10, 1);
-  Bytes payload = net::EncodeIndexPublication(net::IndexPublication(
-      std::move(idx).ValueOrDie(), std::move(ovf)));
+  Bytes payload = IndexPayload(std::vector<int64_t>(10, 3));
   auto pub = net::DecodeIndexPublication(payload);
   EXPECT_TRUE(pub.ok());
   EXPECT_TRUE(
@@ -603,7 +650,96 @@ TEST(SnapshotHardeningTest, TruncationsAndBitFlipsFailCleanly) {
   std::remove(tmp.c_str());
 }
 
+TEST(LoadSnapshotsTest, MergesFilesThatHoldDisjointPublications) {
+  auto server = SmallPublishedServer();  // pn 0 installed, pn 1 open
+  const std::string installed = FreshDir("load_merge") + "/installed.bin";
+  const std::string open = FreshDir("load_merge_open") + "/open.bin";
+  ASSERT_TRUE(server
+                  ->SaveSnapshot(installed,
+                                 [](uint64_t, bool inst) { return inst; })
+                  .ok());
+  ASSERT_TRUE(
+      server->SaveSnapshot(open, [](uint64_t, bool inst) { return !inst; })
+          .ok());
+  auto only_installed = cloud::CloudServer::LoadSnapshot(installed);
+  ASSERT_TRUE(only_installed.ok()) << only_installed.status().ToString();
+  EXPECT_EQ((*only_installed)->num_publications(), 1u);
+  EXPECT_TRUE((*only_installed)->PublicationEvidence(0).ok());
+
+  auto merged = cloud::CloudServer::LoadSnapshots({installed, open});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ((*merged)->num_publications(), server->num_publications());
+  EXPECT_EQ((*merged)->total_records(), server->total_records());
+  EXPECT_EQ((*merged)->total_bytes(), server->total_bytes());
+  EXPECT_EQ((*merged)->view_epoch(), server->view_epoch());
+}
+
+TEST(LoadSnapshotsTest, RejectsAPublicationInTwoFiles) {
+  auto server = SmallPublishedServer();
+  const std::string dir = FreshDir("load_dup");
+  ASSERT_TRUE(server->SaveSnapshot(dir + "/all.bin").ok());
+  ASSERT_TRUE(server
+                  ->SaveSnapshot(dir + "/installed.bin",
+                                 [](uint64_t, bool inst) { return inst; })
+                  .ok());
+  auto loaded =
+      cloud::CloudServer::LoadSnapshots({dir + "/all.bin", dir + "/installed.bin"});
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+}
+
+TEST(LoadSnapshotsTest, RejectsFilesWithDifferentBinnings) {
+  const std::string dir = FreshDir("load_binning");
+  auto server = SmallPublishedServer();  // [0, 10), width 1
+  ASSERT_TRUE(server
+                  ->SaveSnapshot(dir + "/a.bin",
+                                 [](uint64_t, bool inst) { return inst; })
+                  .ok());
+  cloud::CloudServer other(index::DomainBinning::Create(0, 10, 2).ValueOrDie());
+  ASSERT_TRUE(other.StartPublication(7).ok());
+  ASSERT_TRUE(other.SaveSnapshot(dir + "/b.bin").ok());
+  auto loaded =
+      cloud::CloudServer::LoadSnapshots({dir + "/a.bin", dir + "/b.bin"});
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+}
+
+TEST(LoadSnapshotsTest, FailsOnAMissingFile) {
+  const std::string dir = FreshDir("load_missing");
+  auto server = SmallPublishedServer();
+  ASSERT_TRUE(server->SaveSnapshot(dir + "/a.bin").ok());
+  auto loaded =
+      cloud::CloudServer::LoadSnapshots({dir + "/a.bin", dir + "/gone.bin"});
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_FALSE(cloud::CloudServer::LoadSnapshots({}).ok());
+}
+
 // --- SnapshotManager -----------------------------------------------------
+
+/// The `snapshot=` lines of `dir`/MANIFEST, in order, read from the file
+/// itself so the tests pin the on-disk format.
+std::vector<std::string> ManifestLines(const std::string& dir) {
+  Bytes raw = ReadAll(dir + "/MANIFEST");
+  std::istringstream in(std::string(raw.begin(), raw.end()));
+  std::vector<std::string> files;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("snapshot=", 0) == 0) files.push_back(line.substr(9));
+  }
+  return files;
+}
+
+/// Files in `dir` whose names start with `prefix`.
+size_t CountFiles(const std::string& dir, const std::string& prefix) {
+  size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
+}
+
+ino_t Inode(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
 
 TEST(SnapshotManagerTest, WritesManifestAtomicallyAndTruncatesWal) {
   std::string dir = FreshDir("snapmgr");
@@ -635,27 +771,33 @@ TEST(SnapshotManagerTest, WritesManifestAtomicallyAndTruncatesWal) {
   auto manifest = durability::ReadManifest(dir);
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   EXPECT_EQ(manifest->wal_lsn, (*wal)->last_lsn());
-  ASSERT_FALSE(manifest->snapshot_file.empty());
-  EXPECT_TRUE(fs::exists(dir + "/" + manifest->snapshot_file));
+  ASSERT_FALSE(manifest->snapshot_files.empty());
+  std::vector<std::string> paths;
+  for (const std::string& file : manifest->snapshot_files) {
+    EXPECT_TRUE(fs::exists(dir + "/" + file)) << file;
+    paths.push_back(dir + "/" + file);
+  }
   EXPECT_LT(WalFiles(dir).size(), segments_before);
 
-  // The named snapshot loads and holds the full state.
-  auto restored =
-      cloud::CloudServer::LoadSnapshot(dir + "/" + manifest->snapshot_file);
+  // The named snapshot files load and hold the full state.
+  auto restored = cloud::CloudServer::LoadSnapshots(paths);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->total_records(), 20u);
 
-  // A second snapshot replaces the first (old file garbage-collected).
+  // A second snapshot replaces the open file (old file garbage-collected):
+  // exactly the files the new MANIFEST names remain.
+  ASSERT_TRUE(server.IngestRecord(0, 0, Bytes(40, 0x13)).ok());
+  ASSERT_TRUE((*wal)->AppendRecord(0, 0, Bytes(40, 0x13)).ok());
   ASSERT_TRUE(manager.WriteSnapshot().ok());
   auto manifest2 = durability::ReadManifest(dir);
   ASSERT_TRUE(manifest2.ok());
-  size_t snapshot_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().filename().string().rfind("snapshot-", 0) == 0) {
-      ++snapshot_files;
-    }
+  EXPECT_NE(manifest2->snapshot_files, manifest->snapshot_files);
+  for (const std::string& file : manifest->snapshot_files) {
+    EXPECT_FALSE(fs::exists(dir + "/" + file)) << file;
   }
-  EXPECT_EQ(snapshot_files, 1u);
+  EXPECT_EQ(CountFiles(dir, "sealed-") + CountFiles(dir, "open-") +
+                CountFiles(dir, "snapshot-"),
+            manifest2->snapshot_files.size());
 
   durability::DurabilityMetrics m;
   manager.FillMetrics(&m);
@@ -666,9 +808,154 @@ TEST(SnapshotManagerTest, WritesManifestAtomicallyAndTruncatesWal) {
 TEST(SnapshotManagerTest, RejectsEscapingManifestPath) {
   std::string dir = FreshDir("manifest_escape");
   ASSERT_TRUE(
-      durability::WriteManifest(dir, {"../../etc/passwd", 1}).ok());
+      durability::WriteManifest(dir, {{"../../etc/passwd"}, 1}).ok());
   auto manifest = durability::ReadManifest(dir);
   EXPECT_TRUE(manifest.status().IsCorruption());
+  // Every listed name is checked, not just the first.
+  ASSERT_TRUE(durability::WriteManifest(
+                  dir, {{"sealed-0000000001.bin", "../open.bin"}, 1})
+                  .ok());
+  EXPECT_TRUE(durability::ReadManifest(dir).status().IsCorruption());
+}
+
+TEST(SnapshotManagerTest, SnapshotOfAnEmptyStoreKeepsItsBinning) {
+  // The snapshot truncates the WAL's meta frame away, so the MANIFEST must
+  // name a file that carries the binning even with no publication to hold.
+  std::string dir = FreshDir("snapmgr_empty");
+  auto wal = durability::Wal::Open(TinyWalOptions(dir));
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->AppendMeta(0, 10, 1).ok());
+  cloud::CloudServer server(index::DomainBinning::Create(0, 10, 1).ValueOrDie());
+  durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  durability::SnapshotManager manager(sopts, &server, wal->get());
+  ASSERT_TRUE(manager.WriteSnapshot().ok());
+  ASSERT_EQ(ManifestLines(dir).size(), 1u);
+
+  ASSERT_TRUE(server.StartPublication(0).ok());
+  ASSERT_TRUE((*wal)->AppendStart(0).ok());
+  ASSERT_TRUE(server.IngestRecord(0, 3, Bytes(8, 0x31)).ok());
+  ASSERT_TRUE((*wal)->AppendRecord(0, 3, Bytes(8, 0x31)).ok());
+  ASSERT_TRUE((*wal)->Commit().ok());
+  auto recovered = durability::RecoveryManager::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->server->total_records(), 1u);
+}
+
+TEST(SnapshotManagerTest, SealsEachInstalledPublicationOnce) {
+  std::string dir = FreshDir("snapmgr_seal");
+  auto wal = durability::Wal::Open(TinyWalOptions(dir, /*segment_bytes=*/512));
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->AppendMeta(0, 10, 1).ok());
+  cloud::CloudServer server(index::DomainBinning::Create(0, 10, 1).ValueOrDie());
+  durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  sopts.snapshot_every_installs = 2;
+  durability::SnapshotManager manager(sopts, &server, wal->get());
+
+  // Both the server and the WAL see every mutation, as on the cloud node.
+  constexpr uint32_t kRecords = 12;
+  auto open = [&](uint64_t pn) {
+    ASSERT_TRUE(server.StartPublication(pn).ok());
+    ASSERT_TRUE((*wal)->AppendStart(pn).ok());
+    for (uint32_t i = 0; i < kRecords; ++i) {
+      const Bytes rec(16, static_cast<uint8_t>(pn * kRecords + i));
+      ASSERT_TRUE(server.IngestRecord(pn, i % 10, rec).ok());
+      ASSERT_TRUE((*wal)->AppendRecord(pn, i % 10, rec).ok());
+    }
+  };
+  auto install = [&](uint64_t pn) {
+    std::vector<int64_t> counts(10, 1);
+    counts[0] = counts[1] = 2;
+    Bytes payload = IndexPayload(counts);
+    auto pub = net::DecodeIndexPublication(payload);
+    ASSERT_TRUE(pub.ok());
+    ASSERT_TRUE(server.PublishIndexed(pn, std::move(*pub), payload).ok());
+    ASSERT_TRUE((*wal)->AppendInstall(pn, payload).ok());
+    ASSERT_TRUE((*wal)->Commit().ok());
+    ASSERT_TRUE(manager.NoteInstall().ok());
+  };
+
+  // Publication pn opens, then pn - 1 installs; every second install
+  // snapshots, with pn open. Three snapshots: {0,1}+2, {2,3}+4, {4,5}+6.
+  std::vector<std::string> sealed;
+  ino_t first_inode = 0;
+  Bytes first_bytes;
+  for (uint64_t pn = 0; pn <= 6; ++pn) {
+    open(pn);
+    if (pn > 0) install(pn - 1);
+    if (HasFatalFailure()) return;
+    if (pn == 0 || pn % 2 == 1) continue;
+
+    // The MANIFEST lists the earlier sealed files unchanged and in order,
+    // then this snapshot's sealed file, then its open file.
+    const std::vector<std::string> files = ManifestLines(dir);
+    ASSERT_EQ(files.size(), sealed.size() + 2) << "after installing " << pn - 1;
+    for (size_t i = 0; i < sealed.size(); ++i) EXPECT_EQ(files[i], sealed[i]);
+    const std::string fresh = files[sealed.size()];
+    const std::string open_file = files.back();
+    ASSERT_EQ(fresh.rfind("sealed-", 0), 0u) << fresh;
+    ASSERT_EQ(open_file.rfind("open-", 0), 0u) << open_file;
+    sealed.push_back(fresh);
+
+    // The new sealed file holds exactly this snapshot's two installs...
+    auto got = cloud::CloudServer::LoadSnapshot(dir + "/" + fresh);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ((*got)->num_publications(), 2u);
+    EXPECT_TRUE((*got)->PublicationEvidence(pn - 2).ok());
+    EXPECT_TRUE((*got)->PublicationEvidence(pn - 1).ok());
+    // ...and the open file only the open publication.
+    auto open_state = cloud::CloudServer::LoadSnapshot(dir + "/" + open_file);
+    ASSERT_TRUE(open_state.ok()) << open_state.status().ToString();
+    EXPECT_EQ((*open_state)->num_publications(), 1u);
+    EXPECT_EQ((*open_state)->total_records(), kRecords);
+    EXPECT_TRUE((*open_state)->PublicationEvidence(pn).status().IsNotFound());
+    // Only the named files are left on disk.
+    EXPECT_EQ(CountFiles(dir, "sealed-"), sealed.size());
+    EXPECT_EQ(CountFiles(dir, "open-"), 1u);
+    EXPECT_EQ(CountFiles(dir, "snapshot-"), 0u);
+
+    if (sealed.size() == 1) {
+      first_inode = Inode(dir + "/" + fresh);
+      first_bytes = ReadAll(dir + "/" + fresh);
+    }
+  }
+  ASSERT_EQ(sealed.size(), 3u);
+  // The first sealed file was written once: same inode, same bytes.
+  EXPECT_EQ(Inode(dir + "/" + sealed[0]), first_inode);
+  EXPECT_EQ(ReadAll(dir + "/" + sealed[0]), first_bytes);
+
+  auto recovered = durability::RecoveryManager::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->server->num_publications(), 7u);
+  EXPECT_EQ(recovered->server->total_records(), server.total_records());
+  EXPECT_EQ(recovered->server->total_bytes(), server.total_bytes());
+  for (uint64_t pn = 0; pn < 6; ++pn) {
+    EXPECT_EQ(*recovered->server->PublicationEvidence(pn),
+              *server.PublicationEvidence(pn));
+  }
+
+  // Nothing logged since the last snapshot: nothing to write.
+  const Bytes manifest_bytes = ReadAll(dir + "/MANIFEST");
+  ASSERT_TRUE(manager.WriteSnapshot().ok());
+  EXPECT_EQ(ReadAll(dir + "/MANIFEST"), manifest_bytes);
+
+  // A new manager over the directory starts with nothing sealed. At the
+  // same LSN its files would replace ones the MANIFEST names, so it fails
+  // and changes nothing; once the log moves on, it seals every installed
+  // publication into one file and the older files go.
+  durability::SnapshotManager reused(sopts, &server, wal->get());
+  EXPECT_TRUE(reused.WriteSnapshot().IsFailedPrecondition());
+  EXPECT_EQ(ReadAll(dir + "/MANIFEST"), manifest_bytes);
+  ASSERT_TRUE(server.IngestRecord(6, 0, Bytes(16, 0x77)).ok());
+  ASSERT_TRUE((*wal)->AppendRecord(6, 0, Bytes(16, 0x77)).ok());
+  ASSERT_TRUE(reused.WriteSnapshot().ok());
+  EXPECT_EQ(ManifestLines(dir).size(), 2u);
+  EXPECT_EQ(CountFiles(dir, "sealed-"), 1u);
+  EXPECT_EQ(CountFiles(dir, "open-"), 1u);
+  auto again = durability::RecoveryManager::Recover(dir);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->server->total_bytes(), server.total_bytes());
 }
 
 // --- Recovery ------------------------------------------------------------
@@ -830,6 +1117,65 @@ TEST(RecoveryTest, SnapshotPlusWalTailRecoversEverything) {
   EXPECT_TRUE(recovered->stats.snapshot_loaded);
   EXPECT_EQ(recovered->stats.records_replayed, 5u);
   EXPECT_EQ(recovered->server->total_records(), 15u);
+}
+
+TEST(RecoveryTest, ReadsAVersion1Manifest) {
+  // The layout before incremental snapshots: one whole-store
+  // snapshot-<lsn>.bin named by an FQMANIFEST1, plus a WAL tail.
+  std::string dir = FreshDir("recover_manifest_v1");
+  cloud::CloudServer server(index::DomainBinning::Create(0, 10, 1).ValueOrDie());
+  auto wal = durability::Wal::Open(TinyWalOptions(dir));
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->AppendMeta(0, 10, 1).ok());
+  for (uint64_t pn = 0; pn < 2; ++pn) {
+    ASSERT_TRUE(server.StartPublication(pn).ok());
+    ASSERT_TRUE((*wal)->AppendStart(pn).ok());
+    for (uint32_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(server.IngestRecord(pn, i, Bytes(6, uint8_t(i))).ok());
+      ASSERT_TRUE((*wal)->AppendRecord(pn, i, Bytes(6, uint8_t(i))).ok());
+    }
+  }
+  Bytes payload = IndexPayload(std::vector<int64_t>(10, 1));
+  auto pub = net::DecodeIndexPublication(payload);
+  ASSERT_TRUE(pub.ok());
+  ASSERT_TRUE(server.PublishIndexed(0, std::move(*pub), payload).ok());
+  ASSERT_TRUE((*wal)->AppendInstall(0, payload).ok());
+  ASSERT_TRUE((*wal)->Commit().ok());
+
+  const uint64_t lsn = (*wal)->last_lsn();
+  char name[48];
+  std::snprintf(name, sizeof(name), "snapshot-%010llu.bin",
+                static_cast<unsigned long long>(lsn));
+  ASSERT_TRUE(server.SaveSnapshot(dir + "/" + name).ok());
+  const std::string v1 = "FQMANIFEST1\nsnapshot=" + std::string(name) +
+                         "\nwal_lsn=" + std::to_string(lsn) + "\n";
+  WriteAll(dir + "/MANIFEST", Bytes(v1.begin(), v1.end()));
+
+  // The tail: more records for the open publication, in the WAL only.
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(server.IngestRecord(1, i, Bytes(6, 0x40)).ok());
+    ASSERT_TRUE((*wal)->AppendRecord(1, i, Bytes(6, 0x40)).ok());
+  }
+  ASSERT_TRUE((*wal)->Commit().ok());
+
+  auto manifest = durability::ReadManifest(dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->snapshot_files, std::vector<std::string>{name});
+  EXPECT_EQ(manifest->wal_lsn, lsn);
+
+  auto recovered = durability::RecoveryManager::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered->stats.snapshot_loaded);
+  EXPECT_EQ(recovered->stats.records_replayed, 4u);
+  EXPECT_EQ(recovered->server->num_publications(), 2u);
+  EXPECT_EQ(recovered->server->total_records(), server.total_records());
+  EXPECT_EQ(*recovered->server->PublicationEvidence(0), payload);
+
+  // A version-1 MANIFEST names one snapshot at most.
+  const std::string two = "FQMANIFEST1\nsnapshot=a.bin\nsnapshot=b.bin\n"
+                          "wal_lsn=1\n";
+  WriteAll(dir + "/MANIFEST", Bytes(two.begin(), two.end()));
+  EXPECT_TRUE(durability::ReadManifest(dir).status().IsCorruption());
 }
 
 TEST(RecoveryTest, EmptyDirIsNotFound) {

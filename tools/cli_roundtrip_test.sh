@@ -6,7 +6,8 @@
 #
 # Usage: tools/cli_roundtrip_test.sh <path-to-fresque_cli>
 #
-# Asserts that every ingest flag takes effect at both shard counts, that
+# Asserts that every ingest flag takes effect at both shard counts (each
+# install snapshots, so wal-dump lists several sealed files), that
 # the conservation ledger balances, that recovery returns the same
 # matches, that no command reports an ignored flag, that a bad key hex
 # exits 1, that a flag given to a command that does not read it, a zero
@@ -42,7 +43,7 @@ for N in 1 4; do
   echo "== --shards=$N"
   SH=(--shards="$N")
   run ingest gowalla lines.txt "snap$N.bin" 1.0 2 5000 "${SH[@]}" \
-    --data-dir="dd$N" --fsync=never --admission-rps=5000 \
+    --data-dir="dd$N" --fsync=never --snapshot-every=1 --admission-rps=5000 \
     --metrics-out="m$N.json" >"ingest$N.log"
   grep -q "conservation: $LINES ingested == $LINES routed" "ingest$N.log" \
     || { cat "ingest$N.log"; fail "conservation ledger does not balance"; }
@@ -59,6 +60,10 @@ for N in 1 4; do
     [[ -s "snap$N.bin.shard-$i" ]] || fail "missing snap$N.bin.shard-$i"
     [[ -f "dd$N/shard-$i/MANIFEST" ]] || fail "no MANIFEST in dd$N/shard-$i"
   done
+  run wal-dump "dd$N/shard-0" >"waldump$N.log"
+  files=$(grep -c '^  snapshot=' "waldump$N.log" || true)
+  [[ "$files" -ge 2 ]] \
+    || { cat "waldump$N.log"; fail "--snapshot-every=1 left $files snapshot file(s) at N=$N"; }
 
   run inspect "snap$N.bin" >"inspect$N.log"
   grep -q "shards: $N" "inspect$N.log" || fail "inspect does not see $N shards"
@@ -76,7 +81,7 @@ for N in 1 4; do
   [[ -n "$before" && "$before" -gt 0 ]] || fail "query matched nothing"
   [[ "$before" == "$after" ]] \
     || fail "recovery changed the answer at N=$N: $before vs $after"
-  echo "   $before matches before and after recovery, $shed line(s) shed"
+  echo "   $before matches before and after recovery, $shed line(s) shed, $files snapshot files"
 done
 
 if grep -qi "ignored" err.log; then

@@ -35,8 +35,11 @@
 //                         implies the install is durable, and `recover`
 //                         rebuilds the store after a crash
 //   --fsync=<policy>      always | interval | interval:<ms> | never
-//   --snapshot-every=<n>  snapshot + truncate the WAL every n installs
-//                         (0 = only the final snapshot)
+//   --snapshot-every=<n>  every n installs, write the newly installed
+//                         publications to one sealed file and the open
+//                         ones to an open file, then truncate the WAL
+//                         (0 = only the final snapshot); `wal-dump`
+//                         prints the MANIFEST's file list, then the log
 //
 // Observability flags (apply to `ingest`, see DESIGN.md §11):
 //   --metrics-out=<file>        dump the metrics registry periodically and
@@ -672,10 +675,11 @@ int CmdInspect(const std::string& snap_path) {
 int CmdWalDump(const std::string& data_dir) {
   auto manifest = durability::ReadManifest(data_dir);
   if (manifest.ok()) {
-    std::cout << "MANIFEST: snapshot="
-              << (manifest->snapshot_file.empty() ? "(none)"
-                                                  : manifest->snapshot_file)
-              << " wal_lsn=" << manifest->wal_lsn << "\n";
+    std::cout << "MANIFEST: wal_lsn=" << manifest->wal_lsn << ", "
+              << manifest->snapshot_files.size() << " snapshot file(s)\n";
+    for (const std::string& file : manifest->snapshot_files) {
+      std::cout << "  snapshot=" << file << "\n";
+    }
   } else if (manifest.status().IsNotFound()) {
     std::cout << "MANIFEST: (none)\n";
   } else {
