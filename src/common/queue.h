@@ -17,6 +17,10 @@ namespace fresque {
 
 namespace internal {
 
+/// Nanoseconds this thread has spent in BoundedQueue pushes waiting for a
+/// full queue to make room. Read through PushBlockedNanos().
+inline thread_local uint64_t push_blocked_ns = 0;
+
 /// FIFO over one contiguous slot array, the storage of BoundedQueue.
 ///
 /// Grows by doubling when a push finds it full, up to `limit` (the owning
@@ -77,6 +81,13 @@ class Ring {
 
 }  // namespace internal
 
+/// Nanoseconds the calling thread has spent blocked in BoundedQueue pushes
+/// (Push, PushBatch) on full queues, since the thread started. Sample it
+/// before and after a stretch of work to learn how much of that stretch
+/// was back-pressure. Only the not-full wait path reads the clock, so a
+/// push that finds room costs nothing extra.
+inline uint64_t PushBlockedNanos() { return internal::push_blocked_ns; }
+
 /// Thread-safe bounded FIFO used as the mailbox between pipeline nodes.
 ///
 /// Push blocks while full (back-pressure, like a TCP socket with a bounded
@@ -104,7 +115,7 @@ class BoundedQueue {
   FRESQUE_HOT bool Push(T item) FRESQUE_EXCLUDES(mu_) {
     {
       MutexLock lock(mu_);
-      while (!closed_ && items_.size() >= capacity_) not_full_.Wait(mu_);
+      WaitForRoomLocked();
       if (closed_) {
         ++rejected_closed_;
         return false;
@@ -130,7 +141,7 @@ class BoundedQueue {
       size_t chunk = 0;
       {
         MutexLock lock(mu_);
-        while (!closed_ && items_.size() >= capacity_) not_full_.Wait(mu_);
+        WaitForRoomLocked();
         if (closed_) {
           rejected_closed_ += n - accepted;
           return accepted;
@@ -319,6 +330,15 @@ class BoundedQueue {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+  }
+
+  /// Blocks while the queue is full and open, adding the wait to the
+  /// calling thread's PushBlockedNanos().
+  void WaitForRoomLocked() FRESQUE_REQUIRES(mu_) {
+    if (closed_ || items_.size() < capacity_) return;
+    const int64_t start = NowNs();
+    while (!closed_ && items_.size() >= capacity_) not_full_.Wait(mu_);
+    internal::push_blocked_ns += static_cast<uint64_t>(NowNs() - start);
   }
 
   void StampPushLocked() FRESQUE_REQUIRES(mu_) {

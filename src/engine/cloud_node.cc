@@ -34,7 +34,7 @@ bool CloudNode::HandleBatch(std::vector<net::Message>& batch) {
   return true;
 }
 
-void CloudNode::HandleRecordRun(const net::Message* run, size_t n) {
+void CloudNode::HandleRecordRun(net::Message* run, size_t n) {
   const uint64_t pn = run[0].pn;
   run_.clear();
   for (size_t i = 0; i < n; ++i) {
@@ -65,6 +65,11 @@ void CloudNode::HandleRecordRun(const net::Message* run, size_t n) {
                                   e2e_ns_.size());
     FRESQUE_OBS_E2E_SAMPLES(e2e_ns_.data(), e2e_ns_.size(), now_ns);
   }
+  if (spares_ == nullptr) return;
+  // The store and the WAL have copied every record; run_'s spans into the
+  // payloads die here, before the buffers go back to the dispatcher.
+  run_.clear();
+  for (size_t i = 0; i < n; ++i) spares_->Give(std::move(run[i].payload));
 }
 
 void CloudNode::Shutdown() {

@@ -19,6 +19,7 @@
 #include "net/message.h"
 #include "net/node.h"
 #include "net/payloads.h"
+#include "net/spare_buffers.h"
 
 namespace fresque {
 namespace engine {
@@ -35,11 +36,20 @@ namespace engine {
 /// form a run that is stored, logged and counted with one call each
 /// (CloudServer::IngestRecords, Wal::AppendRecords); any other frame, or
 /// a publication change, ends the run, so per-link order is kept.
+///
+/// Once a run is stored and logged, the store holds its own copy of every
+/// record, so a node paired with its collector's pool (ReturnBuffersTo)
+/// gives each payload buffer back to the dispatcher that allocated it,
+/// instead of freeing it on this thread. Nothing reads a payload after
+/// that. A rejected run's buffers, and every buffer of an unpaired node,
+/// are freed as before.
 class CloudNode {
  public:
   /// `server` must outlive the node. Like every pipeline node it pops up
   /// to net::kMaxBatch frames at a time: record floods drain in full
-  /// batches, a lone frame is handled the moment it arrives.
+  /// batches, a lone frame is handled the moment it arrives. A collector's
+  /// barrier flushes up to RandomerBufferSize records at once, so
+  /// ShardedPipeline sizes the inbox to hold one flush plus one mailbox.
   explicit CloudNode(cloud::CloudServer* server,
                      size_t mailbox_capacity = 8192);
 
@@ -64,6 +74,13 @@ class CloudNode {
 
   const net::MailboxPtr& inbox() const { return node_.inbox(); }
 
+  /// Pairs the node with a collector's buffer pool
+  /// (FresqueCollector::spare_buffers()): stored records' payload buffers
+  /// go back there. Must be called before Start().
+  void ReturnBuffersTo(net::SpareBuffersPtr spares) {
+    spares_ = std::move(spares);
+  }
+
   /// Routes a kPublicationAck back to `acks` whenever a publication
   /// finishes installing (or fails to): `leaf == 0` on success, nonzero
   /// with the reason in `payload` on failure. Pass a collector's
@@ -84,8 +101,9 @@ class CloudNode {
   FRESQUE_HOT bool HandleBatch(std::vector<net::Message>& batch)
       FRESQUE_EXCLUDES(mu_);
   /// Stores, logs and accounts the kCloudRecord frames run[0..n), all of
-  /// one publication, as one run.
-  FRESQUE_HOT void HandleRecordRun(const net::Message* run, size_t n)
+  /// one publication, as one run, then gives their payload buffers back
+  /// when paired.
+  FRESQUE_HOT void HandleRecordRun(net::Message* run, size_t n)
       FRESQUE_EXCLUDES(mu_);
   FRESQUE_HOT bool Handle(net::Message&& m) FRESQUE_EXCLUDES(mu_);
   void NoteError(const Status& st) FRESQUE_EXCLUDES(mu_);
@@ -115,6 +133,8 @@ class CloudNode {
   durability::Wal* wal_ = nullptr;
   // fresque-lint: allow(guarded-by) same set-once contract as wal_
   durability::SnapshotManager* snapshots_ = nullptr;
+  // fresque-lint: allow(guarded-by) set once by ReturnBuffersTo before Start()
+  net::SpareBuffersPtr spares_;
   mutable Mutex mu_;
   net::MailboxPtr ack_outbox_ FRESQUE_GUARDED_BY(mu_);
   Status first_error_ FRESQUE_GUARDED_BY(mu_);

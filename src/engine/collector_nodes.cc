@@ -260,10 +260,12 @@ record::SecureRecordCodec* ComputingNodeImpl::CodecFor(uint64_t pn) {
 // CheckingNodeImpl
 
 CheckingNodeImpl::CheckingNodeImpl(const CollectorConfig& config,
+                                   size_t randomer_buffer,
                                    net::MailboxPtr merger,
                                    net::MailboxPtr cloud, ReportSink* reports,
                                    net::MailboxPtr acks)
     : config_(config),
+      randomer_buffer_(randomer_buffer),
       merger_(std::move(merger)),
       cloud_(std::move(cloud)),
       reports_(reports),
@@ -328,14 +330,9 @@ void CheckingNodeImpl::HandleTemplate(net::Message&& m) {
     FRESQUE_LOG(Error) << "bad template: " << tmpl.status().ToString();
     return;
   }
-  const auto& noise = tmpl->leaf_counts();
-  double scale = index::IndexPerturber::LevelScale(
-      config_.epsilon, tmpl->layout().num_levels());
-  auto buf = dp::RandomerBufferSize(scale, config_.delta, noise.size(),
-                                    config_.alpha);
-  size_t buffer_size = buf.ok() ? *buf : 16;
   states_.emplace(std::piecewise_construct, std::forward_as_tuple(pn),
-                  std::forward_as_tuple(noise, buffer_size, &rng_));
+                  std::forward_as_tuple(tmpl->leaf_counts(), randomer_buffer_,
+                                        &rng_));
 
   // Tell the cloud a publication opened; hand the template itself on to
   // the merger for the eventual secure-index build.

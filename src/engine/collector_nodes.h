@@ -156,16 +156,18 @@ class ComputingNodeImpl {
 /// leaking in `pending_` forever.
 class CheckingNodeImpl {
  public:
-  /// `acks`, when non-null, receives kPublicationAck frames for
-  /// publications that fail at this node.
-  CheckingNodeImpl(const CollectorConfig& config, net::MailboxPtr merger,
-                   net::MailboxPtr cloud, ReportSink* reports,
-                   net::MailboxPtr acks = nullptr);
+  /// Every interval's randomer holds `randomer_buffer` records
+  /// (RandomerBufferSize(config)). `acks`, when non-null, receives
+  /// kPublicationAck frames for publications that fail at this node.
+  CheckingNodeImpl(const CollectorConfig& config, size_t randomer_buffer,
+                   net::MailboxPtr merger, net::MailboxPtr cloud,
+                   ReportSink* reports, net::MailboxPtr acks = nullptr);
 
   void Start() { node_.Start(); }
   void Join() { node_.Join(); }
   const net::MailboxPtr& inbox() const { return node_.inbox(); }
   const net::Node& node() const { return node_; }
+  size_t randomer_buffer() const { return randomer_buffer_; }
 
   /// Records dropped while waiting for a template that never arrived.
   uint64_t pending_dropped() const {
@@ -207,6 +209,7 @@ class CheckingNodeImpl {
   FRESQUE_HOT void FlushOutputs();
 
   const CollectorConfig& config_;
+  const size_t randomer_buffer_;
   net::MailboxPtr merger_;
   net::MailboxPtr cloud_;
   ReportSink* reports_;

@@ -1,5 +1,10 @@
 #include "engine/config.h"
 
+#include "dp/laplace.h"
+#include "index/binning.h"
+#include "index/index.h"
+#include "index/layout.h"
+
 namespace fresque {
 namespace engine {
 
@@ -21,8 +26,10 @@ Status CollectorConfig::Validate() const {
   if (!(delta > 0) || delta >= 1) {
     return Status::InvalidArgument("delta must be in (0, 1)");
   }
-  if (alpha < 1) {
-    return Status::InvalidArgument("alpha must be >= 1");
+  if (!(alpha >= 2)) {
+    return Status::InvalidArgument(
+        "alpha must be >= 2: a smaller randomer buffer cannot hide the "
+        "dummies from an informed online attacker (paper §5.2)");
   }
   if (admission.enabled) {
     if (!(admission.shed_low_watermark > 0) ||
@@ -52,6 +59,19 @@ Status CollectorConfig::Validate() const {
     }
   }
   return Status::OK();
+}
+
+Result<size_t> RandomerBufferSize(const CollectorConfig& config) {
+  auto binning = index::DomainBinning::Create(config.dataset.domain_min,
+                                              config.dataset.domain_max,
+                                              config.dataset.bin_width);
+  if (!binning.ok()) return binning.status();
+  auto layout = index::IndexLayout::Create(binning->num_bins(), config.fanout);
+  if (!layout.ok()) return layout.status();
+  const double scale = index::IndexPerturber::LevelScale(
+      config.epsilon, layout->num_levels());
+  return dp::RandomerBufferSize(scale, config.delta, layout->num_leaves(),
+                                config.alpha);
 }
 
 }  // namespace engine

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <string>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "durability/wal.h"
 #include "record/dataset.h"
@@ -84,7 +85,8 @@ struct CollectorConfig {
   /// Probability with which per-leaf noise bounds hold (paper: 99%).
   double delta = 0.99;
 
-  /// Randomer buffer coefficient alpha >= 2 (paper default: 2).
+  /// Randomer buffer coefficient alpha >= 2 (paper default: 2); Validate
+  /// rejects anything smaller (paper §5.2).
   double alpha = 2.0;
 
   /// Number of computing nodes at the collector (paper sweeps 2..12).
@@ -119,6 +121,14 @@ struct CollectorConfig {
   /// directly to fail fast before touching the pipeline.
   Status Validate() const;
 };
+
+/// The randomer's buffer size S = alpha * T for `config` (paper §5.2):
+/// T is the delta-probability bound on one interval's dummies, from the
+/// binning's leaf count, the index levels that `fanout` gives and the
+/// per-level Laplace scale. The checking node holds S records before it
+/// evicts, so S is also the most records one publish barrier flushes to
+/// the cloud at once. Fails on a bad binning, fanout, epsilon or alpha.
+Result<size_t> RandomerBufferSize(const CollectorConfig& config);
 
 /// Cloud-side durability settings (WAL + snapshots). Durability is off
 /// unless `data_dir` is set; with it, the cloud logs every accepted

@@ -21,6 +21,9 @@ FresqueCollector::FresqueCollector(CollectorConfig config,
     : config_(std::move(config)),
       key_manager_(std::move(key_manager)),
       cloud_inbox_(std::move(cloud_inbox)),
+      spares_(std::make_shared<net::SpareBuffers>()),
+      ingest_blocked_ns_(
+          telemetry::Registry::Global()->GetCounter("ingest.blocked_ns")),
       ack_inbox_(net::MakeMailbox(1024)),
       tracker_(std::make_unique<internal::PublicationTracker>()) {}
 
@@ -38,6 +41,8 @@ FresqueCollector::~FresqueCollector() {
 Status FresqueCollector::Start() {
   if (started_) return Status::FailedPrecondition("already started");
   FRESQUE_RETURN_NOT_OK(config_.Validate());
+  auto randomer_buffer = RandomerBufferSize(config_);
+  if (!randomer_buffer.ok()) return randomer_buffer.status();
   auto binning = index::DomainBinning::Create(config_.dataset.domain_min,
                                               config_.dataset.domain_max,
                                               config_.dataset.bin_width);
@@ -47,7 +52,8 @@ Status FresqueCollector::Start() {
   merger_ = std::make_unique<internal::MergerImpl>(
       config_, &key_manager_, cloud_inbox_, reports_.get(), ack_inbox_);
   checking_ = std::make_unique<internal::CheckingNodeImpl>(
-      config_, merger_->inbox(), cloud_inbox_, reports_.get(), ack_inbox_);
+      config_, *randomer_buffer, merger_->inbox(), cloud_inbox_,
+      reports_.get(), ack_inbox_);
   dispatcher_ = std::make_unique<internal::DispatcherState>(
       config_, *binning, checking_->inbox(), reports_.get());
 
@@ -230,20 +236,11 @@ Status FresqueCollector::Ingest(std::string_view line, IngestPriority priority,
   // Release dummies whose scheduled point has passed.
   if (auto* sched = dispatcher_->schedule()) {
     for (uint32_t leaf : sched->Due(dispatcher_->progress())) {
-      net::Message d;
-      d.type = net::MessageType::kRawLine;
-      d.pn = pn_;
-      d.leaf = leaf;
-      d.dummy = true;
-      d.born_ns = now_ns;
-      DispatchBuffered(std::move(d));
+      DispatchBuffered(NewFrame(/*dummy=*/true, leaf, now_ns));
       FRESQUE_COUNTER_ADD("ingest.dummy_records", 1);
     }
   }
-  net::Message m;
-  m.type = net::MessageType::kRawLine;
-  m.pn = pn_;
-  m.born_ns = now_ns;
+  net::Message m = NewFrame(/*dummy=*/false, /*leaf=*/0, now_ns);
   // The line's one copy: this buffer becomes the record's frame payload
   // and, at the computing node, its ciphertext.
   m.payload.reserve(line.size() + line_headroom_);
@@ -254,12 +251,32 @@ Status FresqueCollector::Ingest(std::string_view line, IngestPriority priority,
   return Status::OK();
 }
 
+net::Message FresqueCollector::NewFrame(bool dummy, uint64_t leaf,
+                                        int64_t born_ns) {
+  net::Message m;
+  m.type = net::MessageType::kRawLine;
+  m.pn = pn_;
+  m.leaf = leaf;
+  m.dummy = dummy;
+  m.born_ns = born_ns;
+  m.payload = spares_->Take();
+  return m;
+}
+
+void FresqueCollector::PushToComputingNode(size_t cn, net::Message* frames,
+                                           size_t n) {
+  const uint64_t before = PushBlockedNanos();
+  computing_[cn]->inbox()->PushBatch(frames, n);
+  const uint64_t blocked = PushBlockedNanos() - before;
+  if (blocked != 0) ingest_blocked_ns_->Add(blocked);
+}
+
 void FresqueCollector::DispatchBuffered(net::Message&& m) {
   const size_t cn = rr_++ % computing_.size();
   auto& buf = dispatch_buf_[cn];
   buf.push_back(std::move(m));
   if (buf.size() >= net::kMaxBatch) {
-    computing_[cn]->inbox()->PushBatch(buf.data(), buf.size());
+    PushToComputingNode(cn, buf.data(), buf.size());
     buf.clear();
   }
 }
@@ -268,7 +285,7 @@ void FresqueCollector::FlushDispatchBuffers() {
   for (size_t cn = 0; cn < computing_.size(); ++cn) {
     auto& buf = dispatch_buf_[cn];
     if (buf.empty()) continue;
-    computing_[cn]->inbox()->PushBatch(buf.data(), buf.size());
+    PushToComputingNode(cn, buf.data(), buf.size());
     buf.clear();
   }
 }
@@ -283,13 +300,7 @@ void FresqueCollector::PublishCurrentInterval() {
   // Flush unreleased dummies, then the publish barrier, one per CN.
   if (auto* sched = dispatcher_->schedule()) {
     for (uint32_t leaf : sched->Due(1.0)) {
-      net::Message d;
-      d.type = net::MessageType::kRawLine;
-      d.pn = pn_;
-      d.leaf = leaf;
-      d.dummy = true;
-      d.born_ns = now_ns;
-      DispatchBuffered(std::move(d));
+      DispatchBuffered(NewFrame(/*dummy=*/true, leaf, now_ns));
       FRESQUE_COUNTER_ADD("ingest.dummy_records", 1);
     }
   }
@@ -298,14 +309,14 @@ void FresqueCollector::PublishCurrentInterval() {
   FlushDispatchBuffers();
   FRESQUE_FLIGHT_EVENT(kPublication, "publish barrier dispatched", pn_,
                        open_interval_lines_, computing_.size());
-  for (auto& cn : computing_) {
+  for (size_t cn = 0; cn < computing_.size(); ++cn) {
     net::Message p;
     p.type = net::MessageType::kPublish;
     p.pn = pn_;
     // Stamps the barrier so the cloud can histogram publish-initiation ->
     // install latency (pipeline.publish_e2e_ns).
     p.born_ns = now_ns;
-    cn->inbox()->Push(std::move(p));
+    PushToComputingNode(cn, &p, 1);
   }
   reports_->DispatcherPublish(pn_, watch.ElapsedMillis());
 }
@@ -407,6 +418,10 @@ uint64_t FresqueCollector::codec_failures() const {
   for (const auto& cn : computing_) t += cn->codec_failures();
   if (merger_) t += merger_->codec_failures();
   return t;
+}
+
+size_t FresqueCollector::randomer_buffer() const {
+  return checking_ ? checking_->randomer_buffer() : 0;
 }
 
 uint64_t FresqueCollector::pending_dropped() const {

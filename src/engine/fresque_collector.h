@@ -15,8 +15,13 @@
 #include "engine/metrics.h"
 #include "net/message.h"
 #include "net/node.h"
+#include "net/spare_buffers.h"
 
 namespace fresque {
+namespace telemetry {
+class Counter;
+}  // namespace telemetry
+
 namespace engine {
 
 namespace internal {
@@ -56,7 +61,18 @@ class PublicationTracker;
 /// ingested anything), so no buffered record is lost at teardown.
 /// WaitForPublication() blocks until a publication's terminal ack.
 ///
+/// Record buffers: every frame the dispatcher creates (an admitted line,
+/// or a dummy directive) takes its payload buffer from spare_buffers(),
+/// and a paired CloudNode (CloudNode::ReturnBuffersTo) gives each stored
+/// record's buffer back there, so the steady-state dispatcher reuses
+/// buffers instead of allocating, and no other thread frees them. An
+/// unpaired collector allocates as usual. Dummies take too: every buffer
+/// in the pool then came from a frame this collector created, so the pool
+/// never outgrows the frames in flight.
+///
 /// Typical driving loop:
+///   cloud_node.ReturnBuffersTo(collector.spare_buffers());
+///   cloud_node.Start();
 ///   collector.Start();
 ///   cloud_node.RouteAcksTo(collector.publication_acks());
 ///   for (...) collector.Ingest(line);
@@ -74,9 +90,10 @@ class FresqueCollector {
   FresqueCollector& operator=(const FresqueCollector&) = delete;
 
   /// Validates the config (CollectorConfig::Validate — a bad knob
-  /// combination fails here, before any thread spawns), then spawns all
-  /// nodes and opens publication 0 (samples its template, schedules its
-  /// dummies). Call once.
+  /// combination fails here, before any thread spawns), sizes the
+  /// randomer (RandomerBufferSize), then spawns all nodes and opens
+  /// publication 0 (samples its template, schedules its dummies). Call
+  /// once.
   Status Start();
 
   /// Dispatcher ingest path: forwards one raw line, releasing any dummy
@@ -98,10 +115,11 @@ class FresqueCollector {
   /// no longer hides the queueing delay its backlog caused. 0 (default)
   /// stamps the actual ingest time.
   ///
-  /// An admitted line is copied once, into a buffer reserved with
-  /// SecureRecordCodec::CiphertextHeadroom(schema) spare bytes: it travels
-  /// as the record's frame payload and the computing node encrypts into it
-  /// without reallocating.
+  /// An admitted line is copied once, into a spare buffer (see "Record
+  /// buffers" above) reserved with SecureRecordCodec::CiphertextHeadroom
+  /// (schema) spare bytes: it travels as the record's frame payload and
+  /// the computing node encrypts into it without reallocating. Time spent
+  /// waiting on full computing-node inboxes counts in `ingest.blocked_ns`.
   FRESQUE_HOT Status Ingest(
       std::string_view line,
       IngestPriority priority = IngestPriority::kNormal,
@@ -144,6 +162,14 @@ class FresqueCollector {
   /// Hand it to CloudNode::RouteAcksTo() so cloud-side installs complete
   /// the lifecycle; collector-internal failure acks arrive regardless.
   const net::MailboxPtr& publication_acks() const { return ack_inbox_; }
+
+  /// Pool the dispatcher takes record buffers from. Hand it to
+  /// CloudNode::ReturnBuffersTo() so stored records' buffers come back.
+  const net::SpareBuffersPtr& spare_buffers() const { return spares_; }
+
+  /// Records the checking node's randomer holds per interval
+  /// (RandomerBufferSize of the config); 0 before Start().
+  size_t randomer_buffer() const;
 
   /// Point-in-time health snapshot: per-node frame counts and queue
   /// depths, every drop counter, and publication ack totals.
@@ -193,10 +219,19 @@ class FresqueCollector {
   /// any barrier frame (kPublish/kShutdown) so per-link FIFO keeps
   /// records ahead of the barrier.
   void FlushDispatchBuffers();
+  /// Pushes frames[0..n) into computing node `cn`'s inbox, adding any
+  /// wait for room to `ingest.blocked_ns`.
+  FRESQUE_HOT void PushToComputingNode(size_t cn, net::Message* frames,
+                                       size_t n);
+  /// A frame created by the dispatcher, with a spare payload buffer.
+  FRESQUE_HOT net::Message NewFrame(bool dummy, uint64_t leaf,
+                                    int64_t born_ns);
 
   CollectorConfig config_;
   crypto::KeyManager key_manager_;
   net::MailboxPtr cloud_inbox_;
+  net::SpareBuffersPtr spares_;
+  telemetry::Counter* ingest_blocked_ns_;
 
   std::unique_ptr<internal::ReportSink> reports_;
   std::unique_ptr<internal::DispatcherState> dispatcher_;

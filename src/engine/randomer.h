@@ -19,7 +19,7 @@ namespace engine {
 /// trigger releases one *uniformly random* resident (possibly the new
 /// one). Flush shuffles and empties the buffer at the end of the interval.
 /// Capacity must exceed the publication's total dummy count with high
-/// probability — use dp::RandomerBufferSize (S = alpha * T).
+/// probability — use engine::RandomerBufferSize (S = alpha * T).
 ///
 /// Thread-compatibility: deliberately unsynchronized. A Randomer is
 /// confined to the checking node's thread (one per interval, inside

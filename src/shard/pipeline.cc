@@ -73,8 +73,19 @@ Status ShardedPipeline::Start() {
           sopts, cloud_->shard(i), s->wal.get());
     }
 
+    engine::CollectorConfig sub = config_.collector;
+    sub.dataset = placement->ShardSpec(i);
+    sub.epsilon = placement->ShardEpsilon(config_.collector.epsilon);
+    // Shard-distinct noise/dummy streams; the record keys come from the
+    // shared KeyManager, so merged results still decrypt.
+    sub.seed = config_.collector.seed + 0x9e3779b97f4a7c15ULL * (i + 1);
+    // Room for a whole barrier flush plus one ordinary mailbox: the
+    // checking node hands the flush over without waiting on the cloud.
+    auto flush = engine::RandomerBufferSize(sub);
+    if (!flush.ok()) return flush.status();
+
     s->cloud_node = std::make_unique<engine::CloudNode>(
-        cloud_->shard(i), config_.cloud_mailbox_capacity);
+        cloud_->shard(i), *flush + sub.mailbox_capacity);
     if (s->wal != nullptr) {
       if (auto st =
               s->cloud_node->AttachDurability(s->wal.get(), s->snapshots.get());
@@ -83,14 +94,9 @@ Status ShardedPipeline::Start() {
       }
     }
 
-    engine::CollectorConfig sub = config_.collector;
-    sub.dataset = placement->ShardSpec(i);
-    sub.epsilon = placement->ShardEpsilon(config_.collector.epsilon);
-    // Shard-distinct noise/dummy streams; the record keys come from the
-    // shared KeyManager, so merged results still decrypt.
-    sub.seed = config_.collector.seed + 0x9e3779b97f4a7c15ULL * (i + 1);
     s->collector = std::make_unique<engine::FresqueCollector>(
         sub, keys_, s->cloud_node->inbox());
+    s->cloud_node->ReturnBuffersTo(s->collector->spare_buffers());
     s->cloud_node->RouteAcksTo(s->collector->publication_acks());
     s->cloud_node->Start();
 
@@ -242,6 +248,8 @@ ShardedPipelineMetrics ShardedPipeline::Metrics() const {
     sm.view_epoch = cloud_->shard(i)->view_epoch();
     sm.publications = cloud_->shard(i)->num_publications();
     sm.records = cloud_->shard(i)->total_records();
+    sm.randomer_buffer = s->collector->randomer_buffer();
+    sm.cloud_inbox_capacity = s->cloud_node->inbox()->capacity();
     sm.collector = s->collector->Metrics();
     for (const auto& node : sm.collector.nodes) {
       if (node.name.rfind("cn", 0) != 0) continue;  // computing nodes only

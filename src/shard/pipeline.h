@@ -44,9 +44,6 @@ struct ShardedPipelineConfig {
   /// pipeline always starts publication numbering at 0. Empty disables
   /// durability.
   engine::DurabilityConfig durability;
-
-  /// Mailbox capacity of each shard's CloudNode.
-  size_t cloud_mailbox_capacity = 8192;
 };
 
 /// Point-in-time health of one shard of the pipeline.
@@ -62,6 +59,12 @@ struct ShardMetrics {
   uint64_t view_epoch = 0;
   size_t publications = 0;
   size_t records = 0;
+  /// Records the shard's randomer holds per interval
+  /// (engine::RandomerBufferSize of its collector config).
+  size_t randomer_buffer = 0;
+  /// Slots of the shard's CloudNode inbox: randomer_buffer plus the
+  /// collector's mailbox_capacity.
+  size_t cloud_inbox_capacity = 0;
   engine::CollectorMetrics collector;
   /// WAL and snapshot counters of this shard's data dir (zeros without
   /// durability).
@@ -85,10 +88,14 @@ struct ShardedPipelineMetrics {
 /// Each shard owns a full dispatcher -> computing-nodes -> checker ->
 /// merger chain, its own CloudServer slice (via ShardedCloudServer), its
 /// own CloudNode, publication counter, optional WAL/snapshot directory
-/// and DP budget slice. The caller's thread is every shard's dispatcher:
-/// Ingest() routes a line and calls that shard's FresqueCollector::Ingest,
-/// which hands it to the shard's computing nodes. The shards' node
-/// threads run in parallel behind those inboxes.
+/// and DP budget slice. A shard's CloudNode inbox holds one randomer flush
+/// (engine::RandomerBufferSize of the shard's config) plus one
+/// `mailbox_capacity`, so a publish barrier never blocks the checking
+/// node, and the node returns stored records' buffers to the shard's
+/// collector (CloudNode::ReturnBuffersTo). The caller's thread is every
+/// shard's dispatcher: Ingest() routes a line and calls that shard's
+/// FresqueCollector::Ingest, which hands it to the shard's computing
+/// nodes. The shards' node threads run in parallel behind those inboxes.
 ///
 /// Thread-safety: Start/Ingest/SetIntervalProgress/Publish/Shutdown/
 /// WriteFinalSnapshots must be called from one (router) thread, mirroring

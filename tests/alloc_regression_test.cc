@@ -9,6 +9,7 @@
 // instead of showing up as a throughput mystery.
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -19,12 +20,14 @@
 #include "common/bytes.h"
 #include "common/queue.h"
 #include "crypto/chacha20.h"
+#include "crypto/key_manager.h"
 #include "net/message.h"
 #include "record/dataset.h"
 #include "record/parser.h"
 #include "record/record.h"
 #include "record/schema.h"
 #include "record/secure_codec.h"
+#include "shard/pipeline.h"
 
 // Sanitizers interpose their own allocator and may allocate internally,
 // so allocation counts are only meaningful in plain builds.
@@ -52,6 +55,8 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+/// The same count, for the calling thread only.
+thread_local uint64_t t_allocations = 0;
 
 uint64_t AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
@@ -65,6 +70,7 @@ uint64_t AllocationCount() {
 // counter. Sized/aligned variants forward here via the usual fallbacks.
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -294,6 +300,53 @@ TEST(AllocRegressionTest, RealRecordsEncryptIntoTheirRoutedLineBuffer) {
     EXPECT_EQ(after, before)
         << spec->name << ": a ciphertext outgrew its line buffer's headroom";
   }
+}
+
+// The dispatcher's side of the record-buffer cycle: once the cloud node
+// has stored two intervals and given their buffers back, the caller's
+// thread dispatches the next interval from recycled buffers instead of
+// allocating one per line. The lines all have the same length, so a
+// recycled buffer always fits. Other threads' allocations do not count.
+TEST(AllocRegressionTest, DispatcherReusesRecordBuffersTheCloudGaveBack) {
+  SKIP_UNDER_SANITIZER();
+  auto spec = GowallaDataset();
+  ASSERT_TRUE(spec.ok());
+  constexpr size_t kInterval = 10000;
+  std::vector<std::string> lines(kInterval);
+  const double span = spec->domain_max - spec->domain_min;
+  for (size_t i = 0; i < kInterval; ++i) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%05zu,%010lld,%06zu", 10000 + i % 90000,
+                  static_cast<long long>(spec->domain_min +
+                                         span * static_cast<double>(i) /
+                                             kInterval),
+                  100000 + i);
+    lines[i] = buf;
+  }
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = *spec;
+  cfg.collector.num_computing_nodes = 2;
+  cfg.shard.num_shards = 1;
+  shard::ShardedPipeline pipe(cfg, crypto::KeyManager(Bytes(32, 0x42)));
+  ASSERT_TRUE(pipe.Start().ok());
+  for (uint64_t pn = 0; pn < 2; ++pn) {
+    for (const auto& line : lines) ASSERT_TRUE(pipe.Ingest(line).ok());
+    ASSERT_TRUE(pipe.Publish().ok());
+  }
+  ASSERT_TRUE(pipe.WaitForPublication(1).ok());
+
+  const uint64_t before = t_allocations;
+  bool all_ok = true;
+  for (const auto& line : lines) all_ok &= pipe.Ingest(line).ok();
+  const uint64_t allocations = t_allocations - before;
+  EXPECT_TRUE(all_ok);
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+  EXPECT_EQ(pipe.Metrics().CollectorTotals().parse_errors, 0u);
+  // Without recycling every line costs one buffer. The bound leaves room
+  // for DummySchedule::Due's result vector, which is not a record buffer.
+  EXPECT_LT(allocations, kInterval / 2)
+      << "the dispatcher allocated " << allocations << " times for "
+      << kInterval << " lines";
 }
 
 }  // namespace

@@ -284,7 +284,8 @@ TEST(CheckingNodeTest, LostTemplateCompletesBarrierAndEvictsPending) {
   auto cloud = net::MakeMailbox(64);
   auto acks = net::MakeMailbox(64);
   engine::internal::ReportSink reports;
-  engine::internal::CheckingNodeImpl node(cfg, merger, cloud, &reports, acks);
+  engine::internal::CheckingNodeImpl node(cfg, /*randomer_buffer=*/16, merger,
+                                          cloud, &reports, acks);
   node.Start();
 
   // 13 records for a publication whose template never arrives: 8 buffer,
@@ -328,7 +329,8 @@ TEST(CheckingNodeTest, LaterBarrierEvictsEarlierOrphanedPending) {
   auto cloud = net::MakeMailbox(64);
   auto acks = net::MakeMailbox(64);
   engine::internal::ReportSink reports;
-  engine::internal::CheckingNodeImpl node(cfg, merger, cloud, &reports, acks);
+  engine::internal::CheckingNodeImpl node(cfg, /*randomer_buffer=*/16, merger,
+                                          cloud, &reports, acks);
   node.Start();
 
   // Records of publication 3 whose template is lost; the barrier of the

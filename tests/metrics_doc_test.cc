@@ -3,9 +3,11 @@
 // registry is populated the way a live process populates it, then asserts
 //   1. every registered metric name matches ^[a-z0-9_.]+$ (the exporter
 //      sanitizer is then a pure '.'->'_' rewrite, collision-free), and
-//   2. every `query.*`, `pipeline.*` and `slo.*` metric is documented in
-//      docs/METRICS.md — adding a metric in those families without
-//      documenting it fails this test.
+//   2. every `query.*`, `pipeline.*`, `slo.*` and `shard.*` metric, every
+//      per-node time counter (`node.<name>.busy_ns`/`idle_ns`/
+//      `blocked_ns`) and `ingest.blocked_ns` is documented in
+//      docs/METRICS.md — adding such a metric without documenting it
+//      fails this test.
 
 #include <cctype>
 #include <fstream>
@@ -45,15 +47,35 @@ bool NameIsClean(const std::string& name) {
   return true;
 }
 
+/// Suffix of a per-node time counter (`node.cn0.busy_ns`), or "" if
+/// `name` is not one.
+std::string NodeTimeSuffix(const std::string& name) {
+  if (name.rfind("node.", 0) != 0) return "";
+  for (const char* suffix : {".busy_ns", ".idle_ns", ".blocked_ns"}) {
+    const std::string s = suffix;
+    if (name.size() > s.size() &&
+        name.compare(name.size() - s.size(), s.size(), s) == 0) {
+      return s;
+    }
+  }
+  return "";
+}
+
 bool HasDocPrefix(const std::string& name) {
   return name.rfind("query.", 0) == 0 || name.rfind("pipeline.", 0) == 0 ||
-         name.rfind("slo.", 0) == 0 || name.rfind("shard.", 0) == 0;
+         name.rfind("slo.", 0) == 0 || name.rfind("shard.", 0) == 0 ||
+         name == "ingest.blocked_ns" || !NodeTimeSuffix(name).empty();
 }
 
 /// Doc-lookup form of a metric name: the per-shard families embed the
 /// shard index (`shard.3.records_in`), documented once as
-/// `shard.i.records_in`. Everything else passes through unchanged.
+/// `shard.i.records_in`, and the per-node time counters embed the node
+/// name (`node.cn0.busy_ns`), documented once as `node.<name>.busy_ns`.
+/// Everything else passes through unchanged.
 std::string CanonicalName(const std::string& name) {
+  if (const std::string suffix = NodeTimeSuffix(name); !suffix.empty()) {
+    return "node.<name>" + suffix;
+  }
   constexpr const char kShard[] = "shard.";
   if (name.rfind(kShard, 0) != 0) return name;
   const size_t start = sizeof(kShard) - 1;
@@ -161,8 +183,9 @@ class MetricsDocTest : public ::testing::Test {
 
 TEST_F(MetricsDocTest, PipelinePopulatedTheFamiliesUnderTest) {
   bool saw_query = false, saw_pipeline = false, saw_slo = false;
-  bool saw_shard = false, saw_per_shard = false;
+  bool saw_shard = false, saw_per_shard = false, saw_node_time = false;
   for (const auto& name : AllNames()) {
+    if (!NodeTimeSuffix(name).empty()) saw_node_time = true;
     if (name.rfind("query.", 0) == 0) saw_query = true;
     if (name.rfind("pipeline.", 0) == 0) saw_pipeline = true;
     if (name.rfind("slo.", 0) == 0) saw_slo = true;
@@ -174,6 +197,7 @@ TEST_F(MetricsDocTest, PipelinePopulatedTheFamiliesUnderTest) {
   EXPECT_TRUE(saw_slo);
   EXPECT_TRUE(saw_shard);
   EXPECT_TRUE(saw_per_shard);
+  EXPECT_TRUE(saw_node_time);
 }
 
 TEST_F(MetricsDocTest, EveryNameMatchesTheCharterRegex) {
@@ -203,7 +227,8 @@ TEST_F(MetricsDocTest, QueryPipelineSloFamiliesAreDocumented) {
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "metric '" << name
         << "' is not documented in docs/METRICS.md — add a row describing"
-           " it (family query./pipeline./slo./shard. is doc-mandatory)";
+           " it (family query./pipeline./slo./shard., the node time"
+           " counters and ingest.blocked_ns are doc-mandatory)";
   }
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +16,8 @@
 #include "net/message.h"
 #include "net/node.h"
 #include "net/payloads.h"
+#include "net/spare_buffers.h"
+#include "telemetry/metrics.h"
 
 namespace fresque {
 namespace net {
@@ -180,6 +185,150 @@ TEST(NodeTest, BatchesKeepOrderAcrossPops) {
   ASSERT_EQ(seen.size(), kFrames);
   for (uint64_t i = 0; i < kFrames; ++i) ASSERT_EQ(seen[i], i);
   EXPECT_GE(pops, kFrames / kMaxBatch);
+}
+
+// Each of the three time counters sees only its own kind of time: the
+// wait for a first frame is idle, a spinning handler is busy, and a
+// handler waiting on a full downstream mailbox is blocked, not busy.
+TEST(NodeTest, CountsBusyIdleAndBlockedTime) {
+  using std::chrono::milliseconds;
+  constexpr int64_t kPhaseMs = 100;
+  constexpr uint64_t kMs = 1000000;
+  auto* reg = telemetry::Registry::Global();
+  auto has_counter = [reg](const std::string& name) {
+    const auto snap = reg->Snapshot();
+    return std::any_of(snap.counters.begin(), snap.counters.end(),
+                       [&name](const auto& c) { return c.first == name; });
+  };
+  auto inbox = MakeMailbox(16);
+  auto downstream = MakeMailbox(1);
+  ASSERT_TRUE(downstream->Push(Frame(0)));  // full from the start
+  std::promise<void> spun;
+  Node node("timed", inbox, [&](std::vector<Message>& batch) {
+    for (const Message& m : batch) {
+      if (m.type == MessageType::kShutdown) return false;
+      if (m.pn == 1) {
+        const auto until = std::chrono::steady_clock::now() +
+                           milliseconds(kPhaseMs);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        spun.set_value();
+      } else if (m.pn == 2) {
+        EXPECT_TRUE(downstream->Push(Frame(2)));  // waits for the drainer
+      }
+    }
+    return true;
+  });
+  // Registered when the node is built, so an idle node reads zero.
+  for (const char* kind : {"busy_ns", "idle_ns", "blocked_ns"}) {
+    EXPECT_TRUE(has_counter(std::string("node.timed.") + kind)) << kind;
+  }
+  telemetry::Counter* busy = reg->GetCounter("node.timed.busy_ns");
+  telemetry::Counter* idle = reg->GetCounter("node.timed.idle_ns");
+  telemetry::Counter* blocked = reg->GetCounter("node.timed.blocked_ns");
+  const uint64_t busy0 = busy->Value();
+  const uint64_t idle0 = idle->Value();
+  const uint64_t blocked0 = blocked->Value();
+
+  node.Start();
+  std::this_thread::sleep_for(milliseconds(kPhaseMs));  // empty inbox
+  ASSERT_TRUE(inbox->Push(Frame(1)));
+  spun.get_future().wait();
+  ASSERT_TRUE(inbox->Push(Frame(2)));
+  std::thread drainer([&] {
+    std::this_thread::sleep_for(milliseconds(kPhaseMs));
+    EXPECT_TRUE(downstream->Pop().has_value());
+  });
+  Message stop;
+  stop.type = MessageType::kShutdown;
+  ASSERT_TRUE(inbox->Push(std::move(stop)));
+  node.Join();
+  drainer.join();
+
+  const uint64_t busy_ns = busy->Value() - busy0;
+  const uint64_t idle_ns = idle->Value() - idle0;
+  const uint64_t blocked_ns = blocked->Value() - blocked0;
+  // Each phase lasts kPhaseMs; thread start-up and wake-up latency may
+  // shave some off the idle and blocked phases.
+  EXPECT_GE(idle_ns, kPhaseMs / 2 * kMs);
+  EXPECT_GE(busy_ns, kPhaseMs * kMs);
+  EXPECT_GE(blocked_ns, kPhaseMs / 2 * kMs);
+  // The blocked wait is not also counted as busy.
+  EXPECT_LT(busy_ns, kPhaseMs * 9 / 5 * kMs);
+}
+
+TEST(SpareBuffersTest, EmptyPoolHandsOutABufferWithNoCapacity) {
+  SpareBuffers pool;
+  const Bytes b = pool.Take();
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.capacity(), 0u);
+}
+
+TEST(SpareBuffersTest, GivenBuffersComeBackClearedInWholeBatches) {
+  SpareBuffers pool;
+  std::set<const uint8_t*> given;
+  for (size_t i = 0; i < kMaxBatch; ++i) {
+    // One short of a batch, nothing can be taken yet.
+    EXPECT_EQ(pool.Take().capacity(), 0u) << "after " << i << " gives";
+    Bytes b(100 + i, 0xAB);
+    given.insert(b.data());
+    pool.Give(std::move(b));
+  }
+  for (size_t i = 0; i < kMaxBatch; ++i) {
+    const Bytes b = pool.Take();
+    EXPECT_EQ(b.size(), 0u);
+    EXPECT_GE(b.capacity(), 100u);
+    EXPECT_EQ(given.erase(b.data()), 1u) << "not one of the given buffers";
+  }
+  EXPECT_TRUE(given.empty());
+  EXPECT_EQ(pool.Take().capacity(), 0u);  // drained
+}
+
+// One giver (the cloud node) and one taker (the dispatcher) working the
+// pool at once; run under TSan by scripts/tsan_tests.sh. Frames carry the
+// buffers from taker to giver through a mailbox, as in the pipeline.
+TEST(SpareBuffersTest, OneGiverAndOneTakerShareThePool) {
+  constexpr size_t kBuffers = 1000000;
+  constexpr size_t kInFlight = 4096;
+  auto pool = std::make_shared<SpareBuffers>();
+  auto link = MakeMailbox(kInFlight);
+  std::atomic<size_t> corrupt{0};
+  std::thread giver([pool, link, &corrupt] {
+    std::vector<Message> batch;
+    while (link->PopBatch(&batch, kMaxBatch) > 0) {
+      for (Message& m : batch) {
+        if (m.payload.size() != 16 ||
+            m.payload[0] != static_cast<uint8_t>(m.pn)) {
+          corrupt.fetch_add(1, std::memory_order_relaxed);
+        }
+        pool->Give(std::move(m.payload));
+      }
+      batch.clear();
+    }
+  });
+  size_t fresh = 0;
+  size_t unclear = 0;
+  std::vector<Message> out;
+  for (size_t i = 0; i < kBuffers; ++i) {
+    Message m = Frame(i);
+    m.payload = pool->Take();
+    if (m.payload.capacity() == 0) ++fresh;
+    if (!m.payload.empty()) ++unclear;
+    m.payload.assign(16, static_cast<uint8_t>(i));
+    out.push_back(std::move(m));
+    if (out.size() == kMaxBatch) {
+      ASSERT_EQ(link->PushBatch(out.data(), out.size()), out.size());
+      out.clear();
+    }
+  }
+  link->PushBatch(out.data(), out.size());
+  link->Close();
+  giver.join();
+  EXPECT_EQ(corrupt.load(), 0u);
+  EXPECT_EQ(unclear, 0u);
+  // A take allocates only when every buffer is in flight, so the buffers
+  // ever allocated never exceed what the link and the two batches hold.
+  EXPECT_LE(fresh, kInFlight + 3 * kMaxBatch);
 }
 
 TEST(PayloadsTest, TemplateRoundTrip) {

@@ -76,6 +76,24 @@ TEST(ConfigValidationTest, StartSurfacesValidationError) {
   EXPECT_NE(st.message().find("mailbox_capacity"), std::string::npos);
 }
 
+TEST(ConfigValidationTest, RejectsAlphaBelowTwo) {
+  // A randomer smaller than 2T cannot hide the dummies (paper §5.2); such
+  // a config must fail at startup, not run with a token buffer.
+  auto cfg = ValidConfig();
+  cfg.alpha = 2.0;
+  EXPECT_TRUE(cfg.Validate().ok());
+  cfg.alpha = 1.5;
+  Status st = cfg.Validate();
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find("alpha"), std::string::npos);
+  EXPECT_NE(st.message().find("§5.2"), std::string::npos);
+  EXPECT_FALSE(engine::RandomerBufferSize(cfg).ok());
+
+  crypto::KeyManager keys(Bytes(32, 0x01));
+  engine::FresqueCollector collector(cfg, keys, net::MakeMailbox(16));
+  EXPECT_TRUE(collector.Start().IsInvalidArgument());
+}
+
 // ---------------------------------------------------------------------------
 // Admission control
 

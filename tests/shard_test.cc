@@ -593,6 +593,36 @@ TEST(ShardedPipelineTest, IntervalProgressReleasesDummiesBeforeTheBarrier) {
   ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
 }
 
+// A publish barrier releases up to a whole randomer (S records) to the
+// shard's cloud node at once; its inbox holds that flush plus one
+// ordinary mailbox, and the checking node's randomer uses the same S.
+TEST(ShardedPipelineTest, CloudInboxHoldsOneRandomerFlush) {
+  for (size_t shards : {1, 4}) {
+    shard::ShardedPipelineConfig cfg;
+    cfg.collector.dataset = Gowalla();
+    cfg.collector.num_computing_nodes = 1;
+    cfg.shard.num_shards = shards;
+    shard::ShardedPipeline pipe(cfg, crypto::KeyManager(Bytes(32, 0x42)));
+    ASSERT_TRUE(pipe.Start().ok());
+    const auto m = pipe.Metrics();
+    ASSERT_EQ(m.shards.size(), shards);
+    for (size_t i = 0; i < shards; ++i) {
+      engine::CollectorConfig sub = cfg.collector;
+      sub.dataset = pipe.placement().ShardSpec(i);
+      sub.epsilon = pipe.placement().ShardEpsilon(cfg.collector.epsilon);
+      auto flush = engine::RandomerBufferSize(sub);
+      ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+      EXPECT_GT(*flush, 16u) << "the randomer's degenerate floor";
+      EXPECT_EQ(m.shards[i].randomer_buffer, *flush)
+          << "shard " << i << " of " << shards;
+      EXPECT_EQ(m.shards[i].cloud_inbox_capacity,
+                *flush + cfg.collector.mailbox_capacity)
+          << "shard " << i << " of " << shards;
+    }
+    ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+  }
+}
+
 TEST(ShardedPipelineTest, FinalSnapshotsConvergeEveryShardDataDir) {
   auto spec = Gowalla();
   const std::string dir =
