@@ -1,9 +1,10 @@
-// Micro-benchmarks of the crypto substrate, reported per AES backend:
-// every AES operation runs against the software table implementation AND
-// the hardware backend (AES-NI / ARMv8 CE) when this CPU has one, side by
-// side, so a run shows exactly what the dispatch layer buys. SHA-256,
-// HMAC and the ChaCha20 CSPRNG ride along as the remaining CostModel
-// inputs. Results also land in machine-readable micro_crypto.json.
+// Micro-benchmarks of the crypto substrate, reported per backend: every
+// AES operation runs against the software table implementation AND the
+// hardware backend (AES-NI / ARMv8 CE) when this CPU has one, side by
+// side, so a run shows exactly what the dispatch layer buys. SHA-256 and
+// HMAC run on the portable compression and on SHA-NI when present; the
+// ChaCha20 CSPRNG rides along as the remaining CostModel input. Results
+// also land in machine-readable micro_crypto.json.
 
 #include <cstdio>
 #include <fstream>
@@ -99,7 +100,9 @@ void WriteJson(const std::string& path) {
   out << "{\n  \"active_backend\": \"" << Aes::ActiveBackendName()
       << "\",\n  \"hardware_available\": "
       << (Aes::HardwareBackendAvailable() ? "true" : "false")
-      << ",\n  \"results\": [\n";
+      << ",\n  \"active_sha256_backend\": \""
+      << fresque::crypto::Sha256::ActiveBackendName()
+      << "\",\n  \"results\": [\n";
   for (size_t i = 0; i < g_rows.size(); ++i) {
     const auto& r = g_rows[i];
     out << "    {\"op\": \"" << r.op << "\", \"backend\": \"" << r.backend
@@ -191,32 +194,46 @@ int main() {
                });
   }
 
-  TableWriter rest("Other primitives (ns/op)", {"op", "ns_per_op"});
+  // SHA-256 and HMAC on each compression path this CPU offers, named
+  // like the AES rows ("soft", "sha-ni").
+  using fresque::crypto::Sha256;
+  std::vector<Sha256::Backend> sha_backends{Sha256::Backend::kSoftware};
+  if (Sha256::HardwareBackendAvailable()) {
+    sha_backends.push_back(Sha256::Backend::kHardware);
+  }
+  TableWriter rest("Other primitives (ns/op)",
+                   {"op", "backend", "ns_per_op"});
   {
     fresque::crypto::SecureRandom rng(1);
-    for (size_t len : {size_t{64}, size_t{1024}, size_t{65536}}) {
-      Bytes payload = rng.RandomBytes(len);
-      double ns = TimeNs([&] {
-        auto d = fresque::crypto::Sha256::Hash(payload);
-        (void)d;
+    for (Sha256::Backend b : sha_backends) {
+      const std::string name = Sha256(b).backend_name();
+      for (size_t len : {size_t{64}, size_t{1024}, size_t{65536}}) {
+        Bytes payload = rng.RandomBytes(len);
+        double ns = TimeNs([&] {
+          Sha256 h(b);
+          h.Update(payload);
+          auto d = h.Finish();
+          (void)d;
+        });
+        Record("sha256_" + std::to_string(len), name, ns, len);
+        rest.Row({"sha256_" + std::to_string(len), name, Fmt(ns, "%.1f")});
+      }
+      Bytes key(32, 0x11);
+      Bytes payload = rng.RandomBytes(128);
+      double mac_ns = TimeNs([&] {
+        auto mac = fresque::crypto::HmacSha256::Mac(key, payload, b);
+        (void)mac;
       });
-      Record("sha256_" + std::to_string(len), "n/a", ns, len);
-      rest.Row({"sha256_" + std::to_string(len), Fmt(ns, "%.1f")});
+      Record("hmac_sha256_128", name, mac_ns, 128);
+      rest.Row({"hmac_sha256_128", name, Fmt(mac_ns, "%.1f")});
     }
-    Bytes key(32, 0x11);
-    Bytes payload = rng.RandomBytes(128);
-    double mac_ns = TimeNs([&] {
-      auto mac = fresque::crypto::HmacSha256::Mac(key, payload);
-      (void)mac;
-    });
-    Record("hmac_sha256_128", "n/a", mac_ns, 128);
-    rest.Row({"hmac_sha256_128", Fmt(mac_ns, "%.1f")});
 
     for (size_t len : {size_t{16}, size_t{4096}}) {
       Bytes buf(len);
       double ns = TimeNs([&] { rng.Fill(buf.data(), buf.size()); });
       Record("chacha20_fill_" + std::to_string(len), "n/a", ns, len);
-      rest.Row({"chacha20_fill_" + std::to_string(len), Fmt(ns, "%.1f")});
+      rest.Row({"chacha20_fill_" + std::to_string(len), "n/a",
+                Fmt(ns, "%.1f")});
     }
   }
 

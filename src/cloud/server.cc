@@ -66,7 +66,7 @@ Status CloudServer::IngestTagged(uint64_t pn, uint64_t tag,
 
 Result<MatchingStats> CloudServer::InstallPublication(
     uint64_t pn, Publication* pub, net::IndexPublication publication,
-    const index::MatchingTable* table, Bytes raw_payload) {
+    const index::MatchingTable* table, std::shared_ptr<const Bytes> payload) {
   Stopwatch watch(clock_);
   const size_t num_leaves = publication.index.layout().num_leaves();
   // fresque-lint: allow(hot-alloc) install runs once per publication epoch, not per record
@@ -119,7 +119,7 @@ Result<MatchingStats> CloudServer::InstallPublication(
   pub->installed = std::make_shared<const query::InstalledPublication>(
       pn, std::move(pub->storage), std::move(publication.index),
       std::move(publication.overflow), std::move(postings),
-      std::move(raw_payload), std::move(filter));
+      std::move(payload), std::move(filter));
   pub->metadata.clear();
   pub->tagged.clear();
   views_.Install(pub->installed);
@@ -132,27 +132,42 @@ Result<MatchingStats> CloudServer::InstallPublication(
 
 Result<MatchingStats> CloudServer::PublishIndexed(
     uint64_t pn, net::IndexPublication publication, Bytes raw_payload) {
-  MutexLock lock(mu_);
-  auto pub = Find(pn);
-  if (!pub.ok()) return pub.status();
-  if ((*pub)->published()) {
-    return Status::FailedPrecondition("publication already published");
+  std::shared_ptr<const Bytes> payload;
+  if (!raw_payload.empty()) {
+    // fresque-lint: allow(hot-alloc) one buffer per publication install
+    payload = std::make_shared<const Bytes>(std::move(raw_payload));
   }
-  return InstallPublication(pn, *pub, std::move(publication), nullptr,
-                            std::move(raw_payload));
+  return PublishIndexed(pn, std::move(publication), std::move(payload));
+}
+
+Result<MatchingStats> CloudServer::PublishIndexed(
+    uint64_t pn, net::IndexPublication publication,
+    std::shared_ptr<const Bytes> payload) {
+  return Publish(pn, std::move(publication), nullptr, std::move(payload));
 }
 
 Result<MatchingStats> CloudServer::PublishWithMatchingTable(
     uint64_t pn, net::IndexPublication publication,
-    const index::MatchingTable& table, Bytes raw_payload) {
+    const index::MatchingTable& table, std::shared_ptr<const Bytes> payload) {
+  return Publish(pn, std::move(publication), &table, std::move(payload));
+}
+
+Result<MatchingStats> CloudServer::Publish(
+    uint64_t pn, net::IndexPublication publication,
+    const index::MatchingTable* table, std::shared_ptr<const Bytes> payload) {
+  // Outside the lock: a payload that is a copy of the decoded one is
+  // compared byte for byte before it replaces it.
+  if (payload != nullptr) {
+    FRESQUE_RETURN_NOT_OK(publication.overflow.Rebase(payload));
+  }
   MutexLock lock(mu_);
   auto pub = Find(pn);
   if (!pub.ok()) return pub.status();
   if ((*pub)->published()) {
     return Status::FailedPrecondition("publication already published");
   }
-  return InstallPublication(pn, *pub, std::move(publication), &table,
-                            std::move(raw_payload));
+  return InstallPublication(pn, *pub, std::move(publication), table,
+                            std::move(payload));
 }
 
 Result<MatchingStats> CloudServer::PublishBatch(
@@ -230,11 +245,11 @@ uint64_t CloudServer::view_epoch() const { return views_.epoch(); }
 
 Result<Bytes> CloudServer::PublicationEvidence(uint64_t pn) const {
   auto pub = views_.Current()->Find(pn);
-  if (pub == nullptr || pub->evidence.empty()) {
+  if (pub == nullptr || pub->evidence == nullptr) {
     return Status::NotFound("no publication evidence for " +
                             std::to_string(pn));
   }
-  return pub->evidence;
+  return *pub->evidence;
 }
 
 Status CloudServer::ForEachStoredRecord(

@@ -94,20 +94,34 @@ class CloudServer {
 
   /// FRESQUE publication: associates cached metadata with the index
   /// leaves, installs index + overflow arrays, destroys the metadata.
-  /// `raw_payload`, when provided, is retained verbatim as integrity
-  /// evidence for client-side verification.
+  /// `raw_payload`, when provided, is the verbatim payload `publication`
+  /// was decoded from (net::DecodeIndexPublication). It is moved into one
+  /// shared, immutable buffer that is both the integrity evidence clients
+  /// verify and the store the installed overflow arrays read from; the
+  /// decoded copy is released. InvalidArgument when `publication` was
+  /// not decoded from those bytes.
   Result<MatchingStats> PublishIndexed(uint64_t pn,
                                        net::IndexPublication publication,
                                        Bytes raw_payload = {})
       FRESQUE_EXCLUDES(mu_);
 
+  /// PublishIndexed for a publication decoded in place from `payload`
+  /// (net::DecodeSharedIndexPublication): the payload becomes the
+  /// publication's one buffer with no copy. Null `payload` installs
+  /// without evidence.
+  Result<MatchingStats> PublishIndexed(uint64_t pn,
+                                       net::IndexPublication publication,
+                                       std::shared_ptr<const Bytes> payload)
+      FRESQUE_EXCLUDES(mu_);
+
   /// PINED-RQ++ publication: re-reads every stored record of the
   /// publication from storage and joins its tag against the matching
-  /// table to rebuild leaf pointers.
+  /// table to rebuild leaf pointers. `payload` is kept as in the shared
+  /// PublishIndexed.
   Result<MatchingStats> PublishWithMatchingTable(
       uint64_t pn, net::IndexPublication publication,
-      const index::MatchingTable& table, Bytes raw_payload = {})
-      FRESQUE_EXCLUDES(mu_);
+      const index::MatchingTable& table,
+      std::shared_ptr<const Bytes> payload = nullptr) FRESQUE_EXCLUDES(mu_);
 
   /// The verbatim publication payload as received from the collector
   /// (index + overflow + tag); what an auditor would fetch to verify the
@@ -226,9 +240,17 @@ class CloudServer {
   static Status LoadSnapshotFile(const std::string& path,
                                  std::unique_ptr<CloudServer>* into);
 
+  /// Shared by the publish calls once `publication`'s overflow arrays
+  /// read from `payload` (or it has none).
+  Result<MatchingStats> Publish(uint64_t pn,
+                                net::IndexPublication publication,
+                                const index::MatchingTable* table,
+                                std::shared_ptr<const Bytes> payload)
+      FRESQUE_EXCLUDES(mu_);
+
   Result<MatchingStats> InstallPublication(
       uint64_t pn, Publication* pub, net::IndexPublication publication,
-      const index::MatchingTable* table, Bytes raw_payload)
+      const index::MatchingTable* table, std::shared_ptr<const Bytes> payload)
       FRESQUE_REQUIRES(mu_);
 
   index::DomainBinning binning_;

@@ -12,10 +12,19 @@
 //     published state: bytes index, bytes overflow, bytes evidence,
 //                      u64 leaves { u64 n, n addresses }
 // Addresses encode as u32 segment, u32 offset, u32 length.
+//
+// A published entry with evidence stores its index and overflow twice,
+// alone and inside the evidence. Loading checks that the two agree, so
+// queries never serve overflow bytes the evidence does not cover, and then
+// keeps only the evidence: the restored overflow arrays read from it, as a
+// live install's do. An entry without evidence (a publication installed
+// without its payload) keeps its stored overflow bytes as the arrays'
+// buffer.
 
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,6 +41,47 @@ void PutAddress(BinaryWriter* w, const PhysicalAddress& a) {
   w->PutU32(a.segment);
   w->PutU32(a.offset);
   w->PutU32(a.length);
+}
+
+bool SameBytes(std::span<const uint8_t> a, std::span<const uint8_t> b) {
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
+/// An installed publication's index, overflow arrays and evidence, as
+/// LoadSnapshotFile rebuilds them from one published entry.
+struct Restored {
+  net::IndexPublication pub;
+  std::shared_ptr<const Bytes> evidence;
+};
+
+Result<Restored> RestorePublication(uint64_t pn,
+                                    std::span<const uint8_t> index_bytes,
+                                    std::span<const uint8_t> overflow_bytes,
+                                    std::span<const uint8_t> evidence) {
+  if (evidence.empty()) {
+    auto idx = index::HistogramIndex::Deserialize(
+        Bytes(index_bytes.begin(), index_bytes.end()));
+    if (!idx.ok()) return idx.status();
+    auto buffer = std::make_shared<const Bytes>(overflow_bytes.begin(),
+                                                overflow_bytes.end());
+    auto ovf = index::OverflowArrays::View(buffer, 0, buffer->size());
+    if (!ovf.ok()) return ovf.status();
+    return Restored{net::IndexPublication(std::move(idx).ValueOrDie(),
+                                          std::move(ovf).ValueOrDie()),
+                    nullptr};
+  }
+  auto buffer = std::make_shared<const Bytes>(evidence.begin(), evidence.end());
+  auto seg = net::SplitIndexPublication(*buffer);
+  if (!seg.ok()) return seg.status();
+  if (!SameBytes(seg->index, index_bytes) ||
+      !SameBytes(seg->overflow, overflow_bytes)) {
+    return Status::Corruption("snapshot publication " + std::to_string(pn) +
+                              ": stored index or overflow differs from its "
+                              "evidence");
+  }
+  auto pub = net::DecodeSharedIndexPublication(buffer);
+  if (!pub.ok()) return pub.status();
+  return Restored{std::move(pub).ValueOrDie(), std::move(buffer)};
 }
 
 Result<PhysicalAddress> GetAddress(BinaryReader* r) {
@@ -87,8 +137,13 @@ Status CloudServer::SaveSnapshot(const std::string& path,
       const query::InstalledPublication& inst = *pub.installed;
       w.PutBytes(inst.storage.Serialize());
       w.PutBytes(inst.index.Serialize());
-      w.PutBytes(inst.overflow.Serialize());
-      w.PutBytes(inst.evidence);
+      w.PutU32(static_cast<uint32_t>(inst.overflow.SerializedSize()));
+      inst.overflow.SerializeTo(&w);
+      if (inst.evidence != nullptr) {
+        w.PutBytes(*inst.evidence);
+      } else {
+        w.PutBytes(Bytes{});
+      }
       w.PutU64(inst.postings.size());
       for (const auto& posting : inst.postings) {
         w.PutU64(posting.size());
@@ -224,18 +279,17 @@ Status CloudServer::LoadSnapshotFile(const std::string& path,
         pub.tagged.emplace_back(*tag, *a);
       }
     } else {
-      auto index_bytes = r.GetBytes();
-      auto overflow_bytes = r.GetBytes();
-      auto evidence = r.GetBytes();
+      auto index_bytes = r.GetBytesView();
+      auto overflow_bytes = r.GetBytesView();
+      auto evidence = r.GetBytesView();
       auto leaves = r.GetU64();
       if (!index_bytes.ok() || !overflow_bytes.ok() || !evidence.ok() ||
           !leaves.ok()) {
         return Status::Corruption("truncated published state");
       }
-      auto idx = index::HistogramIndex::Deserialize(*index_bytes);
-      if (!idx.ok()) return idx.status();
-      auto ovf = index::OverflowArrays::Deserialize(*overflow_bytes);
-      if (!ovf.ok()) return ovf.status();
+      auto restored = RestorePublication(*pn, *index_bytes, *overflow_bytes,
+                                         *evidence);
+      if (!restored.ok()) return restored.status();
       if (*leaves > r.remaining() / 8) {  // one count per leaf
         return Status::Corruption("snapshot leaf count implausible");
       }
@@ -261,8 +315,9 @@ Status CloudServer::LoadSnapshotFile(const std::string& path,
       // filter is an install-time join accelerator and is not persisted;
       // a default (pass-everything) filter is correct here.
       pub.installed = std::make_shared<const query::InstalledPublication>(
-          *pn, std::move(*storage), std::move(*idx), std::move(*ovf),
-          std::move(postings), std::move(*evidence), query::TagFilter());
+          *pn, std::move(*storage), std::move(restored->pub.index),
+          std::move(restored->pub.overflow), std::move(postings),
+          std::move(restored->evidence), query::TagFilter());
       server->views_.Install(pub.installed);
     }
     server->publications_.emplace(*pn, std::move(pub));

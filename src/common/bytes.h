@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,10 @@ using Bytes = std::vector<uint8_t>;
 class BinaryWriter {
  public:
   BinaryWriter() = default;
+
+  /// Sizes the buffer for `n` more bytes, for writers that know their
+  /// output size up front.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
 
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU16(uint16_t v) { PutLE(v); }
@@ -109,6 +114,17 @@ class BinaryReader {
     if (!n.ok()) return n.status();
     if (pos_ + *n > len_) return Eof("bytes body");
     Bytes out(data_ + pos_, data_ + pos_ + *n);
+    pos_ += *n;
+    return out;
+  }
+
+  /// GetBytes without the copy: a view into the reader's buffer, valid
+  /// while that buffer is.
+  Result<std::span<const uint8_t>> GetBytesView() {
+    auto n = GetU32();
+    if (!n.ok()) return n.status();
+    if (*n > len_ - pos_) return Eof("bytes body");
+    std::span<const uint8_t> out(data_ + pos_, *n);
     pos_ += *n;
     return out;
   }

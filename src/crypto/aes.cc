@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "crypto/dispatch.h"
+
 namespace fresque {
 namespace crypto {
 
@@ -236,12 +238,6 @@ constexpr AesBackend kSoftBackend = {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-bool ForceSoftCrypto() {
-  const char* env = std::getenv("FRESQUE_FORCE_SOFT_CRYPTO");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
 const AesBackend* HardwareBackend() {
   // Probed once; the answer cannot change while the process runs.
   static const AesBackend* const kHw = [] {
@@ -253,7 +249,7 @@ const AesBackend* HardwareBackend() {
 
 const AesBackend* AutoBackend() {
   static const AesBackend* const kAuto = [] {
-    if (ForceSoftCrypto()) return &kSoftBackend;
+    if (internal::ForceSoftCrypto()) return &kSoftBackend;
     if (const AesBackend* hw = HardwareBackend()) return hw;
     return &kSoftBackend;
   }();
@@ -263,6 +259,12 @@ const AesBackend* AutoBackend() {
 }  // namespace
 
 namespace internal {
+
+bool ForceSoftCrypto() {
+  const char* env = std::getenv("FRESQUE_FORCE_SOFT_CRYPTO");
+  return env != nullptr && env[0] != '\0' &&
+         !(env[0] == '0' && env[1] == '\0');
+}
 
 const AesBackend* SoftAesBackend() { return &kSoftBackend; }
 

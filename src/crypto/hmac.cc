@@ -5,11 +5,14 @@
 namespace fresque {
 namespace crypto {
 
-HmacSha256::HmacSha256(const Bytes& key) {
+HmacSha256::HmacSha256(const Bytes& key, Sha256::Backend backend)
+    : backend_(backend), inner_(backend) {
   uint8_t block_key[Sha256::kBlockSize];
   std::memset(block_key, 0, sizeof(block_key));
   if (key.size() > Sha256::kBlockSize) {
-    auto digest = Sha256::Hash(key);
+    Sha256 pre(backend);
+    pre.Update(key);
+    auto digest = pre.Finish();
     std::memcpy(block_key, digest.data(), digest.size());
   } else {
     std::memcpy(block_key, key.data(), key.size());
@@ -25,15 +28,15 @@ HmacSha256::HmacSha256(const Bytes& key) {
 
 std::array<uint8_t, HmacSha256::kDigestSize> HmacSha256::Finish() {
   auto inner_digest = inner_.Finish();
-  Sha256 outer;
+  Sha256 outer(backend_);
   outer.Update(opad_key_, sizeof(opad_key_));
   outer.Update(inner_digest.data(), inner_digest.size());
   return outer.Finish();
 }
 
 std::array<uint8_t, HmacSha256::kDigestSize> HmacSha256::Mac(
-    const Bytes& key, const Bytes& message) {
-  HmacSha256 mac(key);
+    const Bytes& key, const Bytes& message, Sha256::Backend backend) {
+  HmacSha256 mac(key, backend);
   mac.Update(message);
   return mac.Finish();
 }

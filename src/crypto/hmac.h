@@ -17,7 +17,9 @@ class HmacSha256 {
   static constexpr size_t kDigestSize = Sha256::kDigestSize;
 
   /// Keys longer than the block size are pre-hashed, per RFC 2104.
-  explicit HmacSha256(const Bytes& key);
+  /// `backend` picks the SHA-256 compression (tests run both).
+  explicit HmacSha256(const Bytes& key,
+                      Sha256::Backend backend = Sha256::Backend::kAuto);
 
   void Update(const uint8_t* data, size_t len) { inner_.Update(data, len); }
   void Update(const Bytes& data) { inner_.Update(data); }
@@ -25,10 +27,12 @@ class HmacSha256 {
   std::array<uint8_t, kDigestSize> Finish();
 
   /// One-shot convenience.
-  static std::array<uint8_t, kDigestSize> Mac(const Bytes& key,
-                                              const Bytes& message);
+  static std::array<uint8_t, kDigestSize> Mac(
+      const Bytes& key, const Bytes& message,
+      Sha256::Backend backend = Sha256::Backend::kAuto);
 
  private:
+  Sha256::Backend backend_;
   Sha256 inner_;
   uint8_t opad_key_[Sha256::kBlockSize];
 };

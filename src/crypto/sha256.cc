@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "crypto/dispatch.h"
+
 namespace fresque {
 namespace crypto {
 
@@ -22,7 +24,41 @@ constexpr uint32_t kK[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+internal::Sha256CompressFn AutoCompress() {
+  static const internal::Sha256CompressFn kAuto =
+      internal::ForceSoftCrypto() ? nullptr : internal::Sha256NiCompress();
+  return kAuto;
+}
+
 }  // namespace
+
+Sha256::Sha256(Backend backend) {
+  internal::Sha256CompressFn hw = nullptr;
+  switch (backend) {
+    case Backend::kAuto:
+      hw = AutoCompress();
+      break;
+    case Backend::kSoftware:
+      break;
+    case Backend::kHardware:
+      hw = internal::Sha256NiCompress();
+      break;
+  }
+  compress_ = hw != nullptr ? hw : &SoftCompress;
+  Reset();
+}
+
+const char* Sha256::backend_name() const {
+  return compress_ == &SoftCompress ? "soft" : "sha-ni";
+}
+
+const char* Sha256::ActiveBackendName() {
+  return AutoCompress() != nullptr ? "sha-ni" : "soft";
+}
+
+bool Sha256::HardwareBackendAvailable() {
+  return internal::Sha256NiCompress() != nullptr;
+}
 
 void Sha256::Reset() {
   state_[0] = 0x6a09e667;
@@ -37,7 +73,7 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
+void Sha256::ProcessBlock(uint32_t state[8], const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
@@ -51,8 +87,8 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
@@ -71,14 +107,19 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+void Sha256::SoftCompress(uint32_t state[8], const uint8_t* blocks,
+                          size_t n) {
+  for (size_t i = 0; i < n; ++i) ProcessBlock(state, blocks + i * kBlockSize);
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
@@ -90,14 +131,17 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      compress_(state_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
+  // Every whole block in one call: the SHA-NI kernel keeps the state in
+  // registers across blocks.
+  const size_t whole = len / kBlockSize;
+  if (whole > 0) {
+    compress_(state_, data, whole);
+    data += whole * kBlockSize;
+    len -= whole * kBlockSize;
   }
   if (len > 0) {
     std::memcpy(buffer_, data, len);

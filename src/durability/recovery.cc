@@ -84,17 +84,21 @@ Result<RecoveredCloud> RecoveryManager::Recover(const std::string& dir,
       case WalOp::kInstallTagged: {
         auto ins = DecodeWalInstall(frame.op, frame.body);
         if (!ins.ok()) return ins.status();
-        auto pub = net::DecodeIndexPublication(ins->publication);
+        // The frame's publication becomes the installed publication's one
+        // buffer, as the live cloud node's payload does.
+        auto payload =
+            std::make_shared<const Bytes>(std::move(ins->publication));
+        auto pub = net::DecodeSharedIndexPublication(payload);
         if (!pub.ok()) return pub.status();
         if (frame.op == WalOp::kInstall) {
           auto stats = server->PublishIndexed(ins->pn, std::move(*pub),
-                                              std::move(ins->publication));
+                                              std::move(payload));
           if (!stats.ok()) return stats.status();
         } else {
           auto table = net::DecodeMatchingTable(ins->table);
           if (!table.ok()) return table.status();
           auto stats = server->PublishWithMatchingTable(
-              ins->pn, std::move(*pub), *table, std::move(ins->publication));
+              ins->pn, std::move(*pub), *table, std::move(payload));
           if (!stats.ok()) return stats.status();
         }
         ++out.stats.installs_replayed;

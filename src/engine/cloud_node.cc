@@ -97,11 +97,12 @@ durability::DurabilityMetrics CloudNode::durability_metrics() const {
   return m;
 }
 
-Status CloudNode::LogInstall(uint64_t pn, const Bytes& publication,
+Status CloudNode::LogInstall(uint64_t pn,
+                             const std::shared_ptr<const Bytes>& publication,
                              const Bytes& table, bool tagged) {
   if (wal_ == nullptr) return Status::OK();
-  Status st = tagged ? wal_->AppendInstallTagged(pn, publication, table)
-                     : wal_->AppendInstall(pn, publication);
+  Status st = tagged ? wal_->AppendInstallTagged(pn, *publication, table)
+                     : wal_->AppendInstall(pn, *publication);
   if (st.ok()) st = wal_->Commit();
   return st;
 }
@@ -156,15 +157,15 @@ void CloudNode::NoteError(const Status& st) {
   }
 }
 
-std::optional<Status> CloudNode::TryFinishTagged(uint64_t pn,
-                                                 Bytes* wal_publication,
-                                                 Bytes* wal_table) {
+std::optional<Status> CloudNode::TryFinishTagged(
+    uint64_t pn, std::shared_ptr<const Bytes>* wal_publication,
+    Bytes* wal_table) {
   auto idx_it = pending_index_.find(pn);
   auto tab_it = pending_table_.find(pn);
   if (idx_it == pending_index_.end() || tab_it == pending_table_.end()) {
     return std::nullopt;
   }
-  Bytes payload;
+  std::shared_ptr<const Bytes> payload;
   if (auto pit = pending_payload_.find(pn); pit != pending_payload_.end()) {
     payload = std::move(pit->second);
     pending_payload_.erase(pit);
@@ -222,14 +223,19 @@ bool CloudNode::Handle(net::Message&& m) {
       return true;
     }
     case net::MessageType::kIndexPublication: {
-      auto pub = net::DecodeIndexPublication(m.payload);
+      // The payload becomes the publication's one buffer: the installed
+      // overflow arrays read from it, it is the evidence, and it is what
+      // the WAL logs (DESIGN.md §12.5).
+      // fresque-lint: allow(hot-alloc) one buffer per publication install, not per record
+      auto payload = std::make_shared<const Bytes>(std::move(m.payload));
+      auto pub = net::DecodeSharedIndexPublication(payload);
       if (!pub.ok()) {
         NoteError(pub.status());
         Ack(m.pn, pub.status());
         return true;
       }
       std::optional<Status> outcome;
-      Bytes wal_publication;
+      std::shared_ptr<const Bytes> wal_publication;
       Bytes wal_table;
       bool tagged = false;
       {
@@ -237,12 +243,12 @@ bool CloudNode::Handle(net::Message&& m) {
         if (tagged_pns_.count(m.pn)) {
           tagged = true;
           pending_index_.emplace(m.pn, std::move(*pub));
-          pending_payload_[m.pn] = std::move(m.payload);
+          pending_payload_[m.pn] = std::move(payload);
           outcome = TryFinishTagged(m.pn, &wal_publication, &wal_table);
         } else {
-          if (wal_ != nullptr) wal_publication = m.payload;
+          if (wal_ != nullptr) wal_publication = payload;
           auto stats = server_->PublishIndexed(m.pn, std::move(*pub),
-                                               std::move(m.payload));
+                                               std::move(payload));
           if (!stats.ok()) {
             if (first_error_.ok()) first_error_ = stats.status();
             outcome = stats.status();
@@ -295,7 +301,7 @@ bool CloudNode::Handle(net::Message&& m) {
         return true;
       }
       std::optional<Status> outcome;
-      Bytes wal_publication;
+      std::shared_ptr<const Bytes> wal_publication;
       Bytes wal_table;
       {
         MutexLock lock(mu_);

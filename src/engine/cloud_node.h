@@ -109,15 +109,17 @@ class CloudNode {
   void NoteError(const Status& st) FRESQUE_EXCLUDES(mu_);
   /// Attempts the deferred PINED-RQ++ publish; returns its outcome once
   /// both halves (index + table) are present. On success, when a WAL is
-  /// attached, copies the verbatim publication / table payloads into the
-  /// out-params so the caller can log the install outside mu_.
-  std::optional<Status> TryFinishTagged(uint64_t pn, Bytes* wal_publication,
-                                        Bytes* wal_table)
-      FRESQUE_REQUIRES(mu_);
+  /// attached, hands the verbatim publication buffer and table payload to
+  /// the out-params so the caller can log the install outside mu_.
+  std::optional<Status> TryFinishTagged(
+      uint64_t pn, std::shared_ptr<const Bytes>* wal_publication,
+      Bytes* wal_table) FRESQUE_REQUIRES(mu_);
   /// Appends the install frame and commits the WAL (durability point of a
-  /// publication). No-op without an attached WAL.
-  Status LogInstall(uint64_t pn, const Bytes& publication, const Bytes& table,
-                    bool tagged) FRESQUE_EXCLUDES(mu_);
+  /// publication), logging the installed publication's own buffer. No-op
+  /// without an attached WAL.
+  Status LogInstall(uint64_t pn,
+                    const std::shared_ptr<const Bytes>& publication,
+                    const Bytes& table, bool tagged) FRESQUE_EXCLUDES(mu_);
   /// Counts a durable install with the snapshot manager (which may decide
   /// to write a snapshot now). No-op without one.
   void NoteDurableInstall() FRESQUE_EXCLUDES(mu_);
@@ -145,7 +147,10 @@ class CloudNode {
       FRESQUE_GUARDED_BY(mu_);
   std::map<uint64_t, index::MatchingTable> pending_table_
       FRESQUE_GUARDED_BY(mu_);
-  std::map<uint64_t, Bytes> pending_payload_ FRESQUE_GUARDED_BY(mu_);
+  /// Each pending publication's payload, the buffer its decoded overflow
+  /// arrays read from.
+  std::map<uint64_t, std::shared_ptr<const Bytes>> pending_payload_
+      FRESQUE_GUARDED_BY(mu_);
   /// Verbatim kMatchingTable payloads, kept until the paired install is
   /// logged (the WAL's kInstallTagged frame carries both halves).
   std::map<uint64_t, Bytes> pending_table_payload_ FRESQUE_GUARDED_BY(mu_);

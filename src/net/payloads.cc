@@ -41,14 +41,22 @@ Result<std::vector<int64_t>> DecodeAlSnapshot(const Bytes& payload) {
 
 namespace {
 
-/// HMAC over the two length-prefixed content segments.
-Bytes TagOver(const Bytes& index_bytes, const Bytes& overflow_bytes,
-              const Bytes& mac_key) {
+/// The tagged prefix `u32 len ‖ index ‖ u32 len ‖ overflow`, in a writer
+/// sized for a tag segment of `tag_size` bytes after it.
+BinaryWriter EncodeSegments(const IndexPublication& pub, size_t tag_size) {
+  const Bytes index = pub.index.Serialize();
+  const size_t overflow_size = pub.overflow.SerializedSize();
+  BinaryWriter w;
+  w.Reserve(4 + index.size() + 4 + overflow_size + 4 + tag_size);
+  w.PutBytes(index);
+  w.PutU32(static_cast<uint32_t>(overflow_size));
+  pub.overflow.SerializeTo(&w);
+  return w;
+}
+
+Bytes Tag(const uint8_t* data, size_t len, const Bytes& mac_key) {
   crypto::HmacSha256 mac(mac_key);
-  BinaryWriter framed;
-  framed.PutBytes(index_bytes);
-  framed.PutBytes(overflow_bytes);
-  mac.Update(framed.buffer());
+  mac.Update(data, len);
   auto digest = mac.Finish();
   return Bytes(digest.begin(), digest.end());
 }
@@ -56,51 +64,81 @@ Bytes TagOver(const Bytes& index_bytes, const Bytes& overflow_bytes,
 }  // namespace
 
 Bytes EncodeIndexPublication(const IndexPublication& pub) {
-  BinaryWriter w;
-  w.PutBytes(pub.index.Serialize());
-  w.PutBytes(pub.overflow.Serialize());
+  BinaryWriter w = EncodeSegments(pub, pub.integrity_tag.size());
   w.PutBytes(pub.integrity_tag);
   return w.Release();
 }
 
-Result<IndexPublication> DecodeIndexPublication(const Bytes& payload) {
-  BinaryReader r(payload);
-  auto index_bytes = r.GetBytes();
-  auto overflow_bytes = r.GetBytes();
-  auto tag = r.GetBytes();
-  if (!index_bytes.ok() || !overflow_bytes.ok() || !tag.ok()) {
+Bytes EncodeSignedIndexPublication(const IndexPublication& pub,
+                                   const Bytes& mac_key) {
+  BinaryWriter w = EncodeSegments(pub, crypto::HmacSha256::kDigestSize);
+  w.PutBytes(Tag(w.buffer().data(), w.size(), mac_key));
+  return w.Release();
+}
+
+Result<IndexPublicationSegments> SplitIndexPublication(
+    std::span<const uint8_t> payload) {
+  BinaryReader r(payload.data(), payload.size());
+  IndexPublicationSegments seg;
+  auto index = r.GetBytesView();
+  auto overflow = r.GetBytesView();
+  seg.tagged_bytes = r.position();
+  auto tag = r.GetBytesView();
+  if (!index.ok() || !overflow.ok() || !tag.ok()) {
     return Status::Corruption("truncated index publication");
   }
-  auto idx = index::HistogramIndex::Deserialize(*index_bytes);
+  // The tag covers nothing after it: bytes there would ride along with a
+  // verified payload, and the cloud serves the payload verbatim as
+  // evidence.
+  if (!r.exhausted()) {
+    return Status::Corruption("bytes after the index publication's tag");
+  }
+  seg.index = *index;
+  seg.overflow = *overflow;
+  seg.tag = *tag;
+  return seg;
+}
+
+Result<IndexPublication> DecodeSharedIndexPublication(
+    std::shared_ptr<const Bytes> payload) {
+  if (payload == nullptr) return Status::InvalidArgument("no payload");
+  auto seg = SplitIndexPublication(*payload);
+  if (!seg.ok()) return seg.status();
+  auto idx = index::HistogramIndex::Deserialize(
+      Bytes(seg->index.begin(), seg->index.end()));
   if (!idx.ok()) return idx.status();
-  auto ovf = index::OverflowArrays::Deserialize(*overflow_bytes);
+  const size_t overflow_at =
+      static_cast<size_t>(seg->overflow.data() - payload->data());
+  Bytes tag(seg->tag.begin(), seg->tag.end());
+  auto ovf = index::OverflowArrays::View(std::move(payload), overflow_at,
+                                         seg->overflow.size());
   if (!ovf.ok()) return ovf.status();
   IndexPublication pub(std::move(idx).ValueOrDie(),
                        std::move(ovf).ValueOrDie());
-  pub.integrity_tag = std::move(*tag);
+  pub.integrity_tag = std::move(tag);
   return pub;
+}
+
+Result<IndexPublication> DecodeIndexPublication(const Bytes& payload) {
+  return DecodeSharedIndexPublication(std::make_shared<const Bytes>(payload));
 }
 
 Bytes ComputeIndexPublicationTag(const IndexPublication& pub,
                                  const Bytes& mac_key) {
-  return TagOver(pub.index.Serialize(), pub.overflow.Serialize(), mac_key);
+  const BinaryWriter segments = EncodeSegments(pub, 0);
+  return Tag(segments.buffer().data(), segments.size(), mac_key);
 }
 
 Status VerifyIndexPublicationPayload(const Bytes& payload,
                                      const Bytes& mac_key) {
-  BinaryReader r(payload);
-  auto index_bytes = r.GetBytes();
-  auto overflow_bytes = r.GetBytes();
-  auto tag = r.GetBytes();
-  if (!index_bytes.ok() || !overflow_bytes.ok() || !tag.ok()) {
-    return Status::Corruption("truncated index publication");
-  }
-  if (tag->empty()) {
+  auto seg = SplitIndexPublication(payload);
+  if (!seg.ok()) return seg.status();
+  if (seg->tag.empty()) {
     return Status::FailedPrecondition("publication carries no tag");
   }
-  Bytes expected = TagOver(*index_bytes, *overflow_bytes, mac_key);
-  if (tag->size() != expected.size() ||
-      !crypto::ConstantTimeEquals(tag->data(), expected.data(),
+  const Bytes expected = Tag(payload.data(), seg->tagged_bytes, mac_key);
+  if (seg->tag.size() != expected.size() ||
+      !crypto::ConstantTimeEquals(seg->tag.data(), expected.data(),
                                   expected.size())) {
     return Status::Corruption("publication integrity tag mismatch");
   }

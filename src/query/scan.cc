@@ -19,9 +19,9 @@ LeafDescriptor BuildLeafDescriptor(const InstalledPublication& pub,
   }
   if (leaf < pub.overflow.num_leaves()) {
     uint32_t used = 0;
-    for (const auto& slot : pub.overflow.leaf(leaf)) {
+    pub.overflow.ForEachSlot(leaf, [&](std::span<const uint8_t> slot) {
       if (!slot.empty()) ++used;
-    }
+    });
     d.overflow_used = used;
   }
   return d;
@@ -76,9 +76,12 @@ Status ScanPublication(const InstalledPublication& pub,
     }
     if (leaf < pub.overflow.num_leaves()) {
       FRESQUE_RETURN_NOT_OK(ctx.Check());
-      for (const auto& slot : pub.overflow.leaf(leaf)) {
-        if (!slot.empty()) out->overflow_records.push_back({pub.pn, slot});
-      }
+      pub.overflow.ForEachSlot(leaf, [&](std::span<const uint8_t> slot) {
+        if (!slot.empty()) {
+          out->overflow_records.push_back(
+              {pub.pn, Bytes(slot.begin(), slot.end())});
+        }
+      });
     }
   }
   return Status::OK();

@@ -21,13 +21,19 @@ namespace query {
 /// inside CloudServer's install critical section; afterwards the object
 /// is shared read-only between the server, every live QueryView, and any
 /// in-flight scans — shared_ptr refcounts are its GC.
+///
+/// A publication installed with its payload keeps that payload as one
+/// shared, immutable buffer: `evidence` points to it and `overflow` reads
+/// its slots from it, so the overflow arrays exist once in memory
+/// (DESIGN.md §12.5).
 struct InstalledPublication {
   InstalledPublication(uint64_t pn_in, cloud::SegmentStorage storage_in,
                        index::HistogramIndex index_in,
                        index::OverflowArrays overflow_in,
                        std::vector<std::vector<cloud::PhysicalAddress>>
                            postings_in,
-                       Bytes evidence_in, TagFilter tag_filter_in)
+                       std::shared_ptr<const Bytes> evidence_in,
+                       TagFilter tag_filter_in)
       : pn(pn_in),
         storage(std::move(storage_in)),
         index(std::move(index_in)),
@@ -42,8 +48,9 @@ struct InstalledPublication {
   const index::OverflowArrays overflow;
   /// Per-leaf physical addresses into `storage`.
   const std::vector<std::vector<cloud::PhysicalAddress>> postings;
-  /// Verbatim publication payload (integrity evidence).
-  const Bytes evidence;
+  /// Verbatim publication payload (integrity evidence), the buffer
+  /// `overflow` reads from; null when installed without one.
+  const std::shared_ptr<const Bytes> evidence;
   /// Bloom filter over the matching-table tags (empty in FRESQUE mode).
   const TagFilter tag_filter;
 };

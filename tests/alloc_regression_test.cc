@@ -21,7 +21,11 @@
 #include "common/queue.h"
 #include "crypto/chacha20.h"
 #include "crypto/key_manager.h"
+#include "index/binning.h"
+#include "index/index.h"
+#include "index/overflow.h"
 #include "net/message.h"
+#include "net/payloads.h"
 #include "record/dataset.h"
 #include "record/parser.h"
 #include "record/record.h"
@@ -347,6 +351,35 @@ TEST(AllocRegressionTest, DispatcherReusesRecordBuffersTheCloudGaveBack) {
   EXPECT_LT(allocations, kInterval / 2)
       << "the dispatcher allocated " << allocations << " times for "
       << kInterval << " lines";
+}
+
+// The cloud decodes a publication into views over one buffer: a
+// NASA-shaped payload (3421 leaves x 16 overflow slots) decodes with a
+// handful of allocations for the buffer, the index and one offset per
+// leaf, not one per slot.
+TEST(AllocRegressionTest, PublicationDecodeDoesNotCopyEachOverflowSlot) {
+  SKIP_UNDER_SANITIZER();
+  constexpr size_t kLeaves = 3421;
+  constexpr size_t kSlots = 16;
+  auto binning = index::DomainBinning::Create(0, kLeaves, 1);
+  ASSERT_TRUE(binning.ok());
+  crypto::SecureRandom rng(23);
+  auto tmpl = index::IndexTemplate::Create(*binning, 16, 1.0, &rng);
+  ASSERT_TRUE(tmpl.ok());
+  index::OverflowArrays overflow(kLeaves, kSlots);
+  ASSERT_TRUE(overflow.PadWithDummies([&] { return rng.RandomBytes(96); })
+                  .ok());
+  net::IndexPublication pub(tmpl->noise_index(), std::move(overflow));
+  pub.integrity_tag = Bytes(32, 0x5A);
+  const Bytes payload = net::EncodeIndexPublication(pub);
+
+  const uint64_t before = t_allocations;
+  auto decoded = net::DecodeIndexPublication(payload);
+  const uint64_t allocations = t_allocations - before;
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->overflow.num_leaves(), kLeaves);
+  EXPECT_LT(allocations, 100u)
+      << "decoding one publication allocated " << allocations << " times";
 }
 
 }  // namespace

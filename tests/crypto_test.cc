@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "crypto/aes.h"
@@ -27,7 +28,34 @@ std::string HexOf(const uint8_t* data, size_t len) {
 
 // ---------------------------------------------------------------- SHA-256
 
+/// The portable compression always, plus SHA-NI when this CPU has it: the
+/// known-answer vectors below run on every path a build can dispatch to.
+std::vector<Sha256::Backend> UsableShaBackends() {
+  std::vector<Sha256::Backend> b{Sha256::Backend::kSoftware};
+  if (Sha256::HardwareBackendAvailable()) {
+    b.push_back(Sha256::Backend::kHardware);
+  }
+  return b;
+}
+
+std::string ShaOf(const Bytes& msg, Sha256::Backend backend) {
+  Sha256 h(backend);
+  h.Update(msg);
+  auto d = h.Finish();
+  return HexOf(d.data(), d.size());
+}
+
+std::string MacOf(const Bytes& key, const std::string& data,
+                  Sha256::Backend backend) {
+  auto mac = HmacSha256::Mac(key, Bytes(data.begin(), data.end()), backend);
+  return HexOf(mac.data(), mac.size());
+}
+
 TEST(Sha256Test, EmptyString) {
+  for (auto backend : UsableShaBackends()) {
+    EXPECT_EQ(ShaOf(Bytes{}, backend),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  }
   auto d = Sha256::Hash(Bytes{});
   EXPECT_EQ(HexOf(d.data(), d.size()),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
@@ -35,90 +63,100 @@ TEST(Sha256Test, EmptyString) {
 
 TEST(Sha256Test, Abc) {
   Bytes msg = {'a', 'b', 'c'};
-  auto d = Sha256::Hash(msg);
-  EXPECT_EQ(HexOf(d.data(), d.size()),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  for (auto backend : UsableShaBackends()) {
+    EXPECT_EQ(ShaOf(msg, backend),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  }
 }
 
 TEST(Sha256Test, TwoBlockMessage) {
   std::string s = "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
   Bytes msg(s.begin(), s.end());
-  auto d = Sha256::Hash(msg);
-  EXPECT_EQ(HexOf(d.data(), d.size()),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (auto backend : UsableShaBackends()) {
+    EXPECT_EQ(ShaOf(msg, backend),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  }
 }
 
 TEST(Sha256Test, MillionAs) {
-  Sha256 h;
   Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.Update(chunk);
-  auto d = h.Finish();
-  EXPECT_EQ(HexOf(d.data(), d.size()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (auto backend : UsableShaBackends()) {
+    Sha256 h(backend);
+    for (int i = 0; i < 1000; ++i) h.Update(chunk);
+    auto d = h.Finish();
+    EXPECT_EQ(HexOf(d.data(), d.size()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+        << h.backend_name();
+  }
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {
   std::string s = "The quick brown fox jumps over the lazy dog";
   Bytes msg(s.begin(), s.end());
   auto one = Sha256::Hash(msg);
-  for (size_t split = 0; split <= msg.size(); split += 7) {
-    Sha256 h;
-    h.Update(msg.data(), split);
-    h.Update(msg.data() + split, msg.size() - split);
-    auto two = h.Finish();
-    EXPECT_EQ(one, two) << "split at " << split;
+  for (auto backend : UsableShaBackends()) {
+    for (size_t split = 0; split <= msg.size(); split += 7) {
+      Sha256 h(backend);
+      h.Update(msg.data(), split);
+      h.Update(msg.data() + split, msg.size() - split);
+      auto two = h.Finish();
+      EXPECT_EQ(one, two) << "split at " << split << " on "
+                          << h.backend_name();
+    }
   }
 }
 
 TEST(Sha256Test, ResetRestoresInitialState) {
-  Sha256 h;
-  Bytes junk(100, 0x5A);
-  h.Update(junk);
-  h.Reset();
-  Bytes msg = {'a', 'b', 'c'};
-  h.Update(msg);
-  auto d = h.Finish();
-  EXPECT_EQ(HexOf(d.data(), d.size()),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  for (auto backend : UsableShaBackends()) {
+    Sha256 h(backend);
+    Bytes junk(100, 0x5A);
+    h.Update(junk);
+    h.Reset();
+    Bytes msg = {'a', 'b', 'c'};
+    h.Update(msg);
+    auto d = h.Finish();
+    EXPECT_EQ(HexOf(d.data(), d.size()),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+        << h.backend_name();
+  }
 }
 
 // ------------------------------------------------------------- HMAC-SHA256
 
 // RFC 4231 test case 1.
 TEST(HmacTest, Rfc4231Case1) {
-  Bytes key(20, 0x0b);
-  std::string data = "Hi There";
-  auto mac = HmacSha256::Mac(key, Bytes(data.begin(), data.end()));
-  EXPECT_EQ(HexOf(mac.data(), mac.size()),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  for (auto backend : UsableShaBackends()) {
+    EXPECT_EQ(MacOf(Bytes(20, 0x0b), "Hi There", backend),
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  }
 }
 
 // RFC 4231 test case 2 ("Jefe").
 TEST(HmacTest, Rfc4231Case2) {
   std::string k = "Jefe";
-  std::string data = "what do ya want for nothing?";
-  auto mac = HmacSha256::Mac(Bytes(k.begin(), k.end()),
-                             Bytes(data.begin(), data.end()));
-  EXPECT_EQ(HexOf(mac.data(), mac.size()),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  for (auto backend : UsableShaBackends()) {
+    EXPECT_EQ(MacOf(Bytes(k.begin(), k.end()), "what do ya want for nothing?",
+                    backend),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  }
 }
 
 // RFC 4231 test case 3: key 20x0xaa, data 50x0xdd.
 TEST(HmacTest, Rfc4231Case3) {
-  Bytes key(20, 0xaa);
-  Bytes data(50, 0xdd);
-  auto mac = HmacSha256::Mac(key, data);
-  EXPECT_EQ(HexOf(mac.data(), mac.size()),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  for (auto backend : UsableShaBackends()) {
+    EXPECT_EQ(MacOf(Bytes(20, 0xaa), std::string(50, '\xdd'), backend),
+              "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  }
 }
 
 // RFC 4231 test case 6: 131-byte key (longer than block => pre-hashed).
 TEST(HmacTest, Rfc4231Case6LongKey) {
-  Bytes key(131, 0xaa);
-  std::string data = "Test Using Larger Than Block-Size Key - Hash Key First";
-  auto mac = HmacSha256::Mac(key, Bytes(data.begin(), data.end()));
-  EXPECT_EQ(HexOf(mac.data(), mac.size()),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  for (auto backend : UsableShaBackends()) {
+    EXPECT_EQ(MacOf(Bytes(131, 0xaa),
+                    "Test Using Larger Than Block-Size Key - Hash Key First",
+                    backend),
+              "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  }
 }
 
 TEST(HmacTest, ConstantTimeEquals) {

@@ -1,16 +1,20 @@
 // Extended known-answer tests: full multi-block NIST SP 800-38A CBC
-// vectors for all three AES key sizes, and ChaCha20 keystream
-// continuation across blocks.
+// vectors for all three AES key sizes, ChaCha20 keystream continuation
+// across blocks, and the hardware-vs-portable cross-checks of AES and
+// SHA-256.
 
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "crypto/aes.h"
 #include "crypto/cbc.h"
 #include "crypto/chacha20.h"
+#include "crypto/hmac.h"
+#include "crypto/sha256.h"
 
 namespace fresque {
 namespace crypto {
@@ -245,6 +249,43 @@ TEST(AesBackendCrossCheck, BatchEncryptMatchesSingleMessagePath) {
         ASSERT_EQ(*back, plains[i]);
       }
     }
+  }
+}
+
+// The SHA-NI kernel must give the portable compression's digests on any
+// input, not just the standard vectors: 2,000 random lengths 0..4096 at
+// every load alignment, each absorbed in three Update calls split at
+// random points (so whole blocks reach the kernel from both the carry
+// buffer and the caller's memory), and the HMAC over the same bytes.
+TEST(Sha256BackendCrossCheck, RandomLengthsOffsetsAndSplitsHashIdentically) {
+  if (!Sha256::HardwareBackendAvailable()) {
+    GTEST_SKIP() << "no SHA-NI on this CPU/build";
+  }
+  SecureRandom rng(20261018);
+  Bytes buf = rng.RandomBytes(4096 + 8);
+  const Bytes key = rng.RandomBytes(32);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t len = rng.NextBounded(4097);
+    const size_t off = rng.NextBounded(8);
+    const uint8_t* p = buf.data() + off;
+    size_t a = rng.NextBounded(len + 1);
+    size_t b = rng.NextBounded(len + 1);
+    if (a > b) std::swap(a, b);
+    auto digest = [&](Sha256::Backend backend) {
+      Sha256 h(backend);
+      h.Update(p, a);
+      h.Update(p + a, b - a);
+      h.Update(p + b, len - b);
+      return h.Finish();
+    };
+    ASSERT_EQ(digest(Sha256::Backend::kHardware),
+              digest(Sha256::Backend::kSoftware))
+        << "len " << len << " offset " << off << " splits " << a << "," << b;
+    ASSERT_EQ(Sha256::Hash(p, len), digest(Sha256::Backend::kSoftware));
+    const Bytes msg(p, p + len);
+    ASSERT_EQ(HmacSha256::Mac(key, msg, Sha256::Backend::kHardware),
+              HmacSha256::Mac(key, msg, Sha256::Backend::kSoftware))
+        << "len " << len;
   }
 }
 

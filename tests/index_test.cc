@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -458,7 +459,9 @@ TEST(OverflowTest, InsertThenPadFillsEverySlot) {
                   .ok());
   EXPECT_EQ(dummy_count, 4 * 3 - 2);
   for (size_t leaf = 0; leaf < 4; ++leaf) {
-    for (const auto& slot : ovf.leaf(leaf)) EXPECT_FALSE(slot.empty());
+    ovf.ForEachSlot(leaf, [](std::span<const uint8_t> slot) {
+      EXPECT_FALSE(slot.empty());
+    });
   }
 }
 
@@ -477,12 +480,23 @@ TEST(OverflowTest, SerializeRoundTrip) {
   (void)ovf.Insert(0, Bytes{9, 9}, &rng);
   ASSERT_TRUE(ovf.PadWithDummies([&] { return rng.RandomBytes(8); }).ok());
   Bytes bytes = ovf.Serialize();
+  EXPECT_EQ(bytes.size(), ovf.SerializedSize());
   auto back = OverflowArrays::Deserialize(bytes);
   ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->decoded());
   EXPECT_EQ(back->num_leaves(), 3u);
   EXPECT_EQ(back->slots_per_leaf(), 2u);
+  EXPECT_EQ(back->PayloadBytes(), ovf.PayloadBytes());
+  EXPECT_EQ(back->Serialize(), bytes);
+  auto slots_of = [](const OverflowArrays& a, size_t leaf) {
+    std::vector<Bytes> out;
+    a.ForEachSlot(leaf, [&](std::span<const uint8_t> slot) {
+      out.emplace_back(slot.begin(), slot.end());
+    });
+    return out;
+  };
   for (size_t leaf = 0; leaf < 3; ++leaf) {
-    EXPECT_EQ(back->leaf(leaf), ovf.leaf(leaf));
+    EXPECT_EQ(slots_of(*back, leaf), slots_of(ovf, leaf));
   }
   // Corruption.
   bytes.resize(bytes.size() / 2);
@@ -497,9 +511,11 @@ TEST(OverflowTest, InsertPositionIsRandomized) {
     crypto::SecureRandom rng(seed);
     OverflowArrays ovf(1, 16);
     (void)ovf.Insert(0, Bytes{7}, &rng);
-    for (size_t s = 0; s < 16; ++s) {
-      if (!ovf.leaf(0)[s].empty()) positions.insert(s);
-    }
+    size_t s = 0;
+    ovf.ForEachSlot(0, [&](std::span<const uint8_t> slot) {
+      if (!slot.empty()) positions.insert(s);
+      ++s;
+    });
   }
   EXPECT_GT(positions.size(), 4u);
 }

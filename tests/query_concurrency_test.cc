@@ -122,7 +122,7 @@ TEST(QueryConcurrencyTest, ViewGCUnderInstallRetireChurn) {
         pn, cloud::SegmentStorage(), std::move(idx).ValueOrDie(),
         index::OverflowArrays(binning.num_bins(), 1),
         std::vector<std::vector<cloud::PhysicalAddress>>(binning.num_bins()),
-        Bytes{}, TagFilter());
+        nullptr, TagFilter());
   };
 
   std::atomic<bool> stop{false};

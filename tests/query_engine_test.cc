@@ -135,7 +135,7 @@ std::shared_ptr<const InstalledPublication> MakeInstalled(
       pn, cloud::SegmentStorage(), std::move(idx).ValueOrDie(),
       index::OverflowArrays(binning.num_bins(), 1),
       std::vector<std::vector<cloud::PhysicalAddress>>(binning.num_bins()),
-      Bytes{}, TagFilter());
+      nullptr, TagFilter());
 }
 
 TEST(ViewManagerTest, InstallAdvancesEpochAndKeepsOldViewsImmutable) {

@@ -94,6 +94,21 @@ TEST(RobustnessTest, OverflowDeserializeNeverCrashes) {
   }
 }
 
+// Headers whose slot count overflows 64-bit arithmetic must be rejected,
+// not divided by (4 x 2^62 wraps to 0) or used to size the leaf table.
+TEST(RobustnessTest, OverflowGeometryThatWrapsIsCorruption) {
+  for (uint64_t per_leaf : {uint64_t{1} << 62, ~uint64_t{0}}) {
+    BinaryWriter w;
+    w.PutU64(4);
+    w.PutU64(per_leaf);
+    w.PutU32(0);
+    EXPECT_TRUE(index::OverflowArrays::Deserialize(w.buffer())
+                    .status()
+                    .IsCorruption())
+        << per_leaf;
+  }
+}
+
 TEST(RobustnessTest, MatchingTableDeserializeNeverCrashes) {
   index::MatchingTable t;
   for (uint64_t i = 0; i < 50; ++i) (void)t.Add(i * 977, i % 8);

@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "client/client.h"
 #include "cloud/server.h"
 #include "crypto/key_manager.h"
 #include "engine/cloud_node.h"
 #include "engine/fresque_collector.h"
+#include "index/index.h"
+#include "index/layout.h"
+#include "index/overflow.h"
+#include "net/payloads.h"
 #include "record/dataset.h"
 
 namespace fresque {
@@ -81,6 +89,56 @@ TEST(SnapshotTest, RejectsCorruptSnapshots) {
   }
   EXPECT_FALSE(cloud::CloudServer::LoadSnapshot(path).ok());
   EXPECT_FALSE(cloud::CloudServer::LoadSnapshot("/nonexistent/nope").ok());
+  std::remove(path.c_str());
+}
+
+// A published entry stores its overflow arrays twice: alone, and inside
+// the evidence a client verifies. If the two disagree, queries would
+// serve overflow bytes the evidence never covered, so the load must fail.
+TEST(SnapshotTest, RejectsOverflowThatDisagreesWithItsEvidence) {
+  auto binning = index::DomainBinning::Create(0, 32, 1);
+  ASSERT_TRUE(binning.ok());
+  crypto::SecureRandom rng(31);
+  auto layout = index::IndexLayout::Create(32, 4);
+  auto idx = index::HistogramIndex::FromLeafCounts(
+      std::move(layout).ValueOrDie(), *binning, std::vector<int64_t>(32, 1));
+  ASSERT_TRUE(idx.ok());
+  index::OverflowArrays ovf(32, 2);
+  ASSERT_TRUE(ovf.PadWithDummies([&] { return rng.RandomBytes(24); }).ok());
+  const Bytes stored_overflow = ovf.Serialize();
+  net::IndexPublication pub(std::move(idx).ValueOrDie(), std::move(ovf));
+  pub.integrity_tag = net::ComputeIndexPublicationTag(pub, Bytes(32, 0x44));
+  const Bytes payload = net::EncodeIndexPublication(pub);
+
+  cloud::CloudServer server(*binning);
+  ASSERT_TRUE(server.StartPublication(0).ok());
+  ASSERT_TRUE(server.IngestRecord(0, 5, Bytes(48, 0x05)).ok());
+  auto decoded = net::DecodeIndexPublication(payload);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(server.PublishIndexed(0, std::move(*decoded), payload).ok());
+  const std::string path = TempPath("overflow_vs_evidence.bin");
+  ASSERT_TRUE(server.SaveSnapshot(path).ok());
+  ASSERT_TRUE(cloud::CloudServer::LoadSnapshot(path).ok());
+
+  // The entry's own overflow segment comes before its evidence; flip the
+  // last byte of its last slot (a ciphertext byte, not a length prefix).
+  Bytes file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  auto at = std::search(file.begin(), file.end(), stored_overflow.begin(),
+                        stored_overflow.end());
+  ASSERT_NE(at, file.end());
+  *(at + static_cast<std::ptrdiff_t>(stored_overflow.size()) - 1) ^= 0x01;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+  auto loaded = cloud::CloudServer::LoadSnapshot(path);
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   std::remove(path.c_str());
 }
 
