@@ -182,15 +182,38 @@ class CloudServer {
   /// Hot-leaf descriptor cache shared by every query (DESIGN.md §15).
   const query::LeafCache& leaf_cache() const { return leaf_cache_; }
 
-  /// Picks the publications SaveSnapshot writes: called once per
+  /// Picks the publications a snapshot holds: called once per
   /// publication, in pn order and under the server lock, with its pn and
   /// whether it is installed. It must not call back into this server.
   using PublicationFilter = std::function<bool(uint64_t pn, bool installed)>;
 
+  /// One publication of a snapshot cut. An installed publication is
+  /// shared, not copied: it is immutable since its install. An open one
+  /// is held as its snapshot-file entry, encoded when the cut was taken.
+  struct SnapshotEntry {
+    uint64_t pn = 0;
+    std::shared_ptr<const query::InstalledPublication> installed;
+    /// The open publication's encoded entry; empty when installed.
+    Bytes open;
+  };
+
+  /// A snapshot's cut: the publications `which` picks (all when unset),
+  /// in pn order, as they stand at one instant under the server lock.
+  /// Only the open publications are encoded here; at a publication
+  /// install they hold no more than the next interval's first records.
+  std::vector<SnapshotEntry> CutSnapshot(
+      const PublicationFilter& which = {}) const FRESQUE_EXCLUDES(mu_);
+
+  /// Encodes `entries` as one snapshot file (the format in snapshot.cc).
+  /// Takes no lock: a cut owns or shares everything it holds, so this
+  /// runs on any thread while the server goes on ingesting.
+  Bytes EncodeSnapshot(std::span<const SnapshotEntry> entries) const;
+
   /// Persists server state (ciphertext segments, postings, indexes,
   /// overflow arrays, metadata of open publications) to one snapshot file,
   /// so the cloud survives restarts. Writes every publication, or only
-  /// those `which` picks when it is set.
+  /// those `which` picks when it is set. Holds the server lock only for
+  /// the cut, not while it encodes and writes the file.
   Status SaveSnapshot(const std::string& path,
                       const PublicationFilter& which = {}) const
       FRESQUE_EXCLUDES(mu_);

@@ -100,62 +100,102 @@ Result<PhysicalAddress> GetAddress(BinaryReader* r) {
 
 }  // namespace
 
-Status CloudServer::SaveSnapshot(const std::string& path,
-                                 const PublicationFilter& which) const {
+std::vector<CloudServer::SnapshotEntry> CloudServer::CutSnapshot(
+    const PublicationFilter& which) const {
+  std::vector<SnapshotEntry> cut;
   MutexLock lock(mu_);
+  for (const auto& [pn, pub] : publications_) {
+    if (which && !which(pn, pub.published())) continue;
+    SnapshotEntry& entry = cut.emplace_back();
+    entry.pn = pn;
+    if (pub.published()) {
+      entry.installed = pub.installed;
+      continue;
+    }
+    size_t size = 8 + 1 + 4 + pub.storage.SerializedSize() + 8 + 8 +
+                  20 * pub.tagged.size();
+    for (const auto& group : pub.metadata) size += 12 + 12 * group.second.size();
+    BinaryWriter w;
+    w.Reserve(size);
+    w.PutU64(pn);
+    w.PutU8(0);
+    w.PutU32(static_cast<uint32_t>(pub.storage.SerializedSize()));
+    pub.storage.SerializeTo(&w);
+    w.PutU64(pub.metadata.size());
+    for (const auto& [leaf, addrs] : pub.metadata) {
+      w.PutU32(leaf);
+      w.PutU64(addrs.size());
+      for (const auto& a : addrs) PutAddress(&w, a);
+    }
+    w.PutU64(pub.tagged.size());
+    for (const auto& [tag, addr] : pub.tagged) {
+      w.PutU64(tag);
+      PutAddress(&w, addr);
+    }
+    entry.open = w.Release();
+  }
+  return cut;
+}
+
+Bytes CloudServer::EncodeSnapshot(std::span<const SnapshotEntry> entries) const {
+  // Sized exactly up front, so the buffer is never copied while it grows.
+  std::vector<Bytes> indexes;
+  size_t size = sizeof(kMagic) + 3 * 8 + 8;
+  for (const SnapshotEntry& entry : entries) {
+    if (entry.installed == nullptr) {
+      size += entry.open.size();
+      continue;
+    }
+    const query::InstalledPublication& inst = *entry.installed;
+    indexes.push_back(inst.index.Serialize());
+    size += 8 + 1 + 4 + inst.storage.SerializedSize() + 4 +
+            indexes.back().size() + 4 + inst.overflow.SerializedSize() + 4 +
+            (inst.evidence != nullptr ? inst.evidence->size() : 0) + 8;
+    for (const auto& posting : inst.postings) size += 8 + 12 * posting.size();
+  }
+
   BinaryWriter w;
-  w.PutRaw(reinterpret_cast<const uint8_t*>(kMagic), sizeof(kMagic));
+  w.Reserve(size);
+  for (const char c : kMagic) w.PutU8(static_cast<uint8_t>(c));
   w.PutF64(binning_.domain_min());
   w.PutF64(binning_.domain_max());
   w.PutF64(binning_.bin_width());
-  std::vector<const std::pair<const uint64_t, Publication>*> chosen;
-  chosen.reserve(publications_.size());
-  for (const auto& entry : publications_) {
-    if (!which || which(entry.first, entry.second.published())) {
-      chosen.push_back(&entry);
+  w.PutU64(entries.size());
+  size_t next_index = 0;
+  for (const SnapshotEntry& entry : entries) {
+    if (entry.installed == nullptr) {
+      w.PutRaw(entry.open);
+      continue;
     }
-  }
-  w.PutU64(chosen.size());
-  for (const auto* entry : chosen) {
-    const auto& [pn, pub] = *entry;
-    w.PutU64(pn);
-    w.PutU8(pub.published() ? 1 : 0);
-    if (!pub.published()) {
-      w.PutBytes(pub.storage.Serialize());
-      w.PutU64(pub.metadata.size());
-      for (const auto& [leaf, addrs] : pub.metadata) {
-        w.PutU32(leaf);
-        w.PutU64(addrs.size());
-        for (const auto& a : addrs) PutAddress(&w, a);
-      }
-      w.PutU64(pub.tagged.size());
-      for (const auto& [tag, addr] : pub.tagged) {
-        w.PutU64(tag);
-        PutAddress(&w, addr);
-      }
+    const query::InstalledPublication& inst = *entry.installed;
+    w.PutU64(entry.pn);
+    w.PutU8(1);
+    w.PutU32(static_cast<uint32_t>(inst.storage.SerializedSize()));
+    inst.storage.SerializeTo(&w);
+    w.PutBytes(indexes[next_index++]);
+    w.PutU32(static_cast<uint32_t>(inst.overflow.SerializedSize()));
+    inst.overflow.SerializeTo(&w);
+    if (inst.evidence != nullptr) {
+      w.PutBytes(*inst.evidence);
     } else {
-      const query::InstalledPublication& inst = *pub.installed;
-      w.PutBytes(inst.storage.Serialize());
-      w.PutBytes(inst.index.Serialize());
-      w.PutU32(static_cast<uint32_t>(inst.overflow.SerializedSize()));
-      inst.overflow.SerializeTo(&w);
-      if (inst.evidence != nullptr) {
-        w.PutBytes(*inst.evidence);
-      } else {
-        w.PutBytes(Bytes{});
-      }
-      w.PutU64(inst.postings.size());
-      for (const auto& posting : inst.postings) {
-        w.PutU64(posting.size());
-        for (const auto& a : posting) PutAddress(&w, a);
-      }
+      w.PutBytes(Bytes{});
+    }
+    w.PutU64(inst.postings.size());
+    for (const auto& posting : inst.postings) {
+      w.PutU64(posting.size());
+      for (const auto& a : posting) PutAddress(&w, a);
     }
   }
+  return w.Release();
+}
 
+Status CloudServer::SaveSnapshot(const std::string& path,
+                                 const PublicationFilter& which) const {
+  const Bytes data = EncodeSnapshot(CutSnapshot(which));
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot open " + path + " for write");
-  out.write(reinterpret_cast<const char*>(w.buffer().data()),
-            static_cast<std::streamsize>(w.size()));
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
   out.flush();
   if (!out) return Status::IOError("write failed for " + path);
   return Status::OK();

@@ -56,18 +56,29 @@ Result<Bytes> SegmentStorage::Read(const PhysicalAddress& addr) const {
 
 Bytes SegmentStorage::Serialize() const {
   BinaryWriter w;
-  w.PutU64(segment_capacity_);
-  w.PutU64(num_records_);
-  w.PutU64(total_bytes_);
-  w.PutU64(segments_.size());
-  for (const auto& seg : segments_) w.PutBytes(seg);
-  w.PutU64(directory_.size());
-  for (const PhysicalAddress& addr : directory_) {
-    w.PutU32(addr.segment);
-    w.PutU32(addr.offset);
-    w.PutU32(addr.length);
-  }
+  w.Reserve(SerializedSize());
+  SerializeTo(&w);
   return w.Release();
+}
+
+size_t SegmentStorage::SerializedSize() const {
+  size_t n = 4 * 8 + 8 + 12 * directory_.size();
+  for (const auto& seg : segments_) n += 4 + seg.size();
+  return n;
+}
+
+void SegmentStorage::SerializeTo(BinaryWriter* w) const {
+  w->PutU64(segment_capacity_);
+  w->PutU64(num_records_);
+  w->PutU64(total_bytes_);
+  w->PutU64(segments_.size());
+  for (const auto& seg : segments_) w->PutBytes(seg);
+  w->PutU64(directory_.size());
+  for (const PhysicalAddress& addr : directory_) {
+    w->PutU32(addr.segment);
+    w->PutU32(addr.offset);
+    w->PutU32(addr.length);
+  }
 }
 
 Result<SegmentStorage> SegmentStorage::Deserialize(const Bytes& data) {

@@ -89,6 +89,10 @@ class SegmentStorage {
 
   /// Snapshot encoding (for cloud persistence).
   Bytes Serialize() const;
+  /// Length of Serialize()'s output.
+  size_t SerializedSize() const;
+  /// Appends Serialize()'s output to `w` without an intermediate buffer.
+  void SerializeTo(BinaryWriter* w) const;
   static Result<SegmentStorage> Deserialize(const Bytes& data);
 
  private:

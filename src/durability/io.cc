@@ -44,15 +44,6 @@ Result<Bytes> ReadFile(const std::string& path) {
   return out;
 }
 
-Status SyncFile(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Errno("open for fsync", path);
-  Status st;
-  if (::fsync(fd) != 0) st = Errno("fsync", path);
-  ::close(fd);
-  return st;
-}
-
 Status SyncDir(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return Errno("open dir", dir);

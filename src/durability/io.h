@@ -17,9 +17,6 @@ namespace durability {
 /// Reads the whole file into memory.
 Result<Bytes> ReadFile(const std::string& path);
 
-/// fsync()s an existing file by path (open + fsync + close).
-Status SyncFile(const std::string& path);
-
 /// fsync()s a directory so renames/creates/unlinks inside it are durable.
 Status SyncDir(const std::string& dir);
 

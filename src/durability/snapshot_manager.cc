@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "durability/io.h"
@@ -36,33 +37,26 @@ bool IsSnapshotFile(const std::string& name) {
          name.rfind("snapshot-", 0) == 0;
 }
 
-/// Installs `dir`/`name` holding the publications `which` picks (tmp +
-/// fsync + rename). When it picks none it leaves no file, unless
-/// `even_empty`; `*written` says whether the file was installed. Never
-/// replaces an existing file, which a MANIFEST may name.
-Status WriteSnapshotFile(const cloud::CloudServer& server,
-                         const std::string& dir, const std::string& name,
-                         const cloud::CloudServer::PublicationFilter& which,
-                         bool even_empty, bool* written) {
+/// Installs `dir`/`name` holding `entries` (tmp + fsync + rename). When
+/// there are none it leaves no file, unless `even_empty`; `*written` says
+/// whether the file was installed. Never replaces an existing file, which
+/// a MANIFEST may name.
+Status InstallSnapshotFile(
+    const cloud::CloudServer& server, const std::string& dir,
+    const std::string& name,
+    const std::vector<cloud::CloudServer::SnapshotEntry>& entries,
+    bool even_empty, bool* written) {
   *written = false;
   const std::string path = dir + "/" + name;
-  const std::string tmp = path + ".tmp";
   if (std::filesystem::exists(path)) {
     return Status::FailedPrecondition(
         path + " already exists; append to the WAL before snapshotting");
   }
-  size_t picked = 0;
-  Status st = server.SaveSnapshot(tmp, [&](uint64_t pn, bool installed) {
-    const bool take = which(pn, installed);
-    picked += take ? 1 : 0;
-    return take;
-  });
-  const bool keep = picked > 0 || even_empty;
-  if (st.ok() && keep) st = SyncFile(tmp);
-  if (st.ok() && keep) st = RenameAtomic(tmp, path);
-  if (!st.ok() || !keep) {
+  if (entries.empty() && !even_empty) return Status::OK();
+  Status st = WriteFileAtomic(path, server.EncodeSnapshot(entries));
+  if (!st.ok()) {
     std::error_code ec;
-    std::filesystem::remove(tmp, ec);  // best-effort cleanup
+    std::filesystem::remove(path + ".tmp", ec);  // best-effort cleanup
     return st;
   }
   *written = true;
@@ -136,71 +130,157 @@ SnapshotManager::SnapshotManager(SnapshotOptions opts,
                                  const cloud::CloudServer* server, Wal* wal)
     : opts_(std::move(opts)), server_(server), wal_(wal) {}
 
-Status SnapshotManager::NoteInstall() {
-  MutexLock lock(mu_);
-  ++installs_since_snapshot_;
-  if (opts_.snapshot_every_installs == 0 ||
-      installs_since_snapshot_ < opts_.snapshot_every_installs) {
-    return Status::OK();
+SnapshotManager::~SnapshotManager() {
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+    cv_.NotifyAll();
   }
-  return WriteSnapshotLocked();
+  if (writer_.joinable()) writer_.join();
+}
+
+Status SnapshotManager::NoteInstall() {
+  Status reported;
+  {
+    MutexLock lock(mu_);
+    reported = std::exchange(failed_write_, Status::OK());
+    ++installs_since_snapshot_;
+    // Due while a write runs: the first install after it takes the cut.
+    if (opts_.snapshot_every_installs == 0 ||
+        installs_since_snapshot_ < opts_.snapshot_every_installs ||
+        in_flight_) {
+      return reported;
+    }
+    Cut cut;
+    if (Status st = CutLocked(&cut); !st.ok()) {
+      ++snapshot_failures_;
+      return reported.ok() ? st : reported;
+    }
+    if (cut.unchanged) {
+      CountUnchangedLocked(cut);
+      return reported;
+    }
+    queued_ = std::move(cut);
+    in_flight_ = true;
+    cv_.NotifyAll();
+    if (writer_started_) return reported;
+    writer_started_ = true;
+  }
+  // Outside mu_: the writer takes mu_ as soon as it runs.
+  writer_ = std::thread(&SnapshotManager::WriterLoop, this);
+  return reported;
 }
 
 Status SnapshotManager::WriteSnapshot() {
-  MutexLock lock(mu_);
-  return WriteSnapshotLocked();
+  Cut cut;
+  {
+    MutexLock lock(mu_);
+    while (in_flight_) cv_.Wait(mu_);
+    if (Status st = CutLocked(&cut); !st.ok()) {
+      ++snapshot_failures_;
+      return st;
+    }
+    if (cut.unchanged) {
+      CountUnchangedLocked(cut);
+      return Status::OK();
+    }
+    in_flight_ = true;
+  }
+  return RunWrite(cut, /*background=*/false);
 }
 
-Status SnapshotManager::WriteSnapshotLocked() {
-  const int64_t write_start = telemetry::NowNanos();
-  Stopwatch watch(opts_.clock);
-  // Everything appended so far is applied (appender == snapshotter
-  // thread); flush it so the manifest's LSN is never ahead of the log.
-  Status st = wal_->Flush();
-  const uint64_t lsn = wal_->last_lsn();
+Status SnapshotManager::Drain() {
+  MutexLock lock(mu_);
+  while (in_flight_) cv_.Wait(mu_);
+  return std::exchange(failed_write_, Status::OK());
+}
+
+void SnapshotManager::WriterLoop() {
+  for (;;) {
+    Cut cut;
+    {
+      MutexLock lock(mu_);
+      while (!queued_.has_value() && !stop_) cv_.Wait(mu_);
+      if (!queued_.has_value()) return;
+      cut = std::move(*queued_);
+      queued_.reset();
+    }
+    (void)RunWrite(cut, /*background=*/true);  // kept in failed_write_
+  }
+}
+
+Status SnapshotManager::RunWrite(const Cut& cut, bool background) {
+  const Stopwatch watch(opts_.clock);
+  const Status st = WriteCut(cut);
+  const double millis = watch.ElapsedMillis();
+  MutexLock lock(mu_);
+  if (st.ok()) {
+    ++snapshots_written_;
+    last_snapshot_millis_ = millis;
+    FRESQUE_HISTOGRAM_RECORD("snapshot.write_ns",
+                             telemetry::NowNanos() - cut.start_ns);
+    FRESQUE_FLIGHT_EVENT(kDurability, "snapshot written", cut.lsn,
+                         snapshots_written_, 0);
+  } else {
+    ++snapshot_failures_;
+    if (background && failed_write_.ok()) failed_write_ = st;
+  }
+  in_flight_ = false;
+  cv_.NotifyAll();
+  return st;
+}
+
+void SnapshotManager::CountUnchangedLocked(const Cut& cut) {
+  ++snapshots_written_;
+  last_snapshot_millis_ = 0;
+  FRESQUE_HISTOGRAM_RECORD("snapshot.write_ns",
+                           telemetry::NowNanos() - cut.start_ns);
+}
+
+Status SnapshotManager::CutLocked(Cut* cut) {
+  cut->start_ns = telemetry::NowNanos();
+  // Everything appended so far is applied (the appender takes the cut);
+  // flush it so the batches get LSNs and the manifest's LSN is never
+  // ahead of the log.
+  FRESQUE_RETURN_NOT_OK(wal_->Flush());
+  cut->lsn = wal_->last_lsn();
+  installs_since_snapshot_ = 0;
   // Nothing logged since the last MANIFEST means nothing changed: the
   // files it names already hold this state.
-  if (st.ok() && manifest_lsn_ != lsn) st = InstallSnapshotLocked(lsn);
-  if (!st.ok()) {
-    ++snapshot_failures_;
-    return st;
+  if (manifest_lsn_ == cut->lsn) {
+    cut->unchanged = true;
+    return Status::OK();
   }
-
-  installs_since_snapshot_ = 0;
-  ++snapshots_written_;
-  last_snapshot_millis_ = watch.ElapsedMillis();
-  FRESQUE_HISTOGRAM_RECORD("snapshot.write_ns",
-                           telemetry::NowNanos() - write_start);
-  FRESQUE_FLIGHT_EVENT(kDurability, "snapshot written", lsn,
-                       snapshots_written_, 0);
+  const std::unordered_set<uint64_t>& sealed = sealed_pns_;
+  auto entries = server_->CutSnapshot([&sealed](uint64_t pn, bool installed) {
+    return !installed || sealed.count(pn) == 0;
+  });
+  for (auto& entry : entries) {
+    (entry.installed != nullptr ? cut->sealed : cut->open)
+        .push_back(std::move(entry));
+  }
+  cut->sealed_files = sealed_files_;
+  FRESQUE_HISTOGRAM_RECORD("snapshot.cut_ns",
+                           telemetry::NowNanos() - cut->start_ns);
   return Status::OK();
 }
 
-Status SnapshotManager::InstallSnapshotLocked(uint64_t lsn) {
-  Manifest next{sealed_files_, lsn};
-  const std::unordered_set<uint64_t>& sealed = sealed_pns_;
-  std::vector<uint64_t> newly_sealed;
-  const std::string sealed_name = SnapshotFileName("sealed", lsn);
+Status SnapshotManager::WriteCut(const Cut& cut) {
+  Manifest next{cut.sealed_files, cut.lsn};
+  const std::string sealed_name = SnapshotFileName("sealed", cut.lsn);
   bool wrote_sealed = false;
-  Status st = WriteSnapshotFile(
-      *server_, opts_.dir, sealed_name,
-      [&](uint64_t pn, bool installed) {
-        if (!installed || sealed.count(pn) != 0) return false;
-        newly_sealed.push_back(pn);
-        return true;
-      },
-      /*even_empty=*/false, &wrote_sealed);
+  Status st = InstallSnapshotFile(*server_, opts_.dir, sealed_name, cut.sealed,
+                                  /*even_empty=*/false, &wrote_sealed);
   if (wrote_sealed) next.snapshot_files.push_back(sealed_name);
 
   // The truncation below drops the WAL's meta frame, so the MANIFEST must
   // name at least one file to carry the binning, even an empty one.
-  const std::string open_name = SnapshotFileName("open", lsn);
+  const std::string open_name = SnapshotFileName("open", cut.lsn);
   bool wrote_open = false;
   if (st.ok()) {
-    st = WriteSnapshotFile(
-        *server_, opts_.dir, open_name,
-        [](uint64_t, bool installed) { return !installed; },
-        /*even_empty=*/next.snapshot_files.empty(), &wrote_open);
+    st = InstallSnapshotFile(*server_, opts_.dir, open_name, cut.open,
+                             /*even_empty=*/next.snapshot_files.empty(),
+                             &wrote_open);
   }
   if (wrote_open) next.snapshot_files.push_back(open_name);
   // On failure the old MANIFEST stays current and nothing is marked
@@ -211,12 +291,15 @@ Status SnapshotManager::InstallSnapshotLocked(uint64_t lsn) {
 
   // The MANIFEST names the new files: record what they sealed, then drop
   // the log prefix and every snapshot file it no longer names.
-  if (wrote_sealed) {
-    sealed_files_.push_back(sealed_name);
-    sealed_pns_.insert(newly_sealed.begin(), newly_sealed.end());
+  {
+    MutexLock lock(mu_);
+    if (wrote_sealed) {
+      sealed_files_.push_back(sealed_name);
+      for (const auto& entry : cut.sealed) sealed_pns_.insert(entry.pn);
+    }
+    manifest_lsn_ = cut.lsn;
   }
-  manifest_lsn_ = lsn;
-  auto dropped = wal_->TruncateObsolete(lsn);
+  auto dropped = wal_->TruncateObsolete(cut.lsn);
   if (!dropped.ok()) return dropped.status();
   const std::unordered_set<std::string> named(next.snapshot_files.begin(),
                                               next.snapshot_files.end());

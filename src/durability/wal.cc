@@ -395,6 +395,8 @@ Result<std::unique_ptr<Wal>> Wal::Open(WalOptions opts) {
 
   if (wal->segments_.empty()) {
     FRESQUE_RETURN_NOT_OK(wal->OpenSegmentLocked(1));
+    FRESQUE_RETURN_NOT_OK(SyncDir(wal->opts_.dir));
+    wal->dir_unsynced_ = false;
     return wal;
   }
 
@@ -448,24 +450,31 @@ Status Wal::OpenSegmentLocked(uint64_t base_lsn) {
   }
   fd_ = fd;
   segment_written_ = kSegHeaderSize;
+  synced_bytes_ = 0;
   segments_.push_back({path, base_lsn});
   ++segments_created_;
+  dir_unsynced_ = true;
+  ++dir_changes_;
   FRESQUE_FLIGHT_EVENT(kDurability, "wal segment opened", base_lsn,
                        segments_created_, 0);
-  return SyncDir(opts_.dir);
+  return Status::OK();
 }
 
 Status Wal::RotateLocked() {
   if (segment_written_ <= kSegHeaderSize) return Status::OK();  // empty
   FRESQUE_RETURN_NOT_OK(WriteStageLocked());
-  // Seal: the closed segment never changes again. fsync it now (unless
-  // the policy is kNever) so later fsyncs only ever touch the active fd.
-  if (opts_.fsync_policy != FsyncPolicy::kNever && fd_ >= 0) {
+  // Seal: the closed segment never changes again. It is durable before
+  // the next segment exists (unless the policy is kNever), so a crash
+  // never leaves a newer segment beside an older one with a torn tail,
+  // and later fsyncs only ever touch the active fd.
+  if (opts_.fsync_policy != FsyncPolicy::kNever && fd_ >= 0 &&
+      synced_bytes_ < segment_written_) {
     if (::fsync(fd_) != 0) return Errno("fsync sealed", segments_.back().path);
     ++fsyncs_;
   }
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
+  rotate_when_synced_ = false;
   return OpenSegmentLocked(next_lsn_);
 }
 
@@ -654,11 +663,20 @@ Status Wal::FsyncLocked(bool force) {
   if (!due) return Status::OK();
   if (fd_ < 0) return Status::FailedPrecondition("wal is closed");
   const int64_t fsync_start = telemetry::NowNanos();
+  // The segment's directory entry first, so its fsynced frames cannot
+  // vanish with it.
+  if (dir_unsynced_) {
+    FRESQUE_RETURN_NOT_OK(SyncDir(opts_.dir));
+    dir_unsynced_ = false;
+  }
   if (::fsync(fd_) != 0) return Errno("fsync", segments_.back().path);
   FRESQUE_HISTOGRAM_RECORD("wal.fsync_ns",
                            telemetry::NowNanos() - fsync_start);
   ++fsyncs_;
+  synced_bytes_ = segment_written_;
   last_fsync_nanos_ = opts_.clock->NowNanos();
+  // A rotation a truncation asked for: the segment is durable now.
+  if (rotate_when_synced_) return RotateLocked();
   return Status::OK();
 }
 
@@ -680,24 +698,42 @@ Status Wal::Flush() {
 }
 
 Result<size_t> Wal::TruncateObsolete(uint64_t through_lsn) {
-  MutexLock lock(mu_);
-  FRESQUE_RETURN_NOT_OK(SealAllBatchesLocked());
-  FRESQUE_RETURN_NOT_OK(WriteStageLocked());
-  FRESQUE_RETURN_NOT_OK(RotateLocked());
-  // Segment i covers [base_i, base_{i+1} - 1]; it is obsolete once its
-  // last frame is <= through_lsn. The active (last) segment never goes.
-  size_t deleted = 0;
-  while (segments_.size() > 1 &&
-         segments_[1].base_lsn <= through_lsn + 1) {
-    if (::unlink(segments_.front().path.c_str()) != 0) {
-      return Errno("unlink", segments_.front().path);
+  std::vector<std::string> obsolete;
+  bool sync_dir = false;
+  uint64_t dir_changes = 0;
+  {
+    MutexLock lock(mu_);
+    FRESQUE_RETURN_NOT_OK(SealAllBatchesLocked());
+    FRESQUE_RETURN_NOT_OK(WriteStageLocked());
+    // Seal the active segment so a later truncation can drop it. Sealing
+    // an undurable segment would fsync it here, under mu_; its next fsync
+    // (a due Commit(), which waits for the disk anyway) rotates it instead.
+    if (opts_.fsync_policy == FsyncPolicy::kNever ||
+        synced_bytes_ == segment_written_) {
+      FRESQUE_RETURN_NOT_OK(RotateLocked());
+    } else {
+      rotate_when_synced_ = true;
     }
-    segments_.erase(segments_.begin());
-    ++deleted;
-    ++segments_deleted_;
+    // Segment i covers [base_i, base_{i+1} - 1]; it is obsolete once its
+    // last frame is <= through_lsn. The active (last) segment never goes.
+    while (segments_.size() > 1 &&
+           segments_[1].base_lsn <= through_lsn + 1) {
+      obsolete.push_back(segments_.front().path);
+      segments_.erase(segments_.begin());
+    }
+    sync_dir = dir_unsynced_ || !obsolete.empty();
+    dir_changes = dir_changes_;
   }
-  if (deleted > 0) FRESQUE_RETURN_NOT_OK(SyncDir(opts_.dir));
-  return deleted;
+  // The disk waits, outside mu_. The obsolete segments are sealed and
+  // durable, and the snapshot covering them is named by a MANIFEST.
+  for (const std::string& path : obsolete) {
+    if (::unlink(path.c_str()) != 0) return Errno("unlink", path);
+  }
+  if (sync_dir) FRESQUE_RETURN_NOT_OK(SyncDir(opts_.dir));
+  MutexLock lock(mu_);
+  segments_deleted_ += obsolete.size();
+  if (dir_changes_ == dir_changes) dir_unsynced_ = false;
+  return obsolete.size();
 }
 
 uint64_t Wal::last_lsn() const {

@@ -168,7 +168,11 @@ class Wal {
 
   /// Rotates to a fresh segment and deletes sealed segments whose every
   /// frame has LSN <= `through_lsn` (they are covered by a snapshot).
-  /// Returns the number of segments deleted.
+  /// Returns the number of segments deleted. Waits for no disk under the
+  /// WAL's lock, so appends and commits on other threads go on meanwhile:
+  /// the unlinks and the directory fsync run outside it, and a segment
+  /// that is not yet durable through its last byte rotates at its next
+  /// fsync instead of now.
   Result<size_t> TruncateObsolete(uint64_t through_lsn) FRESQUE_EXCLUDES(mu_);
 
   /// LSN of the last frame appended (0 if none). Staged batches have no
@@ -228,7 +232,12 @@ class Wal {
   Status SealBatchLocked(uint64_t pn) FRESQUE_REQUIRES(mu_);
   Status SealAllBatchesLocked() FRESQUE_REQUIRES(mu_);
   Status WriteStageLocked() FRESQUE_REQUIRES(mu_);
+  /// Seals the active segment, fsyncing it first unless the last fsync
+  /// covers it, and opens the next one: a segment is created only once
+  /// every older one is durable through its last byte.
   Status RotateLocked() FRESQUE_REQUIRES(mu_);
+  /// Creates the segment; its directory entry is fsynced before the next
+  /// fsync of the segment (FsyncLocked) or by a truncation.
   Status OpenSegmentLocked(uint64_t base_lsn) FRESQUE_REQUIRES(mu_);
   Status FsyncLocked(bool force) FRESQUE_REQUIRES(mu_);
 
@@ -248,6 +257,15 @@ class Wal {
     uint64_t base_lsn = 0;
   };
   std::vector<Segment> segments_ FRESQUE_GUARDED_BY(mu_);
+  /// Bytes of the active segment its last fsync covers.
+  size_t synced_bytes_ FRESQUE_GUARDED_BY(mu_) = 0;
+  /// A truncation asked for a rotation; the next fsync rotates.
+  bool rotate_when_synced_ FRESQUE_GUARDED_BY(mu_) = false;
+  /// A segment was created since the directory's last fsync; every
+  /// creation bumps dir_changes_, so a sync outside mu_ knows what it
+  /// covered.
+  bool dir_unsynced_ FRESQUE_GUARDED_BY(mu_) = false;
+  uint64_t dir_changes_ FRESQUE_GUARDED_BY(mu_) = 0;
   int64_t last_fsync_nanos_ FRESQUE_GUARDED_BY(mu_) = 0;
 
   // Metrics.

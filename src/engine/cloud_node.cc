@@ -78,6 +78,9 @@ void CloudNode::Shutdown() {
   // Open publications have record frames staged in the WAL; make them
   // durable so a stop-start cycle (not just a crash) loses nothing.
   if (wal_ != nullptr) NoteError(wal_->Commit());
+  // Recovery and final snapshots read the data dir once this returns, so
+  // the background snapshot write must be done with it.
+  if (snapshots_ != nullptr) NoteError(snapshots_->Drain());
 }
 
 Status CloudNode::AttachDurability(durability::Wal* wal,

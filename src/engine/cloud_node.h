@@ -55,7 +55,8 @@ class CloudNode {
 
   void Start() { node_.Start(); }
   /// Stops accepting frames, drains the inbox and joins the thread, then
-  /// commits any WAL tail so open-publication records survive a restart.
+  /// commits any WAL tail so open-publication records survive a restart,
+  /// and waits for the snapshot write in flight.
   void Shutdown();
 
   /// Attaches a write-ahead log (and optionally a snapshot manager): every

@@ -7,7 +7,9 @@ namespace engine {
 
 Randomer::Randomer(size_t capacity, crypto::SecureRandom* rng)
     : capacity_(capacity == 0 ? 1 : capacity), rng_(rng) {
-  buffer_.reserve(capacity_);
+  // Push appends before it evicts, so a full buffer briefly holds one
+  // more than its capacity.
+  buffer_.reserve(capacity_ + 1);
 }
 
 std::optional<net::Message> Randomer::Push(net::Message m) {
@@ -28,9 +30,10 @@ std::vector<net::Message> Randomer::Flush() {
     size_t j = rng_->NextBounded(i);
     std::swap(buffer_[i - 1], buffer_[j]);
   }
+  // The randomer lives for one interval, so the buffer leaves with the
+  // records instead of being replaced by a fresh one.
   std::vector<net::Message> out;
   out.swap(buffer_);
-  buffer_.reserve(capacity_);
   return out;
 }
 

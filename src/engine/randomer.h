@@ -35,7 +35,8 @@ class Randomer {
   std::optional<net::Message> Push(net::Message m);
 
   /// Shuffles (Fisher-Yates) and returns all buffered records, emptying
-  /// the buffer.
+  /// the buffer. The returned vector takes the buffer's memory along, so
+  /// a randomer that is pushed to again allocates a new one.
   std::vector<net::Message> Flush();
 
   size_t size() const { return buffer_.size(); }

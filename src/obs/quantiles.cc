@@ -19,6 +19,24 @@ size_t StripeIndex() {
   return idx;
 }
 
+/// Merges the sorted run `in[0..n)` into the sorted `*level`, keeping it
+/// sorted. It fills from the back, where the level's reserved capacity
+/// has room for the run, so it needs no buffer and never allocates.
+void MergeSortedRun(std::vector<uint64_t>* level, const uint64_t* in,
+                    size_t n) {
+  size_t i = level->size();
+  size_t k = i + n;
+  level->resize(k);
+  uint64_t* out = level->data();
+  while (n > 0) {
+    if (i > 0 && out[i - 1] > in[n - 1]) {
+      out[--k] = out[--i];
+    } else {
+      out[--k] = in[--n];
+    }
+  }
+}
+
 }  // namespace
 
 StreamingQuantiles::StreamingQuantiles() {
@@ -50,7 +68,10 @@ void StreamingQuantiles::InsertMany(const uint64_t* values, size_t n) {
       }
     }
     count_.fetch_add(took, std::memory_order_relaxed);
-    if (spill_n != 0) Merge(spill, spill_n);
+    if (spill_n != 0) {
+      std::sort(spill, spill + spill_n);  // outside every lock
+      Merge(spill, spill_n);
+    }
     values += took;
     n -= took;
   }
@@ -58,28 +79,28 @@ void StreamingQuantiles::InsertMany(const uint64_t* values, size_t n) {
 
 void StreamingQuantiles::Merge(const uint64_t* samples, size_t n) {
   MutexLock lock(mu_);
-  auto& l0 = levels_[0];
-  l0.insert(l0.end(), samples, samples + n);
+  // Every level stays sorted: a sorted run merges in, and the survivors
+  // of a sorted level are a sorted run for the level above. A sorted
+  // multiset has one order, so compaction needs no sort and the summary
+  // is the one a sort at each compaction would give.
+  MergeSortedRun(&levels_[0], samples, n);
   for (size_t i = 0; i + 1 < kMaxLevels; ++i) {
     auto& cur = levels_[i];
     if (cur.size() < kLevelCapacity) break;
-    std::sort(cur.begin(), cur.end());
     // Compact an even prefix: alternating survivors from a random offset
     // carry double weight; a leftover odd element stays at this level so
     // total weight is conserved exactly.
     const size_t pairs = cur.size() / 2;
+    const uint64_t leftover = cur.back();
+    const bool odd = cur.size() % 2 != 0;
     rng_ ^= rng_ << 13;
     rng_ ^= rng_ >> 7;
     rng_ ^= rng_ << 17;
     const size_t offset = static_cast<size_t>(rng_ & 1);
-    auto& up = levels_[i + 1];
-    for (size_t p = 0; p < pairs; ++p) up.push_back(cur[2 * p + offset]);
-    if (cur.size() % 2 != 0) {
-      cur[0] = cur.back();
-      cur.resize(1);
-    } else {
-      cur.clear();
-    }
+    for (size_t p = 0; p < pairs; ++p) cur[p] = cur[2 * p + offset];
+    MergeSortedRun(&levels_[i + 1], cur.data(), pairs);
+    cur.clear();
+    if (odd) cur.push_back(leftover);
   }
 }
 

@@ -86,7 +86,7 @@ class StreamingQuantiles {
     size_t n FRESQUE_GUARDED_BY(mu) = 0;
   };
 
-  /// Folds `n` samples (unsorted) into the compactor hierarchy.
+  /// Folds `n` sorted samples into the compactor hierarchy.
   void Merge(const uint64_t* samples, size_t n) FRESQUE_EXCLUDES(mu_);
   /// Collects the whole summary as (value, weight) pairs.
   void Collect(std::vector<std::pair<uint64_t, uint64_t>>* out) const
@@ -96,9 +96,9 @@ class StreamingQuantiles {
   std::atomic<uint64_t> count_{0};
 
   mutable Mutex mu_;
-  /// levels_[i] holds survivors of weight 2^i; capacity reserved up front
-  /// (kLevelCapacity + kLevelCapacity/2 + kBufferLen headroom) so the
-  /// merge path never reallocates.
+  /// levels_[i] holds survivors of weight 2^i, sorted; capacity reserved
+  /// up front (kLevelCapacity + kLevelCapacity/2 + kBufferLen headroom)
+  /// so the merge path never reallocates.
   std::vector<std::vector<uint64_t>> levels_ FRESQUE_GUARDED_BY(mu_);
   /// xorshift state for the unbiased compaction offset.
   uint64_t rng_ FRESQUE_GUARDED_BY(mu_) = 0x9e3779b97f4a7c15ull;

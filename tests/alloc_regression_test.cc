@@ -21,11 +21,13 @@
 #include "common/queue.h"
 #include "crypto/chacha20.h"
 #include "crypto/key_manager.h"
+#include "engine/randomer.h"
 #include "index/binning.h"
 #include "index/index.h"
 #include "index/overflow.h"
 #include "net/message.h"
 #include "net/payloads.h"
+#include "obs/quantiles.h"
 #include "record/dataset.h"
 #include "record/parser.h"
 #include "record/record.h"
@@ -59,8 +61,9 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
-/// The same count, for the calling thread only.
+/// The same count, for the calling thread only, and the bytes it asked for.
 thread_local uint64_t t_allocations = 0;
+thread_local uint64_t t_allocated_bytes = 0;
 
 uint64_t AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
@@ -75,6 +78,7 @@ uint64_t AllocationCount() {
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   ++t_allocations;
+  t_allocated_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -380,6 +384,62 @@ TEST(AllocRegressionTest, PublicationDecodeDoesNotCopyEachOverflowSlot) {
   EXPECT_EQ(decoded->overflow.num_leaves(), kLeaves);
   EXPECT_LT(allocations, 100u)
       << "decoding one publication allocated " << allocations << " times";
+}
+
+// A randomer holds S records and briefly one more: Push appends before it
+// evicts. Filling it past its first eviction and flushing it touches the
+// heap only at construction, at nasa-4shard's busiest-shard S.
+TEST(AllocRegressionTest, RandomerFillsPastEvictionAndFlushesWithoutAllocating) {
+  SKIP_UNDER_SANITIZER();
+  constexpr size_t kCapacity = 27392;
+  constexpr size_t kExtra = 500;
+  crypto::SecureRandom rng(31);
+  engine::Randomer randomer(kCapacity, &rng);
+
+  const uint64_t before = t_allocations;
+  const uint64_t bytes_before = t_allocated_bytes;
+  size_t evicted = 0;
+  for (size_t i = 0; i < kCapacity + kExtra; ++i) {
+    net::Message m;
+    m.pn = i;
+    evicted += randomer.Push(std::move(m)).has_value() ? 1 : 0;
+  }
+  const std::vector<net::Message> flushed = randomer.Flush();
+  const uint64_t allocations = t_allocations - before;
+  const uint64_t bytes = t_allocated_bytes - bytes_before;
+  EXPECT_EQ(evicted, kExtra);
+  EXPECT_EQ(flushed.size(), kCapacity);
+  EXPECT_EQ(allocations, 0u) << "the randomer allocated " << bytes
+                             << " bytes in " << allocations << " call(s)";
+}
+
+// The e2e quantile sketch keeps its levels sorted by merging into their
+// reserved capacity: a steady stream of 64-sample batches, as the cloud
+// node records them, never touches the heap.
+TEST(AllocRegressionTest, QuantileSketchInsertManyIsAllocationFree) {
+  SKIP_UNDER_SANITIZER();
+  obs::StreamingQuantiles sketch;
+  std::vector<uint64_t> batch(64);
+  uint64_t x = 88172645463325252ull;
+  auto refill = [&] {
+    for (uint64_t& v : batch) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      v = x >> (x % 44);
+    }
+  };
+  for (int i = 0; i < kWarmup; ++i) {
+    refill();
+    sketch.InsertMany(batch.data(), batch.size());
+  }
+  const uint64_t before = t_allocations;
+  for (int i = 0; i < 100 * kMeasured; ++i) {
+    refill();
+    sketch.InsertMany(batch.data(), batch.size());
+  }
+  EXPECT_EQ(t_allocations - before, 0u);
+  EXPECT_EQ(sketch.Count(), uint64_t{64} * (kWarmup + 100 * kMeasured));
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // the final frame must be treated as a torn tail, never as data loss or a
 // crash. A second harness crashes inside incremental snapshots: from
 // copies of the data dir taken just before and just after each snapshot
-// it rebuilds the directory a crash would leave between its steps.
+// it rebuilds the directory a crash would leave between its steps. A
+// third does the same for snapshots written in the background while
+// records go on being appended and committed.
 // Randomized but reproducible: FRESQUE_CRASH_SEED selects the cut
 // sequence and the workload (CI runs many seeds under ASan+UBSan).
 
@@ -26,6 +28,7 @@
 #include "durability/snapshot_manager.h"
 #include "durability/wal.h"
 #include "engine/cloud_node.h"
+#include "gate_clock.h"
 #include "index/index.h"
 #include "index/overflow.h"
 #include "net/payloads.h"
@@ -401,6 +404,7 @@ TEST_F(CrashRecoveryTest, AckedPublicationsSurviveCrashesInsideASnapshot) {
     manager.FillMetrics(&m);
     const uint64_t written = m.snapshots_written;
     ASSERT_TRUE(manager.NoteInstall().ok());
+    ASSERT_TRUE(manager.Drain().ok());
     manager.FillMetrics(&m);
     if (m.snapshots_written > written) {
       ++snapshots;
@@ -451,6 +455,148 @@ TEST_F(CrashRecoveryTest, AckedPublicationsSurviveCrashesInsideASnapshot) {
     fs::remove_all(before);
     if (HasFatalFailure()) return;
     if (pn < kPublications) ingest(pn, 5 + rng() % 20);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(snapshots, static_cast<int>(kPublications / 2));
+  EXPECT_GT(segments_dropped, 0) << "no crash point fell between truncation "
+                                    "and cleanup";
+  fs::remove_all(dir);
+}
+
+TEST_F(CrashRecoveryTest,
+       AckedPublicationsSurviveCrashesInsideABackgroundSnapshot) {
+  // As above, but each snapshot is written by the manager's writer while
+  // the test thread, playing the cloud node, goes on ingesting into the
+  // open publication: between the cut and the end of the write it appends
+  // and commits one run of records (acked) and appends a second without
+  // committing it, which the truncation writes to the segment it seals.
+  const uint64_t seed = CrashSeed() + 3;
+  std::mt19937_64 rng(seed);
+  const std::string dir = FreshDir("crash_bg_src");
+  cloud::CloudServer server(
+      index::DomainBinning::Create(0, kLeaves, 1).ValueOrDie());
+  durability::WalOptions wopts;
+  wopts.dir = dir;
+  wopts.fsync_policy = durability::FsyncPolicy::kAlways;
+  // Small segments: the records committed during a write fill segments
+  // that are sealed before the write's truncation runs, which must keep
+  // them.
+  wopts.segment_bytes = 256;
+  auto wal = durability::Wal::Open(std::move(wopts));
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  durability::Wal* log = wal->get();
+  ASSERT_TRUE(log->AppendMeta(0, kLeaves, 1).ok());
+  GateClock gate;  // holds each background write before its first file
+  durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  sopts.snapshot_every_installs = 2;
+  sopts.clock = &gate;
+  durability::SnapshotManager manager(sopts, &server, log);
+
+  std::map<uint64_t, std::vector<int64_t>> counts;
+  auto ingest = [&](uint64_t pn, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t leaf = static_cast<uint32_t>(rng() % kLeaves);
+      Bytes rec(8 + rng() % 48);
+      for (auto& b : rec) b = static_cast<uint8_t>(rng());
+      ASSERT_TRUE(server.IngestRecord(pn, leaf, rec).ok());
+      ASSERT_TRUE(log->AppendRecord(pn, leaf, rec).ok());
+      counts[pn][leaf] += 1;
+      truth_[pn].records.push_back(std::move(rec));
+    }
+  };
+  auto open = [&](uint64_t pn) {
+    ASSERT_TRUE(server.StartPublication(pn).ok());
+    ASSERT_TRUE(log->AppendStart(pn).ok());
+    counts[pn].assign(kLeaves, 0);
+    truth_[pn];
+    ingest(pn, 10 + rng() % 30);
+  };
+
+  auto all = [](const std::string&) { return true; };
+  int snapshots = 0;
+  int segments_dropped = 0;
+  for (uint64_t pn = 0; pn <= kPublications; ++pn) {
+    if (pn < kPublications) open(pn);
+    if (HasFatalFailure()) return;
+    if (pn == 0) continue;
+    const uint64_t done = pn - 1;
+    Bytes payload = PublicationPayload(kLeaves, counts[done]);
+    auto pub = net::DecodeIndexPublication(payload);
+    ASSERT_TRUE(pub.ok());
+    ASSERT_TRUE(server.PublishIndexed(done, std::move(*pub), payload).ok());
+    ASSERT_TRUE(log->AppendInstall(done, payload).ok());
+    ASSERT_TRUE(log->Commit().ok());
+    truth_[done].evidence = std::move(payload);
+
+    // Every second install cuts; nothing is deferred, as each write is
+    // waited for before the next install.
+    const bool cuts = (done + 1) % 2 == 0;
+    if (cuts) gate.Close();
+    ASSERT_TRUE(manager.NoteInstall().ok());
+    if (!cuts) continue;
+    gate.AwaitHeld();
+    if (pn < kPublications) {
+      for (size_t i = 5 + rng() % 20; i > 0; --i) {
+        ingest(pn, 1);
+        ASSERT_TRUE(log->Commit().ok());  // acked during the write
+      }
+    }
+    if (HasFatalFailure()) return;
+    // The durable state when the write starts: the crash points before
+    // its truncation keep this WAL and must recover these records.
+    const std::string mid = CopyDir(dir, "crash_bg_mid", all);
+    const std::map<uint64_t, PubTruth> mid_truth = truth_;
+    if (pn < kPublications) ingest(pn, 3 + rng() % 10);  // not committed
+    if (HasFatalFailure()) return;
+    gate.Open();
+    ASSERT_TRUE(manager.Drain().ok());
+    ASSERT_TRUE(log->Commit().ok());
+    ++snapshots;
+    const std::string after = CopyDir(dir, "crash_bg_after", all);
+    const std::set<std::string> old_files = FileNames(mid);
+    const std::set<std::string> new_files = FileNames(after);
+    auto is_new = [&](const std::string& n) {
+      return (HasPrefix(n, "sealed-") || HasPrefix(n, "open-")) &&
+             old_files.count(n) == 0;
+    };
+    for (const std::string& n : old_files) {
+      if (HasPrefix(n, "wal-") && new_files.count(n) == 0) ++segments_dropped;
+    }
+    // A crash point: the files `take_new` picks from the copy after the
+    // write plus those `keep_old` picks from the copy when it started.
+    // Until the truncation, the WAL is the one in `mid`: each segment a
+    // prefix of its final bytes, holding every fsynced one.
+    auto point = [&](auto take_new, auto keep_old) {
+      std::string crash = CopyDir(after, "crash_bg_point", take_new);
+      for (const std::string& n : old_files) {
+        if (keep_old(n)) WriteAll(crash + "/" + n, ReadAll(mid + "/" + n));
+      }
+      return crash;
+    };
+    const std::string at = "pn " + std::to_string(done) + " snapshot " +
+                           std::to_string(snapshots) + " ";
+    auto new_sealed = [&](const std::string& n) {
+      return is_new(n) && HasPrefix(n, "sealed-");
+    };
+    CheckSnapshotCrash(point(new_sealed, all), mid_truth,
+                       at + "after the sealed file's rename");
+    CheckSnapshotCrash(point(is_new, all), mid_truth,
+                       at + "after the open file's rename");
+    CheckSnapshotCrash(
+        point([&](const std::string& n) { return is_new(n) || n == "MANIFEST"; },
+              [](const std::string& n) { return n != "MANIFEST"; }),
+        mid_truth, at + "after the MANIFEST flip");
+    CheckSnapshotCrash(point(all,
+                             [&](const std::string& n) {
+                               return new_files.count(n) == 0 &&
+                                      !HasPrefix(n, "wal-");
+                             }),
+                       truth_, at + "after truncation, before cleanup");
+    CheckSnapshotCrash(point(all, [](const std::string&) { return false; }),
+                       truth_, at + "after cleanup");
+    fs::remove_all(after);
+    fs::remove_all(mid);
     if (HasFatalFailure()) return;
   }
   EXPECT_EQ(snapshots, static_cast<int>(kPublications / 2));

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <map>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/client.h"
@@ -24,6 +29,7 @@
 #include "durability/wal.h"
 #include "engine/cloud_node.h"
 #include "engine/fresque_collector.h"
+#include "gate_clock.h"
 #include "index/index.h"
 #include "index/matching.h"
 #include "index/overflow.h"
@@ -764,8 +770,9 @@ TEST(SnapshotManagerTest, WritesManifestAtomicallyAndTruncatesWal) {
   // Below the threshold: nothing happens.
   ASSERT_TRUE(manager.NoteInstall().ok());
   EXPECT_FALSE(fs::exists(dir + "/MANIFEST"));
-  // Threshold reached: snapshot + manifest + truncation.
+  // Threshold reached: snapshot + manifest + truncation, on the writer.
   ASSERT_TRUE(manager.NoteInstall().ok());
+  ASSERT_TRUE(manager.Drain().ok());
   ASSERT_TRUE(fs::exists(dir + "/MANIFEST"));
 
   auto manifest = durability::ReadManifest(dir);
@@ -874,6 +881,7 @@ TEST(SnapshotManagerTest, SealsEachInstalledPublicationOnce) {
     ASSERT_TRUE((*wal)->AppendInstall(pn, payload).ok());
     ASSERT_TRUE((*wal)->Commit().ok());
     ASSERT_TRUE(manager.NoteInstall().ok());
+    ASSERT_TRUE(manager.Drain().ok());  // the snapshot's files are written
   };
 
   // Publication pn opens, then pn - 1 installs; every second install
@@ -956,6 +964,318 @@ TEST(SnapshotManagerTest, SealsEachInstalledPublicationOnce) {
   auto again = durability::RecoveryManager::Recover(dir);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->server->total_bytes(), server.total_bytes());
+}
+
+/// A cloud store and its WAL, changed the way the cloud node changes
+/// them: apply, then log. Records are deterministic in (pn, i).
+struct LoggedStore {
+  explicit LoggedStore(const std::string& dir) {
+    durability::WalOptions o = TinyWalOptions(dir, /*segment_bytes=*/512);
+    auto opened = durability::Wal::Open(o);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    wal = std::move(opened).ValueOrDie();
+    EXPECT_TRUE(wal->AppendMeta(0, 10, 1).ok());
+  }
+
+  void Open(uint64_t pn) {
+    ASSERT_TRUE(server.StartPublication(pn).ok());
+    ASSERT_TRUE(wal->AppendStart(pn).ok());
+    Ingest(pn, 12);
+  }
+
+  void Ingest(uint64_t pn, uint32_t n) {
+    for (uint32_t i = 0; i < n; ++i, ++ingested) {
+      const Bytes rec(16, static_cast<uint8_t>(pn * 31 + ingested));
+      ASSERT_TRUE(server.IngestRecord(pn, ingested % 10, rec).ok());
+      ASSERT_TRUE(wal->AppendRecord(pn, ingested % 10, rec).ok());
+    }
+  }
+
+  void Install(uint64_t pn) {
+    Bytes payload = IndexPayload(std::vector<int64_t>(10, 2));
+    auto pub = net::DecodeIndexPublication(payload);
+    ASSERT_TRUE(pub.ok());
+    ASSERT_TRUE(server.PublishIndexed(pn, std::move(*pub), payload).ok());
+    ASSERT_TRUE(wal->AppendInstall(pn, payload).ok());
+    ASSERT_TRUE(wal->Commit().ok());
+  }
+
+  cloud::CloudServer server{index::DomainBinning::Create(0, 10, 1).ValueOrDie()};
+  std::unique_ptr<durability::Wal> wal;
+  uint32_t ingested = 0;
+};
+
+/// The pns a snapshot file holds.
+std::vector<uint64_t> FilePns(const std::string& path) {
+  auto loaded = cloud::CloudServer::LoadSnapshot(path);
+  EXPECT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
+  std::vector<uint64_t> pns;
+  if (!loaded.ok()) return pns;
+  for (uint64_t pn = 0; pn < 16; ++pn) {
+    if ((*loaded)->ForEachStoredRecord(pn, [](const cloud::PhysicalAddress&,
+                                              const uint8_t*, size_t) {
+          return Status::OK();
+        }).ok()) {
+      pns.push_back(pn);
+    }
+  }
+  return pns;
+}
+
+uint64_t SnapshotsWritten(const durability::SnapshotManager& m) {
+  durability::DurabilityMetrics metrics;
+  m.FillMetrics(&metrics);
+  return metrics.snapshots_written;
+}
+
+void ExpectRecoversStore(const std::string& dir,
+                         const cloud::CloudServer& server) {
+  auto recovered = durability::RecoveryManager::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->server->num_publications(), server.num_publications());
+  EXPECT_EQ(recovered->server->total_records(), server.total_records());
+  EXPECT_EQ(recovered->server->total_bytes(), server.total_bytes());
+}
+
+TEST(SnapshotManagerTest, CadenceDueDuringAWriteIsTakenAtTheNextInstall) {
+  const std::string dir = FreshDir("snapmgr_deferred");
+  LoggedStore store(dir);
+  GateClock gate;
+  durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  sopts.snapshot_every_installs = 2;
+  sopts.clock = &gate;
+  durability::SnapshotManager manager(sopts, &store.server, store.wal.get());
+
+  store.Open(0);
+  store.Open(1);
+  store.Install(0);
+  ASSERT_TRUE(manager.NoteInstall().ok());
+  store.Open(2);
+  store.Install(1);
+  gate.Close();
+  ASSERT_TRUE(manager.NoteInstall().ok());  // cut {0,1} + open 2
+  gate.AwaitHeld();                          // ...held before its first file
+
+  // Two more installs while the write is in flight: the cadence comes
+  // due, but no second cut is taken.
+  store.Open(3);
+  store.Install(2);
+  ASSERT_TRUE(manager.NoteInstall().ok());
+  store.Open(4);
+  store.Install(3);
+  ASSERT_TRUE(manager.NoteInstall().ok());
+  store.Ingest(4, 7);
+  ASSERT_TRUE(store.wal->Commit().ok());
+  EXPECT_FALSE(fs::exists(dir + "/MANIFEST"));
+  EXPECT_EQ(SnapshotsWritten(manager), 0u);
+
+  gate.Open();
+  ASSERT_TRUE(manager.Drain().ok());
+  EXPECT_EQ(SnapshotsWritten(manager), 1u);
+  std::vector<std::string> files = ManifestLines(dir);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(FilePns(dir + "/" + files[0]), (std::vector<uint64_t>{0, 1}));
+  EXPECT_EQ(FilePns(dir + "/" + files[1]), (std::vector<uint64_t>{2}));
+
+  // The first install after the write takes the deferred cut, and it
+  // seals every publication installed since the first cut.
+  store.Open(5);
+  store.Install(4);
+  ASSERT_TRUE(manager.NoteInstall().ok());
+  ASSERT_TRUE(manager.Drain().ok());
+  EXPECT_EQ(SnapshotsWritten(manager), 2u);
+  files = ManifestLines(dir);
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_EQ(FilePns(dir + "/" + files[1]), (std::vector<uint64_t>{2, 3, 4}));
+  EXPECT_EQ(FilePns(dir + "/" + files[2]), (std::vector<uint64_t>{5}));
+  ExpectRecoversStore(dir, store.server);
+}
+
+TEST(SnapshotManagerTest, WriteSnapshotWaitsForTheWriterAndWritesTheSameFiles) {
+  // The same store, snapshotted in the background in `a` and inline in
+  // `b`, leaves the same snapshot files and MANIFEST.
+  const std::string a = FreshDir("snapmgr_wait_a");
+  const std::string b = FreshDir("snapmgr_wait_b");
+  LoggedStore store_a(a);
+  LoggedStore store_b(b);
+  GateClock gate;
+  durability::SnapshotOptions opts_a;
+  opts_a.dir = a;
+  opts_a.snapshot_every_installs = 1;
+  opts_a.clock = &gate;
+  durability::SnapshotManager background(opts_a, &store_a.server,
+                                         store_a.wal.get());
+  durability::SnapshotOptions opts_b;
+  opts_b.dir = b;
+  opts_b.snapshot_every_installs = 0;
+  durability::SnapshotManager inline_writer(opts_b, &store_b.server,
+                                            store_b.wal.get());
+
+  for (LoggedStore* s : {&store_a, &store_b}) {
+    s->Open(0);
+    s->Open(1);
+    s->Install(0);
+  }
+  gate.Close();
+  ASSERT_TRUE(background.NoteInstall().ok());
+  gate.AwaitHeld();
+  ASSERT_TRUE(inline_writer.WriteSnapshot().ok());
+  for (LoggedStore* s : {&store_a, &store_b}) s->Ingest(1, 9);
+
+  auto done = std::async(std::launch::async,
+                         [&background] { return background.WriteSnapshot(); });
+  EXPECT_EQ(done.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "WriteSnapshot() did not wait for the write in flight";
+  gate.Open();
+  ASSERT_TRUE(done.get().ok());
+  ASSERT_TRUE(inline_writer.WriteSnapshot().ok());
+  EXPECT_EQ(SnapshotsWritten(background), 2u);
+
+  auto snapshot_files = [](const std::string& dir) {
+    std::map<std::string, Bytes> files;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("wal-", 0) != 0) files[name] = ReadAll(entry.path());
+    }
+    return files;
+  };
+  const auto files_a = snapshot_files(a);
+  ASSERT_EQ(files_a.size(), 3u);  // MANIFEST, one sealed, one open file
+  EXPECT_EQ(files_a, snapshot_files(b));
+  ExpectRecoversStore(a, store_a.server);
+}
+
+TEST(SnapshotManagerTest, FailedBackgroundWriteIsReportedByTheNextInstall) {
+  const std::string dir = FreshDir("snapmgr_failed");
+  LoggedStore store(dir);
+  durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  sopts.snapshot_every_installs = 1;
+  durability::SnapshotManager manager(sopts, &store.server, store.wal.get());
+  store.Open(0);
+  store.Open(1);
+  store.Install(0);
+  ASSERT_TRUE(manager.NoteInstall().ok());
+  ASSERT_TRUE(manager.Drain().ok());
+  const Bytes manifest = ReadAll(dir + "/MANIFEST");
+
+  // A file of the cut's LSN already exists: the write fails, as a reused
+  // directory's first snapshot does.
+  store.Open(2);
+  store.Install(1);
+  ASSERT_TRUE(store.wal->Flush().ok());
+  char name[48];
+  std::snprintf(name, sizeof(name), "sealed-%010llu.bin",
+                static_cast<unsigned long long>(store.wal->last_lsn()));
+  const std::string planted = dir + "/" + name;
+  WriteAll(planted, Bytes(8, 0xAA));
+  ASSERT_TRUE(manager.NoteInstall().ok());
+  durability::DurabilityMetrics m;
+  for (int i = 0; i < 1000 && m.snapshot_failures == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    manager.FillMetrics(&m);
+  }
+  ASSERT_EQ(m.snapshot_failures, 1u);
+  EXPECT_EQ(m.snapshots_written, 1u);
+  EXPECT_EQ(ReadAll(dir + "/MANIFEST"), manifest);
+
+  // The next install reports it, once, and its own cut seals publication 1
+  // again: the failed write marked nothing sealed.
+  fs::remove(planted);
+  EXPECT_TRUE(manager.NoteInstall().IsFailedPrecondition());
+  ASSERT_TRUE(manager.Drain().ok());
+  ASSERT_TRUE(manager.NoteInstall().ok());
+  ASSERT_TRUE(manager.Drain().ok());
+  manager.FillMetrics(&m);
+  EXPECT_EQ(m.snapshot_failures, 1u);
+  EXPECT_EQ(m.snapshots_written, 3u);
+  const std::vector<std::string> files = ManifestLines(dir);
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_EQ(files[1], name);
+  EXPECT_EQ(FilePns(dir + "/" + files[1]), (std::vector<uint64_t>{1}));
+  ExpectRecoversStore(dir, store.server);
+}
+
+TEST(SnapshotManagerTest, DestroyingTheManagerFinishesTheWriteInFlight) {
+  const std::string dir = FreshDir("snapmgr_destroy");
+  LoggedStore store(dir);
+  GateClock gate;
+  durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  sopts.snapshot_every_installs = 1;
+  sopts.clock = &gate;
+  auto manager = std::make_unique<durability::SnapshotManager>(
+      sopts, &store.server, store.wal.get());
+  store.Open(0);
+  store.Open(1);
+  store.Install(0);
+  gate.Close();
+  ASSERT_TRUE(manager->NoteInstall().ok());
+  gate.AwaitHeld();
+  std::thread destroy([&manager] { manager.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.Open();
+  destroy.join();
+  EXPECT_EQ(ManifestLines(dir).size(), 2u);
+  ExpectRecoversStore(dir, store.server);
+}
+
+TEST(SnapshotManagerTest, CloudNodeShutdownWaitsForTheWriteInFlight) {
+  const std::string dir = FreshDir("snapmgr_node_shutdown");
+  cloud::CloudServer server(index::DomainBinning::Create(0, 10, 1).ValueOrDie());
+  auto wal = durability::Wal::Open(TinyWalOptions(dir, /*segment_bytes=*/512));
+  ASSERT_TRUE(wal.ok());
+  GateClock gate;
+  durability::SnapshotOptions sopts;
+  sopts.dir = dir;
+  sopts.snapshot_every_installs = 1;
+  sopts.clock = &gate;
+  durability::SnapshotManager manager(sopts, &server, wal->get());
+  engine::CloudNode node(&server);
+  ASSERT_TRUE(node.AttachDurability(wal->get(), &manager).ok());
+  auto acks = net::MakeMailbox(8);
+  node.RouteAcksTo(acks);
+  node.Start();
+
+  auto push = [&node](net::MessageType type, uint64_t pn, uint64_t leaf,
+                      Bytes payload) {
+    net::Message m;
+    m.type = type;
+    m.pn = pn;
+    m.leaf = leaf;
+    m.payload = std::move(payload);
+    node.inbox()->Push(std::move(m));
+  };
+  push(net::MessageType::kPublicationStart, 0, 0, {});
+  for (uint32_t i = 0; i < 20; ++i) {
+    push(net::MessageType::kCloudRecord, 0, i % 10, Bytes(12, uint8_t(i)));
+  }
+  push(net::MessageType::kPublicationStart, 1, 0, {});
+  gate.Close();
+  push(net::MessageType::kIndexPublication, 0, 0,
+       IndexPayload(std::vector<int64_t>(10, 2)));
+  auto ack = acks->Pop();
+  ASSERT_TRUE(ack.has_value());
+  ASSERT_EQ(ack->leaf, 0u);
+  gate.AwaitHeld();  // the install's snapshot is in flight
+  // The node keeps storing records meanwhile.
+  for (uint32_t i = 0; i < 10; ++i) {
+    push(net::MessageType::kCloudRecord, 1, i % 10, Bytes(9, uint8_t(i)));
+  }
+  push(net::MessageType::kShutdown, 0, 0, {});
+
+  auto stopped = std::async(std::launch::async, [&node] { node.Shutdown(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "Shutdown() returned with the snapshot write in flight";
+  gate.Open();
+  stopped.get();
+  ASSERT_TRUE(node.first_error().ok()) << node.first_error().ToString();
+  EXPECT_EQ(server.total_records(), 30u);
+  EXPECT_EQ(ManifestLines(dir).size(), 2u);
+  ExpectRecoversStore(dir, server);
 }
 
 // --- Recovery ------------------------------------------------------------

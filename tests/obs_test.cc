@@ -125,6 +125,105 @@ TEST(StreamingQuantilesTest, InsertManyMatchesInsertLoop) {
   }
 }
 
+/// The sketch before its levels were kept sorted: a full buffer folds in
+/// unsorted and every compaction sorts its whole level. One writer, so one
+/// buffer stands for the stripes.
+class WholeLevelSortSketch {
+ public:
+  void Insert(uint64_t v) {
+    buf_.push_back(v);
+    if (buf_.size() < StreamingQuantiles::kBufferLen) return;
+    levels_[0].insert(levels_[0].end(), buf_.begin(), buf_.end());
+    buf_.clear();
+    for (size_t i = 0; i + 1 < levels_.size(); ++i) {
+      auto& cur = levels_[i];
+      if (cur.size() < StreamingQuantiles::kLevelCapacity) break;
+      std::sort(cur.begin(), cur.end());
+      const size_t pairs = cur.size() / 2;
+      rng_ ^= rng_ << 13;
+      rng_ ^= rng_ >> 7;
+      rng_ ^= rng_ << 17;
+      const size_t offset = static_cast<size_t>(rng_ & 1);
+      auto& up = levels_[i + 1];
+      for (size_t p = 0; p < pairs; ++p) up.push_back(cur[2 * p + offset]);
+      if (cur.size() % 2 != 0) {
+        cur[0] = cur.back();
+        cur.resize(1);
+      } else {
+        cur.clear();
+      }
+    }
+  }
+
+  /// The summary as sorted (value, weight) pairs, as QueryMany walks it.
+  std::vector<std::pair<uint64_t, uint64_t>> Items() const {
+    std::vector<std::pair<uint64_t, uint64_t>> items;
+    for (uint64_t v : buf_) items.emplace_back(v, 1);
+    for (size_t i = 0; i < levels_.size(); ++i) {
+      for (uint64_t v : levels_[i]) items.emplace_back(v, uint64_t{1} << i);
+    }
+    std::sort(items.begin(), items.end());
+    return items;
+  }
+
+  std::vector<uint64_t> QueryMany(const std::vector<double>& qs) const {
+    const auto items = Items();
+    uint64_t total = 0;
+    for (const auto& it : items) total += it.second;
+    std::vector<uint64_t> out;
+    size_t cursor = 0;
+    uint64_t seen = 0;
+    for (double q : qs) {
+      const auto target = static_cast<uint64_t>(q * static_cast<double>(total));
+      while (cursor < items.size() && seen + items[cursor].second < target) {
+        seen += items[cursor].second;
+        ++cursor;
+      }
+      out.push_back(items[std::min(cursor, items.size() - 1)].first);
+    }
+    return out;
+  }
+
+  uint64_t TotalWeight() const {
+    uint64_t total = 0;
+    for (const auto& it : Items()) total += it.second;
+    return total;
+  }
+
+ private:
+  std::vector<uint64_t> buf_;
+  std::vector<std::vector<uint64_t>> levels_ =
+      std::vector<std::vector<uint64_t>>(StreamingQuantiles::kMaxLevels);
+  uint64_t rng_ = 0x9e3779b97f4a7c15ull;
+};
+
+TEST(StreamingQuantilesTest, SortedLevelsAnswerAsWholeLevelSorts) {
+  // A sorted multiset has one order, so keeping every level sorted leaves
+  // the summary, and every answer, as sorting each level before its
+  // compaction did.
+  StreamingQuantiles sketch;
+  WholeLevelSortSketch reference;
+  std::vector<double> qs;
+  for (int i = 0; i <= 200; ++i) qs.push_back(i / 200.0);
+  std::mt19937_64 rng(20261018);
+  std::vector<uint64_t> batch(64);
+  constexpr size_t kSamples = size_t{4} << 20;
+  for (size_t done = 0; done < kSamples; done += batch.size()) {
+    for (uint64_t& v : batch) {
+      const uint64_t r = rng();
+      v = r >> (r % 48);  // heavy-tailed, with many repeats
+      reference.Insert(v);
+    }
+    sketch.InsertMany(batch.data(), batch.size());
+    if ((done + batch.size()) % (size_t{1} << 20) == 0) {
+      ASSERT_EQ(sketch.QueryMany(qs), reference.QueryMany(qs)) << done;
+    }
+  }
+  EXPECT_EQ(sketch.Count(), kSamples);
+  EXPECT_EQ(sketch.TotalWeight(), reference.TotalWeight());
+  EXPECT_EQ(sketch.TotalWeight(), kSamples);
+}
+
 TEST(StreamingQuantilesTest, ResetForTestEmptiesTheSketch) {
   StreamingQuantiles sk;
   for (uint64_t v = 0; v < 5000; ++v) sk.Insert(v);

@@ -35,11 +35,13 @@
 //                         implies the install is durable, and `recover`
 //                         rebuilds the store after a crash
 //   --fsync=<policy>      always | interval | interval:<ms> | never
-//   --snapshot-every=<n>  every n installs, write the newly installed
-//                         publications to one sealed file and the open
-//                         ones to an open file, then truncate the WAL
-//                         (0 = only the final snapshot); `wal-dump`
-//                         prints the MANIFEST's file list, then the log
+//   --snapshot-every=<n>  every n installs, or later while the previous
+//                         snapshot is still being written, write the newly
+//                         installed publications to one sealed file and
+//                         the open ones to an open file, then truncate the
+//                         WAL, on a background writer per shard (0 = only
+//                         the final snapshot); `wal-dump` prints the
+//                         MANIFEST's file list, then the log
 //
 // Observability flags (apply to `ingest`, see DESIGN.md §11):
 //   --metrics-out=<file>        dump the metrics registry periodically and
@@ -820,6 +822,8 @@ int Usage() {
          " [--flight-capacity=<64..1048576>]\n"
       << "      writes <snapshot.bin>.shard-<i>; --data-dir keeps shard i"
          " in <dir>/shard-<i>\n"
+      << "      --snapshot-every=<n> snapshots every n installs, or later"
+         " while the previous snapshot is still being written\n"
       << "  fresque_cli query <nasa|gowalla> <snapshot.bin> <lo> <hi>"
          " [key_hex]\n"
       << "      [--query-threads=<n>] [--query-queue=<n>]"
