@@ -7,11 +7,8 @@
 namespace fresque {
 namespace cloud {
 
-CloudServer::CloudServer(index::DomainBinning binning, const Clock* clock,
-                         size_t leaf_cache_capacity)
-    : binning_(std::move(binning)),
-      clock_(clock),
-      leaf_cache_(leaf_cache_capacity) {}
+CloudServer::CloudServer(index::DomainBinning binning, const Clock* clock)
+    : binning_(std::move(binning)), clock_(clock) {}
 
 Status CloudServer::StartPublication(uint64_t pn) {
   MutexLock lock(mu_);

@@ -64,11 +64,9 @@ struct MatchingStats {
 class CloudServer {
  public:
   /// `binning` describes how leaf offsets map to value intervals (public
-  /// configuration shared by collector and cloud). `leaf_cache_capacity`
-  /// bounds the hot-leaf descriptor cache (DESIGN.md §15).
+  /// configuration shared by collector and cloud).
   explicit CloudServer(index::DomainBinning binning,
-                       const Clock* clock = SystemClock::Global(),
-                       size_t leaf_cache_capacity = 4096);
+                       const Clock* clock = SystemClock::Global());
 
   /// Opens a new publication (kPublicationStart).
   Status StartPublication(uint64_t pn) FRESQUE_EXCLUDES(mu_);
@@ -283,6 +281,8 @@ class CloudServer {
   /// Internally synchronized; written under mu_ (install path), read
   /// lock-free by queries.
   query::ViewManager views_;
+  /// Hot-leaf descriptor cache (DESIGN.md §15), LeafCache's default
+  /// 4096 leaves.
   mutable query::LeafCache leaf_cache_;
 };
 

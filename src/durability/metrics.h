@@ -6,9 +6,9 @@
 namespace fresque {
 namespace durability {
 
-/// Cumulative durability counters, assembled on demand from the WAL, the
-/// snapshot manager and (after a restart) the recovery run. Plain values,
-/// no internal locking — same convention as engine::CollectorMetrics.
+/// Cumulative durability counters, assembled on demand from the WAL and
+/// the snapshot manager. Plain values, no internal locking — same
+/// convention as engine::CollectorMetrics.
 struct DurabilityMetrics {
   /// WAL frames appended (meta + start + batch + install frames).
   uint64_t wal_frames = 0;
@@ -29,17 +29,7 @@ struct DurabilityMetrics {
   uint64_t snapshots_written = 0;
   uint64_t snapshot_failures = 0;
   double last_snapshot_millis = 0;
-
-  /// Filled in by whoever ran recovery (zero on a fresh start).
-  uint64_t frames_replayed = 0;
-  double recovery_millis = 0;
 };
-
-/// Publishes a DurabilityMetrics snapshot into the process-wide telemetry
-/// registry as gauges under "wal.*" / "snapshot.*" / "recovery.*", next
-/// to the native wal.fsync_ns / wal.commit_ns / snapshot.write_ns
-/// histograms the hot path records directly.
-void ExportToRegistry(const DurabilityMetrics& m);
 
 }  // namespace durability
 }  // namespace fresque

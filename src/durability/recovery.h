@@ -8,7 +8,6 @@
 #include "cloud/server.h"
 #include "common/clock.h"
 #include "common/result.h"
-#include "durability/metrics.h"
 #include "durability/wal.h"
 
 namespace fresque {
@@ -26,11 +25,6 @@ struct RecoveryStats {
   bool torn_tail = false;
   uint64_t torn_bytes = 0;
   double recovery_millis = 0;
-
-  void MergeInto(DurabilityMetrics* m) const {
-    m->frames_replayed = frames_replayed;
-    m->recovery_millis = recovery_millis;
-  }
 };
 
 struct RecoveredCloud {

@@ -55,6 +55,9 @@ constexpr size_t kSegHeaderSize = 16;
 constexpr size_t kFrameHeaderSize = 8;  // crc + len
 constexpr size_t kFrameBodyPrefix = 9;  // op + lsn
 constexpr size_t kMaxFrameBody = 256u << 20;
+/// Frames are staged in memory and written out once the stage reaches
+/// this (or on Commit/rotation), so hot-path appends are memcpy-cheap.
+constexpr size_t kStageBytes = 256u << 10;
 
 void PutLE32(uint8_t* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
@@ -522,7 +525,7 @@ Status Wal::AppendFrameLocked(WalOp op, const Bytes& payload) {
 
   ++next_lsn_;
   ++frames_;
-  if (stage_.size() >= opts_.buffer_bytes) return WriteStageLocked();
+  if (stage_.size() >= kStageBytes) return WriteStageLocked();
   return Status::OK();
 }
 

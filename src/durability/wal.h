@@ -45,9 +45,6 @@ struct WalOptions {
   uint64_t fsync_interval_ms = 50;
   /// Rotate to a new segment once the current one exceeds this.
   size_t segment_bytes = 16u << 20;
-  /// Frames are staged in memory and written out once the stage exceeds
-  /// this (or on Commit/rotation), so hot-path appends are memcpy-cheap.
-  size_t buffer_bytes = 256u << 10;
   /// Per-publication e-record batch cap: buffered records are packed into
   /// one kRecordBatch frame once this many accumulate (or earlier, when
   /// the publication installs or Commit() runs).

@@ -158,7 +158,6 @@ bool ComputingNodeImpl::HandleBatch(std::vector<net::Message>& batch) {
              ++j) {
           if (codec == nullptr) {
             codec_failures_.fetch_add(1, std::memory_order_relaxed);
-            FRESQUE_COUNTER_ADD("collector.codec_failures", 1);
             continue;
           }
           StageLine(std::move(batch[j]), codec);
@@ -203,7 +202,6 @@ void ComputingNodeImpl::StageLine(net::Message&& m,
   Status parsed = config_.dataset.parser->ParseInto(line, &scratch_rec_);
   if (!parsed.ok()) {
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    FRESQUE_COUNTER_ADD("collector.parse_errors", 1);
     return;
   }
   auto leaf = [&]() -> Result<size_t> {
@@ -213,7 +211,6 @@ void ComputingNodeImpl::StageLine(net::Message&& m,
   }();
   if (!leaf.ok()) {
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    FRESQUE_COUNTER_ADD("collector.parse_errors", 1);
     return;
   }
   m.leaf = *leaf;
@@ -222,7 +219,6 @@ void ComputingNodeImpl::StageLine(net::Message&& m,
   if (!staged.ok()) {
     out_.pop_back();
     codec_failures_.fetch_add(1, std::memory_order_relaxed);
-    FRESQUE_COUNTER_ADD("collector.codec_failures", 1);
   }
 }
 
@@ -234,7 +230,6 @@ void ComputingNodeImpl::FlushStaged() {
     // record-conservation ledger honest.
     FRESQUE_LOG(Warn) << "batch encrypt failed: " << st.ToString();
     codec_failures_.fetch_add(out_.size(), std::memory_order_relaxed);
-    FRESQUE_COUNTER_ADD("collector.codec_failures", out_.size());
     out_.clear();
     return;
   }
@@ -363,7 +358,6 @@ void CheckingNodeImpl::HandleRecord(net::Message&& m) {
     auto& pending = pending_[m.pn];
     if (pending.size() >= config_.max_pending_per_publication) {
       pending_dropped_.fetch_add(1, std::memory_order_relaxed);
-      FRESQUE_COUNTER_ADD("collector.pending_dropped", 1);
       FRESQUE_LOG(Error) << "dropping record for publication " << m.pn
                          << ": no template after "
                          << config_.max_pending_per_publication << " records";
@@ -462,7 +456,6 @@ void CheckingNodeImpl::EvictStalePending(uint64_t closed_pn) {
                        << " buffered records of publication " << it->first
                        << ": template never arrived";
     pending_dropped_.fetch_add(it->second.size(), std::memory_order_relaxed);
-    FRESQUE_COUNTER_ADD("collector.pending_dropped", it->second.size());
     it = pending_.erase(it);
   }
 }
@@ -612,7 +605,6 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
     Status padded = enc.Flush();
     if (!padded.ok()) {
       codec_failures_.fetch_add(1, std::memory_order_relaxed);
-      FRESQUE_COUNTER_ADD("collector.codec_failures", 1);
       // fresque-lint: allow(hot-alloc) publication-failure path
       std::string reason =
           "merger: overflow dummy encrypt " + padded.ToString();

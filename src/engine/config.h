@@ -47,10 +47,12 @@ enum class IngestPriority {
 ///    `rate_records_per_sec` with burst capacity `burst_records`
 ///    (0 disables the bucket). kHigh may overdraw the bucket.
 ///
-/// Shed records are counted in `ingest.shed_records` (and per-priority
-/// shed counters) but never in `ingest.records_in`, so the pipeline's
-/// conservation ledger — records in + dummies == arrived + rejected +
-/// removed + dropped — continues to balance over *admitted* records.
+/// Shed records are counted by FresqueCollector::shed_records(), per
+/// priority too (exported as `ingest.shed_records` and
+/// `ingest.shed_<priority>`), but never in `ingest.records_in`, so the
+/// pipeline's conservation ledger — records in + dummies == arrived +
+/// rejected + removed + dropped — continues to balance over *admitted*
+/// records.
 struct AdmissionConfig {
   bool enabled = false;
 
@@ -147,9 +149,6 @@ struct DurabilityConfig {
   /// Write a snapshot (and truncate the WAL) every N durable installs;
   /// 0 never snapshots automatically.
   size_t snapshot_every_installs = 8;
-
-  /// WAL segment rotation threshold in bytes.
-  size_t wal_segment_bytes = 16u << 20;
 
   bool enabled() const { return !data_dir.empty(); }
 };

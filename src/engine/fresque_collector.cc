@@ -211,7 +211,6 @@ Status FresqueCollector::Ingest(std::string_view line, IngestPriority priority,
           shed_high_.fetch_add(1, std::memory_order_relaxed);
           break;
       }
-      FRESQUE_COUNTER_ADD("ingest.shed_records", 1);
       // Flight-record shed *transitions*, not every shed: the ring must
       // keep hours of control-plane history, not seconds of overload.
       if (!shedding_) {

@@ -102,8 +102,8 @@ class FresqueCollector {
   /// With admission control enabled (config.admission), the record may
   /// instead be shed *before* entering the pipeline: the call returns
   /// StatusCode::kOverloaded, nothing is enqueued, and the shed is
-  /// counted in `ingest.shed_records` (never in `ingest.records_in`, so
-  /// the conservation ledger keeps balancing over admitted records).
+  /// counted in shed_records() (never in `ingest.records_in`, so the
+  /// conservation ledger keeps balancing over admitted records).
   /// `priority` picks the shedding tier (see IngestPriority); kHigh is
   /// never watermark-shed and may overdraw the token bucket.
   ///

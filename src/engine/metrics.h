@@ -108,17 +108,6 @@ struct CollectorMetrics {
   }
 };
 
-/// Publishes a CollectorMetrics snapshot into the process-wide telemetry
-/// registry (telemetry/metrics.h), making the collector's node/queue
-/// state visible to the Prometheus/JSON exporters alongside the native
-/// hot-path counters. Gauge names: "node.<name>.queue_depth",
-/// "node.<name>.queue_high_watermark", "node.<name>.frames_processed";
-/// totals land under "collector.*". Snapshot-style totals that are also
-/// counted natively (parse_errors, pending_dropped...) are exported as
-/// gauges under distinct "collector.snapshot.*" names so the two sources
-/// never collide.
-void ExportToRegistry(const CollectorMetrics& m);
-
 }  // namespace engine
 }  // namespace fresque
 

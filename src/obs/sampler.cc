@@ -1,7 +1,6 @@
 #include "obs/sampler.h"
 
 #include <chrono>
-#include <utility>
 #include <vector>
 
 #include "telemetry/telemetry.h"
@@ -76,9 +75,8 @@ void ResetE2eStateForTest() {
   GlobalE2eSketch()->ResetForTest();
 }
 
-ObsSampler::ObsSampler(uint64_t interval_ms, std::function<void()> fold)
-    : interval_ms_(interval_ms == 0 ? 1 : interval_ms),
-      fold_(std::move(fold)) {}
+ObsSampler::ObsSampler(uint64_t interval_ms)
+    : interval_ms_(interval_ms == 0 ? 1 : interval_ms) {}
 
 ObsSampler::~ObsSampler() { Stop(); }
 
@@ -123,7 +121,6 @@ void ObsSampler::FoldOnce() {
   }
   const int64_t slo = SloE2eTargetNs();
   if (slo > 0) FRESQUE_GAUGE_SET("slo.e2e_target_ms", slo / 1000000);
-  if (fold_) fold_();
   folds_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <thread>
 
 #include "common/mutex.h"
@@ -54,16 +53,12 @@ void ResetE2eStateForTest();
 
 /// Background sampler thread (DESIGN.md §16): every `interval_ms` it
 /// folds the e2e quantile sketch into `pipeline.e2e_p50/p95/p99_ns`
-/// gauges, refreshes `ingest.lag_ms`, and invokes an optional fold
-/// callback (the CLI uses it to re-export pipeline queue-depth gauges).
+/// gauges and refreshes `ingest.lag_ms` and `slo.e2e_target_ms`.
 /// This moves all percentile math off the scrape path: `GET /metrics`
 /// just reads gauges, so scrape cost is O(metrics), not O(samples).
 class ObsSampler {
  public:
-  /// `fold` may be empty. It runs on the sampler thread, outside any obs
-  /// lock; it must not block for long.
-  explicit ObsSampler(uint64_t interval_ms = 1000,
-                      std::function<void()> fold = {});
+  explicit ObsSampler(uint64_t interval_ms = 1000);
   ~ObsSampler();
 
   ObsSampler(const ObsSampler&) = delete;
@@ -82,7 +77,6 @@ class ObsSampler {
   void Loop();
 
   const uint64_t interval_ms_;
-  const std::function<void()> fold_;
   std::atomic<uint64_t> folds_{0};
 
   Mutex mu_;

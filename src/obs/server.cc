@@ -54,8 +54,7 @@ Result<std::pair<std::string, uint16_t>> ParseObsAddr(
 }
 
 ObsServer::ObsServer(ObsServerOptions options)
-    : options_(std::move(options)),
-      sampler_(options_.sample_interval_ms, options_.fold) {}
+    : options_(std::move(options)), sampler_(options_.sample_interval_ms) {}
 
 ObsServer::~ObsServer() { Stop(); }
 
@@ -86,8 +85,9 @@ HttpResponse ObsServer::ServeMetrics() {
   FRESQUE_COUNTER_ADD("obs.scrapes", 1);
   HttpResponse resp;
   resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  resp.body =
-      telemetry::ToPrometheusText(telemetry::Registry::Global()->Snapshot());
+  telemetry::MetricsSnapshot snap = telemetry::Registry::Global()->Snapshot();
+  if (options_.append_metrics) options_.append_metrics(&snap);
+  resp.body = telemetry::ToPrometheusText(snap);
   return resp;
 }
 

@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "obs/http.h"
 #include "obs/sampler.h"
+#include "telemetry/metrics.h"
 
 namespace fresque {
 namespace obs {
@@ -58,8 +59,10 @@ struct ObsServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral (tests)
   uint64_t sample_interval_ms = 1000;
-  /// Runs on the sampler thread each fold — re-export queue gauges etc.
-  std::function<void()> fold;
+  /// Appends the embedding process's own rows (ShardedPipelineMetrics::
+  /// AppendTo in the CLI) to every `/metrics` scrape, after the registry
+  /// snapshot is taken and with no obs lock held. Empty → registry only.
+  std::function<void(telemetry::MetricsSnapshot*)> append_metrics;
   /// Produces the `/statusz` snapshot. Empty → topology-less status page.
   std::function<StatusSnapshot()> status_source;
   /// `/readyz` source: true once the pipeline accepts work. Empty → ready
@@ -73,13 +76,14 @@ Result<std::pair<std::string, uint16_t>> ParseObsAddr(const std::string& addr);
 
 /// The live observability plane (DESIGN.md §16): one HTTP endpoint
 /// serving
-///   /metrics  — Prometheus text exposition of the telemetry registry
+///   /metrics  — Prometheus text of the telemetry registry plus the
+///               `append_metrics` rows
 ///   /healthz  — liveness (the process serves requests)
 ///   /readyz   — readiness (the pipeline accepts work)
 ///   /statusz  — JSON pipeline status (topology, queues, epochs, WAL)
 ///   /flightz  — JSON dump of the flight-recorder ring
 /// plus the background sampler that folds quantile sketches into gauges
-/// so every scrape is O(registry size).
+/// so no scrape computes a percentile.
 class ObsServer {
  public:
   explicit ObsServer(ObsServerOptions options);

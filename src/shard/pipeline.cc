@@ -5,9 +5,6 @@
 #include <future>
 #include <utility>
 
-#include "telemetry/metrics.h"
-#include "telemetry/telemetry.h"
-
 namespace fresque {
 namespace shard {
 
@@ -24,7 +21,6 @@ struct ShardedPipeline::Shard {
   std::unique_ptr<durability::SnapshotManager> snapshots;
   std::unique_ptr<engine::CloudNode> cloud_node;
   std::unique_ptr<engine::FresqueCollector> collector;
-  telemetry::Counter* records_in = nullptr;
   /// Lines the collector admitted since its last Publish().
   uint64_t open_lines = 0;
 };
@@ -62,7 +58,6 @@ Status ShardedPipeline::Start() {
       wopts.dir = dir;
       wopts.fsync_policy = config_.durability.fsync_policy;
       wopts.fsync_interval_ms = config_.durability.fsync_interval_ms;
-      wopts.segment_bytes = config_.durability.wal_segment_bytes;
       auto wal = durability::Wal::Open(std::move(wopts));
       if (!wal.ok()) return wal.status();
       s->wal = std::move(*wal);
@@ -99,9 +94,6 @@ Status ShardedPipeline::Start() {
     s->cloud_node->ReturnBuffersTo(s->collector->spare_buffers());
     s->cloud_node->RouteAcksTo(s->collector->publication_acks());
     s->cloud_node->Start();
-
-    s->records_in = telemetry::Registry::Global()->GetCounter(
-        "shard." + std::to_string(i) + ".records_in");
     shards_.push_back(std::move(s));
   }
 
@@ -125,7 +117,6 @@ Status ShardedPipeline::Start() {
     return first;
   }
   started_ = true;
-  FRESQUE_GAUGE_SET("shard.count", static_cast<int64_t>(n));
   return Status::OK();
 }
 
@@ -137,9 +128,6 @@ Status ShardedPipeline::Ingest(std::string_view line,
   }
   const ShardRouter::Decision d = router_->Route(line);
   Shard& s = *shards_[d.shard];
-  s.records_in->Add(1);
-  FRESQUE_COUNTER_ADD("shard.router.records", 1);
-  if (!d.extracted) FRESQUE_COUNTER_ADD("shard.router.extract_fallbacks", 1);
   s.collector->SetIntervalProgress(progress_);
   Status st = s.collector->Ingest(line, priority, intended_born_ns);
   if (st.ok()) {
@@ -189,7 +177,6 @@ Status ShardedPipeline::Shutdown() {
     if (!acked.ok()) NoteError(acked);
   }
   StopCloudNodes();
-  ExportTelemetry();
   return first_error();
 }
 
@@ -239,6 +226,7 @@ Status ShardedPipeline::first_error() const {
 ShardedPipelineMetrics ShardedPipeline::Metrics() const {
   ShardedPipelineMetrics m;
   m.router = router_->Metrics();
+  m.durable = config_.durability.enabled();
   m.shards.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     const auto& s = shards_[i];
@@ -314,28 +302,65 @@ durability::DurabilityMetrics ShardedPipelineMetrics::DurabilityTotals() const {
     t.snapshot_failures += d.snapshot_failures;
     t.last_snapshot_millis =
         std::max(t.last_snapshot_millis, d.last_snapshot_millis);
-    t.frames_replayed += d.frames_replayed;
-    t.recovery_millis = std::max(t.recovery_millis, d.recovery_millis);
   }
   return t;
 }
 
-void ShardedPipeline::ExportTelemetry() const {
-  auto* reg = telemetry::Registry::Global();
-  const ShardedPipelineMetrics m = Metrics();
-  reg->GetGauge("shard.count")->Set(static_cast<int64_t>(m.shards.size()));
-  for (const ShardMetrics& s : m.shards) {
-    const std::string prefix = "shard." + std::to_string(s.shard) + ".";
-    reg->GetGauge(prefix + "ingress_depth")
-        ->Set(static_cast<int64_t>(s.ingress_depth));
-    reg->GetGauge(prefix + "ingress_high_watermark")
-        ->Set(static_cast<int64_t>(s.ingress_high_watermark));
-    reg->GetGauge(prefix + "view_epoch")
-        ->Set(static_cast<int64_t>(s.view_epoch));
-    reg->GetGauge(prefix + "publications")
-        ->Set(static_cast<int64_t>(s.publications));
-    reg->GetGauge(prefix + "records")->Set(static_cast<int64_t>(s.records));
+void ShardedPipelineMetrics::AppendTo(telemetry::MetricsSnapshot* out) const {
+  auto counter = [out](std::string name, uint64_t v) {
+    out->counters.emplace_back(std::move(name), v);
+  };
+  auto gauge = [out](std::string name, uint64_t v) {
+    out->gauges.emplace_back(std::move(name), static_cast<int64_t>(v));
+  };
+  counter("shard.router.records", router.routed);
+  counter("shard.router.extract_fallbacks", router.extract_fallbacks);
+  gauge("shard.count", shards.size());
+  for (const ShardMetrics& s : shards) {
+    const std::string p = "shard." + std::to_string(s.shard) + ".";
+    counter(p + "records_in", s.routed);
+    gauge(p + "ingress_depth", s.ingress_depth);
+    gauge(p + "ingress_high_watermark", s.ingress_high_watermark);
+    gauge(p + "view_epoch", s.view_epoch);
+    gauge(p + "publications", s.publications);
+    gauge(p + "records", s.records);
   }
+
+  const engine::CollectorMetrics c = CollectorTotals();
+  counter("collector.parse_errors", c.parse_errors);
+  counter("collector.codec_failures", c.codec_failures);
+  counter("collector.pending_dropped", c.pending_dropped);
+  counter("collector.overflow_drops", c.overflow_drops);
+  counter("ingest.shed_records", c.shed_records);
+  counter("ingest.shed_low", c.shed_low);
+  counter("ingest.shed_normal", c.shed_normal);
+  counter("ingest.shed_high", c.shed_high);
+  counter("collector.publications_completed", c.publications_completed);
+  counter("collector.publications_failed", c.publications_failed);
+  for (const engine::NodeMetrics& n : c.nodes) {
+    const std::string p = "node." + n.name + ".";
+    gauge(p + "running", n.running ? 1 : 0);
+    gauge(p + "frames_processed", n.frames_processed);
+    gauge(p + "queue_depth", n.inbox.depth);
+    gauge(p + "queue_capacity", n.inbox.capacity);
+    gauge(p + "queue_enqueued", n.inbox.enqueued);
+    gauge(p + "queue_rejected_full", n.inbox.rejected_full);
+    gauge(p + "queue_rejected_closed", n.inbox.rejected_closed);
+    gauge(p + "queue_high_watermark", n.inbox.high_watermark);
+  }
+
+  if (!durable) return;
+  const durability::DurabilityMetrics d = DurabilityTotals();
+  gauge("wal.frames", d.wal_frames);
+  gauge("wal.record_batches", d.wal_record_batches);
+  gauge("wal.bytes", d.wal_bytes);
+  gauge("wal.fsyncs", d.wal_fsyncs);
+  gauge("wal.segments_created", d.wal_segments_created);
+  gauge("wal.segments_deleted", d.wal_segments_deleted);
+  gauge("wal.torn_bytes_discarded", d.wal_torn_bytes_discarded);
+  gauge("snapshot.written", d.snapshots_written);
+  gauge("snapshot.failures", d.snapshot_failures);
+  gauge("snapshot.last_millis", static_cast<uint64_t>(d.last_snapshot_millis));
 }
 
 Result<RecoveredShardedCloud> RecoverShardedCloud(

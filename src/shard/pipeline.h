@@ -24,6 +24,7 @@
 #include "engine/metrics.h"
 #include "shard/router.h"
 #include "shard/sharded_cloud.h"
+#include "telemetry/metrics.h"
 
 namespace fresque {
 namespace shard {
@@ -74,6 +75,8 @@ struct ShardMetrics {
 struct ShardedPipelineMetrics {
   RouterMetrics router;
   std::vector<ShardMetrics> shards;
+  /// True when the shards log to a data dir (DurabilityConfig::enabled).
+  bool durable = false;
 
   /// Drop, shed and publication counters summed over the shards. Nodes of
   /// the same name (every shard has a `cn0`) fold into one row:
@@ -81,6 +84,15 @@ struct ShardedPipelineMetrics {
   engine::CollectorMetrics CollectorTotals() const;
   /// Durability counters summed over the shards.
   durability::DurabilityMetrics DurabilityTotals() const;
+
+  /// Appends these numbers to `out` as registry rows, zeros included
+  /// (docs/METRICS.md): the router and per-shard `shard.*` rows, the
+  /// CollectorTotals() drop, shed and publication counters and
+  /// `node.<name>.*` gauges, and with durability the DurabilityTotals()
+  /// `wal.*` and `snapshot.*` gauges. Every exporter (`/metrics`,
+  /// `--metrics-out`) serves Registry::Snapshot() plus these rows, so no
+  /// registry metric carries any of their names.
+  void AppendTo(telemetry::MetricsSnapshot* out) const;
 };
 
 /// N FresqueCollector pipelines behind one ShardRouter.
@@ -179,14 +191,9 @@ class ShardedPipeline {
   /// First error any shard's collector or cloud node hit.
   Status first_error() const FRESQUE_EXCLUDES(mu_);
 
+  /// Reads every shard's counters, queues and stores now (valid after
+  /// Start(); safe from any thread, also after Shutdown()).
   ShardedPipelineMetrics Metrics() const;
-
-  /// Pushes the `shard.*` gauge families (per-shard ingress depths and
-  /// watermarks, view epochs, publication/record totals) into the global
-  /// telemetry registry. Counters (`shard.router.*`, `shard.<i>.records_in`)
-  /// are maintained on the hot path; this fills in the scrape-time gauges.
-  /// Safe from any thread.
-  void ExportTelemetry() const;
 
   const ShardedPipelineConfig& config() const { return config_; }
 

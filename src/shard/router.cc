@@ -15,11 +15,11 @@ ShardRouter::ShardRouter(ShardPlacement placement,
 
 RouterMetrics ShardRouter::Metrics() const {
   RouterMetrics m;
-  m.routed = routed_.load(std::memory_order_relaxed);
   m.extract_fallbacks = extract_fallbacks_.load(std::memory_order_relaxed);
   m.per_shard.reserve(placement_.num_shards());
   for (size_t i = 0; i < placement_.num_shards(); ++i) {
     m.per_shard.push_back(per_shard_[i].load(std::memory_order_relaxed));
+    m.routed += m.per_shard.back();
   }
   return m;
 }

@@ -16,6 +16,7 @@ namespace shard {
 
 /// Placement decisions and counters of a ShardRouter.
 struct RouterMetrics {
+  /// Sum of per_shard: every routed line lands on exactly one shard.
   uint64_t routed = 0;
   /// Lines whose indexed attribute could not be extracted cheaply; placed
   /// by byte hash instead (the owning shard's parse is authoritative).
@@ -54,7 +55,6 @@ class ShardRouter {
       d.extracted = false;
       extract_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     }
-    routed_.fetch_add(1, std::memory_order_relaxed);
     per_shard_[d.shard].fetch_add(1, std::memory_order_relaxed);
     return d;
   }
@@ -66,7 +66,6 @@ class ShardRouter {
  private:
   ShardPlacement placement_;
   std::shared_ptr<const record::LineParser> parser_;
-  std::atomic<uint64_t> routed_{0};
   std::atomic<uint64_t> extract_fallbacks_{0};
   /// Fixed-size at construction; the atomics themselves are the only
   /// mutable state.

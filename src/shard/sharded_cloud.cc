@@ -18,13 +18,12 @@ void Append(std::vector<query::ResultRecord>* into,
 }  // namespace
 
 ShardedCloudServer::ShardedCloudServer(ShardPlacement placement,
-                                       const Clock* clock,
-                                       size_t leaf_cache_capacity)
+                                       const Clock* clock)
     : placement_(std::move(placement)) {
   shards_.reserve(placement_.num_shards());
   for (size_t i = 0; i < placement_.num_shards(); ++i) {
     shards_.push_back(std::make_unique<cloud::CloudServer>(
-        placement_.ShardBinning(i), clock, leaf_cache_capacity));
+        placement_.ShardBinning(i), clock));
   }
 }
 

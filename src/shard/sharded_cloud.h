@@ -63,8 +63,7 @@ class ShardedCloudServer {
  public:
   /// Builds a fresh (empty) server per shard.
   explicit ShardedCloudServer(ShardPlacement placement,
-                              const Clock* clock = SystemClock::Global(),
-                              size_t leaf_cache_capacity = 4096);
+                              const Clock* clock = SystemClock::Global());
 
   ShardedCloudServer(const ShardedCloudServer&) = delete;
   ShardedCloudServer& operator=(const ShardedCloudServer&) = delete;

@@ -240,10 +240,11 @@ TEST(FresqueCollectorTest, ZeroComputingNodesRejected) {
 }
 
 // Record conservation across the whole pipeline, as seen by the metrics
-// registry: after a full drain, every ingested frame (real or dummy) must
-// be accounted for — accepted by the cloud, rejected by the cloud, or
-// dropped at a named pipeline stage. A leak on either side of the ledger
-// means a counter is missing or a record vanished silently.
+// registry and the collector's drop counts: after a full drain, every
+// ingested frame (real or dummy) must be accounted for — accepted by the
+// cloud, rejected by the cloud, or dropped at a named pipeline stage. A
+// leak on either side of the ledger means a counter is missing or a
+// record vanished silently.
 TEST(TelemetryInvariantsTest, RecordCountersConserveAcrossPipeline) {
   telemetry::Registry::Global()->ResetForTest();
 
@@ -289,9 +290,9 @@ TEST(TelemetryInvariantsTest, RecordCountersConserveAcrossPipeline) {
   const uint64_t arrived = counter("cloud.records_in");
   const uint64_t rejected = counter("cloud.records_rejected");
   const uint64_t removed = counter("collector.records_removed");
-  const uint64_t dropped = counter("collector.parse_errors") +
-                           counter("collector.codec_failures") +
-                           counter("collector.pending_dropped");
+  const engine::CollectorMetrics cm = collector.Metrics();
+  const uint64_t dropped =
+      cm.parse_errors + cm.codec_failures + cm.pending_dropped;
   EXPECT_EQ(in, static_cast<uint64_t>(kRecords) * kIntervals);
   EXPECT_EQ(in + dummies, arrived + rejected + removed + dropped)
       << "records leaked: in=" << in << " dummies=" << dummies

@@ -477,10 +477,9 @@ TEST(SamplerTest, FoldExportsQuantileGauges) {
   SetE2eSamplingActive(true);
   for (uint64_t i = 1; i <= 1000; ++i) NoteE2eSample(static_cast<int64_t>(i));
 
-  std::atomic<int> fold_calls{0};
-  ObsSampler sampler(3600 * 1000, [&fold_calls] { ++fold_calls; });
+  ObsSampler sampler(3600 * 1000);
   sampler.FoldOnce();
-  EXPECT_EQ(fold_calls.load(), 1);
+  EXPECT_EQ(sampler.folds(), 1u);
 
   auto* reg = telemetry::Registry::Global();
   int64_t p50 = reg->GetGauge("pipeline.e2e_p50_ns")->Value();
@@ -573,6 +572,47 @@ TEST(ObsServerTest, ServesAllFiveEndpoints) {
   EXPECT_GE(server.requests(), 6u);
   server.Stop();
   EXPECT_FALSE(E2eSamplingActive());  // Stop switches sampling off
+  ResetE2eStateForTest();
+}
+
+// `/metrics` serves the registry plus the embedding process's rows, read
+// at each scrape, zeros included.
+TEST(ObsServerTest, MetricsServesAppendedRows) {
+  ResetE2eStateForTest();
+  telemetry::Registry::Global()->ResetForTest();
+  telemetry::Registry::Global()->GetCounter("query.obs_test_marker")->Add(7);
+
+  std::atomic<int> appends{0};
+  ObsServerOptions opts;
+  opts.host = "127.0.0.1";
+  opts.port = 0;
+  opts.sample_interval_ms = 3600 * 1000;
+  opts.append_metrics = [&appends](telemetry::MetricsSnapshot* snap) {
+    const int n = ++appends;
+    snap->counters.emplace_back("collector.parse_errors", 0);
+    snap->gauges.emplace_back("node.cn0.queue_depth", n);
+  };
+  ObsServer server(std::move(opts));
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string first = HttpGet(server.port(), "/metrics");
+  EXPECT_NE(first.find("fresque_query_obs_test_marker 7\n"),
+            std::string::npos)
+      << first;
+  EXPECT_NE(first.find("# TYPE fresque_collector_parse_errors counter\n"
+                       "fresque_collector_parse_errors 0\n"),
+            std::string::npos)
+      << first;
+  EXPECT_NE(first.find("# TYPE fresque_node_cn0_queue_depth gauge\n"
+                       "fresque_node_cn0_queue_depth 1\n"),
+            std::string::npos)
+      << first;
+  const std::string second = HttpGet(server.port(), "/metrics");
+  EXPECT_NE(second.find("fresque_node_cn0_queue_depth 2\n"),
+            std::string::npos)
+      << second;
+  EXPECT_EQ(appends.load(), 2);
+  server.Stop();
   ResetE2eStateForTest();
 }
 

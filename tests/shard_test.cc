@@ -3,7 +3,7 @@
 // record in exactly one shard's publications), and merged fan-out query
 // results against a single-shard oracle; plus the pipeline's thread
 // topology, interval-progress forwarding, cross-thread publication
-// counter and final per-shard snapshots.
+// counter, final per-shard snapshots and a mid-run metrics scrape.
 
 #include <gtest/gtest.h>
 
@@ -658,6 +658,52 @@ TEST(ShardedPipelineTest, FinalSnapshotsConvergeEveryShardDataDir) {
   EXPECT_EQ(after.DurabilityTotals().wal_frames,
             after.shards[0].durability.wal_frames +
                 after.shards[1].durability.wal_frames);
+}
+
+// A scrape taken while the pipeline runs, with no Shutdown(), is
+// complete and current: the pipeline's rows carry the routed counts and
+// the zero drop counts next to the registry's metrics, and each name
+// appears once.
+TEST(ShardedPipelineTest, MidRunScrapeIsCompleteAndCountsEachEventOnce) {
+  auto spec = Gowalla();
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = spec;
+  cfg.collector.num_computing_nodes = 1;
+  cfg.shard.num_shards = 2;
+  shard::ShardedPipeline pipe(cfg, crypto::KeyManager(Bytes(32, 0x42)));
+  ASSERT_TRUE(pipe.Start().ok());
+  auto gen = record::MakeGenerator(spec, 44);
+  ASSERT_TRUE(gen.ok());
+  constexpr uint64_t kLines = 500;
+  for (uint64_t i = 0; i < kLines; ++i) {
+    ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
+  }
+
+  telemetry::MetricsSnapshot snap = telemetry::Registry::Global()->Snapshot();
+  pipe.Metrics().AppendTo(&snap);
+  std::map<std::string, int> seen;
+  std::map<std::string, uint64_t> counters;
+  std::map<std::string, int64_t> gauges;
+  for (const auto& [name, v] : snap.counters) {
+    ++seen[name];
+    counters[name] = v;
+  }
+  for (const auto& [name, v] : snap.gauges) {
+    ++seen[name];
+    gauges[name] = v;
+  }
+  for (const auto& h : snap.histograms) ++seen[h.name];
+  for (const auto& [name, n] : seen) EXPECT_EQ(n, 1) << name;
+
+  EXPECT_EQ(counters["shard.router.records"], kLines);
+  ASSERT_EQ(counters.count("shard.0.records_in"), 1u);
+  ASSERT_EQ(counters.count("shard.1.records_in"), 1u);
+  EXPECT_EQ(counters["shard.0.records_in"] + counters["shard.1.records_in"],
+            kLines);
+  ASSERT_EQ(counters.count("collector.parse_errors"), 1u);
+  EXPECT_EQ(counters["collector.parse_errors"], 0u);
+  EXPECT_GT(gauges["node.cn0.queue_capacity"], 0);
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
 }
 
 }  // namespace

@@ -44,8 +44,10 @@
 //                         MANIFEST's file list, then the log
 //
 // Observability flags (apply to `ingest`, see DESIGN.md §11):
-//   --metrics-out=<file>        dump the metrics registry periodically and
-//                               at exit; JSON when the path ends in .json,
+//   --metrics-out=<file>        dump the metrics registry plus the
+//                               pipeline's rows (docs/METRICS.md), read
+//                               at each dump, periodically and at exit;
+//                               JSON when the path ends in .json,
 //                               Prometheus text exposition otherwise
 //   --metrics-interval-ms=<n>   dump period (default 1000; must be > 0)
 //
@@ -89,6 +91,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -101,7 +104,6 @@
 #include "cloud/server.h"
 #include "common/bytes.h"
 #include "crypto/key_manager.h"
-#include "durability/metrics.h"
 #include "durability/recovery.h"
 #include "durability/snapshot_manager.h"
 #include "durability/wal.h"
@@ -229,12 +231,19 @@ struct TelemetryOptions {
   size_t metrics_interval_ms = 1000;
 };
 
-/// Background thread dumping the registry to `path` every interval, plus
-/// a final dump on destruction (so short runs still produce a file).
+/// Appends a live source's rows to a registry snapshot.
+using AppendMetrics = std::function<void(telemetry::MetricsSnapshot*)>;
+
+/// Background thread dumping the registry plus `append`'s rows to `path`
+/// every interval, plus a final dump on destruction (so short runs still
+/// produce a file). `append` runs on the dumper's thread and must outlive
+/// the dumper.
 class MetricsDumper {
  public:
-  MetricsDumper(std::string path, size_t interval_ms)
-      : path_(std::move(path)), interval_ms_(interval_ms) {
+  MetricsDumper(std::string path, size_t interval_ms, AppendMetrics append)
+      : path_(std::move(path)),
+        interval_ms_(interval_ms),
+        append_(std::move(append)) {
     thread_ = std::thread([this] { Loop(); });
   }
 
@@ -262,6 +271,7 @@ class MetricsDumper {
 
   void Dump() {
     auto snap = telemetry::Registry::Global()->Snapshot();
+    append_(&snap);
     if (auto st = telemetry::WriteMetricsFile(snap, path_); !st.ok()) {
       std::cerr << "warning: metrics dump: " << st.ToString() << "\n";
     }
@@ -269,6 +279,7 @@ class MetricsDumper {
 
   std::string path_;
   size_t interval_ms_;
+  AppendMetrics append_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
@@ -343,11 +354,6 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
     }
   }
 
-  std::unique_ptr<MetricsDumper> dumper;
-  if (!tel.metrics_out.empty()) {
-    dumper = std::make_unique<MetricsDumper>(tel.metrics_out,
-                                             tel.metrics_interval_ms);
-  }
   // Flight recorder first: capacity must land before the first event, and
   // the crash handlers before any pipeline thread that could fault. The
   // dump lands on stderr always, plus <data-dir>/flight.dump when a data
@@ -363,19 +369,22 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
   shard::ShardedPipeline pipe(cfg, std::move(*keys));
   if (auto st = pipe.Start(); !st.ok()) return Fail(st.ToString());
 
-  // Folds the per-shard collector and durability snapshots into the
-  // registry's node.* / collector.snapshot.* / wal.* gauges.
-  const bool dur_on = dur.enabled();
-  auto export_metrics = [&pipe, dur_on] {
-    pipe.ExportTelemetry();
-    auto m = pipe.Metrics();
-    engine::ExportToRegistry(m.CollectorTotals());
-    if (dur_on) durability::ExportToRegistry(m.DurabilityTotals());
+  // Every export reads the pipeline's numbers as it runs. The dumper and
+  // the obs server are declared after the pipeline, so every return path
+  // stops them (joining their threads) before the pipeline they read is
+  // destroyed; the obs server goes first, so its sampler's closing fold
+  // lands in the dumper's final snapshot.
+  const AppendMetrics append_rows = [&pipe](telemetry::MetricsSnapshot* s) {
+    pipe.Metrics().AppendTo(s);
   };
+  std::unique_ptr<MetricsDumper> dumper;
+  if (!tel.metrics_out.empty()) {
+    dumper = std::make_unique<MetricsDumper>(
+        tel.metrics_out, tel.metrics_interval_ms, append_rows);
+  }
 
-  // The observability plane (DESIGN.md §16). Declared after the pipeline
-  // so it is destroyed (and its sampler/HTTP threads joined) first: the
-  // callbacks below capture the pipeline by reference.
+  // The observability plane (DESIGN.md §16).
+  const bool dur_on = dur.enabled();
   std::atomic<bool> obs_ready{true};
   std::unique_ptr<obs::ObsServer> obs_server;
   if (obs.enabled()) {
@@ -390,7 +399,7 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
     oopts.ready_source = [&obs_ready] {
       return obs_ready.load(std::memory_order_relaxed);
     };
-    oopts.fold = export_metrics;
+    oopts.append_metrics = append_rows;
     oopts.status_source = [&pipe, dur_on] {
       obs::StatusSnapshot s;
       auto m = pipe.Metrics();
@@ -514,10 +523,9 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
               << durability::FsyncPolicyToString(dur.fsync_policy) << "]\n";
   }
 
-  export_metrics();
   if (obs_server) {
     // Stop before the final metrics dump so the sampler's closing fold
-    // (e2e quantiles, queue gauges) lands in the dumped snapshot.
+    // (e2e quantiles) lands in the dumped snapshot.
     obs_server->Stop();
     std::cout << "obs: served " << obs_server->requests()
               << " HTTP request(s)\n";
