@@ -52,7 +52,8 @@ int main() {
 
   // 4. Close the publishing interval. Publication work runs on the
   //    merger while the collector is already ingesting the next interval.
-  //    Shutdown drains the pipeline and waits for the cloud's acks.
+  //    Shutdown drains the pipeline and waits for the cloud to install
+  //    the final publications.
   (void)pipeline.Publish();
   if (auto st = pipeline.Shutdown(); !st.ok()) {
     std::cerr << st.ToString() << "\n";

@@ -37,7 +37,7 @@ cmake -B "$BUILD_DIR" -S . \
 if [[ "$SAN" == thread ]]; then
   # TSan slows execution ~10x; build and run only the suites that exercise
   # cross-thread protocols.
-  cmake --build "$BUILD_DIR" -j \
+  cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target concurrency_test tcp_test drain_shutdown_test queue_test net_test \
       durability_test crash_recovery_test telemetry_test overload_test \
       query_engine_test query_concurrency_test obs_test obs_concurrency_test \
@@ -47,6 +47,6 @@ if [[ "$SAN" == thread ]]; then
 else
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
-  cmake --build "$BUILD_DIR" -j
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 fi

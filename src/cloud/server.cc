@@ -167,23 +167,6 @@ Result<MatchingStats> CloudServer::Publish(
                             std::move(payload));
 }
 
-Result<MatchingStats> CloudServer::PublishBatch(
-    uint64_t pn, net::IndexPublication publication,
-    const std::vector<std::pair<uint32_t, Bytes>>& records) {
-  {
-    MutexLock lock(mu_);
-    if (publications_.count(pn)) {
-      return Status::AlreadyExists("publication exists");
-    }
-  }
-  FRESQUE_RETURN_NOT_OK(StartPublication(pn));
-  std::vector<LeafRecord> run;
-  run.reserve(records.size());
-  for (const auto& [leaf, bytes] : records) run.push_back({leaf, bytes});
-  FRESQUE_RETURN_NOT_OK(IngestRecords(pn, run));
-  return PublishIndexed(pn, std::move(publication));
-}
-
 Result<QueryResult> CloudServer::ExecuteQuery(
     const index::RangeQuery& q) const {
   return ExecuteQuery(q, query::QueryContext{});

@@ -140,13 +140,6 @@ class CloudServer {
                                  size_t size)>& fn) const
       FRESQUE_EXCLUDES(mu_);
 
-  /// Batch publication (PINED-RQ): stores `records` as `<leaf, e-record>`
-  /// pairs and installs the index in one shot.
-  Result<MatchingStats> PublishBatch(
-      uint64_t pn, net::IndexPublication publication,
-      const std::vector<std::pair<uint32_t, Bytes>>& records)
-      FRESQUE_EXCLUDES(mu_);
-
   /// Evaluates a range query over every publication (published indexes +
   /// open metadata).
   Result<QueryResult> ExecuteQuery(const index::RangeQuery& q) const

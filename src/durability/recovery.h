@@ -21,7 +21,8 @@ struct RecoveryStats {
   uint64_t installs_replayed = 0;
   uint64_t last_lsn = 0;
   /// The final WAL frame was torn (in-flight at crash time) and was
-  /// discarded — expected after a crash, never data loss for acked state.
+  /// discarded — expected after a crash, never data loss for completed
+  /// publications.
   bool torn_tail = false;
   uint64_t torn_bytes = 0;
   double recovery_millis = 0;
@@ -36,7 +37,7 @@ struct RecoveredCloud {
 /// snapshot files the MANIFEST lists (if any) into one server, then
 /// replays the WAL tail (frames past the MANIFEST's LSN) through the
 /// server's normal mutation API, so the recovered state is byte-identical
-/// to what was acked before the crash. Files the MANIFEST does not name
+/// to what was completed before the crash. Files the MANIFEST does not name
 /// are never read.
 ///
 /// Errors: NotFound when the directory holds neither a snapshot nor any

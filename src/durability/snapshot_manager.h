@@ -74,7 +74,7 @@ struct SnapshotOptions {
 /// which are untouched. WAL segments and files the MANIFEST no longer
 /// names are deleted only after the MANIFEST (and the files it names) are
 /// fsynced — at every instant, MANIFEST + remaining WAL tail reconstruct
-/// the full acked state. Frames appended during a background write have
+/// the full completed state. Frames appended during a background write have
 /// LSNs above the cut's, so its truncation never drops them and recovery
 /// replays them after the MANIFEST's LSN. A failed snapshot marks
 /// nothing sealed, so the next one writes those publications again.

@@ -23,7 +23,7 @@ namespace fresque {
 namespace durability {
 
 /// When the WAL fsync()s relative to Commit():
-///   kAlways     — every Commit() fsyncs; an acked publication survives a
+///   kAlways     — every Commit() fsyncs; a completed publication survives a
 ///                 power cut. The durable default.
 ///   kIntervalMs — Commit() fsyncs only if `fsync_interval_ms` elapsed
 ///                 since the last fsync; bounds data-at-risk by time.

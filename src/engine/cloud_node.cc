@@ -10,6 +10,14 @@ namespace engine {
 
 CloudNode::CloudNode(cloud::CloudServer* server, size_t mailbox_capacity)
     : server_(server),
+      records_in_(
+          telemetry::Registry::Global()->GetCounter("cloud.records_in")),
+      records_rejected_(telemetry::Registry::Global()->GetCounter(
+          "cloud.records_rejected")),
+      publications_installed_(telemetry::Registry::Global()->GetCounter(
+          "cloud.publications_installed")),
+      publications_failed_(telemetry::Registry::Global()->GetCounter(
+          "cloud.publications_failed")),
       node_("cloud", net::MakeMailbox(mailbox_capacity),
             [this](std::vector<net::Message>& batch) {
               return HandleBatch(batch);
@@ -45,11 +53,11 @@ void CloudNode::HandleRecordRun(net::Message* run, size_t n) {
   // through the same API is deterministic.
   if (st.ok() && wal_ != nullptr) st = wal_->AppendRecords(pn, run_);
   if (!st.ok()) {
-    FRESQUE_COUNTER_ADD("cloud.records_rejected", n);
+    records_rejected_->Add(n);
     NoteError(st);
     return;
   }
-  FRESQUE_COUNTER_ADD("cloud.records_in", n);
+  records_in_->Add(n);
   // End of each record's pipeline: dispatcher stamp -> parse ->
   // check/randomer -> cloud ingest (+ WAL stage). One clock read covers
   // the run; every stamped record is still one e2e sample.
@@ -100,45 +108,39 @@ durability::DurabilityMetrics CloudNode::durability_metrics() const {
   return m;
 }
 
-Status CloudNode::LogInstall(uint64_t pn,
-                             const std::shared_ptr<const Bytes>& publication,
-                             const Bytes& table, bool tagged) {
-  if (wal_ == nullptr) return Status::OK();
-  Status st = tagged ? wal_->AppendInstallTagged(pn, *publication, table)
-                     : wal_->AppendInstall(pn, *publication);
-  if (st.ok()) st = wal_->Commit();
-  return st;
-}
-
-void CloudNode::NoteDurableInstall() {
-  if (snapshots_ == nullptr) return;
-  // A snapshot failure is not an ack failure: the WAL already made the
-  // install durable. Record it and keep serving.
-  NoteError(snapshots_->NoteInstall());
-}
-
-void CloudNode::RouteAcksTo(net::MailboxPtr acks) {
-  MutexLock lock(mu_);
-  ack_outbox_ = std::move(acks);
-}
-
-void CloudNode::Ack(uint64_t pn, const Status& st) {
-  net::MailboxPtr out;
-  {
-    MutexLock lock(mu_);
-    out = ack_outbox_;
+void CloudNode::EndPublication(uint64_t pn, int64_t born_ns, Status outcome,
+                               const InstallLog& log) {
+  // Durability point: a publication completes as installed only after its
+  // install frame is committed.
+  if (outcome.ok() && wal_ != nullptr) {
+    outcome = log.tagged
+                  ? wal_->AppendInstallTagged(pn, *log.publication, log.table)
+                  : wal_->AppendInstall(pn, *log.publication);
+    if (outcome.ok()) outcome = wal_->Commit();
   }
-  if (!out) return;
-  net::Message ack;
-  ack.type = net::MessageType::kPublicationAck;
-  ack.pn = pn;
-  ack.leaf = st.ok() ? 0 : 1;
-  if (!st.ok()) {
-    // fresque-lint: allow(hot-alloc) nack detail built only for failed publications
-    std::string reason = st.ToString();
-    ack.payload.assign(reason.begin(), reason.end());
+  if (outcome.ok()) {
+    publications_installed_->Add(1);
+    // The install published a new query-view epoch; surface it so
+    // operators can correlate query snapshots with installs.
+    FRESQUE_GAUGE_SET("cloud.view_epoch", server_->view_epoch());
+    // Publish-barrier stamp -> flush -> merge -> install + WAL commit: the
+    // paper's "publication latency".
+    if (born_ns != 0) {
+      FRESQUE_HISTOGRAM_RECORD("pipeline.publish_e2e_ns",
+                               telemetry::NowNanos() - born_ns);
+    }
+    FRESQUE_FLIGHT_EVENT(kPublication, "cloud publication installed", pn,
+                         server_->view_epoch(), 0);
+  } else {
+    NoteError(outcome);
+    publications_failed_->Add(1);
+    FRESQUE_FLIGHT_EVENT(kPublication, "cloud publication failed", pn, 0, 0);
   }
-  out->Push(std::move(ack));
+  const bool installed = outcome.ok();
+  if (publications_ != nullptr) publications_->Complete(pn, std::move(outcome));
+  // A snapshot failure is not a publication failure: the WAL already made
+  // the install durable. Record it and keep serving.
+  if (installed && snapshots_ != nullptr) NoteError(snapshots_->NoteInstall());
 }
 
 Status CloudNode::first_error() const {
@@ -160,9 +162,8 @@ void CloudNode::NoteError(const Status& st) {
   }
 }
 
-std::optional<Status> CloudNode::TryFinishTagged(
-    uint64_t pn, std::shared_ptr<const Bytes>* wal_publication,
-    Bytes* wal_table) {
+std::optional<Status> CloudNode::TryFinishTagged(uint64_t pn,
+                                                 InstallLog* log) {
   auto idx_it = pending_index_.find(pn);
   auto tab_it = pending_table_.find(pn);
   if (idx_it == pending_index_.end() || tab_it == pending_table_.end()) {
@@ -173,7 +174,8 @@ std::optional<Status> CloudNode::TryFinishTagged(
     payload = std::move(pit->second);
     pending_payload_.erase(pit);
   }
-  if (wal_ != nullptr) *wal_publication = payload;  // logged after install
+  log->publication = payload;
+  log->tagged = true;
   auto stats = server_->PublishWithMatchingTable(
       pn, std::move(idx_it->second), tab_it->second, std::move(payload));
   pending_index_.erase(idx_it);
@@ -181,15 +183,11 @@ std::optional<Status> CloudNode::TryFinishTagged(
   tagged_pns_.erase(pn);
   if (auto tp = pending_table_payload_.find(pn);
       tp != pending_table_payload_.end()) {
-    if (wal_ != nullptr) *wal_table = std::move(tp->second);
+    log->table = std::move(tp->second);
     pending_table_payload_.erase(tp);
   }
-  if (!stats.ok()) {
-    if (first_error_.ok()) first_error_ = stats.status();
-    return stats.status();
-  }
-  stats_.push_back(*stats);
-  return Status::OK();
+  if (stats.ok()) stats_.push_back(*stats);
+  return stats.status();
 }
 
 bool CloudNode::Handle(net::Message&& m) {
@@ -212,7 +210,7 @@ bool CloudNode::Handle(net::Message&& m) {
         st = wal_->AppendTagged(m.pn, m.leaf, m.payload);
       }
       if (st.ok()) {
-        FRESQUE_COUNTER_ADD("cloud.records_in", 1);
+        records_in_->Add(1);
         if (m.born_ns != 0) {
           const int64_t now_ns = telemetry::NowNanos();
           const int64_t e2e_ns = now_ns - m.born_ns;
@@ -220,7 +218,7 @@ bool CloudNode::Handle(net::Message&& m) {
           FRESQUE_OBS_E2E_SAMPLE(e2e_ns, now_ns);
         }
       } else {
-        FRESQUE_COUNTER_ADD("cloud.records_rejected", 1);
+        records_rejected_->Add(1);
       }
       NoteError(st);
       return true;
@@ -233,106 +231,46 @@ bool CloudNode::Handle(net::Message&& m) {
       auto payload = std::make_shared<const Bytes>(std::move(m.payload));
       auto pub = net::DecodeSharedIndexPublication(payload);
       if (!pub.ok()) {
-        NoteError(pub.status());
-        Ack(m.pn, pub.status());
+        EndPublication(m.pn, m.born_ns, pub.status(), {});
         return true;
       }
       std::optional<Status> outcome;
-      std::shared_ptr<const Bytes> wal_publication;
-      Bytes wal_table;
-      bool tagged = false;
+      InstallLog log;
       {
         MutexLock lock(mu_);
         if (tagged_pns_.count(m.pn)) {
-          tagged = true;
           pending_index_.emplace(m.pn, std::move(*pub));
           pending_payload_[m.pn] = std::move(payload);
-          outcome = TryFinishTagged(m.pn, &wal_publication, &wal_table);
+          outcome = TryFinishTagged(m.pn, &log);
         } else {
-          if (wal_ != nullptr) wal_publication = payload;
+          log.publication = payload;
           auto stats = server_->PublishIndexed(m.pn, std::move(*pub),
                                                std::move(payload));
-          if (!stats.ok()) {
-            if (first_error_.ok()) first_error_ = stats.status();
-            outcome = stats.status();
-          } else {
-            stats_.push_back(*stats);
-            outcome = Status::OK();
-          }
+          if (stats.ok()) stats_.push_back(*stats);
+          outcome = stats.status();
         }
       }
-      // Durability point, outside mu_ (fsync can stall): the success ack
-      // is sent only after the install frame is committed.
-      if (outcome.has_value() && outcome->ok()) {
-        Status logged = LogInstall(m.pn, wal_publication, wal_table, tagged);
-        if (!logged.ok()) {
-          NoteError(logged);
-          outcome = logged;
-        }
-      }
-      // Ack outside mu_: the push may block on a full ack mailbox.
       if (outcome.has_value()) {
-        if (outcome->ok()) {
-          FRESQUE_COUNTER_ADD("cloud.publications_installed", 1);
-          // The install published a new query-view epoch; surface it so
-          // operators can correlate query snapshots with installs.
-          FRESQUE_GAUGE_SET("cloud.view_epoch", server_->view_epoch());
-          // Publish-barrier stamp -> flush -> merge -> install + WAL
-          // commit: the paper's "publication latency".
-          if (m.born_ns != 0) {
-            FRESQUE_HISTOGRAM_RECORD(
-                "pipeline.publish_e2e_ns",
-                telemetry::NowNanos() - m.born_ns);
-          }
-          FRESQUE_FLIGHT_EVENT(kPublication, "cloud publication installed",
-                               m.pn, server_->view_epoch(), 0);
-        } else {
-          FRESQUE_COUNTER_ADD("cloud.publications_failed", 1);
-          FRESQUE_FLIGHT_EVENT(kPublication, "cloud publication failed", m.pn,
-                               0, 0);
-        }
-        Ack(m.pn, *outcome);
-        if (outcome->ok()) NoteDurableInstall();
+        EndPublication(m.pn, m.born_ns, std::move(*outcome), log);
       }
       return true;
     }
     case net::MessageType::kMatchingTable: {
       auto table = net::DecodeMatchingTable(m.payload);
       if (!table.ok()) {
-        NoteError(table.status());
-        Ack(m.pn, table.status());
+        EndPublication(m.pn, m.born_ns, table.status(), {});
         return true;
       }
       std::optional<Status> outcome;
-      std::shared_ptr<const Bytes> wal_publication;
-      Bytes wal_table;
+      InstallLog log;
       {
         MutexLock lock(mu_);
         pending_table_.emplace(m.pn, std::move(*table));
         if (wal_ != nullptr) pending_table_payload_[m.pn] = std::move(m.payload);
-        outcome = TryFinishTagged(m.pn, &wal_publication, &wal_table);
-      }
-      if (outcome.has_value() && outcome->ok()) {
-        Status logged =
-            LogInstall(m.pn, wal_publication, wal_table, /*tagged=*/true);
-        if (!logged.ok()) {
-          NoteError(logged);
-          outcome = logged;
-        }
+        outcome = TryFinishTagged(m.pn, &log);
       }
       if (outcome.has_value()) {
-        if (outcome->ok()) {
-          FRESQUE_COUNTER_ADD("cloud.publications_installed", 1);
-          FRESQUE_GAUGE_SET("cloud.view_epoch", server_->view_epoch());
-          FRESQUE_FLIGHT_EVENT(kPublication, "cloud publication installed",
-                               m.pn, server_->view_epoch(), 0);
-        } else {
-          FRESQUE_COUNTER_ADD("cloud.publications_failed", 1);
-          FRESQUE_FLIGHT_EVENT(kPublication, "cloud publication failed", m.pn,
-                               0, 0);
-        }
-        Ack(m.pn, *outcome);
-        if (outcome->ok()) NoteDurableInstall();
+        EndPublication(m.pn, m.born_ns, std::move(*outcome), log);
       }
       return true;
     }

@@ -15,6 +15,7 @@
 #include "durability/metrics.h"
 #include "durability/snapshot_manager.h"
 #include "durability/wal.h"
+#include "engine/publication_tracker.h"
 #include "index/matching.h"
 #include "net/message.h"
 #include "net/node.h"
@@ -22,6 +23,10 @@
 #include "net/spare_buffers.h"
 
 namespace fresque {
+namespace telemetry {
+class Counter;
+}  // namespace telemetry
+
 namespace engine {
 
 /// Cloud front-end: a Node that applies incoming collector frames to a
@@ -43,6 +48,11 @@ namespace engine {
 /// instead of freeing it on this thread. Nothing reads a payload after
 /// that. A rejected run's buffers, and every buffer of an unpaired node,
 /// are freed as before.
+///
+/// A node paired with its collector's PublicationTracker
+/// (ReportPublicationsTo) completes each publication there by a direct
+/// call once it installed (after its WAL install frame committed) or
+/// failed to install or decode.
 class CloudNode {
  public:
   /// `server` must outlive the node. Like every pipeline node it pops up
@@ -60,9 +70,9 @@ class CloudNode {
   void Shutdown();
 
   /// Attaches a write-ahead log (and optionally a snapshot manager): every
-  /// mutation the server accepts is then logged, and a publication's
-  /// success ack is sent only after its install frame is durable per the
-  /// WAL's fsync policy — kPublicationAck means "will survive a crash".
+  /// mutation the server accepts is then logged, and a publication
+  /// completes as installed only after its install frame is durable per
+  /// the WAL's fsync policy — completion means "will survive a crash".
   /// Appends (and commits) a meta frame describing the server's binning so
   /// a log with no snapshot still recovers. Must be called before Start();
   /// `wal` and `snapshots` must outlive the node.
@@ -82,12 +92,12 @@ class CloudNode {
     spares_ = std::move(spares);
   }
 
-  /// Routes a kPublicationAck back to `acks` whenever a publication
-  /// finishes installing (or fails to): `leaf == 0` on success, nonzero
-  /// with the reason in `payload` on failure. Pass a collector's
-  /// publication_acks() mailbox to close the publish -> ack loop.
-  /// Thread-safe; may be called before or after Start().
-  void RouteAcksTo(net::MailboxPtr acks) FRESQUE_EXCLUDES(mu_);
+  /// Pairs the node with a collector's publication tracker
+  /// (FresqueCollector::publications()): every publication that installs,
+  /// or fails to, completes there. Must be called before Start().
+  void ReportPublicationsTo(std::shared_ptr<PublicationTracker> publications) {
+    publications_ = std::move(publications);
+  }
 
   /// First error the handler hit, if any (frames after an error are still
   /// processed; the first failure is sticky for post-run inspection).
@@ -108,26 +118,28 @@ class CloudNode {
       FRESQUE_EXCLUDES(mu_);
   FRESQUE_HOT bool Handle(net::Message&& m) FRESQUE_EXCLUDES(mu_);
   void NoteError(const Status& st) FRESQUE_EXCLUDES(mu_);
+  /// What the WAL logs for an install: the publication's own buffer and,
+  /// for PINED-RQ++, the verbatim matching-table payload.
+  struct InstallLog {
+    std::shared_ptr<const Bytes> publication;
+    Bytes table;
+    bool tagged = false;
+  };
+
   /// Attempts the deferred PINED-RQ++ publish; returns its outcome once
-  /// both halves (index + table) are present. On success, when a WAL is
-  /// attached, hands the verbatim publication buffer and table payload to
-  /// the out-params so the caller can log the install outside mu_.
-  std::optional<Status> TryFinishTagged(
-      uint64_t pn, std::shared_ptr<const Bytes>* wal_publication,
-      Bytes* wal_table) FRESQUE_REQUIRES(mu_);
-  /// Appends the install frame and commits the WAL (durability point of a
-  /// publication), logging the installed publication's own buffer. No-op
-  /// without an attached WAL.
-  Status LogInstall(uint64_t pn,
-                    const std::shared_ptr<const Bytes>& publication,
-                    const Bytes& table, bool tagged) FRESQUE_EXCLUDES(mu_);
-  /// Counts a durable install with the snapshot manager (which may decide
-  /// to write a snapshot now). No-op without one.
-  void NoteDurableInstall() FRESQUE_EXCLUDES(mu_);
-  /// Pushes a kPublicationAck for `pn` if ack routing is configured.
-  /// Takes mu_ only to snapshot the outbox: the (possibly blocking) push
-  /// happens with no lock held.
-  void Ack(uint64_t pn, const Status& st) FRESQUE_EXCLUDES(mu_);
+  /// both halves (index + table) are present, and fills `log` with what
+  /// the WAL logs for it.
+  std::optional<Status> TryFinishTagged(uint64_t pn, InstallLog* log)
+      FRESQUE_REQUIRES(mu_);
+  /// Ends publication `pn` once its kIndexPublication or kMatchingTable
+  /// frame decided it (`outcome`; a decode failure is one too). On
+  /// success, appends the install frame and commits the WAL, the
+  /// publication's durability point. Then counts the install or failure,
+  /// emits its flight event, completes the paired tracker and, for a
+  /// durable install, tells the snapshot manager. Runs outside mu_ (the
+  /// fsync can stall).
+  void EndPublication(uint64_t pn, int64_t born_ns, Status outcome,
+                      const InstallLog& log) FRESQUE_EXCLUDES(mu_);
 
   cloud::CloudServer* server_;
   // Set once by AttachDurability before Start(); read by the handler
@@ -138,8 +150,14 @@ class CloudNode {
   durability::SnapshotManager* snapshots_ = nullptr;
   // fresque-lint: allow(guarded-by) set once by ReturnBuffersTo before Start()
   net::SpareBuffersPtr spares_;
+  // fresque-lint: allow(guarded-by) set once before Start(), like spares_
+  std::shared_ptr<PublicationTracker> publications_;
+  // Registered when the node is built, so a dump holds their zeros.
+  telemetry::Counter* records_in_;
+  telemetry::Counter* records_rejected_;
+  telemetry::Counter* publications_installed_;
+  telemetry::Counter* publications_failed_;
   mutable Mutex mu_;
-  net::MailboxPtr ack_outbox_ FRESQUE_GUARDED_BY(mu_);
   Status first_error_ FRESQUE_GUARDED_BY(mu_);
   std::vector<cloud::MatchingStats> stats_ FRESQUE_GUARDED_BY(mu_);
   // PINED-RQ++ pairing state.

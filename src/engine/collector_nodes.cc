@@ -4,7 +4,6 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
-#include "dp/laplace.h"
 #include "index/index.h"
 #include "index/overflow.h"
 #include "net/payloads.h"
@@ -14,107 +13,6 @@
 namespace fresque {
 namespace engine {
 namespace internal {
-
-// ---------------------------------------------------------------------------
-// ReportSink
-
-void ReportSink::DispatcherInit(uint64_t pn, double millis, uint64_t dummies) {
-  MutexLock lock(mu_);
-  auto& r = Slot(pn);
-  r.dispatcher_millis += millis;
-  r.dummy_records = dummies;
-}
-
-void ReportSink::DispatcherPublish(uint64_t pn, double millis) {
-  MutexLock lock(mu_);
-  Slot(pn).dispatcher_millis += millis;
-}
-
-void ReportSink::Checking(uint64_t pn, double millis, uint64_t real) {
-  MutexLock lock(mu_);
-  auto& r = Slot(pn);
-  r.checking_millis = millis;
-  r.real_records = real;
-}
-
-void ReportSink::Merger(uint64_t pn, double millis, uint64_t removed) {
-  MutexLock lock(mu_);
-  auto& r = Slot(pn);
-  r.merger_millis = millis;
-  r.removed_records = removed;
-}
-
-std::vector<PublishReport> ReportSink::Snapshot() const {
-  MutexLock lock(mu_);
-  std::vector<PublishReport> out;
-  out.reserve(reports_.size());
-  for (const auto& [pn, r] : reports_) {
-    (void)pn;
-    out.push_back(r);
-  }
-  return out;
-}
-
-PublishReport& ReportSink::Slot(uint64_t pn) {
-  auto& r = reports_[pn];
-  r.pn = pn;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// PublicationTracker
-
-void PublicationTracker::Complete(uint64_t pn, Status status) {
-  {
-    MutexLock lock(mu_);
-    done_.emplace(pn, std::move(status));  // first terminal state wins
-  }
-  cv_.NotifyAll();
-}
-
-Status PublicationTracker::Wait(uint64_t pn,
-                                std::chrono::milliseconds timeout) const {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  MutexLock lock(mu_);
-  while (done_.count(pn) == 0) {
-    if (cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout &&
-        done_.count(pn) == 0) {
-      return Status::DeadlineExceeded("publication " + std::to_string(pn) +
-                                      " not acked within " +
-                                      std::to_string(timeout.count()) + "ms");
-    }
-  }
-  return done_.at(pn);
-}
-
-uint64_t PublicationTracker::completed_ok() const {
-  MutexLock lock(mu_);
-  uint64_t n = 0;
-  for (const auto& [pn, st] : done_) {
-    (void)pn;
-    if (st.ok()) ++n;
-  }
-  return n;
-}
-
-uint64_t PublicationTracker::completed_failed() const {
-  MutexLock lock(mu_);
-  uint64_t n = 0;
-  for (const auto& [pn, st] : done_) {
-    (void)pn;
-    if (!st.ok()) ++n;
-  }
-  return n;
-}
-
-net::Message MakeFailureAck(uint64_t pn, const std::string& reason) {
-  net::Message ack;
-  ack.type = net::MessageType::kPublicationAck;
-  ack.pn = pn;
-  ack.leaf = 1;
-  ack.payload.assign(reason.begin(), reason.end());
-  return ack;
-}
 
 // ---------------------------------------------------------------------------
 // ComputingNodeImpl
@@ -257,14 +155,13 @@ record::SecureRecordCodec* ComputingNodeImpl::CodecFor(uint64_t pn) {
 CheckingNodeImpl::CheckingNodeImpl(const CollectorConfig& config,
                                    size_t randomer_buffer,
                                    net::MailboxPtr merger,
-                                   net::MailboxPtr cloud, ReportSink* reports,
-                                   net::MailboxPtr acks)
+                                   net::MailboxPtr cloud,
+                                   PublicationTracker* publications)
     : config_(config),
       randomer_buffer_(randomer_buffer),
       merger_(std::move(merger)),
       cloud_(std::move(cloud)),
-      reports_(reports),
-      acks_(std::move(acks)),
+      publications_(publications),
       rng_(config.seed ^ 0xC0FFEE),
       node_("checking", net::MakeMailbox(config.mailbox_capacity),
             [this](std::vector<net::Message>& b) { return HandleBatch(b); }) {}
@@ -321,7 +218,7 @@ void CheckingNodeImpl::HandleTemplate(net::Message&& m) {
   auto tmpl = net::DecodeTemplate(m.payload);
   if (!tmpl.ok()) {
     // No interval state will ever exist for `pn`; the barrier completion
-    // in HandlePublish detects that and acks the publication as failed.
+    // in HandlePublish detects that and fails the publication.
     FRESQUE_LOG(Error) << "bad template: " << tmpl.status().ToString();
     return;
   }
@@ -426,8 +323,8 @@ void CheckingNodeImpl::HandlePublish(net::Message&& m) {
     snap.payload = net::EncodeAlSnapshot(state.leaves.al_snapshot());
     merger_out_.push_back(std::move(snap));
 
-    reports_->Checking(pn, watch.ElapsedMillis(),
-                       static_cast<uint64_t>(state.leaves.TotalReal()));
+    publications_->Checking(pn, watch.ElapsedMillis(),
+                            static_cast<uint64_t>(state.leaves.TotalReal()));
     states_.erase(it);
     publications_flushed_.fetch_add(1, std::memory_order_relaxed);
     FRESQUE_HISTOGRAM_RECORD("checking.flush_ns",
@@ -440,7 +337,7 @@ void CheckingNodeImpl::FailPublication(uint64_t pn,
                                        const std::string& reason) {
   FRESQUE_LOG(Error) << "checking node: " << reason;
   publications_failed_.fetch_add(1, std::memory_order_relaxed);
-  if (acks_) acks_->Push(MakeFailureAck(pn, reason));
+  publications_->Complete(pn, Status::Internal(reason));
 }
 
 void CheckingNodeImpl::EvictStalePending(uint64_t closed_pn) {
@@ -465,12 +362,11 @@ void CheckingNodeImpl::EvictStalePending(uint64_t closed_pn) {
 
 MergerImpl::MergerImpl(const CollectorConfig& config,
                        const crypto::KeyManager* keys, net::MailboxPtr cloud,
-                       ReportSink* reports, net::MailboxPtr acks)
+                       PublicationTracker* publications)
     : config_(config),
       keys_(keys),
       cloud_(std::move(cloud)),
-      reports_(reports),
-      acks_(std::move(acks)),
+      publications_(publications),
       rng_(config.seed ^ 0x4D455247),  // "MERG"
       node_("merger", net::MakeMailbox(config.mailbox_capacity),
             [this](std::vector<net::Message>& b) { return HandleBatch(b); }) {}
@@ -528,7 +424,7 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
   if (it == pending_.end() || !it->second.tmpl.has_value()) {
     // The template was lost upstream (or its forward failed to decode
     // here); the AL snapshot is the publication's last frame, so release
-    // whatever state accumulated and ack the failure.
+    // whatever state accumulated and fail the publication.
     if (it != pending_.end()) pending_.erase(it);
     FailPublication(snap.pn,
                     "merger: AL snapshot for publication " +
@@ -567,16 +463,12 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
     return;
   }
 
-  // Overflow arrays: one fixed-size array per leaf, capacity = the
-  // delta-probability bound on |negative noise| (symmetric to the dummy
-  // bound). Removed records go to random slots; the rest pads with
-  // dummy ciphertexts.
-  double scale = index::IndexPerturber::LevelScale(
-      config_.epsilon, merged->layout().num_levels());
-  size_t slots = static_cast<size_t>(
-      dp::DummyUpperBoundPerLeaf(scale, config_.delta));
-  if (slots == 0) slots = 1;
-  index::OverflowArrays overflow(merged->layout().num_leaves(), slots);
+  // Overflow arrays: one fixed-size array per leaf (OverflowSlotsPerLeaf).
+  // Removed records go to random slots; the rest pads with dummy
+  // ciphertexts.
+  index::OverflowArrays overflow(
+      merged->layout().num_leaves(),
+      OverflowSlotsPerLeaf(config_, merged->layout().num_levels()));
   for (auto& rm : pending.removed) {
     Status st = overflow.Insert(static_cast<size_t>(rm.leaf),
                                 std::move(rm.payload), &rng_);
@@ -624,19 +516,18 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
       net::IndexPublication(std::move(*merged), std::move(overflow)),
       keys_->IndexMacKey(snap.pn));
   cloud_out_.push_back(std::move(out));
-  publications_shipped_.fetch_add(1, std::memory_order_relaxed);
   FRESQUE_COUNTER_ADD("collector.publications_shipped", 1);
   FRESQUE_HISTOGRAM_RECORD("merger.build_ns",
                            telemetry::NowNanos() - build_start);
 
-  reports_->Merger(snap.pn, watch.ElapsedMillis(),
-                   static_cast<uint64_t>(pending.removed.size()));
+  publications_->Merger(snap.pn, watch.ElapsedMillis(),
+                        static_cast<uint64_t>(pending.removed.size()));
   pending_.erase(it);
 }
 
 void MergerImpl::FailPublication(uint64_t pn, const std::string& reason) {
   FRESQUE_LOG(Error) << reason;
-  if (acks_) acks_->Push(MakeFailureAck(pn, reason));
+  publications_->Complete(pn, Status::Internal(reason));
 }
 
 // ---------------------------------------------------------------------------
@@ -644,12 +535,13 @@ void MergerImpl::FailPublication(uint64_t pn, const std::string& reason) {
 
 DispatcherState::DispatcherState(const CollectorConfig& config,
                                  index::DomainBinning binning,
-                                 net::MailboxPtr checking, ReportSink* reports)
+                                 net::MailboxPtr checking,
+                                 PublicationTracker* publications)
     : config_(config),
       binning_(std::move(binning)),
       checking_(std::move(checking)),
       rng_(config.seed ^ 0xD15C0),
-      reports_(reports) {}
+      publications_(publications) {}
 
 Status DispatcherState::OpenInterval(uint64_t pn) {
   Stopwatch watch;
@@ -666,7 +558,7 @@ Status DispatcherState::OpenInterval(uint64_t pn) {
   init.payload = net::EncodeTemplate(tmpl->noise_index());
   checking_->Push(std::move(init));
 
-  reports_->DispatcherInit(pn, watch.ElapsedMillis(), schedule_->total());
+  publications_->DispatcherInit(pn, watch.ElapsedMillis(), schedule_->total());
   return Status::OK();
 }
 

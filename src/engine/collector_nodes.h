@@ -10,12 +10,10 @@
 /// Concurrency model (see DESIGN.md §8): each *Impl's mutable state is
 /// confined to its own net::Node thread — only the mailbox crosses
 /// threads — except the std::atomic drop/progress counters (readable
-/// from any thread) and the two genuinely shared classes below,
-/// ReportSink and PublicationTracker, whose locking is annotated and
-/// checked by Clang's thread-safety analysis.
+/// from any thread) and the collector's PublicationTracker, whose locking
+/// is annotated and checked by Clang's thread-safety analysis.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -24,13 +22,11 @@
 #include <vector>
 
 #include "common/hot.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "crypto/key_manager.h"
 #include "engine/config.h"
 #include "engine/dummy_schedule.h"
-#include "engine/metrics.h"
+#include "engine/publication_tracker.h"
 #include "engine/randomer.h"
 #include "index/al.h"
 #include "index/binning.h"
@@ -42,50 +38,6 @@
 namespace fresque {
 namespace engine {
 namespace internal {
-
-/// Thread-safe accumulator of per-publication reports; all collector
-/// components write their slice here.
-class ReportSink {
- public:
-  void DispatcherInit(uint64_t pn, double millis, uint64_t dummies)
-      FRESQUE_EXCLUDES(mu_);
-  void DispatcherPublish(uint64_t pn, double millis) FRESQUE_EXCLUDES(mu_);
-  void Checking(uint64_t pn, double millis, uint64_t real)
-      FRESQUE_EXCLUDES(mu_);
-  void Merger(uint64_t pn, double millis, uint64_t removed)
-      FRESQUE_EXCLUDES(mu_);
-
-  std::vector<PublishReport> Snapshot() const FRESQUE_EXCLUDES(mu_);
-
- private:
-  PublishReport& Slot(uint64_t pn) FRESQUE_REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  std::map<uint64_t, PublishReport> reports_ FRESQUE_GUARDED_BY(mu_);
-};
-
-/// Tracks terminal publication states (installed at the cloud, or failed
-/// somewhere in the pipeline) as kPublicationAck frames arrive, and lets
-/// callers block on a specific publication with a deadline.
-class PublicationTracker {
- public:
-  /// Records the terminal state of `pn` (first ack wins) and wakes
-  /// waiters.
-  void Complete(uint64_t pn, Status status) FRESQUE_EXCLUDES(mu_);
-
-  /// Blocks until `pn` reached a terminal state or `timeout` elapsed.
-  /// Returns the publication's terminal status, or DeadlineExceeded.
-  Status Wait(uint64_t pn, std::chrono::milliseconds timeout) const
-      FRESQUE_EXCLUDES(mu_);
-
-  uint64_t completed_ok() const FRESQUE_EXCLUDES(mu_);
-  uint64_t completed_failed() const FRESQUE_EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_;
-  mutable CondVar cv_;
-  std::map<uint64_t, Status> done_ FRESQUE_GUARDED_BY(mu_);
-};
 
 /// Computing node (paper §5.3): parse raw line -> leaf offset -> encrypt,
 /// emit <leaf offset, e-record> to the checking node. Also encrypts the
@@ -151,17 +103,17 @@ class ComputingNodeImpl {
 ///
 /// Barrier hardening: publish votes are tracked independently of interval
 /// state, so a publication whose template was lost or undecodable still
-/// completes its barrier — it is then acked as failed (via `acks`, when
-/// provided) and its buffered records are dropped and counted instead of
-/// leaking in `pending_` forever.
+/// completes its barrier — it is then completed as failed in
+/// `publications` and its buffered records are dropped and counted
+/// instead of leaking in `pending_` forever.
 class CheckingNodeImpl {
  public:
   /// Every interval's randomer holds `randomer_buffer` records
-  /// (RandomerBufferSize(config)). `acks`, when non-null, receives
-  /// kPublicationAck frames for publications that fail at this node.
+  /// (RandomerBufferSize(config)). `publications` receives this node's
+  /// report slice and completes the publications that fail here.
   CheckingNodeImpl(const CollectorConfig& config, size_t randomer_buffer,
                    net::MailboxPtr merger, net::MailboxPtr cloud,
-                   ReportSink* reports, net::MailboxPtr acks = nullptr);
+                   PublicationTracker* publications);
 
   void Start() { node_.Start(); }
   void Join() { node_.Join(); }
@@ -212,8 +164,7 @@ class CheckingNodeImpl {
   const size_t randomer_buffer_;
   net::MailboxPtr merger_;
   net::MailboxPtr cloud_;
-  ReportSink* reports_;
-  net::MailboxPtr acks_;
+  PublicationTracker* publications_;
   crypto::SecureRandom rng_;
   std::map<uint64_t, IntervalState> states_;
   std::map<uint64_t, std::vector<net::Message>> pending_;
@@ -234,12 +185,12 @@ class CheckingNodeImpl {
 /// Merger (paper §5.3): runs publication work off the ingestion path —
 /// merges IT + AL into the secure index, builds overflow arrays, ships
 /// the publication to the cloud. Publications that fail to build are
-/// acked as failed (via `acks`) and their pending state released.
+/// completed as failed in `publications` and their pending state
+/// released.
 class MergerImpl {
  public:
   MergerImpl(const CollectorConfig& config, const crypto::KeyManager* keys,
-             net::MailboxPtr cloud, ReportSink* reports,
-             net::MailboxPtr acks = nullptr);
+             net::MailboxPtr cloud, PublicationTracker* publications);
 
   void Start() { node_.Start(); }
   void Join() { node_.Join(); }
@@ -250,10 +201,6 @@ class MergerImpl {
   /// noise beyond the delta-probability bound); should be ~0.
   uint64_t overflow_drops() const {
     return overflow_drops_.load(std::memory_order_relaxed);
-  }
-  /// Publications shipped to the cloud as kIndexPublication.
-  uint64_t publications_shipped() const {
-    return publications_shipped_.load(std::memory_order_relaxed);
   }
   /// Publications failed because overflow-array dummies could not be
   /// encrypted (previously those shipped with empty slots — a
@@ -277,14 +224,12 @@ class MergerImpl {
   const CollectorConfig& config_;
   const crypto::KeyManager* keys_;
   net::MailboxPtr cloud_;
-  ReportSink* reports_;
-  net::MailboxPtr acks_;
+  PublicationTracker* publications_;
   crypto::SecureRandom rng_;
   std::map<uint64_t, PendingPublication> pending_;
   /// Per-batch outbound staging toward the cloud (see CheckingNodeImpl).
   std::vector<net::Message> cloud_out_;
   std::atomic<uint64_t> overflow_drops_{0};
-  std::atomic<uint64_t> publications_shipped_{0};
   std::atomic<uint64_t> codec_failures_{0};
   net::Node node_;
 };
@@ -293,7 +238,7 @@ class MergerImpl {
 class DispatcherState {
  public:
   DispatcherState(const CollectorConfig& config, index::DomainBinning binning,
-                  net::MailboxPtr checking, ReportSink* reports);
+                  net::MailboxPtr checking, PublicationTracker* publications);
 
   /// Samples the template for publication `pn`, schedules its dummies and
   /// hands the template to the checking node.
@@ -310,11 +255,8 @@ class DispatcherState {
   crypto::SecureRandom rng_;
   std::optional<DummySchedule> schedule_;
   double progress_ = 0;
-  ReportSink* reports_;
+  PublicationTracker* publications_;
 };
-
-/// Builds a failure kPublicationAck frame (leaf != 0, reason in payload).
-net::Message MakeFailureAck(uint64_t pn, const std::string& reason);
 
 }  // namespace internal
 }  // namespace engine

@@ -24,8 +24,7 @@ FresqueCollector::FresqueCollector(CollectorConfig config,
       spares_(std::make_shared<net::SpareBuffers>()),
       ingest_blocked_ns_(
           telemetry::Registry::Global()->GetCounter("ingest.blocked_ns")),
-      ack_inbox_(net::MakeMailbox(1024)),
-      tracker_(std::make_unique<internal::PublicationTracker>()) {}
+      publications_(std::make_shared<PublicationTracker>()) {}
 
 FresqueCollector::~FresqueCollector() {
   if (started_ && !shut_down_) {
@@ -34,8 +33,6 @@ FresqueCollector::~FresqueCollector() {
       FRESQUE_LOG(Warn) << "shutdown in destructor: " << st.ToString();
     }
   }
-  // ack_node_'s destructor closes ack_inbox_ and joins; after this no one
-  // touches tracker_.
 }
 
 Status FresqueCollector::Start() {
@@ -48,14 +45,13 @@ Status FresqueCollector::Start() {
                                               config_.dataset.bin_width);
   if (!binning.ok()) return binning.status();
 
-  reports_ = std::make_unique<internal::ReportSink>();
   merger_ = std::make_unique<internal::MergerImpl>(
-      config_, &key_manager_, cloud_inbox_, reports_.get(), ack_inbox_);
+      config_, &key_manager_, cloud_inbox_, publications_.get());
   checking_ = std::make_unique<internal::CheckingNodeImpl>(
       config_, *randomer_buffer, merger_->inbox(), cloud_inbox_,
-      reports_.get(), ack_inbox_);
+      publications_.get());
   dispatcher_ = std::make_unique<internal::DispatcherState>(
-      config_, *binning, checking_->inbox(), reports_.get());
+      config_, *binning, checking_->inbox(), publications_.get());
 
   computing_.clear();
   for (size_t i = 0; i < config_.num_computing_nodes; ++i) {
@@ -66,28 +62,9 @@ Status FresqueCollector::Start() {
   line_headroom_ = record::SecureRecordCodec::CiphertextHeadroom(
       config_.dataset.parser->schema());
 
-  // The ack consumer outlives the pipeline: cloud installs complete
-  // asynchronously, possibly after Shutdown() returned.
-  ack_node_ = std::make_unique<net::Node>(
-      "acks", ack_inbox_, [this](net::Message&& m) {
-        if (m.type == net::MessageType::kShutdown) return false;
-        if (m.type != net::MessageType::kPublicationAck) {
-          FRESQUE_LOG(Warn) << "ack node: unexpected "
-                            << net::MessageTypeToString(m.type);
-          return true;
-        }
-        Status st = m.leaf == 0
-                        ? Status::OK()
-                        : Status::Internal(std::string(m.payload.begin(),
-                                                       m.payload.end()));
-        tracker_->Complete(m.pn, std::move(st));
-        return true;
-      });
-
   merger_->Start();
   checking_->Start();
   for (auto& cn : computing_) cn->Start();
-  ack_node_->Start();
 
   started_ = true;
   pn_ = 0;
@@ -317,7 +294,7 @@ void FresqueCollector::PublishCurrentInterval() {
     p.born_ns = now_ns;
     PushToComputingNode(cn, &p, 1);
   }
-  reports_->DispatcherPublish(pn_, watch.ElapsedMillis());
+  publications_->DispatcherPublish(pn_, watch.ElapsedMillis());
 }
 
 Status FresqueCollector::Publish() {
@@ -365,7 +342,7 @@ Status FresqueCollector::Shutdown() {
 Status FresqueCollector::WaitForPublication(uint64_t pn,
                                             std::chrono::milliseconds timeout) {
   if (!started_) return Status::FailedPrecondition("never started");
-  return tracker_->Wait(pn, timeout);
+  return publications_->Wait(pn, timeout);
 }
 
 CollectorMetrics FresqueCollector::Metrics() const {
@@ -396,14 +373,13 @@ CollectorMetrics FresqueCollector::Metrics() const {
   out.shed_normal = shed_normal_.load(std::memory_order_relaxed);
   out.shed_high = shed_high_.load(std::memory_order_relaxed);
   out.shed_records = out.shed_low + out.shed_normal + out.shed_high;
-  out.publications_completed = tracker_->completed_ok();
-  out.publications_failed = tracker_->completed_failed();
+  out.publications_completed = publications_->completed_ok();
+  out.publications_failed = publications_->completed_failed();
   return out;
 }
 
 std::vector<PublishReport> FresqueCollector::Reports() const {
-  if (!reports_) return {};
-  return reports_->Snapshot();
+  return publications_->Reports();
 }
 
 uint64_t FresqueCollector::parse_errors() const {

@@ -13,8 +13,8 @@
 #include "crypto/key_manager.h"
 #include "engine/config.h"
 #include "engine/metrics.h"
+#include "engine/publication_tracker.h"
 #include "net/message.h"
-#include "net/node.h"
 #include "net/spare_buffers.h"
 
 namespace fresque {
@@ -29,8 +29,6 @@ class ComputingNodeImpl;
 class CheckingNodeImpl;
 class MergerImpl;
 class DispatcherState;
-class ReportSink;
-class PublicationTracker;
 }  // namespace internal
 
 /// The FRESQUE collector (paper §5, Figure 6): dispatcher, k computing
@@ -51,15 +49,14 @@ class PublicationTracker;
 /// pipeline starts collectors on threads it joins, then ingests on the
 /// caller's). Metrics(), Reports(), the drop
 /// counters and WaitForPublication() are safe from any thread at any
-/// time: they read atomics or the annotated ReportSink /
-/// PublicationTracker locks.
+/// time: they read atomics or the annotated PublicationTracker lock.
 ///
 /// Publication lifecycle: every publication moves through
 ///   open -> ingest -> flush (kPublish barrier) -> publish (merger) ->
-///   ack (kPublicationAck)
+///   complete (PublicationTracker::Complete)
 /// Shutdown() *drains*: the open interval is published first (if it
 /// ingested anything), so no buffered record is lost at teardown.
-/// WaitForPublication() blocks until a publication's terminal ack.
+/// WaitForPublication() blocks until a publication's terminal state.
 ///
 /// Record buffers: every frame the dispatcher creates (an admitted line,
 /// or a dummy directive) takes its payload buffer from spare_buffers(),
@@ -72,9 +69,9 @@ class PublicationTracker;
 ///
 /// Typical driving loop:
 ///   cloud_node.ReturnBuffersTo(collector.spare_buffers());
+///   cloud_node.ReportPublicationsTo(collector.publications());
 ///   cloud_node.Start();
 ///   collector.Start();
-///   cloud_node.RouteAcksTo(collector.publication_acks());
 ///   for (...) collector.Ingest(line);
 ///   collector.Publish();          // as many intervals as desired
 ///   collector.Shutdown();         // drains: publishes the open interval
@@ -149,19 +146,21 @@ class FresqueCollector {
   Status Shutdown();
 
   /// Blocks until publication `pn` reaches a terminal state: installed at
-  /// the cloud (requires CloudNode::RouteAcksTo(publication_acks())), or
-  /// failed anywhere in the pipeline (acked internally, no routing
-  /// needed). Returns the terminal status, or DeadlineExceeded. Callable
-  /// during ingestion and after Shutdown() — acks keep being consumed
-  /// until the collector is destroyed.
+  /// the cloud (requires CloudNode::ReportPublicationsTo(publications())),
+  /// or failed anywhere in the pipeline (the checking node and the merger
+  /// complete their failures themselves). Returns the terminal status, or
+  /// DeadlineExceeded. Callable during ingestion and after Shutdown().
   Status WaitForPublication(
       uint64_t pn,
       std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
 
-  /// Mailbox on which the collector consumes kPublicationAck frames.
-  /// Hand it to CloudNode::RouteAcksTo() so cloud-side installs complete
-  /// the lifecycle; collector-internal failure acks arrive regardless.
-  const net::MailboxPtr& publication_acks() const { return ack_inbox_; }
+  /// The collector's per-publication record: reports and terminal states.
+  /// Hand it to CloudNode::ReportPublicationsTo() so cloud-side installs
+  /// complete the lifecycle. Shared, so a paired cloud node may complete
+  /// an install after this collector is gone.
+  const std::shared_ptr<PublicationTracker>& publications() const {
+    return publications_;
+  }
 
   /// Pool the dispatcher takes record buffers from. Hand it to
   /// CloudNode::ReturnBuffersTo() so stored records' buffers come back.
@@ -172,7 +171,7 @@ class FresqueCollector {
   size_t randomer_buffer() const;
 
   /// Point-in-time health snapshot: per-node frame counts and queue
-  /// depths, every drop counter, and publication ack totals.
+  /// depths, every drop counter, and publication completion totals.
   CollectorMetrics Metrics() const;
 
   /// Per-publication reports. Complete only after Shutdown() (the merger
@@ -232,19 +231,12 @@ class FresqueCollector {
   net::MailboxPtr cloud_inbox_;
   net::SpareBuffersPtr spares_;
   telemetry::Counter* ingest_blocked_ns_;
+  std::shared_ptr<PublicationTracker> publications_;
 
-  std::unique_ptr<internal::ReportSink> reports_;
   std::unique_ptr<internal::DispatcherState> dispatcher_;
   std::vector<std::unique_ptr<internal::ComputingNodeImpl>> computing_;
   std::unique_ptr<internal::CheckingNodeImpl> checking_;
   std::unique_ptr<internal::MergerImpl> merger_;
-
-  // Ack path: lives from construction to destruction so late cloud acks
-  // (after Shutdown) still resolve WaitForPublication calls. Declaration
-  // order matters: ack_node_ references tracker_ and must die first.
-  net::MailboxPtr ack_inbox_;
-  std::unique_ptr<internal::PublicationTracker> tracker_;
-  std::unique_ptr<net::Node> ack_node_;
 
   uint64_t pn_ = 0;
   uint64_t open_interval_lines_ = 0;  // Ingest() calls since OpenInterval

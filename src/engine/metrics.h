@@ -28,8 +28,6 @@ struct PublishReport {
   double checking_millis = 0;
   /// Time the merger spent building the secure index + overflow arrays.
   double merger_millis = 0;
-  /// Cloud-side matching time.
-  double cloud_matching_millis = 0;
 };
 
 /// Instantaneous view of one pipeline node's mailbox (built on the
@@ -94,11 +92,11 @@ struct CollectorMetrics {
   uint64_t shed_normal = 0;
   uint64_t shed_high = 0;
 
-  /// Publications acked as installed at the cloud (kPublicationAck with
-  /// success; requires CloudNode ack routing).
+  /// Publications completed as installed at the cloud (requires
+  /// CloudNode::ReportPublicationsTo).
   uint64_t publications_completed = 0;
-  /// Publications acked as failed (lost template, merge failure, cloud
-  /// install failure).
+  /// Publications completed as failed (lost template, merge failure,
+  /// cloud decode or install failure).
   uint64_t publications_failed = 0;
 
   /// Sum of every drop counter — nonzero means ingested data did not all

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/clock.h"
-#include "dp/laplace.h"
 #include "index/index.h"
 #include "index/overflow.h"
 #include "net/payloads.h"
@@ -94,12 +93,9 @@ Status PinedRqCollector::Publish() {
 
   // Step 3: materialize the noise — dummies for positive leaves, removals
   // into overflow arrays for negative ones.
-  double scale = index::IndexPerturber::LevelScale(
-      config_.epsilon, noisy.layout().num_levels());
-  size_t slots =
-      static_cast<size_t>(dp::DummyUpperBoundPerLeaf(scale, config_.delta));
-  if (slots == 0) slots = 1;
-  index::OverflowArrays overflow(binning_->num_bins(), slots);
+  index::OverflowArrays overflow(
+      binning_->num_bins(),
+      OverflowSlotsPerLeaf(config_, noisy.layout().num_levels()));
 
   std::vector<std::pair<size_t, Bytes>> batch;  // <leaf, e-record>
   batch.reserve(parsed.size());

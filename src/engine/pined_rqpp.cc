@@ -1,7 +1,6 @@
 #include "engine/pined_rqpp.h"
 
 #include "common/clock.h"
-#include "dp/laplace.h"
 #include "index/overflow.h"
 #include "net/payloads.h"
 
@@ -137,12 +136,9 @@ Status PinedRqPpCollector::Publish() {
 
   // Synchronous publishing tasks: sequentially encrypt removed records
   // into fixed-size overflow arrays, then ship index + matching table.
-  double scale = index::IndexPerturber::LevelScale(
-      config_.epsilon, template_->layout().num_levels());
-  size_t slots =
-      static_cast<size_t>(dp::DummyUpperBoundPerLeaf(scale, config_.delta));
-  if (slots == 0) slots = 1;
-  index::OverflowArrays overflow(binning_->num_bins(), slots);
+  index::OverflowArrays overflow(
+      binning_->num_bins(),
+      OverflowSlotsPerLeaf(config_, template_->layout().num_levels()));
   for (auto& [leaf, rec] : removed_) {
     auto ct = codec_->EncryptRecord(rec);
     if (!ct.ok()) return ct.status();

@@ -2,7 +2,6 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
-#include "dp/laplace.h"
 #include "index/overflow.h"
 #include "net/payloads.h"
 
@@ -29,7 +28,12 @@ class ParallelPinedRqPpCollector::Worker {
         local_counts_(MakeZeroTree(binning, config.fanout)),
         node_("pp-worker" + std::to_string(id),
               net::MakeMailbox(config.mailbox_capacity),
-              [this](net::Message&& m) { return Handle(std::move(m)); }) {}
+              [this](std::vector<net::Message>& batch) {
+                for (auto& m : batch) {
+                  if (!Handle(std::move(m))) return false;
+                }
+                return true;
+              }) {}
 
   static index::HistogramIndex MakeZeroTree(
       const index::DomainBinning& binning, size_t fanout) {
@@ -289,14 +293,12 @@ Status ParallelPinedRqPpCollector::Publish() {
   for (size_t i = 0; i < workers_.size(); ++i) publish_acks_.Pop();
 
   // Sequentially encrypt removed records into the overflow arrays.
-  double scale = index::IndexPerturber::LevelScale(
-      config_.epsilon,
-      index::IndexLayout::Create(binning_->num_bins(), config_.fanout)
-          ->num_levels());
-  size_t slots =
-      static_cast<size_t>(dp::DummyUpperBoundPerLeaf(scale, config_.delta));
-  if (slots == 0) slots = 1;
-  index::OverflowArrays overflow(binning_->num_bins(), slots);
+  index::OverflowArrays overflow(
+      binning_->num_bins(),
+      OverflowSlotsPerLeaf(
+          config_,
+          index::IndexLayout::Create(binning_->num_bins(), config_.fanout)
+              ->num_levels()));
   for (auto& [leaf, rec] : removed_) {
     auto ct = codec_->EncryptRecord(rec);
     if (!ct.ok()) return ct.status();

@@ -33,8 +33,6 @@ const char* MessageTypeToString(MessageType t) {
       return "CloudTaggedRecord";
     case MessageType::kShutdown:
       return "Shutdown";
-    case MessageType::kPublicationAck:
-      return "PublicationAck";
   }
   return "?";
 }
@@ -76,7 +74,7 @@ Result<Message> Message::Deserialize(const Bytes& data) {
       !payload.ok()) {
     return Status::Corruption("truncated message frame");
   }
-  if (*type > static_cast<uint8_t>(MessageType::kPublicationAck)) {
+  if (*type > static_cast<uint8_t>(MessageType::kShutdown)) {
     return Status::Corruption("unknown message type " +
                               std::to_string(*type));
   }

@@ -43,13 +43,9 @@ enum class MessageType : uint8_t {
   /// PINED-RQ++ collector -> cloud: `<random tag, e-record>` pair whose
   /// leaf stays hidden until the matching table is published.
   kCloudTaggedRecord = 12,
-  /// Producer -> consumer: no more input, drain and stop.
+  /// Producer -> consumer: no more input, drain and stop. Always the last
+  /// type: Deserialize rejects any id above it.
   kShutdown = 13,
-  /// Cloud node (on install) or checking node / merger (on failure) ->
-  /// collector: publication `pn` reached a terminal state. `leaf == 0`
-  /// means the publication installed at the cloud; any other value means
-  /// it failed, with a human-readable reason in `payload`.
-  kPublicationAck = 14,
 };
 
 const char* MessageTypeToString(MessageType t);

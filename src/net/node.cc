@@ -8,22 +8,10 @@
 namespace fresque {
 namespace net {
 
-Node::Node(std::string name, MailboxPtr inbox,
-           std::function<bool(Message&&)> handler)
-    : name_(std::move(name)),
-      inbox_(std::move(inbox)),
-      handler_(std::move(handler)) {
-  AttachTelemetry();
-}
-
 Node::Node(std::string name, MailboxPtr inbox, BatchHandler handler)
     : name_(std::move(name)),
       inbox_(std::move(inbox)),
-      batch_handler_(std::move(handler)) {
-  AttachTelemetry();
-}
-
-void Node::AttachTelemetry() {
+      handler_(std::move(handler)) {
   auto* reg = telemetry::Registry::Global();
   busy_ns_ = reg->GetCounter("node." + name_ + ".busy_ns");
   idle_ns_ = reg->GetCounter("node." + name_ + ".idle_ns");
@@ -45,13 +33,7 @@ void Node::Start() {
   if (started_) return;
   started_ = true;
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] {
-    if (batch_handler_) {
-      BatchLoop();
-    } else {
-      Loop();
-    }
-  });
+  thread_ = std::thread([this] { Loop(); });
 }
 
 void Node::AccountTurn(int64_t popped_ns, int64_t done_ns,
@@ -63,24 +45,6 @@ void Node::AccountTurn(int64_t popped_ns, int64_t done_ns,
 }
 
 void Node::Loop() {
-  int64_t mark = telemetry::NowNanos();
-  for (;;) {
-    auto msg = inbox_->Pop();
-    const int64_t popped = telemetry::NowNanos();
-    idle_ns_->Add(static_cast<uint64_t>(std::max<int64_t>(popped - mark, 0)));
-    if (!msg.has_value()) break;  // closed and drained
-    frames_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t blocked_before = PushBlockedNanos();
-    const bool keep = handler_(std::move(*msg));
-    msg.reset();
-    mark = telemetry::NowNanos();
-    AccountTurn(popped, mark, PushBlockedNanos() - blocked_before);
-    if (!keep) break;
-  }
-  running_.store(false, std::memory_order_release);
-}
-
-void Node::BatchLoop() {
   std::vector<Message> batch;
   batch.reserve(kMaxBatch);
   int64_t mark = telemetry::NowNanos();
@@ -91,7 +55,7 @@ void Node::BatchLoop() {
     if (n == 0) break;  // closed and drained
     frames_.fetch_add(n, std::memory_order_relaxed);
     const uint64_t blocked_before = PushBlockedNanos();
-    const bool keep = batch_handler_(batch);
+    const bool keep = handler_(batch);
     // Destroying the popped frames (and any payload they still own) is
     // part of the turn's busy time.
     batch.clear();

@@ -23,9 +23,12 @@ namespace net {
 /// cloud front-end) are handlers; wiring their mailboxes together forms
 /// the cluster of Figure 6.
 ///
-/// The loop stops when the handler returns false or the inbox is closed
-/// and drained; components decide themselves how to react to kShutdown
-/// (e.g. the checking node waits for one per computing node).
+/// Each turn of the loop pops whatever is queued, up to kMaxBatch frames,
+/// in one lock acquisition (PopBatch) and hands them to the handler
+/// together; it never waits for a batch to fill. The loop stops when the
+/// handler returns false or the inbox is closed and drained; components
+/// decide themselves how to react to kShutdown (e.g. the checking node
+/// waits for one per computing node).
 ///
 /// Time accounting: every node owns three counters, registered when it is
 /// built and shared with same-named nodes of other shards (like
@@ -52,14 +55,8 @@ class Node {
   /// freely (the loop clears it).
   using BatchHandler = std::function<bool(std::vector<Message>&)>;
 
-  /// `handler` is invoked on the node's own thread for every frame and
-  /// returns false to stop. It must be callable until Join() returns.
-  Node(std::string name, MailboxPtr inbox,
-       std::function<bool(Message&&)> handler);
-
-  /// Batched variant: each turn of the loop pops whatever is queued, up to
-  /// kMaxBatch messages, in one lock acquisition (PopBatch) and hands
-  /// them to the handler together. It never waits for a batch to fill.
+  /// `handler` runs on the node's own thread. It must be callable until
+  /// Join() returns.
   Node(std::string name, MailboxPtr inbox, BatchHandler handler);
 
   Node(const Node&) = delete;
@@ -93,8 +90,6 @@ class Node {
 
  private:
   void Loop();
-  void BatchLoop();
-  void AttachTelemetry();
   /// Adds one turn of the loop to the time counters: `popped_ns` is when
   /// the pop returned, `done_ns` when the handler's turn ended, and
   /// `blocked_ns` the handler's PushBlockedNanos() delta.
@@ -102,8 +97,7 @@ class Node {
 
   std::string name_;
   MailboxPtr inbox_;
-  std::function<bool(Message&&)> handler_;
-  BatchHandler batch_handler_;
+  BatchHandler handler_;
   telemetry::Counter* busy_ns_ = nullptr;
   telemetry::Counter* idle_ns_ = nullptr;
   telemetry::Counter* blocked_ns_ = nullptr;

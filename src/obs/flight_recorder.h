@@ -15,7 +15,7 @@ namespace obs {
 enum class FlightCategory : uint8_t {
   kLifecycle = 0,    // process / pipeline start, drain, shutdown
   kConfig = 1,       // configuration applied or changed
-  kPublication = 2,  // interval open, publish barrier, view install, ack
+  kPublication = 2,  // interval open, publish barrier, install or failure
   kShed = 3,         // admission shed state transitions
   kDurability = 4,   // WAL rotation, snapshot written
   kRecovery = 5,     // recovery steps (snapshot load, WAL replay)

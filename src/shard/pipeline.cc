@@ -92,7 +92,7 @@ Status ShardedPipeline::Start() {
     s->collector = std::make_unique<engine::FresqueCollector>(
         sub, keys_, s->cloud_node->inbox());
     s->cloud_node->ReturnBuffersTo(s->collector->spare_buffers());
-    s->cloud_node->RouteAcksTo(s->collector->publication_acks());
+    s->cloud_node->ReportPublicationsTo(s->collector->publications());
     s->cloud_node->Start();
     shards_.push_back(std::move(s));
   }
@@ -169,12 +169,12 @@ Status ShardedPipeline::Shutdown() {
   }
   for (auto& s : shards_) {
     if (s->open_lines == 0) continue;
-    // Shutdown() published the open interval; wait for the cloud ack so
-    // callers returning from here can query (or snapshot) a complete
-    // store.
-    Status acked = s->collector->WaitForPublication(
+    // Shutdown() published the open interval; wait for the cloud to
+    // complete it so callers returning from here can query (or snapshot)
+    // a complete store.
+    Status installed = s->collector->WaitForPublication(
         s->collector->current_publication(), std::chrono::seconds(30));
-    if (!acked.ok()) NoteError(acked);
+    if (!installed.ok()) NoteError(installed);
   }
   StopCloudNodes();
   return first_error();

@@ -159,7 +159,7 @@ class ShardedPipeline {
   /// Drains and stops everything: shuts down every shard's collector in
   /// shard order (each publishes its open interval if it ingested lines,
   /// FresqueCollector::Shutdown semantics), waits for those final
-  /// publication acks, then stops the cloud nodes. Returns the first
+  /// publications to complete, then stops the cloud nodes. Returns the first
   /// error any shard hit.
   Status Shutdown();
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <vector>
 
 #include "cloud/server.h"
 #include "engine/cloud_node.h"
+#include "engine/publication_tracker.h"
 #include "index/index.h"
 #include "index/matching.h"
 #include "index/overflow.h"
@@ -40,9 +43,14 @@ net::Message Msg(net::MessageType type, uint64_t pn, uint64_t leaf = 0,
   return m;
 }
 
+uint64_t CounterValue(const char* name) {
+  return telemetry::Registry::Global()->GetCounter(name)->Value();
+}
+
 class CloudNodeTest : public ::testing::Test {
  protected:
   CloudNodeTest() : server_(TinyBinning()), node_(&server_) {
+    node_.ReportPublicationsTo(publications_);
     node_.Start();
   }
 
@@ -52,6 +60,8 @@ class CloudNodeTest : public ::testing::Test {
   }
 
   cloud::CloudServer server_;
+  std::shared_ptr<PublicationTracker> publications_ =
+      std::make_shared<PublicationTracker>();
   CloudNode node_;
 };
 
@@ -105,6 +115,7 @@ TEST_F(CloudNodeTest, TaggedFlowIndexBeforeTableAlsoPairs) {
 }
 
 TEST_F(CloudNodeTest, BadPayloadIsRecordedNotFatal) {
+  const uint64_t failed_before = CounterValue("cloud.publications_failed");
   node_.inbox()->Push(Msg(net::MessageType::kPublicationStart, 0));
   node_.inbox()->Push(
       Msg(net::MessageType::kIndexPublication, 0, 0, Bytes{1, 2, 3}));
@@ -114,6 +125,11 @@ TEST_F(CloudNodeTest, BadPayloadIsRecordedNotFatal) {
   Finish();
   EXPECT_FALSE(node_.first_error().ok());
   EXPECT_EQ(server_.total_records(), 1u);  // later frame still applied
+  // The decode failure ends publication 0 like any failed install.
+  Status outcome = publications_->Wait(0, std::chrono::milliseconds(0));
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_FALSE(outcome.IsDeadlineExceeded()) << outcome.ToString();
+  EXPECT_EQ(CounterValue("cloud.publications_failed"), failed_before + 1);
 }
 
 TEST_F(CloudNodeTest, UnexpectedFrameTypeIsError) {
@@ -153,10 +169,6 @@ std::vector<Bytes> Stored(const cloud::CloudServer& server, uint64_t pn) {
                                        })
                   .ok());
   return out;
-}
-
-uint64_t CounterValue(const char* name) {
-  return telemetry::Registry::Global()->GetCounter(name)->Value();
 }
 
 // Every frame below is popped in one batch (fewer than net::kMaxBatch,

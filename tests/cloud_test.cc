@@ -294,22 +294,6 @@ TEST(CloudServerTest, OverflowSlotsReturnedForTouchedLeaves) {
   EXPECT_EQ(result->overflow_records.size(), 2u);  // real + padding slot
 }
 
-TEST(CloudServerTest, PublishBatchStoresAndPublishesAtOnce) {
-  CloudServer server(TinyBinning());
-  std::vector<std::pair<uint32_t, Bytes>> batch = {
-      {1, Bytes{0x1}}, {1, Bytes{0x2}}, {6, Bytes{0x3}}};
-  std::vector<int64_t> counts(10, 0);
-  counts[1] = 2;
-  counts[6] = 1;
-  auto stats = server.PublishBatch(
-      9, MakePublication(server.binning(), counts), batch);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->records_matched, 3u);
-  EXPECT_EQ(server.total_records(), 3u);
-  auto result = server.ExecuteQuery({0.0, 9.9});
-  EXPECT_EQ(result->indexed_records.size(), 3u);
-}
-
 TEST(CloudServerTest, ApproximateCountSumsPublishedIndexes) {
   CloudServer server(TinyBinning());
   for (uint64_t pn = 0; pn < 2; ++pn) {

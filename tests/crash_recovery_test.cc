@@ -1,14 +1,14 @@
 // Crash-injection harness: ingest publications with fsync=always through
 // the durable CloudNode, record the WAL's durable byte offset at each
-// publication ack, then simulate SIGKILL by truncating a copy of the log
-// at randomized offsets. Recovery from every cut must restore all
-// publications whose ack preceded the cut byte-for-byte, and a cut inside
-// the final frame must be treated as a torn tail, never as data loss or a
-// crash. A second harness crashes inside incremental snapshots: from
-// copies of the data dir taken just before and just after each snapshot
-// it rebuilds the directory a crash would leave between its steps. A
-// third does the same for snapshots written in the background while
-// records go on being appended and committed.
+// publication's completion, then simulate SIGKILL by truncating a copy of
+// the log at randomized offsets. Recovery from every cut must restore all
+// publications whose completion preceded the cut byte-for-byte, and a cut
+// inside the final frame must be treated as a torn tail, never as data
+// loss or a crash. A second harness crashes inside incremental snapshots:
+// from copies of the data dir taken just before and just after each
+// snapshot it rebuilds the directory a crash would leave between its
+// steps. A third does the same for snapshots written in the background
+// while records go on being appended and committed.
 // Randomized but reproducible: FRESQUE_CRASH_SEED selects the cut
 // sequence and the workload (CI runs many seeds under ASan+UBSan).
 
@@ -97,7 +97,7 @@ bool HasPrefix(const std::string& name, const char* prefix) {
 struct PubTruth {
   std::vector<Bytes> records;   // ingest order, plaintext-of-the-test bytes
   Bytes evidence;               // verbatim publication payload
-  uint64_t durable_offset = 0;  // wal file length covering this pub's ack
+  uint64_t durable_offset = 0;  // wal file length at this pub's completion
 };
 
 net::Message Msg(net::MessageType type, uint64_t pn, uint64_t leaf = 0,
@@ -129,7 +129,8 @@ class CrashRecoveryTest : public ::testing::Test {
 
   /// Runs one durable ingest session and fills `truth_`: per publication,
   /// its record bytes, evidence payload, and the WAL offset at which its
-  /// ack became durable (fsync=always => file bytes on disk at ack time).
+  /// completion became durable (fsync=always => file bytes on disk at
+  /// completion time).
   void RunIngestSession(const std::string& dir, uint64_t seed) {
     auto binning = index::DomainBinning::Create(0, kLeaves, 1);
     cloud::CloudServer server(std::move(binning).ValueOrDie());
@@ -144,8 +145,8 @@ class CrashRecoveryTest : public ::testing::Test {
     durability::Wal* wal_ptr = wal->get();
     ASSERT_TRUE(node.AttachDurability(wal_ptr).ok());
 
-    auto acks = net::MakeMailbox(64);
-    node.RouteAcksTo(acks);
+    auto publications = std::make_shared<engine::PublicationTracker>();
+    node.ReportPublicationsTo(publications);
     node.Start();
 
     std::mt19937_64 rng(seed);
@@ -166,15 +167,12 @@ class CrashRecoveryTest : public ::testing::Test {
       truth.evidence = PublicationPayload(kLeaves, counts);
       node.inbox()->Push(Msg(net::MessageType::kIndexPublication, pn, 0,
                              truth.evidence));
-      // Wait for the durable ack; only then is the offset meaningful.
-      auto ack = acks->Pop();
-      ASSERT_TRUE(ack.has_value());
-      ASSERT_EQ(ack->type, net::MessageType::kPublicationAck);
-      ASSERT_EQ(ack->pn, pn);
-      ASSERT_EQ(ack->leaf, 0u)
-          << std::string(ack->payload.begin(), ack->payload.end());
-      // Nothing else is in flight (we push strictly after popping the
-      // ack), so flushed_bytes() is exactly the durable prefix.
+      // Wait for the durable completion; only then is the offset
+      // meaningful.
+      Status installed = publications->Wait(pn, std::chrono::seconds(30));
+      ASSERT_TRUE(installed.ok()) << installed.ToString();
+      // Nothing else is in flight (we push strictly after the completion),
+      // so flushed_bytes() is exactly the durable prefix.
       truth.durable_offset = kSegHeaderBytes + wal_ptr->flushed_bytes();
       truth_[pn] = std::move(truth);
     }
@@ -198,7 +196,7 @@ class CrashRecoveryTest : public ::testing::Test {
     return dst;
   }
 
-  /// Asserts that every publication acked at or before `cut` recovered
+  /// Asserts that every publication completed at or before `cut` recovered
   /// byte-identically.
   void CheckCut(const std::string& src_dir, uint64_t cut, int trial) {
     std::string dst =
@@ -212,12 +210,12 @@ class CrashRecoveryTest : public ::testing::Test {
     if (!recovered.ok()) {
       // Only acceptable failure: the cut is so early that neither the
       // meta frame nor any whole frame survived — and then no
-      // publication had been acked below the cut either.
+      // publication had completed below the cut either.
       ASSERT_TRUE(recovered.status().IsNotFound())
           << "cut " << cut << ": " << recovered.status().ToString();
       EXPECT_TRUE(must_survive.empty())
           << "cut " << cut << " lost " << must_survive.size()
-          << " acked publication(s)";
+          << " completed publication(s)";
       fs::remove_all(dst);
       return;
     }
@@ -226,7 +224,7 @@ class CrashRecoveryTest : public ::testing::Test {
       const PubTruth& truth = truth_.at(pn);
       auto evidence = recovered->server->PublicationEvidence(pn);
       ASSERT_TRUE(evidence.ok())
-          << "cut " << cut << ": acked publication " << pn
+          << "cut " << cut << ": completed publication " << pn
           << " lost its evidence: " << evidence.status().ToString();
       EXPECT_EQ(*evidence, truth.evidence) << "cut " << cut << " pn " << pn;
 
@@ -272,8 +270,8 @@ TEST_F(CrashRecoveryTest, AckedPublicationsSurviveRandomizedCuts) {
     CheckCut(dir, rng() % (end + 1), trial++);
     if (HasFatalFailure()) return;
   }
-  // ...plus adversarial cuts at and around every ack boundary (the exact
-  // frame edges where off-by-one bugs live).
+  // ...plus adversarial cuts at and around every completion boundary (the
+  // exact frame edges where off-by-one bugs live).
   for (const auto& [pn, truth] : truth_) {
     for (int64_t delta : {-1, 0, 1}) {
       uint64_t cut = truth.durable_offset + static_cast<uint64_t>(delta);
@@ -300,7 +298,7 @@ void ExpectRecovers(const std::string& dir,
     if (truth.evidence.empty()) {
       EXPECT_TRUE(evidence.status().IsNotFound()) << what << " pn " << pn;
     } else {
-      ASSERT_TRUE(evidence.ok()) << what << ": acked publication " << pn
+      ASSERT_TRUE(evidence.ok()) << what << ": completed publication " << pn
                                  << " lost its evidence";
       EXPECT_EQ(*evidence, truth.evidence) << what << " pn " << pn;
     }
@@ -360,7 +358,8 @@ TEST_F(CrashRecoveryTest, AckedPublicationsSurviveCrashesInsideASnapshot) {
   sopts.snapshot_every_installs = 2;
   durability::SnapshotManager manager(sopts, &server, log);
 
-  // The test thread plays the cloud node: apply, log, commit, then ack.
+  // The test thread plays the cloud node: apply, log, commit, then
+  // complete.
   std::map<uint64_t, std::vector<int64_t>> counts;
   auto ingest = [&](uint64_t pn, size_t n) {
     for (size_t i = 0; i < n; ++i) {
@@ -396,7 +395,7 @@ TEST_F(CrashRecoveryTest, AckedPublicationsSurviveCrashesInsideASnapshot) {
     ASSERT_TRUE(pub.ok());
     ASSERT_TRUE(server.PublishIndexed(done, std::move(*pub), payload).ok());
     ASSERT_TRUE(log->AppendInstall(done, payload).ok());
-    ASSERT_TRUE(log->Commit().ok());  // fsync=always: durable, so acked
+    ASSERT_TRUE(log->Commit().ok());  // fsync=always: durable, so complete
     truth_[done].evidence = std::move(payload);
 
     const std::string before = CopyDir(dir, "crash_snap_before", all);
@@ -468,7 +467,7 @@ TEST_F(CrashRecoveryTest,
   // As above, but each snapshot is written by the manager's writer while
   // the test thread, playing the cloud node, goes on ingesting into the
   // open publication: between the cut and the end of the write it appends
-  // and commits one run of records (acked) and appends a second without
+  // and commits one run of records (durable) and appends a second without
   // committing it, which the truncation writes to the segment it seals.
   const uint64_t seed = CrashSeed() + 3;
   std::mt19937_64 rng(seed);

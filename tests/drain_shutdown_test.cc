@@ -1,9 +1,9 @@
-// Regression tests for the graceful drain-and-ack protocol: Shutdown()
-// must publish the open interval (zero record loss), WaitForPublication()
-// must bound publication latency, the drained publication must survive a
-// cloud restart once acked (ack implies durability), and the checking
-// node must survive a lost template without wedging a publication or
-// leaking its buffers.
+// Regression tests for the graceful drain-and-complete protocol:
+// Shutdown() must publish the open interval (zero record loss),
+// WaitForPublication() must bound publication latency, the drained
+// publication must survive a cloud restart once completed (completion
+// implies durability), and the checking node must survive a lost template
+// without wedging a publication or leaking its buffers.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,11 @@ struct Rig {
       : spec(std::move(record::GowallaDataset()).ValueOrDie()),
         server(MakeBinning(spec)),
         cloud_node(&server),
-        keys(Bytes(32, 0x5D)) {
+        keys(Bytes(32, 0x5D)) {}
+
+  /// Pairs the cloud node with `collector`'s publications, then starts it.
+  void StartCloudFor(const engine::FresqueCollector& collector) {
+    cloud_node.ReportPublicationsTo(collector.publications());
     cloud_node.Start();
   }
 
@@ -59,7 +63,7 @@ TEST(DrainShutdownTest, OpenIntervalSurvivesShutdownWithZeroLoss) {
   Rig rig;
   engine::FresqueCollector collector(rig.Config(3), rig.keys,
                                      rig.cloud_node.inbox());
-  rig.cloud_node.RouteAcksTo(collector.publication_acks());
+  rig.StartCloudFor(collector);
   ASSERT_TRUE(collector.Start().ok());
 
   auto gen = record::MakeGenerator(rig.spec, 4242);
@@ -106,7 +110,7 @@ TEST(DrainShutdownTest, UntouchedOpenIntervalIsNotPublished) {
   Rig rig;
   engine::FresqueCollector collector(rig.Config(), rig.keys,
                                      rig.cloud_node.inbox());
-  rig.cloud_node.RouteAcksTo(collector.publication_acks());
+  rig.StartCloudFor(collector);
   ASSERT_TRUE(collector.Start().ok());
   // Nothing ingested: drain has nothing to save, so no publication (and
   // no privacy budget burned on a noise-only index nobody asked for).
@@ -121,7 +125,7 @@ TEST(DrainShutdownTest, ExplicitPublishAndDrainedIntervalBothAck) {
   Rig rig;
   engine::FresqueCollector collector(rig.Config(), rig.keys,
                                      rig.cloud_node.inbox());
-  rig.cloud_node.RouteAcksTo(collector.publication_acks());
+  rig.StartCloudFor(collector);
   ASSERT_TRUE(collector.Start().ok());
 
   auto gen = record::MakeGenerator(rig.spec, 11);
@@ -151,7 +155,7 @@ TEST(DrainShutdownTest, ExplicitPublishAndDrainedIntervalBothAck) {
 
 TEST(DrainShutdownTest, DrainedIntervalSurvivesCloudRestart) {
   // The drain path with durability attached: the publication created by
-  // Shutdown() (never explicitly Publish()ed) is acked only after its WAL
+  // Shutdown() (never explicitly Publish()ed) completes only after its WAL
   // install committed, so stopping the cloud and recovering from disk
   // must reproduce it — same conservation totals, same query answers.
   std::string dir = std::string(::testing::TempDir()) + "/drain_restart";
@@ -174,7 +178,6 @@ TEST(DrainShutdownTest, DrainedIntervalSurvivesCloudRestart) {
   auto wal = durability::Wal::Open(std::move(wopts));
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   ASSERT_TRUE(cloud_node.AttachDurability(wal->get()).ok());
-  cloud_node.Start();
 
   crypto::KeyManager keys(Bytes(32, 0x5D));
   engine::CollectorConfig cfg;
@@ -182,7 +185,8 @@ TEST(DrainShutdownTest, DrainedIntervalSurvivesCloudRestart) {
   cfg.num_computing_nodes = 3;
   cfg.seed = 777;
   engine::FresqueCollector collector(cfg, keys, cloud_node.inbox());
-  cloud_node.RouteAcksTo(collector.publication_acks());
+  cloud_node.ReportPublicationsTo(collector.publications());
+  cloud_node.Start();
   ASSERT_TRUE(collector.Start().ok());
 
   auto gen = record::MakeGenerator(*spec, 4242);
@@ -246,6 +250,7 @@ TEST(DrainShutdownTest, WaitForPublicationTimesOutOnUnknownPn) {
   Rig rig;
   engine::FresqueCollector collector(rig.Config(), rig.keys,
                                      rig.cloud_node.inbox());
+  rig.cloud_node.Start();
   EXPECT_TRUE(collector.WaitForPublication(5).IsFailedPrecondition());
   ASSERT_TRUE(collector.Start().ok());
   Status st = collector.WaitForPublication(5, milliseconds(50));
@@ -282,10 +287,9 @@ TEST(CheckingNodeTest, LostTemplateCompletesBarrierAndEvictsPending) {
   cfg.max_pending_per_publication = 8;  // small cap to exercise the bound
   auto merger = net::MakeMailbox(64);
   auto cloud = net::MakeMailbox(64);
-  auto acks = net::MakeMailbox(64);
-  engine::internal::ReportSink reports;
+  engine::PublicationTracker publications;
   engine::internal::CheckingNodeImpl node(cfg, /*randomer_buffer=*/16, merger,
-                                          cloud, &reports, acks);
+                                          cloud, &publications);
   node.Start();
 
   // 13 records for a publication whose template never arrives: 8 buffer,
@@ -300,18 +304,17 @@ TEST(CheckingNodeTest, LostTemplateCompletesBarrierAndEvictsPending) {
   }
   node.Join();
 
-  // ...dropping the buffered records (counted, not leaked) and acking the
-  // publication as failed so no WaitForPublication() wedges on it.
+  // ...dropping the buffered records (counted, not leaked) and completing
+  // the publication as failed so no WaitForPublication() wedges on it.
   EXPECT_EQ(node.pending_dropped(), 13u);
   EXPECT_EQ(node.publications_failed(), 1u);
   EXPECT_EQ(node.publications_flushed(), 0u);
 
-  auto ack = acks->TryPop();
-  ASSERT_TRUE(ack.has_value());
-  EXPECT_EQ(ack->type, net::MessageType::kPublicationAck);
-  EXPECT_EQ(ack->pn, 0u);
-  EXPECT_NE(ack->leaf, 0u);  // failure
-  EXPECT_FALSE(ack->payload.empty());
+  Status outcome = publications.Wait(0, milliseconds(0));
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_FALSE(outcome.IsDeadlineExceeded()) << outcome.ToString();
+  EXPECT_FALSE(outcome.message().empty());
+  EXPECT_EQ(publications.completed_failed(), 1u);
 
   // The merger saw only the forwarded shutdown — no AL snapshot for a
   // publication that never existed.
@@ -327,10 +330,9 @@ TEST(CheckingNodeTest, LaterBarrierEvictsEarlierOrphanedPending) {
   cfg.num_computing_nodes = 1;
   auto merger = net::MakeMailbox(64);
   auto cloud = net::MakeMailbox(64);
-  auto acks = net::MakeMailbox(64);
-  engine::internal::ReportSink reports;
+  engine::PublicationTracker publications;
   engine::internal::CheckingNodeImpl node(cfg, /*randomer_buffer=*/16, merger,
-                                          cloud, &reports, acks);
+                                          cloud, &publications);
   node.Start();
 
   // Records of publication 3 whose template is lost; the barrier of the
@@ -341,12 +343,13 @@ TEST(CheckingNodeTest, LaterBarrierEvictsEarlierOrphanedPending) {
   node.Join();
 
   EXPECT_EQ(node.pending_dropped(), 4u);
-  // Publication 7 is acked as failed (no state); 3 never completed a
+  // Publication 7 is completed as failed (no state); 3 never completed a
   // barrier, so its loss surfaces through the metric alone.
   EXPECT_EQ(node.publications_failed(), 1u);
-  auto ack = acks->TryPop();
-  ASSERT_TRUE(ack.has_value());
-  EXPECT_EQ(ack->pn, 7u);
+  Status outcome = publications.Wait(7, milliseconds(0));
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_FALSE(outcome.IsDeadlineExceeded()) << outcome.ToString();
+  EXPECT_EQ(publications.completed_failed(), 1u);
 }
 
 }  // namespace

@@ -1235,8 +1235,8 @@ TEST(SnapshotManagerTest, CloudNodeShutdownWaitsForTheWriteInFlight) {
   durability::SnapshotManager manager(sopts, &server, wal->get());
   engine::CloudNode node(&server);
   ASSERT_TRUE(node.AttachDurability(wal->get(), &manager).ok());
-  auto acks = net::MakeMailbox(8);
-  node.RouteAcksTo(acks);
+  auto publications = std::make_shared<engine::PublicationTracker>();
+  node.ReportPublicationsTo(publications);
   node.Start();
 
   auto push = [&node](net::MessageType type, uint64_t pn, uint64_t leaf,
@@ -1256,9 +1256,8 @@ TEST(SnapshotManagerTest, CloudNodeShutdownWaitsForTheWriteInFlight) {
   gate.Close();
   push(net::MessageType::kIndexPublication, 0, 0,
        IndexPayload(std::vector<int64_t>(10, 2)));
-  auto ack = acks->Pop();
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(ack->leaf, 0u);
+  Status installed = publications->Wait(0, std::chrono::seconds(30));
+  ASSERT_TRUE(installed.ok()) << installed.ToString();
   gate.AwaitHeld();  // the install's snapshot is in flight
   // The node keeps storing records meanwhile.
   for (uint32_t i = 0; i < 10; ++i) {
@@ -1522,7 +1521,6 @@ TEST(RecoveryTest, CollectorPipelineStateSurvivesRecovery) {
   auto wal = durability::Wal::Open(std::move(wopts));
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE(cloud_node.AttachDurability(wal->get()).ok());
-  cloud_node.Start();
 
   crypto::KeyManager keys(Bytes(32, 0x70));
   engine::CollectorConfig cfg;
@@ -1530,7 +1528,8 @@ TEST(RecoveryTest, CollectorPipelineStateSurvivesRecovery) {
   cfg.num_computing_nodes = 2;
   cfg.seed = 31;
   engine::FresqueCollector collector(cfg, keys, cloud_node.inbox());
-  cloud_node.RouteAcksTo(collector.publication_acks());
+  cloud_node.ReportPublicationsTo(collector.publications());
+  cloud_node.Start();
   ASSERT_TRUE(collector.Start().ok());
   auto gen = record::MakeGenerator(*spec, 8);
   for (int i = 0; i < 800; ++i) {

@@ -154,11 +154,11 @@ TEST(FresqueCollectorTest, ShutdownDrainsAndPublishesOpenPublication) {
 
   cloud::CloudServer server(BinningOf(*spec));
   engine::CloudNode cloud_node(&server);
-  cloud_node.Start();
 
   crypto::KeyManager keys(Bytes(32, 0x77));
   engine::FresqueCollector collector(cfg, keys, cloud_node.inbox());
-  cloud_node.RouteAcksTo(collector.publication_acks());
+  cloud_node.ReportPublicationsTo(collector.publications());
+  cloud_node.Start();
   ASSERT_TRUE(collector.Start().ok());
 
   auto gen = record::MakeGenerator(*spec, 999);

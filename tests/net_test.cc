@@ -24,7 +24,7 @@ namespace net {
 namespace {
 
 TEST(MessageTest, SerializeRoundTripAllTypes) {
-  for (int t = 0; t <= static_cast<int>(MessageType::kPublicationAck); ++t) {
+  for (int t = 0; t <= static_cast<int>(MessageType::kShutdown); ++t) {
     Message m;
     m.type = static_cast<MessageType>(t);
     m.pn = 42;
@@ -49,10 +49,12 @@ TEST(MessageTest, DeserializeRejectsGarbage) {
   Bytes good = m.Serialize();
   good[0] = 200;  // unknown type id
   EXPECT_FALSE(Message::Deserialize(good).ok());
+  good[0] = static_cast<uint8_t>(MessageType::kShutdown) + 1;
+  EXPECT_FALSE(Message::Deserialize(good).ok());
 }
 
 TEST(MessageTest, EveryTypeHasName) {
-  for (int t = 0; t <= static_cast<int>(MessageType::kPublicationAck); ++t) {
+  for (int t = 0; t <= static_cast<int>(MessageType::kShutdown); ++t) {
     EXPECT_STRNE(MessageTypeToString(static_cast<MessageType>(t)), "?");
   }
 }
@@ -60,9 +62,11 @@ TEST(MessageTest, EveryTypeHasName) {
 TEST(NodeTest, ProcessesFramesInOrder) {
   auto inbox = MakeMailbox(16);
   std::vector<uint64_t> seen;
-  Node node("t", inbox, [&](Message&& m) {
-    if (m.type == MessageType::kShutdown) return false;
-    seen.push_back(m.pn);
+  Node node("t", inbox, [&](std::vector<Message>& batch) {
+    for (const auto& m : batch) {
+      if (m.type == MessageType::kShutdown) return false;
+      seen.push_back(m.pn);
+    }
     return true;
   });
   node.Start();
@@ -84,8 +88,8 @@ TEST(NodeTest, ProcessesFramesInOrder) {
 TEST(NodeTest, StopClosesInboxAndDrains) {
   auto inbox = MakeMailbox(16);
   std::atomic<int> handled{0};
-  Node node("t", inbox, [&](Message&&) {
-    ++handled;
+  Node node("t", inbox, [&](std::vector<Message>& batch) {
+    handled += static_cast<int>(batch.size());
     return true;
   });
   node.Start();
@@ -101,11 +105,11 @@ TEST(NodeTest, StopClosesInboxAndDrains) {
 
 TEST(NodeTest, DestructorJoinsCleanly) {
   auto inbox = MakeMailbox(4);
-  { Node node("t", inbox, [](Message&&) { return true; }); }
+  { Node node("t", inbox, [](std::vector<Message>&) { return true; }); }
   // Never started: destructor must not hang or crash.
   auto inbox2 = MakeMailbox(4);
   {
-    Node node("t2", inbox2, [](Message&&) { return true; });
+    Node node("t2", inbox2, [](std::vector<Message>&) { return true; });
     node.Start();
   }  // destructor stops + joins
   SUCCEED();

@@ -198,7 +198,6 @@ TEST(OverloadPipelineTest, SheddingKeepsPipelineLiveAndLedgerBalanced) {
   cloud::CloudServer server(std::move(binning).ValueOrDie());
   cloud::CloudServer* srv = &server;
   engine::CloudNode cloud_node(srv);
-  cloud_node.Start();
 
   crypto::KeyManager keys(Bytes(32, 0x24));
   auto cfg = ValidConfig();
@@ -212,7 +211,8 @@ TEST(OverloadPipelineTest, SheddingKeepsPipelineLiveAndLedgerBalanced) {
   cfg.admission.shed_high_watermark = 0.8;
   cfg.admission.shed_low_watermark = 0.4;
   engine::FresqueCollector collector(cfg, keys, cloud_node.inbox());
-  cloud_node.RouteAcksTo(collector.publication_acks());
+  cloud_node.ReportPublicationsTo(collector.publications());
+  cloud_node.Start();
   ASSERT_TRUE(collector.Start().ok());
 
   auto gen = record::MakeGenerator(*spec, 10);

@@ -495,13 +495,13 @@ size_t ThreadCount() {
 
 TEST(ShardedPipelineTest, EachShardRunsOnlyItsNodeThreads) {
   // The caller is every shard's dispatcher, so a shard adds only its node
-  // threads: k computing nodes, checking, merger, acks and the cloud node.
+  // threads: k computing nodes, checking, merger and the cloud node.
   if (!std::filesystem::exists("/proc/self/task")) {
     GTEST_SKIP() << "/proc/self/task is not available";
   }
   constexpr size_t kShards = 2;
   constexpr size_t kNodes = 1;
-  constexpr size_t kExpected = kShards * (kNodes + 4);
+  constexpr size_t kExpected = kShards * (kNodes + 3);
   shard::ShardedPipelineConfig cfg;
   cfg.collector.dataset = Gowalla();
   cfg.collector.num_computing_nodes = kNodes;
@@ -702,6 +702,12 @@ TEST(ShardedPipelineTest, MidRunScrapeIsCompleteAndCountsEachEventOnce) {
             kLines);
   ASSERT_EQ(counters.count("collector.parse_errors"), 1u);
   EXPECT_EQ(counters["collector.parse_errors"], 0u);
+  // Cloud counters are exported from the start, zeros included.
+  for (const char* name :
+       {"cloud.records_rejected", "cloud.publications_failed"}) {
+    ASSERT_EQ(counters.count(name), 1u) << name;
+    EXPECT_EQ(counters[name], 0u) << name;
+  }
   EXPECT_GT(gauges["node.cn0.queue_capacity"], 0);
   ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
 }

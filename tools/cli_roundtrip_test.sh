@@ -52,7 +52,8 @@ for N in 1 4; do
     || { cat "ingest$N.log"; fail "--admission-rps shed nothing at N=$N"; }
   [[ -s "m$N.json" ]] || fail "--metrics-out wrote no m$N.json"
   # The pipeline's rows ride every dump, zero counts included.
-  for name in ingest.shed_records collector.parse_errors shard.0.records_in; do
+  for name in ingest.shed_records collector.parse_errors shard.0.records_in \
+      cloud.records_rejected; do
     grep -q "\"$name\"" "m$N.json" || fail "metrics dump lacks $name"
   done
   run metrics-dump "m$N.json" >"mdump$N.log"

@@ -31,8 +31,8 @@
 //
 // Durability flags (apply to `ingest`):
 //   --data-dir=<dir>      shard i keeps its write-ahead log + snapshots in
-//                         <dir>/shard-<i>; every publication ack then
-//                         implies the install is durable, and `recover`
+//                         <dir>/shard-<i>; every completed publication
+//                         is then durable, and `recover`
 //                         rebuilds the store after a crash
 //   --fsync=<policy>      always | interval | interval:<ms> | never
 //   --snapshot-every=<n>  every n installs, or later while the previous
@@ -461,7 +461,7 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
   }
   obs_ready.store(false, std::memory_order_relaxed);  // /readyz goes 503
   // Shutdown drains every shard and publishes each open interval, waiting
-  // for the final cloud acks.
+  // for the cloud to complete the final publications.
   if (auto st = pipe.Shutdown(); !st.ok()) return Fail(st.ToString());
   if (in_interval > 0) ++publications;
   if (auto st = pipe.WriteFinalSnapshots(); !st.ok()) {
