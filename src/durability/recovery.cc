@@ -71,18 +71,8 @@ Result<RecoveredCloud> RecoveryManager::Recover(const std::string& dir,
         out.stats.records_replayed += batch->records.size();
         return Status::OK();
       }
-      case WalOp::kTaggedBatch: {
-        auto batch = DecodeWalTaggedBatch(frame.body);
-        if (!batch.ok()) return batch.status();
-        for (const auto& [tag, rec] : batch->records) {
-          FRESQUE_RETURN_NOT_OK(server->IngestTagged(batch->pn, tag, rec));
-          ++out.stats.records_replayed;
-        }
-        return Status::OK();
-      }
-      case WalOp::kInstall:
-      case WalOp::kInstallTagged: {
-        auto ins = DecodeWalInstall(frame.op, frame.body);
+      case WalOp::kInstall: {
+        auto ins = DecodeWalInstall(frame.body);
         if (!ins.ok()) return ins.status();
         // The frame's publication becomes the installed publication's one
         // buffer, as the live cloud node's payload does.
@@ -90,17 +80,9 @@ Result<RecoveredCloud> RecoveryManager::Recover(const std::string& dir,
             std::make_shared<const Bytes>(std::move(ins->publication));
         auto pub = net::DecodeSharedIndexPublication(payload);
         if (!pub.ok()) return pub.status();
-        if (frame.op == WalOp::kInstall) {
-          auto stats = server->PublishIndexed(ins->pn, std::move(*pub),
-                                              std::move(payload));
-          if (!stats.ok()) return stats.status();
-        } else {
-          auto table = net::DecodeMatchingTable(ins->table);
-          if (!table.ok()) return table.status();
-          auto stats = server->PublishWithMatchingTable(
-              ins->pn, std::move(*pub), *table, std::move(payload));
-          if (!stats.ok()) return stats.status();
-        }
+        auto stats = server->PublishIndexed(ins->pn, std::move(*pub),
+                                            std::move(payload));
+        if (!stats.ok()) return stats.status();
         ++out.stats.installs_replayed;
         return Status::OK();
       }

@@ -9,12 +9,14 @@
 //     body           u8 op, u64 lsn, op-specific payload
 //
 //   payloads:
-//     kMeta          f64 domain_min, f64 domain_max, f64 bin_width
-//     kStart         u64 pn
-//     kRecordBatch   u64 pn, u32 n, n x { u32 leaf, bytes e_record }
-//     kTaggedBatch   u64 pn, u32 n, n x { u64 tag, bytes e_record }
-//     kInstall       u64 pn, bytes publication
-//     kInstallTagged u64 pn, bytes publication, bytes table
+//     kMeta          (1) f64 domain_min, f64 domain_max, f64 bin_width
+//     kStart         (2) u64 pn
+//     kRecordBatch   (3) u64 pn, u32 n, n x { u32 leaf, bytes e_record }
+//     kInstall       (5) u64 pn, bytes publication
+//
+//   Only FRESQUE's `<leaf, e-record>` stream is logged. Ops 4 and 6 once
+//   held PINED-RQ++'s tagged batches and installs; no writer emits them,
+//   so they are unknown ops like any other id.
 //
 // LSNs are dense and strictly increasing in file order, so replay order is
 // simply segment order. The crash model is a prefix truncation (the file
@@ -119,6 +121,17 @@ Result<std::vector<SegInfo>> ListSegments(const std::string& dir) {
   return out;
 }
 
+bool KnownOp(uint8_t op) {
+  switch (static_cast<WalOp>(op)) {
+    case WalOp::kMeta:
+    case WalOp::kStart:
+    case WalOp::kRecordBatch:
+    case WalOp::kInstall:
+      return true;
+  }
+  return false;
+}
+
 struct ScanResult {
   /// Byte offset where the last fully valid frame ends (never less than
   /// the header size for a well-formed segment).
@@ -181,8 +194,7 @@ Result<ScanResult> ScanSegment(
     }
     const uint8_t op_raw = body[0];
     const uint64_t lsn = GetLE64(body + 1);
-    if (op_raw < static_cast<uint8_t>(WalOp::kMeta) ||
-        op_raw > static_cast<uint8_t>(WalOp::kInstallTagged)) {
+    if (!KnownOp(op_raw)) {
       return Status::Corruption("unknown WAL op " + std::to_string(op_raw) +
                                 " in " + seg.path);
     }
@@ -253,12 +265,8 @@ const char* WalOpToString(WalOp op) {
       return "start";
     case WalOp::kRecordBatch:
       return "record-batch";
-    case WalOp::kTaggedBatch:
-      return "tagged-batch";
     case WalOp::kInstall:
       return "install";
-    case WalOp::kInstallTagged:
-      return "install-tagged";
   }
   return "?";
 }
@@ -318,30 +326,7 @@ Result<WalRecordBatch> DecodeWalRecordBatch(const Bytes& body) {
   return batch;
 }
 
-Result<WalTaggedBatch> DecodeWalTaggedBatch(const Bytes& body) {
-  BinaryReader r(body);
-  auto pn = r.GetU64();
-  auto n = r.GetU32();
-  if (!pn.ok() || !n.ok()) {
-    return Status::Corruption("bad WAL tagged batch header");
-  }
-  WalTaggedBatch batch;
-  batch.pn = *pn;
-  for (uint32_t i = 0; i < *n; ++i) {
-    auto tag = r.GetU64();
-    auto rec = r.GetBytes();
-    if (!tag.ok() || !rec.ok()) {
-      return Status::Corruption("truncated WAL tagged batch");
-    }
-    batch.records.emplace_back(*tag, std::move(*rec));
-  }
-  if (!r.exhausted()) {
-    return Status::Corruption("trailing bytes in WAL tagged batch");
-  }
-  return batch;
-}
-
-Result<WalInstall> DecodeWalInstall(WalOp op, const Bytes& body) {
+Result<WalInstall> DecodeWalInstall(const Bytes& body) {
   BinaryReader r(body);
   auto pn = r.GetU64();
   auto publication = r.GetBytes();
@@ -351,11 +336,6 @@ Result<WalInstall> DecodeWalInstall(WalOp op, const Bytes& body) {
   WalInstall ins;
   ins.pn = *pn;
   ins.publication = std::move(*publication);
-  if (op == WalOp::kInstallTagged) {
-    auto table = r.GetBytes();
-    if (!table.ok()) return Status::Corruption("bad WAL install table");
-    ins.table = std::move(*table);
-  }
   if (!r.exhausted()) {
     return Status::Corruption("trailing bytes in WAL install frame");
   }
@@ -500,13 +480,15 @@ Status Wal::WriteStageLocked() {
   return Status::OK();
 }
 
-Status Wal::AppendFrameLocked(WalOp op, const Bytes& payload) {
+Status Wal::AppendFrameLocked(WalOp op, std::span<const uint8_t> head,
+                              std::span<const uint8_t> tail) {
   if (fd_ < 0) return Status::FailedPrecondition("wal is closed");
-  if (payload.size() > kMaxFrameBody - kFrameBodyPrefix) {
+  const size_t payload = head.size() + tail.size();
+  if (payload > kMaxFrameBody - kFrameBodyPrefix) {
     return Status::InvalidArgument("WAL frame payload too large");
   }
   const uint64_t lsn = next_lsn_;
-  const uint32_t len = static_cast<uint32_t>(kFrameBodyPrefix + payload.size());
+  const uint32_t len = static_cast<uint32_t>(kFrameBodyPrefix + payload);
   uint8_t lenb[4];
   PutLE32(lenb, len);
   uint8_t prefix[kFrameBodyPrefix];
@@ -514,14 +496,16 @@ Status Wal::AppendFrameLocked(WalOp op, const Bytes& payload) {
   PutLE64(prefix + 1, lsn);
   uint32_t crc = Crc32(lenb, sizeof(lenb));
   crc = Crc32(prefix, sizeof(prefix), crc);
-  crc = Crc32(payload.data(), payload.size(), crc);
+  crc = Crc32(head.data(), head.size(), crc);
+  crc = Crc32(tail.data(), tail.size(), crc);
   uint8_t crcb[4];
   PutLE32(crcb, crc);
 
   stage_.insert(stage_.end(), crcb, crcb + sizeof(crcb));
   stage_.insert(stage_.end(), lenb, lenb + sizeof(lenb));
   stage_.insert(stage_.end(), prefix, prefix + sizeof(prefix));
-  stage_.insert(stage_.end(), payload.begin(), payload.end());
+  stage_.insert(stage_.end(), head.begin(), head.end());
+  stage_.insert(stage_.end(), tail.begin(), tail.end());
 
   ++next_lsn_;
   ++frames_;
@@ -529,9 +513,8 @@ Status Wal::AppendFrameLocked(WalOp op, const Bytes& payload) {
   return Status::OK();
 }
 
-Wal::PendingBatch& Wal::OpenBatchLocked(
-    std::map<uint64_t, PendingBatch>* batches, uint64_t pn) {
-  auto [it, fresh] = batches->try_emplace(pn);
+Wal::PendingBatch& Wal::OpenBatchLocked(uint64_t pn) {
+  auto [it, fresh] = record_batches_.try_emplace(pn);
   if (fresh) {
     Bytes& body = it->second.body;
     body.swap(spare_body_);
@@ -541,37 +524,25 @@ Wal::PendingBatch& Wal::OpenBatchLocked(
   return it->second;
 }
 
-Status Wal::SealLocked(std::map<uint64_t, PendingBatch>* batches,
-                       std::map<uint64_t, PendingBatch>::iterator it,
-                       WalOp op) {
+Status Wal::SealLocked(std::map<uint64_t, PendingBatch>::iterator it) {
   Bytes& body = it->second.body;
   PutLE32(body.data() + 8, it->second.count);
   ++record_batch_frames_;
-  Status st = AppendFrameLocked(op, body);
+  Status st = AppendFrameLocked(WalOp::kRecordBatch, body);
   body.clear();
   spare_body_.swap(body);
-  batches->erase(it);
+  record_batches_.erase(it);
   return st;
 }
 
 Status Wal::SealBatchLocked(uint64_t pn) {
-  if (auto it = record_batches_.find(pn); it != record_batches_.end()) {
-    FRESQUE_RETURN_NOT_OK(
-        SealLocked(&record_batches_, it, WalOp::kRecordBatch));
-  }
-  if (auto it = tagged_batches_.find(pn); it != tagged_batches_.end()) {
-    FRESQUE_RETURN_NOT_OK(
-        SealLocked(&tagged_batches_, it, WalOp::kTaggedBatch));
-  }
-  return Status::OK();
+  auto it = record_batches_.find(pn);
+  return it == record_batches_.end() ? Status::OK() : SealLocked(it);
 }
 
 Status Wal::SealAllBatchesLocked() {
   while (!record_batches_.empty()) {
-    FRESQUE_RETURN_NOT_OK(SealBatchLocked(record_batches_.begin()->first));
-  }
-  while (!tagged_batches_.empty()) {
-    FRESQUE_RETURN_NOT_OK(SealBatchLocked(tagged_batches_.begin()->first));
+    FRESQUE_RETURN_NOT_OK(SealLocked(record_batches_.begin()));
   }
   return Status::OK();
 }
@@ -599,7 +570,7 @@ Status Wal::AppendRecords(uint64_t pn,
   const size_t cap = std::max<size_t>(1, opts_.batch_records);
   size_t i = 0;
   while (i < run.size()) {
-    PendingBatch& batch = OpenBatchLocked(&record_batches_, pn);
+    PendingBatch& batch = OpenBatchLocked(pn);
     for (; i < run.size() && batch.count < cap; ++i) {
       const std::span<const uint8_t> rec = run[i].e_record;
       const size_t at = batch.body.size();
@@ -614,36 +585,15 @@ Status Wal::AppendRecords(uint64_t pn,
   return Status::OK();
 }
 
-Status Wal::AppendTagged(uint64_t pn, uint64_t tag, const Bytes& e_record) {
-  MutexLock lock(mu_);
-  PendingBatch& batch = OpenBatchLocked(&tagged_batches_, pn);
-  const size_t at = batch.body.size();
-  batch.body.resize(at + 12);
-  PutLE64(batch.body.data() + at, tag);
-  PutLE32(batch.body.data() + at + 8, static_cast<uint32_t>(e_record.size()));
-  batch.body.insert(batch.body.end(), e_record.begin(), e_record.end());
-  if (++batch.count >= opts_.batch_records) return SealBatchLocked(pn);
-  return Status::OK();
-}
-
 Status Wal::AppendInstall(uint64_t pn, const Bytes& publication) {
   MutexLock lock(mu_);
   FRESQUE_RETURN_NOT_OK(SealBatchLocked(pn));
-  BinaryWriter w;
-  w.PutU64(pn);
-  w.PutBytes(publication);
-  return AppendFrameLocked(WalOp::kInstall, w.buffer());
-}
-
-Status Wal::AppendInstallTagged(uint64_t pn, const Bytes& publication,
-                                const Bytes& table) {
-  MutexLock lock(mu_);
-  FRESQUE_RETURN_NOT_OK(SealBatchLocked(pn));
-  BinaryWriter w;
-  w.PutU64(pn);
-  w.PutBytes(publication);
-  w.PutBytes(table);
-  return AppendFrameLocked(WalOp::kInstallTagged, w.buffer());
+  // u64 pn and the publication's u32 length prefix; the publication
+  // itself goes into the stage straight from its own buffer.
+  uint8_t head[12];
+  PutLE64(head, pn);
+  PutLE32(head + 8, static_cast<uint32_t>(publication.size()));
+  return AppendFrameLocked(WalOp::kInstall, head, publication);
 }
 
 Status Wal::FsyncLocked(bool force) {

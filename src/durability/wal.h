@@ -62,13 +62,11 @@ enum class WalOp : uint8_t {
   kStart = 2,
   /// A batch of `<leaf, e-record>` ingests for one publication.
   kRecordBatch = 3,
-  /// A batch of `<tag, e-record>` ingests for one publication.
-  kTaggedBatch = 4,
   /// PublishIndexed(pn, payload): payload is the verbatim encoded
   /// IndexPublication (also the integrity evidence).
   kInstall = 5,
-  /// PublishWithMatchingTable(pn, payload, table payload).
-  kInstallTagged = 6,
+  // Ids 4 and 6 are retired (PINED-RQ++'s tagged record batch and
+  // install); replay rejects them like any other unknown op.
 };
 
 const char* WalOpToString(WalOp op);
@@ -85,22 +83,15 @@ struct WalRecordBatch {
   uint64_t pn = 0;
   std::vector<cloud::LeafRecord> records;
 };
-struct WalTaggedBatch {
-  uint64_t pn = 0;
-  std::vector<std::pair<uint64_t, Bytes>> records;  // <tag, e-record>
-};
 struct WalInstall {
   uint64_t pn = 0;
   Bytes publication;  // encoded net::IndexPublication, verbatim
-  Bytes table;        // encoded matching table; empty for kInstall
 };
 
 Result<WalMeta> DecodeWalMeta(const Bytes& body);
 Result<uint64_t> DecodeWalStart(const Bytes& body);
 Result<WalRecordBatch> DecodeWalRecordBatch(const Bytes& body);
-Result<WalTaggedBatch> DecodeWalTaggedBatch(const Bytes& body);
-/// Handles both kInstall and kInstallTagged bodies.
-Result<WalInstall> DecodeWalInstall(WalOp op, const Bytes& body);
+Result<WalInstall> DecodeWalInstall(const Bytes& body);
 
 /// Append-only, CRC32-framed, segment-rotating write-ahead log.
 ///
@@ -145,14 +136,11 @@ class Wal {
     const cloud::LeafRecord rec{leaf, e_record};
     return AppendRecords(pn, {&rec, 1});
   }
-  Status AppendTagged(uint64_t pn, uint64_t tag, const Bytes& e_record)
-      FRESQUE_EXCLUDES(mu_);
   /// Seals the publication's record batch, then appends the install frame
-  /// (so replay sees every record before the install).
+  /// (so replay sees every record before the install). The publication is
+  /// copied once, into the stage.
   Status AppendInstall(uint64_t pn, const Bytes& publication)
       FRESQUE_EXCLUDES(mu_);
-  Status AppendInstallTagged(uint64_t pn, const Bytes& publication,
-                             const Bytes& table) FRESQUE_EXCLUDES(mu_);
 
   /// Makes everything appended so far durable per the fsync policy:
   /// seals all open batches, writes the stage to the segment file, and
@@ -209,22 +197,22 @@ class Wal {
  private:
   explicit Wal(WalOptions opts);
 
-  /// Body of a kRecordBatch / kTaggedBatch frame being filled: u64 pn, a
-  /// u32 count patched at seal time, then the records as they arrive.
+  /// Body of a kRecordBatch frame being filled: u64 pn, a u32 count
+  /// patched at seal time, then the records as they arrive.
   struct PendingBatch {
     Bytes body;
     uint32_t count = 0;
   };
 
-  Status AppendFrameLocked(WalOp op, const Bytes& body)
+  /// Stages one frame whose payload is `head` followed by `tail`.
+  Status AppendFrameLocked(WalOp op, std::span<const uint8_t> head,
+                           std::span<const uint8_t> tail = {})
       FRESQUE_REQUIRES(mu_);
-  /// The open batch of `pn` in `batches`, created (reusing the capacity
-  /// of the last sealed body) if there is none.
-  PendingBatch& OpenBatchLocked(std::map<uint64_t, PendingBatch>* batches,
-                                uint64_t pn) FRESQUE_REQUIRES(mu_);
-  /// Appends the batch as one frame of `op` and erases it.
-  Status SealLocked(std::map<uint64_t, PendingBatch>* batches,
-                    std::map<uint64_t, PendingBatch>::iterator it, WalOp op)
+  /// The open batch of `pn`, created (reusing the capacity of the last
+  /// sealed body) if there is none.
+  PendingBatch& OpenBatchLocked(uint64_t pn) FRESQUE_REQUIRES(mu_);
+  /// Appends the batch as one kRecordBatch frame and erases it.
+  Status SealLocked(std::map<uint64_t, PendingBatch>::iterator it)
       FRESQUE_REQUIRES(mu_);
   Status SealBatchLocked(uint64_t pn) FRESQUE_REQUIRES(mu_);
   Status SealAllBatchesLocked() FRESQUE_REQUIRES(mu_);
@@ -246,7 +234,6 @@ class Wal {
   size_t segment_written_ FRESQUE_GUARDED_BY(mu_) = 0;
   Bytes stage_ FRESQUE_GUARDED_BY(mu_);
   std::map<uint64_t, PendingBatch> record_batches_ FRESQUE_GUARDED_BY(mu_);
-  std::map<uint64_t, PendingBatch> tagged_batches_ FRESQUE_GUARDED_BY(mu_);
   /// Cleared body of the last sealed batch, kept for its capacity.
   Bytes spare_body_ FRESQUE_GUARDED_BY(mu_);
   struct Segment {

@@ -1,5 +1,7 @@
 #include "engine/cloud_node.h"
 
+#include <string>
+
 #include "common/logging.h"
 #include "obs/flight.h"
 #include "telemetry/telemetry.h"
@@ -7,6 +9,15 @@
 
 namespace fresque {
 namespace engine {
+
+namespace {
+
+// The WAL's grammar has no tagged frames (durability/wal.cc).
+constexpr char kTaggedNotLogged[] =
+    "a durable cloud node logs only <leaf, e-record> streams; "
+    "PINED-RQ++ tagged frames are refused";
+
+}  // namespace
 
 CloudNode::CloudNode(cloud::CloudServer* server, size_t mailbox_capacity)
     : server_(server),
@@ -108,14 +119,32 @@ durability::DurabilityMetrics CloudNode::durability_metrics() const {
   return m;
 }
 
+Result<cloud::MatchingStats> CloudNode::Install(
+    uint64_t pn, std::shared_ptr<const Bytes> payload) {
+  auto table = tables_.extract(pn);
+  const bool had_records = tagged_pns_.erase(pn) > 0;
+  auto pub = net::DecodeSharedIndexPublication(payload);
+  if (!pub.ok()) return pub.status();
+  if (table.empty() && !had_records) {
+    return server_->PublishIndexed(pn, std::move(*pub), std::move(payload));
+  }
+  if (wal_ != nullptr) return Status::FailedPrecondition(kTaggedNotLogged);
+  if (table.empty()) {
+    return Status::FailedPrecondition(
+        "tagged publication " + std::to_string(pn) +
+        ": index arrived without its matching table");
+  }
+  if (!table.mapped().ok()) return table.mapped().status();
+  return server_->PublishWithMatchingTable(pn, std::move(*pub),
+                                           *table.mapped(), std::move(payload));
+}
+
 void CloudNode::EndPublication(uint64_t pn, int64_t born_ns, Status outcome,
-                               const InstallLog& log) {
+                               const Bytes& publication) {
   // Durability point: a publication completes as installed only after its
   // install frame is committed.
   if (outcome.ok() && wal_ != nullptr) {
-    outcome = log.tagged
-                  ? wal_->AppendInstallTagged(pn, *log.publication, log.table)
-                  : wal_->AppendInstall(pn, *log.publication);
+    outcome = wal_->AppendInstall(pn, publication);
     if (outcome.ok()) outcome = wal_->Commit();
   }
   if (outcome.ok()) {
@@ -162,34 +191,6 @@ void CloudNode::NoteError(const Status& st) {
   }
 }
 
-std::optional<Status> CloudNode::TryFinishTagged(uint64_t pn,
-                                                 InstallLog* log) {
-  auto idx_it = pending_index_.find(pn);
-  auto tab_it = pending_table_.find(pn);
-  if (idx_it == pending_index_.end() || tab_it == pending_table_.end()) {
-    return std::nullopt;
-  }
-  std::shared_ptr<const Bytes> payload;
-  if (auto pit = pending_payload_.find(pn); pit != pending_payload_.end()) {
-    payload = std::move(pit->second);
-    pending_payload_.erase(pit);
-  }
-  log->publication = payload;
-  log->tagged = true;
-  auto stats = server_->PublishWithMatchingTable(
-      pn, std::move(idx_it->second), tab_it->second, std::move(payload));
-  pending_index_.erase(idx_it);
-  pending_table_.erase(tab_it);
-  tagged_pns_.erase(pn);
-  if (auto tp = pending_table_payload_.find(pn);
-      tp != pending_table_payload_.end()) {
-    log->table = std::move(tp->second);
-    pending_table_payload_.erase(tp);
-  }
-  if (stats.ok()) stats_.push_back(*stats);
-  return stats.status();
-}
-
 bool CloudNode::Handle(net::Message&& m) {
   switch (m.type) {
     case net::MessageType::kPublicationStart: {
@@ -201,14 +202,11 @@ bool CloudNode::Handle(net::Message&& m) {
       return true;
     }
     case net::MessageType::kCloudTaggedRecord: {
-      {
-        MutexLock lock(mu_);
-        tagged_pns_.insert(m.pn);
-      }
-      Status st = server_->IngestTagged(m.pn, m.leaf, m.payload);
-      if (st.ok() && wal_ != nullptr) {
-        st = wal_->AppendTagged(m.pn, m.leaf, m.payload);
-      }
+      tagged_pns_.insert(m.pn);
+      // A durable node refuses it: the WAL has no frame for it.
+      Status st = wal_ != nullptr
+                      ? Status::FailedPrecondition(kTaggedNotLogged)
+                      : server_->IngestTagged(m.pn, m.leaf, m.payload);
       if (st.ok()) {
         records_in_->Add(1);
         if (m.born_ns != 0) {
@@ -229,51 +227,18 @@ bool CloudNode::Handle(net::Message&& m) {
       // the WAL logs (DESIGN.md §12.5).
       // fresque-lint: allow(hot-alloc) one buffer per publication install, not per record
       auto payload = std::make_shared<const Bytes>(std::move(m.payload));
-      auto pub = net::DecodeSharedIndexPublication(payload);
-      if (!pub.ok()) {
-        EndPublication(m.pn, m.born_ns, pub.status(), {});
-        return true;
-      }
-      std::optional<Status> outcome;
-      InstallLog log;
-      {
+      auto stats = Install(m.pn, payload);
+      if (stats.ok()) {
         MutexLock lock(mu_);
-        if (tagged_pns_.count(m.pn)) {
-          pending_index_.emplace(m.pn, std::move(*pub));
-          pending_payload_[m.pn] = std::move(payload);
-          outcome = TryFinishTagged(m.pn, &log);
-        } else {
-          log.publication = payload;
-          auto stats = server_->PublishIndexed(m.pn, std::move(*pub),
-                                               std::move(payload));
-          if (stats.ok()) stats_.push_back(*stats);
-          outcome = stats.status();
-        }
+        stats_.push_back(*stats);
       }
-      if (outcome.has_value()) {
-        EndPublication(m.pn, m.born_ns, std::move(*outcome), log);
-      }
+      EndPublication(m.pn, m.born_ns, stats.status(), *payload);
       return true;
     }
-    case net::MessageType::kMatchingTable: {
-      auto table = net::DecodeMatchingTable(m.payload);
-      if (!table.ok()) {
-        EndPublication(m.pn, m.born_ns, table.status(), {});
-        return true;
-      }
-      std::optional<Status> outcome;
-      InstallLog log;
-      {
-        MutexLock lock(mu_);
-        pending_table_.emplace(m.pn, std::move(*table));
-        if (wal_ != nullptr) pending_table_payload_[m.pn] = std::move(m.payload);
-        outcome = TryFinishTagged(m.pn, &log);
-      }
-      if (outcome.has_value()) {
-        EndPublication(m.pn, m.born_ns, std::move(*outcome), log);
-      }
+    case net::MessageType::kMatchingTable:
+      // Kept, decoded or not, for the index that follows it on the link.
+      tables_.insert_or_assign(m.pn, net::DecodeMatchingTable(m.payload));
       return true;
-    }
     case net::MessageType::kShutdown:
       return false;
     default:

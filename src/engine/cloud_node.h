@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -34,8 +33,9 @@ namespace engine {
 ///
 /// Handles both ingestion styles: `<leaf, e-record>` streams publish as
 /// soon as the index arrives, while `<tag, e-record>` streams (PINED-RQ++)
-/// wait until *both* the index publication and the matching table are
-/// here, pairing them by publication number.
+/// install at their index with the matching table that precedes it on the
+/// link (docs/PROTOCOL.md, ordering guarantee 7). A publication ends
+/// exactly once, at its kIndexPublication frame.
 ///
 /// Consecutive kCloudRecord frames of one publication in a popped batch
 /// form a run that is stored, logged and counted with one call each
@@ -73,6 +73,9 @@ class CloudNode {
   /// mutation the server accepts is then logged, and a publication
   /// completes as installed only after its install frame is durable per
   /// the WAL's fsync policy — completion means "will survive a crash".
+  /// The WAL logs `<leaf, e-record>` streams only, so a durable node
+  /// rejects every kCloudTaggedRecord and fails every tagged publication
+  /// at its index, with FailedPrecondition, and stores nothing of them.
   /// Appends (and commits) a meta frame describing the server's binning so
   /// a log with no snapshot still recovers. Must be called before Start();
   /// `wal` and `snapshots` must outlive the node.
@@ -118,28 +121,20 @@ class CloudNode {
       FRESQUE_EXCLUDES(mu_);
   FRESQUE_HOT bool Handle(net::Message&& m) FRESQUE_EXCLUDES(mu_);
   void NoteError(const Status& st) FRESQUE_EXCLUDES(mu_);
-  /// What the WAL logs for an install: the publication's own buffer and,
-  /// for PINED-RQ++, the verbatim matching-table payload.
-  struct InstallLog {
-    std::shared_ptr<const Bytes> publication;
-    Bytes table;
-    bool tagged = false;
-  };
-
-  /// Attempts the deferred PINED-RQ++ publish; returns its outcome once
-  /// both halves (index + table) are present, and fills `log` with what
-  /// the WAL logs for it.
-  std::optional<Status> TryFinishTagged(uint64_t pn, InstallLog* log)
-      FRESQUE_REQUIRES(mu_);
-  /// Ends publication `pn` once its kIndexPublication or kMatchingTable
-  /// frame decided it (`outcome`; a decode failure is one too). On
-  /// success, appends the install frame and commits the WAL, the
-  /// publication's durability point. Then counts the install or failure,
-  /// emits its flight event, completes the paired tracker and, for a
-  /// durable install, tells the snapshot manager. Runs outside mu_ (the
-  /// fsync can stall).
+  /// Decodes publication `pn` from `payload` and installs it: indexed, or
+  /// with the matching table kept for it when the publication is tagged
+  /// (it received tagged records or a table), which a durable node
+  /// refuses. Clears `pn`'s pairing state.
+  Result<cloud::MatchingStats> Install(uint64_t pn,
+                                       std::shared_ptr<const Bytes> payload);
+  /// Ends publication `pn` at its kIndexPublication frame with `outcome`
+  /// (a decode failure is one too). On success, appends `publication` as
+  /// the install frame and commits the WAL, the publication's durability
+  /// point. Then counts the install or failure, emits its flight event,
+  /// completes the paired tracker and, for a durable install, tells the
+  /// snapshot manager. Runs outside mu_ (the fsync can stall).
   void EndPublication(uint64_t pn, int64_t born_ns, Status outcome,
-                      const InstallLog& log) FRESQUE_EXCLUDES(mu_);
+                      const Bytes& publication) FRESQUE_EXCLUDES(mu_);
 
   cloud::CloudServer* server_;
   // Set once by AttachDurability before Start(); read by the handler
@@ -160,19 +155,13 @@ class CloudNode {
   mutable Mutex mu_;
   Status first_error_ FRESQUE_GUARDED_BY(mu_);
   std::vector<cloud::MatchingStats> stats_ FRESQUE_GUARDED_BY(mu_);
-  // PINED-RQ++ pairing state.
-  std::set<uint64_t> tagged_pns_ FRESQUE_GUARDED_BY(mu_);
-  std::map<uint64_t, net::IndexPublication> pending_index_
-      FRESQUE_GUARDED_BY(mu_);
-  std::map<uint64_t, index::MatchingTable> pending_table_
-      FRESQUE_GUARDED_BY(mu_);
-  /// Each pending publication's payload, the buffer its decoded overflow
-  /// arrays read from.
-  std::map<uint64_t, std::shared_ptr<const Bytes>> pending_payload_
-      FRESQUE_GUARDED_BY(mu_);
-  /// Verbatim kMatchingTable payloads, kept until the paired install is
-  /// logged (the WAL's kInstallTagged frame carries both halves).
-  std::map<uint64_t, Bytes> pending_table_payload_ FRESQUE_GUARDED_BY(mu_);
+  // PINED-RQ++ pairing state: publications that received tagged records,
+  // and each kMatchingTable (decoded, or its decode failure) until the
+  // index that follows it.
+  // fresque-lint: allow(guarded-by) confined to the node thread
+  std::set<uint64_t> tagged_pns_;
+  // fresque-lint: allow(guarded-by) confined to the node thread
+  std::map<uint64_t, Result<index::MatchingTable>> tables_;
   /// Scratch of HandleRecordRun, reused across runs.
   // fresque-lint: allow(guarded-by) confined to the node thread
   std::vector<cloud::LeafRecord> run_;

@@ -236,31 +236,15 @@ void CheckingNodeImpl::HandleTemplate(net::Message&& m) {
   net::Message fwd = std::move(m);
   fwd.type = net::MessageType::kTemplateForward;
   merger_out_.push_back(std::move(fwd));
-
-  // Records of this publication may have raced ahead of the template.
-  auto it = pending_.find(pn);
-  if (it != pending_.end()) {
-    std::vector<net::Message> buffered = std::move(it->second);
-    pending_.erase(it);
-    for (auto& r : buffered) HandleRecord(std::move(r));
-  }
 }
 
 void CheckingNodeImpl::HandleRecord(net::Message&& m) {
   auto it = states_.find(m.pn);
   if (it == states_.end()) {
-    // Template still in flight on the dispatcher->checking link;
-    // equivalent to the paper's computing-node-side buffering. Bounded:
-    // a template that never arrives must not grow an unbounded queue.
-    auto& pending = pending_[m.pn];
-    if (pending.size() >= config_.max_pending_per_publication) {
-      pending_dropped_.fetch_add(1, std::memory_order_relaxed);
-      FRESQUE_LOG(Error) << "dropping record for publication " << m.pn
-                         << ": no template after "
-                         << config_.max_pending_per_publication << " records";
-      return;
-    }
-    pending.push_back(std::move(m));
+    // The template entered this inbox before any record of its
+    // publication could, so it failed to decode (HandleTemplate logged
+    // it); the barrier fails the publication.
+    pending_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   auto evicted = it->second.randomer.Push(std::move(m));
@@ -330,7 +314,6 @@ void CheckingNodeImpl::HandlePublish(net::Message&& m) {
     FRESQUE_HISTOGRAM_RECORD("checking.flush_ns",
                              telemetry::NowNanos() - flush_start);
   }
-  EvictStalePending(pn);
 }
 
 void CheckingNodeImpl::FailPublication(uint64_t pn,
@@ -338,23 +321,6 @@ void CheckingNodeImpl::FailPublication(uint64_t pn,
   FRESQUE_LOG(Error) << "checking node: " << reason;
   publications_failed_.fetch_add(1, std::memory_order_relaxed);
   publications_->Complete(pn, Status::Internal(reason));
-}
-
-void CheckingNodeImpl::EvictStalePending(uint64_t closed_pn) {
-  // A completed barrier for `closed_pn` proves every template with
-  // pn <= closed_pn that will ever arrive has arrived (templates enter
-  // this inbox at interval open, strictly before the publish barrier of
-  // the same or any later interval reaches the computing nodes). Records
-  // still buffered for those publications are orphans of a lost
-  // template: drop and count them instead of leaking the map entry.
-  for (auto it = pending_.begin();
-       it != pending_.end() && it->first <= closed_pn;) {
-    FRESQUE_LOG(Error) << "evicting " << it->second.size()
-                       << " buffered records of publication " << it->first
-                       << ": template never arrived";
-    pending_dropped_.fetch_add(it->second.size(), std::memory_order_relaxed);
-    it = pending_.erase(it);
-  }
 }
 
 // ---------------------------------------------------------------------------

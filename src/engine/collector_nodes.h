@@ -101,11 +101,12 @@ class ComputingNodeImpl {
 /// Checking node (paper §5.3): randomer + checker + updater. O(1) AL/ALN
 /// array operations replace the PINED-RQ++ tree walk.
 ///
-/// Barrier hardening: publish votes are tracked independently of interval
-/// state, so a publication whose template was lost or undecodable still
-/// completes its barrier — it is then completed as failed in
-/// `publications` and its buffered records are dropped and counted
-/// instead of leaking in `pending_` forever.
+/// A publication's kTemplateInit enters this inbox before any of its
+/// records can (docs/PROTOCOL.md, ordering guarantee 2), so a record
+/// whose publication has no interval state is dropped on arrival and
+/// counted: its template failed to decode. Publish votes are tracked
+/// independently of interval state, so such a publication still completes
+/// its barrier and is then completed as failed in `publications`.
 class CheckingNodeImpl {
  public:
   /// Every interval's randomer holds `randomer_buffer` records
@@ -121,7 +122,7 @@ class CheckingNodeImpl {
   const net::Node& node() const { return node_; }
   size_t randomer_buffer() const { return randomer_buffer_; }
 
-  /// Records dropped while waiting for a template that never arrived.
+  /// Records dropped because their publication has no interval state.
   uint64_t pending_dropped() const {
     return pending_dropped_.load(std::memory_order_relaxed);
   }
@@ -151,7 +152,6 @@ class CheckingNodeImpl {
   FRESQUE_HOT void Dispatch(IntervalState& state, net::Message&& m);
   void HandlePublish(net::Message&& m);
   void FailPublication(uint64_t pn, const std::string& reason);
-  void EvictStalePending(uint64_t closed_pn);
 
   /// Hands the accumulated output of one input batch downstream, one
   /// PushBatch per link. Cloud flushes before merger: the merger's
@@ -167,7 +167,6 @@ class CheckingNodeImpl {
   PublicationTracker* publications_;
   crypto::SecureRandom rng_;
   std::map<uint64_t, IntervalState> states_;
-  std::map<uint64_t, std::vector<net::Message>> pending_;
   std::map<uint64_t, size_t> publish_votes_;
   /// Per-batch outbound staging; Handle appends, FlushOutputs drains.
   /// FIFO order within each buffer preserves the per-link protocol

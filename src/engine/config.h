@@ -47,7 +47,7 @@ enum class IngestPriority {
 ///    `rate_records_per_sec` with burst capacity `burst_records`
 ///    (0 disables the bucket). kHigh may overdraw the bucket.
 ///
-/// Shed records are counted by FresqueCollector::shed_records(), per
+/// Shed records are counted in FresqueCollector::Metrics(), per
 /// priority too (exported as `ingest.shed_records` and
 /// `ingest.shed_<priority>`), but never in `ingest.records_in`, so the
 /// pipeline's conservation ledger — records in + dummies == arrived +
@@ -103,13 +103,6 @@ struct CollectorConfig {
   /// Plaintext padding length of dummy records; pick near the dataset's
   /// typical record size so ciphertext lengths blend in.
   size_t dummy_padding_len = 64;
-
-  /// Cap on records the checking node buffers for a publication whose
-  /// template has not arrived yet (records can overtake the template on
-  /// the computing-node links). The template always ships at interval
-  /// open, so hitting this bound means the template was lost or failed
-  /// to decode; excess records are dropped and counted.
-  size_t max_pending_per_publication = 1 << 20;
 
   /// Seed for all collector-side randomness; same seed => same noise,
   /// dummies and schedules (tests and reproducible experiments).

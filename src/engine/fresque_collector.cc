@@ -142,24 +142,6 @@ Status FresqueCollector::Admit(IngestPriority priority) {
   return Status::OK();
 }
 
-uint64_t FresqueCollector::shed_records() const {
-  return shed_low_.load(std::memory_order_relaxed) +
-         shed_normal_.load(std::memory_order_relaxed) +
-         shed_high_.load(std::memory_order_relaxed);
-}
-
-uint64_t FresqueCollector::shed_records(IngestPriority priority) const {
-  switch (priority) {
-    case IngestPriority::kLow:
-      return shed_low_.load(std::memory_order_relaxed);
-    case IngestPriority::kNormal:
-      return shed_normal_.load(std::memory_order_relaxed);
-    case IngestPriority::kHigh:
-      return shed_high_.load(std::memory_order_relaxed);
-  }
-  return 0;
-}
-
 Status FresqueCollector::OpenInterval() {
   open_interval_lines_ = 0;
   FRESQUE_FLIGHT_EVENT(kPublication, "interval opened", pn_, 0, 0);
@@ -361,14 +343,20 @@ CollectorMetrics FresqueCollector::Metrics() const {
     nm.inbox.high_watermark = q.high_watermark();
     out.nodes.push_back(std::move(nm));
   };
-  for (const auto& cn : computing_) add_node(cn->node());
-  if (checking_) add_node(checking_->node());
-  if (merger_) add_node(merger_->node());
-
-  out.parse_errors = parse_errors();
-  out.codec_failures = codec_failures();
-  out.pending_dropped = pending_dropped();
-  out.overflow_drops = overflow_drops();
+  for (const auto& cn : computing_) {
+    add_node(cn->node());
+    out.parse_errors += cn->parse_errors();
+    out.codec_failures += cn->codec_failures();
+  }
+  if (checking_) {
+    add_node(checking_->node());
+    out.pending_dropped = checking_->pending_dropped();
+  }
+  if (merger_) {
+    add_node(merger_->node());
+    out.codec_failures += merger_->codec_failures();
+    out.overflow_drops = merger_->overflow_drops();
+  }
   out.shed_low = shed_low_.load(std::memory_order_relaxed);
   out.shed_normal = shed_normal_.load(std::memory_order_relaxed);
   out.shed_high = shed_high_.load(std::memory_order_relaxed);
@@ -382,29 +370,8 @@ std::vector<PublishReport> FresqueCollector::Reports() const {
   return publications_->Reports();
 }
 
-uint64_t FresqueCollector::parse_errors() const {
-  uint64_t t = 0;
-  for (const auto& cn : computing_) t += cn->parse_errors();
-  return t;
-}
-
-uint64_t FresqueCollector::codec_failures() const {
-  uint64_t t = 0;
-  for (const auto& cn : computing_) t += cn->codec_failures();
-  if (merger_) t += merger_->codec_failures();
-  return t;
-}
-
 size_t FresqueCollector::randomer_buffer() const {
   return checking_ ? checking_->randomer_buffer() : 0;
-}
-
-uint64_t FresqueCollector::pending_dropped() const {
-  return checking_ ? checking_->pending_dropped() : 0;
-}
-
-uint64_t FresqueCollector::overflow_drops() const {
-  return merger_ ? merger_->overflow_drops() : 0;
 }
 
 }  // namespace engine

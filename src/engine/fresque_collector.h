@@ -99,7 +99,7 @@ class FresqueCollector {
   /// With admission control enabled (config.admission), the record may
   /// instead be shed *before* entering the pipeline: the call returns
   /// StatusCode::kOverloaded, nothing is enqueued, and the shed is
-  /// counted in shed_records() (never in `ingest.records_in`, so the
+  /// counted in Metrics().shed_records (never in `ingest.records_in`, so the
   /// conservation ledger keeps balancing over admitted records).
   /// `priority` picks the shedding tier (see IngestPriority); kHigh is
   /// never watermark-shed and may overdraw the token bucket.
@@ -121,11 +121,6 @@ class FresqueCollector {
       std::string_view line,
       IngestPriority priority = IngestPriority::kNormal,
       int64_t intended_born_ns = 0);
-
-  /// Records shed at admission since Start(), total and by priority.
-  /// Safe from any thread.
-  uint64_t shed_records() const;
-  uint64_t shed_records(IngestPriority priority) const;
 
   /// Informs the dummy schedule how far the current interval has
   /// progressed, in [0, 1]. Optional; anything unreleased flushes at
@@ -171,28 +166,13 @@ class FresqueCollector {
   size_t randomer_buffer() const;
 
   /// Point-in-time health snapshot: per-node frame counts and queue
-  /// depths, every drop counter, and publication completion totals.
+  /// depths, every drop and shed counter, and publication completion
+  /// totals. Safe from any thread.
   CollectorMetrics Metrics() const;
 
   /// Per-publication reports. Complete only after Shutdown() (the merger
   /// fills its part asynchronously).
   std::vector<PublishReport> Reports() const;
-
-  /// Lines dropped because they failed to parse or fell outside the
-  /// indexed domain.
-  uint64_t parse_errors() const;
-
-  /// Records lost to codec construction or encryption failures.
-  uint64_t codec_failures() const;
-
-  /// Records dropped at the checking node waiting for a template that
-  /// never arrived (lost or undecodable kTemplateInit).
-  uint64_t pending_dropped() const;
-
-  /// Removed records that no longer fit their overflow array (realized
-  /// negative noise beyond the delta-probability bound). Expected ~0;
-  /// nonzero values mean delta/alpha are configured too aggressively.
-  uint64_t overflow_drops() const;
 
   uint64_t current_publication() const { return pn_; }
   const CollectorConfig& config() const { return config_; }

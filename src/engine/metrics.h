@@ -77,10 +77,13 @@ struct CollectorMetrics {
   /// Records lost to cryptographic failures (codec construction or
   /// encryption), as opposed to malformed input.
   uint64_t codec_failures = 0;
-  /// Records dropped while buffered for a template that never arrived
-  /// (lost or undecodable kTemplateInit).
+  /// Records the checking node dropped on arrival because their
+  /// publication has no interval state (its kTemplateInit failed to
+  /// decode).
   uint64_t pending_dropped = 0;
-  /// Removed records that no longer fit their overflow array.
+  /// Removed records that no longer fit their overflow array (realized
+  /// negative noise beyond the delta-probability bound). Expected ~0;
+  /// nonzero values mean delta/alpha are configured too aggressively.
   uint64_t overflow_drops = 0;
 
   /// Records shed at the ingest boundary by admission control

@@ -97,7 +97,11 @@ TEST_F(CloudNodeTest, TaggedFlowWaitsForTableThenIndex) {
   ASSERT_EQ(node_.matching_stats().size(), 1u);
 }
 
-TEST_F(CloudNodeTest, TaggedFlowIndexBeforeTableAlsoPairs) {
+// A publication's table precedes its index on the link (docs/PROTOCOL.md,
+// ordering guarantee 7). An index that arrives first ends its tagged
+// publication once, as failed; the late table ends nothing.
+TEST_F(CloudNodeTest, TaggedIndexBeforeTableFailsOnce) {
+  const uint64_t failed_before = CounterValue("cloud.publications_failed");
   node_.inbox()->Push(Msg(net::MessageType::kPublicationStart, 0));
   node_.inbox()->Push(
       Msg(net::MessageType::kCloudTaggedRecord, 0, 42, Bytes{0xCC}));
@@ -110,8 +114,32 @@ TEST_F(CloudNodeTest, TaggedFlowIndexBeforeTableAlsoPairs) {
   node_.inbox()->Push(Msg(net::MessageType::kMatchingTable, 0, 0,
                           net::EncodeMatchingTable(table)));
   Finish();
-  EXPECT_TRUE(node_.first_error().ok());
-  ASSERT_EQ(node_.matching_stats().size(), 1u);
+  Status outcome = publications_->Wait(0, std::chrono::milliseconds(0));
+  EXPECT_TRUE(outcome.IsFailedPrecondition()) << outcome.ToString();
+  EXPECT_EQ(CounterValue("cloud.publications_failed"), failed_before + 1);
+  EXPECT_TRUE(node_.matching_stats().empty());
+}
+
+// A table that fails to decode is kept as its failure: the index that
+// follows it ends the publication with the decode error.
+TEST_F(CloudNodeTest, UndecodableTableFailsItsPublicationAtTheIndex) {
+  const uint64_t failed_before = CounterValue("cloud.publications_failed");
+  node_.inbox()->Push(Msg(net::MessageType::kPublicationStart, 0));
+  node_.inbox()->Push(
+      Msg(net::MessageType::kCloudTaggedRecord, 0, 42, Bytes{0xCC}));
+  node_.inbox()->Push(
+      Msg(net::MessageType::kMatchingTable, 0, 0, Bytes{1, 2, 3}));
+  std::vector<int64_t> counts(10, 0);
+  counts[1] = 1;
+  node_.inbox()->Push(Msg(net::MessageType::kIndexPublication, 0, 0,
+                          PublicationPayload(server_.binning(), counts)));
+  Finish();
+  Status outcome = publications_->Wait(0, std::chrono::milliseconds(0));
+  EXPECT_TRUE(outcome.IsCorruption()) << outcome.ToString();
+  EXPECT_TRUE(node_.first_error().IsCorruption())
+      << node_.first_error().ToString();
+  EXPECT_EQ(CounterValue("cloud.publications_failed"), failed_before + 1);
+  EXPECT_TRUE(node_.matching_stats().empty());
 }
 
 TEST_F(CloudNodeTest, BadPayloadIsRecordedNotFatal) {

@@ -94,7 +94,7 @@ TEST(CollectorEdgeTest, GarbageLinesCountAsParseErrorsNotCrashes) {
   ASSERT_TRUE(collector.Publish().ok());
   ASSERT_TRUE(collector.Shutdown().ok());
   rig.cloud_node.Shutdown();
-  EXPECT_EQ(collector.parse_errors(), 4u);
+  EXPECT_EQ(collector.Metrics().parse_errors, 4u);
   EXPECT_TRUE(rig.cloud_node.first_error().ok());
 }
 

@@ -55,7 +55,7 @@ TEST(ConservationTest, EveryEmittedRecordReachesExactlyOnePlace) {
             report.real_records - report.removed_records +
                 report.dummy_records);
   // Nothing fell past the overflow arrays' delta-probability bound.
-  EXPECT_EQ(collector.overflow_drops(), 0u);
+  EXPECT_EQ(collector.Metrics().overflow_drops, 0u);
 
   // The zero-copy iteration API agrees with the aggregate counters: every
   // stored ciphertext of publication 0 is visited exactly once, and the

@@ -281,10 +281,9 @@ net::Message Barrier(net::MessageType type, uint64_t pn) {
   return m;
 }
 
-TEST(CheckingNodeTest, LostTemplateCompletesBarrierAndEvictsPending) {
+TEST(CheckingNodeTest, LostTemplateCompletesBarrierAndDropsItsRecords) {
   engine::CollectorConfig cfg;
   cfg.num_computing_nodes = 2;
-  cfg.max_pending_per_publication = 8;  // small cap to exercise the bound
   auto merger = net::MakeMailbox(64);
   auto cloud = net::MakeMailbox(64);
   engine::PublicationTracker publications;
@@ -292,8 +291,7 @@ TEST(CheckingNodeTest, LostTemplateCompletesBarrierAndEvictsPending) {
                                           cloud, &publications);
   node.Start();
 
-  // 13 records for a publication whose template never arrives: 8 buffer,
-  // 5 hit the kMaxPending bound and drop immediately.
+  // 13 records for a publication with no template: each drops on arrival.
   for (int i = 0; i < 13; ++i) node.inbox()->Push(TaggedRecord(0));
   // The publish barrier completes despite the missing interval state...
   for (int i = 0; i < 2; ++i) {
@@ -304,8 +302,8 @@ TEST(CheckingNodeTest, LostTemplateCompletesBarrierAndEvictsPending) {
   }
   node.Join();
 
-  // ...dropping the buffered records (counted, not leaked) and completing
-  // the publication as failed so no WaitForPublication() wedges on it.
+  // ...with the records counted as dropped, and completes the publication
+  // as failed so no WaitForPublication() wedges on it.
   EXPECT_EQ(node.pending_dropped(), 13u);
   EXPECT_EQ(node.publications_failed(), 1u);
   EXPECT_EQ(node.publications_flushed(), 0u);
@@ -325,7 +323,7 @@ TEST(CheckingNodeTest, LostTemplateCompletesBarrierAndEvictsPending) {
   EXPECT_FALSE(cloud->TryPop().has_value());
 }
 
-TEST(CheckingNodeTest, LaterBarrierEvictsEarlierOrphanedPending) {
+TEST(CheckingNodeTest, OrphanedRecordsDropOnArrival) {
   engine::CollectorConfig cfg;
   cfg.num_computing_nodes = 1;
   auto merger = net::MakeMailbox(64);
@@ -335,8 +333,8 @@ TEST(CheckingNodeTest, LaterBarrierEvictsEarlierOrphanedPending) {
                                           cloud, &publications);
   node.Start();
 
-  // Records of publication 3 whose template is lost; the barrier of the
-  // later publication 7 proves template 3 can never arrive anymore.
+  // Records of publication 3, whose template is lost, drop as they arrive;
+  // the barrier of publication 7, which has no state either, fails 7.
   for (int i = 0; i < 4; ++i) node.inbox()->Push(TaggedRecord(3));
   node.inbox()->Push(Barrier(net::MessageType::kPublish, 7));
   node.inbox()->Push(Barrier(net::MessageType::kShutdown, 0));

@@ -35,6 +35,7 @@
 #include "index/overflow.h"
 #include "net/payloads.h"
 #include "record/dataset.h"
+#include "telemetry/telemetry.h"
 
 namespace fresque {
 namespace {
@@ -172,7 +173,6 @@ TEST(WalTest, AppendCommitReplayRoundTrip) {
   for (uint32_t i = 0; i < 10; ++i) {
     ASSERT_TRUE((*wal)->AppendRecord(7, i % 3, Bytes{uint8_t(i), 0xAB}).ok());
   }
-  ASSERT_TRUE((*wal)->AppendTagged(7, 999, Bytes{0xCD}).ok());
   Bytes publication{1, 2, 3, 4};
   ASSERT_TRUE((*wal)->AppendInstall(7, publication).ok());
   ASSERT_TRUE((*wal)->Commit().ok());
@@ -199,7 +199,6 @@ TEST(WalTest, AppendCommitReplayRoundTrip) {
 
   // Every ingested record comes back, in order, batched.
   size_t records_seen = 0;
-  size_t tagged_seen = 0;
   for (const auto& f : frames) {
     if (f.op == durability::WalOp::kRecordBatch) {
       auto b = durability::DecodeWalRecordBatch(f.body);
@@ -211,25 +210,16 @@ TEST(WalTest, AppendCommitReplayRoundTrip) {
         EXPECT_EQ(rec[0], records_seen);
         ++records_seen;
       }
-    } else if (f.op == durability::WalOp::kTaggedBatch) {
-      auto b = durability::DecodeWalTaggedBatch(f.body);
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(b->records.size(), 1u);
-      EXPECT_EQ(b->records[0].first, 999u);
-      ++tagged_seen;
     }
   }
   EXPECT_EQ(records_seen, 10u);
-  EXPECT_EQ(tagged_seen, 1u);
 
   // The install is the last frame and carries the payload verbatim.
   EXPECT_EQ(frames.back().op, durability::WalOp::kInstall);
-  auto ins = durability::DecodeWalInstall(frames.back().op,
-                                          frames.back().body);
+  auto ins = durability::DecodeWalInstall(frames.back().body);
   ASSERT_TRUE(ins.ok());
   EXPECT_EQ(ins->pn, 7u);
   EXPECT_EQ(ins->publication, publication);
-  EXPECT_TRUE(ins->table.empty());
 }
 
 // Appending a run in one call or record by record writes the same bytes:
@@ -242,7 +232,6 @@ TEST(WalTest, AppendRecordsWritesTheSameBytesAsAppendRecordLoop) {
     auto wal = durability::Wal::Open(TinyWalOptions(dir));  // 4 per batch
     EXPECT_TRUE(wal.ok());
     EXPECT_TRUE((*wal)->AppendStart(3).ok());
-    EXPECT_TRUE((*wal)->AppendTagged(3, 42, Bytes{0xCD}).ok());
     if (as_run) {
       std::vector<cloud::LeafRecord> run;
       for (uint32_t i = 0; i < records.size(); ++i) {
@@ -322,7 +311,7 @@ TEST(WalTest, RecordsBeforeInstallPerPublication) {
           }
           records[b->pn] += b->records.size();
         } else if (f.op == durability::WalOp::kInstall) {
-          auto ins = durability::DecodeWalInstall(f.op, f.body);
+          auto ins = durability::DecodeWalInstall(f.body);
           if (!ins.ok()) return ins.status();
           installed[ins->pn] = true;
         }
@@ -436,6 +425,49 @@ TEST(WalTest, MidFileCorruptionIsCorruptionNotTornTail) {
       dir, 0, [](const durability::Wal::Frame&) { return Status::OK(); });
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsCorruption()) << stats.status().ToString();
+}
+
+// Op ids 4 and 6 once held PINED-RQ++'s tagged frames. No writer emits
+// them, so a frame carrying one is damage: even under a valid CRC, with a
+// valid frame after it, replay reports Corruption.
+TEST(WalTest, RetiredTaggedOpsReplayAsCorruption) {
+  for (const uint8_t op : {uint8_t{4}, uint8_t{6}}) {
+    const std::string dir = FreshDir("wal_retired_op");
+    {
+      auto wal = durability::Wal::Open(TinyWalOptions(dir));
+      ASSERT_TRUE(wal.ok());
+      ASSERT_TRUE((*wal)->AppendStart(1).ok());
+      ASSERT_TRUE((*wal)->AppendStart(2).ok());
+      ASSERT_TRUE((*wal)->Commit().ok());
+    }
+    auto files = WalFiles(dir);
+    ASSERT_EQ(files.size(), 1u);
+    const std::string seg = dir + "/" + files[0];
+    Bytes data = ReadAll(seg);
+    // The first frame follows the 16-byte segment header: u32 crc, u32 len,
+    // then the body, whose first byte is the op. Retag it and re-sign it.
+    const size_t at = 16;
+    const uint32_t len = data[at + 4] | (data[at + 5] << 8) |
+                         (data[at + 6] << 16) | (uint32_t{data[at + 7]} << 24);
+    ASSERT_LT(at + 8 + len, data.size());  // the second frame follows
+    data[at + 8] = op;
+    const uint32_t crc = durability::Crc32(data.data() + at + 4, 4 + len);
+    for (int i = 0; i < 4; ++i) data[at + i] = uint8_t(crc >> (8 * i));
+    WriteAll(seg, data);
+
+    size_t frames = 0;
+    auto stats = durability::Wal::Replay(
+        dir, 0, [&frames](const durability::Wal::Frame&) {
+          ++frames;
+          return Status::OK();
+        });
+    ASSERT_FALSE(stats.ok()) << "op " << int(op);
+    EXPECT_TRUE(stats.status().IsCorruption()) << stats.status().ToString();
+    EXPECT_NE(stats.status().ToString().find("unknown WAL op"),
+              std::string::npos)
+        << stats.status().ToString();
+    EXPECT_EQ(frames, 0u);
+  }
 }
 
 TEST(WalTest, TruncateObsoleteDropsCoveredSegments) {
@@ -1357,15 +1389,24 @@ TEST(RecoveryTest, LogOnlyRecoveryRebuildsServer) {
   EXPECT_EQ(*ev_before, *ev_after);
 }
 
-TEST(RecoveryTest, TaggedInstallReplays) {
-  std::string dir = FreshDir("recover_tagged");
+// The WAL logs only <leaf, e-record> streams, so a durable node refuses a
+// PINED-RQ++ stream rather than store what it could not log.
+TEST(RecoveryTest, DurableNodeRejectsTaggedStreams) {
+  std::string dir = FreshDir("recover_tagged_refused");
   auto binning = index::DomainBinning::Create(0, 10, 1);
   cloud::CloudServer server(std::move(binning).ValueOrDie());
   engine::CloudNode node(&server);
   auto wal = durability::Wal::Open(TinyWalOptions(dir));
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE(node.AttachDurability(wal->get()).ok());
+  auto publications = std::make_shared<engine::PublicationTracker>();
+  node.ReportPublicationsTo(publications);
   node.Start();
+  auto counter = [](const char* name) {
+    return telemetry::Registry::Global()->GetCounter(name)->Value();
+  };
+  const uint64_t rejected_before = counter("cloud.records_rejected");
+  const uint64_t failed_before = counter("cloud.publications_failed");
 
   auto push = [&node](net::MessageType type, uint64_t pn, uint64_t leaf,
                       Bytes payload) {
@@ -1382,26 +1423,31 @@ TEST(RecoveryTest, TaggedInstallReplays) {
   ASSERT_TRUE(table.Add(777, 2).ok());
   push(net::MessageType::kMatchingTable, 0, 0,
        net::EncodeMatchingTable(table));
-  auto layout = index::IndexLayout::Create(10, 4);
   std::vector<int64_t> counts(10, 0);
   counts[2] = 1;
-  auto idx = index::HistogramIndex::FromLeafCounts(
-      std::move(layout).ValueOrDie(),
-      index::DomainBinning::Create(0, 10, 1).ValueOrDie(), counts);
-  index::OverflowArrays ovf(10, 1);
-  push(net::MessageType::kIndexPublication, 0, 0,
-       net::EncodeIndexPublication(net::IndexPublication(
-           std::move(idx).ValueOrDie(), std::move(ovf))));
+  push(net::MessageType::kIndexPublication, 0, 0, IndexPayload(counts));
   push(net::MessageType::kShutdown, 0, 0, {});
   node.Shutdown();
-  ASSERT_TRUE(node.first_error().ok()) << node.first_error().ToString();
-  ASSERT_EQ(node.matching_stats().size(), 1u);
+
+  EXPECT_TRUE(node.first_error().IsFailedPrecondition())
+      << node.first_error().ToString();
+  // Nothing stored, nothing installed.
+  EXPECT_EQ(server.total_records(), 0u);
+  EXPECT_TRUE(node.matching_stats().empty());
+  EXPECT_FALSE(server.PublicationEvidence(0).ok());
+  // Publication 0 ended once, as failed.
+  Status outcome = publications->Wait(0, std::chrono::milliseconds(0));
+  EXPECT_TRUE(outcome.IsFailedPrecondition()) << outcome.ToString();
+  EXPECT_EQ(publications->completed_failed(), 1u);
+  EXPECT_EQ(publications->completed_ok(), 0u);
+  EXPECT_EQ(counter("cloud.records_rejected"), rejected_before + 1);
+  EXPECT_EQ(counter("cloud.publications_failed"), failed_before + 1);
 
   auto recovered = durability::RecoveryManager::Recover(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->server->num_publications(), 1u);
-  EXPECT_EQ(recovered->server->total_records(), 1u);
-  EXPECT_EQ(recovered->stats.installs_replayed, 1u);
+  EXPECT_EQ(recovered->stats.records_replayed, 0u);
+  EXPECT_EQ(recovered->stats.installs_replayed, 0u);
+  EXPECT_EQ(recovered->server->total_records(), 0u);
 }
 
 TEST(RecoveryTest, SnapshotPlusWalTailRecoversEverything) {

@@ -72,7 +72,7 @@ TEST_P(FresqueEndToEndTest, IngestPublishQueryNasa) {
 
   EXPECT_TRUE(cloud_node.first_error().ok())
       << cloud_node.first_error().ToString();
-  EXPECT_EQ(collector.parse_errors(), 0u);
+  EXPECT_EQ(collector.Metrics().parse_errors, 0u);
 
   // Publication 0 must be fully published with matching stats.
   auto stats = cloud_node.matching_stats();

@@ -125,9 +125,6 @@ TEST(AdmissionTest, TokenBucketShedsAndSurfacesOverloaded) {
   // A tight 1000-iteration loop offers far more than 100 rec/s: the
   // bucket must have run dry.
   EXPECT_GT(overloaded, 0u);
-  EXPECT_EQ(collector.shed_records(), overloaded);
-  EXPECT_EQ(collector.shed_records(engine::IngestPriority::kNormal),
-            overloaded);
   auto metrics = collector.Metrics();
   EXPECT_EQ(metrics.shed_records, overloaded);
   EXPECT_EQ(metrics.shed_normal, overloaded);
@@ -161,7 +158,7 @@ TEST(AdmissionTest, HighPriorityOverdrawsTheBucket) {
                             engine::IngestPriority::kHigh)
                     .ok());
   }
-  EXPECT_EQ(collector.shed_records(), 0u);
+  EXPECT_EQ(collector.Metrics().shed_records, 0u);
   EXPECT_TRUE(collector.Shutdown().ok());
   cloud_node.Shutdown();
 }
@@ -182,7 +179,7 @@ TEST(AdmissionTest, DisabledAdmissionNeverSheds) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(collector.Ingest((*gen)->NextLine()).ok());
   }
-  EXPECT_EQ(collector.shed_records(), 0u);
+  EXPECT_EQ(collector.Metrics().shed_records, 0u);
   EXPECT_TRUE(collector.Shutdown().ok());
   cloud_node.Shutdown();
 }
@@ -227,8 +224,9 @@ TEST(OverloadPipelineTest, SheddingKeepsPipelineLiveAndLedgerBalanced) {
       ASSERT_TRUE(st.IsOverloaded()) << st.ToString();
     }
   }
-  EXPECT_GT(collector.shed_records(), 0u);
-  EXPECT_EQ(admitted + collector.shed_records(), kOffered);
+  const uint64_t shed = collector.Metrics().shed_records;
+  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(admitted + shed, kOffered);
 
   ASSERT_TRUE(collector.Publish().ok());
   // Publishes on time despite the overload: the admitted stream is

@@ -64,7 +64,7 @@ TEST_P(FresqueSweepTest, InvariantsHoldAcrossParameterSpace) {
   // Invariant 1: the pipeline never errors.
   EXPECT_TRUE(cloud_node.first_error().ok())
       << cloud_node.first_error().ToString();
-  EXPECT_EQ(collector.parse_errors(), 0u);
+  EXPECT_EQ(collector.Metrics().parse_errors, 0u);
   ASSERT_EQ(cloud_node.matching_stats().size(), 1u);
 
   // Invariant 2: zero false positives, and recall degrades gracefully

@@ -721,22 +721,11 @@ int CmdWalDump(const std::string& data_dir) {
                       << " record(s)";
             break;
           }
-          case durability::WalOp::kTaggedBatch: {
-            auto b = durability::DecodeWalTaggedBatch(f.body);
-            if (!b.ok()) return b.status();
-            std::cout << "  pn " << b->pn << "  " << b->records.size()
-                      << " tagged record(s)";
-            break;
-          }
-          case durability::WalOp::kInstall:
-          case durability::WalOp::kInstallTagged: {
-            auto ins = durability::DecodeWalInstall(f.op, f.body);
+          case durability::WalOp::kInstall: {
+            auto ins = durability::DecodeWalInstall(f.body);
             if (!ins.ok()) return ins.status();
             std::cout << "  pn " << ins->pn << "  publication "
                       << ins->publication.size() << " B";
-            if (!ins->table.empty()) {
-              std::cout << "  table " << ins->table.size() << " B";
-            }
             break;
           }
         }

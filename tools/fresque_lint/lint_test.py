@@ -207,9 +207,10 @@ class RepoInvariantsTest(unittest.TestCase):
         findings, graph = checks_mod.run_lock_order(model)
         self.assertEqual(findings, [])
         self.assertIsNotNone(checks_mod.topological_order(graph))
-        # The pipeline's one deliberate nesting must stay visible: the
-        # cloud node publishes into the server under its own lock.
-        self.assertIn(("CloudNode::mu_", "CloudServer::mu_"), graph.edges)
+        # A deliberate nesting must stay visible: the snapshot cut takes
+        # the server's lock under the snapshot manager's.
+        self.assertIn(("SnapshotManager::mu_", "CloudServer::mu_"),
+                      graph.edges)
 
     def test_repo_is_clean_modulo_documented_suppressions(self):
         model = self._model()
