@@ -48,14 +48,6 @@ Result<std::vector<record::Record>> Client::Query(
   return Decrypt(*result, q);
 }
 
-Result<std::vector<record::Record>> Client::Query(
-    const cloud::CloudServer& server, const index::RangeQuery& q,
-    const query::QueryContext& ctx) {
-  auto result = server.ExecuteQuery(q, ctx);
-  if (!result.ok()) return result.status();
-  return Decrypt(*result, q);
-}
-
 Result<std::vector<record::Record>> Client::Decrypt(
     const cloud::QueryResult& result, const index::RangeQuery& q) {
   std::vector<record::Record> records;

@@ -45,15 +45,9 @@ class Client {
   Result<std::vector<record::Record>> Query(const cloud::CloudServer& server,
                                             const index::RangeQuery& q);
 
-  /// Deadline/cancellation-aware variant: the cloud-side scan honors
-  /// `ctx` (DeadlineExceeded / Cancelled surface as the query's status).
-  Result<std::vector<record::Record>> Query(const cloud::CloudServer& server,
-                                            const index::RangeQuery& q,
-                                            const query::QueryContext& ctx);
-
   /// Decrypts a ciphertext result obtained elsewhere — e.g. from a
-  /// query::QueryExecutor ticket — applying the same dummy filtering and
-  /// exact predicate post-filter as Query.
+  /// shard::ShardedCloudServer fan-out — applying the same dummy filtering
+  /// and exact predicate post-filter as Query.
   Result<std::vector<record::Record>> Decrypt(const cloud::QueryResult& result,
                                               const index::RangeQuery& q);
 

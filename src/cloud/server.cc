@@ -71,7 +71,6 @@ Result<MatchingStats> CloudServer::InstallPublication(
 
   MatchingStats stats;
   stats.pn = pn;
-  query::TagFilter filter;
 
   if (table == nullptr) {
     // FRESQUE matching: the metadata cache already groups addresses by
@@ -86,27 +85,17 @@ Result<MatchingStats> CloudServer::InstallPublication(
   } else {
     // PINED-RQ++ matching: re-read every record from storage ("disk") and
     // join its tag against the matching table. A tag with no table entry
-    // (template loss, checker failure) simply joins to nothing — the
-    // record stays stored but unreachable, like any dropped join row.
-    // The tag filter, one cache line per probe, answers "definitely
-    // absent" before the hash-table lookup; false negatives are
-    // impossible, so the join result is identical with or without it.
-    filter = query::TagFilter::Build(*table);
+    // simply joins to nothing — the record stays stored but unreachable,
+    // like any dropped join row.
     for (const auto& [tag, addr] : pub->tagged) {
       auto bytes = pub->storage.Read(addr);
       if (!bytes.ok()) return bytes.status();
-      if (!filter.MayContain(tag)) {
-        ++stats.filter_negatives;
-        continue;
-      }
       auto leaf = table->Lookup(tag);
-      if (!leaf.ok()) continue;  // filter false positive: truly absent
-      if (*leaf < num_leaves) {
+      if (leaf.ok() && *leaf < num_leaves) {
         postings[*leaf].push_back(addr);
         ++stats.records_matched;
       }
     }
-    FRESQUE_COUNTER_ADD("query.tag_filter.negatives", stats.filter_negatives);
   }
 
   // Freeze the publication. From here on its storage, index, overflow and
@@ -116,7 +105,7 @@ Result<MatchingStats> CloudServer::InstallPublication(
   pub->installed = std::make_shared<const query::InstalledPublication>(
       pn, std::move(pub->storage), std::move(publication.index),
       std::move(publication.overflow), std::move(postings),
-      std::move(payload), std::move(filter));
+      std::move(payload));
   pub->metadata.clear();
   pub->tagged.clear();
   views_.Install(pub->installed);
@@ -165,11 +154,6 @@ Result<MatchingStats> CloudServer::Publish(
   }
   return InstallPublication(pn, *pub, std::move(publication), table,
                             std::move(payload));
-}
-
-Result<QueryResult> CloudServer::ExecuteQuery(
-    const index::RangeQuery& q) const {
-  return ExecuteQuery(q, query::QueryContext{});
 }
 
 Result<QueryResult> CloudServer::ExecuteQuery(

@@ -30,9 +30,9 @@
 namespace fresque {
 namespace cloud {
 
-/// Result types live in query/result.h so the scan/executor layers can
-/// produce them without a server dependency; aliased here for the many
-/// existing cloud::QueryResult call sites.
+/// Result types live in query/result.h so the scan layer can produce
+/// them without a server dependency; aliased here for the many existing
+/// cloud::QueryResult call sites.
 using ResultRecord = query::ResultRecord;
 using QueryResult = query::QueryResult;
 
@@ -41,9 +41,6 @@ struct MatchingStats {
   uint64_t pn = 0;
   size_t records_matched = 0;
   double matching_millis = 0;
-  /// Tag-filter outcomes of the PINED-RQ++ join (zero in FRESQUE mode):
-  /// probes answered "definitely absent" skip the hash-table lookup.
-  size_t filter_negatives = 0;
 };
 
 /// The untrusted cloud server (paper §5.3 "Cloud").
@@ -141,16 +138,11 @@ class CloudServer {
       FRESQUE_EXCLUDES(mu_);
 
   /// Evaluates a range query over every publication (published indexes +
-  /// open metadata).
-  Result<QueryResult> ExecuteQuery(const index::RangeQuery& q) const
-      FRESQUE_EXCLUDES(mu_);
-
-  /// Deadline/cancellation-aware evaluation: pins the current QueryView,
-  /// copies the open publications' overlapping pairs under a short lock,
-  /// then scans the view lock-free in batches, honoring `ctx` between
-  /// batches. This is the entry point query::QueryExecutor workers bind.
+  /// open metadata): pins the current QueryView, copies the open
+  /// publications' overlapping pairs under a short lock, then scans the
+  /// view lock-free in batches, checking `ctx`'s deadline between them.
   Result<QueryResult> ExecuteQuery(const index::RangeQuery& q,
-                                   const query::QueryContext& ctx) const
+                                   const query::QueryContext& ctx = {}) const
       FRESQUE_EXCLUDES(mu_);
 
   /// Differentially-private approximate COUNT(*) for `q`, answered from

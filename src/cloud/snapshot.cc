@@ -351,13 +351,11 @@ Status CloudServer::LoadSnapshotFile(const std::string& path,
         }
       }
       // Re-freeze the publication and publish the view, so a restored
-      // store serves lock-free queries exactly like a live one. The tag
-      // filter is an install-time join accelerator and is not persisted;
-      // a default (pass-everything) filter is correct here.
+      // store serves lock-free queries exactly like a live one.
       pub.installed = std::make_shared<const query::InstalledPublication>(
           *pn, std::move(*storage), std::move(restored->pub.index),
           std::move(restored->pub.overflow), std::move(postings),
-          std::move(restored->evidence), query::TagFilter());
+          std::move(restored->evidence));
       server->views_.Install(pub.installed);
     }
     server->publications_.emplace(*pn, std::move(pub));

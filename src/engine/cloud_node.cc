@@ -1,5 +1,6 @@
 #include "engine/cloud_node.h"
 
+#include <algorithm>
 #include <string>
 
 #include "common/logging.h"
@@ -227,6 +228,7 @@ bool CloudNode::Handle(net::Message&& m) {
       // the WAL logs (DESIGN.md §12.5).
       // fresque-lint: allow(hot-alloc) one buffer per publication install, not per record
       auto payload = std::make_shared<const Bytes>(std::move(m.payload));
+      ended_through_ = std::max(ended_through_, m.pn + 1);
       auto stats = Install(m.pn, payload);
       if (stats.ok()) {
         MutexLock lock(mu_);
@@ -237,6 +239,15 @@ bool CloudNode::Handle(net::Message&& m) {
     }
     case net::MessageType::kMatchingTable:
       // Kept, decoded or not, for the index that follows it on the link.
+      // Tagged publications end in pn order, so a table below
+      // `ended_through_` arrived after its index and has nothing to pair
+      // with (docs/PROTOCOL.md, ordering guarantee 7).
+      if (m.pn < ended_through_) {
+        NoteError(Status::FailedPrecondition(
+            "matching table for publication " + std::to_string(m.pn) +
+            " arrived after its index"));
+        return true;
+      }
       tables_.insert_or_assign(m.pn, net::DecodeMatchingTable(m.payload));
       return true;
     case net::MessageType::kShutdown:

@@ -34,8 +34,9 @@ namespace engine {
 /// Handles both ingestion styles: `<leaf, e-record>` streams publish as
 /// soon as the index arrives, while `<tag, e-record>` streams (PINED-RQ++)
 /// install at their index with the matching table that precedes it on the
-/// link (docs/PROTOCOL.md, ordering guarantee 7). A publication ends
-/// exactly once, at its kIndexPublication frame.
+/// link (docs/PROTOCOL.md, ordering guarantee 7); a table that arrives
+/// after its index is refused. A publication ends exactly once, at its
+/// kIndexPublication frame.
 ///
 /// Consecutive kCloudRecord frames of one publication in a popped batch
 /// form a run that is stored, logged and counted with one call each
@@ -162,6 +163,9 @@ class CloudNode {
   std::set<uint64_t> tagged_pns_;
   // fresque-lint: allow(guarded-by) confined to the node thread
   std::map<uint64_t, Result<index::MatchingTable>> tables_;
+  // One past the highest pn an index frame has ended.
+  // fresque-lint: allow(guarded-by) confined to the node thread
+  uint64_t ended_through_ = 0;
   /// Scratch of HandleRecordRun, reused across runs.
   // fresque-lint: allow(guarded-by) confined to the node thread
   std::vector<cloud::LeafRecord> run_;

@@ -1,7 +1,6 @@
 #ifndef FRESQUE_QUERY_CONTEXT_H_
 #define FRESQUE_QUERY_CONTEXT_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "common/clock.h"
@@ -10,36 +9,17 @@
 namespace fresque {
 namespace query {
 
-/// Cooperative cancellation flag shared between a query's submitter and
-/// the worker scanning on its behalf. Cancel() is sticky and lock-free;
-/// the scan polls cancelled() once per batch, so cancellation latency is
-/// one batch of work, never a full store scan.
-class CancelToken {
- public:
-  void Cancel() { flag_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return flag_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
 /// Per-query execution context threaded through the scan: an absolute
-/// deadline (steady-clock nanoseconds, 0 = none) and an optional cancel
-/// token. Scans call Check() between batches and abort with the matching
-/// status, so a stuck or oversized query cannot pin a worker thread.
+/// deadline (SystemClock nanoseconds, 0 = none). Scans call Check()
+/// between batches and abort with DeadlineExceeded, so a query past its
+/// deadline stops within one batch, never a full store scan.
 struct QueryContext {
-  int64_t deadline_ns = 0;             ///< absolute, SystemClock epoch; 0 = none
-  const CancelToken* cancel = nullptr; ///< not owned; may be null
+  int64_t deadline_ns = 0;  ///< absolute, SystemClock epoch; 0 = none
 
-  bool Expired(int64_t now_ns) const {
-    return deadline_ns != 0 && now_ns >= deadline_ns;
-  }
-
+  /// Reads the clock only when a deadline is set.
   Status Check() const {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return Status::Cancelled("query cancelled");
-    }
-    if (Expired(SystemClock::Global()->NowNanos())) {
+    if (deadline_ns != 0 &&
+        SystemClock::Global()->NowNanos() >= deadline_ns) {
       return Status::DeadlineExceeded("query deadline exceeded");
     }
     return Status::OK();

@@ -34,8 +34,7 @@ struct LeafDescriptor {
 /// single mutex-protected LRU: it sits on the per-*leaf* path (a few
 /// entries per query), not the per-record path, so a probe's critical
 /// section is a hash lookup and a list splice. Hits, misses, and
-/// evictions are counted here and exported as `query.leaf_cache.*` by
-/// the executor layer.
+/// evictions are counted here and exported as `query.leaf_cache.*`.
 class LeafCache {
  public:
   explicit LeafCache(size_t capacity = 4096);

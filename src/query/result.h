@@ -18,9 +18,9 @@ struct ResultRecord {
 
 /// Everything a range query returns from the cloud: ciphertexts only.
 ///
-/// Lives in query/ (not cloud/) so the scan and executor layers can fill
-/// and transport results without depending on the CloudServer headers;
-/// cloud::QueryResult is an alias of this type.
+/// Lives in query/ (not cloud/) so the scan layer can fill results
+/// without depending on the CloudServer headers; cloud::QueryResult is an
+/// alias of this type.
 struct QueryResult {
   /// Records reachable through published secure indexes.
   std::vector<ResultRecord> indexed_records;

@@ -11,9 +11,8 @@
 namespace fresque {
 namespace query {
 
-/// Number of postings materialized per deadline/cancellation check. One
-/// batch bounds both the cancellation latency and the cost of an expired
-/// query discovered mid-scan.
+/// Number of postings materialized per deadline check. One batch bounds
+/// the cost of an expired query discovered mid-scan.
 inline constexpr size_t kScanBatch = 256;
 
 /// Scans one installed publication for `q`, appending ciphertexts to

@@ -11,7 +11,6 @@
 #include "common/thread_annotations.h"
 #include "index/index.h"
 #include "index/overflow.h"
-#include "query/tag_filter.h"
 
 namespace fresque {
 namespace query {
@@ -32,15 +31,13 @@ struct InstalledPublication {
                        index::OverflowArrays overflow_in,
                        std::vector<std::vector<cloud::PhysicalAddress>>
                            postings_in,
-                       std::shared_ptr<const Bytes> evidence_in,
-                       TagFilter tag_filter_in)
+                       std::shared_ptr<const Bytes> evidence_in)
       : pn(pn_in),
         storage(std::move(storage_in)),
         index(std::move(index_in)),
         overflow(std::move(overflow_in)),
         postings(std::move(postings_in)),
-        evidence(std::move(evidence_in)),
-        tag_filter(std::move(tag_filter_in)) {}
+        evidence(std::move(evidence_in)) {}
 
   const uint64_t pn;
   const cloud::SegmentStorage storage;
@@ -51,8 +48,6 @@ struct InstalledPublication {
   /// Verbatim publication payload (integrity evidence), the buffer
   /// `overflow` reads from; null when installed without one.
   const std::shared_ptr<const Bytes> evidence;
-  /// Bloom filter over the matching-table tags (empty in FRESQUE mode).
-  const TagFilter tag_filter;
 };
 
 /// An immutable snapshot of the installed publications, identified by a

@@ -50,10 +50,9 @@ Status ShardedCloudServer::AdoptShard(
   return Status::OK();
 }
 
-template <typename ScanFn>
-Result<query::QueryResult> ShardedCloudServer::FanOut(
+Result<query::QueryResult> ShardedCloudServer::ExecuteQuery(
     const index::RangeQuery& q, FanoutStats* stats,
-    const ScanFn& scan) const {
+    const query::QueryContext& ctx) const {
   query::QueryResult merged;
   FanoutStats local;
   const std::vector<size_t> targets = placement_.ShardsForQuery(q);
@@ -64,7 +63,7 @@ Result<query::QueryResult> ShardedCloudServer::FanOut(
     ShardQueryStats s;
     s.shard = i;
     s.view_epoch = shards_[i]->view_epoch();
-    auto part = scan(*shards_[i], q);
+    auto part = shards_[i]->ExecuteQuery(q, ctx);
     if (!part.ok()) return part.status();
     s.indexed_records = part->indexed_records.size();
     s.overflow_records = part->overflow_records.size();
@@ -76,24 +75,6 @@ Result<query::QueryResult> ShardedCloudServer::FanOut(
   }
   if (stats != nullptr) *stats = std::move(local);
   return merged;
-}
-
-Result<query::QueryResult> ShardedCloudServer::ExecuteQuery(
-    const index::RangeQuery& q, FanoutStats* stats) const {
-  return FanOut(q, stats,
-                [](const cloud::CloudServer& s, const index::RangeQuery& qq) {
-                  return s.ExecuteQuery(qq);
-                });
-}
-
-Result<query::QueryResult> ShardedCloudServer::ExecuteQuery(
-    const index::RangeQuery& q, const query::QueryContext& ctx,
-    FanoutStats* stats) const {
-  return FanOut(
-      q, stats,
-      [&ctx](const cloud::CloudServer& s, const index::RangeQuery& qq) {
-        return s.ExecuteQuery(qq, ctx);
-      });
 }
 
 int64_t ShardedCloudServer::ApproximateCount(

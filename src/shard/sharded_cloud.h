@@ -82,16 +82,13 @@ class ShardedCloudServer {
   Status AdoptShard(size_t i, std::unique_ptr<cloud::CloudServer> server);
 
   /// Fans `q` out to the intersecting shards and merges their results.
-  /// `stats`, when non-null, receives the per-shard accounting.
-  Result<query::QueryResult> ExecuteQuery(const index::RangeQuery& q,
-                                          FanoutStats* stats = nullptr) const;
-
-  /// Deadline/cancellation-aware fan-out: `ctx` is honored by every
-  /// per-shard scan; the first non-OK shard status fails the whole query
-  /// (partial merges are never returned).
-  Result<query::QueryResult> ExecuteQuery(const index::RangeQuery& q,
-                                          const query::QueryContext& ctx,
-                                          FanoutStats* stats = nullptr) const;
+  /// `stats`, when non-null, receives the per-shard accounting. Every
+  /// per-shard scan checks `ctx`'s deadline; the first non-OK shard
+  /// status fails the whole query, and then neither a partial merge nor
+  /// `stats` is returned.
+  Result<query::QueryResult> ExecuteQuery(
+      const index::RangeQuery& q, FanoutStats* stats = nullptr,
+      const query::QueryContext& ctx = {}) const;
 
   /// DP approximate COUNT(*): sum over the intersecting shards' noisy
   /// counts (each shard's index is an independent DP release, so the sum
@@ -106,11 +103,6 @@ class ShardedCloudServer {
   size_t num_publications() const;
 
  private:
-  template <typename ScanFn>
-  Result<query::QueryResult> FanOut(const index::RangeQuery& q,
-                                    FanoutStats* stats,
-                                    const ScanFn& scan) const;
-
   ShardPlacement placement_;
   std::vector<std::unique_ptr<cloud::CloudServer>> shards_;
 };

@@ -120,6 +120,31 @@ TEST_F(CloudNodeTest, TaggedIndexBeforeTableFailsOnce) {
   EXPECT_TRUE(node_.matching_stats().empty());
 }
 
+// A second table for a publication its index already ended is refused:
+// the node records FailedPrecondition and keeps nothing of it, and the
+// installed publication is untouched.
+TEST_F(CloudNodeTest, TableAfterItsIndexIsRefused) {
+  node_.inbox()->Push(Msg(net::MessageType::kPublicationStart, 0));
+  node_.inbox()->Push(
+      Msg(net::MessageType::kCloudTaggedRecord, 0, 777, Bytes{0xBB}));
+  index::MatchingTable table;
+  (void)table.Add(777, 2);
+  node_.inbox()->Push(Msg(net::MessageType::kMatchingTable, 0, 0,
+                          net::EncodeMatchingTable(table)));
+  std::vector<int64_t> counts(10, 0);
+  counts[2] = 1;
+  node_.inbox()->Push(Msg(net::MessageType::kIndexPublication, 0, 0,
+                          PublicationPayload(server_.binning(), counts)));
+  node_.inbox()->Push(Msg(net::MessageType::kMatchingTable, 0, 0,
+                          net::EncodeMatchingTable(table)));
+  Finish();
+  EXPECT_TRUE(node_.first_error().IsFailedPrecondition())
+      << node_.first_error().ToString();
+  Status outcome = publications_->Wait(0, std::chrono::milliseconds(0));
+  EXPECT_TRUE(outcome.ok()) << outcome.ToString();
+  EXPECT_EQ(node_.matching_stats().size(), 1u);
+}
+
 // A table that fails to decode is kept as its failure: the index that
 // follows it ends the publication with the decode error.
 TEST_F(CloudNodeTest, UndecodableTableFailsItsPublicationAtTheIndex) {

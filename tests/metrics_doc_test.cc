@@ -29,7 +29,6 @@
 
 #include "crypto/key_manager.h"
 #include "obs/sampler.h"
-#include "query/executor.h"
 #include "record/dataset.h"
 #include "shard/pipeline.h"
 #include "telemetry/metrics.h"
@@ -144,15 +143,9 @@ class MetricsDocTest : public ::testing::Test {
     ASSERT_TRUE(pipe.WaitForPublication(0).ok());
 
     // Query engine: registers the query.* family.
-    query::QueryExecutor executor(
-        [&pipe](const index::RangeQuery& q, const query::QueryContext& ctx) {
-          return pipe.cloud()->ExecuteQuery(q, ctx);
-        },
-        query::ExecutorOptions{});
-    auto result = executor.Execute(
+    auto result = pipe.cloud()->ExecuteQuery(
         index::RangeQuery{spec->domain_min, spec->domain_max});
     ASSERT_TRUE(result.ok());
-    executor.Shutdown();
     ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
 
     // Sampler fold: registers pipeline.e2e_p* / ingest.lag_ms / slo.*.

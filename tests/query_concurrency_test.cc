@@ -16,7 +16,6 @@
 #include "cloud/server.h"
 #include "net/payloads.h"
 #include "query/context.h"
-#include "query/executor.h"
 #include "query/view.h"
 
 namespace fresque {
@@ -122,7 +121,7 @@ TEST(QueryConcurrencyTest, ViewGCUnderInstallRetireChurn) {
         pn, cloud::SegmentStorage(), std::move(idx).ValueOrDie(),
         index::OverflowArrays(binning.num_bins(), 1),
         std::vector<std::vector<cloud::PhysicalAddress>>(binning.num_bins()),
-        nullptr, TagFilter());
+        nullptr);
   };
 
   std::atomic<bool> stop{false};
@@ -173,87 +172,6 @@ TEST(QueryConcurrencyTest, ViewGCUnderInstallRetireChurn) {
     }
   }
   EXPECT_EQ(alive, final_view->num_publications());
-}
-
-TEST(QueryConcurrencyTest, ExecutorStressAccountsEveryQuery) {
-  std::atomic<uint64_t> handled{0};
-  ExecutorOptions opts;
-  opts.num_threads = 3;
-  opts.queue_capacity = 8;
-  QueryExecutor exec(
-      [&](const index::RangeQuery&, const QueryContext& ctx) -> Result<QueryResult> {
-        FRESQUE_RETURN_NOT_OK(ctx.Check());
-        ++handled;
-        return QueryResult{};
-      },
-      opts);
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 200;
-  std::atomic<uint64_t> ok{0}, shed{0}, deadline{0}, other{0};
-  std::vector<std::thread> submitters;
-  submitters.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        QueryOptions qo;
-        if ((t + i) % 5 == 0) qo.deadline = std::chrono::nanoseconds(1);
-        auto r = exec.Execute({0, 1}, qo);
-        if (r.ok()) {
-          ++ok;
-        } else if (r.status().code() == StatusCode::kOverloaded) {
-          ++shed;
-        } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
-          ++deadline;
-        } else {
-          ++other;
-        }
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  exec.Shutdown();
-
-  EXPECT_EQ(other.load(), 0u);
-  EXPECT_EQ(ok.load() + shed.load() + deadline.load(),
-            static_cast<uint64_t>(kThreads * kPerThread));
-  auto m = exec.metrics();
-  EXPECT_EQ(m.executed, ok.load());
-  EXPECT_EQ(m.shed, shed.load());
-  EXPECT_EQ(m.deadline_exceeded, deadline.load());
-  EXPECT_EQ(m.submitted, m.executed + m.deadline_exceeded + m.cancelled);
-  EXPECT_EQ(m.inflight, 0);
-  EXPECT_EQ(handled.load(), ok.load());
-}
-
-TEST(QueryConcurrencyTest, ShutdownResolvesQueuedQueries) {
-  std::atomic<bool> release{false};
-  ExecutorOptions opts;
-  opts.num_threads = 1;
-  opts.queue_capacity = 8;
-  QueryExecutor exec(
-      [&](const index::RangeQuery&, const QueryContext&) {
-        while (!release.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return Result<QueryResult>(QueryResult{});
-      },
-      opts);
-  // One query occupies the worker; several more sit in the queue.
-  std::vector<std::shared_ptr<QueryTicket>> tickets;
-  for (int i = 0; i < 5; ++i) {
-    auto t = exec.Submit({0, 1});
-    if (t.ok()) tickets.push_back(*t);
-  }
-  release = true;
-  exec.Shutdown();
-  // Every ticket resolves — no waiter hangs forever.
-  for (auto& t : tickets) {
-    auto r = t->Wait();
-    if (!r.ok()) {
-      EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-    }
-  }
 }
 
 }  // namespace

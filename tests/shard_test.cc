@@ -446,6 +446,17 @@ TEST(ShardedPipelineTest, HashModeFansOutEverywhereAndStaysConsistent) {
   EXPECT_EQ(stats.shards_pruned, 0u);
   EXPECT_EQ(stats.TotalRecords(), res->TotalRecords());
 
+  // An expired deadline fails the whole fan-out: no partial merge comes
+  // back, and the caller's stats keep the previous query's ledger.
+  query::QueryContext expired;
+  expired.deadline_ns = 1;  // epoch + 1 ns: long past
+  auto late = pipe.cloud()->ExecuteQuery({spec.domain_min, mid}, &stats,
+                                         expired);
+  ASSERT_FALSE(late.ok());
+  EXPECT_TRUE(late.status().IsDeadlineExceeded()) << late.status().ToString();
+  EXPECT_EQ(stats.probed.size(), 3u);
+  EXPECT_EQ(stats.TotalRecords(), res->TotalRecords());
+
   client::Client client(keys, &spec.parser->schema());
   auto recs = client.Decrypt(*res, {spec.domain_min, mid});
   ASSERT_TRUE(recs.ok());

@@ -9,11 +9,13 @@
 # Asserts that every ingest flag takes effect at both shard counts (each
 # install snapshots, so wal-dump lists several sealed files), that
 # the conservation ledger balances, that recovery returns the same
-# matches, that no command reports an ignored flag, that a bad key hex
-# exits 1, that a flag given to a command that does not read it, a zero
-# count (flag or interval_records) and an out-of-range --flight-capacity
-# exit 1 naming the setting, and that an unsharded (top-level) data dir is
-# refused with a message naming shard-0/.
+# matches, that a repeated query under a deadline returns the same
+# matches and reports its latency, that no command reports an ignored
+# flag, that a bad key hex exits 1, that a flag given to a command that
+# does not read it, an unknown flag, a zero count (flag or
+# interval_records) and an out-of-range --flight-capacity exit 1 naming
+# the setting, and that an unsharded (top-level) data dir is refused with
+# a message naming shard-0/.
 set -euo pipefail
 
 CLI="${1:?usage: $0 <fresque_cli>}"
@@ -76,6 +78,12 @@ for N in 1 4; do
 
   run query gowalla "snap$N.bin" "$LO" "$HI" "${SH[@]}" >"query$N.log"
   grep -q "^ledger:" "query$N.log" || fail "query printed no fan-out ledger"
+  run query gowalla "snap$N.bin" "$LO" "$HI" "${SH[@]}" --repeat=3 \
+    --query-deadline-ms=60000 >"repeat$N.log"
+  grep -q "^latency over 3 runs" "repeat$N.log" \
+    || { cat "repeat$N.log"; fail "--repeat=3 reported no latency at N=$N"; }
+  [[ "$(matches "repeat$N.log")" == "$(matches "query$N.log")" ]] \
+    || fail "--repeat/--query-deadline-ms changed the answer at N=$N"
 
   run recover gowalla "dd$N" "rec$N.bin" "${SH[@]}" >"recover$N.log"
   run query gowalla "rec$N.bin" "$LO" "$HI" "${SH[@]}" >"requery$N.log"
@@ -103,7 +111,7 @@ for cmd in "ingest gowalla lines.txt bad.bin 1.0 2 5000 nothex" \
   grep -q "bad key hex" bad.log || fail "$cmd did not name the bad key"
 done
 
-echo "== flags a command does not read, zero counts, out-of-range values"
+echo "== flags a command does not read, unknown flags, zero counts, out-of-range values"
 # A zero interval used to publish once per line; a few lines keep a
 # regression of that case small.
 head -n 300 lines.txt >few.txt
@@ -116,8 +124,9 @@ while IFS='|' read -r cmd want; do
   grep -qF -- "$want" flag.log || { cat flag.log; fail "$cmd: no '$want'"; }
 done <<CASES
 query gowalla snap1.bin $LO $HI --data-dir=/nonexistent --admission-rps=5 --obs-addr=0 --snapshot-every=3|--data-dir does not apply to \`query\`
-verify gowalla snap1.bin --metrics-out=mv.json --query-threads=9|--metrics-out does not apply to \`verify\`
-query gowalla snap1.bin $LO $HI --query-threads=0|--query-threads wants a positive count
+verify gowalla snap1.bin --metrics-out=mv.json --query-deadline-ms=9|--metrics-out does not apply to \`verify\`
+query gowalla snap1.bin $LO $HI --repeat=0|--repeat wants a positive count
+query gowalla snap1.bin $LO $HI --query-threads=2|unknown flag --query-threads
 ingest gowalla few.txt zero.bin 1.0 2 0|interval_records wants a positive count
 ingest gowalla lines.txt fc.bin 1.0 2 5000 --flight-capacity=10|--flight-capacity wants 64 to 1048576 events
 CASES
@@ -137,4 +146,4 @@ for legacy in MANIFEST wal-0000000001.log; do
   done
 done
 
-echo "OK: round trip at 1 and 4 shards; bad keys, misplaced flags, zero counts, out-of-range values and legacy layouts refused"
+echo "OK: round trip at 1 and 4 shards; bad keys, misplaced and unknown flags, zero counts, out-of-range values and legacy layouts refused"

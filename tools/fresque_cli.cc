@@ -66,10 +66,7 @@
 //                               is set) on SIGSEGV/SIGABRT/SIGTERM and
 //                               served live at /flightz
 //
-// Query-engine flags (apply to `query`, see DESIGN.md §15):
-//   --query-threads=<n>      executor worker threads (default 2; > 0)
-//   --query-queue=<n>        admission bound: queued queries beyond this
-//                            are shed with kOverloaded (default 64; > 0)
+// Query flags (apply to `query`, see DESIGN.md §15):
 //   --query-deadline-ms=<n>  per-query deadline (0 = unbounded)
 //   --repeat=<n>             run the range n times and report p50/p95/p99
 //                            (default 1; > 0)
@@ -111,7 +108,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/sampler.h"
 #include "obs/server.h"
-#include "query/executor.h"
 #include "record/dataset.h"
 #include "shard/pipeline.h"
 #include "shard/sharded_cloud.h"
@@ -169,8 +165,6 @@ const std::vector<FlagReaders>& FlagTable() {
       {"--flight-capacity", {"ingest"}},
       {"--admission-rps", {"ingest"}},
       {"--shed-watermarks", {"ingest"}},
-      {"--query-threads", {"query"}},
-      {"--query-queue", {"query"}},
       {"--query-deadline-ms", {"query"}},
       {"--repeat", {"query"}},
   };
@@ -286,10 +280,8 @@ class MetricsDumper {
   std::thread thread_;
 };
 
-/// Knobs for the `query` subcommand's executor path.
+/// Knobs for the `query` subcommand.
 struct QueryCliOptions {
-  size_t threads = 2;        ///< --query-threads
-  size_t queue = 64;         ///< --query-queue (admission bound)
   uint64_t deadline_ms = 0;  ///< --query-deadline-ms (0 = unbounded)
   size_t repeat = 1;         ///< --repeat (same range, reports latency)
 };
@@ -549,34 +541,26 @@ int CmdQuery(const std::string& dataset, const std::string& snap_path,
   auto cloud = LoadSnapshotSet(*spec, snap_path, shards);
   if (!cloud.ok()) return Fail(cloud.status().ToString());
 
-  // Serve through the concurrent query engine (DESIGN.md §15): the fan-out
-  // runs under the worker's deadline/cancellation context on every shard,
-  // with the admission/deadline semantics a live deployment gets.
-  query::ExecutorOptions eo;
-  eo.num_threads = opts.threads;
-  eo.queue_capacity = opts.queue;
-  eo.default_deadline = std::chrono::milliseconds(opts.deadline_ms);
   shard::ShardedCloudServer* srv = cloud->get();
-  query::QueryExecutor executor(
-      [srv](const index::RangeQuery& q, const query::QueryContext& ctx) {
-        return srv->ExecuteQuery(q, ctx);
-      },
-      eo);
-
   client::Client client(std::move(*keys), &spec->parser->schema());
   const index::RangeQuery q{lo, hi};
   std::vector<double> latencies_ms;
   latencies_ms.reserve(opts.repeat);
   Result<cloud::QueryResult> last = cloud::QueryResult{};
   for (size_t i = 0; i < opts.repeat; ++i) {
+    // Each run gets its own deadline; every shard's scan checks it.
+    query::QueryContext ctx;
+    if (opts.deadline_ms != 0) {
+      ctx.deadline_ns = SystemClock::Global()->NowNanos() +
+                        static_cast<int64_t>(opts.deadline_ms) * 1000000;
+    }
     auto t0 = std::chrono::steady_clock::now();
-    last = executor.Execute(q);
+    last = srv->ExecuteQuery(q, nullptr, ctx);
     auto t1 = std::chrono::steady_clock::now();
     if (!last.ok()) return Fail(last.status().ToString());
     latencies_ms.push_back(
         std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  executor.Shutdown();
   auto records = client.Decrypt(*last, q);
   if (!records.ok()) return Fail(records.status().ToString());
 
@@ -596,12 +580,6 @@ int CmdQuery(const std::string& dataset, const std::string& snap_path,
               << " ms, p95 " << pct(0.95) << " ms, p99 " << pct(0.99)
               << " ms\n";
   }
-  auto em = executor.metrics();
-  std::cout << "executor: " << em.submitted << " submitted, " << em.executed
-            << " ok, " << em.shed << " shed, " << em.deadline_exceeded
-            << " deadline-exceeded, " << em.cancelled << " cancelled, "
-            << em.failed << " failed\n";
-
   // The fan-out ledger: which shards were probed, what each contributed,
   // and that the per-shard counts sum to the merged result.
   shard::FanoutStats stats;
@@ -823,8 +801,7 @@ int Usage() {
          " while the previous snapshot is still being written\n"
       << "  fresque_cli query <nasa|gowalla> <snapshot.bin> <lo> <hi>"
          " [key_hex]\n"
-      << "      [--query-threads=<n>] [--query-queue=<n>]"
-         " [--query-deadline-ms=<n>] [--repeat=<n>]\n"
+      << "      [--query-deadline-ms=<n>] [--repeat=<n>]\n"
       << "      [--shards=<n>] [--shard-by=range|hash] (match the ingest)\n"
       << "  fresque_cli verify <nasa|gowalla> <snapshot.bin> [key_hex]"
          " [--shards=<n>] [--shard-by=range|hash]\n"
@@ -885,10 +862,6 @@ int main(int argc, char** argv) {
       cfg.durability.fsync_policy = *policy;
     } else if (arg.rfind("--snapshot-every=", 0) == 0) {
       parsed = ParseCount(arg, false, &cfg.durability.snapshot_every_installs);
-    } else if (arg.rfind("--query-threads=", 0) == 0) {
-      parsed = ParseCount(arg, true, &qopts.threads);
-    } else if (arg.rfind("--query-queue=", 0) == 0) {
-      parsed = ParseCount(arg, true, &qopts.queue);
     } else if (arg.rfind("--query-deadline-ms=", 0) == 0) {
       parsed = ParseCount(arg, false, &qopts.deadline_ms);  // 0 = unbounded
     } else if (arg.rfind("--repeat=", 0) == 0) {
