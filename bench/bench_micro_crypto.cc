@@ -160,6 +160,7 @@ int main() {
                auto outs = std::make_shared<std::vector<Bytes>>(kBatch);
                for (size_t i = 0; i < kBatch; ++i) {
                  plains->push_back(rng.RandomBytes(120));
+                 (*outs)[i].resize(AesCbc::CiphertextSize(120));
                }
                auto scratch =
                    std::make_shared<fresque::crypto::CbcBatchScratch>();
@@ -168,7 +169,7 @@ int main() {
                  fresque::crypto::CbcBatchItem items[kBatch];
                  for (size_t i = 0; i < kBatch; ++i) {
                    items[i] = {(*plains)[i].data(), (*plains)[i].size(),
-                               &(*outs)[i]};
+                               (*outs)[i].data()};
                  }
                  Status st = cbc.EncryptBatch(
                      items, kBatch,

@@ -58,7 +58,11 @@ class BinaryWriter {
     PutRaw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
 
+  /// `len` zero bytes, for the caller to overwrite through mutable_data().
+  void PutZeros(size_t len) { buf_.resize(buf_.size() + len); }
+
   const Bytes& buffer() const { return buf_; }
+  uint8_t* mutable_data() { return buf_.data(); }
   Bytes Release() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
 

@@ -12,12 +12,12 @@ namespace fresque {
 namespace crypto {
 
 /// One message in an EncryptBatch call: `len` plaintext bytes at `plain`,
-/// ciphertext (IV || blocks) delivered into `*out` (resized by the call;
-/// retained capacity is reused, so steady-state batches don't allocate).
+/// ciphertext (IV || blocks) written to `out`, which the caller has sized
+/// to AesCbc::CiphertextSize(len) bytes. Items may share a plaintext.
 struct CbcBatchItem {
   const uint8_t* plain = nullptr;
   size_t len = 0;
-  Bytes* out = nullptr;
+  uint8_t* out = nullptr;
 };
 
 /// Reusable working memory for EncryptBatch. Holding one of these per
@@ -58,17 +58,17 @@ class AesCbc {
     return EncryptWithIv(plaintext, iv);
   }
 
-  /// Encrypts `n` independent messages in one call. Each item's output is
-  /// resized to CiphertextSize(len) and filled with IV || ciphertext, the
-  /// IV drawn per item from `fill_iv(ptr, 16)`. Output is byte-identical
-  /// to per-item Encrypt with the same IVs.
+  /// Encrypts `n` independent messages in one call. Each item's `out`
+  /// receives IV || ciphertext, CiphertextSize(len) bytes, the IV drawn
+  /// per item, in item order, from `fill_iv(ptr, 16)`. Output is
+  /// byte-identical to per-item Encrypt with the same IVs.
   ///
   /// Works in two backend passes so chains stay independent: all full
   /// plaintext blocks first (interleaved across items), then every item's
   /// padded final block (also interleaved — records are near-uniform
   /// length, so this second pass is one lockstep round, not a tail).
   template <typename IvFiller>
-  Status EncryptBatch(CbcBatchItem* items, size_t n, IvFiller&& fill_iv,
+  Status EncryptBatch(const CbcBatchItem* items, size_t n, IvFiller&& fill_iv,
                       CbcBatchScratch* scratch) const {
     constexpr size_t kB = Aes::kBlockSize;
     scratch->streams.clear();
@@ -76,16 +76,15 @@ class AesCbc {
     scratch->final_blocks.resize(n * kB);
 
     for (size_t i = 0; i < n; ++i) {
-      CbcBatchItem& it = items[i];
+      const CbcBatchItem& it = items[i];
       if (it.out == nullptr || (it.len != 0 && it.plain == nullptr)) {
         return Status::InvalidArgument("EncryptBatch: null item buffer");
       }
       const size_t full = it.len / kB;
-      it.out->resize(CiphertextSize(it.len));
-      fill_iv(it.out->data(), kB);
+      fill_iv(it.out, kB);
       if (full > 0) {
-        scratch->streams.push_back(internal::CbcStream{
-            it.plain, it.out->data() + kB, full, it.out->data()});
+        scratch->streams.push_back(
+            internal::CbcStream{it.plain, it.out + kB, full, it.out});
       }
     }
     aes_.CbcEncryptStreams(scratch->streams.data(), scratch->streams.size());
@@ -101,10 +100,8 @@ class AesCbc {
       uint8_t* fb = scratch->final_blocks.data() + i * kB;
       if (rem != 0) std::memcpy(fb, it.plain + full * kB, rem);
       std::memset(fb + rem, pad, pad);
-      const uint8_t* chain =
-          full > 0 ? it.out->data() + full * kB : it.out->data();
       scratch->final_streams.push_back(internal::CbcStream{
-          fb, it.out->data() + kB + full * kB, 1, chain});
+          fb, it.out + kB + full * kB, 1, it.out + full * kB});
     }
     aes_.CbcEncryptStreams(scratch->final_streams.data(),
                            scratch->final_streams.size());

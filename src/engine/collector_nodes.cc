@@ -1,5 +1,6 @@
 #include "engine/collector_nodes.h"
 
+#include <span>
 #include <string_view>
 
 #include "common/clock.h"
@@ -451,36 +452,35 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
     FailPublication(snap.pn, reason);
     return;
   }
-  // Pad the remaining slots with dummy ciphertexts, batch-encrypted in
-  // one interleaved AES call (slot storage is stable, so staging directly
-  // into the slots is safe). An encrypt failure here fails the whole
-  // publication: shipping empty or partially-padded slots would let the
-  // cloud distinguish real removed records from padding.
-  {
-    record::SecureRecordCodec::BatchEncryptor enc(&*codec);
-    overflow.ForEachEmptySlot(
-        [&](Bytes* slot) { enc.StageDummy(config_.dummy_padding_len, slot); });
-    Status padded = enc.Flush();
-    if (!padded.ok()) {
-      codec_failures_.fetch_add(1, std::memory_order_relaxed);
-      // fresque-lint: allow(hot-alloc) publication-failure path
-      std::string reason =
-          "merger: overflow dummy encrypt " + padded.ToString();
-      pending_.erase(it);
-      FailPublication(snap.pn, reason);
-      return;
-    }
+  // One serialization: the payload is sized once, the dummies are
+  // batch-encrypted straight into their slots, and the tag is computed
+  // over the result in place (SHA-NI where the CPU has it). An encrypt
+  // failure fails the whole publication: shipping empty or
+  // partially-padded slots would let the cloud tell real removed records
+  // from padding.
+  const size_t padding_len = config_.dummy_padding_len;
+  auto payload = net::EncodeSignedIndexPublication(
+      net::IndexPublication(std::move(*merged), std::move(overflow)),
+      keys_->IndexMacKey(snap.pn),
+      record::SecureRecordCodec::DummyCiphertextSize(padding_len),
+      [&](uint8_t* out, std::span<const size_t> at) {
+        return codec->EncryptDummiesAt(padding_len, out, at);
+      });
+  if (!payload.ok()) {
+    codec_failures_.fetch_add(1, std::memory_order_relaxed);
+    // fresque-lint: allow(hot-alloc) publication-failure path
+    std::string reason =
+        "merger: overflow dummy encrypt " + payload.status().ToString();
+    pending_.erase(it);
+    FailPublication(snap.pn, reason);
+    return;
   }
 
-  // One serialization: the payload is written once and its tag computed
-  // over it in place (SHA-NI where the CPU has it).
   net::Message out;
   out.type = net::MessageType::kIndexPublication;
   out.pn = snap.pn;
   out.born_ns = snap.born_ns;  // publish-barrier stamp rides to the cloud
-  out.payload = net::EncodeSignedIndexPublication(
-      net::IndexPublication(std::move(*merged), std::move(overflow)),
-      keys_->IndexMacKey(snap.pn));
+  out.payload = std::move(payload).ValueOrDie();
   cloud_out_.push_back(std::move(out));
   FRESQUE_COUNTER_ADD("collector.publications_shipped", 1);
   FRESQUE_HISTOGRAM_RECORD("merger.build_ns",

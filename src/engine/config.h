@@ -100,8 +100,12 @@ struct CollectorConfig {
   /// Load shedding at the ingest boundary; see AdmissionConfig.
   AdmissionConfig admission;
 
-  /// Plaintext padding length of dummy records; pick near the dataset's
-  /// typical record size so ciphertext lengths blend in.
+  /// Plaintext body length of dummy records (zero bytes after the kind
+  /// byte). Dummies hide only among real e-records of their length, and
+  /// the default does not match either dataset: a dummy is a 96-byte
+  /// ciphertext, while real e-records are 48 bytes on Gowalla and 96 (4%),
+  /// 112 (51%), 128 (40%) or 144 (5%) bytes on NASA (docs/SECURITY.md,
+  /// "Known defect: dummy length").
   size_t dummy_padding_len = 64;
 
   /// Seed for all collector-side randomness; same seed => same noise,

@@ -18,10 +18,8 @@ constexpr size_t kSlotPrefixBytes = 4;
 OverflowArrays::OverflowArrays(size_t num_leaves, size_t slots_per_leaf)
     : num_leaves_(num_leaves),
       slots_per_leaf_(slots_per_leaf),
-      slots_(num_leaves),
-      used_(num_leaves, 0) {
-  for (auto& leaf : slots_) leaf.resize(slots_per_leaf);
-}
+      slots_(num_leaves * slots_per_leaf),
+      used_(num_leaves, 0) {}
 
 Result<OverflowArrays> OverflowArrays::View(
     std::shared_ptr<const Bytes> buffer, size_t offset, size_t size) {
@@ -79,10 +77,9 @@ Status OverflowArrays::Insert(size_t i, Bytes e_record,
   if (decoded()) {
     return Status::FailedPrecondition("decoded overflow arrays are read-only");
   }
-  if (i >= slots_.size()) {
+  if (i >= num_leaves_) {
     return Status::OutOfRange("overflow leaf index out of range");
   }
-  auto& leaf = slots_[i];
   if (used_[i] >= slots_per_leaf_) {
     return Status::ResourceExhausted(
         "overflow array full for leaf " + std::to_string(i));
@@ -91,7 +88,8 @@ Status OverflowArrays::Insert(size_t i, Bytes e_record,
   // about arrival order.
   size_t free_count = slots_per_leaf_ - used_[i];
   size_t target = rng->NextBounded(free_count);
-  for (auto& slot : leaf) {
+  for (size_t s = 0; s < slots_per_leaf_; ++s) {
+    Bytes& slot = slots_[i * slots_per_leaf_ + s];
     if (!slot.empty()) continue;
     if (target == 0) {
       slot = std::move(e_record);
@@ -103,21 +101,31 @@ Status OverflowArrays::Insert(size_t i, Bytes e_record,
   return Status::Internal("overflow free-slot bookkeeping out of sync");
 }
 
-size_t OverflowArrays::SerializedSize() const {
+size_t OverflowArrays::SerializedSize(size_t empty_slot_size) const {
   if (decoded()) return size_;
-  return kHeaderBytes + num_leaves_ * slots_per_leaf_ * kSlotPrefixBytes +
-         PayloadBytes();
+  size_t t = kHeaderBytes + slots_.size() * kSlotPrefixBytes;
+  for (const Bytes& slot : slots_) {
+    t += slot.empty() ? empty_slot_size : slot.size();
+  }
+  return t;
 }
 
-void OverflowArrays::SerializeTo(BinaryWriter* w) const {
+void OverflowArrays::SerializeTo(BinaryWriter* w, size_t empty_slot_size,
+                                 std::vector<size_t>* empty_at) const {
   if (decoded()) {
     w->PutRaw(buffer_->data() + offset_, size_);
     return;
   }
   w->PutU64(num_leaves_);
   w->PutU64(slots_per_leaf_);
-  for (const auto& leaf : slots_) {
-    for (const auto& slot : leaf) w->PutBytes(slot);
+  for (const Bytes& slot : slots_) {
+    if (!slot.empty()) {
+      w->PutBytes(slot);
+      continue;
+    }
+    w->PutU32(static_cast<uint32_t>(empty_slot_size));
+    if (empty_at != nullptr) empty_at->push_back(w->size());
+    w->PutZeros(empty_slot_size);
   }
 }
 
@@ -149,9 +157,7 @@ size_t OverflowArrays::PayloadBytes() const {
            num_leaves_ * slots_per_leaf_ * kSlotPrefixBytes;
   }
   size_t t = 0;
-  for (const auto& leaf : slots_) {
-    for (const auto& slot : leaf) t += slot.size();
-  }
+  for (const Bytes& slot : slots_) t += slot.size();
   return t;
 }
 

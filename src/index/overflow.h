@@ -22,8 +22,11 @@ namespace index {
 ///
 /// The arrays take one of two forms:
 ///  - built, by the constructor: the merger and the baselines Insert the
-///    removed records and pad the rest, one buffer per slot, then
-///    serialize them into the publication payload;
+///    removed records, one buffer per record, and the other slots stay
+///    empty until padded. The baselines pad them with one dummy buffer per
+///    slot (PadWithDummies); the merger leaves them empty and has
+///    net::EncodeSignedIndexPublication lay each out in the payload, where
+///    its dummy is encrypted in place (SerializeTo's `empty_at`);
 ///  - decoded, by View or Deserialize: read-only over serialized bytes in
 ///    one shared, immutable buffer. At the cloud that buffer is the
 ///    received publication payload itself, which is also the
@@ -65,28 +68,24 @@ class OverflowArrays {
   /// publication on error instead of publishing.
   template <typename DummyFn>
   Status PadWithDummies(DummyFn&& make_dummy) {
-    for (auto& leaf : slots_) {
-      for (auto& slot : leaf) {
-        if (!slot.empty()) continue;
-        Result<Bytes> d = make_dummy();
-        if (!d.ok()) return d.status();
-        slot = std::move(*d);
-      }
+    for (auto& slot : slots_) {
+      if (!slot.empty()) continue;
+      Result<Bytes> d = make_dummy();
+      if (!d.ok()) return d.status();
+      slot = std::move(*d);
     }
     return Status::OK();
   }
 
   /// Visits every still-empty slot of a built array as a mutable Bytes*.
   /// Slot storage is stable, so callers may retain the pointers until the
-  /// arrays are next mutated — this is what lets the merger stage all
-  /// dummies into one hardware-interleaved batch encrypt instead of one
-  /// call per slot.
+  /// arrays are next mutated — this is what lets a caller stage all
+  /// dummies into one hardware-interleaved batch encrypt
+  /// (SecureRecordCodec::BatchEncryptor) instead of one call per slot.
   template <typename Fn>
   void ForEachEmptySlot(Fn&& fn) {
-    for (auto& leaf : slots_) {
-      for (auto& slot : leaf) {
-        if (slot.empty()) fn(&slot);
-      }
+    for (auto& slot : slots_) {
+      if (slot.empty()) fn(&slot);
     }
   }
 
@@ -96,7 +95,9 @@ class OverflowArrays {
   template <typename Fn>
   void ForEachSlot(size_t i, Fn&& fn) const {
     if (!decoded()) {
-      for (const Bytes& slot : slots_[i]) fn(std::span<const uint8_t>(slot));
+      for (size_t s = 0; s < slots_per_leaf_; ++s) {
+        fn(std::span<const uint8_t>(slots_[i * slots_per_leaf_ + s]));
+      }
       return;
     }
     if (slots_per_leaf_ == 0) return;
@@ -118,11 +119,16 @@ class OverflowArrays {
     return decoded() ? slots_per_leaf_ : used_[i];
   }
 
-  /// Size of the serialized arrays, in bytes.
-  size_t SerializedSize() const;
+  /// Size of the serialized arrays, in bytes, when each empty slot of a
+  /// built array is laid out with `empty_slot_size` bytes.
+  size_t SerializedSize(size_t empty_slot_size = 0) const;
   /// Appends the serialized arrays to `w` (the publication encoder writes
-  /// them straight into the payload).
-  void SerializeTo(BinaryWriter* w) const;
+  /// them straight into the payload). Each empty slot of a built array is
+  /// laid out as `u32 empty_slot_size ‖ empty_slot_size zero bytes` for
+  /// the caller to fill in place; with `empty_at`, the offset of those
+  /// bytes in `w` is appended to `*empty_at`, in slot order.
+  void SerializeTo(BinaryWriter* w, size_t empty_slot_size = 0,
+                   std::vector<size_t>* empty_at = nullptr) const;
   /// Serialized bytes of all arrays (what the merger publishes).
   Bytes Serialize() const;
 
@@ -142,8 +148,8 @@ class OverflowArrays {
  private:
   size_t num_leaves_;
   size_t slots_per_leaf_;
-  // Built form.
-  std::vector<std::vector<Bytes>> slots_;
+  // Built form: leaf i's slots are slots_[i * slots_per_leaf_, ...).
+  std::vector<Bytes> slots_;
   std::vector<size_t> used_;
   // Decoded form: the serialized arrays are `size_` bytes of `*buffer_`
   // at `offset_`; leaf i's first slot prefix is at offset_ +

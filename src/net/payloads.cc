@@ -42,15 +42,18 @@ Result<std::vector<int64_t>> DecodeAlSnapshot(const Bytes& payload) {
 namespace {
 
 /// The tagged prefix `u32 len ‖ index ‖ u32 len ‖ overflow`, in a writer
-/// sized for a tag segment of `tag_size` bytes after it.
-BinaryWriter EncodeSegments(const IndexPublication& pub, size_t tag_size) {
+/// sized for a tag segment of `tag_size` bytes after it. Empty overflow
+/// slots are laid out as OverflowArrays::SerializeTo does.
+BinaryWriter EncodeSegments(const IndexPublication& pub, size_t tag_size,
+                            size_t empty_slot_size = 0,
+                            std::vector<size_t>* empty_at = nullptr) {
   const Bytes index = pub.index.Serialize();
-  const size_t overflow_size = pub.overflow.SerializedSize();
+  const size_t overflow_size = pub.overflow.SerializedSize(empty_slot_size);
   BinaryWriter w;
   w.Reserve(4 + index.size() + 4 + overflow_size + 4 + tag_size);
   w.PutBytes(index);
   w.PutU32(static_cast<uint32_t>(overflow_size));
-  pub.overflow.SerializeTo(&w);
+  pub.overflow.SerializeTo(&w, empty_slot_size, empty_at);
   return w;
 }
 
@@ -69,9 +72,15 @@ Bytes EncodeIndexPublication(const IndexPublication& pub) {
   return w.Release();
 }
 
-Bytes EncodeSignedIndexPublication(const IndexPublication& pub,
-                                   const Bytes& mac_key) {
-  BinaryWriter w = EncodeSegments(pub, crypto::HmacSha256::kDigestSize);
+Result<Bytes> EncodeSignedIndexPublication(const IndexPublication& pub,
+                                           const Bytes& mac_key,
+                                           size_t slot_size,
+                                           const SlotPadder& pad) {
+  std::vector<size_t> empty_at;
+  empty_at.reserve(pub.overflow.num_leaves() * pub.overflow.slots_per_leaf());
+  BinaryWriter w = EncodeSegments(pub, crypto::HmacSha256::kDigestSize,
+                                  slot_size, &empty_at);
+  FRESQUE_RETURN_NOT_OK(pad(w.mutable_data(), empty_at));
   w.PutBytes(Tag(w.buffer().data(), w.size(), mac_key));
   return w.Release();
 }

@@ -2,6 +2,7 @@
 #define FRESQUE_NET_PAYLOADS_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -52,11 +53,22 @@ struct IndexPublication {
 };
 Bytes EncodeIndexPublication(const IndexPublication& pub);
 
+/// Writes the empty overflow slots of a payload being encoded: the i-th
+/// empty slot's bytes start at `payload + at[i]`, in slot order.
+using SlotPadder =
+    std::function<Status(uint8_t* payload, std::span<const size_t> at)>;
+
 /// The payload EncodeIndexPublication gives after ComputeIndexPublicationTag
 /// under `mac_key`, serialized once and tagged in place. `pub`'s own
-/// integrity_tag is ignored.
-Bytes EncodeSignedIndexPublication(const IndexPublication& pub,
-                                   const Bytes& mac_key);
+/// integrity_tag is ignored. Each empty overflow slot of a built `pub` is
+/// laid out with `slot_size` bytes, which `pad` writes before the tag is
+/// taken over the finished prefix; the bytes are those of `pub` with each
+/// empty slot holding what `pad` wrote there. A failed pad fails the
+/// encode, so a partially padded array is never returned.
+Result<Bytes> EncodeSignedIndexPublication(const IndexPublication& pub,
+                                           const Bytes& mac_key,
+                                           size_t slot_size,
+                                           const SlotPadder& pad);
 
 /// Decodes a payload into a publication whose overflow arrays read from
 /// `payload` itself; no slot is copied. Fails with Corruption on a

@@ -2,6 +2,7 @@
 #define FRESQUE_RECORD_SECURE_CODEC_H_
 
 #include <memory>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/hot.h"
@@ -16,9 +17,11 @@ namespace record {
 /// Produces and opens e-records: AES-CBC ciphertexts of
 ///   u8 kind || body
 /// where kind 0 marks a real record (body = RecordCodec bytes) and kind 1
-/// marks a dummy (body = random padding). The kind byte is *inside* the
-/// ciphertext: the cloud cannot tell dummies from real records
-/// (semantic security), while the trusted client discards them after
+/// marks a dummy (body = `padding_len` zero bytes, the same for every
+/// dummy). The kind byte is *inside* the ciphertext and every e-record has
+/// its own fresh random IV, so the cloud cannot tell a dummy from a real
+/// record of the same length, nor two dummies apart (IND-CPA; see
+/// docs/SECURITY.md), while the trusted client discards dummies after
 /// decryption.
 class SecureRecordCodec {
  public:
@@ -26,7 +29,7 @@ class SecureRecordCodec {
   static constexpr uint8_t kKindDummy = 1;
 
   /// `key` is an AES key (16/24/32 bytes); `schema` must outlive the
-  /// codec; `rng` supplies IVs and dummy padding.
+  /// codec; `rng` supplies the IVs.
   static Result<SecureRecordCodec> Create(const Bytes& key,
                                           const Schema* schema,
                                           crypto::SecureRandom* rng);
@@ -47,10 +50,24 @@ class SecureRecordCodec {
   /// parsed record travels in between collector components).
   Result<Bytes> EncryptSerializedRecord(const Bytes& body);
 
-  /// Encrypts a dummy of `padding_len` random bytes. Choosing padding_len
-  /// near the typical record size keeps dummy ciphertext lengths in the
-  /// same distribution as real ones.
+  /// Length of a dummy's ciphertext: IV plus the padded `kind ‖
+  /// 0^padding_len` plaintext.
+  static size_t DummyCiphertextSize(size_t padding_len) {
+    return crypto::AesCbc::CiphertextSize(1 + padding_len);
+  }
+
+  /// Encrypts a dummy with `padding_len` bytes of body. A dummy is only as
+  /// hidden as its length: its ciphertext must be as long as real ones
+  /// (CollectorConfig::dummy_padding_len, docs/SECURITY.md).
   Result<Bytes> EncryptDummy(size_t padding_len);
+
+  /// Encrypts one dummy into each span `out + at[i]`, which must hold
+  /// DummyCiphertextSize(padding_len) bytes. IVs are drawn in the order of
+  /// `at`, as staging the same dummies in a BatchEncryptor and flushing it
+  /// draws them, so the bytes are the same; every dummy reads one shared
+  /// plaintext. A failure leaves the spans unspecified.
+  Status EncryptDummiesAt(size_t padding_len, uint8_t* out,
+                          std::span<const size_t> at);
 
   /// Stages many records and encrypts them in one AES batch call, letting
   /// hardware backends interleave the CBC chains across the instruction
@@ -73,7 +90,7 @@ class SecureRecordCodec {
     /// Stages an already-serialized real record body.
     FRESQUE_HOT void StageSerializedRecord(const Bytes& body, Bytes* out);
 
-    /// Stages a dummy of `padding_len` random bytes.
+    /// Stages a dummy with `padding_len` bytes of body.
     FRESQUE_HOT void StageDummy(size_t padding_len, Bytes* out);
 
     /// Records currently staged and not yet flushed.

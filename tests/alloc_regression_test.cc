@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -395,6 +396,49 @@ TEST(AllocRegressionTest, PublicationDecodeDoesNotCopyEachOverflowSlot) {
   EXPECT_EQ(decoded->overflow.num_leaves(), kLeaves);
   EXPECT_LT(allocations, 100u)
       << "decoding one publication allocated " << allocations << " times";
+}
+
+// The merger pads a NASA-shaped publication (3421 leaves x 16 overflow
+// slots, 900 of them removed records) inside its payload: laying it out,
+// encrypting its 53,836 dummies in place and tagging it take a handful of
+// allocations for the payload, the index, the slot offsets and the
+// encrypt's working memory, not one per dummy.
+TEST(AllocRegressionTest, PublicationPadsItsDummiesInPlace) {
+  SKIP_UNDER_SANITIZER();
+  constexpr size_t kLeaves = 3421;
+  constexpr size_t kSlots = 16;
+  constexpr size_t kRemoved = 900;
+  constexpr size_t kPadding = 64;
+  auto binning = index::DomainBinning::Create(0, kLeaves, 1);
+  ASSERT_TRUE(binning.ok());
+  crypto::SecureRandom rng(29);
+  auto tmpl = index::IndexTemplate::Create(*binning, 16, 1.0, &rng);
+  ASSERT_TRUE(tmpl.ok());
+  auto spec = NasaDataset();
+  ASSERT_TRUE(spec.ok());
+  auto codec = SecureRecordCodec::Create(Bytes(16, 0x42),
+                                         &spec->parser->schema(), &rng);
+  ASSERT_TRUE(codec.ok());
+  index::OverflowArrays overflow(kLeaves, kSlots);
+  for (size_t i = 0; i < kRemoved; ++i) {
+    ASSERT_TRUE(
+        overflow.Insert(i * 7 % kLeaves, rng.RandomBytes(112), &rng).ok());
+  }
+  const net::IndexPublication pub(tmpl->noise_index(), std::move(overflow));
+  const Bytes mac_key(32, 0x5A);
+
+  const uint64_t before = t_allocations;
+  auto payload = net::EncodeSignedIndexPublication(
+      pub, mac_key, SecureRecordCodec::DummyCiphertextSize(kPadding),
+      [&](uint8_t* out, std::span<const size_t> at) {
+        return codec->EncryptDummiesAt(kPadding, out, at);
+      });
+  const uint64_t allocations = t_allocations - before;
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_TRUE(net::VerifyIndexPublicationPayload(*payload, mac_key).ok());
+  EXPECT_LT(allocations, 64u)
+      << "padding and encoding one publication allocated " << allocations
+      << " times";
 }
 
 // A randomer holds S records and briefly one more: Push appends before it

@@ -232,7 +232,8 @@ TEST(AesBackendCrossCheck, BatchEncryptMatchesSingleMessagePath) {
       std::vector<CbcBatchItem> items(n);
       for (size_t i = 0; i < n; ++i) {
         plains[i] = rng.RandomBytes(rng.NextU64() % 160);
-        items[i] = {plains[i].data(), plains[i].size(), &outs[i]};
+        outs[i].resize(AesCbc::CiphertextSize(plains[i].size()));
+        items[i] = {plains[i].data(), plains[i].size(), outs[i].data()};
       }
       Status st = cbc->EncryptBatch(
           items.data(), n, [&](uint8_t* out, size_t len) { rng.Fill(out, len); },

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -14,33 +15,50 @@
 #include "index/overflow.h"
 #include "net/payloads.h"
 #include "record/dataset.h"
+#include "record/secure_codec.h"
 
 namespace fresque {
 namespace {
+
+/// An index over `leaves` one-unit leaves in which every leaf counts one
+/// record, so no query prunes a leaf.
+index::HistogramIndex OneRecordPerLeaf(size_t leaves) {
+  auto binning = index::DomainBinning::Create(0, static_cast<double>(leaves),
+                                              1);
+  auto layout = index::IndexLayout::Create(leaves, 4);
+  auto idx = index::HistogramIndex::FromLeafCounts(
+      std::move(layout).ValueOrDie(), *binning,
+      std::vector<int64_t>(leaves, 1));
+  return std::move(idx).ValueOrDie();
+}
 
 /// A signed-shape publication over `leaves` one-unit leaves: a few real
 /// overflow records, the other slots padded with random dummies.
 net::IndexPublication SamplePublication(size_t leaves, size_t slots,
                                         uint64_t seed) {
-  auto binning = index::DomainBinning::Create(0, static_cast<double>(leaves),
-                                              1);
-  auto layout = index::IndexLayout::Create(leaves, 4);
-  // Every leaf counts one record, so no query prunes a leaf.
-  auto idx = index::HistogramIndex::FromLeafCounts(
-      std::move(layout).ValueOrDie(), *binning,
-      std::vector<int64_t>(leaves, 1));
   crypto::SecureRandom rng(seed);
   index::OverflowArrays ovf(leaves, slots);
   for (size_t leaf = 0; leaf < leaves; leaf += 3) {
     EXPECT_TRUE(ovf.Insert(leaf, rng.RandomBytes(40), &rng).ok());
   }
   EXPECT_TRUE(ovf.PadWithDummies([&] { return rng.RandomBytes(40); }).ok());
-  return net::IndexPublication(std::move(idx).ValueOrDie(), std::move(ovf));
+  return net::IndexPublication(OneRecordPerLeaf(leaves), std::move(ovf));
 }
 
 Bytes SignedPayload(net::IndexPublication pub, const Bytes& key) {
   pub.integrity_tag = net::ComputeIndexPublicationTag(pub, key);
   return net::EncodeIndexPublication(pub);
+}
+
+/// The merger's one-pass encoding of a publication with no empty slot.
+Bytes SignedInOnePass(const net::IndexPublication& pub, const Bytes& key) {
+  auto payload = net::EncodeSignedIndexPublication(
+      pub, key, 0, [](uint8_t*, std::span<const size_t> at) {
+        EXPECT_TRUE(at.empty());
+        return Status::OK();
+      });
+  EXPECT_TRUE(payload.ok()) << payload.status().ToString();
+  return payload.ok() ? *payload : Bytes{};
 }
 
 TEST(PublicationIntegrityTest, TagVerifiesAndDetectsTampering) {
@@ -104,12 +122,12 @@ TEST(PublicationIntegrityTest, SignedEncodingEqualsTagThenEncode) {
   const Bytes key(32, 0x22);
   net::IndexPublication pub = SamplePublication(40, 3, 5);
   const Bytes payload = SignedPayload(pub, key);
-  EXPECT_EQ(net::EncodeSignedIndexPublication(pub, key), payload);
+  EXPECT_EQ(SignedInOnePass(pub, key), payload);
   EXPECT_TRUE(net::VerifyIndexPublicationPayload(payload, key).ok());
   auto decoded = net::DecodeIndexPublication(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(net::EncodeIndexPublication(*decoded), payload);
-  EXPECT_EQ(net::EncodeSignedIndexPublication(*decoded, key), payload);
+  EXPECT_EQ(SignedInOnePass(*decoded, key), payload);
   EXPECT_EQ(net::ComputeIndexPublicationTag(*decoded, key),
             decoded->integrity_tag);
 }
@@ -193,6 +211,123 @@ TEST(PublicationIntegrityTest, DecodedOverflowServesTheBuiltCiphertexts) {
                 b->overflow_records[i].e_record);
     }
   }
+}
+
+// The merger pads a publication inside its payload. The bytes equal those
+// of padding every empty slot with its own buffer (StageDummy, Flush),
+// tagging and encoding, when both draw from identically seeded
+// generators; the payload verifies and decodes, every padding slot opens
+// as a dummy, and every removed record as itself in its own leaf.
+TEST(PublicationIntegrityTest, InPlacePaddingEqualsPerSlotPadding) {
+  auto spec = record::GowallaDataset();
+  ASSERT_TRUE(spec.ok());
+  const record::Schema& schema = spec->parser->schema();
+  auto gen = record::MakeGenerator(*spec, 8);
+  ASSERT_TRUE(gen.ok());
+  const Bytes record_key(32, 0x25);
+  const Bytes mac_key(32, 0x26);
+  // 160 slots: more than one 64-dummy encrypt batch, and a partial one.
+  constexpr size_t kLeaves = 40;
+  constexpr size_t kSlots = 4;
+
+  // Removed records: one in every third leaf, a full array in every
+  // twenty-first.
+  struct Removed {
+    size_t leaf;
+    Bytes ct;
+    record::Record rec;
+  };
+  crypto::SecureRandom record_rng(9);
+  auto record_codec =
+      record::SecureRecordCodec::Create(record_key, &schema, &record_rng);
+  ASSERT_TRUE(record_codec.ok());
+  std::vector<Removed> removed;
+  for (size_t leaf = 0; leaf < kLeaves; leaf += 3) {
+    for (size_t n = 0; n < (leaf % 21 == 0 ? kSlots : 1); ++n) {
+      auto rec = spec->parser->Parse((*gen)->NextLine());
+      ASSERT_TRUE(rec.ok());
+      auto ct = record_codec->EncryptRecord(*rec);
+      ASSERT_TRUE(ct.ok());
+      removed.push_back({leaf, *ct, *rec});
+    }
+  }
+  auto build = [&](crypto::SecureRandom* rng) {
+    index::OverflowArrays ovf(kLeaves, kSlots);
+    for (const Removed& r : removed) {
+      EXPECT_TRUE(ovf.Insert(r.leaf, r.ct, rng).ok());
+    }
+    return net::IndexPublication(OneRecordPerLeaf(kLeaves), std::move(ovf));
+  };
+
+  for (size_t padding : {size_t{0}, size_t{15}, size_t{64}}) {
+    SCOPED_TRACE(padding);
+    crypto::SecureRandom ref_rng(10);
+    net::IndexPublication ref = build(&ref_rng);
+    auto ref_codec =
+        record::SecureRecordCodec::Create(record_key, &schema, &ref_rng);
+    ASSERT_TRUE(ref_codec.ok());
+    record::SecureRecordCodec::BatchEncryptor enc(&*ref_codec);
+    ref.overflow.ForEachEmptySlot(
+        [&](Bytes* slot) { enc.StageDummy(padding, slot); });
+    ASSERT_TRUE(enc.Flush().ok());
+    const Bytes expected = SignedPayload(std::move(ref), mac_key);
+
+    crypto::SecureRandom rng(10);
+    net::IndexPublication pub = build(&rng);
+    auto codec = record::SecureRecordCodec::Create(record_key, &schema, &rng);
+    ASSERT_TRUE(codec.ok());
+    auto payload = net::EncodeSignedIndexPublication(
+        pub, mac_key, record::SecureRecordCodec::DummyCiphertextSize(padding),
+        [&](uint8_t* out, std::span<const size_t> at) {
+          return codec->EncryptDummiesAt(padding, out, at);
+        });
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    EXPECT_EQ(*payload, expected);
+    EXPECT_TRUE(net::VerifyIndexPublicationPayload(*payload, mac_key).ok());
+
+    auto decoded = net::DecodeIndexPublication(*payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    size_t dummies = 0;
+    size_t reals = 0;
+    for (size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      decoded->overflow.ForEachSlot(leaf, [&](std::span<const uint8_t> slot) {
+        const Bytes ct(slot.begin(), slot.end());
+        auto opened = codec->Decrypt(ct);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        if (opened->is_dummy) {
+          ++dummies;
+          EXPECT_EQ(ct.size(),
+                    record::SecureRecordCodec::DummyCiphertextSize(padding));
+          return;
+        }
+        ++reals;
+        auto want = std::find_if(removed.begin(), removed.end(),
+                                 [&](const Removed& r) { return r.ct == ct; });
+        ASSERT_NE(want, removed.end()) << "leaf " << leaf;
+        EXPECT_EQ(want->leaf, leaf);
+        EXPECT_EQ(opened->rec, want->rec);
+      });
+    }
+    EXPECT_EQ(reals, removed.size());
+    EXPECT_EQ(dummies, kLeaves * kSlots - removed.size());
+  }
+}
+
+// A pad that fails fails the encode: no partially padded payload ships.
+TEST(PublicationIntegrityTest, FailedInPlacePaddingFailsTheEncode) {
+  crypto::SecureRandom rng(11);
+  index::OverflowArrays ovf(8, 2);
+  ASSERT_TRUE(ovf.Insert(3, rng.RandomBytes(48), &rng).ok());
+  const net::IndexPublication pub(OneRecordPerLeaf(8), std::move(ovf));
+  size_t slots_seen = 0;
+  auto payload = net::EncodeSignedIndexPublication(
+      pub, Bytes(32, 0x27), 48,
+      [&](uint8_t*, std::span<const size_t> at) {
+        slots_seen = at.size();
+        return Status::Internal("no entropy");
+      });
+  EXPECT_EQ(slots_seen, 15u);
+  EXPECT_EQ(payload.status().code(), StatusCode::kInternal);
 }
 
 TEST(PublicationIntegrityTest, EndToEndFresquePublicationVerifies) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "crypto/cbc.h"
 #include "crypto/chacha20.h"
 #include "record/dataset.h"
 #include "record/parser.h"
@@ -313,6 +315,48 @@ TEST(SecureCodecTest, DummyIsRecognized) {
   auto opened = codec->Decrypt(*ct);
   ASSERT_TRUE(opened.ok());
   EXPECT_TRUE(opened->is_dummy);
+}
+
+// Every dummy has the constant plaintext `kind ‖ 0^padding_len`, whichever
+// path made it; only its fresh IV sets its ciphertext apart.
+TEST(SecureCodecTest, DummiesShareOnePlaintextButNotACiphertext) {
+  Schema s = TestSchema();
+  crypto::SecureRandom rng(4);
+  const Bytes key(32, 0x99);
+  auto codec = SecureRecordCodec::Create(key, &s, &rng);
+  ASSERT_TRUE(codec.ok());
+  auto raw = crypto::AesCbc::Create(key);
+  ASSERT_TRUE(raw.ok());
+  constexpr size_t kPadding = 40;
+  Bytes expected(1 + kPadding, 0);
+  expected[0] = SecureRecordCodec::kKindDummy;
+
+  auto a = codec->EncryptDummy(kPadding);
+  auto b = codec->EncryptDummy(kPadding);
+  ASSERT_TRUE(a.ok() && b.ok());
+  SecureRecordCodec::BatchEncryptor enc(&*codec);
+  Bytes staged;
+  enc.StageDummy(kPadding, &staged);
+  ASSERT_TRUE(enc.Flush().ok());
+  const size_t size = SecureRecordCodec::DummyCiphertextSize(kPadding);
+  Bytes in_place(2 * size);
+  const size_t at[] = {0, size};
+  ASSERT_TRUE(codec->EncryptDummiesAt(kPadding, in_place.data(), at).ok());
+
+  const Bytes first(in_place.begin(), in_place.begin() + size);
+  const Bytes second(in_place.begin() + size, in_place.end());
+  const std::vector<Bytes> dummies = {*a, *b, staged, first, second};
+  for (size_t i = 0; i < dummies.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(dummies[i].size(), size);
+    auto plain = raw->Decrypt(dummies[i]);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_EQ(*plain, expected);
+    auto opened = codec->Decrypt(dummies[i]);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_TRUE(opened->is_dummy);
+    for (size_t j = 0; j < i; ++j) EXPECT_NE(dummies[i], dummies[j]) << j;
+  }
 }
 
 TEST(SecureCodecTest, DummyAndRealCiphertextsSameSizeClass) {

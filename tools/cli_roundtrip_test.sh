@@ -10,7 +10,8 @@
 # install snapshots, so wal-dump lists several sealed files), that
 # the conservation ledger balances, that recovery returns the same
 # matches, that a repeated query under a deadline returns the same
-# matches and reports its latency, that no command reports an ignored
+# matches and reports its latency, that --repeat=5 scans each shard 5
+# times (leaf cache hit ratio 0.8), that no command reports an ignored
 # flag, that a bad key hex exits 1, that a flag given to a command that
 # does not read it, an unknown flag, a zero count (flag or
 # interval_records) and an out-of-range --flight-capacity exit 1 naming
@@ -84,6 +85,15 @@ for N in 1 4; do
     || { cat "repeat$N.log"; fail "--repeat=3 reported no latency at N=$N"; }
   [[ "$(matches "repeat$N.log")" == "$(matches "query$N.log")" ]] \
     || fail "--repeat/--query-deadline-ms changed the answer at N=$N"
+  # --repeat=5 scans each probed shard 5 times and no more: the last run
+  # fills the fan-out ledger. On a freshly loaded store the first scan
+  # misses the leaf cache and the other four hit it.
+  run query gowalla "snap$N.bin" "$LO" "$HI" "${SH[@]}" --repeat=5 \
+    >"repeat5_$N.log"
+  probed=$(grep -c '^  shard .*leaf cache hit ratio' "repeat5_$N.log" || true)
+  at_08=$(grep -c 'leaf cache hit ratio 0\.8)' "repeat5_$N.log" || true)
+  [[ "$probed" -gt 0 && "$at_08" == "$probed" ]] \
+    || { cat "repeat5_$N.log"; fail "--repeat=5 did not scan each shard 5 times at N=$N"; }
 
   run recover gowalla "dd$N" "rec$N.bin" "${SH[@]}" >"recover$N.log"
   run query gowalla "rec$N.bin" "$LO" "$HI" "${SH[@]}" >"requery$N.log"
