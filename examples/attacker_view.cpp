@@ -3,48 +3,41 @@
 // arrival order) with the trusted client's view — a hands-on companion to
 // the paper's §6 security analysis.
 
-#include <iomanip>
+#include <algorithm>
 #include <iostream>
 
 #include "client/client.h"
-#include "cloud/server.h"
 #include "common/bytes.h"
 #include "crypto/key_manager.h"
-#include "engine/cloud_node.h"
-#include "engine/fresque_collector.h"
 #include "record/dataset.h"
+#include "shard/pipeline.h"
 
 int main() {
   using namespace fresque;
   auto spec = record::GowallaDataset();
   if (!spec.ok()) return 1;
-  auto binning = index::DomainBinning::Create(
-      spec->domain_min, spec->domain_max, spec->bin_width);
-  cloud::CloudServer server(std::move(binning).ValueOrDie());
-  engine::CloudNode cloud_node(&server);
-  cloud_node.Start();
 
+  // One pipeline (collector -> cloud store), one shard.
   crypto::KeyManager keys = crypto::KeyManager::Generate();
-  engine::CollectorConfig cfg;
-  cfg.dataset = *spec;
-  cfg.num_computing_nodes = 2;
-  cfg.epsilon = 0.5;  // visibly noisy counts
-  engine::FresqueCollector collector(cfg, keys, cloud_node.inbox());
-  (void)collector.Start();
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = *spec;
+  cfg.collector.num_computing_nodes = 2;
+  cfg.collector.epsilon = 0.5;  // visibly noisy counts
+  shard::ShardedPipeline pipeline(cfg, keys);
+  if (!pipeline.Start().ok()) return 1;
 
   auto gen = record::MakeGenerator(*spec, 3);
   constexpr int kRecords = 8000;
   for (int i = 0; i < kRecords; ++i) {
-    collector.SetIntervalProgress(static_cast<double>(i) / kRecords);
-    (void)collector.Ingest((*gen)->NextLine());
+    pipeline.SetIntervalProgress(static_cast<double>(i) / kRecords);
+    if (!pipeline.Ingest((*gen)->NextLine()).ok()) return 1;
   }
-  (void)collector.Publish();
-  (void)collector.Shutdown();
-  cloud_node.Shutdown();
+  (void)pipeline.Publish();
+  if (!pipeline.Shutdown().ok()) return 1;
 
   // --- Adversary's view -------------------------------------------------
   index::RangeQuery q{spec->domain_min, spec->domain_min + 50 * 3600.0};
-  auto result = server.ExecuteQuery(q);
+  auto result = pipeline.cloud()->ExecuteQuery(q);
   if (!result.ok()) return 1;
   std::cout << "=== cloud (adversary) view ===\n"
             << "query touches " << result->TotalRecords()
@@ -61,7 +54,7 @@ int main() {
 
   // --- Client view -------------------------------------------------------
   client::Client client(keys, &spec->parser->schema());
-  auto records = client.Query(server, q);
+  auto records = client.Decrypt(*result, q);
   if (!records.ok()) return 1;
   std::cout << "\n=== trusted client view (after decryption) ===\n"
             << "same query decrypts to " << records->size()

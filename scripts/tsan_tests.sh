@@ -43,7 +43,7 @@ if [[ "$SAN" == thread ]]; then
       query_engine_test query_concurrency_test obs_test obs_concurrency_test \
       shard_test shard_recovery_test cloud_node_test conservation_test
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R '^(ConcurrencyTest|TcpTest|DrainShutdownTest|CheckingNodeTest|QueueTest|QueueRingTest|NodeTest|SpareBuffersTest|CloudNodeTest|CloudNodeRunTest|ConservationTest|WalTest|SnapshotManagerTest|RecoveryTest|CrashRecoveryTest|RegistryConcurrencyTest|QueueWaitHookTest|AdmissionTest|OverloadPipelineTest|LeafCacheTest|ViewManagerTest|CloudServerViewTest|QueryConcurrencyTest|StreamingQuantilesTest|FlightRecorderTest|HttpServerTest|SamplerTest|ObsServerTest|ObsConcurrencyTest|ShardPlacementTest|ShardRouterTest|ShardedPipelineTest|ShardRecoveryTest)'
+    -R '^(ConcurrencyTest|TcpTest|DrainShutdownTest|CheckingNodeTest|QueueTest|QueueRingTest|NodeTest|SpareBuffersTest|CloudNodeTest|CloudNodeRunTest|ConservationTest|WalTest|SnapshotManagerTest|RecoveryTest|CrashRecoveryTest|RegistryConcurrencyTest|QueueWaitHookTest|AdmissionTest|OverloadPipelineTest|ViewManagerTest|CloudServerViewTest|QueryConcurrencyTest|StreamingQuantilesTest|FlightRecorderTest|HttpServerTest|SamplerTest|ObsServerTest|ObsConcurrencyTest|ShardPlacementTest|ShardRouterTest|ShardedPipelineTest|ShardRecoveryTest)'
 else
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"

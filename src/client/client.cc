@@ -1,7 +1,9 @@
 #include "client/client.h"
 
+#include <algorithm>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "record/secure_codec.h"
@@ -12,8 +14,8 @@ namespace client {
 Client::Client(crypto::KeyManager key_manager, const record::Schema* schema)
     : key_manager_(std::move(key_manager)), schema_(schema) {}
 
-Status Client::DecryptInto(const std::vector<cloud::ResultRecord>& batch,
-                           const index::RangeQuery& q,
+Status Client::DecryptInto(const std::vector<query::ResultRecord>& batch,
+                           std::span<const index::RangeQuery> ranges,
                            std::vector<record::Record>* out) {
   // Group by publication to build each codec once.
   uint64_t current_pn = 0;
@@ -34,7 +36,9 @@ Status Client::DecryptInto(const std::vector<cloud::ResultRecord>& batch,
     if (opened->is_dummy) continue;
     auto v = opened->rec.IndexedValue(*schema_);
     if (!v.ok()) return v.status();
-    if (*v >= q.lo && *v <= q.hi) {
+    if (std::any_of(ranges.begin(), ranges.end(), [&](const auto& q) {
+          return *v >= q.lo && *v <= q.hi;
+        })) {
       out->push_back(std::move(opened->rec));
     }
   }
@@ -49,11 +53,12 @@ Result<std::vector<record::Record>> Client::Query(
 }
 
 Result<std::vector<record::Record>> Client::Decrypt(
-    const cloud::QueryResult& result, const index::RangeQuery& q) {
+    const query::QueryResult& result, const index::RangeQuery& q) {
   std::vector<record::Record> records;
-  FRESQUE_RETURN_NOT_OK(DecryptInto(result.indexed_records, q, &records));
-  FRESQUE_RETURN_NOT_OK(DecryptInto(result.overflow_records, q, &records));
-  FRESQUE_RETURN_NOT_OK(DecryptInto(result.unindexed_records, q, &records));
+  for (const auto* batch : {&result.indexed_records, &result.overflow_records,
+                            &result.unindexed_records}) {
+    FRESQUE_RETURN_NOT_OK(DecryptInto(*batch, {&q, 1}, &records));
+  }
   return records;
 }
 
@@ -64,7 +69,7 @@ Result<std::vector<record::Record>> Client::QueryMulti(
   // per-record IVs make the ciphertext a unique handle — then decrypt
   // once per distinct record against the union predicate.
   std::unordered_set<std::string> seen;
-  std::vector<cloud::ResultRecord> unique;
+  std::vector<query::ResultRecord> unique;
   for (const auto& q : ranges) {
     auto result = server.ExecuteQuery(q);
     if (!result.ok()) return result.status();
@@ -79,22 +84,7 @@ Result<std::vector<record::Record>> Client::QueryMulti(
   }
 
   std::vector<record::Record> records;
-  for (const auto& rr : unique) {
-    auto c = record::SecureRecordCodec::Create(
-        key_manager_.RecordKey(rr.pn), schema_, &rng_);
-    if (!c.ok()) return c.status();
-    auto opened = c->Decrypt(rr.e_record);
-    if (!opened.ok()) return opened.status();
-    if (opened->is_dummy) continue;
-    auto v = opened->rec.IndexedValue(*schema_);
-    if (!v.ok()) return v.status();
-    for (const auto& q : ranges) {
-      if (*v >= q.lo && *v <= q.hi) {
-        records.push_back(std::move(opened->rec));
-        break;
-      }
-    }
-  }
+  FRESQUE_RETURN_NOT_OK(DecryptInto(unique, ranges, &records));
   return records;
 }
 
@@ -112,15 +102,36 @@ Result<QueryAccuracy> Client::QueryWithGroundTruth(
   auto records = Query(server, q);
   if (!records.ok()) return records.status();
 
+  // The in-range ground truth as a multiset keyed on the serialized
+  // record: each returned record that finds an unmatched copy there is
+  // matched, so a false positive or a duplicate leaves matched < returned.
+  const record::RecordCodec codec(schema_);
+  auto key = [&](const record::Record& rec) -> Result<std::string> {
+    auto bytes = codec.Serialize(rec);
+    if (!bytes.ok()) return bytes.status();
+    return std::string(bytes->begin(), bytes->end());
+  };
   QueryAccuracy acc;
   acc.returned = records->size();
+  std::unordered_map<std::string, size_t> unmatched;
   for (const auto& rec : ground_truth) {
     auto v = rec.IndexedValue(*schema_);
     if (!v.ok()) return v.status();
-    if (*v >= q.lo && *v <= q.hi) ++acc.expected;
+    if (*v < q.lo || *v > q.hi) continue;
+    ++acc.expected;
+    auto k = key(rec);
+    if (!k.ok()) return k.status();
+    ++unmatched[*k];
   }
-  // Every returned record passed the exact predicate in DecryptInto.
-  acc.matched = records->size();
+  for (const auto& rec : *records) {
+    auto k = key(rec);
+    if (!k.ok()) return k.status();
+    auto it = unmatched.find(*k);
+    if (it != unmatched.end() && it->second > 0) {
+      --it->second;
+      ++acc.matched;
+    }
+  }
   return acc;
 }
 

@@ -2,6 +2,7 @@
 #define FRESQUE_CLIENT_CLIENT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cloud/server.h"
@@ -19,7 +20,9 @@ namespace client {
 struct QueryAccuracy {
   size_t expected = 0;   ///< ground-truth matches
   size_t returned = 0;   ///< real records the client decrypted
-  size_t matched = 0;    ///< returned records that satisfy the predicate
+  /// Returned records found among the in-range ground truth, each
+  /// ground-truth record matching at most one returned record.
+  size_t matched = 0;
 
   /// matched / expected; 1.0 when nothing was expected.
   double Recall() const {
@@ -48,7 +51,7 @@ class Client {
   /// Decrypts a ciphertext result obtained elsewhere — e.g. from a
   /// shard::ShardedCloudServer fan-out — applying the same dummy filtering
   /// and exact predicate post-filter as Query.
-  Result<std::vector<record::Record>> Decrypt(const cloud::QueryResult& result,
+  Result<std::vector<record::Record>> Decrypt(const query::QueryResult& result,
                                               const index::RangeQuery& q);
 
   /// Union of several ranges (disjunctive predicate), deduplicated: a
@@ -74,9 +77,11 @@ class Client {
   const crypto::KeyManager& key_manager() const { return key_manager_; }
 
  private:
-  /// Decrypts one batch of result records into `out`, skipping dummies.
-  Status DecryptInto(const std::vector<cloud::ResultRecord>& batch,
-                     const index::RangeQuery& q,
+  /// Decrypts one batch of result records into `out`, skipping dummies
+  /// and keeping the records whose indexed value lies in one of `ranges`.
+  /// Builds one codec per run of records from the same publication.
+  Status DecryptInto(const std::vector<query::ResultRecord>& batch,
+                     std::span<const index::RangeQuery> ranges,
                      std::vector<record::Record>* out);
 
   crypto::KeyManager key_manager_;

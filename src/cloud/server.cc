@@ -156,9 +156,9 @@ Result<MatchingStats> CloudServer::Publish(
                             std::move(payload));
 }
 
-Result<QueryResult> CloudServer::ExecuteQuery(
+Result<query::QueryResult> CloudServer::ExecuteQuery(
     const index::RangeQuery& q, const query::QueryContext& ctx) const {
-  QueryResult result;
+  query::QueryResult result;
   std::shared_ptr<const query::QueryView> view;
   {
     // Snapshot point. Installs publish the view under this same mutex, so
@@ -186,8 +186,7 @@ Result<QueryResult> CloudServer::ExecuteQuery(
   }
   // Installed publications: scanned against the pinned immutable view
   // with no server lock held — ingest and installs proceed concurrently.
-  FRESQUE_RETURN_NOT_OK(
-      query::ScanView(*view, q, ctx, &leaf_cache_, &result));
+  FRESQUE_RETURN_NOT_OK(query::ScanView(*view, q, ctx, &result));
   return result;
 }
 
@@ -209,9 +208,13 @@ uint64_t CloudServer::view_epoch() const { return views_.epoch(); }
 
 Result<Bytes> CloudServer::PublicationEvidence(uint64_t pn) const {
   auto pub = views_.Current()->Find(pn);
-  if (pub == nullptr || pub->evidence == nullptr) {
-    return Status::NotFound("no publication evidence for " +
-                            std::to_string(pn));
+  if (pub == nullptr) {
+    return Status::NotFound("publication " + std::to_string(pn) +
+                            " is not installed");
+  }
+  if (pub->evidence == nullptr) {
+    return Status::FailedPrecondition("publication " + std::to_string(pn) +
+                                      " was installed without its evidence");
   }
   return *pub->evidence;
 }

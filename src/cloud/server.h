@@ -23,18 +23,11 @@
 #include "index/overflow.h"
 #include "net/payloads.h"
 #include "query/context.h"
-#include "query/leaf_cache.h"
 #include "query/result.h"
 #include "query/view.h"
 
 namespace fresque {
 namespace cloud {
-
-/// Result types live in query/result.h so the scan layer can produce
-/// them without a server dependency; aliased here for the many existing
-/// cloud::QueryResult call sites.
-using ResultRecord = query::ResultRecord;
-using QueryResult = query::QueryResult;
 
 /// Per-publication matching cost, reported for Fig. 13/15.
 struct MatchingStats {
@@ -120,8 +113,9 @@ class CloudServer {
 
   /// The verbatim publication payload as received from the collector
   /// (index + overflow + tag); what an auditor would fetch to verify the
-  /// publication was not tampered with. NotFound if `pn` was never
-  /// published or carried no payload.
+  /// publication was not tampered with. NotFound if `pn` is not
+  /// installed; FailedPrecondition if it was installed without its
+  /// payload, so an auditor cannot pass it.
   Result<Bytes> PublicationEvidence(uint64_t pn) const FRESQUE_EXCLUDES(mu_);
 
   /// Visits every stored e-record of publication `pn` in ingest order
@@ -141,7 +135,7 @@ class CloudServer {
   /// open metadata): pins the current QueryView, copies the open
   /// publications' overlapping pairs under a short lock, then scans the
   /// view lock-free in batches, checking `ctx`'s deadline between them.
-  Result<QueryResult> ExecuteQuery(const index::RangeQuery& q,
+  Result<query::QueryResult> ExecuteQuery(const index::RangeQuery& q,
                                    const query::QueryContext& ctx = {}) const
       FRESQUE_EXCLUDES(mu_);
 
@@ -156,14 +150,11 @@ class CloudServer {
 
   /// The current immutable publication snapshot (never null). Pinning it
   /// keeps every contained publication's storage alive regardless of
-  /// later installs or retirement.
+  /// later installs.
   std::shared_ptr<const query::QueryView> CurrentView() const;
 
-  /// Epoch of the current view (increments per install/retire).
+  /// Epoch of the current view (increments per install).
   uint64_t view_epoch() const;
-
-  /// Hot-leaf descriptor cache shared by every query (DESIGN.md §15).
-  const query::LeafCache& leaf_cache() const { return leaf_cache_; }
 
   /// Picks the publications a snapshot holds: called once per
   /// publication, in pn order and under the server lock, with its pn and
@@ -266,9 +257,6 @@ class CloudServer {
   /// Internally synchronized; written under mu_ (install path), read
   /// lock-free by queries.
   query::ViewManager views_;
-  /// Hot-leaf descriptor cache (DESIGN.md §15), LeafCache's default
-  /// 4096 leaves.
-  mutable query::LeafCache leaf_cache_;
 };
 
 }  // namespace cloud

@@ -19,7 +19,8 @@
 // keeps only the evidence: the restored overflow arrays read from it, as a
 // live install's do. An entry without evidence (a publication installed
 // without its payload) keeps its stored overflow bytes as the arrays'
-// buffer.
+// buffer, and PublicationEvidence reports it FailedPrecondition, so an
+// audit of it fails.
 
 #include <algorithm>
 #include <fstream>

@@ -150,9 +150,6 @@ void CloudNode::EndPublication(uint64_t pn, int64_t born_ns, Status outcome,
   }
   if (outcome.ok()) {
     publications_installed_->Add(1);
-    // The install published a new query-view epoch; surface it so
-    // operators can correlate query snapshots with installs.
-    FRESQUE_GAUGE_SET("cloud.view_epoch", server_->view_epoch());
     // Publish-barrier stamp -> flush -> merge -> install + WAL commit: the
     // paper's "publication latency".
     if (born_ns != 0) {

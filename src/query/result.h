@@ -19,8 +19,7 @@ struct ResultRecord {
 /// Everything a range query returns from the cloud: ciphertexts only.
 ///
 /// Lives in query/ (not cloud/) so the scan layer can fill results
-/// without depending on the CloudServer headers; cloud::QueryResult is an
-/// alias of this type.
+/// without depending on the CloudServer headers.
 struct QueryResult {
   /// Records reachable through published secure indexes.
   std::vector<ResultRecord> indexed_records;

@@ -6,58 +6,23 @@
 
 namespace fresque {
 namespace query {
+namespace {
 
-LeafDescriptor BuildLeafDescriptor(const InstalledPublication& pub,
-                                   uint32_t leaf) {
-  LeafDescriptor d;
-  const index::DomainBinning& binning = pub.index.binning();
-  d.lo = binning.LeafLow(leaf);
-  d.hi = binning.LeafHigh(leaf);
-  d.noisy_count = pub.index.leaf_count(leaf);
-  if (leaf < pub.postings.size()) {
-    d.postings = static_cast<uint32_t>(pub.postings[leaf].size());
-  }
-  if (leaf < pub.overflow.num_leaves()) {
-    uint32_t used = 0;
-    pub.overflow.ForEachSlot(leaf, [&](std::span<const uint8_t> slot) {
-      if (!slot.empty()) ++used;
-    });
-    d.overflow_used = used;
-  }
-  return d;
-}
+/// Number of postings materialized per deadline check. One batch bounds
+/// the cost of an expired query discovered mid-scan.
+constexpr size_t kScanBatch = 256;
 
 Status ScanPublication(const InstalledPublication& pub,
                        const index::RangeQuery& q, const QueryContext& ctx,
-                       LeafCache* cache, QueryResult* out) {
-  std::vector<size_t> leaves = pub.index.Traverse(q);
-  if (leaves.empty()) return Status::OK();
-
-  // Descriptor pass: size the result append once and drop leaves with no
-  // reachable records before the record walk.
-  size_t expect_postings = 0;
-  size_t expect_overflow = 0;
-  std::vector<size_t> live;
-  live.reserve(leaves.size());
+                       QueryResult* out) {
+  const std::vector<size_t> leaves = pub.index.Traverse(q);
+  size_t postings = 0;
   for (size_t leaf : leaves) {
-    LeafDescriptor d;
-    uint32_t leaf32 = static_cast<uint32_t>(leaf);
-    if (cache != nullptr) {
-      d = cache->GetOrBuild(pub.pn, leaf32,
-                            [&] { return BuildLeafDescriptor(pub, leaf32); });
-    } else {
-      d = BuildLeafDescriptor(pub, leaf32);
-    }
-    if (d.postings == 0 && d.overflow_used == 0) continue;
-    expect_postings += d.postings;
-    expect_overflow += d.overflow_used;
-    live.push_back(leaf);
+    if (leaf < pub.postings.size()) postings += pub.postings[leaf].size();
   }
-  out->indexed_records.reserve(out->indexed_records.size() + expect_postings);
-  out->overflow_records.reserve(out->overflow_records.size() +
-                                expect_overflow);
+  out->indexed_records.reserve(out->indexed_records.size() + postings);
 
-  for (size_t leaf : live) {
+  for (size_t leaf : leaves) {
     if (leaf < pub.postings.size()) {
       const auto& posting = pub.postings[leaf];
       for (size_t i = 0; i < posting.size(); i += kScanBatch) {
@@ -66,9 +31,8 @@ Status ScanPublication(const InstalledPublication& pub,
         FRESQUE_COUNTER_ADD("query.scan.records", n);
         FRESQUE_RETURN_NOT_OK(pub.storage.VisitAddresses(
             posting.data() + i, n,
-            [&](const cloud::PhysicalAddress& addr, const uint8_t* data,
+            [&](const cloud::PhysicalAddress&, const uint8_t* data,
                 size_t size) {
-              (void)addr;
               out->indexed_records.push_back(
                   {pub.pn, Bytes(data, data + size)});
             }));
@@ -87,11 +51,13 @@ Status ScanPublication(const InstalledPublication& pub,
   return Status::OK();
 }
 
+}  // namespace
+
 Status ScanView(const QueryView& view, const index::RangeQuery& q,
-                const QueryContext& ctx, LeafCache* cache, QueryResult* out) {
+                const QueryContext& ctx, QueryResult* out) {
   for (const auto& pub : view.publications()) {
     FRESQUE_RETURN_NOT_OK(ctx.Check());
-    FRESQUE_RETURN_NOT_OK(ScanPublication(*pub, q, ctx, cache, out));
+    FRESQUE_RETURN_NOT_OK(ScanPublication(*pub, q, ctx, out));
   }
   return Status::OK();
 }

@@ -28,13 +28,6 @@ std::shared_ptr<const QueryView> ViewManager::Current() const {
   return current_;
 }
 
-void ViewManager::Publish(std::shared_ptr<QueryView> next) {
-  next->epoch_ = next_epoch_++;
-  FRESQUE_GAUGE_SET("query.view.epoch", next->epoch_);
-  FRESQUE_GAUGE_SET("query.view.publications", next->pubs_.size());
-  current_ = std::move(next);
-}
-
 uint64_t ViewManager::Install(std::shared_ptr<const InstalledPublication> pub) {
   MutexLock lock(mu_);
   // fresque-lint: allow(hot-alloc) copy-on-write view swap runs once per publication install
@@ -50,22 +43,11 @@ uint64_t ViewManager::Install(std::shared_ptr<const InstalledPublication> pub) {
     next->pubs_.push_back(p);
   }
   if (!placed) next->pubs_.push_back(std::move(pub));
+  next->epoch_ = next_epoch_++;
   FRESQUE_COUNTER_ADD("query.view.installs", 1);
-  Publish(next);
+  FRESQUE_GAUGE_SET("query.view.publications", next->pubs_.size());
+  current_ = std::move(next);
   return current_->epoch();
-}
-
-bool ViewManager::Retire(uint64_t pn) {
-  MutexLock lock(mu_);
-  if (!current_->Find(pn)) return false;
-  auto next = std::make_shared<QueryView>();
-  next->pubs_.reserve(current_->pubs_.size() - 1);
-  for (const auto& p : current_->pubs_) {
-    if (p->pn != pn) next->pubs_.push_back(p);
-  }
-  FRESQUE_COUNTER_ADD("query.view.retires", 1);
-  Publish(next);
-  return true;
 }
 
 uint64_t ViewManager::epoch() const {

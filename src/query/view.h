@@ -52,7 +52,7 @@ struct InstalledPublication {
 
 /// An immutable snapshot of the installed publications, identified by a
 /// monotonically increasing epoch. Queries pin one view for their whole
-/// scan: publications installed after the pin are invisible, retired ones
+/// scan: publications installed after the pin are invisible, replaced ones
 /// stay readable until the last pinned view drops its reference. A view
 /// never contains a half-installed publication by construction — entries
 /// are added only from a completed install.
@@ -79,8 +79,8 @@ class QueryView {
 
 /// RCU-style publication handoff between the install path and readers.
 ///
-/// Writers (install / retire) build a fresh QueryView — copy-on-write of
-/// the publication pointer vector — and swap it in under a short mutex;
+/// The writer (Install) builds a fresh QueryView — copy-on-write of the
+/// publication pointer vector — and swaps it in under a short mutex;
 /// readers copy the current shared_ptr under the same mutex (pointer copy
 /// only) and then scan with no lock held. Replaced views are garbage
 /// collected by refcount as soon as the last reader unpins them; nothing
@@ -93,20 +93,14 @@ class ViewManager {
   std::shared_ptr<const QueryView> Current() const FRESQUE_EXCLUDES(mu_);
 
   /// Publishes a new view containing `pub` (replacing any previous entry
-  /// with the same pn). Returns the new epoch.
+  /// with the same pn; readers holding older views keep the replaced
+  /// publication alive until they finish). Returns the new epoch.
   uint64_t Install(std::shared_ptr<const InstalledPublication> pub)
       FRESQUE_EXCLUDES(mu_);
-
-  /// Publishes a new view without `pn`. Readers holding older views keep
-  /// the publication alive until they finish. Returns true if it was
-  /// present.
-  bool Retire(uint64_t pn) FRESQUE_EXCLUDES(mu_);
 
   uint64_t epoch() const FRESQUE_EXCLUDES(mu_);
 
  private:
-  void Publish(std::shared_ptr<QueryView> next) FRESQUE_REQUIRES(mu_);
-
   mutable Mutex mu_;
   std::shared_ptr<const QueryView> current_ FRESQUE_GUARDED_BY(mu_);
   uint64_t next_epoch_ FRESQUE_GUARDED_BY(mu_) = 1;

@@ -92,6 +92,13 @@ TEST_P(FresqueEndToEndTest, IngestPublishQueryNasa) {
   EXPECT_LE(acc->Recall(), 1.0);
   // No false positives after client-side post-filtering.
   EXPECT_EQ(acc->matched, acc->returned);
+
+  // A bound inside a leaf: the cloud returns the whole leaf, and the
+  // client's exact post-filter must drop the records past the bound.
+  auto part = client.QueryWithGroundTruth(server, {0, 1536}, truth);
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
+  EXPECT_GT(part->returned, 0u);
+  EXPECT_EQ(part->matched, part->returned);
 }
 
 INSTANTIATE_TEST_SUITE_P(VaryComputingNodes, FresqueEndToEndTest,

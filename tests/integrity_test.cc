@@ -364,5 +364,23 @@ TEST(PublicationIntegrityTest, EndToEndFresquePublicationVerifies) {
   EXPECT_TRUE(other.VerifyPublication(server, 0).IsCorruption());
 }
 
+// An installed publication whose evidence is missing fails an audit; only
+// a publication that never installed reads NotFound.
+TEST(PublicationIntegrityTest, InstalledWithoutEvidenceFailsVerification) {
+  auto spec = record::GowallaDataset();
+  ASSERT_TRUE(spec.ok());
+  auto binning = index::DomainBinning::Create(0, 8, 1);
+  cloud::CloudServer server(std::move(binning).ValueOrDie());
+  ASSERT_TRUE(server.StartPublication(0).ok());
+  ASSERT_TRUE(server.PublishIndexed(0, SamplePublication(8, 2, 11)).ok());
+
+  client::Client client(crypto::KeyManager(Bytes(32, 0x30)),
+                        &spec->parser->schema());
+  Status st = client.VerifyPublication(server, 0);
+  EXPECT_FALSE(st.ok());
+  EXPECT_FALSE(st.IsNotFound()) << st.ToString();
+  EXPECT_TRUE(client.VerifyPublication(server, 1).IsNotFound());
+}
+
 }  // namespace
 }  // namespace fresque

@@ -109,7 +109,7 @@ TEST(QueryConcurrencyTest, QueriesRaceInstallsConserveRecords) {
   EXPECT_EQ(final->unindexed_records.size(), 0u);
 }
 
-TEST(QueryConcurrencyTest, ViewGCUnderInstallRetireChurn) {
+TEST(QueryConcurrencyTest, ViewGCUnderReinstallChurn) {
   auto binning = TinyBinning();
   ViewManager views;
   auto make_installed = [&](uint64_t pn) {
@@ -130,7 +130,7 @@ TEST(QueryConcurrencyTest, ViewGCUnderInstallRetireChurn) {
     while (!stop.load(std::memory_order_relaxed)) {
       auto view = views.Current();
       // Touch every publication through the pinned view; the churner may
-      // retire them concurrently, but the pin keeps them valid.
+      // replace them concurrently, but the pin keeps them valid.
       for (const auto& pub : view->publications()) {
         if (pub->pn > 1u << 20) ++pins;  // never taken; forces the read
       }
@@ -145,7 +145,11 @@ TEST(QueryConcurrencyTest, ViewGCUnderInstallRetireChurn) {
     auto pub = make_installed(pn);
     weaks.emplace_back(pub);
     views.Install(std::move(pub));
-    if (round % 3 == 0) views.Retire((round + 1) % 8);
+    if (round % 3 == 0) {
+      auto again = make_installed((round + 1) % 8);
+      weaks.emplace_back(again);
+      views.Install(std::move(again));
+    }
     // Yield periodically so the readers interleave with the churn even on
     // a single-CPU box.
     if (round % 16 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -1,5 +1,5 @@
 // Unit coverage for the query engine (src/query, DESIGN.md §15):
-// leaf-descriptor cache, view manager, and the CloudServer integration
+// view manager, scan, and the CloudServer integration
 // (snapshot-consistent ExecuteQuery, deadlines, view rebuild after
 // SaveSnapshot/LoadSnapshot, the PINED-RQ++ join).
 
@@ -13,70 +13,12 @@
 #include "index/matching.h"
 #include "net/payloads.h"
 #include "query/context.h"
-#include "query/leaf_cache.h"
 #include "query/scan.h"
 #include "query/view.h"
 
 namespace fresque {
 namespace query {
 namespace {
-
-// ---------------------------------------------------------------- LeafCache
-
-TEST(LeafCacheTest, HitMissAndEvictionAccounting) {
-  LeafCache cache(2);
-  auto build = [](double lo) {
-    return [lo] {
-      LeafDescriptor d;
-      d.lo = lo;
-      return d;
-    };
-  };
-  EXPECT_EQ(cache.GetOrBuild(1, 0, build(10)).lo, 10);  // miss
-  EXPECT_EQ(cache.GetOrBuild(1, 0, build(99)).lo, 10);  // hit: cached value
-  EXPECT_EQ(cache.GetOrBuild(1, 1, build(20)).lo, 20);  // miss, cache full
-  EXPECT_EQ(cache.GetOrBuild(1, 2, build(30)).lo, 30);  // miss, evicts (1,0)
-  EXPECT_EQ(cache.GetOrBuild(1, 0, build(55)).lo, 55);  // rebuilt after evict
-
-  auto s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 4u);
-  EXPECT_GE(s.evictions, 2u);
-  EXPECT_LE(s.size, 2u);
-  EXPECT_EQ(s.capacity, 2u);
-  EXPECT_GT(s.HitRatio(), 0.0);
-}
-
-TEST(LeafCacheTest, LruKeepsRecentlyTouchedEntries) {
-  LeafCache cache(2);
-  auto make = [](double lo) {
-    return [lo] {
-      LeafDescriptor d;
-      d.lo = lo;
-      return d;
-    };
-  };
-  (void)cache.GetOrBuild(0, 0, make(1));
-  (void)cache.GetOrBuild(0, 1, make(2));
-  (void)cache.GetOrBuild(0, 0, make(1));   // touch (0,0): now most recent
-  (void)cache.GetOrBuild(0, 2, make(3));   // evicts (0,1)
-  uint64_t misses_before = cache.stats().misses;
-  (void)cache.GetOrBuild(0, 0, make(1));   // still cached
-  EXPECT_EQ(cache.stats().misses, misses_before);
-}
-
-TEST(LeafCacheTest, InvalidateDropsOnePublication) {
-  LeafCache cache(16);
-  auto d = [] { return LeafDescriptor{}; };
-  (void)cache.GetOrBuild(1, 0, d);
-  (void)cache.GetOrBuild(1, 1, d);
-  (void)cache.GetOrBuild(2, 0, d);
-  cache.Invalidate(1);
-  EXPECT_EQ(cache.stats().size, 1u);
-  uint64_t misses_before = cache.stats().misses;
-  (void)cache.GetOrBuild(2, 0, d);  // survivor still hits
-  EXPECT_EQ(cache.stats().misses, misses_before);
-}
 
 // -------------------------------------------------------------- ViewManager
 
@@ -117,23 +59,21 @@ TEST(ViewManagerTest, InstallAdvancesEpochAndKeepsOldViewsImmutable) {
   EXPECT_EQ(v2->Find(7), nullptr);
 }
 
-TEST(ViewManagerTest, ReinstallReplacesAndRetireRemoves) {
+TEST(ViewManagerTest, ReinstallReplacesAndPinnedViewKeepsTheOld) {
   auto binning =
       std::move(index::DomainBinning::Create(0, 10, 1)).ValueOrDie();
   ViewManager views;
   (void)views.Install(MakeInstalled(1, binning));
+  auto pinned = views.Current();
+  auto old = pinned->Find(1);
   (void)views.Install(MakeInstalled(1, binning));  // replace, not append
   EXPECT_EQ(views.Current()->num_publications(), 1u);
-
-  auto pinned = views.Current();
-  EXPECT_TRUE(views.Retire(1));
-  EXPECT_FALSE(views.Retire(1));
-  EXPECT_EQ(views.Current()->num_publications(), 0u);
-  // A pinned older view keeps serving the retired publication.
-  EXPECT_NE(pinned->Find(1), nullptr);
+  EXPECT_NE(views.Current()->Find(1), old);
+  // A pinned older view keeps serving the replaced publication.
+  EXPECT_EQ(pinned->Find(1), old);
 }
 
-TEST(ViewManagerTest, RetiredPublicationFreedOnlyWhenLastPinDrops) {
+TEST(ViewManagerTest, ReplacedPublicationFreedOnlyWhenLastPinDrops) {
   auto binning =
       std::move(index::DomainBinning::Create(0, 10, 1)).ValueOrDie();
   ViewManager views;
@@ -141,7 +81,7 @@ TEST(ViewManagerTest, RetiredPublicationFreedOnlyWhenLastPinDrops) {
   auto pinned = views.Current();
   std::weak_ptr<const InstalledPublication> weak = pinned->Find(3);
   ASSERT_FALSE(weak.expired());
-  (void)views.Retire(3);
+  (void)views.Install(MakeInstalled(3, binning));
   EXPECT_FALSE(weak.expired());  // pinned view still references it
   pinned.reset();
   EXPECT_TRUE(weak.expired());  // last reference gone => GC'd
@@ -205,8 +145,7 @@ TEST(CloudServerViewTest, PinnedViewIsolatedFromLaterInstalls) {
   // of it returns only pn 0's record.
   EXPECT_EQ(pinned->num_publications(), 1u);
   QueryResult out;
-  ASSERT_TRUE(
-      ScanView(*pinned, {5.0, 5.9}, QueryContext{}, nullptr, &out).ok());
+  ASSERT_TRUE(ScanView(*pinned, {5.0, 5.9}, QueryContext{}, &out).ok());
   ASSERT_EQ(out.indexed_records.size(), 1u);
   EXPECT_EQ(out.indexed_records[0].pn, 0u);
   // The current view sees both.
@@ -289,25 +228,6 @@ TEST(CloudServerViewTest, SnapshotRoundTripRebuildsView) {
   EXPECT_EQ(r->unindexed_records.size(), 1u);
   EXPECT_EQ((*restored)->total_records(), 3u);
   std::remove(path.c_str());
-}
-
-TEST(CloudServerViewTest, LeafCacheServesRepeatQueries) {
-  cloud::CloudServer server(TinyBinning());
-  std::vector<int64_t> counts(10, 1);
-  ASSERT_TRUE(server.StartPublication(0).ok());
-  for (uint32_t leaf = 0; leaf < 10; ++leaf) {
-    (void)server.IngestRecord(0, leaf, Bytes{static_cast<uint8_t>(leaf)});
-  }
-  ASSERT_TRUE(
-      server.PublishIndexed(0, MakePublication(server.binning(), counts))
-          .ok());
-  ASSERT_TRUE(server.ExecuteQuery({0.0, 9.9}).ok());
-  uint64_t misses_after_first = server.leaf_cache().stats().misses;
-  EXPECT_GT(misses_after_first, 0u);
-  ASSERT_TRUE(server.ExecuteQuery({0.0, 9.9}).ok());
-  auto s = server.leaf_cache().stats();
-  EXPECT_EQ(s.misses, misses_after_first);  // all hits the second time
-  EXPECT_GT(s.hits, 0u);
 }
 
 // A streamed tag with no table entry joins to nothing: its record stays

@@ -10,8 +10,7 @@
 # install snapshots, so wal-dump lists several sealed files), that
 # the conservation ledger balances, that recovery returns the same
 # matches, that a repeated query under a deadline returns the same
-# matches and reports its latency, that --repeat=5 scans each shard 5
-# times (leaf cache hit ratio 0.8), that no command reports an ignored
+# matches and reports its latency, that no command reports an ignored
 # flag, that a bad key hex exits 1, that a flag given to a command that
 # does not read it, an unknown flag, a zero count (flag or
 # interval_records) and an out-of-range --flight-capacity exit 1 naming
@@ -75,7 +74,8 @@ for N in 1 4; do
   grep -q "shards: $N" "inspect$N.log" || fail "inspect does not see $N shards"
 
   run verify gowalla "snap$N.bin" "${SH[@]}" >"verify$N.log"
-  grep -q " 0 failed" "verify$N.log" || fail "verify reported failures"
+  grep -qE "^[1-9][0-9]* verified, 0 failed" "verify$N.log" \
+    || { cat "verify$N.log"; fail "verify reported failures or verified nothing"; }
 
   run query gowalla "snap$N.bin" "$LO" "$HI" "${SH[@]}" >"query$N.log"
   grep -q "^ledger:" "query$N.log" || fail "query printed no fan-out ledger"
@@ -85,15 +85,6 @@ for N in 1 4; do
     || { cat "repeat$N.log"; fail "--repeat=3 reported no latency at N=$N"; }
   [[ "$(matches "repeat$N.log")" == "$(matches "query$N.log")" ]] \
     || fail "--repeat/--query-deadline-ms changed the answer at N=$N"
-  # --repeat=5 scans each probed shard 5 times and no more: the last run
-  # fills the fan-out ledger. On a freshly loaded store the first scan
-  # misses the leaf cache and the other four hit it.
-  run query gowalla "snap$N.bin" "$LO" "$HI" "${SH[@]}" --repeat=5 \
-    >"repeat5_$N.log"
-  probed=$(grep -c '^  shard .*leaf cache hit ratio' "repeat5_$N.log" || true)
-  at_08=$(grep -c 'leaf cache hit ratio 0\.8)' "repeat5_$N.log" || true)
-  [[ "$probed" -gt 0 && "$at_08" == "$probed" ]] \
-    || { cat "repeat5_$N.log"; fail "--repeat=5 did not scan each shard 5 times at N=$N"; }
 
   run recover gowalla "dd$N" "rec$N.bin" "${SH[@]}" >"recover$N.log"
   run query gowalla "rec$N.bin" "$LO" "$HI" "${SH[@]}" >"requery$N.log"

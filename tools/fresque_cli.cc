@@ -546,7 +546,7 @@ int CmdQuery(const std::string& dataset, const std::string& snap_path,
   const index::RangeQuery q{lo, hi};
   std::vector<double> latencies_ms;
   latencies_ms.reserve(opts.repeat);
-  Result<cloud::QueryResult> last = cloud::QueryResult{};
+  Result<query::QueryResult> last = query::QueryResult{};
   // The last run also fills the fan-out ledger printed below.
   shard::FanoutStats stats;
   for (size_t i = 0; i < opts.repeat; ++i) {
@@ -588,8 +588,6 @@ int CmdQuery(const std::string& dataset, const std::string& snap_path,
             << stats.shards_pruned << " pruned by the placement\n";
   for (const auto& s : stats.probed) {
     std::cout << "  shard " << s.shard << " (view epoch " << s.view_epoch
-              << ", leaf cache hit ratio "
-              << srv->shard(s.shard)->leaf_cache().stats().HitRatio()
               << "): " << s.indexed_records << " indexed + "
               << s.overflow_records << " overflow + " << s.unindexed_records
               << " unindexed = " << s.Total() << "\n";
@@ -610,19 +608,20 @@ int CmdVerify(const std::string& dataset, const std::string& snap_path,
   if (!cloud.ok()) return Fail(cloud.status().ToString());
   client::Client client(std::move(*keys), &spec->parser->schema());
 
+  // Every installed publication is verified; one installed without its
+  // evidence fails.
   size_t verified = 0, failed = 0;
   for (size_t i = 0; i < (*cloud)->num_shards(); ++i) {
     const cloud::CloudServer& server = *(*cloud)->shard(i);
-    for (uint64_t pn = 0; pn < server.num_publications() + 8; ++pn) {
-      Status st = client.VerifyPublication(server, pn);
+    for (const auto& pub : server.CurrentView()->publications()) {
+      Status st = client.VerifyPublication(server, pub->pn);
       if (st.ok()) {
         ++verified;
-        std::cout << "shard " << i << " publication " << pn << ": OK\n";
-      } else if (!st.IsNotFound()) {
+      } else {
         ++failed;
-        std::cout << "shard " << i << " publication " << pn << ": "
-                  << st.ToString() << "\n";
       }
+      std::cout << "shard " << i << " publication " << pub->pn << ": "
+                << (st.ok() ? "OK" : st.ToString()) << "\n";
     }
   }
   std::cout << verified << " verified, " << failed << " failed\n";
