@@ -155,33 +155,6 @@ struct DurabilityConfig {
   bool enabled() const { return !data_dir.empty(); }
 };
 
-/// Live observability plane settings (src/obs, DESIGN.md §16). Off
-/// unless `addr` is set; with it, the process serves /metrics, /healthz,
-/// /readyz, /statusz and /flightz over embedded HTTP, runs the
-/// background quantile sampler, and installs the flight-recorder crash
-/// handlers. Plain data: the obs plane itself never depends on engine.
-struct ObsConfig {
-  /// Listen address for the introspection endpoint: "PORT",
-  /// "HOST:PORT" or "HOST" (IPv4 dotted quad or "localhost"; port 0
-  /// picks an ephemeral port). Empty disables the whole plane.
-  std::string addr;
-
-  /// End-to-end latency SLO target in milliseconds; every completed
-  /// record above it increments `slo.e2e_violations`. 0 disables SLO
-  /// accounting.
-  uint64_t slo_e2e_ms = 0;
-
-  /// Flight-recorder ring capacity in events. Must lie in the recorder's
-  /// [64, 1048576] bounds: obs::FlightRecorder::ConfigureGlobalCapacity
-  /// refuses anything else, and fresque_cli rejects it with exit 1.
-  size_t flight_capacity = 4096;
-
-  /// How often the sampler folds quantiles/lag into gauges.
-  uint64_t sample_interval_ms = 1000;
-
-  bool enabled() const { return !addr.empty(); }
-};
-
 }  // namespace engine
 }  // namespace fresque
 

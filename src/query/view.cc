@@ -45,7 +45,6 @@ uint64_t ViewManager::Install(std::shared_ptr<const InstalledPublication> pub) {
   if (!placed) next->pubs_.push_back(std::move(pub));
   next->epoch_ = next_epoch_++;
   FRESQUE_COUNTER_ADD("query.view.installs", 1);
-  FRESQUE_GAUGE_SET("query.view.publications", next->pubs_.size());
   current_ = std::move(next);
   return current_->epoch();
 }

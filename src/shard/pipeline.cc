@@ -233,8 +233,9 @@ ShardedPipelineMetrics ShardedPipeline::Metrics() const {
     ShardMetrics sm;
     sm.shard = i;
     sm.routed = i < m.router.per_shard.size() ? m.router.per_shard[i] : 0;
-    sm.view_epoch = cloud_->shard(i)->view_epoch();
-    sm.publications = cloud_->shard(i)->num_publications();
+    const auto view = cloud_->shard(i)->CurrentView();
+    sm.view_epoch = view->epoch();
+    sm.publications = view->num_publications();
     sm.records = cloud_->shard(i)->total_records();
     sm.randomer_buffer = s->collector->randomer_buffer();
     sm.cloud_inbox_capacity = s->cloud_node->inbox()->capacity();

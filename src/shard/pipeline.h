@@ -58,6 +58,8 @@ struct ShardMetrics {
   size_t ingress_high_watermark = 0;
   size_t ingress_capacity = 0;
   uint64_t view_epoch = 0;
+  /// Publications installed in the shard's query view; the interval the
+  /// cloud holds open is not one of them.
   size_t publications = 0;
   size_t records = 0;
   /// Records the shard's randomer holds per interval

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 
@@ -106,20 +105,12 @@ class Histogram {
   std::atomic<uint64_t> sum_{0};
 };
 
-/// Point-in-time copy of one histogram, with derived statistics.
+/// Point-in-time copy of one histogram.
 struct HistogramSnapshot {
   std::string name;
   uint64_t count = 0;
   uint64_t sum = 0;
   std::array<uint64_t, Histogram::kBucketCount> buckets{};
-
-  double Mean() const {
-    return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
-                     : 0.0;
-  }
-  /// Approximate quantile (q in [0,1]), linearly interpolated inside the
-  /// winning log2 bucket. Good to a factor of 2 by construction.
-  double Quantile(double q) const;
 };
 
 /// Point-in-time copy of the whole registry. Plain values, no locking.
@@ -163,25 +154,8 @@ class Registry {
 /// names are sanitized ("ingest.records_in" -> fresque_ingest_records_in).
 std::string ToPrometheusText(const MetricsSnapshot& snap);
 
-/// JSON export: {"counters":{...},"gauges":{...},"histograms":{name:
-/// {"count":c,"sum":s,"buckets":[[bucket_index,count],...]}}}. Bucket
-/// indexes (not bounds) are emitted so uint64 bounds survive double-less
-/// parsers; ParseMetricsJson reverses this exactly.
-std::string ToJson(const MetricsSnapshot& snap);
-
-/// Parses a ToJson() document back into a snapshot (used by the
-/// `fresque_cli metrics-dump` subcommand and the golden-file tests).
-Result<MetricsSnapshot> ParseMetricsJson(const std::string& text);
-
-/// Generic JSON well-formedness check (full grammar, values discarded);
-/// the trace golden test runs Chrome trace output through this.
-Status ValidateJsonSyntax(const std::string& text);
-
-/// Human-readable table of a snapshot (metrics-dump output).
-std::string FormatMetricsTable(const MetricsSnapshot& snap);
-
-/// Writes the snapshot to `path` atomically (tmp + rename): JSON when the
-/// path ends in ".json", Prometheus text otherwise.
+/// Writes ToPrometheusText(snap), the text `/metrics` serves, to `path`
+/// atomically (tmp + rename).
 Status WriteMetricsFile(const MetricsSnapshot& snap, const std::string& path);
 
 }  // namespace telemetry

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "json_syntax.h"
 #include "net/tcp.h"
 #include "obs/quantiles.h"
 #include "obs/sampler.h"
@@ -139,7 +140,7 @@ TEST(ObsConcurrencyTest, ScrapesStayParseableAndMonotonicUnderLoad) {
     last_ops = ops;
 
     std::string statusz = Body(HttpGet(port, "/statusz"));
-    ASSERT_TRUE(telemetry::ValidateJsonSyntax(statusz).ok()) << statusz;
+    ASSERT_TRUE(ValidateJsonSyntax(statusz).ok()) << statusz;
   }
   for (auto& w : writers) w.join();
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "json_syntax.h"
 #include "net/tcp.h"
 #include "obs/flight_recorder.h"
 #include "obs/http.h"
@@ -269,7 +270,7 @@ TEST(FlightRecorderTest, DumpJsonIsWellFormed) {
   FlightRecorder rec(64);
   rec.Record(FlightCategory::kRecovery, "quote\"and\\slash", 7, 8, 9);
   std::string json = rec.DumpJson();
-  EXPECT_TRUE(telemetry::ValidateJsonSyntax(json).ok()) << json;
+  EXPECT_TRUE(ValidateJsonSyntax(json).ok()) << json;
   EXPECT_NE(json.find("\"recovery\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped\":0"), std::string::npos);
 }
@@ -552,7 +553,7 @@ TEST(ObsServerTest, ServesAllFiveEndpoints) {
   const size_t body_at = statusz.find("\r\n\r\n");
   ASSERT_NE(body_at, std::string::npos);
   std::string body = statusz.substr(body_at + 4);
-  EXPECT_TRUE(telemetry::ValidateJsonSyntax(body).ok()) << body;
+  EXPECT_TRUE(ValidateJsonSyntax(body).ok()) << body;
   EXPECT_NE(body.find("\"view_epoch\":9"), std::string::npos);
   EXPECT_NE(body.find("\"open_publication\":5"), std::string::npos);
   EXPECT_NE(body.find("\"cn0\""), std::string::npos);
@@ -566,8 +567,7 @@ TEST(ObsServerTest, ServesAllFiveEndpoints) {
   std::string flightz = HttpGet(port, "/flightz");
   const size_t fbody_at = flightz.find("\r\n\r\n");
   ASSERT_NE(fbody_at, std::string::npos);
-  EXPECT_TRUE(
-      telemetry::ValidateJsonSyntax(flightz.substr(fbody_at + 4)).ok());
+  EXPECT_TRUE(ValidateJsonSyntax(flightz.substr(fbody_at + 4)).ok());
 
   EXPECT_GE(server.requests(), 6u);
   server.Stop();

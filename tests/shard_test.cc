@@ -572,6 +572,19 @@ TEST(ShardedPipelineTest, CurrentPublicationIsReadableFromAnyThread) {
   EXPECT_LE(last_seen, kPublications);
   EXPECT_EQ(pipe.current_publication(), kPublications);
   ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+
+  // The last Publish() opened an interval that stays empty, so Shutdown()
+  // publishes nothing more: each cloud holds it open, and a shard's
+  // publications row counts only the installed ones.
+  const auto m = pipe.Metrics();
+  ASSERT_EQ(m.shards.size(), 2u);
+  for (const auto& s : m.shards) {
+    const cloud::CloudServer& server = *pipe.cloud()->shard(s.shard);
+    EXPECT_EQ(server.num_publications(), kPublications + 1) << s.shard;
+    EXPECT_EQ(s.publications, server.CurrentView()->num_publications())
+        << s.shard;
+    EXPECT_EQ(s.publications, kPublications) << s.shard;
+  }
 }
 
 TEST(ShardedPipelineTest, IntervalProgressReleasesDummiesBeforeTheBarrier) {

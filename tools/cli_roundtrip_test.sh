@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # fresque_cli round trip, at --shards=1 and --shards=4:
 #   generate -> ingest (durable, admission-capped, metrics dump) ->
-#   metrics-dump -> inspect -> verify -> query -> recover -> query on the
+#   wal-dump -> inspect -> verify -> query -> recover -> query on the
 #   recovered snapshot set.
 #
 # Usage: tools/cli_roundtrip_test.sh <path-to-fresque_cli>
@@ -12,10 +12,11 @@
 # matches, that a repeated query under a deadline returns the same
 # matches and reports its latency, that no command reports an ignored
 # flag, that a bad key hex exits 1, that a flag given to a command that
-# does not read it, an unknown flag, a zero count (flag or
+# does not read it, an unknown or removed flag, a zero count (flag or
 # interval_records) and an out-of-range --flight-capacity exit 1 naming
-# the setting, and that an unsharded (top-level) data dir is refused with
-# a message naming shard-0/.
+# the setting, that a removed command prints the usage, and that an
+# unsharded (top-level) data dir is refused with a message naming
+# shard-0/.
 set -euo pipefail
 
 CLI="${1:?usage: $0 <fresque_cli>}"
@@ -46,21 +47,20 @@ for N in 1 4; do
   SH=(--shards="$N")
   run ingest gowalla lines.txt "snap$N.bin" 1.0 2 5000 "${SH[@]}" \
     --data-dir="dd$N" --fsync=never --snapshot-every=1 --admission-rps=5000 \
-    --metrics-out="m$N.json" >"ingest$N.log"
+    --metrics-out="m$N.prom" >"ingest$N.log"
   grep -q "conservation: $LINES ingested == $LINES routed" "ingest$N.log" \
     || { cat "ingest$N.log"; fail "conservation ledger does not balance"; }
   shed=$(sed -n 's/^admission: \([0-9]*\) line(s) shed.*/\1/p' "ingest$N.log")
   [[ -n "$shed" && "$shed" -gt 0 ]] \
     || { cat "ingest$N.log"; fail "--admission-rps shed nothing at N=$N"; }
-  [[ -s "m$N.json" ]] || fail "--metrics-out wrote no m$N.json"
+  [[ -s "m$N.prom" ]] || fail "--metrics-out wrote no m$N.prom"
   # The pipeline's rows ride every dump, zero counts included.
-  for name in ingest.shed_records collector.parse_errors shard.0.records_in \
-      cloud.records_rejected; do
-    grep -q "\"$name\"" "m$N.json" || fail "metrics dump lacks $name"
+  for name in fresque_ingest_shed_records fresque_collector_parse_errors \
+      fresque_shard_0_records_in fresque_cloud_records_rejected; do
+    grep -q "^$name " "m$N.prom" || fail "metrics dump lacks $name"
   done
-  run metrics-dump "m$N.json" >"mdump$N.log"
-  grep -qE '^  ingest\.records_in +[1-9][0-9]*$' "mdump$N.log" \
-    || { cat "mdump$N.log"; fail "metrics-dump table lacks ingest.records_in"; }
+  grep -qE '^fresque_ingest_records_in [1-9][0-9]*$' "m$N.prom" \
+    || fail "metrics dump has no positive fresque_ingest_records_in"
   for ((i = 0; i < N; i++)); do
     [[ -s "snap$N.bin.shard-$i" ]] || fail "missing snap$N.bin.shard-$i"
     [[ -f "dd$N/shard-$i/MANIFEST" ]] || fail "no MANIFEST in dd$N/shard-$i"
@@ -112,7 +112,7 @@ for cmd in "ingest gowalla lines.txt bad.bin 1.0 2 5000 nothex" \
   grep -q "bad key hex" bad.log || fail "$cmd did not name the bad key"
 done
 
-echo "== flags a command does not read, unknown flags, zero counts, out-of-range values"
+echo "== flags a command does not read, unknown or removed flags and commands, zero counts, out-of-range values"
 # A zero interval used to publish once per line; a few lines keep a
 # regression of that case small.
 head -n 300 lines.txt >few.txt
@@ -128,6 +128,8 @@ query gowalla snap1.bin $LO $HI --data-dir=/nonexistent --admission-rps=5 --obs-
 verify gowalla snap1.bin --metrics-out=mv.json --query-deadline-ms=9|--metrics-out does not apply to \`verify\`
 query gowalla snap1.bin $LO $HI --repeat=0|--repeat wants a positive count
 query gowalla snap1.bin $LO $HI --query-threads=2|unknown flag --query-threads
+ingest gowalla few.txt sw.bin 1.0 2 5000 --shed-watermarks=0.5:0.9|unknown flag --shed-watermarks
+metrics-dump m1.prom|usage:
 ingest gowalla few.txt zero.bin 1.0 2 0|interval_records wants a positive count
 ingest gowalla lines.txt fc.bin 1.0 2 5000 --flight-capacity=10|--flight-capacity wants 64 to 1048576 events
 CASES
@@ -147,4 +149,4 @@ for legacy in MANIFEST wal-0000000001.log; do
   done
 done
 
-echo "OK: round trip at 1 and 4 shards; bad keys, misplaced and unknown flags, zero counts, out-of-range values and legacy layouts refused"
+echo "OK: round trip at 1 and 4 shards; bad keys, misplaced, unknown and removed flags and commands, zero counts, out-of-range values and legacy layouts refused"

@@ -8,7 +8,6 @@
 //   fresque_cli inspect  <snapshot.bin>
 //   fresque_cli wal-dump <data-dir>/shard-<i>
 //   fresque_cli recover  <nasa|gowalla> <data-dir> [snapshot.bin]
-//   fresque_cli metrics-dump <metrics.json>
 //
 // Every command runs one pipeline shape (DESIGN.md §17): a router in
 // front of N collector pipelines, N = --shards (default 1). `ingest` runs
@@ -46,9 +45,8 @@
 // Observability flags (apply to `ingest`, see DESIGN.md §11):
 //   --metrics-out=<file>        dump the metrics registry plus the
 //                               pipeline's rows (docs/METRICS.md), read
-//                               at each dump, periodically and at exit;
-//                               JSON when the path ends in .json,
-//                               Prometheus text exposition otherwise
+//                               at each dump, periodically and at exit,
+//                               as the Prometheus text /metrics serves
 //   --metrics-interval-ms=<n>   dump period (default 1000; must be > 0)
 //
 // Live-observability flags (apply to `ingest`, see DESIGN.md §16):
@@ -77,10 +75,6 @@
 //                               (the whole run admits up to N x rate);
 //                               shed lines are skipped and counted, not
 //                               fatal
-//   --shed-watermarks=<lo>:<hi> queue-fill fractions above which kLow /
-//                               kNormal records are shed (default
-//                               0.50:0.85; requires --admission-rps,
-//                               which enables the gate)
 
 #include <algorithm>
 #include <atomic>
@@ -164,7 +158,6 @@ const std::vector<FlagReaders>& FlagTable() {
       {"--slo-e2e-ms", {"ingest"}},
       {"--flight-capacity", {"ingest"}},
       {"--admission-rps", {"ingest"}},
-      {"--shed-watermarks", {"ingest"}},
       {"--query-deadline-ms", {"query"}},
       {"--repeat", {"query"}},
   };
@@ -223,6 +216,21 @@ int CmdGenerate(const std::string& dataset, size_t count,
 struct TelemetryOptions {
   std::string metrics_out;
   size_t metrics_interval_ms = 1000;
+};
+
+/// Live observability plane options (src/obs, DESIGN.md §16). Off unless
+/// `addr` is set; with it, `ingest` serves /metrics, /healthz, /readyz,
+/// /statusz and /flightz and runs the background quantile sampler.
+struct ObsCliOptions {
+  /// --obs-addr: "PORT", "HOST:PORT" or "HOST" (port 0 = ephemeral).
+  std::string addr;
+  /// --slo-e2e-ms: samples above it burn `slo.e2e_violations` (0 = off).
+  uint64_t slo_e2e_ms = 0;
+  /// --flight-capacity: flight-recorder ring size in events; main()
+  /// rejects a value outside the recorder's [64, 1048576] bounds.
+  size_t flight_capacity = 4096;
+
+  bool enabled() const { return !addr.empty(); }
 };
 
 /// Appends a live source's rows to a registry snapshot.
@@ -317,7 +325,7 @@ Result<std::unique_ptr<shard::ShardedCloudServer>> LoadSnapshotSet(
 int CmdIngest(const std::string& dataset, const std::string& in_path,
               const std::string& snap_path, size_t interval,
               const std::string& key_hex, shard::ShardedPipelineConfig cfg,
-              const TelemetryOptions& tel, const engine::ObsConfig& obs) {
+              const TelemetryOptions& tel, const ObsCliOptions& obs) {
   auto spec = SpecByName(dataset);
   if (!spec.ok()) return Fail(spec.status().ToString());
   auto keys = KeysFromHex(key_hex);
@@ -387,7 +395,6 @@ int CmdIngest(const std::string& dataset, const std::string& in_path,
     obs::ObsServerOptions oopts;
     oopts.host = parsed->first;
     oopts.port = parsed->second;
-    oopts.sample_interval_ms = obs.sample_interval_ms;
     oopts.ready_source = [&obs_ready] {
       return obs_ready.load(std::memory_order_relaxed);
     };
@@ -762,22 +769,6 @@ int CmdRecover(const std::string& dataset, const std::string& data_dir,
   return 0;
 }
 
-int CmdMetricsDump(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Fail("cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    auto snap = telemetry::ParseMetricsJson(text);
-    if (!snap.ok()) return Fail(snap.status().ToString());
-    std::cout << telemetry::FormatMetricsTable(*snap);
-  } else {
-    // Prometheus text is already human-readable; echo it through.
-    std::cout << text;
-  }
-  return 0;
-}
-
 int Usage() {
   std::cerr
       << "usage:\n"
@@ -789,8 +780,7 @@ int Usage() {
       << "      [--data-dir=<dir>] [--fsync=always|interval[:<ms>]|never]"
          " [--snapshot-every=<n>]\n"
       << "      [--metrics-out=<file>] [--metrics-interval-ms=<n>]\n"
-      << "      [--admission-rps=<rate per shard>]"
-         " [--shed-watermarks=<low>:<high>]\n"
+      << "      [--admission-rps=<rate per shard>]\n"
       << "      [--obs-addr=<[host:]port>] [--slo-e2e-ms=<n>]"
          " [--flight-capacity=<64..1048576>]\n"
       << "      writes <snapshot.bin>.shard-<i>; --data-dir keeps shard i"
@@ -807,7 +797,6 @@ int Usage() {
       << "  fresque_cli wal-dump <data-dir>/shard-<i>\n"
       << "  fresque_cli recover <nasa|gowalla> <data-dir> [snapshot.bin]"
          " [--shards=<n>] [--shard-by=range|hash]\n"
-      << "  fresque_cli metrics-dump <metrics.json|metrics.prom>\n"
       << "  a flag given to a command that does not read it is an error\n";
   return 1;
 }
@@ -821,8 +810,7 @@ int main(int argc, char** argv) {
   // verify and recover.
   fresque::shard::ShardedPipelineConfig cfg;
   fresque::engine::AdmissionConfig& admission = cfg.collector.admission;
-  bool shed_watermarks_set = false;
-  fresque::engine::ObsConfig obs;
+  ObsCliOptions obs;
   TelemetryOptions tel;
   QueryCliOptions qopts;
   for (int i = 1; i < argc; ++i) {
@@ -884,18 +872,6 @@ int main(int argc, char** argv) {
         return Fail("--admission-rps wants a positive rate");
       }
       admission.enabled = true;
-    } else if (arg.rfind("--shed-watermarks=", 0) == 0) {
-      const std::string pair = arg.substr(18);
-      const size_t colon = pair.find(':');
-      try {
-        if (colon == std::string::npos) throw std::invalid_argument(pair);
-        admission.shed_low_watermark = std::stod(pair.substr(0, colon));
-        admission.shed_high_watermark = std::stod(pair.substr(colon + 1));
-      } catch (const std::exception&) {
-        return Fail("bad --shed-watermarks value (want <low>:<high>): " +
-                    pair);
-      }
-      shed_watermarks_set = true;
     } else {
       return Fail("unknown flag " + arg);
     }
@@ -907,10 +883,6 @@ int main(int argc, char** argv) {
     if (Status st = CheckFlagApplies(flag, cmd); !st.ok()) {
       return Fail(st.message());
     }
-  }
-  if (shed_watermarks_set && !admission.enabled) {
-    return Fail("--shed-watermarks needs --admission-rps (the rate cap is"
-                " what enables the admission gate)");
   }
   try {
     if (cmd == "generate" && args.size() == 4) {
@@ -928,9 +900,6 @@ int main(int argc, char** argv) {
     }
     if (cmd == "wal-dump" && args.size() == 2) {
       return CmdWalDump(args[1]);
-    }
-    if (cmd == "metrics-dump" && args.size() == 2) {
-      return CmdMetricsDump(args[1]);
     }
     if (cmd == "recover" && (args.size() == 3 || args.size() == 4)) {
       return CmdRecover(args[1], args[2], args.size() == 4 ? args[3] : "",
