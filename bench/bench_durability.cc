@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// A signed publication payload with one empty overflow slot per leaf.
 fresque::Bytes PublicationPayload(size_t num_leaves) {
   auto layout = fresque::index::IndexLayout::Create(num_leaves, 4);
   auto binning = fresque::index::DomainBinning::Create(
@@ -47,8 +50,14 @@ fresque::Bytes PublicationPayload(size_t num_leaves) {
       std::move(layout).ValueOrDie(), std::move(binning).ValueOrDie(),
       counts);
   fresque::index::OverflowArrays ovf(num_leaves, 1);
-  return fresque::net::EncodeIndexPublication(fresque::net::IndexPublication(
-      std::move(idx).ValueOrDie(), std::move(ovf)));
+  return fresque::net::EncodeSignedIndexPublication(
+             fresque::net::IndexPublication(std::move(idx).ValueOrDie(),
+                                            std::move(ovf)),
+             fresque::Bytes(32, 0x4B), 0,
+             [](uint8_t*, std::span<const size_t>) {
+               return fresque::Status::OK();
+             })
+      .ValueOrDie();
 }
 
 struct AppendResult {
@@ -186,9 +195,10 @@ std::vector<SnapshotResult> BenchSnapshots(int snapshots,
         (void)server.IngestRecord(pn, leaf, record);
         (void)(*wal)->AppendRecord(pn, leaf, record);
       }
-      auto pub = fresque::net::DecodeIndexPublication(payload);
-      if (!pub.ok() ||
-          !server.PublishIndexed(pn, std::move(*pub), payload).ok()) {
+      if (!server
+               .PublishIndexed(pn,
+                               std::make_shared<const fresque::Bytes>(payload))
+               .ok()) {
         std::exit(1);
       }
       (void)(*wal)->AppendInstall(pn, payload);

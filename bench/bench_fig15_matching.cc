@@ -8,6 +8,9 @@
 // never re-reading records: the `<leaf, address>` metadata is grouped
 // during ingestion.
 
+#include <memory>
+#include <span>
+
 #include "bench/bench_util.h"
 #include "bench/drivers.h"
 #include "crypto/chacha20.h"
@@ -38,7 +41,15 @@ MatchingTimes TimeMatching(const fresque::record::DatasetSpec& spec,
   auto layout = fresque::index::IndexLayout::Create(leaves, 16);
   fresque::index::HistogramIndex index(std::move(layout).ValueOrDie(),
                                        binning);
-  fresque::index::OverflowArrays overflow(leaves, 1);
+  // One signed payload, installed by both stores; matching_millis leaves
+  // out its decode.
+  auto publication = fresque::net::EncodeSignedIndexPublication(
+      fresque::net::IndexPublication(std::move(index),
+                                     fresque::index::OverflowArrays(leaves, 1)),
+      Bytes(32, 0x4B), 0,
+      [](uint8_t*, std::span<const size_t>) { return fresque::Status::OK(); });
+  const auto signed_payload =
+      std::make_shared<const Bytes>(std::move(publication).ValueOrDie());
 
   MatchingTimes out;
 
@@ -51,8 +62,7 @@ MatchingTimes TimeMatching(const fresque::record::DatasetSpec& spec,
       (void)server.IngestRecord(0, static_cast<uint32_t>(i % leaves),
                                 payload);
     }
-    auto stats = server.PublishIndexed(
-        0, fresque::net::IndexPublication(index, overflow));
+    auto stats = server.PublishIndexed(0, signed_payload);
     out.fresque_ms = stats.ok() ? stats->matching_millis : -1;
   }
 
@@ -68,8 +78,7 @@ MatchingTimes TimeMatching(const fresque::record::DatasetSpec& spec,
       (void)table.Add(tag, static_cast<uint32_t>(i % leaves));
       (void)server.IngestTagged(0, tag, payload);
     }
-    auto stats = server.PublishWithMatchingTable(
-        0, fresque::net::IndexPublication(index, overflow), table);
+    auto stats = server.PublishWithMatchingTable(0, signed_payload, table);
     out.ppp_ms = stats.ok() ? stats->matching_millis : -1;
   }
   return out;

@@ -61,9 +61,49 @@ Status CloudServer::IngestTagged(uint64_t pn, uint64_t tag,
   return Status::OK();
 }
 
+Result<MatchingStats> CloudServer::PublishIndexed(
+    uint64_t pn, std::shared_ptr<const Bytes> payload) {
+  return Publish(pn, std::move(payload), nullptr);
+}
+
+Result<MatchingStats> CloudServer::PublishIndexed(
+    uint64_t pn, net::IndexPublication publication, Bytes raw_payload) {
+  // fresque-lint: allow(hot-alloc) one buffer per publication install
+  auto payload = std::make_shared<const Bytes>(std::move(raw_payload));
+  // Outside the lock: the copy is compared byte for byte with the bytes
+  // `publication` reads from before it replaces them.
+  FRESQUE_RETURN_NOT_OK(publication.overflow.Rebase(payload));
+  return InstallPublication(pn, std::move(publication), nullptr,
+                            std::move(payload));
+}
+
+Result<MatchingStats> CloudServer::PublishWithMatchingTable(
+    uint64_t pn, std::shared_ptr<const Bytes> payload,
+    const index::MatchingTable& table) {
+  return Publish(pn, std::move(payload), &table);
+}
+
+Result<MatchingStats> CloudServer::Publish(
+    uint64_t pn, std::shared_ptr<const Bytes> payload,
+    const index::MatchingTable* table) {
+  // Outside the lock: the overflow arrays are indexed in place, no slot
+  // is copied.
+  auto publication = net::DecodeSharedIndexPublication(payload);
+  if (!publication.ok()) return publication.status();
+  return InstallPublication(pn, std::move(*publication), table,
+                            std::move(payload));
+}
+
 Result<MatchingStats> CloudServer::InstallPublication(
-    uint64_t pn, Publication* pub, net::IndexPublication publication,
+    uint64_t pn, net::IndexPublication publication,
     const index::MatchingTable* table, std::shared_ptr<const Bytes> payload) {
+  MutexLock lock(mu_);
+  auto found = Find(pn);
+  if (!found.ok()) return found.status();
+  Publication* pub = *found;
+  if (pub->published()) {
+    return Status::FailedPrecondition("publication already published");
+  }
   Stopwatch watch(clock_);
   const size_t num_leaves = publication.index.layout().num_leaves();
   // fresque-lint: allow(hot-alloc) install runs once per publication epoch, not per record
@@ -114,46 +154,6 @@ Result<MatchingStats> CloudServer::InstallPublication(
 
   stats.matching_millis = watch.ElapsedMillis();
   return stats;
-}
-
-Result<MatchingStats> CloudServer::PublishIndexed(
-    uint64_t pn, net::IndexPublication publication, Bytes raw_payload) {
-  std::shared_ptr<const Bytes> payload;
-  if (!raw_payload.empty()) {
-    // fresque-lint: allow(hot-alloc) one buffer per publication install
-    payload = std::make_shared<const Bytes>(std::move(raw_payload));
-  }
-  return PublishIndexed(pn, std::move(publication), std::move(payload));
-}
-
-Result<MatchingStats> CloudServer::PublishIndexed(
-    uint64_t pn, net::IndexPublication publication,
-    std::shared_ptr<const Bytes> payload) {
-  return Publish(pn, std::move(publication), nullptr, std::move(payload));
-}
-
-Result<MatchingStats> CloudServer::PublishWithMatchingTable(
-    uint64_t pn, net::IndexPublication publication,
-    const index::MatchingTable& table, std::shared_ptr<const Bytes> payload) {
-  return Publish(pn, std::move(publication), &table, std::move(payload));
-}
-
-Result<MatchingStats> CloudServer::Publish(
-    uint64_t pn, net::IndexPublication publication,
-    const index::MatchingTable* table, std::shared_ptr<const Bytes> payload) {
-  // Outside the lock: a payload that is a copy of the decoded one is
-  // compared byte for byte before it replaces it.
-  if (payload != nullptr) {
-    FRESQUE_RETURN_NOT_OK(publication.overflow.Rebase(payload));
-  }
-  MutexLock lock(mu_);
-  auto pub = Find(pn);
-  if (!pub.ok()) return pub.status();
-  if ((*pub)->published()) {
-    return Status::FailedPrecondition("publication already published");
-  }
-  return InstallPublication(pn, *pub, std::move(publication), table,
-                            std::move(payload));
 }
 
 Result<query::QueryResult> CloudServer::ExecuteQuery(
@@ -211,10 +211,6 @@ Result<Bytes> CloudServer::PublicationEvidence(uint64_t pn) const {
   if (pub == nullptr) {
     return Status::NotFound("publication " + std::to_string(pn) +
                             " is not installed");
-  }
-  if (pub->evidence == nullptr) {
-    return Status::FailedPrecondition("publication " + std::to_string(pn) +
-                                      " was installed without its evidence");
   }
   return *pub->evidence;
 }

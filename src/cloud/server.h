@@ -80,42 +80,39 @@ class CloudServer {
   Status IngestTagged(uint64_t pn, uint64_t tag, const Bytes& e_record)
       FRESQUE_EXCLUDES(mu_);
 
-  /// FRESQUE publication: associates cached metadata with the index
-  /// leaves, installs index + overflow arrays, destroys the metadata.
-  /// `raw_payload`, when provided, is the verbatim payload `publication`
-  /// was decoded from (net::DecodeIndexPublication). It is moved into one
-  /// shared, immutable buffer that is both the integrity evidence clients
-  /// verify and the store the installed overflow arrays read from; the
-  /// decoded copy is released. InvalidArgument when `publication` was
-  /// not decoded from those bytes.
+  /// FRESQUE publication: decodes `payload` (an encoded
+  /// net::IndexPublication), associates cached metadata with the index
+  /// leaves, installs index + overflow arrays, destroys the metadata. The
+  /// payload becomes the publication's one shared, immutable buffer: the
+  /// integrity evidence clients verify and the store the installed
+  /// overflow arrays read from, with no copy. The decode runs outside the
+  /// server lock. InvalidArgument for a null payload, Corruption for a
+  /// malformed one.
   Result<MatchingStats> PublishIndexed(uint64_t pn,
-                                       net::IndexPublication publication,
-                                       Bytes raw_payload = {})
-      FRESQUE_EXCLUDES(mu_);
-
-  /// PublishIndexed for a publication decoded in place from `payload`
-  /// (net::DecodeSharedIndexPublication): the payload becomes the
-  /// publication's one buffer with no copy. Null `payload` installs
-  /// without evidence.
-  Result<MatchingStats> PublishIndexed(uint64_t pn,
-                                       net::IndexPublication publication,
                                        std::shared_ptr<const Bytes> payload)
       FRESQUE_EXCLUDES(mu_);
 
-  /// PINED-RQ++ publication: re-reads every stored record of the
+  /// PublishIndexed for `publication` already decoded from a copy of
+  /// `raw_payload` (net::DecodeIndexPublication): `raw_payload` is moved
+  /// into the publication's buffer and the decoded copy is released.
+  /// InvalidArgument when `publication` was not decoded from those bytes.
+  Result<MatchingStats> PublishIndexed(uint64_t pn,
+                                       net::IndexPublication publication,
+                                       Bytes raw_payload)
+      FRESQUE_EXCLUDES(mu_);
+
+  /// PINED-RQ++ publication: decodes and keeps `payload` as
+  /// PublishIndexed does, then re-reads every stored record of the
   /// publication from storage and joins its tag against the matching
-  /// table to rebuild leaf pointers. `payload` is kept as in the shared
-  /// PublishIndexed.
+  /// table to rebuild leaf pointers.
   Result<MatchingStats> PublishWithMatchingTable(
-      uint64_t pn, net::IndexPublication publication,
-      const index::MatchingTable& table,
-      std::shared_ptr<const Bytes> payload = nullptr) FRESQUE_EXCLUDES(mu_);
+      uint64_t pn, std::shared_ptr<const Bytes> payload,
+      const index::MatchingTable& table) FRESQUE_EXCLUDES(mu_);
 
   /// The verbatim publication payload as received from the collector
   /// (index + overflow + tag); what an auditor would fetch to verify the
   /// publication was not tampered with. NotFound if `pn` is not
-  /// installed; FailedPrecondition if it was installed without its
-  /// payload, so an auditor cannot pass it.
+  /// installed.
   Result<Bytes> PublicationEvidence(uint64_t pn) const FRESQUE_EXCLUDES(mu_);
 
   /// Visits every stored e-record of publication `pn` in ingest order
@@ -175,7 +172,9 @@ class CloudServer {
   /// in pn order, as they stand at one instant under the server lock.
   /// Only the open publications are encoded here; at a publication
   /// install they hold no more than the next interval's first records.
-  std::vector<SnapshotEntry> CutSnapshot(
+  /// FailedPrecondition when a picked publication holds PINED-RQ++ tagged
+  /// records, which the snapshot format does not store.
+  Result<std::vector<SnapshotEntry>> CutSnapshot(
       const PublicationFilter& which = {}) const FRESQUE_EXCLUDES(mu_);
 
   /// Encodes `entries` as one snapshot file (the format in snapshot.cc).
@@ -183,11 +182,12 @@ class CloudServer {
   /// runs on any thread while the server goes on ingesting.
   Bytes EncodeSnapshot(std::span<const SnapshotEntry> entries) const;
 
-  /// Persists server state (ciphertext segments, postings, indexes,
-  /// overflow arrays, metadata of open publications) to one snapshot file,
-  /// so the cloud survives restarts. Writes every publication, or only
-  /// those `which` picks when it is set. Holds the server lock only for
-  /// the cut, not while it encodes and writes the file.
+  /// Persists server state (ciphertext segments, postings, publication
+  /// payloads, metadata of open publications) to one snapshot file, so
+  /// the cloud survives restarts. Writes every publication, or only those
+  /// `which` picks when it is set; fails as CutSnapshot does. Holds the
+  /// server lock only for the cut, not while it encodes and writes the
+  /// file.
   Status SaveSnapshot(const std::string& path,
                       const PublicationFilter& which = {}) const
       FRESQUE_EXCLUDES(mu_);
@@ -237,18 +237,17 @@ class CloudServer {
   static Status LoadSnapshotFile(const std::string& path,
                                  std::unique_ptr<CloudServer>* into);
 
-  /// Shared by the publish calls once `publication`'s overflow arrays
-  /// read from `payload` (or it has none).
+  /// Decodes `payload` and installs it (the shared publish calls).
   Result<MatchingStats> Publish(uint64_t pn,
-                                net::IndexPublication publication,
-                                const index::MatchingTable* table,
-                                std::shared_ptr<const Bytes> payload)
+                                std::shared_ptr<const Bytes> payload,
+                                const index::MatchingTable* table)
       FRESQUE_EXCLUDES(mu_);
 
+  /// Installs `publication`, whose overflow arrays read from `payload`.
   Result<MatchingStats> InstallPublication(
-      uint64_t pn, Publication* pub, net::IndexPublication publication,
+      uint64_t pn, net::IndexPublication publication,
       const index::MatchingTable* table, std::shared_ptr<const Bytes> payload)
-      FRESQUE_REQUIRES(mu_);
+      FRESQUE_EXCLUDES(mu_);
 
   index::DomainBinning binning_;
   const Clock* clock_;

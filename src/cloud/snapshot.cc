@@ -2,25 +2,21 @@
 // every publication, or of a chosen subset; a server loads from one file
 // or from several that hold disjoint publications. Format (little-endian,
 // length-prefixed):
-//   magic "FQSNAP02"
+//   magic "FQSNAP03"
 //   binning: f64 dmin, f64 dmax, f64 width
 //   u64 publication count, then per publication:
-//     u64 pn, u8 published
+//     u64 pn, u8 installed
 //     bytes storage snapshot
-//     open state:    u64 metadata groups { u32 leaf, u64 n, n addresses }
-//                    u64 tagged count { u64 tag, address }
-//     published state: bytes index, bytes overflow, bytes evidence,
-//                      u64 leaves { u64 n, n addresses }
+//     open:      u64 metadata groups { u32 leaf, u64 n, n addresses }
+//     installed: bytes payload, u64 leaves { u64 n, n addresses }
 // Addresses encode as u32 segment, u32 offset, u32 length.
 //
-// A published entry with evidence stores its index and overflow twice,
-// alone and inside the evidence. Loading checks that the two agree, so
-// queries never serve overflow bytes the evidence does not cover, and then
-// keeps only the evidence: the restored overflow arrays read from it, as a
-// live install's do. An entry without evidence (a publication installed
-// without its payload) keeps its stored overflow bytes as the arrays'
-// buffer, and PublicationEvidence reports it FailedPrecondition, so an
-// audit of it fails.
+// An installed entry stores its publication's payload (index + overflow
+// arrays + tag, net::IndexPublication) once, and loading decodes it the
+// way a live install does: the restored overflow arrays read from it and
+// it is the publication's evidence. An open entry holds FRESQUE's
+// leaf-keyed metadata; PINED-RQ++ tagged records have no place in the
+// format, so a cut of a publication holding them fails.
 
 #include <algorithm>
 #include <fstream>
@@ -36,53 +32,12 @@ namespace cloud {
 
 namespace {
 
-constexpr char kMagic[8] = {'F', 'Q', 'S', 'N', 'A', 'P', '0', '2'};
+constexpr char kMagic[8] = {'F', 'Q', 'S', 'N', 'A', 'P', '0', '3'};
 
 void PutAddress(BinaryWriter* w, const PhysicalAddress& a) {
   w->PutU32(a.segment);
   w->PutU32(a.offset);
   w->PutU32(a.length);
-}
-
-bool SameBytes(std::span<const uint8_t> a, std::span<const uint8_t> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
-/// An installed publication's index, overflow arrays and evidence, as
-/// LoadSnapshotFile rebuilds them from one published entry.
-struct Restored {
-  net::IndexPublication pub;
-  std::shared_ptr<const Bytes> evidence;
-};
-
-Result<Restored> RestorePublication(uint64_t pn,
-                                    std::span<const uint8_t> index_bytes,
-                                    std::span<const uint8_t> overflow_bytes,
-                                    std::span<const uint8_t> evidence) {
-  if (evidence.empty()) {
-    auto idx = index::HistogramIndex::Deserialize(
-        Bytes(index_bytes.begin(), index_bytes.end()));
-    if (!idx.ok()) return idx.status();
-    auto buffer = std::make_shared<const Bytes>(overflow_bytes.begin(),
-                                                overflow_bytes.end());
-    auto ovf = index::OverflowArrays::View(buffer, 0, buffer->size());
-    if (!ovf.ok()) return ovf.status();
-    return Restored{net::IndexPublication(std::move(idx).ValueOrDie(),
-                                          std::move(ovf).ValueOrDie()),
-                    nullptr};
-  }
-  auto buffer = std::make_shared<const Bytes>(evidence.begin(), evidence.end());
-  auto seg = net::SplitIndexPublication(*buffer);
-  if (!seg.ok()) return seg.status();
-  if (!SameBytes(seg->index, index_bytes) ||
-      !SameBytes(seg->overflow, overflow_bytes)) {
-    return Status::Corruption("snapshot publication " + std::to_string(pn) +
-                              ": stored index or overflow differs from its "
-                              "evidence");
-  }
-  auto pub = net::DecodeSharedIndexPublication(buffer);
-  if (!pub.ok()) return pub.status();
-  return Restored{std::move(pub).ValueOrDie(), std::move(buffer)};
 }
 
 Result<PhysicalAddress> GetAddress(BinaryReader* r) {
@@ -101,20 +56,24 @@ Result<PhysicalAddress> GetAddress(BinaryReader* r) {
 
 }  // namespace
 
-std::vector<CloudServer::SnapshotEntry> CloudServer::CutSnapshot(
+Result<std::vector<CloudServer::SnapshotEntry>> CloudServer::CutSnapshot(
     const PublicationFilter& which) const {
   std::vector<SnapshotEntry> cut;
   MutexLock lock(mu_);
   for (const auto& [pn, pub] : publications_) {
     if (which && !which(pn, pub.published())) continue;
+    if (!pub.tagged.empty()) {
+      return Status::FailedPrecondition(
+          "publication " + std::to_string(pn) +
+          " holds PINED-RQ++ tagged records, which a snapshot cannot store");
+    }
     SnapshotEntry& entry = cut.emplace_back();
     entry.pn = pn;
     if (pub.published()) {
       entry.installed = pub.installed;
       continue;
     }
-    size_t size = 8 + 1 + 4 + pub.storage.SerializedSize() + 8 + 8 +
-                  20 * pub.tagged.size();
+    size_t size = 8 + 1 + 4 + pub.storage.SerializedSize() + 8;
     for (const auto& group : pub.metadata) size += 12 + 12 * group.second.size();
     BinaryWriter w;
     w.Reserve(size);
@@ -128,11 +87,6 @@ std::vector<CloudServer::SnapshotEntry> CloudServer::CutSnapshot(
       w.PutU64(addrs.size());
       for (const auto& a : addrs) PutAddress(&w, a);
     }
-    w.PutU64(pub.tagged.size());
-    for (const auto& [tag, addr] : pub.tagged) {
-      w.PutU64(tag);
-      PutAddress(&w, addr);
-    }
     entry.open = w.Release();
   }
   return cut;
@@ -140,7 +94,6 @@ std::vector<CloudServer::SnapshotEntry> CloudServer::CutSnapshot(
 
 Bytes CloudServer::EncodeSnapshot(std::span<const SnapshotEntry> entries) const {
   // Sized exactly up front, so the buffer is never copied while it grows.
-  std::vector<Bytes> indexes;
   size_t size = sizeof(kMagic) + 3 * 8 + 8;
   for (const SnapshotEntry& entry : entries) {
     if (entry.installed == nullptr) {
@@ -148,10 +101,8 @@ Bytes CloudServer::EncodeSnapshot(std::span<const SnapshotEntry> entries) const 
       continue;
     }
     const query::InstalledPublication& inst = *entry.installed;
-    indexes.push_back(inst.index.Serialize());
     size += 8 + 1 + 4 + inst.storage.SerializedSize() + 4 +
-            indexes.back().size() + 4 + inst.overflow.SerializedSize() + 4 +
-            (inst.evidence != nullptr ? inst.evidence->size() : 0) + 8;
+            inst.evidence->size() + 8;
     for (const auto& posting : inst.postings) size += 8 + 12 * posting.size();
   }
 
@@ -162,7 +113,6 @@ Bytes CloudServer::EncodeSnapshot(std::span<const SnapshotEntry> entries) const 
   w.PutF64(binning_.domain_max());
   w.PutF64(binning_.bin_width());
   w.PutU64(entries.size());
-  size_t next_index = 0;
   for (const SnapshotEntry& entry : entries) {
     if (entry.installed == nullptr) {
       w.PutRaw(entry.open);
@@ -173,14 +123,7 @@ Bytes CloudServer::EncodeSnapshot(std::span<const SnapshotEntry> entries) const 
     w.PutU8(1);
     w.PutU32(static_cast<uint32_t>(inst.storage.SerializedSize()));
     inst.storage.SerializeTo(&w);
-    w.PutBytes(indexes[next_index++]);
-    w.PutU32(static_cast<uint32_t>(inst.overflow.SerializedSize()));
-    inst.overflow.SerializeTo(&w);
-    if (inst.evidence != nullptr) {
-      w.PutBytes(*inst.evidence);
-    } else {
-      w.PutBytes(Bytes{});
-    }
+    w.PutBytes(*inst.evidence);
     w.PutU64(inst.postings.size());
     for (const auto& posting : inst.postings) {
       w.PutU64(posting.size());
@@ -192,7 +135,9 @@ Bytes CloudServer::EncodeSnapshot(std::span<const SnapshotEntry> entries) const 
 
 Status CloudServer::SaveSnapshot(const std::string& path,
                                  const PublicationFilter& which) const {
-  const Bytes data = EncodeSnapshot(CutSnapshot(which));
+  auto cut = CutSnapshot(which);
+  if (!cut.ok()) return cut.status();
+  const Bytes data = EncodeSnapshot(*cut);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot open " + path + " for write");
   out.write(reinterpret_cast<const char*>(data.data()),
@@ -303,34 +248,18 @@ Status CloudServer::LoadSnapshotFile(const std::string& path,
           addrs.push_back(*a);
         }
       }
-      auto tagged = r.GetU64();
-      if (!tagged.ok()) return Status::Corruption("truncated tagged list");
-      if (*tagged > r.remaining() / 20) {  // tag + address per entry
-        return Status::Corruption("snapshot tagged count implausible");
-      }
-      for (uint64_t j = 0; j < *tagged; ++j) {
-        auto tag = r.GetU64();
-        auto a = GetAddress(&r);
-        if (!tag.ok() || !a.ok()) {
-          return Status::Corruption("truncated tagged entry");
-        }
-        if (!pub.storage.Contains(*a)) {
-          return Status::Corruption("snapshot tagged address unbacked");
-        }
-        pub.tagged.emplace_back(*tag, *a);
-      }
     } else {
-      auto index_bytes = r.GetBytesView();
-      auto overflow_bytes = r.GetBytesView();
-      auto evidence = r.GetBytesView();
+      auto payload = r.GetBytesView();
       auto leaves = r.GetU64();
-      if (!index_bytes.ok() || !overflow_bytes.ok() || !evidence.ok() ||
-          !leaves.ok()) {
-        return Status::Corruption("truncated published state");
+      if (!payload.ok() || !leaves.ok()) {
+        return Status::Corruption("truncated installed state");
       }
-      auto restored = RestorePublication(*pn, *index_bytes, *overflow_bytes,
-                                         *evidence);
-      if (!restored.ok()) return restored.status();
+      // The payload becomes the publication's one buffer, decoded as a
+      // live install decodes it.
+      auto buffer =
+          std::make_shared<const Bytes>(payload->begin(), payload->end());
+      auto decoded = net::DecodeSharedIndexPublication(buffer);
+      if (!decoded.ok()) return decoded.status();
       if (*leaves > r.remaining() / 8) {  // one count per leaf
         return Status::Corruption("snapshot leaf count implausible");
       }
@@ -354,9 +283,9 @@ Status CloudServer::LoadSnapshotFile(const std::string& path,
       // Re-freeze the publication and publish the view, so a restored
       // store serves lock-free queries exactly like a live one.
       pub.installed = std::make_shared<const query::InstalledPublication>(
-          *pn, std::move(*storage), std::move(restored->pub.index),
-          std::move(restored->pub.overflow), std::move(postings),
-          std::move(restored->evidence));
+          *pn, std::move(*storage), std::move(decoded->index),
+          std::move(decoded->overflow), std::move(postings),
+          std::move(buffer));
       server->views_.Install(pub.installed);
     }
     server->publications_.emplace(*pn, std::move(pub));

@@ -164,27 +164,6 @@ class BoundedQueue {
     return accepted;
   }
 
-  /// Non-blocking push. Returns false if full (back-pressure) or closed.
-  FRESQUE_HOT bool TryPush(T item) FRESQUE_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      if (closed_) {
-        ++rejected_closed_;
-        return false;
-      }
-      if (items_.size() >= capacity_) {
-        ++rejected_full_;
-        return false;
-      }
-      items_.push_back(std::move(item));
-      StampPushLocked();
-      ++enqueued_;
-      if (items_.size() > high_water_) high_water_ = items_.size();
-    }
-    not_empty_.NotifyOne();
-    return true;
-  }
-
   /// Blocks while empty. Returns nullopt once closed and drained.
   FRESQUE_HOT std::optional<T> Pop() FRESQUE_EXCLUDES(mu_) {
     std::optional<T> item;
@@ -268,19 +247,6 @@ class BoundedQueue {
   uint64_t enqueued() const FRESQUE_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return enqueued_;
-  }
-
-  /// Pushes that failed for any reason (back-pressure or shutdown).
-  uint64_t rejected() const FRESQUE_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return rejected_full_ + rejected_closed_;
-  }
-
-  /// TryPush calls that failed because the queue was full — genuine
-  /// back-pressure: the consumer is the bottleneck.
-  uint64_t rejected_full() const FRESQUE_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return rejected_full_;
   }
 
   /// Pushes that failed because the queue was closed — expected during
@@ -369,7 +335,6 @@ class BoundedQueue {
   std::function<void(int64_t)> wait_hook_ FRESQUE_GUARDED_BY(mu_);
   uint64_t stamp_round_robin_ FRESQUE_GUARDED_BY(mu_) = 0;
   uint64_t enqueued_ FRESQUE_GUARDED_BY(mu_) = 0;
-  uint64_t rejected_full_ FRESQUE_GUARDED_BY(mu_) = 0;
   uint64_t rejected_closed_ FRESQUE_GUARDED_BY(mu_) = 0;
   size_t high_water_ FRESQUE_GUARDED_BY(mu_) = 0;
   bool closed_ FRESQUE_GUARDED_BY(mu_) = false;

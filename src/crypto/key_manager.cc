@@ -30,10 +30,6 @@ Bytes KeyManager::RecordKey(uint64_t publication_number) const {
   return Derive("record", publication_number);
 }
 
-Bytes KeyManager::OverflowKey(uint64_t publication_number) const {
-  return Derive("overflow", publication_number);
-}
-
 Bytes KeyManager::IndexMacKey(uint64_t publication_number) const {
   return Derive("index-mac", publication_number);
 }

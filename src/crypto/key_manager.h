@@ -34,9 +34,6 @@ class KeyManager {
   /// AES key used to encrypt records of publication `publication_number`.
   Bytes RecordKey(uint64_t publication_number) const;
 
-  /// AES key used to encrypt overflow-array slots of a publication.
-  Bytes OverflowKey(uint64_t publication_number) const;
-
   /// MAC key for tagging published index payloads of a publication.
   Bytes IndexMacKey(uint64_t publication_number) const;
 

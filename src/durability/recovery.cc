@@ -7,7 +7,6 @@
 
 #include "durability/snapshot_manager.h"
 #include "index/binning.h"
-#include "net/payloads.h"
 #include "obs/flight.h"
 
 namespace fresque {
@@ -76,12 +75,9 @@ Result<RecoveredCloud> RecoveryManager::Recover(const std::string& dir,
         if (!ins.ok()) return ins.status();
         // The frame's publication becomes the installed publication's one
         // buffer, as the live cloud node's payload does.
-        auto payload =
-            std::make_shared<const Bytes>(std::move(ins->publication));
-        auto pub = net::DecodeSharedIndexPublication(payload);
-        if (!pub.ok()) return pub.status();
-        auto stats = server->PublishIndexed(ins->pn, std::move(*pub),
-                                            std::move(payload));
+        auto stats = server->PublishIndexed(
+            ins->pn,
+            std::make_shared<const Bytes>(std::move(ins->publication)));
         if (!stats.ok()) return stats.status();
         ++out.stats.installs_replayed;
         return Status::OK();

@@ -20,8 +20,6 @@ namespace {
 
 constexpr const char* kManifestName = "MANIFEST";
 constexpr const char* kManifestMagic = "FQMANIFEST2";
-// Still read: names at most one whole-store snapshot-<lsn>.bin.
-constexpr const char* kManifestMagicV1 = "FQMANIFEST1";
 
 std::string SnapshotFileName(const char* kind, uint64_t wal_lsn) {
   char name[48];
@@ -30,11 +28,9 @@ std::string SnapshotFileName(const char* kind, uint64_t wal_lsn) {
   return name;
 }
 
-/// Sealed, open and (version-1) whole-store snapshot files, and their
-/// leftover `.tmp` files.
+/// Sealed and open snapshot files, and their leftover `.tmp` files.
 bool IsSnapshotFile(const std::string& name) {
-  return name.rfind("sealed-", 0) == 0 || name.rfind("open-", 0) == 0 ||
-         name.rfind("snapshot-", 0) == 0;
+  return name.rfind("sealed-", 0) == 0 || name.rfind("open-", 0) == 0;
 }
 
 /// Installs `dir`/`name` holding `entries` (tmp + fsync + rename). When
@@ -75,7 +71,7 @@ Result<Manifest> ReadManifest(const std::string& dir) {
   std::string text(data->begin(), data->end());
 
   Manifest m;
-  int version = 0;
+  bool magic_ok = false;
   bool lsn_ok = false;
   size_t pos = 0;
   while (pos < text.size()) {
@@ -84,9 +80,7 @@ Result<Manifest> ReadManifest(const std::string& dir) {
     std::string line = text.substr(pos, eol - pos);
     pos = eol + 1;
     if (line == kManifestMagic) {
-      version = 2;
-    } else if (line == kManifestMagicV1) {
-      version = 1;
+      magic_ok = true;
     } else if (line.rfind("snapshot=", 0) == 0) {
       m.snapshot_files.push_back(line.substr(9));
     } else if (line.rfind("wal_lsn=", 0) == 0) {
@@ -95,16 +89,8 @@ Result<Manifest> ReadManifest(const std::string& dir) {
       lsn_ok = end != nullptr && *end == '\0';
     }
   }
-  if (version == 0 || !lsn_ok) {
+  if (!magic_ok || !lsn_ok) {
     return Status::Corruption("malformed MANIFEST in " + dir);
-  }
-  if (version == 1) {
-    if (m.snapshot_files.size() > 1) {
-      return Status::Corruption("version-1 MANIFEST names several snapshots");
-    }
-    if (!m.snapshot_files.empty() && m.snapshot_files[0].empty()) {
-      m.snapshot_files.clear();
-    }
   }
   for (const std::string& file : m.snapshot_files) {
     if (file.empty() || file.find('/') != std::string::npos) {
@@ -255,7 +241,8 @@ Status SnapshotManager::CutLocked(Cut* cut) {
   auto entries = server_->CutSnapshot([&sealed](uint64_t pn, bool installed) {
     return !installed || sealed.count(pn) == 0;
   });
-  for (auto& entry : entries) {
+  if (!entries.ok()) return entries.status();
+  for (auto& entry : *entries) {
     (entry.installed != nullptr ? cut->sealed : cut->open)
         .push_back(std::move(entry));
   }

@@ -30,9 +30,8 @@ struct Manifest {
   uint64_t wal_lsn = 0;
 };
 
-/// Reads `dir`/MANIFEST. NotFound when the data dir has no manifest yet.
-/// Reads both the current FQMANIFEST2 format and FQMANIFEST1, whose single
-/// whole-store snapshot becomes a one-file list.
+/// Reads `dir`/MANIFEST (the FQMANIFEST2 format). NotFound when the data
+/// dir has no manifest yet; Corruption for any other format.
 Result<Manifest> ReadManifest(const std::string& dir);
 
 /// Atomically replaces `dir`/MANIFEST (tmp + rename + dir fsync).

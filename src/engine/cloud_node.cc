@@ -124,10 +124,8 @@ Result<cloud::MatchingStats> CloudNode::Install(
     uint64_t pn, std::shared_ptr<const Bytes> payload) {
   auto table = tables_.extract(pn);
   const bool had_records = tagged_pns_.erase(pn) > 0;
-  auto pub = net::DecodeSharedIndexPublication(payload);
-  if (!pub.ok()) return pub.status();
   if (table.empty() && !had_records) {
-    return server_->PublishIndexed(pn, std::move(*pub), std::move(payload));
+    return server_->PublishIndexed(pn, std::move(payload));
   }
   if (wal_ != nullptr) return Status::FailedPrecondition(kTaggedNotLogged);
   if (table.empty()) {
@@ -136,8 +134,8 @@ Result<cloud::MatchingStats> CloudNode::Install(
         ": index arrived without its matching table");
   }
   if (!table.mapped().ok()) return table.mapped().status();
-  return server_->PublishWithMatchingTable(pn, std::move(*pub),
-                                           *table.mapped(), std::move(payload));
+  return server_->PublishWithMatchingTable(pn, std::move(payload),
+                                           *table.mapped());
 }
 
 void CloudNode::EndPublication(uint64_t pn, int64_t born_ns, Status outcome,

@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "index/index.h"
-#include "index/overflow.h"
 #include "net/payloads.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -369,7 +368,8 @@ bool MergerImpl::Handle(net::Message&& m) {
       return true;
     }
     case net::MessageType::kRemovedRecord:
-      pending_[m.pn].removed.push_back(std::move(m));
+      pending_[m.pn].removed.push_back(
+          {static_cast<size_t>(m.leaf), std::move(m.payload)});
       return true;
     case net::MessageType::kAlSnapshot:
       FinishPublication(std::move(m));
@@ -430,19 +430,6 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
     return;
   }
 
-  // Overflow arrays: one fixed-size array per leaf (OverflowSlotsPerLeaf).
-  // Removed records go to random slots; the rest pads with dummy
-  // ciphertexts.
-  index::OverflowArrays overflow(
-      merged->layout().num_leaves(),
-      OverflowSlotsPerLeaf(config_, merged->layout().num_levels()));
-  for (auto& rm : pending.removed) {
-    Status st = overflow.Insert(static_cast<size_t>(rm.leaf),
-                                std::move(rm.payload), &rng_);
-    if (!st.ok()) {
-      overflow_drops_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
   auto codec = record::SecureRecordCodec::Create(
       keys_->RecordKey(snap.pn), &config_.dataset.parser->schema(), &rng_);
   if (!codec.ok()) {
@@ -452,42 +439,34 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
     FailPublication(snap.pn, reason);
     return;
   }
-  // One serialization: the payload is sized once, the dummies are
-  // batch-encrypted straight into their slots, and the tag is computed
-  // over the result in place (SHA-NI where the CPU has it). An encrypt
-  // failure fails the whole publication: shipping empty or
-  // partially-padded slots would let the cloud tell real removed records
-  // from padding.
-  const size_t padding_len = config_.dummy_padding_len;
-  auto payload = net::EncodeSignedIndexPublication(
-      net::IndexPublication(std::move(*merged), std::move(overflow)),
-      keys_->IndexMacKey(snap.pn),
-      record::SecureRecordCodec::DummyCiphertextSize(padding_len),
-      [&](uint8_t* out, std::span<const size_t> at) {
-        return codec->EncryptDummiesAt(padding_len, out, at);
-      });
-  if (!payload.ok()) {
+  const size_t removed = pending.removed.size();
+  auto encoded =
+      EncodePublication(config_, *keys_, snap.pn, std::move(*merged),
+                        std::move(pending.removed), &*codec, &rng_);
+  if (!encoded.ok()) {
     codec_failures_.fetch_add(1, std::memory_order_relaxed);
     // fresque-lint: allow(hot-alloc) publication-failure path
     std::string reason =
-        "merger: overflow dummy encrypt " + payload.status().ToString();
+        "merger: overflow dummy encrypt " + encoded.status().ToString();
     pending_.erase(it);
     FailPublication(snap.pn, reason);
     return;
   }
+  overflow_drops_.fetch_add(encoded->overflow_drops,
+                            std::memory_order_relaxed);
 
   net::Message out;
   out.type = net::MessageType::kIndexPublication;
   out.pn = snap.pn;
   out.born_ns = snap.born_ns;  // publish-barrier stamp rides to the cloud
-  out.payload = std::move(payload).ValueOrDie();
+  out.payload = std::move(encoded->payload);
   cloud_out_.push_back(std::move(out));
   FRESQUE_COUNTER_ADD("collector.publications_shipped", 1);
   FRESQUE_HISTOGRAM_RECORD("merger.build_ns",
                            telemetry::NowNanos() - build_start);
 
   publications_->Merger(snap.pn, watch.ElapsedMillis(),
-                        static_cast<uint64_t>(pending.removed.size()));
+                        static_cast<uint64_t>(removed));
   pending_.erase(it);
 }
 

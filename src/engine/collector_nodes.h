@@ -26,6 +26,7 @@
 #include "crypto/key_manager.h"
 #include "engine/config.h"
 #include "engine/dummy_schedule.h"
+#include "engine/publication.h"
 #include "engine/publication_tracker.h"
 #include "engine/randomer.h"
 #include "index/al.h"
@@ -211,7 +212,7 @@ class MergerImpl {
  private:
   struct PendingPublication {
     std::optional<index::HistogramIndex> tmpl;
-    std::vector<net::Message> removed;
+    std::vector<RemovedRecord> removed;
   };
 
   FRESQUE_HOT bool HandleBatch(std::vector<net::Message>& batch);

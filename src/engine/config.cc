@@ -1,7 +1,5 @@
 #include "engine/config.h"
 
-#include <algorithm>
-
 #include "dp/laplace.h"
 #include "index/binning.h"
 #include "index/index.h"
@@ -74,13 +72,6 @@ Result<size_t> RandomerBufferSize(const CollectorConfig& config) {
       config.epsilon, layout->num_levels());
   return dp::RandomerBufferSize(scale, config.delta, layout->num_leaves(),
                                 config.alpha);
-}
-
-size_t OverflowSlotsPerLeaf(const CollectorConfig& config, size_t num_levels) {
-  const double scale =
-      index::IndexPerturber::LevelScale(config.epsilon, num_levels);
-  return static_cast<size_t>(
-      std::max<int64_t>(1, dp::DummyUpperBoundPerLeaf(scale, config.delta)));
 }
 
 }  // namespace engine

@@ -129,11 +129,6 @@ struct CollectorConfig {
 /// the cloud at once. Fails on a bad binning, fanout, epsilon or alpha.
 Result<size_t> RandomerBufferSize(const CollectorConfig& config);
 
-/// Slots in each leaf's overflow array for an index of `num_levels`
-/// levels: the delta-probability bound on that leaf's negative noise
-/// (symmetric to the dummy bound), and at least one.
-size_t OverflowSlotsPerLeaf(const CollectorConfig& config, size_t num_levels);
-
 /// Cloud-side durability settings (WAL + snapshots). Durability is off
 /// unless `data_dir` is set; with it, the cloud logs every accepted
 /// mutation and a publication that completes as installed survives a

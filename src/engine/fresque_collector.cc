@@ -338,7 +338,6 @@ CollectorMetrics FresqueCollector::Metrics() const {
     nm.inbox.depth = q.size();
     nm.inbox.capacity = q.capacity();
     nm.inbox.enqueued = q.enqueued();
-    nm.inbox.rejected_full = q.rejected_full();
     nm.inbox.rejected_closed = q.rejected_closed();
     nm.inbox.high_watermark = q.high_watermark();
     out.nodes.push_back(std::move(nm));

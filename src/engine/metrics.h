@@ -37,18 +37,12 @@ struct QueueMetrics {
   size_t capacity = 0;
   /// Frames accepted onto the queue over its lifetime.
   uint64_t enqueued = 0;
-  /// TryPush calls that bounced off a full queue — genuine back-pressure:
-  /// the consumer behind this mailbox is the bottleneck.
-  uint64_t rejected_full = 0;
   /// Pushes that failed because the queue was closed — expected during
   /// shutdown, a bug if it grows mid-run.
   uint64_t rejected_closed = 0;
   /// Deepest the queue has ever been; `== capacity` means producers hit
   /// back-pressure at least once.
   size_t high_watermark = 0;
-
-  /// Pushes that failed for any reason.
-  uint64_t rejected() const { return rejected_full + rejected_closed; }
 };
 
 /// Per-node health snapshot (one per computing node, plus the checking

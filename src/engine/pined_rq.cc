@@ -4,9 +4,8 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "engine/publication.h"
 #include "index/index.h"
-#include "index/overflow.h"
-#include "net/payloads.h"
 #include "record/secure_codec.h"
 
 namespace fresque {
@@ -93,27 +92,21 @@ Status PinedRqCollector::Publish() {
 
   // Step 3: materialize the noise — dummies for positive leaves, removals
   // into overflow arrays for negative ones.
-  index::OverflowArrays overflow(
-      binning_->num_bins(),
-      OverflowSlotsPerLeaf(config_, noisy.layout().num_levels()));
-
   std::vector<std::pair<size_t, Bytes>> batch;  // <leaf, e-record>
   batch.reserve(parsed.size());
+  std::vector<RemovedRecord> removed;
   std::vector<int64_t> to_remove = leaf_noise;  // negative entries count
   for (auto& p : parsed) {
-    if (to_remove[p.leaf] < 0) {
-      ++to_remove[p.leaf];
-      ++report.removed_records;
-      auto ct = codec->EncryptRecord(p.rec);
-      if (!ct.ok()) return ct.status();
-      Status st = overflow.Insert(p.leaf, std::move(*ct), &rng_);
-      if (!st.ok() && !st.IsResourceExhausted()) return st;
-      continue;
-    }
     auto ct = codec->EncryptRecord(p.rec);
     if (!ct.ok()) return ct.status();
+    if (to_remove[p.leaf] < 0) {
+      ++to_remove[p.leaf];
+      removed.push_back({p.leaf, std::move(*ct)});
+      continue;
+    }
     batch.emplace_back(p.leaf, std::move(*ct));
   }
+  report.removed_records = removed.size();
   for (size_t leaf = 0; leaf < leaf_noise.size(); ++leaf) {
     for (int64_t d = 0; d < leaf_noise[leaf]; ++d) {
       auto ct = codec->EncryptDummy(config_.dummy_padding_len);
@@ -122,8 +115,9 @@ Status PinedRqCollector::Publish() {
       ++report.dummy_records;
     }
   }
-  FRESQUE_RETURN_NOT_OK(overflow.PadWithDummies(
-      [&] { return codec->EncryptDummy(config_.dummy_padding_len); }));
+  auto encoded = EncodePublication(config_, key_manager_, pn_, std::move(noisy),
+                                   std::move(removed), &*codec, &rng_);
+  if (!encoded.ok()) return encoded.status();
 
   // Step 4: ship everything as one synchronous publication.
   net::Message start;
@@ -141,8 +135,7 @@ Status PinedRqCollector::Publish() {
   net::Message pub;
   pub.type = net::MessageType::kIndexPublication;
   pub.pn = pn_;
-  pub.payload = net::EncodeIndexPublication(
-      net::IndexPublication(std::move(noisy), std::move(overflow)));
+  pub.payload = std::move(encoded->payload);
   cloud_inbox_->Push(std::move(pub));
 
   // The whole pipeline ran on this thread: every millisecond here is

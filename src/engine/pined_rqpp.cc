@@ -1,7 +1,7 @@
 #include "engine/pined_rqpp.h"
 
 #include "common/clock.h"
-#include "index/overflow.h"
+#include "engine/publication.h"
 #include "net/payloads.h"
 
 namespace fresque {
@@ -136,17 +136,17 @@ Status PinedRqPpCollector::Publish() {
 
   // Synchronous publishing tasks: sequentially encrypt removed records
   // into fixed-size overflow arrays, then ship index + matching table.
-  index::OverflowArrays overflow(
-      binning_->num_bins(),
-      OverflowSlotsPerLeaf(config_, template_->layout().num_levels()));
+  std::vector<RemovedRecord> removed;
+  removed.reserve(removed_.size());
   for (auto& [leaf, rec] : removed_) {
     auto ct = codec_->EncryptRecord(rec);
     if (!ct.ok()) return ct.status();
-    Status st = overflow.Insert(leaf, std::move(*ct), &rng_);
-    if (!st.ok() && !st.IsResourceExhausted()) return st;
+    removed.push_back({leaf, std::move(*ct)});
   }
-  FRESQUE_RETURN_NOT_OK(overflow.PadWithDummies(
-      [&] { return codec_->EncryptDummy(config_.dummy_padding_len); }));
+  auto encoded =
+      EncodePublication(config_, key_manager_, pn_, std::move(*template_),
+                        std::move(removed), &*codec_, &rng_);
+  if (!encoded.ok()) return encoded.status();
 
   net::Message table_msg;
   table_msg.type = net::MessageType::kMatchingTable;
@@ -157,8 +157,7 @@ Status PinedRqPpCollector::Publish() {
   net::Message pub;
   pub.type = net::MessageType::kIndexPublication;
   pub.pn = pn_;
-  pub.payload = net::EncodeIndexPublication(
-      net::IndexPublication(std::move(*template_), std::move(overflow)));
+  pub.payload = std::move(encoded->payload);
   cloud_inbox_->Push(std::move(pub));
 
   // Synchronous: the next interval cannot open until this completes.

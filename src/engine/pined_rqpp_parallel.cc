@@ -2,7 +2,7 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
-#include "index/overflow.h"
+#include "engine/publication.h"
 #include "net/payloads.h"
 
 namespace fresque {
@@ -292,21 +292,14 @@ Status ParallelPinedRqPpCollector::Publish() {
   }
   for (size_t i = 0; i < workers_.size(); ++i) publish_acks_.Pop();
 
-  // Sequentially encrypt removed records into the overflow arrays.
-  index::OverflowArrays overflow(
-      binning_->num_bins(),
-      OverflowSlotsPerLeaf(
-          config_,
-          index::IndexLayout::Create(binning_->num_bins(), config_.fanout)
-              ->num_levels()));
+  // Sequentially encrypt the removed records.
+  std::vector<RemovedRecord> removed;
+  removed.reserve(removed_.size());
   for (auto& [leaf, rec] : removed_) {
     auto ct = codec_->EncryptRecord(rec);
     if (!ct.ok()) return ct.status();
-    Status st = overflow.Insert(leaf, std::move(*ct), &rng_);
-    if (!st.ok() && !st.IsResourceExhausted()) return st;
+    removed.push_back({leaf, std::move(*ct)});
   }
-  FRESQUE_RETURN_NOT_OK(overflow.PadWithDummies(
-      [&] { return codec_->EncryptDummy(config_.dummy_padding_len); }));
 
   // Merge the worker partitions: every partial count tree adds onto the
   // checker's template (noise + removed-record counts); the matching
@@ -334,6 +327,11 @@ Status ParallelPinedRqPpCollector::Publish() {
     return merged;
   }();
 
+  auto encoded =
+      EncodePublication(config_, key_manager_, pn_, std::move(final_index),
+                        std::move(removed), &*codec_, &rng_);
+  if (!encoded.ok()) return encoded.status();
+
   net::Message table_msg;
   table_msg.type = net::MessageType::kMatchingTable;
   table_msg.pn = pn_;
@@ -343,8 +341,7 @@ Status ParallelPinedRqPpCollector::Publish() {
   net::Message pub;
   pub.type = net::MessageType::kIndexPublication;
   pub.pn = pn_;
-  pub.payload = net::EncodeIndexPublication(
-      net::IndexPublication(std::move(final_index), std::move(overflow)));
+  pub.payload = std::move(encoded->payload);
   cloud_inbox_->Push(std::move(pub));
 
   report.dispatcher_millis = init_millis_ + watch.ElapsedMillis();

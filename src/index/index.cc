@@ -269,13 +269,5 @@ int64_t IndexTemplate::TotalPositiveNoise() const {
   return total;
 }
 
-Result<HistogramIndex> IndexTemplate::MergeWithCounts(
-    const std::vector<int64_t>& al) const {
-  auto true_index = HistogramIndex::FromLeafCounts(noise_.layout(),
-                                                   noise_.binning(), al);
-  if (!true_index.ok()) return true_index.status();
-  return noise_.Plus(*true_index);
-}
-
 }  // namespace index
 }  // namespace fresque

@@ -145,11 +145,6 @@ class IndexTemplate {
   /// noise.
   int64_t TotalPositiveNoise() const;
 
-  /// Secure index = template noise + true leaf counts aggregated up.
-  /// `al[i]` is the number of real records that hit leaf i (including the
-  /// ones diverted to overflow arrays).
-  Result<HistogramIndex> MergeWithCounts(const std::vector<int64_t>& al) const;
-
  private:
   explicit IndexTemplate(HistogramIndex noise) : noise_(std::move(noise)) {}
 

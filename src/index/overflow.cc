@@ -152,13 +152,8 @@ Status OverflowArrays::Rebase(std::shared_ptr<const Bytes> buffer) {
 }
 
 size_t OverflowArrays::PayloadBytes() const {
-  if (decoded()) {
-    return size_ - kHeaderBytes -
-           num_leaves_ * slots_per_leaf_ * kSlotPrefixBytes;
-  }
-  size_t t = 0;
-  for (const Bytes& slot : slots_) t += slot.size();
-  return t;
+  return size_ - kHeaderBytes -
+         num_leaves_ * slots_per_leaf_ * kSlotPrefixBytes;
 }
 
 }  // namespace index

@@ -21,19 +21,19 @@ namespace index {
 /// so the array's size reveals only the public bound, not the noise.
 ///
 /// The arrays take one of two forms:
-///  - built, by the constructor: the merger and the baselines Insert the
-///    removed records, one buffer per record, and the other slots stay
-///    empty until padded. The baselines pad them with one dummy buffer per
-///    slot (PadWithDummies); the merger leaves them empty and has
-///    net::EncodeSignedIndexPublication lay each out in the payload, where
-///    its dummy is encrypted in place (SerializeTo's `empty_at`);
+///  - built, by the constructor: a collector Inserts the removed records,
+///    one buffer per record, and leaves the other slots empty;
+///    net::EncodeSignedIndexPublication lays each empty slot out in the
+///    publication payload, where its dummy is encrypted in place
+///    (SerializeTo's `empty_at`, engine::EncodePublication);
 ///  - decoded, by View or Deserialize: read-only over serialized bytes in
 ///    one shared, immutable buffer. At the cloud that buffer is the
 ///    received publication payload itself, which is also the
 ///    publication's integrity evidence (DESIGN.md §12.5). A leaf's slots
 ///    are contiguous in it, so one offset per leaf is all that is kept;
 ///    no slot is copied out.
-/// ForEachSlot, Serialize and PayloadBytes read either form.
+/// Serialize reads either form; ForEachSlot and PayloadBytes read the
+/// decoded form, the only one the cloud installs.
 class OverflowArrays {
  public:
   /// `num_leaves` built arrays of `slots_per_leaf` empty slots each.
@@ -60,23 +60,6 @@ class OverflowArrays {
   /// arrays, which are read-only.
   Status Insert(size_t i, Bytes e_record, crypto::SecureRandom* rng);
 
-  /// Fills every remaining empty slot with `make_dummy()` ciphertexts.
-  /// `make_dummy` may return Bytes or Result<Bytes>; the first failure
-  /// aborts the pad and is returned, leaving later slots empty. A
-  /// partially padded array must not ship — an empty slot would reveal
-  /// which slots hold real removed records — so callers fail the whole
-  /// publication on error instead of publishing.
-  template <typename DummyFn>
-  Status PadWithDummies(DummyFn&& make_dummy) {
-    for (auto& slot : slots_) {
-      if (!slot.empty()) continue;
-      Result<Bytes> d = make_dummy();
-      if (!d.ok()) return d.status();
-      slot = std::move(*d);
-    }
-    return Status::OK();
-  }
-
   /// Visits every still-empty slot of a built array as a mutable Bytes*.
   /// Slot storage is stable, so callers may retain the pointers until the
   /// arrays are next mutated — this is what lets a caller stage all
@@ -89,17 +72,11 @@ class OverflowArrays {
     }
   }
 
-  /// Visits leaf `i`'s slots in order as `fn(std::span<const uint8_t>)`;
-  /// an unfilled slot of a built array is an empty span. The spans of a
-  /// decoded array point into its buffer and live as long as it does.
+  /// Visits leaf `i`'s slots of a decoded array in order as
+  /// `fn(std::span<const uint8_t>)`. The spans point into its buffer and
+  /// live as long as it does.
   template <typename Fn>
   void ForEachSlot(size_t i, Fn&& fn) const {
-    if (!decoded()) {
-      for (size_t s = 0; s < slots_per_leaf_; ++s) {
-        fn(std::span<const uint8_t>(slots_[i * slots_per_leaf_ + s]));
-      }
-      return;
-    }
     if (slots_per_leaf_ == 0) return;
     const uint8_t* p = buffer_->data() + offset_ + leaf_begin_[i];
     for (size_t s = 0; s < slots_per_leaf_; ++s) {
@@ -113,12 +90,6 @@ class OverflowArrays {
     }
   }
 
-  /// Number of real (inserted) slots in leaf `i`. A decoded array's fill
-  /// state is opaque: every slot counts as used.
-  size_t used(size_t i) const {
-    return decoded() ? slots_per_leaf_ : used_[i];
-  }
-
   /// Size of the serialized arrays, in bytes, when each empty slot of a
   /// built array is laid out with `empty_slot_size` bytes.
   size_t SerializedSize(size_t empty_slot_size = 0) const;
@@ -129,7 +100,7 @@ class OverflowArrays {
   /// bytes in `w` is appended to `*empty_at`, in slot order.
   void SerializeTo(BinaryWriter* w, size_t empty_slot_size = 0,
                    std::vector<size_t>* empty_at = nullptr) const;
-  /// Serialized bytes of all arrays (what the merger publishes).
+  /// Serialized bytes of all arrays.
   Bytes Serialize() const;
 
   /// The buffer a decoded array reads from; null for a built one.
@@ -142,7 +113,8 @@ class OverflowArrays {
   /// or different bytes.
   Status Rebase(std::shared_ptr<const Bytes> buffer);
 
-  /// Total payload bytes across all slots (storage-overhead reporting).
+  /// Total payload bytes across all slots of a decoded array
+  /// (storage-overhead reporting).
   size_t PayloadBytes() const;
 
  private:

@@ -64,27 +64,18 @@ Bytes Tag(const uint8_t* data, size_t len, const Bytes& mac_key) {
   return Bytes(digest.begin(), digest.end());
 }
 
-}  // namespace
+/// The three segments of an encoded publication, as views into it.
+struct IndexPublicationSegments {
+  std::span<const uint8_t> index;
+  std::span<const uint8_t> overflow;
+  std::span<const uint8_t> tag;
+  /// Length of the prefix the tag covers (everything before the tag's
+  /// length prefix).
+  size_t tagged_bytes = 0;
+};
 
-Bytes EncodeIndexPublication(const IndexPublication& pub) {
-  BinaryWriter w = EncodeSegments(pub, pub.integrity_tag.size());
-  w.PutBytes(pub.integrity_tag);
-  return w.Release();
-}
-
-Result<Bytes> EncodeSignedIndexPublication(const IndexPublication& pub,
-                                           const Bytes& mac_key,
-                                           size_t slot_size,
-                                           const SlotPadder& pad) {
-  std::vector<size_t> empty_at;
-  empty_at.reserve(pub.overflow.num_leaves() * pub.overflow.slots_per_leaf());
-  BinaryWriter w = EncodeSegments(pub, crypto::HmacSha256::kDigestSize,
-                                  slot_size, &empty_at);
-  FRESQUE_RETURN_NOT_OK(pad(w.mutable_data(), empty_at));
-  w.PutBytes(Tag(w.buffer().data(), w.size(), mac_key));
-  return w.Release();
-}
-
+/// Splits `payload` without copying it. Corruption when it is truncated
+/// or carries bytes after the tag.
 Result<IndexPublicationSegments> SplitIndexPublication(
     std::span<const uint8_t> payload) {
   BinaryReader r(payload.data(), payload.size());
@@ -106,6 +97,27 @@ Result<IndexPublicationSegments> SplitIndexPublication(
   seg.overflow = *overflow;
   seg.tag = *tag;
   return seg;
+}
+
+}  // namespace
+
+Bytes EncodeIndexPublication(const IndexPublication& pub) {
+  BinaryWriter w = EncodeSegments(pub, pub.integrity_tag.size());
+  w.PutBytes(pub.integrity_tag);
+  return w.Release();
+}
+
+Result<Bytes> EncodeSignedIndexPublication(const IndexPublication& pub,
+                                           const Bytes& mac_key,
+                                           size_t slot_size,
+                                           const SlotPadder& pad) {
+  std::vector<size_t> empty_at;
+  empty_at.reserve(pub.overflow.num_leaves() * pub.overflow.slots_per_leaf());
+  BinaryWriter w = EncodeSegments(pub, crypto::HmacSha256::kDigestSize,
+                                  slot_size, &empty_at);
+  FRESQUE_RETURN_NOT_OK(pad(w.mutable_data(), empty_at));
+  w.PutBytes(Tag(w.buffer().data(), w.size(), mac_key));
+  return w.Release();
 }
 
 Result<IndexPublication> DecodeSharedIndexPublication(

@@ -29,23 +29,25 @@ Result<index::HistogramIndex> DecodeTemplate(const Bytes& payload);
 Bytes EncodeAlSnapshot(const std::vector<int64_t>& al);
 Result<std::vector<int64_t>> DecodeAlSnapshot(const Bytes& payload);
 
-/// kIndexPublication body: secure index + overflow arrays + an optional
+/// kIndexPublication body: secure index + overflow arrays + an
 /// HMAC-SHA-256 integrity tag computed by the trusted collector with the
 /// publication's IndexMacKey. The cloud is honest-but-curious, but the
 /// tag gives the client tamper *evidence* (defense in depth): a modified
 /// index or overflow array no longer verifies.
 ///
 /// The payload is `u32 len ‖ index ‖ u32 len ‖ overflow ‖ u32 len ‖ tag`,
-/// and the tag is the HMAC of every byte before the tag segment. So the
-/// merger writes the payload once and hashes it in place
-/// (EncodeSignedIndexPublication), and the cloud keeps the received
-/// payload as one immutable buffer that is both the evidence a client
-/// verifies and the store the decoded overflow arrays read from
+/// and the tag is the HMAC of every byte before the tag segment. So every
+/// collector prototype writes the payload once and hashes it in place
+/// (EncodeSignedIndexPublication, through engine::EncodePublication), and
+/// the cloud installs a publication only from its payload, kept as one
+/// immutable buffer that is both the evidence a client verifies and the
+/// store the decoded overflow arrays read from
 /// (DecodeSharedIndexPublication, DESIGN.md §12.5).
 struct IndexPublication {
   index::HistogramIndex index;
   index::OverflowArrays overflow;
-  /// Empty when the producing prototype does not sign (baselines).
+  /// The tag a decoded payload carried. Empty on a payload encoded from
+  /// an untagged publication, which then fails verification.
   Bytes integrity_tag;
 
   IndexPublication(index::HistogramIndex idx, index::OverflowArrays ovf)
@@ -77,20 +79,6 @@ Result<IndexPublication> DecodeSharedIndexPublication(
     std::shared_ptr<const Bytes> payload);
 /// DecodeSharedIndexPublication over a private copy of `payload`.
 Result<IndexPublication> DecodeIndexPublication(const Bytes& payload);
-
-/// The three segments of an encoded publication, as views into it.
-struct IndexPublicationSegments {
-  std::span<const uint8_t> index;
-  std::span<const uint8_t> overflow;
-  std::span<const uint8_t> tag;
-  /// Length of the prefix the tag covers (everything before the tag's
-  /// length prefix).
-  size_t tagged_bytes = 0;
-};
-/// Splits `payload` without copying it. Corruption when it is truncated
-/// or carries bytes after the tag.
-Result<IndexPublicationSegments> SplitIndexPublication(
-    std::span<const uint8_t> payload);
 
 /// Computes the integrity tag for `pub` under `mac_key` (HMAC over the
 /// length-prefixed index and overflow segments, serialized once).

@@ -21,7 +21,7 @@ namespace query {
 /// is shared read-only between the server, every live QueryView, and any
 /// in-flight scans — shared_ptr refcounts are its GC.
 ///
-/// A publication installed with its payload keeps that payload as one
+/// A publication is installed from its payload and keeps it as one
 /// shared, immutable buffer: `evidence` points to it and `overflow` reads
 /// its slots from it, so the overflow arrays exist once in memory
 /// (DESIGN.md §12.5).
@@ -46,7 +46,7 @@ struct InstalledPublication {
   /// Per-leaf physical addresses into `storage`.
   const std::vector<std::vector<cloud::PhysicalAddress>> postings;
   /// Verbatim publication payload (integrity evidence), the buffer
-  /// `overflow` reads from; null when installed without one.
+  /// `overflow` reads from; never null.
   const std::shared_ptr<const Bytes> evidence;
 };
 

@@ -48,6 +48,7 @@ Result<Bytes> SecureRecordCodec::EncryptDummy(size_t padding_len) {
 
 Status SecureRecordCodec::EncryptDummiesAt(size_t padding_len, uint8_t* out,
                                            std::span<const size_t> at) {
+  // fresque-lint: allow(hot-alloc) one plaintext per call, and a publication pads all its slots in one call
   Bytes plain(padding_len + 1);
   WriteDummyPlaintext(plain.data(), padding_len);
   // 64 dummies per batch call, so the item list and the CBC scratch stay
@@ -80,14 +81,6 @@ Status SecureRecordCodec::BatchEncryptor::StageRecord(const Record& rec,
   offsets_.push_back(start);
   outs_.push_back(out);
   return Status::OK();
-}
-
-void SecureRecordCodec::BatchEncryptor::StageSerializedRecord(const Bytes& body,
-                                                              Bytes* out) {
-  offsets_.push_back(arena_.size());
-  arena_.push_back(kKindReal);
-  arena_.insert(arena_.end(), body.begin(), body.end());
-  outs_.push_back(out);
 }
 
 void SecureRecordCodec::BatchEncryptor::StageDummy(size_t padding_len,

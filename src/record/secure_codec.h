@@ -87,9 +87,6 @@ class SecureRecordCodec {
     /// here (the record is not staged); crypto errors surface at Flush.
     FRESQUE_HOT Status StageRecord(const Record& rec, Bytes* out);
 
-    /// Stages an already-serialized real record body.
-    FRESQUE_HOT void StageSerializedRecord(const Bytes& body, Bytes* out);
-
     /// Stages a dummy with `padding_len` bytes of body.
     FRESQUE_HOT void StageDummy(size_t padding_len, Bytes* out);
 

@@ -269,7 +269,6 @@ engine::CollectorMetrics ShardedPipelineMetrics::CollectorTotals() const {
       it->inbox.depth += n.inbox.depth;
       it->inbox.capacity += n.inbox.capacity;
       it->inbox.enqueued += n.inbox.enqueued;
-      it->inbox.rejected_full += n.inbox.rejected_full;
       it->inbox.rejected_closed += n.inbox.rejected_closed;
       it->inbox.high_watermark =
           std::max(it->inbox.high_watermark, n.inbox.high_watermark);
@@ -345,7 +344,6 @@ void ShardedPipelineMetrics::AppendTo(telemetry::MetricsSnapshot* out) const {
     gauge(p + "queue_depth", n.inbox.depth);
     gauge(p + "queue_capacity", n.inbox.capacity);
     gauge(p + "queue_enqueued", n.inbox.enqueued);
-    gauge(p + "queue_rejected_full", n.inbox.rejected_full);
     gauge(p + "queue_rejected_closed", n.inbox.rejected_closed);
     gauge(p + "queue_high_watermark", n.inbox.high_watermark);
   }

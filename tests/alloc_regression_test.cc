@@ -383,8 +383,7 @@ TEST(AllocRegressionTest, PublicationDecodeDoesNotCopyEachOverflowSlot) {
   auto tmpl = index::IndexTemplate::Create(*binning, 16, 1.0, &rng);
   ASSERT_TRUE(tmpl.ok());
   index::OverflowArrays overflow(kLeaves, kSlots);
-  ASSERT_TRUE(overflow.PadWithDummies([&] { return rng.RandomBytes(96); })
-                  .ok());
+  overflow.ForEachEmptySlot([&](Bytes* slot) { *slot = rng.RandomBytes(96); });
   net::IndexPublication pub(tmpl->noise_index(), std::move(overflow));
   pub.integrity_tag = Bytes(32, 0x5A);
   const Bytes payload = net::EncodeIndexPublication(pub);

@@ -167,7 +167,8 @@ INSTANTIATE_TEST_SUITE_P(VaryWorkers, ParallelPpTest,
 
 TEST(BaselineEquivalenceTest, AllPrototypesAnswerTheSameQuery) {
   // The four prototypes must agree (up to DP noise) on what a range query
-  // returns: same workload, same seed, same epsilon.
+  // returns: same workload, same seed, same epsilon. Each signs its
+  // publication, so it verifies under the collector's keys and no other.
   auto spec = record::GowallaDataset();
   ASSERT_TRUE(spec.ok());
   constexpr size_t kN = 1500;
@@ -206,6 +207,13 @@ TEST(BaselineEquivalenceTest, AllPrototypesAnswerTheSameQuery) {
       }
     }
     client::Client client(fx.keys, &fx.spec.parser->schema());
+    Status verified = client.VerifyPublication(fx.server, 0);
+    EXPECT_TRUE(verified.ok()) << "prototype " << proto << ": "
+                               << verified.ToString();
+    client::Client stranger(crypto::KeyManager(Bytes(32, 0xAC)),
+                            &fx.spec.parser->schema());
+    EXPECT_TRUE(stranger.VerifyPublication(fx.server, 0).IsCorruption())
+        << "prototype " << proto;
     auto acc = client.QueryWithGroundTruth(fx.server, q, fx.truth);
     ASSERT_TRUE(acc.ok());
     expected = acc->expected;

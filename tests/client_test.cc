@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "client/client.h"
@@ -67,14 +69,18 @@ class ClientTestFixture : public ::testing::Test {
     auto layout = index::IndexLayout::Create(binning_.num_bins(), 4);
     auto idx = index::HistogramIndex::FromLeafCounts(
         std::move(layout).ValueOrDie(), binning_, counts);
-    index::OverflowArrays ovf(binning_.num_bins(), 1);
-    ASSERT_TRUE(
-        ovf.PadWithDummies([&] { return codec->EncryptDummy(24).ValueOrDie(); })
-            .ok());
+    auto payload = net::EncodeSignedIndexPublication(
+        net::IndexPublication(std::move(idx).ValueOrDie(),
+                              index::OverflowArrays(binning_.num_bins(), 1)),
+        keys_.IndexMacKey(pn),
+        record::SecureRecordCodec::DummyCiphertextSize(24),
+        [&](uint8_t* out, std::span<const size_t> at) {
+          return codec->EncryptDummiesAt(24, out, at);
+        });
+    ASSERT_TRUE(payload.ok());
     ASSERT_TRUE(server_
-                    .PublishIndexed(pn, net::IndexPublication(
-                                            std::move(idx).ValueOrDie(),
-                                            std::move(ovf)))
+                    .PublishIndexed(pn, std::make_shared<const Bytes>(
+                                            std::move(*payload)))
                     .ok());
   }
 

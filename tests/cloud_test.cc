@@ -12,6 +12,7 @@
 #include "index/matching.h"
 #include "index/overflow.h"
 #include "net/payloads.h"
+#include "payload_util.h"
 
 namespace fresque {
 namespace cloud {
@@ -20,15 +21,6 @@ namespace {
 index::DomainBinning TinyBinning() {
   auto b = index::DomainBinning::Create(0, 10, 1);  // 10 leaves
   return std::move(b).ValueOrDie();
-}
-
-net::IndexPublication MakePublication(const index::DomainBinning& binning,
-                                      const std::vector<int64_t>& counts) {
-  auto layout = index::IndexLayout::Create(binning.num_bins(), 4);
-  auto idx = index::HistogramIndex::FromLeafCounts(
-      std::move(layout).ValueOrDie(), binning, counts);
-  index::OverflowArrays ovf(binning.num_bins(), 1);
-  return net::IndexPublication(std::move(idx).ValueOrDie(), std::move(ovf));
 }
 
 // ---------------------------------------------------------------- Storage
@@ -284,9 +276,10 @@ TEST(CloudServerTest, OverflowSlotsReturnedForTouchedLeaves) {
       std::move(layout).ValueOrDie(), server.binning(), counts);
   index::OverflowArrays ovf(10, 2);
   (void)ovf.Insert(3, Bytes{0xEE}, &rng);
-  ASSERT_TRUE(ovf.PadWithDummies([&] { return rng.RandomBytes(4); }).ok());
+  ovf.ForEachEmptySlot([&](Bytes* slot) { *slot = rng.RandomBytes(4); });
   auto stats = server.PublishIndexed(
-      0, net::IndexPublication(std::move(idx).ValueOrDie(), std::move(ovf)));
+      0, SignedPayload(net::IndexPublication(std::move(idx).ValueOrDie(),
+                                             std::move(ovf))));
   ASSERT_TRUE(stats.ok());
 
   auto result = server.ExecuteQuery({3.0, 3.5});

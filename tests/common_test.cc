@@ -156,14 +156,6 @@ TEST(BoundedQueueTest, FifoOrder) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(*q.Pop(), i);
 }
 
-TEST(BoundedQueueTest, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  EXPECT_EQ(q.size(), 2u);
-}
-
 TEST(BoundedQueueTest, CloseDrainsThenReturnsNullopt) {
   BoundedQueue<int> q(10);
   q.Push(1);

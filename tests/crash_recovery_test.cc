@@ -32,6 +32,7 @@
 #include "index/index.h"
 #include "index/overflow.h"
 #include "net/payloads.h"
+#include "payload_util.h"
 
 namespace fresque {
 namespace {
@@ -117,9 +118,8 @@ Bytes PublicationPayload(size_t num_leaves, const std::vector<int64_t>& counts) 
   auto idx = index::HistogramIndex::FromLeafCounts(
       std::move(layout).ValueOrDie(), std::move(binning).ValueOrDie(),
       counts);
-  index::OverflowArrays ovf(num_leaves, 1);
-  return net::EncodeIndexPublication(net::IndexPublication(
-      std::move(idx).ValueOrDie(), std::move(ovf)));
+  return *SignedPayload(net::IndexPublication(
+      std::move(idx).ValueOrDie(), index::OverflowArrays(num_leaves, 1)));
 }
 
 class CrashRecoveryTest : public ::testing::Test {
@@ -391,9 +391,9 @@ TEST_F(CrashRecoveryTest, AckedPublicationsSurviveCrashesInsideASnapshot) {
     if (pn == 0) continue;
     const uint64_t done = pn - 1;
     Bytes payload = PublicationPayload(kLeaves, counts[done]);
-    auto pub = net::DecodeIndexPublication(payload);
-    ASSERT_TRUE(pub.ok());
-    ASSERT_TRUE(server.PublishIndexed(done, std::move(*pub), payload).ok());
+    ASSERT_TRUE(
+        server.PublishIndexed(done, std::make_shared<const Bytes>(payload))
+            .ok());
     ASSERT_TRUE(log->AppendInstall(done, payload).ok());
     ASSERT_TRUE(log->Commit().ok());  // fsync=always: durable, so complete
     truth_[done].evidence = std::move(payload);
@@ -521,9 +521,9 @@ TEST_F(CrashRecoveryTest,
     if (pn == 0) continue;
     const uint64_t done = pn - 1;
     Bytes payload = PublicationPayload(kLeaves, counts[done]);
-    auto pub = net::DecodeIndexPublication(payload);
-    ASSERT_TRUE(pub.ok());
-    ASSERT_TRUE(server.PublishIndexed(done, std::move(*pub), payload).ok());
+    ASSERT_TRUE(
+        server.PublishIndexed(done, std::make_shared<const Bytes>(payload))
+            .ok());
     ASSERT_TRUE(log->AppendInstall(done, payload).ok());
     ASSERT_TRUE(log->Commit().ok());
     truth_[done].evidence = std::move(payload);

@@ -34,6 +34,7 @@
 #include "index/matching.h"
 #include "index/overflow.h"
 #include "net/payloads.h"
+#include "payload_util.h"
 #include "record/dataset.h"
 #include "telemetry/telemetry.h"
 
@@ -627,9 +628,8 @@ Bytes IndexPayload(const std::vector<int64_t>& counts) {
   auto idx = index::HistogramIndex::FromLeafCounts(
       std::move(layout).ValueOrDie(),
       index::DomainBinning::Create(0, 10, 1).ValueOrDie(), counts);
-  index::OverflowArrays ovf(10, 1);
-  return net::EncodeIndexPublication(net::IndexPublication(
-      std::move(idx).ValueOrDie(), std::move(ovf)));
+  return *SignedPayload(net::IndexPublication(
+      std::move(idx).ValueOrDie(), index::OverflowArrays(10, 1)));
 }
 
 std::unique_ptr<cloud::CloudServer> SmallPublishedServer() {
@@ -640,11 +640,9 @@ std::unique_ptr<cloud::CloudServer> SmallPublishedServer() {
   for (uint32_t i = 0; i < 30; ++i) {
     EXPECT_TRUE(server->IngestRecord(0, i % 10, Bytes(16, uint8_t(i))).ok());
   }
-  Bytes payload = IndexPayload(std::vector<int64_t>(10, 3));
-  auto pub = net::DecodeIndexPublication(payload);
-  EXPECT_TRUE(pub.ok());
-  EXPECT_TRUE(
-      server->PublishIndexed(0, std::move(*pub), std::move(payload)).ok());
+  auto payload =
+      std::make_shared<const Bytes>(IndexPayload(std::vector<int64_t>(10, 3)));
+  EXPECT_TRUE(server->PublishIndexed(0, std::move(payload)).ok());
   // Plus an open publication with cached metadata.
   EXPECT_TRUE(server->StartPublication(1).ok());
   for (uint32_t i = 0; i < 5; ++i) {
@@ -834,8 +832,7 @@ TEST(SnapshotManagerTest, WritesManifestAtomicallyAndTruncatesWal) {
   for (const std::string& file : manifest->snapshot_files) {
     EXPECT_FALSE(fs::exists(dir + "/" + file)) << file;
   }
-  EXPECT_EQ(CountFiles(dir, "sealed-") + CountFiles(dir, "open-") +
-                CountFiles(dir, "snapshot-"),
+  EXPECT_EQ(CountFiles(dir, "sealed-") + CountFiles(dir, "open-"),
             manifest2->snapshot_files.size());
 
   durability::DurabilityMetrics m;
@@ -907,9 +904,8 @@ TEST(SnapshotManagerTest, SealsEachInstalledPublicationOnce) {
     std::vector<int64_t> counts(10, 1);
     counts[0] = counts[1] = 2;
     Bytes payload = IndexPayload(counts);
-    auto pub = net::DecodeIndexPublication(payload);
-    ASSERT_TRUE(pub.ok());
-    ASSERT_TRUE(server.PublishIndexed(pn, std::move(*pub), payload).ok());
+    ASSERT_TRUE(
+        server.PublishIndexed(pn, std::make_shared<const Bytes>(payload)).ok());
     ASSERT_TRUE((*wal)->AppendInstall(pn, payload).ok());
     ASSERT_TRUE((*wal)->Commit().ok());
     ASSERT_TRUE(manager.NoteInstall().ok());
@@ -1025,9 +1021,8 @@ struct LoggedStore {
 
   void Install(uint64_t pn) {
     Bytes payload = IndexPayload(std::vector<int64_t>(10, 2));
-    auto pub = net::DecodeIndexPublication(payload);
-    ASSERT_TRUE(pub.ok());
-    ASSERT_TRUE(server.PublishIndexed(pn, std::move(*pub), payload).ok());
+    ASSERT_TRUE(
+        server.PublishIndexed(pn, std::make_shared<const Bytes>(payload)).ok());
     ASSERT_TRUE(wal->AppendInstall(pn, payload).ok());
     ASSERT_TRUE(wal->Commit().ok());
   }
@@ -1340,10 +1335,9 @@ TEST(RecoveryTest, LogOnlyRecoveryRebuildsServer) {
   auto idx = index::HistogramIndex::FromLeafCounts(
       std::move(layout).ValueOrDie(),
       index::DomainBinning::Create(0, 10, 1).ValueOrDie(), counts);
-  index::OverflowArrays ovf(10, 1);
   push(net::MessageType::kIndexPublication, 0, 0,
-       net::EncodeIndexPublication(net::IndexPublication(
-           std::move(idx).ValueOrDie(), std::move(ovf))));
+       *SignedPayload(net::IndexPublication(std::move(idx).ValueOrDie(),
+                                            index::OverflowArrays(10, 1))));
   // An open publication rides along in the log tail.
   push(net::MessageType::kPublicationStart, 1, 0, {});
   push(net::MessageType::kCloudRecord, 1, 3, Bytes(7, 0x99));
@@ -1484,62 +1478,13 @@ TEST(RecoveryTest, SnapshotPlusWalTailRecoversEverything) {
   EXPECT_EQ(recovered->server->total_records(), 15u);
 }
 
-TEST(RecoveryTest, ReadsAVersion1Manifest) {
-  // The layout before incremental snapshots: one whole-store
-  // snapshot-<lsn>.bin named by an FQMANIFEST1, plus a WAL tail.
+// The layout before incremental snapshots, an FQMANIFEST1 naming one
+// whole-store snapshot, is not read.
+TEST(RecoveryTest, RefusesAVersion1Manifest) {
   std::string dir = FreshDir("recover_manifest_v1");
-  cloud::CloudServer server(index::DomainBinning::Create(0, 10, 1).ValueOrDie());
-  auto wal = durability::Wal::Open(TinyWalOptions(dir));
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE((*wal)->AppendMeta(0, 10, 1).ok());
-  for (uint64_t pn = 0; pn < 2; ++pn) {
-    ASSERT_TRUE(server.StartPublication(pn).ok());
-    ASSERT_TRUE((*wal)->AppendStart(pn).ok());
-    for (uint32_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE(server.IngestRecord(pn, i, Bytes(6, uint8_t(i))).ok());
-      ASSERT_TRUE((*wal)->AppendRecord(pn, i, Bytes(6, uint8_t(i))).ok());
-    }
-  }
-  Bytes payload = IndexPayload(std::vector<int64_t>(10, 1));
-  auto pub = net::DecodeIndexPublication(payload);
-  ASSERT_TRUE(pub.ok());
-  ASSERT_TRUE(server.PublishIndexed(0, std::move(*pub), payload).ok());
-  ASSERT_TRUE((*wal)->AppendInstall(0, payload).ok());
-  ASSERT_TRUE((*wal)->Commit().ok());
-
-  const uint64_t lsn = (*wal)->last_lsn();
-  char name[48];
-  std::snprintf(name, sizeof(name), "snapshot-%010llu.bin",
-                static_cast<unsigned long long>(lsn));
-  ASSERT_TRUE(server.SaveSnapshot(dir + "/" + name).ok());
-  const std::string v1 = "FQMANIFEST1\nsnapshot=" + std::string(name) +
-                         "\nwal_lsn=" + std::to_string(lsn) + "\n";
+  const std::string v1 =
+      "FQMANIFEST1\nsnapshot=snapshot-0000000003.bin\nwal_lsn=3\n";
   WriteAll(dir + "/MANIFEST", Bytes(v1.begin(), v1.end()));
-
-  // The tail: more records for the open publication, in the WAL only.
-  for (uint32_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(server.IngestRecord(1, i, Bytes(6, 0x40)).ok());
-    ASSERT_TRUE((*wal)->AppendRecord(1, i, Bytes(6, 0x40)).ok());
-  }
-  ASSERT_TRUE((*wal)->Commit().ok());
-
-  auto manifest = durability::ReadManifest(dir);
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  EXPECT_EQ(manifest->snapshot_files, std::vector<std::string>{name});
-  EXPECT_EQ(manifest->wal_lsn, lsn);
-
-  auto recovered = durability::RecoveryManager::Recover(dir);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_TRUE(recovered->stats.snapshot_loaded);
-  EXPECT_EQ(recovered->stats.records_replayed, 4u);
-  EXPECT_EQ(recovered->server->num_publications(), 2u);
-  EXPECT_EQ(recovered->server->total_records(), server.total_records());
-  EXPECT_EQ(*recovered->server->PublicationEvidence(0), payload);
-
-  // A version-1 MANIFEST names one snapshot at most.
-  const std::string two = "FQMANIFEST1\nsnapshot=a.bin\nsnapshot=b.bin\n"
-                          "wal_lsn=1\n";
-  WriteAll(dir + "/MANIFEST", Bytes(two.begin(), two.end()));
   EXPECT_TRUE(durability::ReadManifest(dir).status().IsCorruption());
 }
 

@@ -343,6 +343,17 @@ TEST(PerturberTest, NoiseShapeMatchesLayoutAndIsNontrivial) {
   EXPECT_GT(nonzero, 100);  // Lap(4) is rarely 0 across 1200+ nodes
 }
 
+// The merger's merge: the true leaf counts aggregated up, plus the
+// template's noise index.
+Result<HistogramIndex> Merge(const IndexTemplate& tmpl,
+                             const std::vector<int64_t>& al) {
+  const HistogramIndex& noise = tmpl.noise_index();
+  auto true_index =
+      HistogramIndex::FromLeafCounts(noise.layout(), noise.binning(), al);
+  if (!true_index.ok()) return true_index.status();
+  return noise.Plus(*true_index);
+}
+
 TEST(TemplateTest, MergeWithCountsEqualsDirectBuildPlusNoise) {
   auto binning = MakeBinning(0, 200, 1);
   crypto::SecureRandom rng(10);
@@ -351,7 +362,7 @@ TEST(TemplateTest, MergeWithCountsEqualsDirectBuildPlusNoise) {
   std::vector<int64_t> al(200);
   Xoshiro256 xr(2);
   for (auto& v : al) v = static_cast<int64_t>(xr.NextBounded(50));
-  auto merged = tmpl->MergeWithCounts(al);
+  auto merged = Merge(*tmpl, al);
   ASSERT_TRUE(merged.ok());
   // Every leaf: noise + AL; every internal: sum-of-children identity.
   for (size_t i = 0; i < 200; ++i) {
@@ -381,7 +392,7 @@ TEST(TemplateTest, MergeRejectsWrongArity) {
   auto binning = MakeBinning(0, 100, 1);
   crypto::SecureRandom rng(10);
   auto tmpl = IndexTemplate::Create(binning, 8, 1.0, &rng);
-  EXPECT_FALSE(tmpl->MergeWithCounts(std::vector<int64_t>(99, 0)).ok());
+  EXPECT_FALSE(Merge(*tmpl, std::vector<int64_t>(99, 0)).ok());
 }
 
 TEST(TemplateTest, TotalPositiveNoiseCountsOnlyPositive) {
@@ -444,22 +455,25 @@ TEST(LeafArraysTest, PublishedCountInvariant) {
 
 // ---------------------------------------------------------- OverflowArrays
 
+// The decoded form of `ovf`, which is what the cloud reads.
+OverflowArrays Decoded(const OverflowArrays& ovf) {
+  return OverflowArrays::Deserialize(ovf.Serialize()).ValueOrDie();
+}
+
 TEST(OverflowTest, InsertThenPadFillsEverySlot) {
   crypto::SecureRandom rng(3);
   OverflowArrays ovf(4, 3);
   EXPECT_TRUE(ovf.Insert(1, Bytes{1, 2, 3}, &rng).ok());
   EXPECT_TRUE(ovf.Insert(1, Bytes{4, 5}, &rng).ok());
-  EXPECT_EQ(ovf.used(1), 2u);
   int dummy_count = 0;
-  ASSERT_TRUE(ovf
-                  .PadWithDummies([&] {
-                    ++dummy_count;
-                    return Bytes{0xFF};
-                  })
-                  .ok());
+  ovf.ForEachEmptySlot([&](Bytes* slot) {
+    ++dummy_count;
+    *slot = Bytes{0xFF};
+  });
   EXPECT_EQ(dummy_count, 4 * 3 - 2);
+  const OverflowArrays back = Decoded(ovf);
   for (size_t leaf = 0; leaf < 4; ++leaf) {
-    ovf.ForEachSlot(leaf, [](std::span<const uint8_t> slot) {
+    back.ForEachSlot(leaf, [](std::span<const uint8_t> slot) {
       EXPECT_FALSE(slot.empty());
     });
   }
@@ -478,7 +492,7 @@ TEST(OverflowTest, SerializeRoundTrip) {
   crypto::SecureRandom rng(3);
   OverflowArrays ovf(3, 2);
   (void)ovf.Insert(0, Bytes{9, 9}, &rng);
-  ASSERT_TRUE(ovf.PadWithDummies([&] { return rng.RandomBytes(8); }).ok());
+  ovf.ForEachEmptySlot([&](Bytes* slot) { *slot = rng.RandomBytes(8); });
   Bytes bytes = ovf.Serialize();
   EXPECT_EQ(bytes.size(), ovf.SerializedSize());
   auto back = OverflowArrays::Deserialize(bytes);
@@ -486,18 +500,21 @@ TEST(OverflowTest, SerializeRoundTrip) {
   EXPECT_TRUE(back->decoded());
   EXPECT_EQ(back->num_leaves(), 3u);
   EXPECT_EQ(back->slots_per_leaf(), 2u);
-  EXPECT_EQ(back->PayloadBytes(), ovf.PayloadBytes());
+  EXPECT_EQ(back->PayloadBytes(), 2u + 5 * 8u);
   EXPECT_EQ(back->Serialize(), bytes);
-  auto slots_of = [](const OverflowArrays& a, size_t leaf) {
-    std::vector<Bytes> out;
-    a.ForEachSlot(leaf, [&](std::span<const uint8_t> slot) {
-      out.emplace_back(slot.begin(), slot.end());
-    });
-    return out;
-  };
+  size_t inserted = 0;
   for (size_t leaf = 0; leaf < 3; ++leaf) {
-    EXPECT_EQ(slots_of(*back, leaf), slots_of(ovf, leaf));
+    back->ForEachSlot(leaf, [&](std::span<const uint8_t> slot) {
+      if (slot.size() == 2) {
+        EXPECT_EQ(leaf, 0u);
+        EXPECT_EQ(Bytes(slot.begin(), slot.end()), (Bytes{9, 9}));
+        ++inserted;
+      } else {
+        EXPECT_EQ(slot.size(), 8u);
+      }
+    });
   }
+  EXPECT_EQ(inserted, 1u);
   // Corruption.
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(OverflowArrays::Deserialize(bytes).ok());
@@ -512,7 +529,7 @@ TEST(OverflowTest, InsertPositionIsRandomized) {
     OverflowArrays ovf(1, 16);
     (void)ovf.Insert(0, Bytes{7}, &rng);
     size_t s = 0;
-    ovf.ForEachSlot(0, [&](std::span<const uint8_t> slot) {
+    Decoded(ovf).ForEachSlot(0, [&](std::span<const uint8_t> slot) {
       if (!slot.empty()) positions.insert(s);
       ++s;
     });

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "client/client.h"
@@ -41,7 +43,7 @@ net::IndexPublication SamplePublication(size_t leaves, size_t slots,
   for (size_t leaf = 0; leaf < leaves; leaf += 3) {
     EXPECT_TRUE(ovf.Insert(leaf, rng.RandomBytes(40), &rng).ok());
   }
-  EXPECT_TRUE(ovf.PadWithDummies([&] { return rng.RandomBytes(40); }).ok());
+  ovf.ForEachEmptySlot([&](Bytes* slot) { *slot = rng.RandomBytes(40); });
   return net::IndexPublication(OneRecordPerLeaf(leaves), std::move(ovf));
 }
 
@@ -134,7 +136,8 @@ TEST(PublicationIntegrityTest, SignedEncodingEqualsTagThenEncode) {
 
 // An installed publication keeps one buffer: its evidence. Every overflow
 // slot a query can read lies inside it, whether the payload arrived as a
-// copy (PublishIndexed with Bytes) or shared (the cloud node's path).
+// copy of the bytes a publication was decoded from (PublishIndexed with
+// Bytes) or shared (the cloud node's path).
 TEST(PublicationIntegrityTest, InstalledOverflowSlotsLieInsideTheEvidence) {
   const Bytes key(32, 0x23);
   net::IndexPublication built = SamplePublication(24, 2, 6);
@@ -146,9 +149,7 @@ TEST(PublicationIntegrityTest, InstalledOverflowSlotsLieInsideTheEvidence) {
   ASSERT_TRUE(copied.ok());
   ASSERT_TRUE(server.PublishIndexed(0, std::move(*copied), payload).ok());
   auto shared = std::make_shared<const Bytes>(payload);
-  auto in_place = net::DecodeSharedIndexPublication(shared);
-  ASSERT_TRUE(in_place.ok());
-  ASSERT_TRUE(server.PublishIndexed(1, std::move(*in_place), shared).ok());
+  ASSERT_TRUE(server.PublishIndexed(1, shared).ok());
 
   for (uint64_t pn : {0u, 1u}) {
     auto inst = server.CurrentView()->Find(pn);
@@ -180,36 +181,53 @@ TEST(PublicationIntegrityTest, InstalledOverflowSlotsLieInsideTheEvidence) {
   EXPECT_TRUE(server.PublishIndexed(2, std::move(*again), other)
                   .status()
                   .IsInvalidArgument());
+  // So is no payload at all.
+  EXPECT_TRUE(server.PublishIndexed(2, nullptr).status().IsInvalidArgument());
 }
 
-// Queries read the overflow ciphertexts of a decoded publication from its
-// buffer; they must be the ciphertexts of the arrays it was built from.
+// Queries read the overflow ciphertexts of an installed publication from
+// its payload; they must be the ciphertexts its arrays were built from.
 TEST(PublicationIntegrityTest, DecodedOverflowServesTheBuiltCiphertexts) {
-  const Bytes key(32, 0x24);
-  net::IndexPublication built = SamplePublication(30, 3, 7);
-  const Bytes payload = SignedPayload(built, key);
-  const index::DomainBinning& binning = built.index.binning();
-  cloud::CloudServer from_built(binning);
-  cloud::CloudServer from_payload(binning);
-  ASSERT_TRUE(from_built.StartPublication(0).ok());
-  ASSERT_TRUE(from_payload.StartPublication(0).ok());
-  ASSERT_TRUE(from_built.PublishIndexed(0, built).ok());
-  auto decoded = net::DecodeIndexPublication(payload);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_TRUE(
-      from_payload.PublishIndexed(0, std::move(*decoded), payload).ok());
-  for (const index::RangeQuery& q :
-       {index::RangeQuery{0, 30}, index::RangeQuery{4.5, 11.5}}) {
-    auto a = from_built.ExecuteQuery(q);
-    auto b = from_payload.ExecuteQuery(q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_FALSE(a->overflow_records.empty());
-    ASSERT_EQ(a->overflow_records.size(), b->overflow_records.size());
-    for (size_t i = 0; i < a->overflow_records.size(); ++i) {
-      EXPECT_EQ(a->overflow_records[i].pn, b->overflow_records[i].pn);
-      EXPECT_EQ(a->overflow_records[i].e_record,
-                b->overflow_records[i].e_record);
+  constexpr size_t kLeaves = 30;
+  constexpr size_t kSlots = 3;
+  crypto::SecureRandom rng(7);
+  index::OverflowArrays ovf(kLeaves, kSlots);
+  // Ciphertexts as strings: their order is all a multiset needs.
+  auto text = [](const Bytes& b) { return std::string(b.begin(), b.end()); };
+  std::vector<std::multiset<std::string>> built(kLeaves);
+  for (size_t leaf = 0; leaf < kLeaves; ++leaf) {
+    for (size_t s = 0; s < kSlots; ++s) {
+      const Bytes ct = rng.RandomBytes(40);
+      built[leaf].insert(text(ct));
+      ASSERT_TRUE(ovf.Insert(leaf, ct, &rng).ok());
     }
+  }
+  const net::IndexPublication pub(OneRecordPerLeaf(kLeaves), std::move(ovf));
+  cloud::CloudServer server(pub.index.binning());
+  ASSERT_TRUE(server.StartPublication(0).ok());
+  ASSERT_TRUE(server
+                  .PublishIndexed(0, std::make_shared<const Bytes>(
+                                         SignedInOnePass(pub, Bytes(32, 0x24))))
+                  .ok());
+  // Each query with the leaves it touches.
+  struct Case {
+    index::RangeQuery q;
+    size_t first_leaf;
+    size_t last_leaf;
+  };
+  for (const Case& c : {Case{{0, 30}, 0, 29}, Case{{4.5, 11.5}, 4, 11}}) {
+    auto result = server.ExecuteQuery(c.q);
+    ASSERT_TRUE(result.ok());
+    std::multiset<std::string> want;
+    for (size_t leaf = c.first_leaf; leaf <= c.last_leaf; ++leaf) {
+      want.insert(built[leaf].begin(), built[leaf].end());
+    }
+    std::multiset<std::string> got;
+    for (const auto& r : result->overflow_records) {
+      EXPECT_EQ(r.pn, 0u);
+      got.insert(text(r.e_record));
+    }
+    EXPECT_EQ(got, want) << "[" << c.q.lo << ", " << c.q.hi << "]";
   }
 }
 
@@ -364,21 +382,26 @@ TEST(PublicationIntegrityTest, EndToEndFresquePublicationVerifies) {
   EXPECT_TRUE(other.VerifyPublication(server, 0).IsCorruption());
 }
 
-// An installed publication whose evidence is missing fails an audit; only
-// a publication that never installed reads NotFound.
+// An installed publication whose payload carries no tag fails an audit;
+// only a publication that never installed reads NotFound.
 TEST(PublicationIntegrityTest, InstalledWithoutEvidenceFailsVerification) {
   auto spec = record::GowallaDataset();
   ASSERT_TRUE(spec.ok());
   auto binning = index::DomainBinning::Create(0, 8, 1);
   cloud::CloudServer server(std::move(binning).ValueOrDie());
   ASSERT_TRUE(server.StartPublication(0).ok());
-  ASSERT_TRUE(server.PublishIndexed(0, SamplePublication(8, 2, 11)).ok());
+  ASSERT_TRUE(server
+                  .PublishIndexed(0, std::make_shared<const Bytes>(
+                                         net::EncodeIndexPublication(
+                                             SamplePublication(8, 2, 11))))
+                  .ok());
 
   client::Client client(crypto::KeyManager(Bytes(32, 0x30)),
                         &spec->parser->schema());
   Status st = client.VerifyPublication(server, 0);
   EXPECT_FALSE(st.ok());
   EXPECT_FALSE(st.IsNotFound()) << st.ToString();
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
   EXPECT_TRUE(client.VerifyPublication(server, 1).IsNotFound());
 }
 

@@ -361,7 +361,7 @@ TEST(PayloadsTest, IndexPublicationRoundTrip) {
                                            4, 1.0, &rng);
   index::OverflowArrays ovf(50, 2);
   (void)ovf.Insert(3, Bytes{1, 2, 3}, &rng);
-  ASSERT_TRUE(ovf.PadWithDummies([&] { return rng.RandomBytes(4); }).ok());
+  ovf.ForEachEmptySlot([&](Bytes* slot) { *slot = rng.RandomBytes(4); });
   IndexPublication pub(tmpl->noise_index(), std::move(ovf));
   auto bytes = EncodeIndexPublication(pub);
   auto back = DecodeIndexPublication(bytes);

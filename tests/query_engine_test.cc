@@ -12,6 +12,7 @@
 #include "cloud/server.h"
 #include "index/matching.h"
 #include "net/payloads.h"
+#include "payload_util.h"
 #include "query/context.h"
 #include "query/scan.h"
 #include "query/view.h"
@@ -91,15 +92,6 @@ TEST(ViewManagerTest, ReplacedPublicationFreedOnlyWhenLastPinDrops) {
 
 index::DomainBinning TinyBinning() {
   return std::move(index::DomainBinning::Create(0, 10, 1)).ValueOrDie();
-}
-
-net::IndexPublication MakePublication(const index::DomainBinning& binning,
-                                      const std::vector<int64_t>& counts) {
-  auto layout = index::IndexLayout::Create(binning.num_bins(), 4);
-  auto idx = index::HistogramIndex::FromLeafCounts(
-      std::move(layout).ValueOrDie(), binning, counts);
-  index::OverflowArrays ovf(binning.num_bins(), 1);
-  return net::IndexPublication(std::move(idx).ValueOrDie(), std::move(ovf));
 }
 
 TEST(CloudServerViewTest, InstallPublishesViewEpochs) {

@@ -37,27 +37,6 @@ TEST(QueueTest, CountsEnqueuedAndHighWatermark) {
   EXPECT_EQ(q.high_watermark(), 3u);
 }
 
-TEST(QueueTest, TryPushSplitsBackPressureFromShutdown) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-
-  // Full queue: back-pressure reject.
-  EXPECT_FALSE(q.TryPush(3));
-  EXPECT_FALSE(q.TryPush(4));
-  EXPECT_EQ(q.rejected_full(), 2u);
-  EXPECT_EQ(q.rejected_closed(), 0u);
-  EXPECT_EQ(q.rejected(), 2u);
-
-  // Closed queue: shutdown reject, even though space is available.
-  ASSERT_TRUE(q.Pop().has_value());
-  q.Close();
-  EXPECT_FALSE(q.TryPush(5));
-  EXPECT_EQ(q.rejected_full(), 2u);
-  EXPECT_EQ(q.rejected_closed(), 1u);
-  EXPECT_EQ(q.rejected(), 3u);
-}
-
 TEST(QueueTest, PushAfterCloseFailsAndCountsAsClosed) {
   BoundedQueue<int> q(8);
   EXPECT_TRUE(q.Push(1));
@@ -67,7 +46,6 @@ TEST(QueueTest, PushAfterCloseFailsAndCountsAsClosed) {
   EXPECT_FALSE(q.Push(3));
   EXPECT_EQ(q.enqueued(), 1u);
   EXPECT_EQ(q.rejected_closed(), 2u);
-  EXPECT_EQ(q.rejected_full(), 0u);
 }
 
 TEST(QueueTest, PopDrainsRemainingItemsThenReturnsNullopt) {
@@ -143,7 +121,7 @@ TEST(QueueTest, MultiProducerMultiConsumerConservesItems) {
   EXPECT_EQ(popped.load(), kTotal);
   EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);  // each value once
   EXPECT_EQ(q.enqueued(), kTotal);
-  EXPECT_EQ(q.rejected(), 0u);
+  EXPECT_EQ(q.rejected_closed(), 0u);
   EXPECT_GE(q.high_watermark(), 1u);
   EXPECT_LE(q.high_watermark(), q.capacity());
   EXPECT_EQ(q.size(), 0u);
@@ -172,7 +150,7 @@ TEST(QueueTest, PushBatchLargerThanCapacityDeliversEverything) {
   ASSERT_EQ(popped.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(popped[i], i);  // FIFO preserved
   EXPECT_EQ(q.enqueued(), 100u);
-  EXPECT_EQ(q.rejected(), 0u);
+  EXPECT_EQ(q.rejected_closed(), 0u);
 }
 
 TEST(QueueTest, PopBatchTakesUpToMaxAndAppends) {
@@ -197,7 +175,6 @@ TEST(QueueTest, CloseMidPushBatchSplitsAcceptedFromRejected) {
   producer.join();
   EXPECT_EQ(q.enqueued(), 2u);
   EXPECT_EQ(q.rejected_closed(), 3u);
-  EXPECT_EQ(q.rejected_full(), 0u);
   // The accepted prefix is still poppable after close.
   std::vector<int> batch;
   EXPECT_EQ(q.PopBatch(&batch, 10), 2u);
@@ -270,7 +247,7 @@ TEST(QueueTest, BatchMultiProducerMultiConsumerConservesItems) {
   EXPECT_EQ(popped.load(), kTotal);
   EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
   EXPECT_EQ(q.enqueued(), kTotal);
-  EXPECT_EQ(q.rejected(), 0u);
+  EXPECT_EQ(q.rejected_closed(), 0u);
   EXPECT_EQ(q.size(), 0u);
 }
 
@@ -294,14 +271,12 @@ TEST(QueueRingTest, WrapsAroundAtCapacity) {
   for (int round = 0; round < 50; ++round) {
     // Keep the queue full and slide it forward 3 items per round, so the
     // head and tail wrap past the end of the slots again and again.
-    while (q.size() < q.capacity()) ASSERT_TRUE(q.TryPush(next_push++));
-    EXPECT_FALSE(q.TryPush(-1));
+    while (q.size() < q.capacity()) ASSERT_TRUE(q.Push(next_push++));
     ExpectPops(&q, next_pop, 3);
     next_pop += 3;
   }
   ExpectPops(&q, next_pop, static_cast<int>(q.size()));
   EXPECT_EQ(q.high_watermark(), 5u);
-  EXPECT_EQ(q.rejected_full(), 50u);
 }
 
 TEST(QueueRingTest, GrowsWhileItemsAreQueued) {

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,13 +91,19 @@ TEST(SnapshotTest, RejectsCorruptSnapshots) {
   }
   EXPECT_FALSE(cloud::CloudServer::LoadSnapshot(path).ok());
   EXPECT_FALSE(cloud::CloudServer::LoadSnapshot("/nonexistent/nope").ok());
+  // The previous format, which stored each publication twice, is refused.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "FQSNAP02" << std::string(32, '\0');
+  }
+  EXPECT_TRUE(cloud::CloudServer::LoadSnapshot(path).status().IsCorruption());
   std::remove(path.c_str());
 }
 
-// A published entry stores its overflow arrays twice: alone, and inside
-// the evidence a client verifies. If the two disagree, queries would
-// serve overflow bytes the evidence never covered, so the load must fail.
-TEST(SnapshotTest, RejectsOverflowThatDisagreesWithItsEvidence) {
+// An installed entry holds its publication's payload and nothing else of
+// it: the index and overflow bytes appear in the file once, inside the
+// payload, and the restored publication serves that payload as evidence.
+TEST(SnapshotTest, StoresEachPublicationPayloadOnce) {
   auto binning = index::DomainBinning::Create(0, 32, 1);
   ASSERT_TRUE(binning.ok());
   crypto::SecureRandom rng(31);
@@ -104,42 +112,70 @@ TEST(SnapshotTest, RejectsOverflowThatDisagreesWithItsEvidence) {
       std::move(layout).ValueOrDie(), *binning, std::vector<int64_t>(32, 1));
   ASSERT_TRUE(idx.ok());
   index::OverflowArrays ovf(32, 2);
-  ASSERT_TRUE(ovf.PadWithDummies([&] { return rng.RandomBytes(24); }).ok());
-  const Bytes stored_overflow = ovf.Serialize();
-  net::IndexPublication pub(std::move(idx).ValueOrDie(), std::move(ovf));
-  pub.integrity_tag = net::ComputeIndexPublicationTag(pub, Bytes(32, 0x44));
-  const Bytes payload = net::EncodeIndexPublication(pub);
+  ovf.ForEachEmptySlot([&](Bytes* slot) { *slot = rng.RandomBytes(24); });
+  const Bytes overflow = ovf.Serialize();
+  const Bytes mac_key(32, 0x44);
+  auto payload = net::EncodeSignedIndexPublication(
+      net::IndexPublication(std::move(idx).ValueOrDie(), std::move(ovf)),
+      mac_key, 0,
+      [](uint8_t*, std::span<const size_t>) { return Status::OK(); });
+  ASSERT_TRUE(payload.ok());
 
   cloud::CloudServer server(*binning);
   ASSERT_TRUE(server.StartPublication(0).ok());
   ASSERT_TRUE(server.IngestRecord(0, 5, Bytes(48, 0x05)).ok());
-  auto decoded = net::DecodeIndexPublication(payload);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_TRUE(server.PublishIndexed(0, std::move(*decoded), payload).ok());
-  const std::string path = TempPath("overflow_vs_evidence.bin");
+  ASSERT_TRUE(
+      server.PublishIndexed(0, std::make_shared<const Bytes>(*payload)).ok());
+  const std::string path = TempPath("payload_once.bin");
   ASSERT_TRUE(server.SaveSnapshot(path).ok());
-  ASSERT_TRUE(cloud::CloudServer::LoadSnapshot(path).ok());
 
-  // The entry's own overflow segment comes before its evidence; flip the
-  // last byte of its last slot (a ciphertext byte, not a length prefix).
   Bytes file;
   {
     std::ifstream in(path, std::ios::binary);
     file.assign(std::istreambuf_iterator<char>(in),
                 std::istreambuf_iterator<char>());
   }
-  auto at = std::search(file.begin(), file.end(), stored_overflow.begin(),
-                        stored_overflow.end());
-  ASSERT_NE(at, file.end());
-  *(at + static_cast<std::ptrdiff_t>(stored_overflow.size()) - 1) ^= 0x01;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(file.data()),
-              static_cast<std::streamsize>(file.size()));
+  size_t copies = 0;
+  for (auto at = file.begin();
+       (at = std::search(at, file.end(), overflow.begin(), overflow.end())) !=
+       file.end();
+       ++at) {
+    ++copies;
   }
+  EXPECT_EQ(copies, 1u);
   auto loaded = cloud::CloudServer::LoadSnapshot(path);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto evidence = (*loaded)->PublicationEvidence(0);
+  ASSERT_TRUE(evidence.ok());
+  EXPECT_EQ(*evidence, *payload);
+  EXPECT_TRUE(net::VerifyIndexPublicationPayload(*evidence, mac_key).ok());
+  auto inst = (*loaded)->CurrentView()->Find(0);
+  ASSERT_NE(inst, nullptr);
+  EXPECT_EQ(inst->overflow.buffer(), inst->evidence);
   std::remove(path.c_str());
+}
+
+// The format has no place for PINED-RQ++ tagged records, so a store
+// holding them cannot be cut rather than lose them silently.
+TEST(SnapshotTest, RefusesAnOpenPublicationWithTaggedRecords) {
+  auto binning = index::DomainBinning::Create(0, 10, 1);
+  cloud::CloudServer server(std::move(binning).ValueOrDie());
+  ASSERT_TRUE(server.StartPublication(0).ok());
+  ASSERT_TRUE(server.IngestRecord(0, 1, Bytes(48, 0x01)).ok());
+  ASSERT_TRUE(server.CutSnapshot().ok());
+  ASSERT_TRUE(server.StartPublication(1).ok());
+  ASSERT_TRUE(server.IngestTagged(1, 0x7A6, Bytes(48, 0x02)).ok());
+
+  EXPECT_TRUE(server.CutSnapshot().status().IsFailedPrecondition());
+  const std::string path = TempPath("tagged_snapshot.bin");
+  std::remove(path.c_str());
+  EXPECT_TRUE(server.SaveSnapshot(path).IsFailedPrecondition());
+  EXPECT_FALSE(std::ifstream(path).good()) << "a refused snapshot was written";
+  // A cut that leaves the tagged publication out still succeeds.
+  auto open_only = server.CutSnapshot(
+      [](uint64_t pn, bool) { return pn == 0; });
+  ASSERT_TRUE(open_only.ok());
+  EXPECT_EQ(open_only->size(), 1u);
 }
 
 TEST(SnapshotTest, EmptyServerRoundTrips) {

@@ -8,7 +8,8 @@
 #
 # Asserts that every ingest flag takes effect at both shard counts (each
 # install snapshots, so wal-dump lists several sealed files), that
-# the conservation ledger balances, that recovery returns the same
+# the conservation ledger balances, that inspect and recover count the
+# publications ingest made, that recovery returns the same
 # matches, that a repeated query under a deadline returns the same
 # matches and reports its latency, that no command reports an ignored
 # flag, that a bad key hex exits 1, that a flag given to a command that
@@ -72,6 +73,11 @@ for N in 1 4; do
 
   run inspect "snap$N.bin" >"inspect$N.log"
   grep -q "shards: $N" "inspect$N.log" || fail "inspect does not see $N shards"
+  # The interval opened at the last publish is not a publication.
+  pubs=$(sed -n 's/.* \([0-9][0-9]*\) publication(s), epsilon .*/\1/p' "ingest$N.log")
+  [[ -n "$pubs" ]] || { cat "ingest$N.log"; fail "ingest printed no publication count"; }
+  grep -qx "  publications: $pubs" "inspect$N.log" \
+    || { cat "inspect$N.log"; fail "inspect does not count the $pubs publication(s) ingest made at N=$N"; }
 
   run verify gowalla "snap$N.bin" "${SH[@]}" >"verify$N.log"
   grep -qE "^[1-9][0-9]* verified, 0 failed" "verify$N.log" \
@@ -87,6 +93,8 @@ for N in 1 4; do
     || fail "--repeat/--query-deadline-ms changed the answer at N=$N"
 
   run recover gowalla "dd$N" "rec$N.bin" "${SH[@]}" >"recover$N.log"
+  grep -q "^recovered $pubs publication(s)" "recover$N.log" \
+    || { cat "recover$N.log"; fail "recover does not count the $pubs publication(s) ingest made at N=$N"; }
   run query gowalla "rec$N.bin" "$LO" "$HI" "${SH[@]}" >"requery$N.log"
   before=$(matches "query$N.log")
   after=$(matches "requery$N.log")

@@ -615,8 +615,7 @@ int CmdVerify(const std::string& dataset, const std::string& snap_path,
   if (!cloud.ok()) return Fail(cloud.status().ToString());
   client::Client client(std::move(*keys), &spec->parser->schema());
 
-  // Every installed publication is verified; one installed without its
-  // evidence fails.
+  // Every installed publication is verified against its payload's tag.
   size_t verified = 0, failed = 0;
   for (size_t i = 0; i < (*cloud)->num_shards(); ++i) {
     const cloud::CloudServer& server = *(*cloud)->shard(i);
@@ -635,7 +634,9 @@ int CmdVerify(const std::string& dataset, const std::string& snap_path,
   return failed == 0 ? 0 : 2;
 }
 
-/// Describes every `<snapshot.bin>.shard-<i>` present, then the set.
+/// Describes every `<snapshot.bin>.shard-<i>` present, then the set. A
+/// shard's publications are the installed ones; the interval opened at
+/// the last publish holds records but is not one yet.
 int CmdInspect(const std::string& snap_path) {
   size_t shards = 0, publications = 0, records = 0, bytes = 0;
   for (;; ++shards) {
@@ -644,13 +645,14 @@ int CmdInspect(const std::string& snap_path) {
     auto server = cloud::CloudServer::LoadSnapshot(path);
     if (!server.ok()) return Fail(path + ": " + server.status().ToString());
     const auto& binning = (*server)->binning();
+    const size_t installed = (*server)->CurrentView()->num_publications();
     std::cout << "shard " << shards << " (" << path << "): domain ["
               << binning.domain_min() << ", " << binning.domain_max() << "), "
               << binning.num_bins() << " bins of " << binning.bin_width()
-              << ", " << (*server)->num_publications() << " publication(s), "
+              << ", " << installed << " publication(s), "
               << (*server)->total_records() << " stored record(s), "
               << (*server)->total_bytes() << " payload bytes\n";
-    publications = std::max(publications, (*server)->num_publications());
+    publications = std::max(publications, installed);
     records += (*server)->total_records();
     bytes += (*server)->total_bytes();
   }
@@ -734,7 +736,12 @@ int CmdRecover(const std::string& dataset, const std::string& data_dir,
   auto recovered = shard::RecoverShardedCloud(data_dir, *spec, shards);
   if (!recovered.ok()) return Fail(recovered.status().ToString());
   const shard::ShardedCloudServer& cloud = *recovered->cloud;
-  std::cout << "recovered " << cloud.num_publications() << " publication(s), "
+  size_t installed = 0;
+  for (size_t i = 0; i < cloud.num_shards(); ++i) {
+    installed = std::max(installed,
+                         cloud.shard(i)->CurrentView()->num_publications());
+  }
+  std::cout << "recovered " << installed << " publication(s), "
             << cloud.total_records() << " record(s) across "
             << cloud.num_shards() << " shard(s)\n";
   for (const auto& rs : recovered->shards) {
